@@ -1,16 +1,15 @@
 """Heavy-traffic admission control: deadlines, priorities, load shedding.
 
-A flash-sale spike is replayed through the serving gateway with the
-admission plane enabled (``GatewayConfig(admission=True)``): every
-request carries a priority class and a deadline budget, the
-deadline-aware batcher drains earliest-deadline-first within strict
-priority, and at the bounded queue's edge low-priority traffic is
-preempted or shed with a ``retry_after_s`` backpressure hint instead of
-growing an unbounded backlog.  The whole episode runs under a
-``FakeClock`` with simulated per-forward service times, so replaying
-the identical arrival sequence reproduces every admission decision
-bitwise — which this demo verifies at the end, along with a
-queue-depth-driven :class:`ReplicaAutoscaler` step.
+A flash-sale spike is replayed through the serving gateway with a
+bounded queue and default budgets (``GatewayConfig(admission=True)``):
+every request carries a priority class and a deadline budget, the
+micro-batcher drains earliest-deadline-first within strict priority,
+and at the bounded queue's edge low-priority traffic is preempted or
+shed with a ``retry_after_s`` backpressure hint instead of growing an
+unbounded backlog.  The whole episode runs under a ``FakeClock`` with
+simulated per-forward service times, so replaying the identical
+arrival sequence reproduces every admission decision bitwise — which
+this demo verifies at the end.
 
 Run:
     python examples/admission_control.py
@@ -22,10 +21,8 @@ from repro import Gaia, GaiaConfig, build_marketplace
 from repro.data import MarketplaceConfig, build_dataset
 from repro.obs.clock import FakeClock
 from repro.serving import (
-    AutoscalerConfig,
     GatewayConfig,
     LoadGenerator,
-    ReplicaAutoscaler,
     ServiceTimeModel,
     ServingGateway,
     admission_report,
@@ -120,27 +117,6 @@ def main() -> None:
           f"{len(decision_log)} admission decisions, "
           f"bitwise identical={identical}")
     assert identical
-
-    # --- Autoscaling: queue depth drives the replica count -------------
-    clock = FakeClock()
-    scaled = build_gateway(dataset, clock)
-    try:
-        scaler = ReplicaAutoscaler(
-            scaled,
-            AutoscalerConfig(max_replicas=4, scale_up_depth=8,
-                             scale_down_depth=2, cooldown_steps=2),
-            clock=clock.now,
-        )
-        for shop in range(10):
-            scaled.submit(shop)          # park without serving
-        action = scaler.step()
-        print(f"\nautoscaler: queue depth {scaled.queue_depth()} -> "
-              f"{action} ({scaler.num_replicas} replicas)")
-        scaled.flush()
-        calm = [scaler.step() for _ in range(3)]
-        print(f"after drain: {calm} -> {scaler.num_replicas} replica(s)")
-    finally:
-        scaled.close()
 
 
 if __name__ == "__main__":

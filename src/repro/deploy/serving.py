@@ -160,14 +160,13 @@ class OnlineModelServer:
         ring) — the same count/total split as
         :meth:`~repro.serving.metrics.RollingWindow.summary`.
         """
-        if not self.request_log:
-            return {"count": 0.0, "total": float(self.total_requests),
-                    "mean": 0.0, "p50": 0.0, "p95": 0.0}
-        lat = np.array([r.latency_seconds for r in self.request_log])
+        # Imported here: repro.serving.gateway imports this module at its
+        # top, so a module-level import would be circular.
+        from ..serving.metrics import percentile_summary
+
         return {
-            "count": float(lat.size),
+            "count": float(len(self.request_log)),
             "total": float(self.total_requests),
-            "mean": float(lat.mean()),
-            "p50": float(np.percentile(lat, 50)),
-            "p95": float(np.percentile(lat, 95)),
+            **percentile_summary(
+                [r.latency_seconds for r in self.request_log], (50, 95)),
         }

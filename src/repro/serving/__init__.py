@@ -5,10 +5,14 @@ requests for newcoming e-sellers one ego-subgraph at a time.  This
 package is the production-style layer that lets the same models take
 heavy traffic:
 
-* :class:`~repro.serving.gateway.ServingGateway` — the front door.
-  Requests coalesce in a micro-batcher (``max_batch_size`` /
-  ``max_wait`` flush policy), route across hot-swappable model replicas,
-  and are scored as node-disjoint unions of ego-subgraphs — one model
+* :class:`~repro.serving.gateway.ServingGateway` — the front door,
+  and one path through it: ``submit`` admits a request (priority class
+  + deadline) into the :class:`~repro.serving.batching.MicroBatcher`,
+  ``pump`` / ``flush`` serve due batches (full, ``max_wait`` elapsed,
+  or a deadline at risk; drained earliest-deadline-first within strict
+  priority), and ``predict`` / ``predict_many`` run that loop to
+  completion.  Batches route across hot-swappable model replicas and
+  are scored as node-disjoint unions of ego-subgraphs — one model
   forward per micro-batch instead of one per request, numerically equal
   to the sequential path.
 * :class:`~repro.serving.cache.SubgraphCache` /
@@ -31,14 +35,13 @@ heavy traffic:
 * :class:`~repro.serving.loadgen.LoadGenerator` / :func:`~repro.serving.loadgen.run_load`
   — deterministic traffic patterns (uniform / zipf / repeating) and a
   timed benchmark harness.
-* **Admission plane** (``GatewayConfig(admission=True)``) — requests
-  carry deadline budgets and priority classes, the batcher becomes a
-  :class:`~repro.serving.batching.DeadlineBatcher` (EDF within strict
-  priority, deadline-risk early flush), the queue is bounded with
-  preemptive load shedding (``GatewayResponse.shed`` /
-  ``retry_after_s``), a
-  :class:`~repro.serving.admission.ReplicaAutoscaler` closes the loop
-  on queue depth + SLO burn, and
+* **Admission** (:mod:`repro.serving.admission`) — every request
+  carries a deadline and a priority class; a full bounded queue sheds
+  preemptively (``GatewayResponse.shed`` / ``retry_after_s``) and an
+  expired budget is shed, never served late.
+  ``GatewayConfig(admission=True)`` bounds the queue at
+  ``max_queue_depth`` and stamps ``default_deadline_s`` on requests
+  without a budget; off, the queue is unbounded and they never expire.
   :meth:`~repro.serving.loadgen.LoadGenerator.generate_timed` /
   :func:`~repro.serving.loadgen.replay_timed` +
   :class:`~repro.serving.loadgen.ServiceTimeModel` simulate
@@ -62,13 +65,10 @@ Quickstart::
 from .admission import (
     AdmissionController,
     AdmissionDecision,
-    AutoscalerConfig,
-    ReplicaAutoscaler,
     admission_report,
 )
 from .batching import (
     PRIORITIES,
-    DeadlineBatcher,
     DisjointBatch,
     MicroBatcher,
     PendingRequest,
@@ -93,7 +93,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayResponse",
     "MicroBatcher",
-    "DeadlineBatcher",
     "PendingRequest",
     "PRIORITIES",
     "priority_rank",
@@ -101,8 +100,6 @@ __all__ = [
     "build_disjoint_batch",
     "AdmissionController",
     "AdmissionDecision",
-    "AutoscalerConfig",
-    "ReplicaAutoscaler",
     "admission_report",
     "LRUCache",
     "SubgraphCache",

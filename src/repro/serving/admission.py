@@ -1,31 +1,27 @@
-"""Admission control: bounded queues, load shedding, simulated autoscaling.
+"""Admission control: queue bounds, deadline budgets, load shedding.
 
 The gateway's traffic-engineering layer.  Micro-batching alone never
 says *no*: under a sustained overload the queue grows without bound and
 every latency percentile follows it.  This module gives the
 :class:`~repro.serving.gateway.ServingGateway` its actuators:
 
-* :class:`AdmissionController` — the bounded-queue policy.  Every
-  offered request is judged at the door: admitted (parked with a
-  deadline budget and priority class), or **shed** with explicit
-  retry-after semantics (``GatewayResponse.shed`` /
-  ``retry_after_s``).  When the queue is full the controller preempts
-  the *worst* parked request strictly below the newcomer's class
-  (:meth:`~repro.serving.batching.DeadlineBatcher.shed_candidate`), so
-  the high-priority class is never starved while lower traffic holds
-  queue slots; a newcomer is only turned away when nothing parked is
-  below it.  Every decision is appended to a bounded
+* :class:`AdmissionController` — the queue policy every request passes.
+  It holds the two values ``GatewayConfig.admission`` resolves to — the
+  queue bound (``max_queue_depth``, or ``inf``) and the default
+  deadline budget (``default_deadline_s``, or ``inf``) — and the
+  decision log.  Every offered request is judged at the door: admitted
+  (parked with a deadline and priority class), or **shed** with
+  explicit retry-after semantics (``GatewayResponse.shed`` /
+  ``retry_after_s``).  When the queue is full the gateway preempts the
+  *worst* parked request strictly below the newcomer's class
+  (:meth:`~repro.serving.batching.MicroBatcher.shed_candidate`), so the
+  high-priority class is never starved while lower traffic holds queue
+  slots; a newcomer is only turned away when nothing parked is below
+  it.  Every decision is appended to a bounded
   :attr:`~AdmissionController.decisions` log — a pure function of the
-  arrival sequence and the injectable clock, so replays under a
-  :class:`~repro.obs.clock.FakeClock` are bitwise identical
+  arrival sequence and the gateway's injectable clock, so replays under
+  a :class:`~repro.obs.clock.FakeClock` are bitwise identical
   (property-tested in ``tests/test_admission.py``).
-* :class:`ReplicaAutoscaler` — the closed loop.  ``step()`` reads the
-  gateway queue depth and (optionally) the firing alerts of an
-  :class:`~repro.obs.slo.SLOEngine` and adds/removes router replicas
-  inside ``[min_replicas, max_replicas]``, with a cooldown so scale-down
-  never flaps.  Purely simulated — replicas are in-process model
-  instances — but the control signals (queue depth, SLO burn) are the
-  production ones.
 * :func:`admission_report` — per-priority-class outcome summary
   (offered / served / shed / p95 latency) over a batch of gateway
   responses, shared by the fault-injection benchmarks and the example.
@@ -42,36 +38,20 @@ counted shed with reason ``"expired"``, never silently served late.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..obs import clock as obs_clock
-from .batching import PRIORITIES, DeadlineBatcher, PendingRequest, priority_rank
+from .batching import PRIORITIES, PendingRequest
+from .metrics import percentile_summary
 
 __all__ = [
-    "ADMISSION_CONFIG_FIELDS",
     "AdmissionDecision",
     "AdmissionController",
-    "AutoscalerConfig",
-    "ReplicaAutoscaler",
     "admission_report",
 ]
 
-#: The :class:`~repro.serving.gateway.GatewayConfig` fields that make up
-#: the admission plane.  ``tests/test_docs.py`` gates that every name
-#: here (a) exists on ``GatewayConfig`` and (b) is documented in
-#: ``docs/ARCHITECTURE.md`` — the knobs cannot drift out of the docs.
-ADMISSION_CONFIG_FIELDS = (
-    "admission",
-    "default_deadline_s",
-    "max_queue_depth",
-    "shed_retry_after_s",
-)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionDecision:
     """One admission verdict, recorded for replay/audit.
 
@@ -98,32 +78,24 @@ class AdmissionDecision:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for diagnostic bundles and benchmarks."""
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "action": self.action,
-            "priority": self.priority,
-            "queue_depth": self.queue_depth,
-            "reason": self.reason,
-            "victim_priority": self.victim_priority,
-            "victim_seq": self.victim_seq,
-            "lower_priority_available": self.lower_priority_available,
-            "retry_after_s": self.retry_after_s,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class AdmissionController:
-    """Bounded-queue admission policy for one gateway.
+    """Queue-bound policy and decision log for one gateway.
 
-    Pure policy: the controller decides and logs; the gateway owns the
-    queue, resolves shed responses and accounts metrics.  Decisions
-    read time only through the injected clock, making the full decision
-    log deterministic under a :class:`~repro.obs.clock.FakeClock`.
+    Pure policy: the controller holds the bound and the default budget,
+    computes retry hints and logs; the gateway owns the queue and the
+    clock, resolves shed responses and accounts metrics.  Decisions are
+    stamped with the clock reading the gateway took for the request
+    (``at``), making the full decision log deterministic under a
+    :class:`~repro.obs.clock.FakeClock`.  ``max_queue_depth`` and
+    ``default_deadline_s`` may be ``inf``: a queue that never refuses
+    and requests that never expire.
     """
 
-    def __init__(self, max_queue_depth: int, default_deadline_s: float,
-                 shed_retry_after_s: float, clock=None,
-                 max_decisions: int = 8192) -> None:
+    def __init__(self, max_queue_depth: float, default_deadline_s: float,
+                 shed_retry_after_s: float, max_decisions: int = 8192) -> None:
         if max_queue_depth <= 0:
             raise ValueError(
                 f"max_queue_depth must be positive, got {max_queue_depth}"
@@ -137,10 +109,9 @@ class AdmissionController:
                 f"shed_retry_after_s must be non-negative, "
                 f"got {shed_retry_after_s}"
             )
-        self.max_queue_depth = int(max_queue_depth)
+        self.max_queue_depth = max_queue_depth
         self.default_deadline_s = float(default_deadline_s)
         self.shed_retry_after_s = float(shed_retry_after_s)
-        self._clock = clock or obs_clock.now
         #: Bounded decision log, oldest first.
         self.decisions: Deque[AdmissionDecision] = deque(
             maxlen=int(max_decisions))
@@ -153,166 +124,35 @@ class AdmissionController:
         proportionally to the pressure they observed spreads the retry
         wave instead of synchronizing it.
 
-        >>> controller = AdmissionController(8, 0.05, 0.02,
-        ...                                  clock=lambda: 0.0)
+        >>> controller = AdmissionController(8, 0.05, 0.02)
         >>> controller.retry_after(0), controller.retry_after(8)
         (0.02, 0.04)
         """
         pressure = min(max(queue_depth, 0) / self.max_queue_depth, 1.0)
         return self.shed_retry_after_s * (1.0 + pressure)
 
-    def record(self, action: str, priority: str, queue_depth: int,
+    def record(self, action: str, priority: str, queue_depth: int, at: float,
                reason: str = "", victim: Optional[PendingRequest] = None,
                lower_priority_available: bool = False,
-               retry_after_s: float = 0.0) -> AdmissionDecision:
-        """Append one decision to the log and return it."""
-        decision = AdmissionDecision(
+               retry_after_s: float = 0.0) -> None:
+        """Append one decision, stamped ``at``, to the log."""
+        self.decisions.append(AdmissionDecision(
             seq=self._decision_seq,
-            at=self._clock(),
+            at=at,
             action=action,
             priority=priority,
-            queue_depth=int(queue_depth),
+            queue_depth=queue_depth,
             reason=reason,
             victim_priority=victim.priority if victim is not None else "",
             victim_seq=victim.seq if victim is not None else -1,
             lower_priority_available=lower_priority_available,
-            retry_after_s=float(retry_after_s),
-        )
+            retry_after_s=retry_after_s,
+        ))
         self._decision_seq += 1
-        self.decisions.append(decision)
-        return decision
 
     def decision_log(self) -> List[Dict[str, object]]:
         """The retained decisions as plain dicts (replay comparison)."""
         return [decision.to_dict() for decision in self.decisions]
-
-
-@dataclass
-class AutoscalerConfig:
-    """Tuning knobs for one :class:`ReplicaAutoscaler`."""
-
-    #: Replica-count floor/ceiling the loop may move within.
-    min_replicas: int = 1
-    max_replicas: int = 8
-    #: Queue depth at/above which one replica is added per step
-    #: (``None`` → ``2 x max_batch_size`` of the attached gateway).
-    scale_up_depth: Optional[int] = None
-    #: Queue depth at/below which the queue counts as calm (``None`` →
-    #: ``max_batch_size // 2``).
-    scale_down_depth: Optional[int] = None
-    #: Consecutive calm steps (queue low, no firing SLO alerts) before
-    #: one replica is removed — the anti-flap cooldown.
-    cooldown_steps: int = 3
-
-    def validate(self) -> None:
-        """Reject inconsistent settings early."""
-        if self.min_replicas <= 0:
-            raise ValueError(
-                f"min_replicas must be positive, got {self.min_replicas}"
-            )
-        if self.max_replicas < self.min_replicas:
-            raise ValueError(
-                f"max_replicas {self.max_replicas} below min_replicas "
-                f"{self.min_replicas}"
-            )
-        if self.cooldown_steps <= 0:
-            raise ValueError(
-                f"cooldown_steps must be positive, got {self.cooldown_steps}"
-            )
-
-
-class ReplicaAutoscaler:
-    """Closed-loop replica scaling driven by queue depth and SLO burn.
-
-    ``step()`` is the control tick — call it on whatever cadence the
-    deployment evaluates health (the benchmarks tick it between load
-    slices).  Scale-up is immediate on either signal (queue depth at
-    bound, or any firing burn-rate alert on the attached
-    :class:`~repro.obs.slo.SLOEngine`); scale-down needs
-    ``cooldown_steps`` consecutive calm ticks, so a recovering spike
-    never oscillates the fleet.  Every decision lands in
-    :attr:`events` with the signals that drove it.
-    """
-
-    def __init__(self, gateway, config: Optional[AutoscalerConfig] = None,
-                 slo_engine=None, clock=None) -> None:
-        self.gateway = gateway
-        self.config = config or AutoscalerConfig()
-        self.config.validate()
-        self.slo_engine = slo_engine
-        self._clock = clock or obs_clock.now
-        batch = gateway.config.max_batch_size
-        self._up_depth = (self.config.scale_up_depth
-                          if self.config.scale_up_depth is not None
-                          else 2 * batch)
-        self._down_depth = (self.config.scale_down_depth
-                            if self.config.scale_down_depth is not None
-                            else max(batch // 2, 1))
-        if self._down_depth >= self._up_depth:
-            raise ValueError(
-                f"scale_down_depth {self._down_depth} must be below "
-                f"scale_up_depth {self._up_depth}"
-            )
-        self._calm_steps = 0
-        #: Decision history: one dict per ``step()`` call.
-        self.events: List[Dict[str, object]] = []
-
-    @property
-    def num_replicas(self) -> int:
-        """Replicas currently in the gateway's rotation."""
-        return self.gateway.router.num_replicas
-
-    def _burning(self) -> bool:
-        """Any burn-rate alert currently firing on the attached engine."""
-        if self.slo_engine is None:
-            return False
-        return bool(self.slo_engine.active_alerts())
-
-    def step(self) -> str:
-        """One control tick; returns ``"up"``, ``"down"`` or ``"hold"``."""
-        depth = int(self.gateway.queue_depth())
-        burning = self._burning()
-        replicas = self.num_replicas
-        decision = "hold"
-        if (depth >= self._up_depth or burning) \
-                and replicas < self.config.max_replicas:
-            self.gateway.router.add_replica()
-            decision = "up"
-            self._calm_steps = 0
-        elif depth <= self._down_depth and not burning:
-            self._calm_steps += 1
-            if (self._calm_steps >= self.config.cooldown_steps
-                    and replicas > self.config.min_replicas):
-                # Retire the newest replica: rendezvous hashing only
-                # remaps the keys that lived on it.
-                victim = sorted(
-                    r.replica_id for r in self.gateway.router.replicas)[-1]
-                self.gateway.router.remove_replica(victim)
-                decision = "down"
-                self._calm_steps = 0
-        else:
-            self._calm_steps = 0
-        self.events.append({
-            "at": self._clock(),
-            "decision": decision,
-            "queue_depth": depth,
-            "burning": burning,
-            "replicas": self.num_replicas,
-        })
-        return decision
-
-    def report(self) -> Dict[str, object]:
-        """Summary of the loop's activity so far."""
-        ups = sum(1 for e in self.events if e["decision"] == "up")
-        downs = sum(1 for e in self.events if e["decision"] == "down")
-        return {
-            "steps": len(self.events),
-            "scale_ups": ups,
-            "scale_downs": downs,
-            "replicas": self.num_replicas,
-            "min_replicas": self.config.min_replicas,
-            "max_replicas": self.config.max_replicas,
-        }
 
 
 def admission_report(responses: Sequence) -> Dict[str, object]:
@@ -342,15 +182,10 @@ def admission_report(responses: Sequence) -> Dict[str, object]:
         served = latencies.get(name, [])
         row["shed_fraction"] = (row["shed"] / row["offered"]
                                 if row["offered"] else 0.0)
-        if served:
-            ordered = np.asarray(served, dtype=np.float64)
-            row["latency_p50_s"] = float(np.percentile(ordered, 50))
-            row["latency_p95_s"] = float(np.percentile(ordered, 95))
-            row["latency_max_s"] = float(ordered.max())
-        else:
-            row["latency_p50_s"] = 0.0
-            row["latency_p95_s"] = 0.0
-            row["latency_max_s"] = 0.0
+        summary = percentile_summary(served, (50, 95))
+        row["latency_p50_s"] = summary["p50"]
+        row["latency_p95_s"] = summary["p95"]
+        row["latency_max_s"] = max(served, default=0.0)
     return {
         "offered": total_offered,
         "shed": total_shed,

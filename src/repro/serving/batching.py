@@ -1,33 +1,34 @@
-"""Micro-batching: request coalescing and node-disjoint batch assembly.
+"""Micro-batching: request scheduling and node-disjoint batch assembly.
 
-The gateway never runs one model forward per request.  Incoming requests
-park in a :class:`MicroBatcher` until either ``max_batch_size`` of them
-accumulated or the oldest has waited ``max_wait`` seconds; the drained
-batch is then stitched into a single *node-disjoint* graph — each
-request's ego-subgraph becomes its own connected component, node ids
-offset so components never collide — and scored with **one** forward
-pass.  Because components are disjoint and message passing is strictly
+The gateway never runs one model forward per request.  Every request
+parks in the one :class:`MicroBatcher` until a batch is **due** — a
+full ``max_batch_size`` is parked, the oldest request has waited
+``max_wait`` seconds, or the tightest parked deadline would be at risk
+if the batcher kept waiting for occupancy (an EWMA of recent batch
+service times is the risk estimate).  The drained batch is then
+stitched into a single *node-disjoint* graph — each request's
+ego-subgraph becomes its own connected component, node ids offset so
+components never collide — and scored with **one** forward pass.
+Because components are disjoint and message passing is strictly
 per-node / per-edge, every center's output equals the per-request
 forward bit-for-bit, even when the original ego-subgraphs overlap.
 
-Heavy traffic adds a second axis: *when* a batch drains and *which*
-requests it contains.  :class:`DeadlineBatcher` extends the batcher
-with per-request **deadline budgets** and **priority classes**
-(:data:`PRIORITIES`): drains pick requests earliest-deadline-first
-within strict priority order, ``due`` flushes early when the tightest
-parked deadline would be at risk if the batcher kept waiting for
-occupancy (an EWMA of recent batch service times is the risk
-estimate), and the admission layer in
-:mod:`repro.serving.admission` uses :meth:`DeadlineBatcher.shed_candidate`
+*Which* requests a batch contains is a schedule, not a mode: every
+request carries a **priority class** (:data:`PRIORITIES`) and an
+absolute **deadline**, and a drain picks earliest-deadline-first
+within strict priority order, arrival order breaking ties.  A stream
+that never sets either — default class, no deadline or budgets stamped
+in arrival order — therefore drains first-in first-out, the contract
+bulk ``predict_many`` callers rely on (property-tested in
+``tests/test_admission.py``).  The admission layer in
+:mod:`repro.serving.admission` uses :meth:`MicroBatcher.shed_candidate`
 / :meth:`MicroBatcher.remove` to preempt parked low-priority work when
-the bounded queue fills.  With every request on the defaults (priority
-``"normal"``, no deadline) the deadline batcher is behaviourally
-identical to the plain one, so the legacy gateway path is unchanged.
+a bounded queue fills.
 
-Both batchers serialize queue mutations under one lock: ``submit``,
-``drain``, ``remove`` and ``__len__`` are safe to call from concurrent
-admission threads, and a drain can never drop a request submitted
-concurrently (the old slice-then-reassign drain lost such requests).
+Queue mutations are serialized under one lock: ``submit``, ``drain``,
+``remove`` and ``__len__`` are safe to call from concurrent admission
+threads, and a drain can never drop a request submitted concurrently
+(the old slice-then-reassign drain lost such requests).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "priority_rank",
     "PendingRequest",
     "MicroBatcher",
-    "DeadlineBatcher",
     "DisjointBatch",
     "build_disjoint_batch",
 ]
@@ -76,15 +76,19 @@ def priority_rank(priority: str) -> int:
         ) from None
 
 
+def _schedule_key(request: "PendingRequest") -> Tuple[int, float, int]:
+    """Drain order: strict priority, then earliest deadline, then arrival."""
+    return (priority_rank(request.priority), request.deadline, request.seq)
+
+
 @dataclass
 class PendingRequest:
     """One enqueued prediction request awaiting a batch slot.
 
     ``priority`` and ``deadline`` (an *absolute* clock reading; ``inf``
-    means no budget) drive the :class:`DeadlineBatcher` schedule;
-    ``seq`` is the admission sequence number — the deterministic
-    tiebreaker that keeps replays of one arrival sequence bitwise
-    identical.
+    means no budget) drive the :class:`MicroBatcher` schedule; ``seq``
+    is the admission sequence number — the deterministic tiebreaker
+    that keeps replays of one arrival sequence bitwise identical.
     """
 
     shop_index: int
@@ -124,70 +128,115 @@ class PendingRequest:
 
 
 class MicroBatcher:
-    """Coalesces requests under a ``max_batch_size`` / ``max_wait`` policy.
+    """The gateway's one request queue: deadline- and priority-aware.
 
-    ``submit`` parks a request and reports whether the batch is full;
-    ``due`` reports whether the oldest parked request has exceeded
-    ``max_wait``; ``drain`` hands back up to ``max_batch_size`` requests
-    in arrival order.  The batcher is synchronous and clock-injectable so
-    flush policy is deterministic under test.
+    * **Scheduling** — :meth:`drain` hands back up to ``max_batch_size``
+      requests ordered by ``(priority rank, deadline, admission seq)``:
+      strict priority first (a high-priority request is never parked
+      while lower traffic drains), earliest-deadline-first within a
+      class, arrival order as the deterministic tiebreaker.  With every
+      request on the default class and deadlines that never decrease
+      (or none at all) that key *is* arrival order.
+    * **Occupancy vs latency** — :meth:`due` reports a batch due when a
+      full one is parked, when the oldest parked request exceeded
+      ``max_wait``, or when the tightest parked deadline has less slack
+      left than one batch service time (:attr:`service_time_ewma`, fed
+      by the gateway via :meth:`observe_service`).  Waiting longer for
+      a fuller batch would push that request past its budget, so the
+      batcher trades occupancy for latency exactly at the break-even
+      point.
+    * **Preemption support** — :meth:`shed_candidate` nominates the
+      worst parked victim (lowest class, then latest deadline, then
+      newest) strictly below a given priority, for the bounded-queue
+      admission layer to :meth:`remove`.
 
-    Queue mutations are lock-serialized: concurrent ``submit`` calls
-    (admission threads) can interleave with ``drain`` / ``__len__``
-    (the flush path, the gateway health probe) without losing requests.
+    Synchronous and clock-injectable, so the flush policy is
+    deterministic under test.  Queue mutations are lock-serialized:
+    concurrent ``submit`` calls (admission threads) can interleave with
+    ``drain`` / ``__len__`` (the serving loop, the gateway health
+    probe) without losing requests.
+
+    >>> batcher = MicroBatcher(max_batch_size=2, max_wait=10.0,
+    ...                        clock=lambda: 0.0)
+    >>> _ = batcher.submit(0, priority="low", deadline=9.0)
+    >>> _ = batcher.submit(1, priority="high", deadline=5.0)
+    >>> _ = batcher.submit(2, priority="high", deadline=1.0)
+    >>> [r.shop_index for r in batcher.drain()]  # EDF within priority
+    [2, 1]
     """
 
     def __init__(self, max_batch_size: int = 32, max_wait: float = 0.005,
-                 clock=None) -> None:
+                 clock=None, service_alpha: float = 0.3) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be non-negative, got {max_wait}")
+        if not 0.0 < service_alpha <= 1.0:
+            raise ValueError(
+                f"service_alpha must be in (0, 1], got {service_alpha}"
+            )
         self.max_batch_size = int(max_batch_size)
         self.max_wait = float(max_wait)
         # Defaults to the injectable observability clock so max_wait
         # deadlines are testable under a FakeClock without sleeping.
         self._clock = clock or obs_clock.now
+        #: Parked requests in arrival order (so ``[0]`` is the oldest).
         self._pending: List[PendingRequest] = []
         self._lock = threading.Lock()
         self._seq = 0
+        #: EWMA of recent batch service times — the deadline-risk
+        #: estimate ``due`` trades occupancy against.
+        self.service_time_ewma = 0.0
+        self._service_alpha = float(service_alpha)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._pending)
 
-    def _make_request(self, shop_index: int, priority: str,
-                      deadline: float) -> PendingRequest:
-        """Build one stamped request (callers hold the lock)."""
-        request = PendingRequest(
-            shop_index=int(shop_index), enqueued_at=self._clock(),
-            priority=priority, deadline=float(deadline), seq=self._seq,
-        )
-        self._seq += 1
-        return request
-
     def submit(self, shop_index: int, priority: str = "normal",
                deadline: float = math.inf) -> Tuple[PendingRequest, bool]:
         """Park one request; returns ``(request, batch_is_full)``."""
         with self._lock:
-            request = self._make_request(shop_index, priority, deadline)
+            request = PendingRequest(
+                shop_index=int(shop_index), enqueued_at=self._clock(),
+                priority=priority, deadline=float(deadline), seq=self._seq,
+            )
+            self._seq += 1
             self._pending.append(request)
             return request, len(self._pending) >= self.max_batch_size
 
-    def due(self, now: Optional[float] = None) -> bool:
-        """True when the oldest parked request exceeded ``max_wait``."""
+    def observe_service(self, seconds: float) -> None:
+        """Feed one measured batch service time into the EWMA."""
+        seconds = max(float(seconds), 0.0)
+        if self.service_time_ewma == 0.0:
+            self.service_time_ewma = seconds
+        else:
+            alpha = self._service_alpha
+            self.service_time_ewma += alpha * (seconds - self.service_time_ewma)
+
+    def due(self) -> bool:
+        """A full batch, the occupancy timer, *or* a deadline at risk."""
         with self._lock:
             if not self._pending:
                 return False
-            if now is None:
-                now = self._clock()
-            return (now - self._pending[0].enqueued_at) >= self.max_wait
+            if len(self._pending) >= self.max_batch_size:
+                return True
+            now = self._clock()
+            if (now - self._pending[0].enqueued_at) >= self.max_wait:
+                return True
+            tightest = min(request.deadline for request in self._pending)
+            return tightest - now <= self.service_time_ewma
 
     def drain(self) -> List[PendingRequest]:
-        """Remove and return up to ``max_batch_size`` oldest requests."""
+        """Up to ``max_batch_size`` requests, EDF within strict priority."""
         with self._lock:
-            batch = self._pending[: self.max_batch_size]
-            del self._pending[: self.max_batch_size]
+            batch = sorted(self._pending,
+                           key=_schedule_key)[: self.max_batch_size]
+            chosen = {request.seq for request in batch}
+            self._pending = [
+                request for request in self._pending
+                if request.seq not in chosen
+            ]
             return batch
 
     def remove(self, request: PendingRequest) -> bool:
@@ -204,90 +253,6 @@ class MicroBatcher:
                     return True
             return False
 
-
-class DeadlineBatcher(MicroBatcher):
-    """Deadline- and priority-aware micro-batcher.
-
-    Three behaviours on top of :class:`MicroBatcher`, each inert when
-    every request carries the defaults (priority ``"normal"``, no
-    deadline) so the legacy gateway path is bit-identical:
-
-    * **Scheduling** — :meth:`drain` picks up to ``max_batch_size``
-      requests ordered by ``(priority rank, deadline, admission seq)``:
-      strict priority first (a high-priority request is never parked
-      while lower traffic drains), earliest-deadline-first within a
-      class, arrival order as the deterministic tiebreaker.
-    * **Occupancy vs latency** — :meth:`due` keeps the ``max_wait``
-      occupancy timer but additionally reports the batch due when the
-      tightest parked deadline has less slack left than one batch
-      service time (:attr:`service_time_ewma`, fed by the gateway via
-      :meth:`observe_service`).  Waiting longer for a fuller batch
-      would push that request past its budget, so the batcher trades
-      occupancy for per-class latency exactly at the break-even point.
-    * **Preemption support** — :meth:`shed_candidate` nominates the
-      worst parked victim (lowest class, then latest deadline, then
-      newest) strictly below a given priority, for the bounded-queue
-      admission layer to :meth:`~MicroBatcher.remove`.
-
-    >>> batcher = DeadlineBatcher(max_batch_size=2, max_wait=10.0,
-    ...                           clock=lambda: 0.0)
-    >>> _ = batcher.submit(0, priority="low", deadline=9.0)
-    >>> _ = batcher.submit(1, priority="high", deadline=5.0)
-    >>> _ = batcher.submit(2, priority="high", deadline=1.0)
-    >>> [r.shop_index for r in batcher.drain()]  # EDF within priority
-    [2, 1]
-    """
-
-    def __init__(self, max_batch_size: int = 32, max_wait: float = 0.005,
-                 clock=None, service_alpha: float = 0.3) -> None:
-        super().__init__(max_batch_size=max_batch_size, max_wait=max_wait,
-                         clock=clock)
-        if not 0.0 < service_alpha <= 1.0:
-            raise ValueError(
-                f"service_alpha must be in (0, 1], got {service_alpha}"
-            )
-        #: EWMA of recent batch service times — the deadline-risk
-        #: estimate ``due`` trades occupancy against.
-        self.service_time_ewma = 0.0
-        self._service_alpha = float(service_alpha)
-
-    @staticmethod
-    def _schedule_key(request: PendingRequest) -> Tuple[int, float, int]:
-        return (priority_rank(request.priority), request.deadline, request.seq)
-
-    def observe_service(self, seconds: float) -> None:
-        """Feed one measured batch service time into the EWMA."""
-        seconds = max(float(seconds), 0.0)
-        if self.service_time_ewma == 0.0:
-            self.service_time_ewma = seconds
-        else:
-            alpha = self._service_alpha
-            self.service_time_ewma += alpha * (seconds - self.service_time_ewma)
-
-    def due(self, now: Optional[float] = None) -> bool:
-        """Occupancy timer *or* a parked deadline at risk."""
-        with self._lock:
-            if not self._pending:
-                return False
-            if now is None:
-                now = self._clock()
-            if (now - self._pending[0].enqueued_at) >= self.max_wait:
-                return True
-            tightest = min(request.deadline for request in self._pending)
-            return tightest - now <= self.service_time_ewma
-
-    def drain(self) -> List[PendingRequest]:
-        """Up to ``max_batch_size`` requests, EDF within strict priority."""
-        with self._lock:
-            ordered = sorted(self._pending, key=self._schedule_key)
-            batch = ordered[: self.max_batch_size]
-            chosen = {request.seq for request in batch}
-            self._pending = [
-                request for request in self._pending
-                if request.seq not in chosen
-            ]
-            return batch
-
     def shed_candidate(self, priority: str) -> Optional[PendingRequest]:
         """Worst parked request *strictly below* ``priority``, or ``None``.
 
@@ -300,10 +265,7 @@ class DeadlineBatcher(MicroBatcher):
         with self._lock:
             victims = [r for r in self._pending
                        if priority_rank(r.priority) > rank]
-            if not victims:
-                return None
-            return max(victims, key=lambda r: (priority_rank(r.priority),
-                                               r.deadline, r.seq))
+            return max(victims, key=_schedule_key, default=None)
 
 
 @dataclass

@@ -5,8 +5,9 @@ GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
 
 1. **result cache** — ``(shop, hops, model_version)`` hit returns a
    finished forecast without touching a model;
-2. **micro-batcher** — misses park until ``max_batch_size`` requests
-   accumulated or the oldest waited ``max_wait`` seconds;
+2. **micro-batcher** — misses park until a batch is due: ``max_batch_size``
+   requests accumulated, the oldest waited ``max_wait`` seconds, or a
+   parked deadline is at risk;
 3. **replica router** — the drained batch is partitioned across model
    replicas (rendezvous hash or least-loaded);
 4. **node-disjoint forward** — each replica's share is stitched into one
@@ -42,31 +43,33 @@ staleness tag (``GatewayResponse.stale`` /
 ``GatewayResponse.staleness_months``).  All traffic is accounted in a
 :class:`~repro.serving.metrics.MetricsRegistry`.
 
-Admission control: with ``GatewayConfig(admission=True)`` the gateway
-grows a traffic-engineering layer (see :mod:`repro.serving.admission`).
-Requests carry **deadline budgets** and **priority classes**
-(``submit(shop, priority="high", deadline_s=0.02)``); the micro-batcher
-becomes a :class:`~repro.serving.batching.DeadlineBatcher` (EDF within
-strict priority, early flush when the tightest parked deadline is at
-risk); the queue is bounded at ``max_queue_depth`` — overflow preempts
-the worst parked lower-priority request or sheds the newcomer, and a
-shed request still resolves, with ``GatewayResponse.shed=True`` and a
-pressure-scaled ``retry_after_s`` hint.  A request whose deadline
-passes while parked, or whose batch lands past the budget, is counted
-shed with reason ``"expired"``, never silently served late.  Every
-verdict is appended to a deterministic decision log
-(``gateway.admission.decision_log()``), and shed/admit counters flow
-through :meth:`metrics_report` into the
-:class:`~repro.obs.hub.MetricsHub` so SLOs can be declared over shed
-rate.  With ``admission=False`` (default) the legacy unbounded path is
-byte-identical and deadline/priority arguments are rejected.
+One serving path, whoever calls (bulk ``predict_many``, the thin-client
+:class:`~repro.deploy.serving.OnlineModelServer`, an open-loop worker):
+:meth:`ServingGateway.submit` is *pure admission* (see
+:mod:`repro.serving.admission`) — the request gets a **priority class**
+and an absolute **deadline** (``submit(shop, priority="high",
+deadline_s=0.02)``) and is parked, preempts the worst parked
+lower-priority request at a full bounded queue, or is shed itself (it
+still resolves, with ``GatewayResponse.shed=True`` and a
+pressure-scaled ``retry_after_s`` hint).  :meth:`ServingGateway.pump` /
+``poll`` / ``flush`` serve: batches drain earliest-deadline-first
+within strict priority, and a request whose deadline passed while
+parked, or whose batch lands past the budget, is shed as ``"expired"``,
+never served late.  ``predict`` / ``predict_many`` run that loop to
+completion.  Every verdict lands in a deterministic decision log
+(``gateway.admission.decision_log()``) and in :meth:`metrics_report`
+counters an SLO can be declared over.  ``GatewayConfig(admission=True)``
+selects two values, not a second path: it bounds the queue at
+``max_queue_depth`` and stamps ``default_deadline_s`` on requests that
+bring no budget; off (default), the queue is unbounded and such
+requests never expire.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +89,7 @@ from ..obs.health import (
 )
 from .admission import AdmissionController
 from .batching import (
-    DeadlineBatcher,
+    PRIORITIES,
     MicroBatcher,
     PendingRequest,
     build_disjoint_batch,
@@ -133,22 +136,20 @@ class GatewayConfig:
     #: staleness tag.  ``0`` = evict the moment the frontier advances
     #: past the entry's data month.
     max_staleness_months: Optional[int] = None
-    #: Master switch for the admission plane.  ``True`` swaps the
-    #: micro-batcher for a :class:`~repro.serving.batching.DeadlineBatcher`,
-    #: bounds the queue at ``max_queue_depth``, and enables per-request
-    #: deadline budgets / priority classes on :meth:`ServingGateway.submit`.
-    #: ``False`` (default) keeps the legacy unbounded path byte-identical
-    #: and rejects deadline/priority arguments.
+    #: Selects two values, never a code path: ``True`` bounds the queue
+    #: at ``max_queue_depth`` and stamps ``default_deadline_s`` on
+    #: requests without their own budget; ``False`` (default) leaves the
+    #: queue unbounded and such requests without a deadline.
     admission: bool = False
-    #: Deadline budget (seconds) stamped on requests that do not bring
-    #: their own ``deadline_s``.  Absolute deadline = admission time +
-    #: budget; a request past it is shed as ``"expired"``, never served
-    #: late.
+    #: Deadline budget (seconds) stamped, under ``admission=True``, on
+    #: requests that do not bring their own ``deadline_s``.  Absolute
+    #: deadline = admission time + budget; a request past it is shed as
+    #: ``"expired"``, never served late.
     default_deadline_s: float = 0.05
-    #: Bound on parked requests.  At the bound, an arrival preempts the
-    #: worst parked strictly-lower-priority request, or is itself shed
-    #: (``GatewayResponse.shed``) when nothing lower is parked.  Must be
-    #: at least ``max_batch_size``.
+    #: Bound on parked requests under ``admission=True``.  At the bound,
+    #: an arrival preempts the worst parked strictly-lower-priority
+    #: request, or is itself shed (``GatewayResponse.shed``) when nothing
+    #: lower is parked.  Must be at least ``max_batch_size``.
     max_queue_depth: int = 256
     #: Base client back-off hint attached to shed responses
     #: (``GatewayResponse.retry_after_s``); scaled up to 2x with queue
@@ -205,7 +206,7 @@ class GatewayResponse(PredictionResponse):
     ``max_staleness_months`` budget); ``staleness_months`` is how many
     event-time months its data frontier trails the store's.
 
-    ``shed`` marks a request the admission plane refused (queue full,
+    ``shed`` marks a request admission refused (queue full,
     preempted by a higher class, or deadline expired): the forecast is
     an all-zero read-only placeholder and ``retry_after_s`` is the
     client back-off hint.  ``priority`` echoes the request's class.
@@ -273,25 +274,21 @@ class ServingGateway:
             partition_map=partition_map,
             precision=self.config.precision,
         )
-        if self.config.admission:
-            self.batcher = DeadlineBatcher(
-                max_batch_size=self.config.max_batch_size,
-                max_wait=self.config.max_wait,
-                clock=clock,
-            )
-            self.admission: Optional[AdmissionController] = AdmissionController(
-                max_queue_depth=self.config.max_queue_depth,
-                default_deadline_s=self.config.default_deadline_s,
-                shed_retry_after_s=self.config.shed_retry_after_s,
-                clock=clock,
-            )
-        else:
-            self.batcher = MicroBatcher(
-                max_batch_size=self.config.max_batch_size,
-                max_wait=self.config.max_wait,
-                clock=clock,
-            )
-            self.admission = None
+        self.batcher = MicroBatcher(
+            max_batch_size=self.config.max_batch_size,
+            max_wait=self.config.max_wait,
+            clock=clock,
+        )
+        # The only read of config.admission that decides anything: it
+        # picks the queue bound and the default budget, not a code path.
+        bounded = self.config.admission
+        self.admission = AdmissionController(
+            max_queue_depth=(self.config.max_queue_depth if bounded
+                             else math.inf),
+            default_deadline_s=(self.config.default_deadline_s if bounded
+                                else math.inf),
+            shed_retry_after_s=self.config.shed_retry_after_s,
+        )
         self.subgraph_cache = SubgraphCache(self.config.subgraph_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
         self.metrics = MetricsRegistry(window=self.config.metrics_window,
@@ -495,29 +492,19 @@ class ServingGateway:
     # ------------------------------------------------------------------
     def submit(self, shop_index: int, priority: Optional[str] = None,
                deadline_s: Optional[float] = None) -> PendingRequest:
-        """Enqueue one request.
+        """Admit one request; serving happens in :meth:`pump` / :meth:`flush`.
 
-        Legacy mode flushes inline when the batch fills or is due.  With
-        ``config.admission`` on, ``priority`` (one of
-        :data:`~repro.serving.batching.PRIORITIES`, default ``"normal"``)
-        and ``deadline_s`` (budget in seconds, default
-        ``config.default_deadline_s``) drive scheduling; the request may
-        come back already resolved with a shed response
-        (``request.result().shed``) when the bounded queue refused it;
-        and submit itself is *pure admission* — serving happens through
-        the explicit :meth:`pump` / :meth:`poll` / :meth:`flush` loop —
-        so a burst genuinely builds queue depth against
-        ``max_queue_depth`` instead of being drained inline.  With
-        admission off, passing ``priority``/``deadline_s`` raises — the
-        legacy path has no scheduler to honour them.
+        ``priority`` (one of :data:`~repro.serving.batching.PRIORITIES`,
+        default ``"normal"``) and ``deadline_s`` (budget in seconds;
+        default ``config.default_deadline_s`` under ``admission=True``,
+        no deadline otherwise) drive scheduling.  Submit is *pure
+        admission* — park, shed or preempt — so a burst genuinely
+        builds queue depth against the bound instead of being drained
+        inline; the request may come back already resolved with a shed
+        response (``request.result().shed``) when a full bounded queue
+        refused it.
         """
         shop_index = int(shop_index)
-        if self.admission is None and not (priority is None
-                                           and deadline_s is None):
-            raise ValueError(
-                "priority/deadline_s need GatewayConfig(admission=True); "
-                "the legacy gateway has no scheduler to honour them"
-            )
         if not 0 <= shop_index < self.graph.num_nodes:
             raise IndexError(
                 f"shop {shop_index} out of range for "
@@ -534,83 +521,63 @@ class ServingGateway:
                 "refresh source_batch before serving shops added beyond it"
             )
         with obs_tracing.span("gateway.admission"):
-            if self.admission is None:
-                if self.batcher.due():
-                    self.flush()
-                self.metrics.record_request()
-                request, full = self.batcher.submit(shop_index)
-                if full:
-                    self.flush()
-            else:
-                # Admission mode decouples the front door from serving:
-                # submit is pure admission (park / shed / preempt) and
-                # batches are served by explicit :meth:`pump` /
-                # :meth:`poll` / :meth:`flush` calls — the serving
-                # worker.  An inline flush here would drain the queue
-                # below max_queue_depth on every arrival and turn the
-                # bounded queue into dead code.
-                self.metrics.record_request()
-                request, _ = self._admit(shop_index, priority, deadline_s)
-        return request
+            self.metrics.record_request()
+            return self._admit(shop_index, priority, deadline_s)
 
     def _admit(self, shop_index: int, priority: Optional[str],
-               deadline_s: Optional[float]):
-        """Bounded-queue admission verdict for one arriving request.
+               deadline_s: Optional[float]) -> PendingRequest:
+        """Queue-bound admission verdict for one arriving request.
 
-        Returns ``(request, batch_is_full)``.  A refused request comes
-        back already resolved with a shed response; a preempted victim
-        is resolved the same way from inside this call.
+        A refused request comes back already resolved with a shed
+        response; a preempted victim is resolved the same way from
+        inside this call.
         """
         priority = priority or "normal"
         priority_rank(priority)          # validate the class name early
-        budget = (self.config.default_deadline_s
+        controller = self.admission
+        budget = (controller.default_deadline_s
                   if deadline_s is None else float(deadline_s))
         if budget <= 0:
             raise ValueError(f"deadline_s must be positive, got {budget}")
-        controller = self.admission
         now = self._clock()
         deadline = now + budget
         depth = len(self.batcher)
-        if depth >= self.config.max_queue_depth:
+        if depth >= controller.max_queue_depth:
             victim = self.batcher.shed_candidate(priority)
-            lower_parked = victim is not None
-            if victim is not None and self.batcher.remove(victim):
-                # Preempt the worst lower-class parked request to make
-                # room: the high class is never starved by a full queue
-                # of lower traffic.
-                retry_after = controller.retry_after(depth)
-                self._shed(victim, reason="preempted",
-                           retry_after_s=retry_after)
-                controller.record(
-                    "shed_parked", priority, depth, reason="preempted",
-                    victim=victim, lower_priority_available=True,
-                    retry_after_s=retry_after,
-                )
-            elif victim is None:
+            retry_after = controller.retry_after(depth)
+            if victim is None:
                 # Nothing parked is below the newcomer: shed it.
-                retry_after = controller.retry_after(depth)
                 request = PendingRequest(
                     shop_index=shop_index, enqueued_at=now,
                     priority=priority, deadline=deadline,
                 )
-                self._shed(request, reason="queue_full",
-                           retry_after_s=retry_after)
+                self._shed(request, retry_after)
                 controller.record(
-                    "shed_incoming", priority, depth, reason="queue_full",
-                    lower_priority_available=lower_parked,
+                    "shed_incoming", priority, depth, now,
+                    reason="queue_full", retry_after_s=retry_after,
+                )
+                return request
+            if self.batcher.remove(victim):
+                # Preempt the worst lower-class parked request to make
+                # room: the high class is never starved by a full queue
+                # of lower traffic.
+                self._shed(victim, retry_after)
+                controller.record(
+                    "shed_parked", priority, depth, now, reason="preempted",
+                    victim=victim, lower_priority_available=True,
                     retry_after_s=retry_after,
                 )
-                return request, False
             # else: the victim raced into a drain — the queue just made
             # room on its own, admit without shedding anyone.
-        request, full = self.batcher.submit(
+            depth = len(self.batcher)
+        request, _ = self.batcher.submit(
             shop_index, priority=priority, deadline=deadline
         )
         self.metrics.inc("requests_admitted")
-        controller.record("admit", priority, len(self.batcher))
-        return request, full
+        controller.record("admit", priority, depth + 1, now)
+        return request
 
-    def _shed(self, request: PendingRequest, reason: str,
+    def _shed(self, request: PendingRequest,
               retry_after_s: float = 0.0) -> None:
         """Resolve one request with a shed response (never an exception).
 
@@ -622,8 +589,6 @@ class ServingGateway:
         forecast.setflags(write=False)
         self.metrics.inc("requests_shed")
         self.metrics.inc(f"requests_shed_{request.priority}")
-        if reason == "expired":
-            self.metrics.inc("requests_expired")
         request.resolve(GatewayResponse(
             shop_index=request.shop_index,
             forecast=forecast,
@@ -634,83 +599,60 @@ class ServingGateway:
             priority=request.priority,
         ))
 
-    def poll(self) -> None:
-        """Serve whatever is due.
+    def _expire(self, request: PendingRequest, now: float) -> None:
+        """Shed a request whose deadline passed: never served late."""
+        self._shed(request)
+        self.metrics.inc("requests_expired")
+        self.admission.record(
+            "expire", request.priority, len(self.batcher), now,
+            reason="expired", victim=request,
+        )
 
-        Legacy mode: flush everything once the oldest parked request
-        exceeded ``max_wait``.  Admission mode: pump one micro-batch at
-        a time while a batch is due (occupancy timer, deadline at risk,
-        or a full batch parked) — the serving loop the load replayer
-        ticks between arrivals.
+    def pump(self) -> bool:
+        """Serve at most one due micro-batch (the serving worker's step).
+
+        Drains one EDF-scheduled batch when a full batch is parked, the
+        occupancy timer fired, or a parked deadline is at risk.  Load
+        replayers (:func:`~repro.serving.loadgen.replay_timed`) call
+        this between arrivals so service capacity is finite — while one
+        batch's simulated service time elapses, later arrivals queue
+        instead of being drained inline.  Returns ``False`` when nothing
+        was due, so pump loops terminate the moment the queue is calm.
         """
-        if self.admission is None:
-            if self.batcher.due():
-                self.flush()
-            return
+        if not self.batcher.due():
+            return False
+        self._serve_next()
+        return True
+
+    def poll(self) -> None:
+        """Serve whatever is due: :meth:`pump` until the queue is calm."""
         while self.pump():
             pass
 
-    def pump(self) -> bool:
-        """Serve at most one due micro-batch (admission serving step).
-
-        The simulated serving worker's unit of progress: drains one
-        EDF-scheduled batch when the occupancy timer fired, a parked
-        deadline is at risk, or a full batch is parked.  Load replayers
-        (:func:`~repro.serving.loadgen.replay_timed`) call this between
-        arrivals so service capacity is finite — while one batch's
-        simulated service time elapses, later arrivals queue instead of
-        being drained inline.  Returns ``False`` when nothing was due,
-        so pump loops terminate the moment the queue is calm.
-        """
-        if not (self.batcher.due()
-                or len(self.batcher) >= self.config.max_batch_size):
-            return False
-        batch = self.batcher.drain()
-        if self.admission is None:
-            self._serve(batch)
-            return True
-        batch = self._expire_overdue(batch)
-        if batch:
-            started = self._clock()
-            self._serve(batch)
-            self.batcher.observe_service(self._clock() - started)
-        return True
-
     def flush(self) -> None:
-        """Serve every parked request, one micro-batch at a time.
-
-        Under admission control each drained batch is swept for expired
-        deadlines first (those requests are shed, not served late) and
-        the measured batch service time feeds the deadline batcher's
-        EWMA — the risk estimate its early-flush policy trades occupancy
-        against.
-        """
+        """Serve every parked request, one micro-batch at a time."""
         while len(self.batcher):
-            batch = self.batcher.drain()
-            if self.admission is not None:
-                batch = self._expire_overdue(batch)
-                if not batch:
-                    continue
-                started = self._clock()
-                self._serve(batch)
-                self.batcher.observe_service(self._clock() - started)
-            else:
-                self._serve(batch)
+            self._serve_next()
 
-    def _expire_overdue(self, batch: List[PendingRequest]) -> List[PendingRequest]:
-        """Shed every drained request whose deadline already passed."""
+    def _serve_next(self) -> None:
+        """Drain and serve one batch — the step pump and flush share.
+
+        The drained batch is swept for expired deadlines first (those
+        requests are shed, not served late) and the measured service
+        time feeds the batcher's EWMA — the risk estimate its
+        early-flush policy trades occupancy against.
+        """
         now = self._clock()
-        live: List[PendingRequest] = []
-        for request in batch:
+        batch: List[PendingRequest] = []
+        for request in self.batcher.drain():
             if request.deadline < now:
-                self._shed(request, reason="expired")
-                self.admission.record(
-                    "expire", request.priority, len(self.batcher),
-                    reason="expired", victim=request,
-                )
+                self._expire(request, now)
             else:
-                live.append(request)
-        return live
+                batch.append(request)
+        if batch:
+            with obs_tracing.span("gateway.serve_batch"):
+                self._serve(batch)
+            self.batcher.observe_service(self._clock() - now)
 
     def predict(self, shop_index: int, priority: Optional[str] = None,
                 deadline_s: Optional[float] = None) -> GatewayResponse:
@@ -727,16 +669,21 @@ class ServingGateway:
                      deadline_s: Optional[float] = None) -> List[GatewayResponse]:
         """Serve a request stream, coalescing into micro-batches.
 
-        Responses come back in request order; numerically they match the
-        sequential :meth:`~repro.deploy.serving.OnlineModelServer.predict_many`
+        The canonical serving loop run to completion: submit, pump
+        after each arrival (so a batch is served the moment it is full
+        or due and a bulk call never parks more than ``max_batch_size``
+        requests), flush at the end.  Responses come back in request
+        order; numerically they match the sequential
+        :meth:`~repro.deploy.serving.OnlineModelServer.predict_many`
         path exactly.  ``priority``/``deadline_s`` apply to every
-        request in the stream (admission mode only).
+        request in the stream.
         """
         with obs_tracing.span("gateway.request"):
-            requests = [
-                self.submit(int(s), priority=priority, deadline_s=deadline_s)
-                for s in np.asarray(shop_indices)
-            ]
+            requests = []
+            for shop in np.asarray(shop_indices):
+                requests.append(self.submit(int(shop), priority=priority,
+                                            deadline_s=deadline_s))
+                self.pump()
             self.flush()
             return [r.result() for r in requests]
 
@@ -745,10 +692,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     def _extract_egos(self, shops: List[int]) -> Dict[int, EgoSubgraph]:
         """Fetch ego-subgraphs for unique shops, via the LRU cache."""
-        with obs_tracing.span("gateway.extract"):
-            return self._extract_egos_traced(shops)
-
-    def _extract_egos_traced(self, shops: List[int]) -> Dict[int, EgoSubgraph]:
         hops = self.config.hops
         egos: Dict[int, EgoSubgraph] = {}
         missing: List[int] = []
@@ -779,16 +722,12 @@ class ServingGateway:
                  batch_size: int, stale: bool = False,
                  staleness_months: int = 0) -> None:
         now = self._clock()
-        if self.admission is not None and now > request.deadline:
+        if now > request.deadline:
             # The batch landed past this request's budget: an answer
             # the client stopped waiting for is not service.  Count it
             # shed, never served late (the admission invariant the
             # property suite pins).
-            self._shed(request, reason="expired")
-            self.admission.record(
-                "expire", request.priority, len(self.batcher),
-                reason="expired", victim=request,
-            )
+            self._expire(request, now)
             return
         latency = now - request.enqueued_at
         self.metrics.observe("latency_seconds", latency)
@@ -837,13 +776,7 @@ class ServingGateway:
         return False, 0
 
     def _serve(self, requests: List[PendingRequest]) -> None:
-        """Score one drained micro-batch."""
-        if not requests:
-            return
-        with obs_tracing.span("gateway.serve_batch"):
-            self._serve_traced(requests)
-
-    def _serve_traced(self, requests: List[PendingRequest]) -> None:
+        """Score one drained, non-empty micro-batch."""
         tracer = obs_tracing.get_tracer()
         if tracer.enabled:
             # Queue wait is not call-shaped: it ended the moment this
@@ -856,8 +789,8 @@ class ServingGateway:
         hops = self.config.hops
         # Partition: result-cache hits answer immediately; misses group
         # per replica, coalescing duplicate shops into one computation.
-        groups: "OrderedDict[str, OrderedDict[int, List[PendingRequest]]]" = OrderedDict()
-        replicas: Dict[str, ModelReplica] = {}
+        groups: Dict[str, Tuple[ModelReplica,
+                                Dict[int, List[PendingRequest]]]] = {}
         for request in requests:
             replica = self.router.route(request.shop_index)
             cached = self.result_cache.get(
@@ -881,11 +814,24 @@ class ServingGateway:
             # Claim the slot at assignment time so least-loaded routing
             # sees the load of requests already parked on each replica.
             replica.inflight += 1
-            replicas[replica.replica_id] = replica
-            by_shop = groups.setdefault(replica.replica_id, OrderedDict())
+            _, by_shop = groups.setdefault(replica.replica_id, (replica, {}))
             by_shop.setdefault(request.shop_index, []).append(request)
-        for replica_id, by_shop in groups.items():
-            self._forward_group(replicas[replica_id], by_shop, len(requests))
+        for replica, by_shop in groups.values():
+            grouped = [r for reqs in by_shop.values() for r in reqs]
+            try:
+                self._forward_group(replica, by_shop, len(requests))
+            except Exception as error:
+                # Contain a raising forward to its own group: these
+                # requests are already drained, so they must resolve
+                # here (result() re-raises ``error``), and the groups
+                # after this one are still owed their forward.
+                unresolved = [r for r in grouped if not r.done]
+                for request in unresolved:
+                    request.fail(error)
+                self.metrics.inc("requests_failed", float(len(unresolved)))
+            finally:
+                # Release the slots claimed at routing time above.
+                replica.inflight -= len(grouped)
 
     def _fail_unservable(self, by_shop, egos) -> List[int]:
         """Fail requests whose egos reach beyond the feature snapshot.
@@ -915,35 +861,31 @@ class ServingGateway:
         return servable
 
     def _forward_group(self, replica: ModelReplica,
-                       by_shop: "OrderedDict[int, List[PendingRequest]]",
+                       by_shop: Dict[int, List[PendingRequest]],
                        batch_size: int) -> None:
         """One node-disjoint forward for a replica's share of a batch."""
-        num_requests = sum(len(reqs) for reqs in by_shop.values())
-        # The slots were claimed at routing time in _serve.
-        try:
+        with obs_tracing.span("gateway.extract"):
             egos = self._extract_egos(list(by_shop))
-            shops = self._fail_unservable(by_shop, egos)
-            if not shops:
-                return
-            with obs_tracing.span("gateway.batch_assembly"):
-                union = build_disjoint_batch(
-                    [egos[s] for s in shops], self.source_batch
-                )
-            replica.model.eval()
-            # Inference mode = no autograd metadata + the engine's
-            # optimized kernel set (GEMM convolutions, reduceat
-            # scatter-adds, in-place masked softmax) for the stitched
-            # block-diagonal forward.  The configured backend pins the
-            # replica's dtype policy (float32 serving); forecasts cross
-            # back to float64 at the gateway boundary below.
-            with obs_tracing.span("gateway.forward"):
-                with engine.use_backend(self.config.precision):
-                    with engine.inference_mode():
-                        scaled = replica.model(union.batch, union.graph)
-            raw = np.asarray(
-                union.batch.inverse_scale(scaled.data), dtype=np.float64)
-        finally:
-            replica.inflight -= num_requests
+        shops = self._fail_unservable(by_shop, egos)
+        if not shops:
+            return
+        with obs_tracing.span("gateway.batch_assembly"):
+            union = build_disjoint_batch(
+                [egos[s] for s in shops], self.source_batch
+            )
+        replica.model.eval()
+        # Inference mode = no autograd metadata + the engine's
+        # optimized kernel set (GEMM convolutions, reduceat
+        # scatter-adds, in-place masked softmax) for the stitched
+        # block-diagonal forward.  The configured backend pins the
+        # replica's dtype policy (float32 serving); forecasts cross
+        # back to float64 at the gateway boundary below.
+        with obs_tracing.span("gateway.forward"):
+            with engine.use_backend(self.config.precision):
+                with engine.inference_mode():
+                    scaled = replica.model(union.batch, union.graph)
+        raw = np.asarray(
+            union.batch.inverse_scale(scaled.data), dtype=np.float64)
         served = sum(len(by_shop[s]) for s in shops)
         replica.served_requests += served
         replica.served_batches += 1
@@ -975,11 +917,11 @@ class ServingGateway:
         return len(self.batcher)
 
     def shed_rate(self) -> float:
-        """Fraction of offered requests the admission plane shed.
+        """Fraction of offered requests that were shed.
 
         Offered = everything through :meth:`submit` (``requests_total``);
         shed covers door refusals, preemptions and deadline expiries.
-        ``0.0`` with admission off or before any traffic.
+        ``0.0`` before any traffic.
         """
         total = self.metrics.counter("requests_total")
         if not total:
@@ -1034,25 +976,26 @@ class ServingGateway:
                 "stale_results_served":
                     self.metrics.counter("stale_results_served"),
             }
-        if self.admission is not None:
-            counter = self.metrics.counter
-            report["admission"] = {
-                "enabled": True,
-                "max_queue_depth": self.config.max_queue_depth,
-                "default_deadline_s": self.config.default_deadline_s,
-                "shed_retry_after_s": self.config.shed_retry_after_s,
-                "queue_depth": self.queue_depth(),
-                "requests_admitted": counter("requests_admitted"),
-                "requests_shed": counter("requests_shed"),
-                "requests_shed_by_class": {
-                    name: counter(f"requests_shed_{name}")
-                    for name in ("high", "normal", "low")
-                },
-                "requests_expired": counter("requests_expired"),
-                "shed_rate": self.shed_rate(),
-                "service_time_ewma_s": self.batcher.service_time_ewma,
-                "decisions_logged": len(self.admission.decisions),
-            }
+        counter = self.metrics.counter
+        report["admission"] = {
+            # Echoes the config; the two values it resolved to follow
+            # (``inf`` = unbounded queue / no default budget).
+            "enabled": self.config.admission,
+            "max_queue_depth": self.admission.max_queue_depth,
+            "default_deadline_s": self.admission.default_deadline_s,
+            "shed_retry_after_s": self.admission.shed_retry_after_s,
+            "queue_depth": self.queue_depth(),
+            "requests_admitted": counter("requests_admitted"),
+            "requests_shed": counter("requests_shed"),
+            "requests_shed_by_class": {
+                name: counter(f"requests_shed_{name}")
+                for name in PRIORITIES
+            },
+            "requests_expired": counter("requests_expired"),
+            "shed_rate": self.shed_rate(),
+            "service_time_ewma_s": self.batcher.service_time_ewma,
+            "decisions_logged": len(self.admission.decisions),
+        }
         report["engine"] = {
             "mode": engine.engine_mode(),
             "precision": self.config.precision,

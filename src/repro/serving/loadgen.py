@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..obs import clock as obs_clock
+from .metrics import percentile_summary
 
 __all__ = [
     "LoadGenerator",
@@ -244,19 +245,8 @@ def run_load(
     started = clock()
     responses: List = list(predict_many(requests))
     elapsed = max(clock() - started, 1e-12)
-    latencies = np.array(
-        [getattr(r, "latency_seconds", 0.0) for r in responses], dtype=np.float64
-    )
-    if latencies.size:
-        p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-        latency = {
-            "mean": float(latencies.mean()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
-        }
-    else:
-        latency = {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    latency = percentile_summary(
+        [getattr(r, "latency_seconds", 0.0) for r in responses])
     return LoadReport(
         pattern=pattern,
         num_requests=int(requests.size),

@@ -8,13 +8,36 @@ gateway reports rolling percentiles without unbounded memory.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..obs import clock as obs_clock
 
-__all__ = ["RollingWindow", "MetricsRegistry"]
+__all__ = ["percentile_summary", "RollingWindow", "MetricsRegistry"]
+
+
+def percentile_summary(values, percentiles: Sequence[int] = (50, 95, 99)
+                       ) -> Dict[str, float]:
+    """``mean`` plus one ``p<q>`` key per percentile of ``values``.
+
+    The one latency summary behind :meth:`RollingWindow.summary`,
+    :func:`~repro.serving.loadgen.run_load`,
+    :func:`~repro.serving.admission.admission_report` and
+    :meth:`~repro.deploy.serving.OnlineModelServer.latency_summary`.
+    An empty population reads all zeros — no traffic is not a latency.
+
+    >>> percentile_summary([1.0, 3.0], (50,))
+    {'mean': 2.0, 'p50': 2.0}
+    >>> percentile_summary([], (50, 95))
+    {'mean': 0.0, 'p50': 0.0, 'p95': 0.0}
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        values = np.zeros(1)
+    points = np.percentile(values, list(percentiles))
+    return {"mean": float(values.mean()),
+            **{f"p{q}": float(point) for q, point in zip(percentiles, points)}}
 
 
 class RollingWindow:
@@ -75,18 +98,10 @@ class RollingWindow:
         >>> summary["p50"] == summary["p95"] == summary["p99"] == 0.25
         True
         """
-        if self._count == 0:
-            return {"count": 0.0, "total": float(self.total_observations),
-                    "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        values = self._buffer[: self._count]
-        p50, p95, p99 = np.percentile(values, [50, 95, 99])
         return {
             "count": float(self._count),
             "total": float(self.total_observations),
-            "mean": float(values.mean()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
+            **percentile_summary(self._buffer[: self._count]),
         }
 
 
@@ -95,21 +110,26 @@ class MetricsRegistry:
 
     Canonical series written by :class:`~repro.serving.gateway.ServingGateway`:
 
-    * counters — ``requests_total``, ``requests_failed`` (unservable,
-      failed individually), ``batches_total``, ``cache_hits``,
+    * counters — ``requests_total`` (everything offered to ``submit``),
+      ``requests_admitted`` (parked), ``requests_shed`` with
+      ``requests_shed_high`` / ``requests_shed_normal`` /
+      ``requests_shed_low`` (per priority class: refused or preempted
+      at a full bounded queue, or expired) and ``requests_expired``
+      (deadline passed while parked or in flight; note
+      ``latency_seconds`` covers *served* requests only, so shed
+      traffic never flatters the percentiles), ``requests_failed``
+      (unservable ego, or the group's forward raised — failed
+      individually), ``batches_total``, ``cache_hits``,
       ``cache_misses``, ``subgraph_cache_hits``, ``subgraph_cache_misses``,
       ``model_swaps``, ``graph_invalidations`` (wholesale flushes),
       ``graph_delta_invalidations`` / ``delta_evicted_subgraphs`` /
       ``delta_evicted_results`` (delta-aware eviction under streaming
       churn), ``data_ticks_observed`` / ``freshness_evictions`` /
       ``stale_results_served`` (event-time freshness of the result
-      cache under ``GatewayConfig.max_staleness_months``), and — under
-      ``GatewayConfig(admission=True)`` — ``requests_admitted``,
-      ``requests_shed``, ``requests_shed_high`` /
-      ``requests_shed_normal`` / ``requests_shed_low`` (per priority
-      class) and ``requests_expired`` (deadline passed while parked or
-      in flight; note ``latency_seconds`` covers *served* requests
-      only, so shed traffic never flatters the percentiles)
+      cache under ``GatewayConfig.max_staleness_months``).  Every
+      gateway writes the same set: ``GatewayConfig.admission`` only
+      decides whether a queue bound and a default budget exist to
+      shed against
     * distributions — ``latency_seconds`` (per request, queue wait
       included), ``batch_size`` (requests per model forward)
     """

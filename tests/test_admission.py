@@ -2,11 +2,13 @@
 
 Three layers, all tier-1 (``-m admission``):
 
-* unit coverage of the :class:`~repro.serving.batching.DeadlineBatcher`
-  schedule, the bounded-queue verdicts
+* unit coverage of the :class:`~repro.serving.batching.MicroBatcher`
+  schedule (EDF within strict priority, degenerating to arrival order
+  for streams that set neither), the bounded-queue verdicts
   (admit / preempt / shed / expire), the shed response contract, the
-  :class:`~repro.serving.admission.ReplicaAutoscaler` control loop and
-  the hub/SLO export of shed rate;
+  one-path contract (``admission=False`` is the same route with an
+  unbounded queue and no default budget), request conservation under
+  a raising forward and the hub/SLO export of shed rate;
 * the three **properties** from the issue, via the ``forall`` harness:
   (a) an admitted request is never served past its deadline without
   being counted shed, (b) the high-priority class is never refused at
@@ -41,11 +43,8 @@ from repro.obs.health import gateway_probe
 from repro.obs.hub import MetricsHub
 from repro.obs.slo import SLO, BurnWindow, SLOEngine
 from repro.serving import (
-    AutoscalerConfig,
-    DeadlineBatcher,
     GatewayConfig,
     MicroBatcher,
-    ReplicaAutoscaler,
     ServiceTimeModel,
     ServingGateway,
     TimedRequest,
@@ -82,11 +81,11 @@ def make_gateway(dataset, clock, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# DeadlineBatcher unit coverage
+# MicroBatcher scheduling (deadline + priority) unit coverage
 # ----------------------------------------------------------------------
 class TestDeadlineBatcher:
     def test_drain_is_edf_within_strict_priority(self):
-        batcher = DeadlineBatcher(max_batch_size=8, clock=lambda: 0.0)
+        batcher = MicroBatcher(max_batch_size=8, clock=lambda: 0.0)
         batcher.submit(0, priority="low", deadline=1.0)
         batcher.submit(1, priority="normal", deadline=9.0)
         batcher.submit(2, priority="high", deadline=7.0)
@@ -95,21 +94,39 @@ class TestDeadlineBatcher:
         order = [r.shop_index for r in batcher.drain()]
         assert order == [4, 2, 3, 1, 0]
 
-    def test_defaults_degenerate_to_arrival_order(self):
-        plain = MicroBatcher(max_batch_size=3, max_wait=10.0,
-                             clock=lambda: 0.0)
-        deadline = DeadlineBatcher(max_batch_size=3, max_wait=10.0,
-                                   clock=lambda: 0.0)
-        for batcher in (plain, deadline):
-            for shop in (7, 3, 9, 1):
-                batcher.submit(shop)
-        assert [r.shop_index for r in plain.drain()] \
-            == [r.shop_index for r in deadline.drain()] == [7, 3, 9]
-        assert len(plain) == len(deadline) == 1
+    def test_default_class_monotone_deadlines_drain_in_arrival_order(self):
+        # The FIFO contract bulk callers rely on: on the default class,
+        # with deadlines that never decrease (or none at all), the EDF
+        # key is arrival order — across interleaved partial drains too.
+        def gen(rng):
+            n = int(rng.integers(1, 60))
+            deadlines = np.cumsum(rng.exponential(1.0, size=n))
+            deadlines[int(rng.integers(0, n + 1)):] = np.inf
+            drain_after = rng.uniform(size=n) < 0.15
+            return int(rng.integers(1, 9)), deadlines, drain_after
+
+        def prop(case):
+            max_batch_size, deadlines, drain_after = case
+            batcher = MicroBatcher(max_batch_size=max_batch_size,
+                                   max_wait=10.0, clock=lambda: 0.0)
+            batches = []
+            for shop, (deadline, drain) in enumerate(
+                    zip(deadlines, drain_after)):
+                batcher.submit(shop, deadline=deadline)
+                if drain:
+                    batches.append((len(batcher), batcher.drain()))
+            while len(batcher):
+                batches.append((len(batcher), batcher.drain()))
+            for parked, batch in batches:
+                assert len(batch) == min(parked, max_batch_size)
+            order = [r.shop_index for _, batch in batches for r in batch]
+            assert order == list(range(len(deadlines)))
+
+        forall(gen, prop, trials=100, seed=5, name="FIFO on defaults")
 
     def test_due_flushes_early_when_deadline_at_risk(self):
         now = [0.0]
-        batcher = DeadlineBatcher(max_batch_size=100, max_wait=10.0,
+        batcher = MicroBatcher(max_batch_size=100, max_wait=10.0,
                                   clock=lambda: now[0])
         batcher.observe_service(0.03)
         batcher.submit(0, deadline=1.0)
@@ -125,14 +142,14 @@ class TestDeadlineBatcher:
         assert batcher.due()
 
     def test_service_ewma_seeds_then_smooths(self):
-        batcher = DeadlineBatcher(clock=lambda: 0.0, service_alpha=0.5)
+        batcher = MicroBatcher(clock=lambda: 0.0, service_alpha=0.5)
         batcher.observe_service(0.1)
         assert batcher.service_time_ewma == pytest.approx(0.1)
         batcher.observe_service(0.2)
         assert batcher.service_time_ewma == pytest.approx(0.15)
 
     def test_shed_candidate_picks_strictly_lower_worst(self):
-        batcher = DeadlineBatcher(max_batch_size=8, clock=lambda: 0.0)
+        batcher = MicroBatcher(max_batch_size=8, clock=lambda: 0.0)
         batcher.submit(0, priority="normal", deadline=1.0)
         batcher.submit(1, priority="low", deadline=2.0)
         batcher.submit(2, priority="low", deadline=8.0)
@@ -145,7 +162,7 @@ class TestDeadlineBatcher:
         assert batcher.shed_candidate("normal") is None
 
     def test_remove_reports_raced_requests(self):
-        batcher = DeadlineBatcher(max_batch_size=8, clock=lambda: 0.0)
+        batcher = MicroBatcher(max_batch_size=8, clock=lambda: 0.0)
         request, _ = batcher.submit(0, priority="low")
         assert batcher.remove(request) is True
         request, _ = batcher.submit(1, priority="low")
@@ -161,20 +178,57 @@ class TestDeadlineBatcher:
 # gateway admission semantics
 # ----------------------------------------------------------------------
 class TestGatewayAdmission:
-    def test_legacy_mode_rejects_admission_arguments(self, dataset):
+    def test_unbounded_gateway_runs_the_same_scheduler(self, dataset):
+        # admission=False is the one path with an unbounded queue and no
+        # default budget: hours may pass and nothing expires or sheds,
+        # while per-request priority / deadline_s are still honoured.
         clock = FakeClock()
         gateway = ServingGateway(
             _StubModel, dataset,
-            config=GatewayConfig(max_batch_size=4, max_wait=10.0),
+            config=GatewayConfig(max_batch_size=2, max_wait=10.0),
             clock=clock.now)
         try:
-            with pytest.raises(ValueError, match="admission=True"):
-                gateway.submit(0, priority="high")
-            with pytest.raises(ValueError, match="admission=True"):
-                gateway.submit(0, deadline_s=0.1)
-            response = gateway.predict(0)
-            assert not response.shed
-            assert "admission" not in gateway.metrics_report()
+            parked = [gateway.submit(shop) for shop in range(20)]
+            assert gateway.queue_depth() == 20    # nothing refused
+            clock.advance(3 * 3600.0)
+            gateway.flush()
+            assert not any(r.result().shed for r in parked)
+            assert gateway.metrics.counter("requests_shed") == 0.0
+            assert gateway.metrics.counter("requests_expired") == 0.0
+
+            normal = [gateway.submit(shop) for shop in range(3)]
+            high = gateway.submit(9, priority="high")
+            assert gateway.pump()                 # one batch of two
+            assert [r.done for r in normal] == [True, False, False]
+            assert high.done and high.result().priority == "high"
+
+            doomed = gateway.submit(5, deadline_s=0.05)
+            clock.advance(0.2)
+            gateway.flush()
+            assert doomed.result().shed
+            assert gateway.metrics.counter("requests_expired") == 1.0
+            assert not any(r.result().shed for r in normal)
+
+            block = gateway.metrics_report()["admission"]
+            assert block["enabled"] is False
+            assert block["max_queue_depth"] == float("inf")
+            assert block["default_deadline_s"] == float("inf")
+        finally:
+            gateway.close()
+
+    def test_predict_many_never_sheds_its_own_tail(self, dataset):
+        # A bulk call pumps as it goes, so it never parks more than one
+        # batch — far below the bound it used to overflow.
+        clock = FakeClock()
+        gateway = make_gateway(dataset, clock, max_batch_size=4,
+                               max_queue_depth=8)
+        try:
+            responses = gateway.predict_many(
+                np.arange(3 * NUM_SHOPS) % NUM_SHOPS)
+            assert not any(r.shed for r in responses)
+            assert gateway.metrics.counter("requests_shed") == 0.0
+            assert max(d.queue_depth
+                       for d in gateway.admission.decisions) <= 4
         finally:
             gateway.close()
 
@@ -344,90 +398,45 @@ class TestGatewayAdmission:
 
 
 # ----------------------------------------------------------------------
-# autoscaler control loop
+# request conservation under a raising forward
 # ----------------------------------------------------------------------
-class _FiringEngine:
-    """SLOEngine stand-in with a controllable firing set."""
-
-    def __init__(self):
-        self.alerts = []
-
-    def active_alerts(self):
-        return list(self.alerts)
+class _RaisingModel(_StubModel):
+    def forward(self, batch, graph):
+        raise RuntimeError("replica fell over mid-batch")
 
 
-class TestReplicaAutoscaler:
-    def test_scales_up_on_queue_depth(self, dataset):
+class TestRequestConservation:
+    def test_raising_forward_fails_its_group_only(self, dataset):
+        # One replica's forward raises mid-batch: its requests fail
+        # (result() re-raises the original error), the other replica's
+        # group is still served, and no inflight slot leaks.
         clock = FakeClock()
-        gateway = make_gateway(dataset, clock, max_queue_depth=64)
+        gateway = make_gateway(dataset, clock, num_replicas=2,
+                               max_batch_size=16, max_queue_depth=64)
         try:
-            scaler = ReplicaAutoscaler(
-                gateway, AutoscalerConfig(max_replicas=3, scale_up_depth=4,
-                                          scale_down_depth=1,
-                                          cooldown_steps=2),
-                clock=clock.now)
-            for shop in range(3):
-                gateway.submit(shop)
-            assert scaler.step() == "hold"        # depth 3 < threshold 4
-            for shop in range(3, 5):
-                gateway.submit(shop)              # submit parks, no pump
-            assert gateway.queue_depth() == 5
-            assert scaler.step() == "up"
-            assert scaler.num_replicas == 2
-        finally:
-            gateway.close()
-
-    def test_scales_up_on_slo_burn_and_respects_max(self, dataset):
-        clock = FakeClock()
-        gateway = make_gateway(dataset, clock)
-        try:
-            engine = _FiringEngine()
-            scaler = ReplicaAutoscaler(
-                gateway, AutoscalerConfig(max_replicas=2, scale_up_depth=100,
-                                          scale_down_depth=1,
-                                          cooldown_steps=2),
-                slo_engine=engine, clock=clock.now)
-            engine.alerts = ["latency:page"]
-            assert scaler.step() == "up"
-            assert scaler.step() == "hold"        # at max_replicas
-            assert scaler.num_replicas == 2
-            assert [e["burning"] for e in scaler.events] == [True, True]
-        finally:
-            gateway.close()
-
-    def test_scale_down_needs_cooldown_and_respects_min(self, dataset):
-        clock = FakeClock()
-        gateway = make_gateway(dataset, clock, num_replicas=3)
-        try:
-            scaler = ReplicaAutoscaler(
-                gateway, AutoscalerConfig(min_replicas=2, max_replicas=4,
-                                          scale_up_depth=8,
-                                          scale_down_depth=2,
-                                          cooldown_steps=3),
-                clock=clock.now)
-            assert [scaler.step() for _ in range(3)] == ["hold", "hold",
-                                                         "down"]
-            assert scaler.num_replicas == 2
-            # At min_replicas, calm steps never drop below the floor.
-            assert [scaler.step() for _ in range(4)] \
-                == ["hold", "hold", "hold", "hold"]
-            assert scaler.num_replicas == 2
-            report = scaler.report()
-            assert report["scale_downs"] == 1 and report["scale_ups"] == 0
-        finally:
-            gateway.close()
-
-    def test_config_validation(self, dataset):
-        clock = FakeClock()
-        with pytest.raises(ValueError, match="min_replicas"):
-            AutoscalerConfig(min_replicas=0).validate()
-        with pytest.raises(ValueError, match="max_replicas"):
-            AutoscalerConfig(min_replicas=4, max_replicas=2).validate()
-        gateway = make_gateway(dataset, clock)
-        try:
-            with pytest.raises(ValueError, match="scale_down_depth"):
-                ReplicaAutoscaler(gateway, AutoscalerConfig(
-                    scale_up_depth=4, scale_down_depth=4))
+            shops = list(range(16))
+            # Break the replica whose group is forwarded first, so the
+            # healthy group comes after the exception.
+            broken = gateway.router.route(shops[0])
+            broken.model = _RaisingModel()
+            owners = [gateway.router.route(shop) for shop in shops]
+            assert any(owner is not broken for owner in owners)
+            requests = [gateway.submit(shop) for shop in shops]
+            gateway.flush()
+            assert all(r.done for r in requests)
+            for request, owner in zip(requests, owners):
+                if owner is broken:
+                    with pytest.raises(RuntimeError, match="fell over"):
+                        request.result()
+                else:
+                    assert not request.result().shed
+            failed = sum(owner is broken for owner in owners)
+            assert gateway.metrics.counter("requests_failed") == failed
+            assert [r.inflight for r in gateway.router.replicas] == [0, 0]
+            with pytest.raises(RuntimeError, match="fell over"):
+                gateway.predict_many(shops)
+            assert [r.inflight for r in gateway.router.replicas] == [0, 0]
+            assert gateway.queue_depth() == 0
         finally:
             gateway.close()
 
@@ -542,10 +551,10 @@ class TestAdmissionProperties:
 # thread-safety regression: queue_depth / probe vs concurrent admission
 # ----------------------------------------------------------------------
 class TestQueueThreadSafety:
-    """The gateway health probe and autoscaler read ``queue_depth()``
-    while admission threads submit and the flush path drains.  The old
-    drain (``batch = pending[:n]; pending = pending[n:]``) lost any
-    request appended between the two statements; these tests force that
+    """The gateway health probe reads ``queue_depth()`` while admission
+    threads submit and the flush path drains.  The old drain
+    (``batch = pending[:n]; pending = pending[n:]``) lost any request
+    appended between the two statements; these tests force that
     interleaving and pin the lock-serialized behaviour."""
 
     def test_drain_never_loses_concurrent_submissions(self):

@@ -146,6 +146,38 @@ class TestGatewayNumerics:
             assert got.subgraph_nodes == want.subgraph_nodes
             np.testing.assert_allclose(got.forecast, want.forecast, atol=1e-6)
 
+    def test_admission_flag_selects_values_not_a_path(
+            self, factory, dataset, registry):
+        # One stream, both settings of GatewayConfig.admission (bound
+        # and budget far out of reach), both ways of driving the loop:
+        # bitwise-equal forecasts, equal batch compositions, no shed.
+        shops = np.array([3, 17, 3, 8, 41, 0, 22, 8, 30, 11, 5, 49, 17, 2,
+                          36, 9, 27, 14, 3, 45])
+        bounded = dict(admission=True, max_queue_depth=64,
+                       default_deadline_s=5 * 3600.0)
+
+        def via_predict_many(gateway):
+            return gateway.predict_many(shops)
+
+        def via_submit_flush(gateway):
+            requests = [gateway.submit(int(s)) for s in shops]
+            gateway.flush()
+            return [r.result() for r in requests]
+
+        for drive in (via_predict_many, via_submit_flush):
+            runs = []
+            for kwargs in (dict(admission=False), bounded):
+                gateway = make_gateway(factory, dataset, registry,
+                                       max_batch_size=8, **kwargs)
+                runs.append(drive(gateway))
+                assert gateway.metrics.counter("requests_shed") == 0.0
+                gateway.close()
+            for off, on in zip(*runs):
+                assert not off.shed and not on.shed
+                assert off.forecast.tobytes() == on.forecast.tobytes()
+                assert (off.batch_size, off.cached, off.subgraph_nodes) \
+                    == (on.batch_size, on.cached, on.subgraph_nodes)
+
     def test_duplicate_requests_coalesce_into_one_compute(
             self, factory, dataset, registry):
         gateway = make_gateway(factory, dataset, registry, max_batch_size=8)
