@@ -6,8 +6,8 @@ Two cache planes sit in front of the model replicas:
   ``(shop_index, hops)``.  Invalidated either wholesale (graph epoch
   bump, the conservative fallback) or **delta-aware**: given the node
   frontier a mutation touched, only entries whose memoised node sets
-  intersect it are evicted — sound because a k-hop ball can only change
-  when an edge event touches a node already inside it.
+  contain one of its nodes are evicted — sound because a k-hop ball can
+  only change when an edge event touches a node already inside it.
 * :class:`ResultCache` — finished raw-unit forecasts keyed on
   ``(shop_index, hops, model_version)``.  Entries for superseded model
   versions are purged when the
@@ -26,19 +26,36 @@ hit/miss statistics are *flush-scoped*: ``clear`` and any
 into lifetime totals and restart the current window, so post-churn hit
 rates are never polluted by pre-flush traffic (while no-op delta probes
 leave the window intact).
+
+**Delta invalidation is an index lookup, not a scan.**  The LRU keeps an
+inverted index ``node -> {keys of live entries whose ego holds it}``:
+each plane passes its entry's node set as ``tags`` on ``put`` and the
+LRU, which owns every insert and every way an entry leaves, keeps the
+postings exact.  ``invalidate_nodes(touched)`` unions the postings of
+the touched nodes and evicts exactly those keys.  Cost: insert
+``O(|ego|)``, one topology event ``O(|touched| + evicted)`` however many
+entries are cached, memory ``sum(|ego|)`` over live entries.  An entry
+stored with ``nodes=None`` (unknown provenance) is evicted by every
+non-empty ``touched``; an empty ``touched`` evicts nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Collection, Hashable, Iterable, Optional
 
 import numpy as np
 
 from ..graph.sampling import EgoSubgraph
 
 __all__ = ["LRUCache", "SubgraphCache", "ResultCache", "CachedResult"]
+
+
+# Untagged entries are posted under this one private tag, so "unknown
+# provenance" needs no second structure and no special removal path.
+_UNKNOWN = object()
+_UNTAGGED = (_UNKNOWN,)
 
 
 class LRUCache:
@@ -57,6 +74,10 @@ class LRUCache:
       it is the cache-pressure signal, and explicit invalidations are
       not pressure).
 
+    ``put(..., tags=...)`` posts the key in an inverted index kept exact
+    on every removal path, so :meth:`invalidate_tags` never visits the
+    survivors; ``invalidate_items`` / ``invalidate_if`` are full scans.
+
     >>> cache = LRUCache(2)
     >>> cache.put("a", 1)
     >>> cache.put("b", 2)
@@ -69,7 +90,10 @@ class LRUCache:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        # key -> (value, tags): kept so every removal path can unpost.
+        self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        # tag -> keys of the live entries posted under it (never empty).
+        self._postings: "dict[Hashable, set]" = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -90,16 +114,53 @@ class LRUCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry
+        return entry[0]
 
-    def put(self, key: Hashable, value) -> None:
-        """Insert/refresh an entry, evicting the LRU one when full."""
-        if key in self._entries:
+    def put(self, key: Hashable, value,
+            tags: Optional[Iterable[Hashable]] = None) -> None:
+        """Insert/refresh an entry, evicting the LRU one when full.
+
+        ``tags`` posts the entry for :meth:`invalidate_tags` (``None``:
+        unknown provenance); an overwrite replaces the key's postings.
+        """
+        old = self._entries.get(key)
+        if old is not None:
             self._entries.move_to_end(key)
-        self._entries[key] = value
+            self._unpost(key, old[1])
+        # A tuple, not a set: smaller, and nothing for the cyclic GC to
+        # track on the insert path.  Tags may therefore repeat.
+        tags = _UNTAGGED if tags is None else tuple(tags)
+        self._entries[key] = (value, tags)
+        for tag in tags:
+            keys = self._postings.get(tag)
+            if keys is None:
+                self._postings[tag] = {key}
+            else:
+                keys.add(key)
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            stalest, (_, stale_tags) = self._entries.popitem(last=False)
+            self._unpost(stalest, stale_tags)
             self.evictions += 1
+
+    def _unpost(self, key: Hashable, tags: tuple) -> None:
+        """Remove a departing entry's postings; drop emptied posting sets."""
+        for tag in tags:
+            keys = self._postings.get(tag)     # None: a repeated tag
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._postings[tag]
+
+    def _drop(self, doomed) -> int:
+        """Evict ``doomed`` keys; roll the hit-rate window if any went."""
+        for key in doomed:
+            self._unpost(key, self._entries.pop(key)[1])
+        if doomed:
+            # A no-op invalidation (nothing matched) leaves the window
+            # alone — under per-event streaming churn, rolling on every
+            # probe would shrink the window to near-zero samples.
+            self._roll_stats()
+        return len(doomed)
 
     def _roll_stats(self) -> None:
         """Fold the current hit/miss window into the lifetime totals."""
@@ -121,20 +182,34 @@ class LRUCache:
     ) -> int:
         """Drop every entry whose ``(key, value)`` satisfies ``predicate``.
 
-        The value-aware form delta invalidation needs: cached ego
-        node sets live in the values, not the keys.  Starts a fresh
-        hit-rate window when anything was evicted.
+        A full scan, for the rare value predicates that are not
+        tag-shaped (freshness expiry on a frontier advance).  Starts a
+        fresh hit-rate window when anything was evicted.
         """
-        doomed = [key for key, value in self._entries.items()
-                  if predicate(key, value)]
-        for key in doomed:
-            del self._entries[key]
-        if doomed:
-            # A no-op invalidation (nothing matched) leaves the window
-            # alone — under per-event streaming churn, rolling on every
-            # probe would shrink the window to near-zero samples.
-            self._roll_stats()
-        return len(doomed)
+        return self._drop([key for key, (value, _) in self._entries.items()
+                           if predicate(key, value)])
+
+    def invalidate_tags(self, tags: Collection[Hashable]) -> int:
+        """Drop every entry posted under any of ``tags``; no scan.
+
+        A posting-list lookup: ``O(len(tags) + evicted)`` whatever the
+        cache holds.  Entries stored with ``tags=None`` are of unknown
+        provenance and go with every non-empty ``tags``; an empty
+        ``tags`` is a no-op.  Starts a fresh hit-rate window when
+        anything was evicted.
+
+        >>> cache = LRUCache(8)
+        >>> cache.put("a", 1, tags=[3, 4])
+        >>> cache.put("b", 2, tags=[5])
+        >>> cache.invalidate_tags([4, 9]), "a" in cache, "b" in cache
+        (1, False, True)
+        """
+        if not tags:
+            return 0
+        doomed = set(self._postings.get(_UNKNOWN, ()))
+        for tag in tags:
+            doomed.update(self._postings.get(tag, ()))
+        return self._drop(doomed)
 
     def discard(self, key: Hashable) -> bool:
         """Drop one entry if present; returns whether it existed.
@@ -144,10 +219,11 @@ class LRUCache:
         entry is found expired at lookup time, which says nothing about
         the validity of the traffic pattern around it.
         """
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self._unpost(key, entry[1])
+        return True
 
     def reclassify_hit_as_miss(self) -> None:
         """Recount the latest hit as a miss (entry expired at lookup).
@@ -169,6 +245,7 @@ class LRUCache:
         """
         dropped = len(self._entries)
         self._entries.clear()
+        self._postings.clear()
         self._roll_stats()
         return dropped
 
@@ -184,15 +261,9 @@ class LRUCache:
         return hits / total if total else 0.0
 
 
-def _intersects(nodes: Optional[np.ndarray], touched: np.ndarray) -> bool:
-    """Whether a memoised (sorted) node set meets the touched frontier.
-
-    ``None`` node sets (legacy entries with no recorded provenance)
-    conservatively count as intersecting.
-    """
-    if nodes is None:
-        return True
-    return bool(np.isin(touched, nodes, assume_unique=False).any())
+def _node_tags(nodes) -> list:
+    """Node ids as plain ints: one conversion, no per-node numpy calls."""
+    return np.asarray(nodes, dtype=np.int64).ravel().tolist()
 
 
 class SubgraphCache:
@@ -205,9 +276,10 @@ class SubgraphCache:
       whole dataset was swapped).
     * :meth:`invalidate_nodes` — delta-aware: given the node frontier a
       mutation touched (edge endpoints / added shops), evict only
-      entries whose ego node sets intersect it.  Sound because a k-hop
-      ball changes only if the mutation touches a node at distance
-      ``< k`` — which is itself inside the cached node set.
+      entries whose ego node sets contain one of them.  Sound because a
+      k-hop ball changes only if the mutation touches a node at distance
+      ``< k`` — which is itself inside the cached node set.  The ego's
+      nodes are the entry's index tags: ``O(|touched| + evicted)``.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -220,7 +292,7 @@ class SubgraphCache:
 
     def put(self, shop_index: int, hops: int, ego: EgoSubgraph) -> None:
         """Memoise one extracted ego-subgraph."""
-        self._lru.put((shop_index, hops), ego)
+        self._lru.put((shop_index, hops), ego, tags=_node_tags(ego.nodes))
 
     def invalidate_graph(self) -> int:
         """Graph mutated opaquely: advance the epoch, drop every entry."""
@@ -228,17 +300,12 @@ class SubgraphCache:
         return self._lru.clear()
 
     def invalidate_nodes(self, touched: np.ndarray) -> int:
-        """Delta-aware eviction: drop entries intersecting ``touched``.
+        """Delta-aware eviction: drop entries whose ego meets ``touched``.
 
         Returns how many entries were evicted; everything else — the
-        point of the exercise — survives the mutation.
+        point of the exercise — survives the mutation, unvisited.
         """
-        touched = np.asarray(touched, dtype=np.int64)
-        if touched.size == 0:
-            return 0
-        return self._lru.invalidate_items(
-            lambda _key, ego: _intersects(ego.nodes, touched)
-        )
+        return self._lru.invalidate_tags(_node_tags(touched))
 
     @property
     def stats(self) -> LRUCache:
@@ -277,8 +344,9 @@ class ResultCache:
     participates in the key, a swapped-in model can never read a
     predecessor's numbers even before the purge runs.  Graph churn is
     handled like the subgraph plane: wholesale :meth:`clear` or
-    delta-aware :meth:`invalidate_nodes` against each entry's recorded
-    node set.
+    delta-aware :meth:`invalidate_nodes` through the same inverted index
+    (each entry is posted under its recorded node set; an entry stored
+    with ``nodes=None`` goes with every non-empty frontier).
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -306,6 +374,7 @@ class ResultCache:
                 data_month=int(data_month),
                 tick_seq=int(tick_seq),
             ),
+            tags=None if nodes is None else _node_tags(nodes),
         )
 
     def evict(self, shop_index: int, hops: int, model_version: int) -> bool:
@@ -339,12 +408,7 @@ class ResultCache:
 
     def invalidate_nodes(self, touched: np.ndarray) -> int:
         """Delta-aware eviction: drop results whose subgraphs were touched."""
-        touched = np.asarray(touched, dtype=np.int64)
-        if touched.size == 0:
-            return 0
-        return self._lru.invalidate_items(
-            lambda _key, result: _intersects(result.nodes, touched)
-        )
+        return self._lru.invalidate_tags(_node_tags(touched))
 
     def clear(self) -> int:
         """Drop all entries."""

@@ -338,6 +338,9 @@ class ServingGateway:
         if self._data_store is not None:
             self._data_store.unsubscribe(self._on_ticks)
             self._data_store = None
+        # The probe holds the store: a closed gateway must neither keep
+        # it alive nor keep reporting on a stream it no longer follows.
+        self.health_server.unregister("streaming")
 
     # ------------------------------------------------------------------
     # invalidation hooks
@@ -481,9 +484,10 @@ class ServingGateway:
         budget = self.config.max_staleness_months
         if budget is None:
             return
-        evicted = self.result_cache.expire_older_than(
-            self._data_frontier - budget
-        )
+        with obs_tracing.span("gateway.freshness_invalidation"):
+            evicted = self.result_cache.expire_older_than(
+                self._data_frontier - budget
+            )
         if evicted:
             self.metrics.inc("freshness_evictions", float(evicted))
 

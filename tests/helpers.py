@@ -71,6 +71,16 @@ def forall(
         ) from error
 
 
+def scan_evicts(nodes: Optional[np.ndarray], touched) -> bool:
+    """Reference for cache delta invalidation: the per-entry ``np.isin``
+    test the serving caches ran before they were indexed by node.  An
+    entry with unknown node set goes with every non-empty frontier."""
+    touched = np.asarray(touched, dtype=np.int64)
+    if touched.size == 0:
+        return False
+    return nodes is None or bool(np.isin(touched, nodes).any())
+
+
 def random_eseller_graph(
     rng: np.random.Generator,
     max_nodes: int = 40,

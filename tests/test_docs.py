@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Seven invariants, all cheap enough for tier-1:
+Eight invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -24,7 +24,10 @@ Seven invariants, all cheap enough for tier-1:
   lint): ``repro.serving.batching`` defines exactly one batcher class,
   and ``ServingGateway`` never branches on ``self.admission`` being
   ``None`` nor reads ``config.admission`` outside ``__init__`` except
-  to report it.
+  to report it;
+* **node invalidation stays indexed** (AST lint): ``repro.serving.cache``
+  calls no numpy set-membership routine, and neither ``invalidate_nodes``
+  goes through the scanning ``invalidate_items`` / ``invalidate_if``.
 """
 
 import ast
@@ -301,6 +304,45 @@ def test_serving_has_one_batcher_and_one_gateway_path():
     # legitimate read in __init__.
     assert len(cls.body) > 20, "ServingGateway scan looks vacuous"
     assert config_reads >= 1, "config.admission is never read at all"
+
+
+def _called_names(tree):
+    """Attribute / bare names of every call under ``tree``."""
+    return [
+        node.func.attr if isinstance(node.func, ast.Attribute)
+        else getattr(node.func, "id", None)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+
+
+def test_node_invalidation_cannot_scan_the_cache():
+    """Structure lint (tier-1): delta invalidation is a posting lookup.
+
+    ``repro/serving/cache.py`` never calls ``np.isin`` /
+    ``np.intersect1d`` / ``np.in1d`` (the per-entry membership test the
+    index replaced), and neither plane's ``invalidate_nodes`` calls the
+    full-scan ``invalidate_items`` / ``invalidate_if``.
+    """
+    source = REPO_ROOT / "src" / "repro" / "serving" / "cache.py"
+    tree = ast.parse(source.read_text())
+    calls = _called_names(tree)
+    membership = {"isin", "intersect1d", "in1d"} & set(calls)
+    assert not membership, f"cache.py tests set membership: {membership}"
+    methods = [
+        item for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name == "invalidate_nodes"
+    ]
+    for method in methods:
+        scans = {"invalidate_items", "invalidate_if"} & set(
+            _called_names(method))
+        assert not scans, f"invalidate_nodes:{method.lineno} calls {scans}"
+    # Vacuity guards: both planes were found, each delegates to the
+    # index, and the walk saw the module's calls.
+    assert len(methods) == 2, "expected SubgraphCache + ResultCache"
+    assert all("invalidate_tags" in _called_names(m) for m in methods)
+    assert len(calls) > 30, "cache.py scan looks vacuous"
 
 
 def test_roadmap_points_at_versioned_design_docs():

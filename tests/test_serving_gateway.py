@@ -1,12 +1,14 @@
 """Tests for the serving gateway subsystem (repro.serving)."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.deploy import ModelRegistry, OnlineModelServer
-from repro.graph.sampling import ego_subgraphs
+from repro.graph.sampling import EgoSubgraph, ego_subgraphs
 from repro.nn.module import Module, Parameter
 from repro.serving import (
     GatewayConfig,
@@ -15,10 +17,14 @@ from repro.serving import (
     MetricsRegistry,
     MicroBatcher,
     ReplicaRouter,
+    ResultCache,
     ServingGateway,
+    SubgraphCache,
     build_disjoint_batch,
     run_load,
 )
+
+from helpers import forall, scan_evicts
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +133,166 @@ class TestLRUCache:
         dropped = cache.invalidate_if(lambda key: key[1] % 2 == 0)
         assert dropped == 3
         assert len(cache) == 3
+
+
+class _SubgraphPlane:
+    """Drive a SubgraphCache by small integer key ids."""
+
+    def __init__(self, capacity):
+        self.cache = SubgraphCache(capacity)
+
+    def key(self, k):
+        return (k, 2)
+
+    def put(self, k, nodes):
+        # The subgraph plane has no unknown-provenance entries: an ego
+        # always knows its nodes.
+        nodes = np.asarray([] if nodes is None else nodes, dtype=np.int64)
+        self.cache.put(k, 2, EgoSubgraph(center=k, subgraph=None,
+                                         nodes=nodes, center_local=0))
+        return nodes
+
+    def get(self, k):
+        return self.cache.get(k, 2)
+
+
+class _ResultPlane:
+    """Drive a ResultCache by small integer key ids."""
+
+    def __init__(self, capacity):
+        self.cache = ResultCache(capacity)
+
+    def key(self, k):
+        return (k, 2, 7)
+
+    def put(self, k, nodes):
+        self.cache.put(k, 2, 7, forecast=np.zeros(1), subgraph_nodes=0,
+                       nodes=nodes)
+        return None if nodes is None else np.asarray(nodes, dtype=np.int64)
+
+    def get(self, k):
+        return self.cache.get(k, 2, 7)
+
+
+def check_index(lru, model):
+    """Every live entry's nodes posted; nothing else posted anywhere."""
+    assert list(lru._entries) == list(model)          # same keys, LRU order
+    posted = {(tag, key) for tag, keys in lru._postings.items()
+              for key in keys}
+    assert all(lru._postings.values()), "empty posting set kept"
+    expected = set()
+    for key, nodes in model.items():
+        tags = lru._entries[key][1]
+        if nodes is None:
+            assert len(tags) == 1 and not isinstance(next(iter(tags)), int)
+        else:
+            assert sorted(tags) == sorted(nodes.tolist())
+        expected |= {(tag, key) for tag in tags}
+    assert posted == expected
+
+
+class TestNodeIndex:
+    """``invalidate_nodes`` reads an inverted index; it must evict what
+    the per-entry ``np.isin`` scan it replaced would have evicted."""
+
+    CAPACITY, KEYS, NODES = 4, 10, 12      # more keys than room: LRU evicts
+    KINDS = ("put",) * 8 + ("get", "discard", "invalidate_if",
+                            "invalidate_items", "clear") + ("nodes",) * 3
+
+    @classmethod
+    def _gen(cls, rng):
+        ops = []
+        for _ in range(int(rng.integers(1, 60))):
+            # Duplicates and empty sets on purpose, in egos and frontiers.
+            nodes = rng.integers(0, cls.NODES, size=int(rng.integers(0, 5)))
+            ops.append((str(rng.choice(cls.KINDS)),
+                        int(rng.integers(cls.KEYS)),
+                        None if rng.random() < 0.15 else nodes.tolist()))
+        return ops
+
+    @classmethod
+    def _run(cls, plane, ops):
+        lru, model = plane.cache.stats, OrderedDict()
+        for kind, k, nodes in ops:
+            key = plane.key(k)
+            if kind == "put":                  # fresh key or overwrite
+                model[key] = plane.put(k, nodes)
+                model.move_to_end(key)
+                if len(model) > cls.CAPACITY:
+                    model.popitem(last=False)
+            elif kind == "get":
+                assert (plane.get(k) is not None) == (key in model)
+                if key in model:
+                    model.move_to_end(key)
+            elif kind == "discard":
+                assert lru.discard(key) == (key in model)
+                model.pop(key, None)
+            elif kind == "clear":
+                assert lru.clear() == len(model)
+                model.clear()
+            else:
+                if kind == "invalidate_if":
+                    doomed = [key for key in model if key[0] % 3 == k % 3]
+                    evicted = lru.invalidate_if(
+                        lambda key: key[0] % 3 == k % 3)
+                elif kind == "invalidate_items":
+                    doomed = [key for key in model if key[0] < k]
+                    evicted = lru.invalidate_items(
+                        lambda key, _value: key[0] < k)
+                else:
+                    touched = [] if nodes is None else nodes
+                    doomed = [key for key, held in model.items()
+                              if scan_evicts(held, touched)]
+                    evicted = plane.cache.invalidate_nodes(np.array(
+                        touched, dtype=np.int64))
+                assert evicted == len(doomed), (kind, k, nodes)
+                for key in doomed:
+                    del model[key]
+            check_index(lru, model)
+        return lru.evictions
+
+    @pytest.mark.parametrize("plane_type", [_SubgraphPlane, _ResultPlane])
+    def test_index_equals_scan_oracle_and_never_leaks(self, plane_type):
+        capacity_evictions = []
+        forall(
+            self._gen,
+            lambda ops: capacity_evictions.append(
+                self._run(plane_type(self.CAPACITY), ops)),
+            trials=150, seed=14,
+            shrink=lambda ops: (ops[:i] + ops[i + 1:]
+                                for i in range(len(ops))),
+            name=f"{plane_type.__name__} index == scan",
+        )
+        assert sum(capacity_evictions) > 100, "LRU pressure never generated"
+
+    @pytest.mark.parametrize("plane_type", [_SubgraphPlane, _ResultPlane])
+    def test_invalidate_nodes_never_iterates_the_entries(self, plane_type):
+        """Deterministic guard against the scan coming back: the entry
+        map refuses iteration, the eviction must still be exact."""
+
+        class NoScan(OrderedDict):
+            def _refuse(self, *args, **kwargs):
+                raise AssertionError("invalidate_nodes scanned the cache")
+            items = values = keys = __iter__ = _refuse
+
+        plane = plane_type(64)
+        for k in range(40):
+            plane.put(k, [100 + k, 200 + k // 2])
+        lru = plane.cache.stats
+        lru._entries = NoScan(lru._entries)
+        assert plane.cache.invalidate_nodes(np.array([117, 131, 999])) == 2
+        assert len(lru) == 38
+        assert plane.key(17) not in lru and plane.key(31) not in lru
+        assert plane.cache.invalidate_nodes(np.array([203])) == 2  # 6 and 7
+        assert plane.key(6) not in lru and plane.key(7) not in lru
+
+    def test_unknown_provenance_goes_with_any_nonempty_frontier(self):
+        plane = _ResultPlane(8)
+        plane.put(0, None)
+        plane.put(1, [5])
+        assert plane.cache.invalidate_nodes(np.array([], dtype=np.int64)) == 0
+        assert plane.cache.invalidate_nodes(np.array([9])) == 1
+        assert plane.get(0) is None and plane.get(1) is not None
 
 
 class TestGatewayNumerics:

@@ -20,6 +20,8 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.data.dataset import make_instance_batch
 from repro.deploy import ModelRegistry
 from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
+from repro.obs import Tracer, use_tracer
+from repro.obs import tracing as obs_tracing
 from repro.serving import GatewayConfig, LRUCache, ServingGateway
 from repro.streaming import (
     DynamicGraph,
@@ -34,7 +36,7 @@ from repro.streaming import (
 )
 from repro.training import OnlineAdapter, OnlineAdapterConfig, ShopRingWindows
 
-from helpers import forall, random_eseller_graph
+from helpers import forall, random_eseller_graph, scan_evicts
 
 pytestmark = pytest.mark.streaming
 
@@ -512,6 +514,20 @@ class TestLRUStatsEpochs:
         assert cache.hit_rate() == 1.0
         assert cache.hits == 2
 
+    def test_indexed_invalidation_rolls_only_when_evicting(self):
+        """The posting-list path keeps the window rule of the scan."""
+        cache = LRUCache(8)
+        cache.put("a", 1, tags=[1, 2])
+        cache.get("a")
+        cache.get("a")
+        cache.get("missing")
+        assert cache.invalidate_tags([7]) == 0       # probe: nothing posted
+        assert cache.invalidate_tags([]) == 0
+        assert (cache.hits, cache.misses) == (2, 1)
+        assert cache.invalidate_tags([2, 7]) == 1
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.lifetime_hit_rate() == pytest.approx(2 / 3)
+
 
 # ----------------------------------------------------------------------
 # delta-aware gateway invalidation
@@ -578,6 +594,52 @@ class TestDeltaInvalidation:
                                    rtol=0, atol=1e-12)
         gateway.close()
         cold.close()
+
+    def test_index_keeps_what_a_scan_keeps_on_a_live_stream(
+            self, factory, dataset, registry, simulator):
+        """Composed oracle: event by event, the indexed gateway holds the
+        same cache keys as a twin that evicts by the per-entry ``np.isin``
+        scan, and its warm answers equal a cold gateway on the fold."""
+        gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
+        twin, twin_dyn = _live_gateway(factory, dataset, registry, simulator)
+        for plane in (twin.subgraph_cache, twin.result_cache):
+            plane.invalidate_nodes = (
+                lambda touched, lru=plane.stats: lru.invalidate_items(
+                    lambda _key, value: scan_evicts(value.nodes, touched)))
+        rng = np.random.default_rng(3)
+        topology = [e for e in simulator.event_log()
+                    if isinstance(e, (ShopAdded, EdgeAdded, EdgeRetired))]
+        evicted = 0
+        for event in topology[:60]:
+            shops = rng.integers(0, dataset.test.num_shops, size=6)
+            gateway.predict_many(shops)
+            twin.predict_many(shops)
+            before = len(gateway.result_cache)
+            dyn.apply(event)
+            twin_dyn.apply(event)
+            evicted += before - len(gateway.result_cache)
+            for name in ("subgraph_cache", "result_cache"):
+                assert (list(getattr(gateway, name).stats._entries)
+                        == list(getattr(twin, name).stats._entries)), event
+        assert evicted > 0, "the stream never hit a cached ego"
+        assert len(gateway.result_cache) > 0, "nothing survived to compare"
+        for counter in ("graph_delta_invalidations", "delta_evicted_subgraphs",
+                        "delta_evicted_results"):
+            assert (gateway.metrics.counter(counter)
+                    == twin.metrics.counter(counter))
+
+        shops = np.arange(dataset.test.num_shops)
+        cold = ServingGateway(
+            factory, dataclasses.replace(dataset, graph=dyn.as_graph()),
+            registry, GatewayConfig(max_batch_size=8, max_wait=10.0),
+        )
+        warm = np.stack([r.forecast for r in gateway.predict_many(shops)])
+        reference = np.stack([r.forecast for r in cold.predict_many(shops)])
+        # Warm entries were computed in other batch compositions than the
+        # cold sweep's, so equality is to summation order, not bitwise.
+        np.testing.assert_allclose(warm, reference, rtol=1e-10, atol=0)
+        for each in (gateway, twin, cold):
+            each.close()
 
     def test_untouched_results_keep_serving_from_cache(self, factory, dataset,
                                                        registry, simulator):
@@ -813,6 +875,37 @@ class TestFreshnessAwareCaching:
         assert len(sweeps) == 1              # in-window late / same month: no sweep
         store.apply(SalesTick(month=month + 1, shop_index=0, gmv=1.0))
         assert len(sweeps) == 2
+        gateway.close()
+
+    def test_close_unregisters_streaming_probe(self, factory, dataset,
+                                               registry, simulator):
+        """A closed gateway neither holds the store through its probe nor
+        reports on a stream it no longer follows."""
+        gateway, dyn, store = self._world(factory, dataset, registry,
+                                          simulator, max_staleness_months=1)
+        assert "streaming" in gateway.health()["probes"]
+        gateway.close()
+        assert "streaming" not in gateway.health()["probes"]
+        gateway.close()                      # still idempotent
+
+    def test_freshness_sweep_has_its_own_span(self, factory, dataset,
+                                              registry, simulator):
+        """A frontier advance shows as ``gateway.freshness_invalidation``
+        inside the caller's span around the store fold; an in-window late
+        tick returns before the sweep and opens none."""
+        gateway, dyn, store = self._world(factory, dataset, registry,
+                                          simulator, max_staleness_months=1)
+        month = simulator.start_month
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with obs_tracing.span("ingest.store_fold"):
+                store.apply(SalesTick(month=month, shop_index=0, gmv=1.0))
+            with obs_tracing.span("ingest.store_fold"):
+                store.apply(SalesTick(month=month - 1, shop_index=1, gmv=1.0))
+        advance, late = tracer.roots
+        assert [child.name for child in advance.children] == [
+            "gateway.freshness_invalidation"]
+        assert late.children == []
         gateway.close()
 
     def test_tick_counter_counts_ticks_not_coalesced_shops(
