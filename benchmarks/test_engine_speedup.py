@@ -2,11 +2,11 @@
 
 Perf probe for the ``repro.nn.engine`` tentpole: on the 1000-shop
 synthetic marketplace a Gaia training step through the compiled plan
-(fused kernels + structure-cached schedule + pass-pipeline CSE + the
-memory-planned arena) must run at least 2x faster than the pre-engine
-eager path (``REPRO_NN_ENGINE=eager`` reference kernels, per-step graph
-builds), while reproducing the eager loss trajectory to <= 1e-12 and
-allocating **zero** arena buffers per steady-state replay.
+(fused kernels + compile-time schedule + the memory-planned arena)
+must run at least 2x faster than the pre-engine eager path
+(``REPRO_NN_ENGINE=eager`` reference kernels, per-step graph builds),
+while reproducing the eager loss trajectory to <= 1e-12 and allocating
+**zero** arena buffers per steady-state replay.
 
 A second scenario measures the ``float32`` serving backend: gateway
 request p95 latency vs the ``float64`` reference on the same request
@@ -165,11 +165,10 @@ def test_engine_training_speedup(engine_baseline):
         "max_loss_trajectory_drift": drift,
         "allocations_per_replay": allocations_per_replay,
         "peak_arena_bytes": stats.get("arena_bytes_allocated", 0),
-        "cse_eliminated_steps": stats.get("cse_eliminated_steps", 0),
         "engine_stats": {
             key: stats[key]
             for key in sorted(stats)
-            if key.startswith(("fused_", "plan", "arena_", "cse_"))
+            if key.startswith(("fused_", "plan", "arena_"))
         },
     }
 

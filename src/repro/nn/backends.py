@@ -1,23 +1,16 @@
-"""Execution backends: the dtype-policy / kernel-table / arena seam.
+"""Execution backends: registered dtype policies with accuracy budgets.
 
 The plan compiler in :mod:`repro.nn.engine` lowers a traced graph
-through the pass pipeline (:mod:`repro.nn.passes`) into a schedule that
-some *backend* executes.  An :class:`ExecutionBackend` bundles the three
-things a schedule needs to become concrete numbers:
-
-* a **dtype policy** — the precision leaf tensors are created in and
-  kernels therefore compute in (kernels derive their working dtype from
-  their input arrays, never from a hard-coded ``np.float64``; the
-  tier-1 dtype lint in ``tests/test_docs.py`` enforces that);
-* a **kernel table** — the named :class:`~repro.nn.engine.OpKernel`
-  implementations the backend executes (both built-in backends share
-  the engine's dtype-generic :data:`~repro.nn.engine.KERNELS` registry,
-  which is exactly what makes one kernel codebase serve two
-  precisions);
-* an **arena flag** — whether :class:`~repro.nn.engine.ExecutionPlan`
-  instances compiled under the backend run through the memory-planned
-  arena (preallocated, liveness-reused output buffers) produced by
-  :func:`repro.nn.passes.plan_memory`.
+through the pass pipeline (:mod:`repro.nn.passes`) into a schedule; the
+*backend* active at that moment decides the precision it runs in.  An
+:class:`ExecutionBackend` is a named **dtype policy** — the precision
+leaf tensors are created in and kernels therefore compute in — plus the
+**accuracy budget** that precision is held to against ``float64``.
+Kernels derive their working dtype from their input arrays, never from
+a hard-coded ``np.float64`` (the tier-1 dtype lint in
+``tests/test_docs.py`` enforces that), which is what lets the engine's
+one dtype-generic :data:`~repro.nn.engine.KERNELS` registry and one
+arena executor serve every registered precision.
 
 Two backends are registered:
 
@@ -50,7 +43,7 @@ selection.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -76,7 +69,7 @@ FLOAT32_ACCURACY_BUDGET = 5e-4
 
 
 class ExecutionBackend:
-    """One execution backend: dtype policy + kernel table + arena flag.
+    """One execution backend: a dtype policy with an accuracy budget.
 
     Parameters
     ----------
@@ -84,45 +77,22 @@ class ExecutionBackend:
         Registry key (``"float64"``, ``"float32"``).
     dtype:
         The numpy dtype leaf tensors are created in under this backend.
-    kernels:
-        Kernel table the backend executes; ``None`` resolves to the
-        engine's shared :data:`~repro.nn.engine.KERNELS` registry at
-        lookup time (the kernels are dtype-generic, so both precisions
-        share one implementation).
-    arena:
-        Whether plans compiled under this backend run through the
-        memory-planned arena executor.
     accuracy_budget:
         Documented maximum relative deviation vs the ``float64``
         reference (``0.0`` for the reference itself).
     """
 
-    __slots__ = ("name", "dtype", "_kernels", "arena", "accuracy_budget")
+    __slots__ = ("name", "dtype", "accuracy_budget")
 
-    def __init__(self, name: str, dtype, kernels: Optional[Dict] = None,
-                 arena: bool = True, accuracy_budget: float = 0.0) -> None:
+    def __init__(self, name: str, dtype,
+                 accuracy_budget: float = 0.0) -> None:
         self.name = name
         self.dtype = np.dtype(dtype)
-        self._kernels = kernels
-        self.arena = bool(arena)
         self.accuracy_budget = float(accuracy_budget)
-
-    @property
-    def kernels(self) -> Dict:
-        """The backend's kernel table (the shared registry by default)."""
-        if self._kernels is not None:
-            return self._kernels
-        from . import engine
-
-        return engine.KERNELS
-
-    def kernel(self, name: str):
-        """Resolve one named :class:`~repro.nn.engine.OpKernel`."""
-        return self.kernels[name]
 
     def __repr__(self) -> str:
         return (f"ExecutionBackend(name={self.name!r}, "
-                f"dtype={self.dtype.name}, arena={self.arena})")
+                f"dtype={self.dtype.name})")
 
 
 #: Registry of available backends, keyed by name.
@@ -135,10 +105,9 @@ def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
     return backend
 
 
-register_backend(ExecutionBackend("float64", np.float64, arena=True))
+register_backend(ExecutionBackend("float64", np.float64))
 register_backend(ExecutionBackend(
-    "float32", np.float32, arena=True,
-    accuracy_budget=FLOAT32_ACCURACY_BUDGET,
+    "float32", np.float32, accuracy_budget=FLOAT32_ACCURACY_BUDGET,
 ))
 
 # The active backend, held in a one-slot list so context managers can

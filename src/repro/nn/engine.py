@@ -28,27 +28,27 @@ the remedy — *record once, plan, then execute* — in three layers:
    is free at record time, and the fused VJPs are element-for-element
    identical to the composition they replace.
 
-3. **Plan cache + replay** (:class:`CompiledLoss`).  Tracing one forward
-   records a tape; the tape is pruned to the loss ancestors, its
-   creation order *is* a topological order (parents are always created
-   before children), and the resulting :class:`PlanStructure` — the op
-   schedule — is cached in a module-level table keyed by the graph's
-   structural signature, so the topological order is derived once per
-   architecture rather than re-sorted on every ``backward()``.  An
-   :class:`ExecutionPlan` binds a structure to concrete leaves and
-   replays forward + backward as a flat loop over arrays with
-   pre-allocated, step-reused gradient buffers: no ``Tensor`` objects,
-   no closures, no per-step garbage.
+3. **Plan compile + replay** (:class:`CompiledLoss`).  Tracing one
+   forward records a tape; the tape is pruned to the loss ancestors and
+   its creation order *is* a topological order (parents are always
+   created before children), so the resulting :class:`PlanStructure` —
+   the op schedule — is derived once per compile rather than re-sorted
+   on every ``backward()``.  An :class:`ExecutionPlan` binds a
+   structure to concrete leaves and replays forward + backward as a
+   flat loop over arrays with step-reused gradient references: no
+   ``Tensor`` objects, no closures, no per-step garbage.  There is one
+   forward loop and one backward loop; while a kernel profiler is
+   installed the same loops report each step to a per-replay observer,
+   so a kernel profile is a measurement of the loop production runs.
 
 4. **Pass pipeline + backends** (:mod:`repro.nn.passes`,
-   :mod:`repro.nn.backends`).  Binding a structure runs plan-level
-   rewrites *between trace and schedule*: structural CSE aliases
-   duplicate kernels' forwards, and liveness analysis assigns outputs
-   to a preallocated arena of reusable buffers, so steady-state replay
-   allocates ≈ nothing for the outputs it manages.  The executing
-   :class:`~repro.nn.backends.ExecutionBackend` supplies the dtype
-   policy, kernel table, and arena flag — ``float64`` (trainers; the
-   bitwise gate below) and a ``float32`` serving backend selected per
+   :mod:`repro.nn.backends`).  Binding a structure runs liveness
+   analysis over the schedule and assigns step outputs to a
+   preallocated arena of reusable buffers, so steady-state replay
+   allocates ≈ nothing for the outputs it manages.  The
+   :class:`~repro.nn.backends.ExecutionBackend` active at compile time
+   supplies the dtype policy — ``float64`` (trainers; the bitwise gate
+   below) and a ``float32`` serving backend selected per
    ``GatewayConfig(precision=...)`` with an explicit accuracy budget.
    Passes never touch the eager path, so planned float64 replay stays
    bitwise-identical to the fused eager walk.
@@ -75,6 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.profiling import KernelProfiler, estimate_cost
 from ..obs.tracing import span as _obs_span
 from . import passes as _passes
 from .backends import (
@@ -100,7 +101,6 @@ __all__ = [
     "active_backend",
     "active_dtype",
     "use_backend",
-    "ensure_allocator_tuned",
     "engine_mode",
     "set_engine_mode",
     "use_mode",
@@ -165,67 +165,6 @@ def fused_enabled() -> bool:
     return _MODE[0] != "eager"
 
 
-def _malloc_tune_enabled() -> bool:
-    """Whether the glibc mmap-threshold tune is allowed by environment.
-
-    ``REPRO_NN_MALLOC_TUNE=0`` (or ``false``/``no``/``off``) disables
-    it; the legacy ``REPRO_NN_NO_MALLOC_TUNE=1`` opt-out is still
-    honoured when the new knob is unset.
-    """
-    flag = os.environ.get("REPRO_NN_MALLOC_TUNE")
-    if flag is not None:
-        return flag.strip().lower() not in ("0", "false", "no", "off")
-    return not os.environ.get("REPRO_NN_NO_MALLOC_TUNE")
-
-
-def _tune_allocator() -> bool:
-    """Keep big step buffers on the heap instead of fresh mmap regions.
-
-    Every training step churns through tens of megabytes of activation
-    and gradient temporaries.  glibc serves allocations above its mmap
-    threshold with fresh ``mmap`` regions that are unmapped on free, so
-    each step pays a page fault per 4 KiB touched — measured at ~15-20%
-    of Gaia's step time at 1000 shops.  Raising the threshold once lets
-    the allocator recycle those buffers across steps (the engine's
-    buffer reuse at the allocator level).  Best-effort: silently a no-op
-    off glibc/Linux.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        m_mmap_threshold = -3  # glibc mallopt param constant
-        return bool(libc.mallopt(m_mmap_threshold, 512 * 1024 * 1024))
-    except Exception:
-        return False
-
-
-_MALLOC_TUNE_STATE = {"attempted": False, "tuned": False}
-
-
-def ensure_allocator_tuned(arena_covered: bool = False) -> bool:
-    """Apply the mmap-threshold tune lazily, at most once per process.
-
-    Called on the first eager/fallback step and on plan replays —
-    *not* at import.  ``arena_covered=True`` (the executing plan's
-    arena already recycles every output buffer and runs forward-only)
-    skips the tune without consuming the once-per-process attempt, so
-    a later uncovered workload can still apply it.  Disabled entirely
-    by ``REPRO_NN_MALLOC_TUNE=0`` (see :func:`_malloc_tune_enabled`).
-    """
-    state = _MALLOC_TUNE_STATE
-    if state["attempted"]:
-        return state["tuned"]
-    if arena_covered:
-        _bump("malloc_tune_skipped")
-        return False
-    state["attempted"] = True
-    if not _malloc_tune_enabled():
-        return False
-    state["tuned"] = _tune_allocator()
-    return state["tuned"]
-
-
 # ======================================================================
 # stats
 # ======================================================================
@@ -246,7 +185,7 @@ def stats_snapshot() -> Dict[str, int]:
     Thread-safe (taken under the same lock ``_bump`` holds).  Includes
     the profiling plane's state: ``profiling_enabled`` (whether a
     :class:`repro.obs.profiling.KernelProfiler` is installed) and
-    ``profiled_replays`` (replays that ran through the timed loops).
+    ``profiled_replays`` (replays that reported to a replay observer).
     """
     with _STATS_LOCK:
         snapshot = dict(_STATS)
@@ -275,11 +214,11 @@ def kernel_profiler():
 def set_kernel_profiler(profiler) -> None:
     """Install a :class:`repro.obs.profiling.KernelProfiler` (or ``None``).
 
-    While installed, ``ExecutionPlan.forward``/``backward`` replay
-    through timed loops that attribute wall time and estimated
-    FLOPs/bytes to each :class:`OpKernel`; when ``None`` (the default)
-    the replay loops take their original untimed path, so profiling
-    costs nothing unless switched on.  Prefer the
+    While installed, every ``ExecutionPlan.forward``/``backward`` replay
+    reports each step to an observer that attributes wall time and
+    estimated FLOPs/bytes to its :class:`OpKernel`; when ``None`` (the
+    default) the same loops run with no observer, at the cost of one
+    ``is None`` test per step.  Prefer the
     :func:`repro.obs.profiling.profile_kernels` context manager, which
     restores the previous profiler on exit.
     """
@@ -291,9 +230,6 @@ def inference_mode():
     """``no_grad`` plus engine accounting for serving-style forwards."""
     from .tensor import no_grad
 
-    # Serving forwards run eagerly (fresh buffers every call), so the
-    # allocator tune pays for itself here; applied once, lazily.
-    ensure_allocator_tuned()
     _bump("inference_forwards")
     with no_grad():
         yield
@@ -366,9 +302,8 @@ def register_kernel(name: str, forward: Callable, vjp: Callable,
 
 
 def select_kernel(name: str) -> Tuple[Callable, Callable]:
-    """Resolve the (forward, vjp) pair for the current mode, from the
-    active backend's kernel table."""
-    kernel = active_backend().kernel(name)
+    """Resolve the (forward, vjp) pair for the current mode."""
+    kernel = KERNELS[name]
     if fused_enabled():
         return kernel.forward, kernel.vjp
     return kernel.ref_forward, kernel.ref_vjp
@@ -1646,7 +1581,7 @@ class PlanError(RuntimeError):
 class _Step:
     """One scheduled op: slot-indexed inputs/output plus its kernel."""
 
-    __slots__ = ("op", "ins", "out", "forward", "vjp")
+    __slots__ = ("op", "ins", "out", "forward", "forward_out", "vjp")
 
     def __init__(self, op: str, ins: Tuple[int, ...], out: int) -> None:
         self.op = op
@@ -1654,50 +1589,25 @@ class _Step:
         self.out = out
         kernel = KERNELS[op]
         self.forward = kernel.forward
+        self.forward_out = kernel.forward_out
         self.vjp = kernel.vjp
 
 
-def _meta_fingerprint(meta: Optional[dict]):
-    if not meta:
-        return None
-    parts = []
-    for key in sorted(meta):
-        if key.startswith("_"):
-            continue  # kernel-private caches (e.g. scatter layouts)
-        value = meta[key]
-        if isinstance(value, np.ndarray):
-            parts.append((key, "nd", value.shape, str(value.dtype)))
-        elif isinstance(value, (tuple, list)):
-            parts.append((key, "seq", len(value)))
-        elif isinstance(value, slice):
-            parts.append((key, "slice", value.start, value.stop, value.step))
-        else:
-            parts.append((key, value))
-    return tuple(parts)
-
-
 class PlanStructure:
-    """The architecture-level half of a plan: slots, schedule, signature.
-
-    Cached module-wide keyed by :attr:`signature`, so two traces of the
-    same model architecture (e.g. every epoch over one training batch,
-    or every shard with identical shapes) share one topological order.
-    """
+    """The architecture-level half of a plan: slots and the op schedule."""
 
     __slots__ = ("steps", "num_slots", "param_slots", "const_slots",
-                 "root_slot", "slot_shapes", "needs_grad", "signature")
+                 "root_slot", "slot_shapes", "needs_grad")
 
     def __init__(self, steps: List[_Step], num_slots: int,
                  param_slots: Tuple[int, ...], const_slots: Tuple[int, ...],
-                 root_slot: int, slot_shapes: Tuple[tuple, ...],
-                 signature) -> None:
+                 root_slot: int, slot_shapes: Tuple[tuple, ...]) -> None:
         self.steps = steps
         self.num_slots = num_slots
         self.param_slots = param_slots
         self.const_slots = const_slots
         self.root_slot = root_slot
         self.slot_shapes = slot_shapes
-        self.signature = signature
         needs = [False] * num_slots
         for slot in param_slots:
             needs[slot] = True
@@ -1706,21 +1616,13 @@ class PlanStructure:
         self.needs_grad = tuple(needs)
 
 
-_STRUCTURES: Dict[object, PlanStructure] = {}
-
-
-def structure_cache_info() -> Dict[str, int]:
-    """Size of the shared structure cache (for tests / reporting)."""
-    return {"structures": len(_STRUCTURES)}
-
-
 def compile_plan(root, tape: Tape) -> "ExecutionPlan":
     """Compile a traced scalar loss into an :class:`ExecutionPlan`.
 
     Lowering order: dead-node pruning (:mod:`repro.nn.passes`) →
-    slot/schedule construction → structure-cache lookup → plan binding,
-    where binding runs the remaining passes (CSE, liveness, arena
-    planning) against the *active backend*.
+    slot/schedule construction → plan binding, where binding runs
+    liveness analysis and arena planning under the *active backend's*
+    dtype.
 
     Raises :class:`PlanError` when the graph is not statically
     replayable (dynamic ops, ancestors created outside the trace, or a
@@ -1757,72 +1659,109 @@ def compile_plan(root, tape: Tape) -> "ExecutionPlan":
         steps.append(_Step(node._op, ins, next_slot))
         metas.append(node._meta)
         next_slot += 1
-    slot_shapes = tuple(
-        [leaf.data.shape for leaf in leaves] + [n.data.shape for n in op_nodes]
-    )
-    signature = (
-        tuple(
-            (s.op, s.ins, slot_shapes[s.out], _meta_fingerprint(m))
-            for s, m in zip(steps, metas)
+    structure = PlanStructure(
+        steps=steps,
+        num_slots=next_slot,
+        param_slots=tuple(
+            i for i, leaf in enumerate(leaves) if leaf.requires_grad
         ),
-        tuple(slot_shapes[:len(leaves)]),
-        tuple(i for i, leaf in enumerate(leaves) if leaf.requires_grad),
-        slot_of[id(root)],
+        const_slots=tuple(
+            i for i, leaf in enumerate(leaves) if not leaf.requires_grad
+        ),
+        root_slot=slot_of[id(root)],
+        slot_shapes=tuple(
+            [leaf.data.shape for leaf in leaves]
+            + [n.data.shape for n in op_nodes]
+        ),
     )
-    structure = _STRUCTURES.get(signature)
-    if structure is None:
-        structure = PlanStructure(
-            steps=steps,
-            num_slots=next_slot,
-            param_slots=signature[2],
-            const_slots=tuple(
-                i for i, leaf in enumerate(leaves) if not leaf.requires_grad
-            ),
-            root_slot=slot_of[id(root)],
-            slot_shapes=slot_shapes,
-            signature=signature,
-        )
-        _STRUCTURES[signature] = structure
-        _bump("plan_structures_built")
-    else:
-        _bump("plan_structure_cache_hits")
     _bump("plans_compiled")
     return ExecutionPlan(structure, leaves, metas)
 
 
-class ExecutionPlan:
-    """A :class:`PlanStructure` bound to leaves, a backend, and buffers.
+class _ReplayObserver:
+    """Clock and cost attribution for one profiled replay phase.
 
-    ``run()`` replays forward and backward as flat loops over numpy
-    arrays.  Parameter leaves are re-read through their ``Tensor``
-    (``load_state_dict`` replaces ``.data``), constants are captured
-    array references, and per-slot gradient buffers are allocated once
-    and reused across steps.
-
-    Binding runs the pass pipeline (:mod:`repro.nn.passes`) against the
-    backend active at compile time: CSE'd steps skip their forward
-    kernel and alias the original's output/saved, and arena-managed
-    steps write into preallocated buffers (materialised lazily on the
-    first replay, then reused forever), so steady-state replay
-    allocates nothing for the outputs the plan manages.
+    :class:`ExecutionPlan` builds one per ``forward()`` / ``backward()``
+    call while a kernel profiler is installed and reports every
+    executed step to it.  Timing is boundary to boundary: one clock read
+    per step, each step's elapsed spanning everything since the previous
+    boundary (kernel, gradient accumulation, skipped dead-gradient
+    steps, this observer's own work), so the per-kernel rows account
+    for the replay wall time structurally.  Every measurement lands in
+    both the installed profiler and the plan's own one.
     """
 
-    __slots__ = ("structure", "metas", "backend", "memory_plan",
+    __slots__ = ("_plan", "_phase", "_sinks", "_clock", "_costs",
+                 "_start", "_boundary")
+
+    def __init__(self, plan: "ExecutionPlan", profiler, phase: str) -> None:
+        self._plan = plan
+        self._phase = phase
+        self._sinks = (profiler, plan._profile)
+        self._clock = profiler.clock
+        self._costs = plan._costs[phase]
+        self._start = self._boundary = self._clock()
+
+    def step(self, i: int) -> None:
+        """Record step ``i`` as finished now."""
+        plan = self._plan
+        structure = plan.structure
+        step = structure.steps[i]
+        cost = self._costs[i]
+        if cost is None:
+            # Static shapes: estimated once per plan step, then cached.
+            shapes = structure.slot_shapes
+            cost = self._costs[i] = estimate_cost(
+                step.op, tuple(shapes[j] for j in step.ins),
+                shapes[step.out], plan.metas[i], phase=self._phase,
+                itemsize=plan._dtype.itemsize,
+            )
+        now = self._clock()
+        elapsed = now - self._boundary
+        self._boundary = now
+        for sink in self._sinks:
+            sink.record(step.op, self._phase, elapsed, cost[0], cost[1])
+
+    def close(self) -> None:
+        """Account the phase's wall time (a replay counts once, on its
+        forward)."""
+        seconds = self._clock() - self._start
+        count = int(self._phase == "forward")
+        for sink in self._sinks:
+            sink.record_replay(seconds, count)
+        if count:
+            _bump("profiled_replays")
+
+
+class ExecutionPlan:
+    """A :class:`PlanStructure` bound to leaves and buffers.
+
+    ``forward()`` then ``backward()`` replay one training step as flat
+    loops over numpy arrays.  Parameter leaves are re-read through their
+    ``Tensor`` (``load_state_dict`` replaces ``.data``), constants are
+    captured array references, and per-slot gradient references are
+    reused across steps.
+
+    Binding runs the pass pipeline (:mod:`repro.nn.passes`) under the
+    dtype of the backend active at compile time: arena-managed steps
+    write into preallocated buffers (materialised lazily on the first
+    replay, then reused forever), so steady-state replay allocates
+    nothing for the outputs the plan manages.  A step that raises
+    releases the plan's activations before the exception propagates.
+    """
+
+    __slots__ = ("structure", "metas", "memory_plan",
                  "_params", "_consts", "_values",
                  "_saved", "_grads", "_unbroadcast", "_seed", "_dtype",
-                 "_kernels", "_arena", "_arena_covered",
-                 "_kstats", "_fw_costs", "_bw_costs",
-                 "_profiled_replays", "_profiled_seconds")
+                 "_arena", "_profile", "_costs")
 
     def __init__(self, structure: PlanStructure, leaves: List,
-                 metas: List[Optional[dict]],
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 metas: List[Optional[dict]]) -> None:
         from .tensor import unbroadcast
 
         self.structure = structure
         self.metas = metas
-        self.backend = backend if backend is not None else active_backend()
-        self._dtype = self.backend.dtype
+        self._dtype = active_dtype()
         self._unbroadcast = unbroadcast
         self._params = [
             (structure.param_slots[j], leaf)
@@ -1843,28 +1782,18 @@ class ExecutionPlan:
         self._grads: List[Optional[np.ndarray]] = [None] * structure.num_slots
         self._seed = np.ones(structure.slot_shapes[structure.root_slot],
                              dtype=self._dtype)
-        # pass pipeline: CSE + liveness + arena plan, per bound plan
-        # (structure fingerprints meta by shape only, so value-level
-        # rewrites must not be shared across plans).
-        self.memory_plan = _passes.run_pipeline(structure, metas, self.backend)
-        self._kernels = [self.backend.kernel(step.op)
-                         for step in structure.steps]
+        self.memory_plan = _passes.run_pipeline(structure, KERNELS,
+                                                self._dtype)
         self._arena: Optional[List[Optional[np.ndarray]]] = None
-        if self.memory_plan.cse_eliminated:
-            _bump("cse_eliminated_steps", self.memory_plan.cse_eliminated)
         _bump("arena_planned_bytes", self.memory_plan.arena_bytes)
-        # Arena "covers" the plan when every executing step writes into
-        # it AND nothing is pinned for a backward pass — then the mmap
-        # tune has nothing left to win (see ensure_allocator_tuned).
-        self._arena_covered = (
-            self.memory_plan.fully_managed and not self._params
-        )
-        # profiling plane (populated only while a profiler is installed)
-        self._kstats: Dict[Tuple[str, str], List[float]] = {}
-        self._fw_costs: Optional[List[Optional[Tuple[float, float]]]] = None
-        self._bw_costs: Optional[List[Optional[Tuple[float, float]]]] = None
-        self._profiled_replays = 0
-        self._profiled_seconds = 0.0
+        # profiling plane: this plan's own rows (what ``profile_report``
+        # shows) and the static per-step cost estimates, both written
+        # only by a replay observer.
+        self._profile = KernelProfiler()
+        self._costs: Dict[str, List[Optional[Tuple[float, float]]]] = {
+            phase: [None] * len(structure.steps)
+            for phase in ("forward", "backward")
+        }
 
     # ------------------------------------------------------------------
     def check_bindings(self) -> bool:
@@ -1891,107 +1820,50 @@ class ExecutionPlan:
         _bump("arena_bytes_allocated", plan.arena_bytes)
         return arena
 
+    def _observer(self, phase: str) -> Optional[_ReplayObserver]:
+        """A replay observer while a kernel profiler is installed."""
+        profiler = _PROFILER[0]
+        if profiler is None:
+            return None
+        return _ReplayObserver(self, profiler, phase)
+
     def forward(self) -> float:
         """Replay the forward schedule; returns the scalar loss.
 
-        CSE'd steps alias the original's output/saved instead of
-        re-running the kernel; arena-managed steps write into the
-        plan's preallocated buffers.  Both rewrites are bitwise-neutral
-        (see :mod:`repro.nn.passes`).
+        Arena-managed steps write into the plan's preallocated buffers,
+        bit-for-bit what the allocating kernel computes (see
+        :mod:`repro.nn.passes`).
         """
-        profiler = _PROFILER[0]
-        if profiler is not None:
-            return self._forward_profiled(profiler)
         values = self._values
         saved = self._saved
         steps = self.structure.steps
         metas = self.metas
-        plan = self.memory_plan
-        alias = plan.step_alias
-        step_buffer = plan.step_buffer
+        step_buffer = self.memory_plan.step_buffer
         arena = self._arena
         if arena is None:
             arena = self._materialize_arena()
         for slot, param in self._params:
             values[slot] = param.data
-        for i, step in enumerate(steps):
-            rep = alias[i]
-            if rep >= 0:
-                values[step.out] = values[steps[rep].out]
-                saved[i] = saved[rep]
-                continue
-            arrays = tuple(values[j] for j in step.ins)
-            buf = step_buffer[i]
-            kernel = self._kernels[i]
-            if buf >= 0:
-                out, sv = kernel.forward_out(metas[i], arrays, arena[buf])
-            else:
-                out, sv = kernel.forward(metas[i], arrays)
-            values[step.out] = out
-            saved[i] = sv
+        observer = self._observer("forward")
+        try:
+            for i, step in enumerate(steps):
+                arrays = tuple(values[j] for j in step.ins)
+                buf = step_buffer[i]
+                if buf >= 0:
+                    out, sv = step.forward_out(metas[i], arrays, arena[buf])
+                else:
+                    out, sv = step.forward(metas[i], arrays)
+                values[step.out] = out
+                saved[i] = sv
+                if observer is not None:
+                    observer.step(i)
+        except BaseException:
+            self._release()
+            raise
+        finally:
+            if observer is not None:
+                observer.close()
         return float(values[self.structure.root_slot])
-
-    def _accumulate(self, op: str, phase: str, seconds: float,
-                    flops: float, bytes_moved: float) -> None:
-        row = self._kstats.get((op, phase))
-        if row is None:
-            row = self._kstats[(op, phase)] = [0.0, 0.0, 0.0, 0.0]
-        row[0] += 1.0
-        row[1] += seconds
-        row[2] += flops
-        row[3] += bytes_moved
-
-    def _forward_profiled(self, profiler) -> float:
-        """The forward replay with per-kernel timing and cost attribution.
-
-        A separate method so the unprofiled loop stays untouched — with
-        no profiler installed, ``forward()`` pays exactly one list read.
-        Costs are estimated from the plan's static slot shapes once and
-        cached, so steady-state profiled replays only add clock reads.
-        """
-        from ..obs.profiling import estimate_cost
-
-        structure = self.structure
-        values = self._values
-        saved = self._saved
-        for slot, param in self._params:
-            values[slot] = param.data
-        costs = self._fw_costs
-        if costs is None:
-            costs = self._fw_costs = [None] * len(structure.steps)
-        clock = profiler.clock
-        shapes = structure.slot_shapes
-        metas = self.metas
-        # Boundary-to-boundary timing: one clock read per step, each
-        # step's elapsed spanning everything since the previous boundary
-        # (kernel, bookkeeping, cost lookup) — so the per-kernel rows
-        # account for the replay wall time structurally, not modulo the
-        # profiler's own dict updates.
-        replay_start = clock()
-        boundary = replay_start
-        for i, step in enumerate(structure.steps):
-            arrays = tuple(values[j] for j in step.ins)
-            out, sv = step.forward(metas[i], arrays)
-            values[step.out] = out
-            saved[i] = sv
-            cost = costs[i]
-            if cost is None:
-                cost = costs[i] = estimate_cost(
-                    step.op, tuple(shapes[j] for j in step.ins),
-                    shapes[step.out], metas[i], phase="forward",
-                    itemsize=self._dtype.itemsize,
-                )
-            now = clock()
-            elapsed = now - boundary
-            boundary = now
-            profiler.record(step.op, "forward", elapsed, cost[0], cost[1])
-            self._accumulate(step.op, "forward", elapsed, cost[0], cost[1])
-        replay_seconds = clock() - replay_start
-        self._profiled_replays += 1
-        self._profiled_seconds += replay_seconds
-        profiler.record_replay(replay_seconds)
-        _bump("profiled_replays")
-        return float(values[structure.root_slot])
 
     def backward(self) -> None:
         """Replay the VJP schedule over per-slot gradient references.
@@ -1999,140 +1871,72 @@ class ExecutionPlan:
         Accumulation mirrors the eager walk exactly — gradients are
         passed by reference and combined with out-of-place additions in
         the same order — so planned and eager parameter gradients are
-        bit-for-bit identical.
+        bit-for-bit identical.  An observed step's measurement covers
+        its VJP call *plus* the unbroadcast/accumulate work its
+        gradients trigger — the true cost of executing that op's
+        backward.
         """
-        profiler = _PROFILER[0]
-        if profiler is not None:
-            self._backward_profiled(profiler)
-            return
         structure = self.structure
         values = self._values
         grads = self._grads
         needs = structure.needs_grad
-        unbroadcast = self._unbroadcast
-        for i in range(structure.num_slots):
-            grads[i] = None
-        grads[structure.root_slot] = self._seed
-        steps = structure.steps
-        metas = self.metas
-        saved = self._saved
-        for i in range(len(steps) - 1, -1, -1):
-            step = steps[i]
-            grad = grads[step.out]
-            if grad is None:
-                continue
-            grads[step.out] = None
-            arrays = tuple(values[j] for j in step.ins)
-            pgrads = step.vjp(metas[i], grad, arrays, values[step.out], saved[i])
-            for j, pgrad in zip(step.ins, pgrads):
-                if pgrad is None or not needs[j]:
-                    continue
-                pgrad = unbroadcast(
-                    np.asarray(pgrad, dtype=self._dtype),
-                    structure.slot_shapes[j],
-                )
-                if grads[j] is None:
-                    grads[j] = pgrad
-                else:
-                    grads[j] = grads[j] + pgrad
-        for slot, param in self._params:
-            pgrad = grads[slot]
-            grads[slot] = None
-            if pgrad is None:
-                continue
-            if param.grad is None:
-                param.grad = pgrad.copy()
-            else:
-                param.grad = param.grad + pgrad
-        self._release()
-
-    def _backward_profiled(self, profiler) -> None:
-        """The VJP replay with per-kernel timing (same accumulation order).
-
-        Each step's measurement covers its VJP call *plus* the
-        unbroadcast/accumulate work its gradients trigger — that is the
-        true cost of executing this op's backward, and it keeps the
-        per-kernel timings accounting for ≥95% of the replay wall time.
-        """
-        from ..obs.profiling import estimate_cost
-
-        structure = self.structure
-        values = self._values
-        grads = self._grads
-        needs = structure.needs_grad
-        unbroadcast = self._unbroadcast
-        for i in range(structure.num_slots):
-            grads[i] = None
-        grads[structure.root_slot] = self._seed
-        steps = structure.steps
-        metas = self.metas
-        saved = self._saved
-        costs = self._bw_costs
-        if costs is None:
-            costs = self._bw_costs = [None] * len(steps)
-        clock = profiler.clock
         shapes = structure.slot_shapes
-        # Same boundary-to-boundary discipline as the forward replay;
-        # skipped (dead-gradient) steps fold into the next live step's
-        # elapsed, so the rows still sum to the replay wall time.
-        replay_start = clock()
-        boundary = replay_start
-        for i in range(len(steps) - 1, -1, -1):
-            step = steps[i]
-            grad = grads[step.out]
-            if grad is None:
-                continue
-            grads[step.out] = None
-            arrays = tuple(values[j] for j in step.ins)
-            pgrads = step.vjp(metas[i], grad, arrays, values[step.out], saved[i])
-            for j, pgrad in zip(step.ins, pgrads):
-                if pgrad is None or not needs[j]:
+        unbroadcast = self._unbroadcast
+        for i in range(structure.num_slots):
+            grads[i] = None
+        grads[structure.root_slot] = self._seed
+        steps = structure.steps
+        metas = self.metas
+        saved = self._saved
+        observer = self._observer("backward")
+        try:
+            for i in range(len(steps) - 1, -1, -1):
+                step = steps[i]
+                grad = grads[step.out]
+                if grad is None:
                     continue
-                pgrad = unbroadcast(
-                    np.asarray(pgrad, dtype=self._dtype),
-                    shapes[j],
-                )
-                if grads[j] is None:
-                    grads[j] = pgrad
+                grads[step.out] = None
+                arrays = tuple(values[j] for j in step.ins)
+                pgrads = step.vjp(metas[i], grad, arrays, values[step.out],
+                                  saved[i])
+                for j, pgrad in zip(step.ins, pgrads):
+                    if pgrad is None or not needs[j]:
+                        continue
+                    pgrad = unbroadcast(
+                        np.asarray(pgrad, dtype=self._dtype), shapes[j]
+                    )
+                    if grads[j] is None:
+                        grads[j] = pgrad
+                    else:
+                        grads[j] = grads[j] + pgrad
+                if observer is not None:
+                    observer.step(i)
+            for slot, param in self._params:
+                pgrad = grads[slot]
+                grads[slot] = None
+                if pgrad is None:
+                    continue
+                if param.grad is None:
+                    param.grad = pgrad.copy()
                 else:
-                    grads[j] = grads[j] + pgrad
-            cost = costs[i]
-            if cost is None:
-                cost = costs[i] = estimate_cost(
-                    step.op, tuple(shapes[j] for j in step.ins),
-                    shapes[step.out], metas[i], phase="backward",
-                    itemsize=self._dtype.itemsize,
-                )
-            now = clock()
-            elapsed = now - boundary
-            boundary = now
-            profiler.record(step.op, "backward", elapsed, cost[0], cost[1])
-            self._accumulate(step.op, "backward", elapsed, cost[0], cost[1])
-        for slot, param in self._params:
-            pgrad = grads[slot]
-            grads[slot] = None
-            if pgrad is None:
-                continue
-            if param.grad is None:
-                param.grad = pgrad.copy()
-            else:
-                param.grad = param.grad + pgrad
-        replay_seconds = clock() - replay_start
-        self._profiled_seconds += replay_seconds
-        profiler.record_replay(replay_seconds, count=0)
-        self._release()
+                    param.grad = param.grad + pgrad
+        finally:
+            if observer is not None:
+                observer.close()
+            self._release()
 
     def _release(self) -> None:
         """Drop activations / saved forward buffers after a step.
 
         Trainers hold one plan per train batch for their lifetime;
         without this, every *cold* plan would pin a full set of
-        activations (including im2col buffers) between steps.  Constant
-        leaf bindings are kept — they are references to long-lived batch
-        arrays, not copies.  Arena buffers are *not* released: they
-        live in ``self._arena`` for the plan's lifetime (that is the
-        fixed preallocated footprint); only unmanaged outputs, saved
-        tensors, and gradients are dropped here.
+        activations (including im2col buffers) between steps — also
+        when a kernel raised mid-replay.  Constant leaf bindings are
+        kept — they are references to long-lived batch arrays, not
+        copies.  Arena buffers are *not* released: they live in
+        ``self._arena`` for the plan's lifetime (that is the fixed
+        preallocated footprint); only unmanaged outputs, saved tensors,
+        and gradients are dropped here.
         """
         values = self._values
         grads = self._grads
@@ -2145,14 +1949,6 @@ class ExecutionPlan:
         saved = self._saved
         for i in range(len(saved)):
             saved[i] = None
-
-    def run(self) -> float:
-        """One full planned training step: forward + backward."""
-        ensure_allocator_tuned(self._arena_covered)
-        _bump("plan_replays")
-        loss = self.forward()
-        self.backward()
-        return loss
 
 
 # ======================================================================
@@ -2187,7 +1983,7 @@ class CompiledLoss:
         return self._reason
 
     def profile_report(self, top: Optional[int] = None) -> Dict[str, object]:
-        """Per-kernel profile of this loss's profiled plan replays.
+        """Per-kernel profile of this loss's observed plan replays.
 
         Populated while a :class:`repro.obs.profiling.KernelProfiler`
         is installed (see :func:`repro.obs.profiling.profile_kernels`).
@@ -2200,20 +1996,12 @@ class CompiledLoss:
         losses additionally report the pass pipeline's memory plan:
         ``arena`` (the :meth:`MemoryPlan.report
         <repro.nn.passes.MemoryPlan.report>` summary — arena bytes,
-        buffer count, reuse, CSE eliminations) and a per-kernel
-        ``arena_bytes`` column attributing each forward kernel's
-        arena-managed output bytes.
+        buffer count, reuse) and a per-kernel ``arena_bytes`` column
+        attributing each forward kernel's arena-managed output bytes.
         """
-        from ..obs.profiling import KernelProfiler
-
-        scratch = KernelProfiler()
         plan = self._plan
-        if plan is not None:
-            scratch.stats = {key: list(row)
-                             for key, row in plan._kstats.items()}
-            scratch.replays = plan._profiled_replays
-            scratch.replay_seconds = plan._profiled_seconds
-        report = scratch.report(top)
+        profile = plan._profile if plan is not None else KernelProfiler()
+        report = profile.report(top)
         report["planned"] = plan is not None
         report["fallback_reason"] = self._reason
         if plan is not None:
@@ -2237,14 +2025,12 @@ class CompiledLoss:
     def run(self) -> float:
         """Execute one step; returns the loss, populates ``.grad``."""
         if self._dynamic or not fused_enabled():
-            ensure_allocator_tuned()
             _bump("compiled_eager_steps")
             with _obs_span("engine.step"):
                 return self._eager()
         plan = self._plan
         if plan is not None:
             if plan.check_bindings():
-                ensure_allocator_tuned(plan._arena_covered)
                 with _obs_span("engine.step"):
                     loss = plan.forward()
                     plan.backward()
@@ -2253,13 +2039,15 @@ class CompiledLoss:
             # Shapes moved under us: retrace next run.
             self._plan = None
             _bump("plan_rebinds")
-        with trace() as tape:
-            loss = self._fn()
-        try:
-            self._plan = compile_plan(loss, tape)
-        except PlanError as error:
-            self._dynamic = True
-            self._reason = str(error)
-            _bump("plan_fallbacks")
-        loss.backward()
+        with _obs_span("engine.step"):
+            with _obs_span("engine.compile"):
+                with trace() as tape:
+                    loss = self._fn()
+                try:
+                    self._plan = compile_plan(loss, tape)
+                except PlanError as error:
+                    self._dynamic = True
+                    self._reason = str(error)
+                    _bump("plan_fallbacks")
+            loss.backward()
         return float(loss.data)

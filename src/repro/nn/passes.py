@@ -1,26 +1,15 @@
-"""Plan-level rewrite passes: prune → CSE → liveness → arena plan.
+"""Plan-level passes: prune → liveness → arena plan.
 
 The engine's compiler (:func:`repro.nn.engine.compile_plan`) lowers a
 traced tape through this module *between trace and schedule*.  Each pass
-rewrites or annotates the plan without ever touching the eager path, so
-the engine's equivalence gate — planned float64 replay bitwise-identical
-to the fused eager walk — survives every rewrite:
+annotates the plan without ever touching the eager path, so the
+engine's equivalence gate — planned float64 replay bitwise-identical to
+the fused eager walk — survives every one:
 
 1. **Dead-node pruning** (:func:`prune_dead_nodes`): drop recorded
-   nodes that the loss root does not depend on (lifted out of
-   ``compile_plan``; a pass like any other now).
+   nodes that the loss root does not depend on.
 
-2. **Structural CSE** (:func:`eliminate_common_subexpressions`):
-   detect steps that re-run an identical kernel — same op name, same
-   (alias-resolved) input slots, value-equal meta — and alias the
-   duplicate's output to the first occurrence.  The rewrite only skips
-   the duplicate's *forward* kernel call; its VJP still runs in the
-   original schedule position, so backward accumulation order — and
-   therefore every gradient bit — is unchanged.  (Merging nodes
-   outright would turn ``vjp(g1) + vjp(g2)`` into ``vjp(g1 + g2)``,
-   which is not bitwise-stable; aliasing forwards is.)
-
-3. **Liveness + arena planning** (:func:`plan_memory`): compute the
+2. **Liveness + arena planning** (:func:`plan_memory`): compute the
    last use of every value slot over the linear schedule — including
    backward reads, via the per-kernel :attr:`OpKernel.vjp_uses
    <repro.nn.engine.OpKernel>` contract — and assign output buffers
@@ -37,7 +26,7 @@ The result is a :class:`MemoryPlan` consumed by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +34,6 @@ __all__ = [
     "VIEW_OPS",
     "MemoryPlan",
     "prune_dead_nodes",
-    "eliminate_common_subexpressions",
     "plan_memory",
     "run_pipeline",
 ]
@@ -81,104 +69,33 @@ def prune_dead_nodes(root, recorded_nodes: Sequence) -> Tuple[Dict[int, object],
     return ancestors, op_nodes
 
 
-def _values_equal(a, b) -> bool:
-    """Structural value equality for meta entries (arrays compare by
-    shape, dtype and contents; sequences recurse; slices by fields)."""
-    if a is b:
-        return True
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-            return False
-        return (a.shape == b.shape and a.dtype == b.dtype
-                and bool(np.array_equal(a, b)))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return (len(a) == len(b)
-                and all(_values_equal(x, y) for x, y in zip(a, b)))
-    if isinstance(a, slice) and isinstance(b, slice):
-        return (a.start, a.stop, a.step) == (b.start, b.stop, b.step)
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
-
-
-def _metas_equal(a: Optional[dict], b: Optional[dict]) -> bool:
-    """Value equality over plan metas, ignoring kernel-private ``_``
-    cache keys (scatter layouts, cast caches)."""
-    if a is b:
-        return True
-    keys_a = sorted(k for k in (a or {}) if not k.startswith("_"))
-    keys_b = sorted(k for k in (b or {}) if not k.startswith("_"))
-    if keys_a != keys_b:
-        return False
-    return all(_values_equal(a[k], b[k]) for k in keys_a)
-
-
-def eliminate_common_subexpressions(
-    steps: Sequence, metas: Sequence[Optional[dict]]
-) -> List[int]:
-    """Structural CSE over one bound plan.
-
-    Returns ``alias`` with one entry per step: ``-1`` for steps that
-    execute their forward kernel, or the index of an earlier step whose
-    output (and saved tensors) this step reuses.  Two steps merge when
-    they run the same op over the same *alias-resolved* input slots
-    with value-equal meta — every kernel in the registry is a pure
-    function of ``(meta, arrays)``, so the duplicate's forward is
-    guaranteed to reproduce the original bit-for-bit, and skipping it
-    changes nothing but the wall clock.
-
-    Runs per :class:`~repro.nn.engine.ExecutionPlan` (not per cached
-    structure): structure signatures fingerprint meta by *shape* only,
-    so two plans sharing a structure may still differ in meta values.
-    """
-    alias = [-1] * len(steps)
-    slot_rep: Dict[int, int] = {}
-    seen: Dict[Tuple[str, Tuple[int, ...]], List[int]] = {}
-    for i, step in enumerate(steps):
-        resolved = tuple(slot_rep.get(j, j) for j in step.ins)
-        candidates = seen.setdefault((step.op, resolved), [])
-        for c in candidates:
-            if _metas_equal(metas[i], metas[c]):
-                alias[i] = c
-                slot_rep[step.out] = steps[c].out
-                break
-        else:
-            candidates.append(i)
-    return alias
-
-
 class MemoryPlan:
     """Arena memory plan for one bound :class:`ExecutionPlan`.
 
     Produced by :func:`plan_memory`; consumed by the planned forward
-    loop.  ``step_alias[i] >= 0`` marks a CSE'd step (reuse that step's
-    output/saved); ``step_buffer[i] >= 0`` names the arena buffer the
-    step's ``forward_out`` kernel writes into (``-1`` = unmanaged:
-    view-producing, CSE'd, or no out-variant kernel — the step
-    allocates its output as before).
+    loop.  ``step_buffer[i] >= 0`` names the arena buffer the step's
+    ``forward_out`` kernel writes into (``-1`` = unmanaged:
+    view-producing or no out-variant kernel — the step allocates its
+    output as before).
     """
 
-    __slots__ = ("step_alias", "step_buffer", "buffer_shapes", "dtype",
+    __slots__ = ("step_buffer", "buffer_shapes", "dtype",
                  "managed_steps", "unmanaged_steps", "view_steps",
-                 "cse_eliminated", "reused_buffers", "arena_bytes",
+                 "reused_buffers", "arena_bytes",
                  "backward_live", "buffer_occupancy", "op_bytes")
 
-    def __init__(self, step_alias: List[int], step_buffer: List[int],
+    def __init__(self, step_buffer: List[int],
                  buffer_shapes: List[tuple], dtype: np.dtype,
                  managed_steps: int, unmanaged_steps: int, view_steps: int,
-                 cse_eliminated: int, reused_buffers: int,
-                 backward_live: int,
+                 reused_buffers: int, backward_live: int,
                  buffer_occupancy: List[List[Tuple[int, int, int]]],
                  op_bytes: Dict[str, int]) -> None:
-        self.step_alias = step_alias
         self.step_buffer = step_buffer
         self.buffer_shapes = buffer_shapes
         self.dtype = dtype
         self.managed_steps = managed_steps
         self.unmanaged_steps = unmanaged_steps
         self.view_steps = view_steps
-        self.cse_eliminated = cse_eliminated
         self.reused_buffers = reused_buffers
         self.arena_bytes = sum(
             int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
@@ -207,15 +124,13 @@ class MemoryPlan:
             "managed_outputs": self.managed_steps,
             "unmanaged_outputs": self.unmanaged_steps,
             "view_outputs": self.view_steps,
-            "cse_eliminated": self.cse_eliminated,
             "buffer_reuse": self.reused_buffers,
             "backward_live": self.backward_live,
             "fully_managed": self.fully_managed,
         }
 
 
-def plan_memory(structure, metas: Sequence[Optional[dict]],
-                alias: Sequence[int], kernel_table: Dict,
+def plan_memory(structure, kernel_table: Dict,
                 dtype: np.dtype) -> MemoryPlan:
     """Liveness analysis + arena buffer assignment over one plan.
 
@@ -228,10 +143,10 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
     only re-enters the pool at step ``t + 1``, so an output buffer can
     never alias any input of the step writing it.
 
-    View outputs (:data:`VIEW_OPS`) and CSE'd outputs alias an earlier
-    slot's storage; their reads extend that base slot's lifetime
-    transitively.  Steps whose kernel has no ``forward_out`` variant
-    stay unmanaged (counted, reported, and gated in the benchmarks).
+    View outputs (:data:`VIEW_OPS`) alias an earlier slot's storage;
+    their reads extend that base slot's lifetime transitively.  Steps
+    whose kernel has no ``forward_out`` variant stay unmanaged (counted,
+    reported, and gated in the benchmarks).
     """
     steps = structure.steps
     num_steps = len(steps)
@@ -247,10 +162,8 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
             slot = base[slot]
         return slot
 
-    for i, step in enumerate(steps):
-        if alias[i] >= 0:
-            base[step.out] = resolve(steps[alias[i]].out)
-        elif step.op in VIEW_OPS:
+    for step in steps:
+        if step.op in VIEW_OPS:
             base[step.out] = resolve(step.ins[0])
 
     last_use = [-1] * num_slots
@@ -267,9 +180,7 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
     touch(structure.root_slot, root_read)
 
     backward_live = 0
-    for i, step in enumerate(steps):
-        # CSE'd steps still run their VJP (aliased values/saved), so
-        # they pin lifetimes exactly like the step they alias.
+    for step in steps:
         uses = kernel_table[step.op].vjp_uses
         if "inputs" in uses:
             for j in step.ins:
@@ -286,15 +197,12 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
     occupancy: List[List[Tuple[int, int, int]]] = []
     free: Dict[tuple, List[int]] = {}
     releases: Dict[int, List[int]] = {}
-    managed = unmanaged = views = eliminated = reused = 0
+    managed = unmanaged = views = reused = 0
     op_bytes: Dict[str, int] = {}
     itemsize = dtype.itemsize
     for i, step in enumerate(steps):
         for buf in releases.pop(i, ()):
             free.setdefault(buffer_key[buf], []).append(buf)
-        if alias[i] >= 0:
-            eliminated += 1
-            continue
         if step.op in VIEW_OPS:
             views += 1
             continue
@@ -325,14 +233,12 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
             # become the output of the step that still reads it.
             releases.setdefault(end + 1, []).append(buf)
     return MemoryPlan(
-        step_alias=list(alias),
         step_buffer=step_buffer,
         buffer_shapes=buffer_shapes,
         dtype=dtype,
         managed_steps=managed,
         unmanaged_steps=unmanaged,
         view_steps=views,
-        cse_eliminated=eliminated,
         reused_buffers=reused,
         backward_live=backward_live,
         buffer_occupancy=occupancy,
@@ -340,36 +246,9 @@ def plan_memory(structure, metas: Sequence[Optional[dict]],
     )
 
 
-def run_pipeline(structure, metas: Sequence[Optional[dict]],
-                 backend) -> MemoryPlan:
-    """Run the post-trace pass pipeline for one bound plan.
-
-    Ordering: CSE first (aliased steps drop out of the arena), then
-    liveness + buffer assignment against the backend's kernel table and
-    dtype policy.  With ``backend.arena`` false, CSE still applies but
-    every step stays unmanaged (no preallocated buffers).
-    """
-    alias = eliminate_common_subexpressions(structure.steps, metas)
-    if not backend.arena:
-        return MemoryPlan(
-            step_alias=alias,
-            step_buffer=[-1] * len(structure.steps),
-            buffer_shapes=[],
-            dtype=backend.dtype,
-            managed_steps=0,
-            unmanaged_steps=sum(
-                1 for i, s in enumerate(structure.steps)
-                if alias[i] < 0 and s.op not in VIEW_OPS
-            ),
-            view_steps=sum(
-                1 for i, s in enumerate(structure.steps)
-                if alias[i] < 0 and s.op in VIEW_OPS
-            ),
-            cse_eliminated=sum(1 for a in alias if a >= 0),
-            reused_buffers=0,
-            backward_live=0,
-            buffer_occupancy=[],
-            op_bytes={},
-        )
-    return plan_memory(structure, metas, alias, backend.kernels,
-                       backend.dtype)
+def run_pipeline(structure, kernel_table: Dict,
+                 dtype: np.dtype) -> MemoryPlan:
+    """Run the post-trace pass pipeline for one bound plan: liveness +
+    buffer assignment against the kernel table's ``forward_out`` /
+    ``vjp_uses`` contracts, in the plan's dtype."""
+    return plan_memory(structure, kernel_table, dtype)

@@ -5,9 +5,11 @@ The execution engine replays a compiled plan as a flat loop over
 backend cost model needs.  Installing a :class:`KernelProfiler`
 (:func:`profile_kernels`, or :func:`repro.nn.engine.set_kernel_profiler`
 directly) makes every ``ExecutionPlan.forward`` / ``backward`` replay
-time each kernel call and attribute an analytic FLOP/byte estimate from
-the plan's static shapes (:func:`estimate_cost`; computed once per plan
-step and cached, so profiled replays stay cheap).
+report each executed step to an observer that times it and attributes
+an analytic FLOP/byte estimate from the plan's static shapes
+(:func:`estimate_cost`; computed once per plan step and cached).  The
+observed loops are the loops that always run — same kernels, same arena
+buffers — so a profile measures production replay.
 
 Two views of the data exist:
 
@@ -19,9 +21,9 @@ Two views of the data exist:
   is what the top-k kernel tables in ``examples/observability.py`` and
   ``benchmarks/test_obs_overhead.py`` print.
 
-When no profiler is installed the replay loops take their original
-untimed path: the only cost is one list read per replay, gated under 2%
-in ``BENCH_obs.json``.
+When no profiler is installed the replay loops run with no observer:
+the only cost is one ``is None`` test per step, gated under 2% in
+``BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def estimate_cost(op: str, in_shapes: Sequence[Sequence[int]],
 class KernelProfiler:
     """Accumulator of per-kernel call counts, time, FLOPs and bytes.
 
-    ``clock`` is the timing source the engine's profiled replay loops
-    read — injectable so profile reports are deterministic under a
+    ``clock`` is the timing source the engine's replay observer
+    reads — injectable so profile reports are deterministic under a
     :class:`~repro.obs.clock.FakeClock` (each reading must advance the
     fake clock; see :meth:`FakeClock.tick <repro.obs.clock.FakeClock.tick>`).
     """
@@ -181,7 +183,7 @@ def profile_kernels(
 ) -> Iterator[KernelProfiler]:
     """Install a :class:`KernelProfiler` into the engine for a block.
 
-    Every plan replay inside the block is profiled (globally into the
+    Every plan replay inside the block is observed (globally into the
     yielded profiler, and per-plan for
     :meth:`~repro.nn.engine.CompiledLoss.profile_report`); the previous
     profiler — usually none — is restored on exit.

@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Eight invariants, all cheap enough for tier-1:
+Nine invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -27,7 +27,12 @@ Eight invariants, all cheap enough for tier-1:
   to report it;
 * **node invalidation stays indexed** (AST lint): ``repro.serving.cache``
   calls no numpy set-membership routine, and neither ``invalidate_nodes``
-  goes through the scanning ``invalidate_items`` / ``invalidate_if``.
+  goes through the scanning ``invalidate_items`` / ``invalidate_if``;
+* the **one-plan-executor** structure holds at the source level (AST
+  lint): ``ExecutionPlan`` has one forward and one backward step loop
+  and no profiled twin, ``repro.nn`` reads one environment variable and
+  never tunes the allocator, and the pass pipeline / backend surface
+  stay at what the engine uses.
 """
 
 import ast
@@ -343,6 +348,74 @@ def test_node_invalidation_cannot_scan_the_cache():
     assert len(methods) == 2, "expected SubgraphCache + ResultCache"
     assert all("invalidate_tags" in _called_names(m) for m in methods)
     assert len(calls) > 30, "cache.py scan looks vacuous"
+
+
+def _schedule_loops(function):
+    """``for`` statements of ``function`` that iterate the step schedule
+    (anything named ``steps`` in the loop's iterable)."""
+    return [
+        node for node in ast.walk(function) if isinstance(node, ast.For)
+        and any(getattr(part, "id", getattr(part, "attr", None)) == "steps"
+                for part in ast.walk(node.iter))
+    ]
+
+
+def test_engine_has_one_plan_executor():
+    """Structure lint (tier-1): a plan step is executed in one place.
+
+    ``ExecutionPlan`` has no ``*profiled*`` method and exactly one loop
+    over the step schedule in each of ``forward`` and ``backward`` (the
+    profiler observes those loops; it does not get its own);
+    ``engine.py`` reads ``os.environ`` for ``REPRO_NN_ENGINE`` only and
+    nothing under ``repro/nn`` names ``malloc``/``mallopt``; the pass
+    module exports prune + liveness/arena only; an
+    ``ExecutionBackend`` is ``name, dtype, accuracy_budget``.
+    """
+    nn = REPO_ROOT / "src" / "repro" / "nn"
+    sources = {path.name: path.read_text()
+               for path in sorted(nn.glob("*.py"))}
+    tree = ast.parse(sources["engine.py"])
+    (plan,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "ExecutionPlan"]
+    methods = {item.name: item for item in plan.body
+               if isinstance(item, ast.FunctionDef)}
+    twins = [name for name in methods if "profiled" in name]
+    assert not twins, f"ExecutionPlan grew a profiled twin: {twins}"
+    for name in ("forward", "backward"):
+        loops = _schedule_loops(methods[name])
+        assert len(loops) == 1, (
+            f"ExecutionPlan.{name} has {len(loops)} loops over the step "
+            "schedule; a plan step must execute in exactly one place"
+        )
+
+    env_reads = [
+        ast.get_source_segment(sources["engine.py"], node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Call, ast.Subscript))
+        and "environ" in ast.dump(
+            node.func if isinstance(node, ast.Call) else node.value)
+    ]
+    assert len(env_reads) == 1 and "REPRO_NN_ENGINE" in env_reads[0], (
+        f"engine.py must read one environment variable: {env_reads}"
+    )
+    allocator = [
+        name for name, text in sources.items()
+        if "malloc" in text.lower() or "mallopt" in text.lower()
+    ]
+    assert not allocator, f"repro.nn tunes the allocator: {allocator}"
+
+    from repro.nn import backends, passes
+
+    assert sorted(passes.__all__) == sorted([
+        "VIEW_OPS", "MemoryPlan", "prune_dead_nodes", "plan_memory",
+        "run_pipeline",
+    ])
+    parameters = list(inspect.signature(
+        backends.ExecutionBackend.__init__).parameters)
+    assert parameters == ["self", "name", "dtype", "accuracy_budget"]
+    # Vacuity guards: the class body and its two loops were found.
+    assert len(methods) >= 5, "ExecutionPlan scan looks vacuous"
+    assert len(sources) >= 8, "repro/nn scan looks vacuous"
 
 
 def test_roadmap_points_at_versioned_design_docs():

@@ -25,7 +25,8 @@ from repro.nn import engine
 from repro.nn import functional as F
 from repro.nn.layers import Conv1d, Linear
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _apply_op
+from repro.obs import profile_kernels
 from repro.training import TrainConfig, Trainer
 from repro.training.parallel import ParallelTrainer
 
@@ -321,14 +322,70 @@ class TestCompiledLoss:
         w.zero_grad()
         assert compiled.run() == pytest.approx(4.0)
 
-    def test_structure_cache_shared_across_same_architecture(self):
-        before = engine.structure_cache_info()["structures"]
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            loss_fn, params = self._quadratic(rng)
-            engine.CompiledLoss(loss_fn).run()
-        after = engine.structure_cache_info()["structures"]
-        assert after - before <= 1  # identical architectures share one plan
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_raising_kernel_releases_plan_and_closes_profile(self, phase):
+        """A kernel that raises mid-replay (a conv step's ``MemoryError``
+        is the realistic one) must not leave the plan pinning a set of
+        activations, nor profile rows without their replay time."""
+        tanh = engine.KERNELS["tanh"]
+        calls = {"forward": 0, "backward": 0}
+
+        def trip(which):
+            calls[which] += 1
+            if which == phase and calls[which] == 2:  # 1 = the trace
+                raise MemoryError("saved buffer")
+
+        def flaky_fw(meta, arrays):
+            trip("forward")
+            return tanh.forward(meta, arrays)
+
+        def flaky_bw(meta, grad, arrays, out, saved):
+            trip("backward")
+            return tanh.vjp(meta, grad, arrays, out, saved)
+
+        def build(op):
+            rng = np.random.default_rng(7)
+            x = Tensor(rng.normal(size=(6, 4)))
+            w = Parameter(rng.normal(size=(4, 3)), name="net.weight")
+            b = Parameter(np.zeros(3), name="net.bias")
+
+            def loss_fn():
+                h = _apply_op(op, (x @ w + b,))
+                return (h * h).mean()
+
+            return engine.CompiledLoss(loss_fn), [w, b]
+
+        registry = dict(engine.KERNELS)
+        engine.register_kernel("flaky_tanh", flaky_fw, flaky_bw,
+                               vjp_uses=tanh.vjp_uses)
+        try:
+            flaky, params = build("flaky_tanh")
+            twin, twin_params = build("tanh")
+            flaky.run()
+            twin.run()
+            for p in params + twin_params:
+                p.zero_grad()
+            with profile_kernels() as profiler:
+                with pytest.raises(MemoryError):
+                    flaky.run()
+            plan = flaky._plan
+            assert plan is not None
+            assert all(plan._values[step.out] is None
+                       for step in plan.structure.steps)
+            assert all(entry is None for entry in plan._saved)
+            assert all(grad is None for grad in plan._grads)
+            assert all(p.grad is None for p in params)
+            report = profiler.report()
+            assert report["kernels"], "the steps before the failure ran"
+            assert 0.0 < report["total_seconds"] <= report["replay_seconds"]
+            assert report["coverage"] <= 1.0
+            assert flaky.run() == twin.run()
+            for p, q in zip(params, twin_params):
+                assert np.array_equal(p.grad, q.grad)
+        finally:
+            del engine.KERNELS["flaky_tanh"]
+        assert engine.KERNELS == registry
 
 
 # ----------------------------------------------------------------------

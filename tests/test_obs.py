@@ -18,6 +18,7 @@ from repro.nn import engine
 from repro.nn.tensor import Tensor
 from repro.obs import (
     FakeClock,
+    KernelProfiler,
     MetricsHub,
     NULL_TRACER,
     Tracer,
@@ -280,6 +281,90 @@ class TestProfiling:
         assert report["planned"] is True
         assert report["replays"] == 0
         assert report["kernels"] == []
+
+
+    def test_plan_report_and_installed_profiler_agree(self):
+        """One observer writes both views: a plan replaying alone under
+        a profiler reports exactly that profiler's rows, and two plans
+        under one profiler sum to it — deterministically under a fake
+        clock (each reading ticks it)."""
+        def rows(report):
+            return {(r["op"], r["phase"]):
+                    (r["calls"], r["seconds"], r["flops"], r["bytes"])
+                    for r in report["kernels"]}
+
+        first, w1 = self._compiled_loss()
+        second, w2 = self._compiled_loss()
+        for compiled in (first, second):
+            compiled.run()
+        profiler = KernelProfiler(clock=FakeClock().tick)
+        with profile_kernels(profiler):
+            for _ in range(3):
+                w1.grad = None
+                first.run()
+        alone = first.profile_report()
+        installed = profiler.report()
+        assert rows(alone) == rows(installed)
+        for key in ("replays", "replay_seconds", "total_seconds", "coverage"):
+            assert alone[key] == installed[key]
+        assert alone["replays"] == 3
+        # A ticking clock charges the closing read to no row, so the
+        # rows undershoot the replay by exactly one tick per phase.
+        assert alone["total_seconds"] == alone["replay_seconds"] - 2 * 3
+        with profile_kernels(profiler):
+            for _ in range(2):
+                w2.grad = None
+                second.run()
+        total = rows(profiler.report())
+        mine = rows(first.profile_report())
+        theirs = rows(second.profile_report())
+        assert mine == rows(alone)  # the other plan's replays never leak in
+        assert set(total) == set(mine) | set(theirs)
+        for key, row in total.items():
+            summed = tuple(a + b for a, b in zip(mine[key], theirs[key]))
+            assert row == pytest.approx(summed)
+        assert profiler.report()["replays"] == 5
+
+
+# ----------------------------------------------------------------------
+# engine spans: every CompiledLoss.run is one engine.step
+# ----------------------------------------------------------------------
+class TestEngineSpans:
+    def _run(self, loss_fn, runs):
+        tracer = Tracer(clock=FakeClock().tick)
+        compiled = engine.CompiledLoss(loss_fn)
+        with use_tracer(tracer):
+            for _ in range(runs):
+                compiled.run()
+        assert [root.name for root in tracer.roots] == ["engine.step"] * runs
+        return compiled, [
+            [child.name for child in root.children] for root in tracer.roots
+        ]
+
+    def test_first_run_is_a_step_with_one_compile_child(self):
+        w = Tensor(np.random.default_rng(0).normal(size=(6, 4)),
+                   requires_grad=True)
+        x = np.random.default_rng(1).normal(size=(5, 6))
+        compiled, children = self._run(
+            lambda: ((Tensor(x) @ w) ** 2.0).mean(), runs=4)
+        assert compiled.fallback_reason == ""
+        assert children == [["engine.compile"], [], [], []]
+
+    def test_dynamic_loss_compiles_once_then_steps_eagerly(self):
+        from repro.nn import functional as F
+
+        w = Tensor(np.random.default_rng(0).normal(size=(6, 4)),
+                   requires_grad=True)
+        x = np.random.default_rng(1).normal(size=(5, 6))
+        gen = np.random.default_rng(2)
+
+        def loss_fn():
+            h = F.dropout(Tensor(x) @ w, rate=0.5, rng=gen)
+            return (h * h).mean()
+
+        compiled, children = self._run(loss_fn, runs=3)
+        assert compiled.fallback_reason.startswith("dynamic trace")
+        assert children == [["engine.compile"], [], []]
 
 
 # ----------------------------------------------------------------------
