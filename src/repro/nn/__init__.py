@@ -5,8 +5,9 @@ in this offline environment, so ``repro.nn`` provides the full stack —
 reverse-mode autograd (:mod:`repro.nn.tensor`), differentiable ops
 (:mod:`repro.nn.functional`), layers (:mod:`repro.nn.layers`),
 optimizers (:mod:`repro.nn.optim`) and the fused graph-plan execution
-engine (:mod:`repro.nn.engine`: kernel registry, construction-time
-fusion, compiled-plan replay) — that Gaia and every baseline in this
+engine (:mod:`repro.nn.engine`: construction-time fusion, compiled-plan
+replay; its kernels, one forward each, by family in
+:mod:`repro.nn.kernels`) — that Gaia and every baseline in this
 repository are built on.
 """
 

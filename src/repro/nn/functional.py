@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import engine
+from .kernels.elementwise import _denom_floor
 from .tensor import Tensor, _apply_op, as_tensor
 
 __all__ = [
@@ -311,7 +312,9 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     The stability shift (per-segment max, constant w.r.t. autograd since
     softmax is shift-invariant) is recorded as a ``segment_max_gather``
     op so planned replay recomputes it from the *current* scores instead
-    of freezing a trace-time constant.
+    of freezing a trace-time constant.  A segment whose scores are all
+    ``-inf`` gets weight 0 on every edge (its zero denominator is
+    floored per dtype), not ``nan``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     shift = _apply_op(
@@ -322,7 +325,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     ex = exp(shifted)
     denom = segment_sum(ex, segment_ids, num_segments)
     denom_per_edge = gather_rows(denom, segment_ids)
-    return ex / (denom_per_edge + 1e-300)
+    return ex / (denom_per_edge + _denom_floor(ex.data.dtype))
 
 
 # ----------------------------------------------------------------------

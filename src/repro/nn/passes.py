@@ -1,10 +1,12 @@
 """Plan-level passes: prune → liveness → arena plan.
 
-The engine's compiler (:func:`repro.nn.engine.compile_plan`) lowers a
-traced tape through this module *between trace and schedule*.  Each pass
-annotates the plan without ever touching the eager path, so the
-engine's equivalence gate — planned float64 replay bitwise-identical to
-the fused eager walk — survives every one:
+The engine's compiler (:func:`repro.nn.engine.compile_plan`) prunes the
+traced tape through this module before it builds the schedule, and
+:class:`~repro.nn.engine.ExecutionPlan` plans its own memory with it at
+bind time.  A pass only decides *which buffer* a step's one forward is
+handed (``forward(meta, arrays, out)``); it never picks a kernel
+variant, so planned float64 replay stays bitwise-identical to the
+fused eager walk:
 
 1. **Dead-node pruning** (:func:`prune_dead_nodes`): drop recorded
    nodes that the loss root does not depend on.
@@ -35,7 +37,6 @@ __all__ = [
     "MemoryPlan",
     "prune_dead_nodes",
     "plan_memory",
-    "run_pipeline",
 ]
 
 
@@ -72,11 +73,12 @@ def prune_dead_nodes(root, recorded_nodes: Sequence) -> Tuple[Dict[int, object],
 class MemoryPlan:
     """Arena memory plan for one bound :class:`ExecutionPlan`.
 
-    Produced by :func:`plan_memory`; consumed by the planned forward
-    loop.  ``step_buffer[i] >= 0`` names the arena buffer the step's
-    ``forward_out`` kernel writes into (``-1`` = unmanaged:
-    view-producing or no out-variant kernel — the step allocates its
-    output as before).
+    Produced by :func:`plan_memory`; the plan turns it into one output
+    buffer per step when it materialises the arena.  ``step_buffer[i]
+    >= 0`` names the arena buffer handed to the step's forward as
+    ``out`` (``-1`` = unmanaged: a view-producing kernel or one not
+    flagged ``arena`` — the step is called with ``out=None`` and
+    allocates its output as under eager dispatch).
     """
 
     __slots__ = ("step_buffer", "buffer_shapes", "dtype",
@@ -134,6 +136,9 @@ def plan_memory(structure, kernel_table: Dict,
                 dtype: np.dtype) -> MemoryPlan:
     """Liveness analysis + arena buffer assignment over one plan.
 
+    ``structure`` is an :class:`~repro.nn.engine.ExecutionPlan` or
+    anything else with ``steps / num_slots / slot_shapes / root_slot``.
+
     Walks the schedule once to find each value slot's last use —
     forward reads at consumer steps, the root read at schedule end, and
     backward reads per the producing/consuming kernels'
@@ -145,7 +150,7 @@ def plan_memory(structure, kernel_table: Dict,
 
     View outputs (:data:`VIEW_OPS`) alias an earlier slot's storage;
     their reads extend that base slot's lifetime transitively.  Steps
-    whose kernel has no ``forward_out`` variant stay unmanaged (counted,
+    whose kernel is not flagged ``arena`` stay unmanaged (counted,
     reported, and gated in the benchmarks).
     """
     steps = structure.steps
@@ -206,8 +211,7 @@ def plan_memory(structure, kernel_table: Dict,
         if step.op in VIEW_OPS:
             views += 1
             continue
-        kernel = kernel_table.get(step.op)
-        if kernel is None or kernel.forward_out is None:
+        if not kernel_table[step.op].arena:
             unmanaged += 1
             continue
         shape = structure.slot_shapes[step.out]
@@ -244,11 +248,3 @@ def plan_memory(structure, kernel_table: Dict,
         buffer_occupancy=occupancy,
         op_bytes=op_bytes,
     )
-
-
-def run_pipeline(structure, kernel_table: Dict,
-                 dtype: np.dtype) -> MemoryPlan:
-    """Run the post-trace pass pipeline for one bound plan: liveness +
-    buffer assignment against the kernel table's ``forward_out`` /
-    ``vjp_uses`` contracts, in the plan's dtype."""
-    return plan_memory(structure, kernel_table, dtype)

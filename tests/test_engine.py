@@ -19,10 +19,12 @@ import pytest
 
 from helpers import check_gradients, forall, numerical_gradient
 
+from repro.baselines.registry import create_model
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.nn import engine
 from repro.nn import functional as F
+from repro.nn.kernels.gather import _scatter_rows
 from repro.nn.layers import Conv1d, Linear
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, _apply_op
@@ -233,8 +235,8 @@ class TestFusedMatchesReference:
             values = rng.normal(size=(index.size, 3, 2))
             reference = np.zeros((rows, 3, 2))
             np.add.at(reference, index, values)
-            fast = engine._scatter_rows(index.astype(np.int64), values,
-                                        rows, {})
+            fast = _scatter_rows(index.astype(np.int64), values,
+                                 rows, {})
             assert np.array_equal(reference, fast), "scatter mismatch"
 
         forall(lambda rng: int(rng.integers(0, 10000)), prop, trials=50,
@@ -336,9 +338,9 @@ class TestCompiledLoss:
             if which == phase and calls[which] == 2:  # 1 = the trace
                 raise MemoryError("saved buffer")
 
-        def flaky_fw(meta, arrays):
+        def flaky_fw(meta, arrays, out=None):
             trip("forward")
-            return tanh.forward(meta, arrays)
+            return tanh.forward(meta, arrays, out)
 
         def flaky_bw(meta, grad, arrays, out, saved):
             trip("backward")
@@ -372,7 +374,7 @@ class TestCompiledLoss:
             plan = flaky._plan
             assert plan is not None
             assert all(plan._values[step.out] is None
-                       for step in plan.structure.steps)
+                       for step in plan.steps)
             assert all(entry is None for entry in plan._saved)
             assert all(grad is None for grad in plan._grads)
             assert all(p.grad is None for p in params)
@@ -391,12 +393,27 @@ class TestCompiledLoss:
 # ----------------------------------------------------------------------
 # end-to-end trajectory equivalence (the PR-2 property: planned == eager)
 # ----------------------------------------------------------------------
+#: Every neural row of Table I / II (``baselines/registry.py``): each is
+#: trained through planned replays, so each is an input of the gates.
+NEURAL_METHODS = ("LogTrans", "GAT", "GraphSage", "Geniepath", "STGCN",
+                  "GMAN", "MTGNN", "Gaia", "Gaia w/o ITA", "Gaia w/o FFL",
+                  "Gaia w/o TEL")
+#: ... except MTGNN, whose value-dependent top-k adjacency mask makes
+#: the trace dynamic: it must say so and run fused-eager instead.
+FALLBACKS = {"MTGNN": "mtgnn top-k adjacency mask"}
+
+
 class TestTrainerEquivalence:
     EPOCHS = 6
 
-    def _fit(self, dataset, mode, use_engine, parallel=False):
+    def _fit(self, dataset, mode, use_engine, parallel=False, method=None):
+        """Train ``method`` (default: the small Gaia); returns the
+        history, the final weights and the trainer."""
         engine.set_engine_mode(mode)
-        model = small_gaia(dataset)
+        if method is None:
+            model = small_gaia(dataset)
+        else:
+            model = create_model(method, dataset, seed=0, channels=8)
         config = TrainConfig(epochs=self.EPOCHS, min_epochs=self.EPOCHS,
                              patience=self.EPOCHS, use_engine=use_engine)
         if parallel:
@@ -406,20 +423,37 @@ class TestTrainerEquivalence:
             trainer = Trainer(model, dataset, config)
         history = trainer.fit()
         engine.set_engine_mode("fused")
-        return history, model.state_dict()
+        return history, model.state_dict(), trainer
 
-    def test_planned_trainer_is_bitwise_eager_fused(self, dataset):
-        planned, planned_state = self._fit(dataset, "fused", use_engine=True)
-        unplanned, unplanned_state = self._fit(dataset, "fused",
-                                               use_engine=False)
+    def _fit_planned(self, dataset, method):
+        """The engine-path fit, checked to have run the way the registry
+        says: planned replays, or the documented eager fallback."""
+        history, state, trainer = self._fit(dataset, "fused",
+                                            use_engine=True, method=method)
+        (compiled,) = trainer._compiled.values()
+        if method in FALLBACKS:
+            assert FALLBACKS[method] in compiled.fallback_reason
+            assert compiled._plan is None
+        else:
+            assert compiled.fallback_reason == "", compiled.fallback_reason
+            assert compiled._plan is not None
+        return history, state
+
+    @pytest.mark.parametrize("method", NEURAL_METHODS)
+    def test_planned_trainer_is_bitwise_eager_fused(self, dataset, method):
+        planned, planned_state = self._fit_planned(dataset, method)
+        unplanned, unplanned_state, _ = self._fit(
+            dataset, "fused", use_engine=False, method=method)
         assert planned.train_loss == unplanned.train_loss
         assert planned.val_loss == unplanned.val_loss
         for name, value in planned_state.items():
             assert np.array_equal(value, unplanned_state[name]), name
 
-    def test_engine_matches_eager_path_to_1e12(self, dataset):
-        planned, planned_state = self._fit(dataset, "fused", use_engine=True)
-        eager, eager_state = self._fit(dataset, "eager", use_engine=False)
+    @pytest.mark.parametrize("method", NEURAL_METHODS)
+    def test_engine_matches_eager_path_to_1e12(self, dataset, method):
+        planned, planned_state = self._fit_planned(dataset, method)
+        eager, eager_state, _ = self._fit(dataset, "eager", use_engine=False,
+                                          method=method)
         drift = max(
             abs(a - b) for a, b in zip(planned.train_loss, eager.train_loss)
         )
@@ -431,10 +465,10 @@ class TestTrainerEquivalence:
             )
 
     def test_parallel_trainer_matches_eager_path_to_1e12(self, dataset):
-        planned, _ = self._fit(dataset, "fused", use_engine=True,
-                               parallel=True)
-        eager, _ = self._fit(dataset, "eager", use_engine=False,
-                             parallel=True)
+        planned, _, _ = self._fit(dataset, "fused", use_engine=True,
+                                  parallel=True)
+        eager, _, _ = self._fit(dataset, "eager", use_engine=False,
+                                parallel=True)
         drift = max(
             abs(a - b) for a, b in zip(planned.train_loss, eager.train_loss)
         )

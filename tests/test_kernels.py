@@ -1,0 +1,457 @@
+"""The kernel contract, checked for every name in the registry.
+
+``repro.nn.kernels`` promises three things per :class:`OpKernel`, and
+the planner / executor rely on each without re-checking it:
+
+(a) **one forward** — ``forward(meta, arrays, out=buf)`` is bitwise
+    ``forward(meta, arrays)``; an ``arena`` kernel lands the result in
+    ``buf`` and returns it (except the documented vector-operand
+    fallbacks of ``matmul`` / ``linear*``), any other kernel ignores
+    ``out``; no input array is written;
+(b) **``vjp_uses`` is truthful** — liveness recycles whatever a VJP does
+    not declare, so the VJP fed NaN-filled stand-ins for every
+    undeclared category must return the same bits;
+(c) **optimized == reference** — where a kernel keeps a pre-engine
+    ``ref_forward`` / ``ref_vjp``, both agree to 1e-12 (float64).
+
+A kernel registered without a case generator here fails the suite.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import forall
+
+from repro.nn import engine
+from repro.nn import functional as F
+
+pytestmark = pytest.mark.engine
+
+DTYPES = (np.float64, np.float32)
+
+
+# ----------------------------------------------------------------------
+# case generators: name -> (rng, dtype) -> (meta, arrays)
+# ----------------------------------------------------------------------
+def _arr(rng, dtype, *shape):
+    return rng.normal(size=shape).astype(dtype)
+
+
+def _shape(rng, lo=1, hi=3):
+    return tuple(int(rng.integers(1, 5))
+                 for _ in range(int(rng.integers(lo, hi + 1))))
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(0, len(options)))]
+
+
+def _broadcast_pair(rng, dtype):
+    """Two operands: equal shapes, a trailing-axis vector (bias), a
+    row-broadcast ``(E, 1, ..)`` column (per-edge attention) or a
+    scalar — on either side."""
+    shape = _shape(rng)
+    other = _pick(rng, [shape, shape[-1:],
+                        (shape[0],) + (1,) * (len(shape) - 1), ()])
+    pair = [_arr(rng, dtype, *shape), _arr(rng, dtype, *other)]
+    if rng.random() < 0.5:
+        pair.reverse()
+    return pair
+
+
+def _needs(rng):
+    return {"needs": (bool(rng.integers(0, 2)), bool(rng.integers(0, 2)))}
+
+
+def _case_add(rng, dtype):
+    return None, tuple(_broadcast_pair(rng, dtype))
+
+
+def _case_mul(rng, dtype):
+    return _needs(rng), tuple(_broadcast_pair(rng, dtype))
+
+
+def _case_div(rng, dtype):
+    a, b = _broadcast_pair(rng, dtype)
+    b = (np.sign(b) * (np.abs(b) + 0.5)).astype(dtype)
+    return _needs(rng), (a, b)
+
+
+def _case_power(rng, dtype):
+    a = (np.abs(_arr(rng, dtype, *_shape(rng))) + 0.5).astype(dtype)
+    return {"exponent": _pick(rng, [2.0, 3.0, 0.5, -1.0])}, (a,)
+
+
+def _matmul_operands(rng, dtype):
+    """2-D, batched against one shared weight, batched against batched,
+    and the three vector-operand forms."""
+    m, k, n, b = (int(rng.integers(1, 5)) for _ in range(4))
+    a_shape, b_shape = _pick(rng, [
+        ((m, k), (k, n)), ((b, m, k), (k, n)), ((b, m, k), (b, k, n)),
+        ((k,), (k, n)), ((m, k), (k,)), ((k,), (k,)),
+    ])
+    return _arr(rng, dtype, *a_shape), _arr(rng, dtype, *b_shape)
+
+
+def _case_matmul(rng, dtype):
+    return None, _matmul_operands(rng, dtype)
+
+
+def _case_linear(rng, dtype):
+    x, w = _matmul_operands(rng, dtype)
+    if w.ndim == 3:
+        w = w[0]
+    bias_shape = w.shape[1:] if rng.random() < 0.8 else ()
+    return {}, (x, w, _arr(rng, dtype, *bias_shape))
+
+
+def _case_reshape(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng, 2, 3))
+    shape = _pick(rng, [(-1,), (a.shape[0], -1), a.shape[::-1]])
+    return {"shape": shape, "old_shape": a.shape}, (a,)
+
+
+def _case_transpose(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng, 2, 3))
+    axes = tuple(int(i) for i in rng.permutation(a.ndim))
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return {"axes": axes, "inverse": inverse}, (a,)
+
+
+def _reduction_meta(rng, shape):
+    ndim = len(shape)
+    axis = _pick(rng, [None, int(rng.integers(-ndim, ndim)),
+                       tuple(range(ndim))[: int(rng.integers(1, ndim + 1))]])
+    return {"axis": axis, "keepdims": bool(rng.integers(0, 2)),
+            "in_shape": shape}
+
+
+def _case_sum(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng))
+    return _reduction_meta(rng, a.shape), (a,)
+
+
+def _case_mul_sum(rng, dtype):
+    a, b = _broadcast_pair(rng, dtype)
+    return _reduction_meta(rng, np.broadcast_shapes(a.shape, b.shape)), (a, b)
+
+
+def _row_index(rng, rows):
+    """Integer row index with duplicates, negatives and the empty case."""
+    size = int(rng.integers(0, 9))
+    return rng.integers(-rows, rows, size=size).astype(np.int64)
+
+
+def _case_getitem(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng, 2, 3))
+    rows = a.shape[0]
+    index = _pick(rng, [
+        int(rng.integers(-rows, rows)),
+        slice(0, rows, 2),
+        (slice(None), slice(0, a.shape[1])),
+        _row_index(rng, rows),
+        rng.random(rows) < 0.5,
+    ])
+    return {"index": index, "in_shape": a.shape}, (a,)
+
+
+def _case_gather_rows(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng))
+    return ({"index": _row_index(rng, a.shape[0]), "in_shape": a.shape},
+            (a,))
+
+
+def _case_concat(rng, dtype):
+    base = _shape(rng, 2, 3)
+    axis = int(rng.integers(-len(base), len(base)))
+    parts = []
+    for _ in range(int(rng.integers(2, 4))):
+        shape = list(base)
+        shape[axis] = int(rng.integers(1, 4))
+        parts.append(_arr(rng, dtype, *shape))
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return {"axis": axis, "splits": splits}, tuple(parts)
+
+
+def _case_stack(rng, dtype):
+    shape = _shape(rng)
+    parts = tuple(_arr(rng, dtype, *shape)
+                  for _ in range(int(rng.integers(2, 4))))
+    return {"axis": int(rng.integers(0, len(shape) + 1))}, parts
+
+
+def _case_pad_time(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng, 2, 3))
+    return ({"left": int(rng.integers(0, 4)), "right": int(rng.integers(0, 4)),
+             "t": a.shape[-2]}, (a,))
+
+
+def _case_unary(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng))
+    a.flat[0] = 0.0  # the kink: relu's -0.0, abs' subgradient, log's clamp
+    return None, (a,)
+
+
+def _case_sqrt(rng, dtype):
+    return None, ((np.abs(_arr(rng, dtype, *_shape(rng))) + 0.1).astype(dtype),)
+
+
+def _case_leaky_relu(rng, dtype):
+    return {"negative_slope": 0.2}, _case_unary(rng, dtype)[1]
+
+
+def _case_softmax(rng, dtype):
+    a = _arr(rng, dtype, *_shape(rng, 2, 3))
+    axis = int(rng.integers(-a.ndim, a.ndim))
+    if rng.random() < 0.5:
+        np.moveaxis(a, axis, -1)[(0,) * (a.ndim - 1)] = -np.inf  # dead row
+    return {"axis": axis}, (a,)
+
+
+def _case_masked_softmax(rng, dtype):
+    t = int(rng.integers(1, 6))
+    mask = _pick(rng, [F.causal_mask, F.log_sparse_mask])(t)
+    if rng.random() < 0.5:
+        mask[int(rng.integers(0, t))] = -np.inf  # a fully masked row
+    a = _arr(rng, dtype, int(rng.integers(1, 4)), t, t)
+    return {"mask": mask, "axis": -1}, (a,)
+
+
+def _case_scaled_masked_softmax(rng, dtype):
+    meta, arrays = _case_masked_softmax(rng, dtype)
+    meta["scale"] = float(rng.uniform(0.1, 2.0))
+    return meta, arrays
+
+
+def _segments(rng):
+    num_segments = int(rng.integers(1, 5))
+    ids = rng.integers(0, num_segments, size=int(rng.integers(0, 9)))
+    return ids.astype(np.int64), num_segments
+
+
+def _case_segment_sum(rng, dtype):
+    ids, num_segments = _segments(rng)
+    a = _arr(rng, dtype, ids.size, *_shape(rng, 0, 2))
+    return {"ids": ids, "num_segments": num_segments}, (a,)
+
+
+def _case_segment_max_gather(rng, dtype):
+    ids, num_segments = _segments(rng)
+    scores = _arr(rng, dtype, ids.size)
+    scores[ids == 0] = -np.inf  # a fully suppressed segment
+    return {"ids": ids, "num_segments": num_segments}, (scores,)
+
+
+def _case_conv1d(rng, dtype):
+    b, t, c_in, c_out = (int(rng.integers(1, 5)) for _ in range(4))
+    width = _pick(rng, [1, int(rng.integers(2, 5))])
+    padding = _pick(rng, ["causal", "same", "valid"])
+    if padding == "valid":
+        t += width - 1
+    left = {"causal": width - 1, "same": (width - 1) // 2, "valid": 0}[padding]
+    right = {"causal": 0, "same": width - 1 - left, "valid": 0}[padding]
+    arrays = [_arr(rng, dtype, b, t, c_in),
+              _arr(rng, dtype, width, c_in, c_out)]
+    if rng.random() < 0.5:
+        arrays.append(_arr(rng, dtype, c_out))
+    return {"left": left, "right": right}, tuple(arrays)
+
+
+def _case_multi_conv1d(rng, dtype):
+    b, t, c_in = (int(rng.integers(1, 5)) for _ in range(3))
+    scales = int(rng.integers(1, 4))
+    c_outs = [int(rng.integers(1, 4)) for _ in range(scales)]
+    weights = [_arr(rng, dtype, int(rng.integers(1, 5)), c_in, c)
+               for c in c_outs]
+    bias = bool(rng.integers(0, 2))
+    biases = [_arr(rng, dtype, c) for c in c_outs] if bias else []
+    return ({"num_scales": scales, "bias": bias},
+            (_arr(rng, dtype, b, t, c_in), *weights, *biases))
+
+
+CASES = {
+    "add": _case_add, "mul": _case_mul, "div": _case_div,
+    "power": _case_power, "matmul": _case_matmul,
+    "reshape": _case_reshape, "transpose": _case_transpose,
+    "sum": _case_sum, "mul_sum": _case_mul_sum,
+    "getitem": _case_getitem, "gather_rows": _case_gather_rows,
+    "concat": _case_concat, "stack": _case_stack,
+    "pad_time": _case_pad_time,
+    "exp": _case_unary, "log": _case_unary, "abs": _case_unary,
+    "relu": _case_unary, "sigmoid": _case_unary, "tanh": _case_unary,
+    "sqrt": _case_sqrt, "leaky_relu": _case_leaky_relu,
+    "softmax": _case_softmax, "masked_softmax": _case_masked_softmax,
+    "scaled_masked_softmax": _case_scaled_masked_softmax,
+    "segment_sum": _case_segment_sum,
+    "segment_max_gather": _case_segment_max_gather,
+    "conv1d": _case_conv1d, "multi_conv1d": _case_multi_conv1d,
+    "linear": _case_linear, "linear_relu": _case_linear,
+    "linear_tanh": _case_linear, "linear_sigmoid": _case_linear,
+}
+
+#: arena kernels that may return a fresh array: vector operands have no
+#: stable ``out=`` form (see :class:`OpKernel`).
+VECTOR_FALLBACK = {"matmul", "linear", "linear_relu", "linear_tanh"}
+
+
+# ----------------------------------------------------------------------
+# helpers
+# ----------------------------------------------------------------------
+def _bits(value):
+    """Hashable exact image of an array / tuple / ``None`` result."""
+    if value is None:
+        return None
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    array = np.asarray(value)
+    return (array.dtype.str, array.shape,
+            np.ascontiguousarray(array).tobytes())
+
+
+def _poison(value):
+    """A same-shaped stand-in holding nothing the original held: what a
+    recycled arena buffer looks like to a VJP that still reads it."""
+    if value is None:
+        return None
+    if isinstance(value, (tuple, list)):
+        return tuple(_poison(v) for v in value)
+    array = np.asarray(value)
+    if array.dtype == np.bool_:
+        return ~array
+    return np.full_like(array, np.nan)
+
+
+def _close(a, b, tol):
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape, (a.shape, b.shape)
+    if a.size:
+        error = np.max(np.abs(a - b) / (np.abs(b) + 1.0))
+        assert error <= tol, f"optimized vs reference differ by {error}"
+
+
+def _run(name, dtype, prop, trials=25):
+    assert name in CASES, (
+        f"kernel {name!r} has no case generator in tests/test_kernels.py"
+    )
+    kernel = engine.KERNELS[name]
+    with np.errstate(all="ignore"):  # -inf rows and NaN stand-ins on purpose
+        forall(lambda rng: CASES[name](rng, dtype),
+               lambda case: prop(kernel, *case), trials=trials,
+               seed=sum(map(ord, name)), name=f"{name}[{np.dtype(dtype)}]")
+
+
+KERNEL_NAMES = sorted(engine.KERNELS)
+
+
+def test_every_kernel_has_a_case_generator_and_none_is_stale():
+    assert set(CASES) == set(engine.KERNELS)
+    assert len(KERNEL_NAMES) >= 33, "registry scan looks vacuous"
+
+
+# ----------------------------------------------------------------------
+# (a) one forward: out= is bitwise the allocating call
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_forward_into_a_buffer_is_bitwise_the_allocating_forward(name, dtype):
+    def prop(kernel, meta, arrays):
+        before = _bits(arrays)
+        fresh, fresh_saved = kernel.forward(meta, arrays)
+        assert np.asarray(fresh).dtype == dtype, "kernel left the dtype"
+        buf = np.full(np.shape(fresh), np.nan, dtype=dtype)
+        landed, landed_saved = kernel.forward(meta, arrays, out=buf)
+        assert _bits(landed) == _bits(fresh), "out= changed the bits"
+        assert _bits(landed_saved) == _bits(fresh_saved)
+        assert _bits(arrays) == before, "forward wrote to an input"
+        vector = name in VECTOR_FALLBACK and min(
+            arrays[0].ndim, arrays[1].ndim) < 2
+        if kernel.arena and not vector:
+            assert landed is buf, "arena kernel did not return its buffer"
+        else:
+            assert landed is not buf
+        if not kernel.arena:
+            assert np.isnan(buf).all(), "non-arena kernel wrote to out"
+
+    _run(name, dtype, prop)
+
+
+# ----------------------------------------------------------------------
+# (b) vjp_uses is truthful
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_vjp_reads_only_what_vjp_uses_declares(name, dtype):
+    def prop(kernel, meta, arrays):
+        out, saved = kernel.forward(meta, arrays)
+        grad = _arr(np.random.default_rng(0), dtype, *np.shape(out))
+        honest = kernel.vjp(meta, grad, arrays, out, saved)
+        assert len(honest) == len(arrays), "one gradient slot per input"
+        uses = kernel.vjp_uses
+        starved = kernel.vjp(
+            meta, grad,
+            arrays if "inputs" in uses else _poison(arrays),
+            out if "output" in uses else _poison(out),
+            saved if "saved" in uses else _poison(saved),
+        )
+        assert _bits(starved) == _bits(honest), (
+            f"VJP read something outside vjp_uses={uses}"
+        )
+
+    _run(name, dtype, prop)
+
+
+# ----------------------------------------------------------------------
+# (c) optimized == reference, where a reference is kept
+# ----------------------------------------------------------------------
+REFERENCED = sorted(
+    name for name, k in engine.KERNELS.items()
+    if k.ref_forward is not k.forward or k.ref_vjp is not k.vjp
+)
+
+
+def test_reference_variants_were_found():
+    assert {"conv1d", "masked_softmax", "segment_sum", "gather_rows",
+            "getitem"} <= set(REFERENCED)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", REFERENCED)
+def test_optimized_matches_reference_forward_and_vjp(name, dtype):
+    tol = 1e-12 if dtype == np.float64 else engine.FLOAT32_ACCURACY_BUDGET
+
+    def prop(kernel, meta, arrays):
+        out, saved = kernel.forward(meta, arrays)
+        ref_out, ref_saved = kernel.ref_forward(meta, arrays)
+        _close(out, ref_out, tol)
+        grad = _arr(np.random.default_rng(0), dtype, *np.shape(out))
+        grads = kernel.vjp(meta, grad, arrays, out, saved)
+        ref_grads = kernel.ref_vjp(meta, grad, arrays, ref_out, ref_saved)
+        assert len(grads) == len(ref_grads)
+        for got, want in zip(grads, ref_grads):
+            _close(got, want, tol)
+
+    _run(name, dtype, prop)
+
+
+# ----------------------------------------------------------------------
+# register_kernel refuses contracts it cannot honour
+# ----------------------------------------------------------------------
+class TestRegisterKernel:
+    def test_unknown_vjp_uses_token_is_rejected(self):
+        """``("input",)`` used to pass and mean "the VJP reads nothing":
+        liveness would recycle the operand and backward read garbage."""
+        tanh = engine.KERNELS["tanh"]
+        registry = dict(engine.KERNELS)
+        with pytest.raises(ValueError, match="vjp_uses"):
+            engine.register_kernel("typo_tanh", tanh.forward, tanh.vjp,
+                                   vjp_uses=("input",))
+        assert engine.KERNELS == registry
+
+    def test_duplicate_name_is_rejected(self):
+        tanh = engine.KERNELS["tanh"]
+        with pytest.raises(ValueError, match="already registered"):
+            engine.register_kernel("tanh", tanh.forward, tanh.vjp)
+        assert engine.KERNELS["tanh"] is tanh

@@ -210,7 +210,7 @@ def test_float32_planned_replay_matches_float32_eager_bitwise():
 # liveness: no two simultaneously-live slots share an arena buffer
 # ----------------------------------------------------------------------
 class _RandomStructure:
-    """A randomly wired schedule quacking like ``PlanStructure`` for the
+    """A randomly wired schedule quacking like ``ExecutionPlan`` for the
     static passes (steps / num_slots / slot_shapes / root_slot)."""
 
     UNARY = ("exp", "tanh", "relu", "abs", "sqrt", "log", "sigmoid")
