@@ -46,9 +46,7 @@ def main() -> None:
     pipeline.registry.load_into(model)
 
     server = OnlineModelServer(model, dataset, hops=2)
-    test_shops = np.flatnonzero(
-        dataset.node_mask("test") & dataset.test.mask.any(axis=1)
-    )
+    test_shops = np.flatnonzero(dataset.active_mask(dataset.test, "test"))
     responses = server.predict_many(test_shops)
     predictions = np.stack([r.forecast for r in responses])
     online_mape = mape(predictions, dataset.test.labels[test_shops])

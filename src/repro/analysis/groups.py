@@ -60,7 +60,7 @@ def compare_groups(
     either group.
     """
     batch = dataset.test
-    active = batch.mask.any(axis=1) & dataset.node_mask("test")
+    active = dataset.active_mask(batch, "test")
     new_mask = dataset.new_shop_mask(threshold) & active
     old_mask = ~dataset.new_shop_mask(threshold) & active
 

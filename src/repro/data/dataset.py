@@ -188,6 +188,14 @@ class ForecastDataset:
             return np.ones(self.test.num_shops, dtype=bool)
         return mask
 
+    def active_mask(self, batch: InstanceBatch, role: str) -> np.ndarray:
+        """Shops with an observed input month in ``batch`` and in the ``role`` set.
+
+        The one definition of the population Eq. 10's loss and every
+        metric table average over.
+        """
+        return batch.mask.any(axis=1) & self.node_mask(role)
+
     def new_shop_mask(self, threshold: int = 10) -> np.ndarray:
         """Paper's "New Shop Group": history < ``threshold`` months at test."""
         return self.history_lengths < threshold

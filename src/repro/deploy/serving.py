@@ -110,19 +110,17 @@ class OnlineModelServer:
         if batch is None:
             batch = self.dataset.test
         started = obs_clock.now()
-        subgraph, originals, center_local = ego_subgraph(
-            self.dataset.graph, shop_index, hops=self.hops
-        )
-        sub_batch = batch.subset(originals)
+        ego = ego_subgraph(self.dataset.graph, shop_index, hops=self.hops)
+        sub_batch = batch.subset(ego.nodes)
         self.model.eval()
         with no_grad():
-            scaled = self.model(sub_batch, subgraph)
+            scaled = self.model(sub_batch, ego.subgraph)
         raw = sub_batch.inverse_scale(scaled.data)
         latency = obs_clock.now() - started
         return self._log(PredictionResponse(
             shop_index=shop_index,
-            forecast=raw[center_local],
-            subgraph_nodes=subgraph.num_nodes,
+            forecast=raw[ego.center_local],
+            subgraph_nodes=ego.num_nodes,
             latency_seconds=latency,
         ))
 

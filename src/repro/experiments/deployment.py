@@ -59,7 +59,7 @@ def run_deployment(
         raise ValueError("gaia_result must be produced with keep_trainer=True")
 
     batch = dataset.test
-    test_nodes = np.flatnonzero(dataset.node_mask("test") & batch.mask.any(axis=1))
+    test_nodes = np.flatnonzero(dataset.active_mask(batch, "test"))
 
     # Online serving: every test shop scored from its ego-subgraph.
     server = OnlineModelServer(gaia.trainer.model, dataset, hops=2)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..baselines.registry import create_model
-from ..data.dataset import ForecastDataset, InstanceBatch
+from ..data.dataset import ForecastDataset
 from ..obs import clock as obs_clock
 from ..training.metrics import MetricTable, evaluate_forecast
 from ..training.trainer import TrainConfig, Trainer
@@ -38,10 +38,6 @@ class MethodResult:
         return self.metrics[column][key]
 
 
-def _active(batch: InstanceBatch) -> np.ndarray:
-    return batch.mask.any(axis=1)
-
-
 def run_method(
     name: str,
     dataset: ForecastDataset,
@@ -54,12 +50,12 @@ def run_method(
     started = obs_clock.now()
     model = create_model(name, dataset, seed=seed, channels=channels)
     batch = dataset.test
-    test_mask = dataset.node_mask("test")
+    active = dataset.active_mask(batch, "test")
     if getattr(model, "kind", "neural") == "classical":
         predictions = model.fit_predict(dataset, batch)
         metrics = evaluate_forecast(
             predictions, batch.labels, batch.horizon_names,
-            shop_mask=_active(batch) & test_mask,
+            shop_mask=active,
         )
         return MethodResult(
             name=name,
@@ -72,7 +68,7 @@ def run_method(
     predictions = trainer.predict_raw(batch)
     metrics = evaluate_forecast(
         predictions, batch.labels, batch.horizon_names,
-        shop_mask=_active(batch) & test_mask,
+        shop_mask=active,
     )
     return MethodResult(
         name=name,
@@ -128,7 +124,7 @@ def naive_last_value(dataset: ForecastDataset) -> MethodResult:
     predictions = np.repeat(last, batch.horizon, axis=1)
     metrics = evaluate_forecast(
         predictions, batch.labels, batch.horizon_names,
-        shop_mask=_active(batch) & dataset.node_mask("test"),
+        shop_mask=dataset.active_mask(batch, "test"),
     )
     return MethodResult(
         name="NaiveLast", metrics=metrics, predictions=predictions, seconds=0.0

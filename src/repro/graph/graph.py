@@ -8,8 +8,9 @@ codes plus optional per-edge feature vectors.
 
 All model layers in this repository consume the COO view (``src``,
 ``dst`` arrays) because message passing is implemented with dense
-gather / segment-sum kernels; the CSR view serves ego-subgraph
-extraction in :mod:`repro.graph.sampling`.
+gather / segment-sum kernels; the CSR view answers
+:meth:`ESellerGraph.hop_neighbors`, the one neighbour query the
+breadth-first loop in :mod:`repro.graph.sampling` asks of a graph.
 """
 
 from __future__ import annotations
@@ -19,6 +20,52 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["EdgeType", "ESellerGraph"]
+
+
+def _gather_segments(
+    indptr: np.ndarray, order: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """Concatenate ``order[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
+
+    Fully vectorised CSR multi-row gather: the returned array lists the
+    edge indices incident to each node, nodes in the given order.
+    """
+    counts = indptr[nodes + 1] - indptr[nodes]
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts = indptr[nodes]
+    seg_offsets = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets, counts)
+    return order[np.repeat(starts, counts) + within]
+
+
+def _relabel_map(num_nodes: int, nodes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(nodes, lookup)``: ``lookup[v]`` is ``v``'s position in ``nodes`` or -1."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size != np.unique(nodes).size:
+        raise ValueError("subgraph nodes must be unique")
+    lookup = np.full(num_nodes, -1, dtype=np.int64)
+    lookup[nodes] = np.arange(nodes.size)
+    return nodes, lookup
+
+
+def _induced_edges(
+    lookup: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    edge_types: np.ndarray,
+    alive: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relabelled ``(src, dst, types)`` of the (live) edges inside ``lookup``.
+
+    Edges keep their order in the input arrays — the order that fixes
+    the float accumulation order of message passing downstream.
+    """
+    keep = (lookup[src] >= 0) & (lookup[dst] >= 0)
+    if alive is not None:
+        keep &= alive
+    return lookup[src[keep]], lookup[dst[keep]], edge_types[keep]
 
 
 class EdgeType:
@@ -252,6 +299,26 @@ class ESellerGraph:
         """Destination nodes of edges leaving ``node``."""
         return self.dst[self.out_edges(node)]
 
+    def hop_neighbors(
+        self, frontier: np.ndarray, alive: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Endpoints one undirected hop from ``frontier`` (repeats kept).
+
+        Gathers only the frontier's incident edges from the CSR index —
+        O(frontier edges), not O(E).  ``alive`` is the per-edge
+        tombstone mask a
+        :class:`~repro.streaming.dynamic_graph.DynamicGraph` passes when
+        this graph is its frozen base.
+        """
+        if self.num_edges == 0:
+            return np.zeros(0, dtype=np.int64)
+        eid_out = _gather_segments(*self.out_csr(), frontier)
+        eid_in = _gather_segments(*self.in_csr(), frontier)
+        if alive is not None:
+            eid_out = eid_out[alive[eid_out]]
+            eid_in = eid_in[alive[eid_in]]
+        return np.concatenate([self.dst[eid_out], self.src[eid_in]])
+
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node."""
         deg = np.zeros(self.num_nodes, dtype=np.int64)
@@ -295,23 +362,12 @@ class ESellerGraph:
         Returns the subgraph (nodes relabelled ``0..len(nodes)-1`` in the
         order given) and the array of original node indices.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
-            raise ValueError("subgraph nodes must be unique")
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size)
-        keep = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
+        nodes, lookup = _relabel_map(self.num_nodes, nodes)
         sub_ids = None
         if self.node_ids is not None:
             sub_ids = [self.node_ids[i] for i in nodes]
-        sub = ESellerGraph(
-            nodes.size,
-            lookup[self.src[keep]],
-            lookup[self.dst[keep]],
-            self.edge_types[keep],
-            sub_ids,
-        )
-        return sub, nodes
+        edges = _induced_edges(lookup, self.src, self.dst, self.edge_types)
+        return ESellerGraph(nodes.size, *edges, sub_ids), nodes
 
     def normalized_adjacency(self, add_self_loops: bool = True) -> np.ndarray:
         """Dense symmetric-normalised adjacency ``D^-1/2 (A + I) D^-1/2``.

@@ -1,16 +1,18 @@
 """Ego-subgraph extraction and neighbor sampling.
 
 The deployed Gaia system (paper §VI) predicts a newcoming e-seller from
-the *ego-subgraph* extracted around it.  :func:`ego_subgraph` implements
-that extraction; :func:`ego_subgraphs` amortises it over many seeds for
-the serving gateway's micro-batches; :func:`sample_neighbors` provides
+the *ego-subgraph* extracted around it.  This module owns the only
+breadth-first loop (:func:`k_hop_nodes`) and the only ego assembly
+(:func:`ego_subgraph`; :func:`ego_subgraphs` for the serving gateway's
+micro-batches) in the repository, for **any** graph that answers three
+things: ``num_nodes``, ``hop_neighbors(frontier)`` — the endpoints one
+undirected hop away — and ``subgraph(nodes)``.  The static
+:class:`~repro.graph.graph.ESellerGraph` answers from its CSR index
+(O(frontier edges) per hop, not O(E)); the streaming
+:class:`~repro.streaming.dynamic_graph.DynamicGraph` answers from its
+base's index minus tombstones plus the overlay adjacency.  Callers never
+need to know which kind they hold.  :func:`sample_neighbors` provides
 GraphSAGE-style fanout capping for minibatch training on larger graphs.
-
-All frontier expansions run on the graph's CSR index
-(:meth:`~repro.graph.graph.ESellerGraph.out_csr` /
-:meth:`~repro.graph.graph.ESellerGraph.in_csr`), so each BFS hop touches
-only the edges incident to the current frontier instead of rescanning
-the full edge list.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import ESellerGraph
+from .graph import ESellerGraph, _gather_segments
 
 __all__ = [
     "k_hop_nodes",
@@ -31,50 +33,28 @@ __all__ = [
 ]
 
 
-def _gather_segments(
-    indptr: np.ndarray, order: np.ndarray, nodes: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``order[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
-
-    Fully vectorised CSR multi-row gather: the returned array lists the
-    edge indices incident to each node, nodes in the given order.
-    """
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = indptr[nodes]
-    seg_offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets, counts)
-    return order[np.repeat(starts, counts) + within]
-
-
-def k_hop_nodes(graph: ESellerGraph, seeds: Sequence[int], hops: int) -> np.ndarray:
+def k_hop_nodes(graph, seeds: Sequence[int], hops: int) -> np.ndarray:
     """Return nodes within ``hops`` (undirected) hops of ``seeds``.
 
     The frontier expands over both in- and out-edges because supply-chain
     influence in the paper flows both ways through aggregation.  With
-    several seeds the result is the union of the per-seed neighborhoods —
-    the multi-seed form the serving gateway's batched extraction relies
-    on.  Each hop gathers only the frontier's incident edges from the
-    CSR index (O(frontier edges) per hop, not O(E)).
+    several seeds the result is the union of the per-seed neighborhoods.
+    Seeds outside ``[0, num_nodes)`` raise ``IndexError``.
     """
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
-    seeds = np.asarray(seeds, dtype=np.int64)
+    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    if frontier.size and not (0 <= frontier[0] and frontier[-1] < graph.num_nodes):
+        raise IndexError(
+            f"seeds out of range [0, {graph.num_nodes}): "
+            f"min={frontier[0]}, max={frontier[-1]}"
+        )
     visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[seeds] = True
-    frontier = np.unique(seeds)
-    if graph.num_edges == 0:
-        return np.flatnonzero(visited)
-    out_indptr, out_order = graph.out_csr()
-    in_indptr, in_order = graph.in_csr()
+    visited[frontier] = True
     for _ in range(hops):
         if frontier.size == 0:
             break
-        eid_out = _gather_segments(out_indptr, out_order, frontier)
-        eid_in = _gather_segments(in_indptr, in_order, frontier)
-        nxt = np.unique(np.concatenate([graph.dst[eid_out], graph.src[eid_in]]))
+        nxt = np.unique(graph.hop_neighbors(frontier))
         nxt = nxt[~visited[nxt]]
         visited[nxt] = True
         frontier = nxt
@@ -101,55 +81,31 @@ class EgoSubgraph:
         return self.subgraph.num_nodes
 
 
-def ego_subgraph(
-    graph: ESellerGraph, center: int, hops: int = 2
-) -> Tuple[ESellerGraph, np.ndarray, int]:
+def ego_subgraph(graph, center: int, hops: int = 2) -> EgoSubgraph:
     """Extract the ``hops``-hop ego-subgraph around ``center``.
 
-    Returns ``(subgraph, original_node_indices, center_local_index)``.
     The center is always the node whose prediction the online server
     computes (paper Fig. 5).
     """
-    if not 0 <= center < graph.num_nodes:
-        raise IndexError(f"center {center} out of range for {graph.num_nodes} nodes")
-    nodes = k_hop_nodes(graph, [center], hops)
-    sub, originals = graph.subgraph(nodes)
-    center_local = int(np.searchsorted(originals, center))
-    return sub, originals, center_local
+    center = int(center)
+    sub, nodes = graph.subgraph(k_hop_nodes(graph, [center], hops))
+    return EgoSubgraph(
+        center=center,
+        subgraph=sub,
+        nodes=nodes,
+        center_local=int(np.searchsorted(nodes, center)),
+    )
 
 
-def ego_subgraphs(
-    graph: ESellerGraph, centers: Sequence[int], hops: int = 2
-) -> List[EgoSubgraph]:
-    """Batched multi-seed ego-subgraph extraction.
+def ego_subgraphs(graph, centers: Sequence[int], hops: int = 2) -> List[EgoSubgraph]:
+    """One :class:`EgoSubgraph` per center (the gateway's batch entry point).
 
-    Extracts one :class:`EgoSubgraph` per center, sharing the graph's CSR
-    index across all of them.  Each per-center node set equals the
-    corresponding single-seed :func:`ego_subgraph` exactly, so a serving
+    Each equals the single-seed :func:`ego_subgraph` exactly, so a serving
     layer can stitch the results into one node-disjoint batch and still
     reproduce per-request forwards bit-for-bit.
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    if centers.size and not (0 <= centers.min() and centers.max() < graph.num_nodes):
-        raise IndexError(
-            f"centers out of range for {graph.num_nodes} nodes: "
-            f"min={centers.min()}, max={centers.max()}"
-        )
-    if graph.num_edges:
-        graph.out_csr()
-        graph.in_csr()
-    results: List[EgoSubgraph] = []
-    for center in centers:
-        sub, originals, center_local = ego_subgraph(graph, int(center), hops)
-        results.append(
-            EgoSubgraph(
-                center=int(center),
-                subgraph=sub,
-                nodes=originals,
-                center_local=center_local,
-            )
-        )
-    return results
+    return [ego_subgraph(graph, center, hops)
+            for center in np.asarray(centers, dtype=np.int64).tolist()]
 
 
 def sample_neighbors(

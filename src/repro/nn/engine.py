@@ -417,9 +417,9 @@ def compile_plan(root, tape: Tape) -> "ExecutionPlan":
             leaves.append(node)
     steps: List[_Step] = []
     for node in op_nodes:
-        if node._op is None or node._backward_fn is not None:
+        if node._op is None:
             raise PlanError(
-                f"node {node!r} uses a closure backward; only registry "
+                f"node {node!r} has no registry op; only registry "
                 "kernels are replayable"
             )
         ins = tuple(slot_of[id(p)] for p in node._parents)

@@ -123,16 +123,13 @@ class Tensor:
         Whether gradients should flow into this tensor.  Leaf tensors
         with ``requires_grad=True`` accumulate into :attr:`grad`.
     parents:
-        Tensors this value was computed from (internal).
-    backward_fn:
-        Legacy closure mapping the output gradient to parent gradients.
-        Ops created through :func:`_apply_op` use registry kernels
-        instead; the closure path remains for ad-hoc extensions.
+        Tensors this value was computed from (internal; set by
+        :func:`_apply_op`, which also attaches the registry kernel).
     name:
         Optional debugging label.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+    __slots__ = ("data", "grad", "requires_grad", "_parents",
                  "name", "_op", "_meta", "_saved", "_vjp", "_seq")
 
     def __init__(
@@ -140,7 +137,6 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
-        backward_fn: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
     ) -> None:
         if isinstance(data, Tensor):
@@ -149,7 +145,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._parents: tuple = tuple(parents) if self.requires_grad else ()
-        self._backward_fn = backward_fn if self.requires_grad else None
         self.name = name
         self._op: Optional[str] = None
         self._meta: Optional[dict] = None
@@ -215,9 +210,7 @@ class Tensor:
             self.grad = self.grad + grad
 
     def _parent_grads(self, grad: np.ndarray):
-        """Run this node's VJP (registry kernel or legacy closure)."""
-        if self._backward_fn is not None:
-            return self._backward_fn(grad)
+        """Run this node's registry-kernel VJP."""
         arrays = tuple(p.data for p in self._parents)
         return self._vjp(self._meta, grad, arrays, self.data, self._saved)
 
@@ -249,7 +242,7 @@ class Tensor:
             if not node._parents:
                 node._accumulate(node_grad)
                 continue
-            if node._backward_fn is None and node._vjp is None:
+            if node._vjp is None:
                 continue
             parent_grads = node._parent_grads(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):
@@ -349,18 +342,6 @@ def _topological_order(root: Tensor) -> list:
         stack.extend(node._parents)
     order.sort(key=lambda t: t._seq, reverse=True)
     return order
-
-
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """Create an op output tensor from a legacy backward closure.
-
-    Registry ops go through :func:`_apply_op`; this remains the quick
-    path for one-off differentiable ops in tests or experiments.
-    """
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    if not requires:
-        return Tensor(data)
-    return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
 
 
 def _apply_op(op: str, inputs: tuple, meta: Optional[dict] = None) -> Tensor:

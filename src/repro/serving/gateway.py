@@ -707,18 +707,9 @@ class ServingGateway:
             else:
                 egos[shop] = cached
                 self.metrics.inc("subgraph_cache_hits")
-        if missing:
-            graph = self.graph
-            # A DynamicGraph brings its own overlay-aware extractor;
-            # static graphs use the module-level CSR path.
-            extract = getattr(graph, "ego_subgraphs", None)
-            if callable(extract):
-                extracted = extract(missing, hops)
-            else:
-                extracted = ego_subgraphs(graph, missing, hops)
-            for ego in extracted:
-                self.subgraph_cache.put(ego.center, hops, ego)
-                egos[ego.center] = ego
+        for ego in ego_subgraphs(self.graph, missing, hops):
+            self.subgraph_cache.put(ego.center, hops, ego)
+            egos[ego.center] = ego
         return egos
 
     def _resolve(self, request: PendingRequest, forecast: np.ndarray,

@@ -12,10 +12,15 @@ makes mutation cheap instead:
 * retirements **tombstone** edges (a liveness mask over base + overlay)
   without moving anything.
 
-Neighbor queries (:meth:`k_hop_nodes`, :meth:`ego_subgraph`, degrees)
-merge the three planes on the fly, so they see every update immediately
-at O(overlay) extra cost — no per-event CSR rebuilds.  When the overlay
-plus tombstones outgrow ``compact_threshold`` of the live edge count,
+Queries merge the three planes on the fly, so they see every update
+immediately at O(overlay) extra cost — no per-event CSR rebuilds.  The
+overlay does not run its own traversal: it answers the same three
+questions a static graph does (``num_nodes``,
+:meth:`~DynamicGraph.hop_neighbors`, :meth:`~DynamicGraph.subgraph`) and
+the one breadth-first loop and ego assembly of
+:mod:`repro.graph.sampling` (``k_hop_nodes(dyn, ...)``,
+``ego_subgraphs(dyn, ...)``) run over either kind.  When the overlay plus
+tombstones outgrow ``compact_threshold`` of the live edge count,
 :meth:`compact` folds everything into a fresh base.
 
 Compaction itself is **incremental**: the new base's CSR index is
@@ -51,8 +56,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.graph import ESellerGraph
-from ..graph.sampling import EgoSubgraph, _gather_segments
+from ..graph.graph import (
+    ESellerGraph,
+    _gather_segments,
+    _induced_edges,
+    _relabel_map,
+)
 from ..obs import tracing as obs_tracing
 from .events import (
     EdgeAdded,
@@ -71,7 +80,7 @@ def _segment_scatter(indptr: np.ndarray, nodes: np.ndarray,
 
     For each node ``v`` (with ``counts[v']`` entries to place) the
     returned array lists ``indptr[v], indptr[v]+1, ...`` — the mirror of
-    :func:`~repro.graph.sampling._gather_segments`, used to scatter
+    :func:`~repro.graph.graph._gather_segments`, used to scatter
     remapped rows into a patched index in one vectorised write.
     """
     total = int(counts.sum())
@@ -110,7 +119,8 @@ class DynamicGraph:
     >>> dyn.retire_edge(0, 1)
     >>> dyn.num_edges, dyn.tombstones
     (1, 1)
-    >>> dyn.k_hop_nodes([1], 1).tolist()
+    >>> from repro.graph import k_hop_nodes
+    >>> k_hop_nodes(dyn, [1], 1).tolist()
     [1, 2]
     >>> dyn.compact().num_edges        # overlay + tombstones folded away
     1
@@ -493,26 +503,17 @@ class DynamicGraph:
         """Live in-degree of every node."""
         return self._in_deg.copy()
 
-    def _base_neighbors(self, frontier: np.ndarray) -> List[np.ndarray]:
-        """Undirected base-plane neighbors of ``frontier`` (live edges only)."""
-        base = self._base
-        hits: List[np.ndarray] = []
-        in_base = frontier[frontier < base.num_nodes]
-        if in_base.size == 0 or base.num_edges == 0:
-            return hits
-        out_indptr, out_order = base.out_csr()
-        in_indptr, in_order = base.in_csr()
-        eid_out = _gather_segments(out_indptr, out_order, in_base)
-        eid_in = _gather_segments(in_indptr, in_order, in_base)
-        if self._dead:
-            eid_out = eid_out[self._base_alive[eid_out]]
-            eid_in = eid_in[self._base_alive[eid_in]]
-        hits.append(base.dst[eid_out])
-        hits.append(base.src[eid_in])
-        return hits
+    def hop_neighbors(self, frontier: np.ndarray) -> np.ndarray:
+        """Live endpoints one undirected hop from ``frontier`` (repeats kept).
 
-    def _overlay_neighbors(self, frontier: np.ndarray) -> List[int]:
-        """Undirected overlay-plane neighbors of ``frontier`` (live only)."""
+        The base answers from its CSR index with this overlay's
+        tombstone mask; the overlay adjacency lists are appended.
+        """
+        base = self._base
+        hits = base.hop_neighbors(
+            frontier[frontier < base.num_nodes],
+            self._base_alive if self._dead else None,
+        )
         found: List[int] = []
         for node in frontier.tolist():
             for pos in self._ov_out.get(node, ()):
@@ -521,43 +522,11 @@ class DynamicGraph:
             for pos in self._ov_in.get(node, ()):
                 if self._ov_alive[pos]:
                     found.append(self._ov_src[pos])
-        return found
+        if found:
+            hits = np.concatenate([hits, np.asarray(found, dtype=np.int64)])
+        return hits
 
-    def k_hop_nodes(self, seeds: Sequence[int], hops: int) -> np.ndarray:
-        """Nodes within ``hops`` undirected hops of ``seeds``.
-
-        Matches :func:`repro.graph.sampling.k_hop_nodes` on the
-        equivalent static graph exactly; the frontier expands over the
-        base CSR (tombstones filtered) merged with the overlay adjacency.
-        """
-        if hops < 0:
-            raise ValueError(f"hops must be non-negative, got {hops}")
-        seeds = np.asarray(seeds, dtype=np.int64)
-        if seeds.size and (seeds.min() < 0 or seeds.max() >= self.num_nodes):
-            raise IndexError(
-                f"seeds out of range for {self.num_nodes} nodes"
-            )
-        visited = np.zeros(self.num_nodes, dtype=bool)
-        visited[seeds] = True
-        frontier = np.unique(seeds)
-        for _ in range(hops):
-            if frontier.size == 0:
-                break
-            hits = self._base_neighbors(frontier)
-            overlay = self._overlay_neighbors(frontier)
-            if overlay:
-                hits.append(np.asarray(overlay, dtype=np.int64))
-            if not hits:
-                break
-            nxt = np.unique(np.concatenate(hits))
-            nxt = nxt[~visited[nxt]]
-            visited[nxt] = True
-            frontier = nxt
-        return np.flatnonzero(visited)
-
-    def induced_subgraph(
-        self, nodes: Sequence[int]
-    ) -> Tuple[ESellerGraph, np.ndarray]:
+    def subgraph(self, nodes: Sequence[int]) -> Tuple[ESellerGraph, np.ndarray]:
         """Induced live subgraph on ``nodes`` (canonical edge order).
 
         Base survivors come first in base order, then live overlay edges
@@ -565,55 +534,17 @@ class DynamicGraph:
         ``self.as_graph().subgraph(nodes)`` would produce, which keeps
         downstream message-passing numerics identical.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
-            raise ValueError("subgraph nodes must be unique")
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size)
+        nodes, lookup = _relabel_map(self.num_nodes, nodes)
         base = self._base
-        keep = (lookup[base.src] >= 0) & (lookup[base.dst] >= 0)
-        if self._dead:
-            keep &= self._base_alive
-        parts_src = [lookup[base.src[keep]]]
-        parts_dst = [lookup[base.dst[keep]]]
-        parts_type = [base.edge_types[keep]]
+        edges = _induced_edges(lookup, base.src, base.dst, base.edge_types,
+                               self._base_alive if self._dead else None)
         if self._ov_src:
-            ov_src = np.asarray(self._ov_src, dtype=np.int64)
-            ov_dst = np.asarray(self._ov_dst, dtype=np.int64)
-            ov_type = np.asarray(self._ov_type, dtype=np.int64)
-            ov_keep = (
-                np.asarray(self._ov_alive, dtype=bool)
-                & (lookup[ov_src] >= 0)
-                & (lookup[ov_dst] >= 0)
+            overlay = _induced_edges(
+                lookup,
+                np.asarray(self._ov_src, dtype=np.int64),
+                np.asarray(self._ov_dst, dtype=np.int64),
+                np.asarray(self._ov_type, dtype=np.int64),
+                np.asarray(self._ov_alive, dtype=bool),
             )
-            parts_src.append(lookup[ov_src[ov_keep]])
-            parts_dst.append(lookup[ov_dst[ov_keep]])
-            parts_type.append(ov_type[ov_keep])
-        sub = ESellerGraph(
-            nodes.size,
-            np.concatenate(parts_src),
-            np.concatenate(parts_dst),
-            np.concatenate(parts_type),
-        )
-        return sub, nodes
-
-    def ego_subgraph(self, center: int, hops: int = 2) -> EgoSubgraph:
-        """Extract the live ``hops``-hop ego-subgraph around ``center``."""
-        if not 0 <= center < self.num_nodes:
-            raise IndexError(
-                f"center {center} out of range for {self.num_nodes} nodes"
-            )
-        nodes = self.k_hop_nodes([center], hops)
-        sub, originals = self.induced_subgraph(nodes)
-        return EgoSubgraph(
-            center=int(center),
-            subgraph=sub,
-            nodes=originals,
-            center_local=int(np.searchsorted(originals, center)),
-        )
-
-    def ego_subgraphs(
-        self, centers: Sequence[int], hops: int = 2
-    ) -> List[EgoSubgraph]:
-        """Batched ego extraction (the gateway's multi-seed entry point)."""
-        return [self.ego_subgraph(int(c), hops) for c in np.asarray(centers)]
+            edges = [np.concatenate(pair) for pair in zip(edges, overlay)]
+        return ESellerGraph(nodes.size, *edges), nodes

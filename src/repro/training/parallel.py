@@ -10,20 +10,25 @@ cannot.  This module shards the problem along the graph:
   nodes and row-sliced batches; its train/val/test node masks select
   **owned** rows only, so every global loss term is counted by exactly
   one shard.
-* :class:`ParallelTrainer` runs one worker per shard with synchronous
-  gradient averaging.  Per step each worker computes the loss gradient
-  over its owned active shops; the master combines them weighted by the
-  shards' active-shop counts, clips, and applies one Adam step — the
-  exact sequence the sequential trainer performs on the full graph.
+* :class:`ParallelTrainer` **is** a
+  :class:`~repro.training.trainer.Trainer`: it inherits the one fit
+  loop (epochs, ``train.epoch`` / ``train.step`` spans, clipping, the
+  Adam step, early stopping, best-weight restore), ``predict_raw`` and
+  ``evaluate``, and overrides exactly the two things a sharded trainer
+  does differently.  ``_train_step_loss`` scatters the weights, lets
+  each worker compute :func:`~repro.training.trainer.masked_mse` and
+  its gradient over its owned active shops, and combines them into
+  ``param.grad`` weighted by the shards' active-shop counts;
+  ``_val_loss`` is the count-weighted mean of the shard losses.
 
 **Numerical equivalence.**  With ``halo_hops >= `` the model's
 message-passing depth, a shard-local forward equals the full-graph
 forward on its owned rows (induced ``k``-hop neighborhoods are
 complete), and the count-weighted average of shard losses / gradients
-equals the global mean over active shops.  The whole trajectory —
-losses, early stopping, restored weights — therefore matches the
-sequential :class:`~repro.training.trainer.Trainer` up to float
-reassociation (~1e-12/step; the equivalence test budgets 1e-6).
+equals the global mean over active shops.  The stopping rule and the
+restored weights are the sequential trainer's by construction; the loss
+trajectory matches it up to float reassociation (~1e-12/step; the
+equivalence test budgets 1e-6).
 
 **Execution modes.**  ``mode="sim"`` runs the workers sequentially
 in-process — deterministic, dependency-free, used by tests and as the
@@ -45,13 +50,10 @@ import numpy as np
 from ..data.dataset import ForecastDataset, InstanceBatch
 from ..nn import engine
 from ..nn.module import Module
-from ..nn.optim import Adam, clip_grad_norm
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import no_grad
 from ..obs import clock as obs_clock
-from ..obs import tracing as obs_tracing
 from ..partition import GraphPartition, Partition, partition_graph
-from .metrics import MetricTable
-from .trainer import TrainConfig, Trainer, TrainHistory
+from .trainer import TrainConfig, Trainer, TrainHistory, masked_mse
 
 __all__ = ["ShardView", "ShardedDataset", "ParallelTrainer"]
 
@@ -140,33 +142,6 @@ class ShardedDataset:
 # ----------------------------------------------------------------------
 # per-shard loss/gradient computation (shared by sim and process modes)
 # ----------------------------------------------------------------------
-def _active_rows(dataset: ForecastDataset, batch: InstanceBatch,
-                 role: str) -> np.ndarray:
-    """Rows the shard loss averages over: active shops in the role set.
-
-    Single source of truth — the compiled-plan cache weights shards by
-    this same mask, so the two must never drift apart.
-    """
-    return batch.mask.any(axis=1) & dataset.node_mask(role)
-
-
-def _shard_loss(model: Module, dataset: ForecastDataset, batch: InstanceBatch,
-                role: str) -> Tuple[Optional[Tensor], int]:
-    """Mirror of ``Trainer._loss`` returning ``(loss, active_row_count)``.
-
-    Returns ``(None, 0)`` when the shard owns no active shop for the
-    role — a zero-weight contribution, not an error, because other
-    shards cover those rows.
-    """
-    active = _active_rows(dataset, batch, role)
-    count = int(active.sum())
-    if count == 0:
-        return None, 0
-    pred = model(batch, dataset.graph)
-    diff = pred[active] - Tensor(batch.labels_scaled[active])
-    return (diff * diff).mean(), count
-
-
 class _ShardWorker:
     """Executes one shard's forward/backward; oblivious to transport.
 
@@ -189,15 +164,13 @@ class _ShardWorker:
         if entry is None:
             dataset = self.shard.dataset
             batch = dataset.train[batch_index]
-            count = int(_active_rows(dataset, batch, "train").sum())
+            count = int(dataset.active_mask(batch, "train").sum())
             compiled = None
             if count and self.use_engine:
-
-                def loss_fn(b=batch, d=dataset):
-                    loss, _ = _shard_loss(self.model, d, b, "train")
-                    return loss
-
-                compiled = engine.CompiledLoss(loss_fn)
+                compiled = engine.CompiledLoss(
+                    lambda b=batch, d=dataset:
+                        masked_mse(self.model, d, b, "train")[0]
+                )
             entry = (count, compiled)
             self._compiled[batch_index] = entry
         return entry
@@ -223,7 +196,7 @@ class _ShardWorker:
             loss_value = compiled.run()
         else:
             dataset = self.shard.dataset
-            loss, _ = _shard_loss(
+            loss, _ = masked_mse(
                 self.model, dataset, dataset.train[batch_index], "train"
             )
             loss.backward()
@@ -239,7 +212,7 @@ class _ShardWorker:
         self.model.eval()
         dataset = self.shard.dataset
         with no_grad():
-            loss, count = _shard_loss(self.model, dataset, dataset.val, "val")
+            loss, count = masked_mse(self.model, dataset, dataset.val, "val")
         self.model.train()
         if loss is None:
             return 0.0, 0
@@ -266,7 +239,7 @@ def _worker_loop(conn, model: Module, shard: ShardView,
         conn.close()
 
 
-class ParallelTrainer:
+class ParallelTrainer(Trainer):
     """Synchronous data-parallel trainer over graph shards.
 
     Parameters
@@ -312,9 +285,7 @@ class ParallelTrainer:
     ) -> None:
         if mode not in ("sim", "process"):
             raise ValueError(f"unknown mode {mode!r}; use 'sim' or 'process'")
-        self.model = model
-        self.dataset = dataset
-        self.config = config or TrainConfig()
+        super().__init__(model, dataset, config)
         self.mode = mode
         model_depth = getattr(getattr(model, "config", None), "num_layers", None)
         if halo_hops is None and partition is None:
@@ -349,18 +320,10 @@ class ParallelTrainer:
         ]
         for worker in self._workers:
             worker.model.load_state_dict(model.state_dict())
-        self._params = model.parameters()
-        self.optimizer = Adam(
-            self._params,
-            lr=self.config.learning_rate,
-            weight_decay=self.config.weight_decay,
-        )
-        self.history = TrainHistory()
         self._shard_step_seconds: Optional[List[float]] = None
         self._train_steps = 0
         self._pipes = None
         self._processes = None
-        self._evaluator: Optional[Trainer] = None
 
     # ------------------------------------------------------------------
     # process-mode plumbing
@@ -434,32 +397,39 @@ class ParallelTrainer:
             return self._scatter_gather([("val", state)] * len(self._workers))
         return [w.val_loss(state) for w in self._workers]
 
-    def _aggregate(self, results) -> Tuple[float, int]:
-        """Average shard gradients into the master model, count-weighted.
+    def _train_step_loss(self, batch_index: int, batch: InstanceBatch) -> float:
+        """Shard gradients at the current weights, count-weighted into ``param.grad``.
 
-        Sets ``param.grad`` to ``sum_s (n_s / n) * grad_s`` — exactly the
-        gradient of the global mean loss over all active shops — and
-        returns the matching weighted loss.
+        Leaves ``sum_s (n_s / n) * grad_s`` — exactly the gradient of the
+        global mean loss over all active shops — on the master
+        parameters (zeroed by the fit loop) and returns the matching
+        weighted loss.
         """
+        results = self._train_results(self.model.state_dict(), batch_index)
         total = sum(count for _, count, _, _ in results)
         if total == 0:
             raise RuntimeError("no shard has active shops for role 'train'")
-        for param in self._params:
-            param.grad = None
         loss = 0.0
         for shard_loss, count, grads, _ in results:
             if count == 0:
                 continue
             weight = count / total
             loss += weight * shard_loss
-            for param, grad in zip(self._params, grads):
+            for param, grad in zip(self.optimizer.parameters, grads):
                 if grad is None:
                     continue
                 if param.grad is None:
                     param.grad = weight * grad
                 else:
                     param.grad += weight * grad
-        return loss, total
+        return loss
+
+    def _val_loss(self) -> float:
+        results = self._val_results(self.model.state_dict())
+        total = sum(count for _, count in results)
+        if total == 0:
+            raise RuntimeError("no shard has active shops for role 'val'")
+        return sum(loss * count for loss, count in results) / total
 
     def shard_timings(self) -> Dict[str, object]:
         """Cumulative per-shard train-step seconds (straggler report).
@@ -475,73 +445,9 @@ class ParallelTrainer:
             "shard_step_seconds": list(self._shard_step_seconds or []),
         }
 
-    def _weighted_val_loss(self, state) -> float:
-        results = self._val_results(state)
-        total = sum(count for _, count in results)
-        if total == 0:
-            raise RuntimeError("no shard has active shops for role 'val'")
-        return sum(loss * count for loss, count in results) / total
-
-    # ------------------------------------------------------------------
     def fit(self) -> TrainHistory:
-        """Train to convergence; mirrors ``Trainer.fit`` step for step."""
-        cfg = self.config
-        started = obs_clock.now()
-        best_val = float("inf")
-        best_state = None
-        stall = 0
-        self.model.train()
+        """:meth:`Trainer.fit`, then stop the worker processes."""
         try:
-            for epoch in range(cfg.epochs):
-                epoch_losses = []
-                for batch_index in range(len(self.dataset.train)):
-                    with obs_tracing.span("train.step"):
-                        state = self.model.state_dict()
-                        results = self._train_results(state, batch_index)
-                        loss, _ = self._aggregate(results)
-                        clip_grad_norm(self._params, cfg.clip_norm)
-                        self.optimizer.step()
-                    epoch_losses.append(loss)
-                train_loss = float(np.mean(epoch_losses))
-                val_loss = self._weighted_val_loss(self.model.state_dict())
-                self.history.train_loss.append(train_loss)
-                self.history.val_loss.append(val_loss)
-                if cfg.verbose:
-                    print(
-                        f"epoch {epoch:3d} train {train_loss:.5f} "
-                        f"val {val_loss:.5f} [{self.sharded.num_shards} shards]"
-                    )
-                if val_loss < best_val - 1e-7:
-                    best_val = val_loss
-                    best_state = self.model.state_dict()
-                    self.history.best_epoch = epoch
-                    stall = 0
-                else:
-                    stall += 1
-                    if epoch + 1 >= cfg.min_epochs and stall >= cfg.patience:
-                        break
+            return super().fit()
         finally:
             self.shutdown()
-        if best_state is not None:
-            self.model.load_state_dict(best_state)
-        self.model.eval()
-        self.history.seconds = obs_clock.now() - started
-        return self.history
-
-    # ------------------------------------------------------------------
-    # evaluation (full-graph, via a sequential trainer shell)
-    # ------------------------------------------------------------------
-    def _sequential_shell(self) -> Trainer:
-        if self._evaluator is None:
-            self._evaluator = Trainer(self.model, self.dataset, self.config)
-        return self._evaluator
-
-    def predict_raw(self, batch: InstanceBatch) -> np.ndarray:
-        """Raw-unit forecasts from the trained global model."""
-        return self._sequential_shell().predict_raw(batch)
-
-    def evaluate(self, batch: Optional[InstanceBatch] = None,
-                 shop_mask: Optional[np.ndarray] = None,
-                 role: str = "test") -> MetricTable:
-        """Full-graph metric table, identical contract to ``Trainer.evaluate``."""
-        return self._sequential_shell().evaluate(batch, shop_mask, role)

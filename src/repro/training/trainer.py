@@ -2,16 +2,21 @@
 
 The trainer is model-agnostic: anything with ``forward(batch, graph) ->
 Tensor (S, H)`` in scaled space and ``parameters()`` can be trained.
-Loss is MSE over shops that have at least one observed history month
-(Eq. 10, restricted to shops that exist at the cutoff); early stopping
-monitors validation loss; metrics are computed in raw units through the
-dataset's scaler.
+:func:`masked_mse` is the repository's one loss — MSE over
+:meth:`~repro.data.dataset.ForecastDataset.active_mask` (Eq. 10,
+restricted to shops that exist at the cutoff) — for this trainer and for
+every shard worker of :mod:`repro.training.parallel`.
+:meth:`Trainer.fit` is the one epoch / early-stopping / best-weight
+loop; a trainer that computes its step differently overrides
+:meth:`Trainer._train_step_loss` and :meth:`Trainer._val_loss`, never
+the loop.  Metrics are computed in raw units through the dataset's
+scaler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from ..obs import clock as obs_clock
 from ..obs import tracing as obs_tracing
 from .metrics import MetricTable, evaluate_forecast
 
-__all__ = ["TrainConfig", "TrainHistory", "Trainer"]
+__all__ = ["TrainConfig", "TrainHistory", "Trainer", "masked_mse"]
 
 
 @dataclass
@@ -68,9 +73,20 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def _active_shops(batch: InstanceBatch) -> np.ndarray:
-    """Shops with at least one observed input month."""
-    return batch.mask.any(axis=1)
+def masked_mse(model: Module, dataset: ForecastDataset, batch: InstanceBatch,
+               role: str) -> Tuple[Optional[Tensor], int]:
+    """Eq. 10 on one batch: ``(MSE over the active rows, their count)``.
+
+    ``(None, 0)`` when ``dataset`` has no active shop for ``role`` in
+    ``batch`` — an error for a full-graph trainer, a zero-weight reply
+    for a shard whose rows other shards cover.
+    """
+    active = dataset.active_mask(batch, role)
+    count = int(active.sum())
+    if count == 0:
+        return None, 0
+    pred = model(batch, dataset.graph)
+    return F.mse_loss(pred[active], batch.labels_scaled[active]), count
 
 
 class Trainer:
@@ -93,12 +109,10 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _loss(self, batch: InstanceBatch, role: str) -> Tensor:
-        pred = self.model(batch, self.dataset.graph)
-        active = _active_shops(batch) & self.dataset.node_mask(role)
-        if not active.any():
+        loss, _ = masked_mse(self.model, self.dataset, batch, role)
+        if loss is None:
             raise RuntimeError(f"batch has no active shops for role {role!r}")
-        diff = pred[active] - Tensor(batch.labels_scaled[active])
-        return (diff * diff).mean()
+        return loss
 
     def _val_loss(self) -> float:
         self.model.eval()
@@ -188,7 +202,7 @@ class Trainer:
         if batch is None:
             batch = self.dataset.test if role == "test" else self.dataset.val
         pred = self.predict_raw(batch)
-        active = _active_shops(batch) & self.dataset.node_mask(role)
+        active = self.dataset.active_mask(batch, role)
         if shop_mask is not None:
             active = active & np.asarray(shop_mask, dtype=bool)
         return evaluate_forecast(pred, batch.labels, batch.horizon_names, shop_mask=active)

@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Nine invariants, all cheap enough for tier-1:
+Ten invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -34,7 +34,13 @@ Nine invariants, all cheap enough for tier-1:
   ``out`` (no arena twin anywhere under ``src/``) and lives in
   ``repro/nn/kernels/``, ``repro.nn`` reads one environment variable
   and never tunes the allocator, and the pass / backend surface stay
-  at what the engine uses.
+  at what the engine uses;
+* the **one-body-per-promise** structure holds at the source level (AST
+  lint): ``DynamicGraph`` mirrors none of ``repro.graph.sampling``'s
+  traversal / ego functions and nothing under ``src/`` probes for them
+  by name, ``ParallelTrainer`` inherits ``Trainer.fit`` and defines no
+  loss or mask of its own, the active-shop mask is written once, and
+  the closure autograd path stays deleted.
 """
 
 import ast
@@ -467,6 +473,82 @@ def test_engine_has_one_plan_executor():
     assert len(sources) >= 16, "repro/nn scan looks vacuous"
     assert len(src_files) > 60 and "ExecutionPlan" in identifiers
     assert len(engine.KERNELS) >= 33, "registry scan looks vacuous"
+
+
+# Names deleted with the mirrored extractors, the mirrored fit loop and
+# the closure autograd path — in two pieces, like the ones above.
+_OVERLAY_MIRRORS = ("k_hop" "_nodes", "ego" "_subgraph", "ego" "_subgraphs",
+                    "induced" "_subgraph")
+_SHARD_MIRRORS = ("_shard" "_loss", "_active" "_rows")
+_CLOSURE_PATH = ("backward" "_fn", "_backward" "_fn", "_ma" "ke")
+
+
+def test_one_body_per_promise():
+    """Structure lint (tier-1): extraction and fitting each have one body.
+
+    ``DynamicGraph`` defines none of the traversal / ego methods
+    ``repro.graph.sampling`` owns, and nothing under ``src/`` asks an
+    object by name (``getattr`` / ``hasattr``) whether it brings its
+    own; ``ParallelTrainer`` is a ``Trainer`` whose ``fit`` contains no
+    loop, and ``parallel.py`` defines no loss or row mask of its own;
+    the active-shop expression ``mask.any(axis=1)`` is written only in
+    ``repro/data`` (``ForecastDataset.active_mask``, and the scaler) and
+    in the adapter's role-free mask in ``training/online.py``; the
+    closure autograd identifiers exist nowhere under ``src/``.
+    """
+    src = REPO_ROOT / "src" / "repro"
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
+             for path in sorted(src.rglob("*.py"))}
+
+    def class_named(module, name):
+        (found,) = [node for node in trees[module].body
+                    if isinstance(node, ast.ClassDef) and node.name == name]
+        return found
+
+    dynamic = class_named("streaming/dynamic_graph.py", "DynamicGraph")
+    dynamic_methods = {item.name for item in dynamic.body
+                       if isinstance(item, ast.FunctionDef)}
+    mirrored = dynamic_methods & set(_OVERLAY_MIRRORS)
+    assert not mirrored, f"DynamicGraph mirrors graph.sampling: {mirrored}"
+
+    probes, mask_sites, identifiers = [], set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name", "arg"):
+                value = getattr(node, field, None)
+                if isinstance(value, str):
+                    identifiers.add(value)
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) in ("getattr", "hasattr") and any(
+                    isinstance(arg, ast.Constant)
+                    and arg.value in _OVERLAY_MIRRORS for arg in node.args):
+                probes.append(f"{module}:{node.lineno}")
+            if ast.unparse(node).endswith("mask.any(axis=1)"):
+                mask_sites.add(module)
+    assert not probes, f"src/ forks on graph kind by name: {probes}"
+    strays = {module for module in mask_sites
+              if not module.startswith("data/")} - {"training/online.py"}
+    assert not strays, f"active-shop mask re-typed in {sorted(strays)}"
+    closure = identifiers & set(_CLOSURE_PATH)
+    assert not closure, f"src/ still names {sorted(closure)}"
+
+    parallel = class_named("training/parallel.py", "ParallelTrainer")
+    assert [ast.unparse(base) for base in parallel.bases] == ["Trainer"]
+    (fit,) = [item for item in parallel.body
+              if isinstance(item, ast.FunctionDef) and item.name == "fit"]
+    loops = [node for node in ast.walk(fit)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, "ParallelTrainer.fit must inherit the one fit loop"
+    own = {node.name for node in ast.walk(trees["training/parallel.py"])
+           if isinstance(node, ast.FunctionDef)} & set(_SHARD_MIRRORS)
+    assert not own, f"parallel.py re-defines {own}"
+    # Vacuity guards: the class bodies were found with the methods that
+    # replaced the mirrors, the walk saw the tree and the one mask.
+    assert {"hop_neighbors", "subgraph", "compact"} <= dynamic_methods
+    assert "super" in _called_names(fit)
+    assert "data/dataset.py" in mask_sites and len(trees) > 60
+    assert {"masked_mse", "active_mask", "getattr"} <= identifiers
 
 
 def test_roadmap_points_at_versioned_design_docs():

@@ -136,7 +136,45 @@ class TestESellerGraph:
         assert g.in_degrees().sum() == 0
 
 
+@pytest.fixture(params=["static", "overlay"])
+def either_chain(request, chain_graph):
+    """The chain as an ``ESellerGraph`` and as the same live graph held by
+    a ``DynamicGraph`` (one edge tombstoned and re-added in the overlay)."""
+    if request.param == "static":
+        return chain_graph
+    from repro.streaming import DynamicGraph
+
+    dyn = DynamicGraph(chain_graph, compact_threshold=None)
+    dyn.retire_edge(3, 0, 1)
+    dyn.add_edge(3, 0, 1)
+    return dyn
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", [-1, -2, 4, 99])
+    def test_out_of_range_seed_raises_on_either_kind(self, either_chain, seed):
+        """Regression: on the static graph ``[-2]`` used to wrap to node 2
+        and return its ball, ``[-1]`` died inside numpy with a ValueError."""
+        with pytest.raises(IndexError, match=r"out of range \[0, 4\)"):
+            k_hop_nodes(either_chain, [0, seed], 1)
+        with pytest.raises(IndexError, match=r"out of range \[0, 4\)"):
+            ego_subgraph(either_chain, seed, 1)
+        with pytest.raises(IndexError, match=r"out of range \[0, 4\)"):
+            ego_subgraphs(either_chain, [0, seed], 1)
+
+    def test_no_seeds_is_empty_on_either_kind(self, either_chain):
+        assert ego_subgraphs(either_chain, [], 2) == []
+        assert k_hop_nodes(either_chain, [], 2).size == 0
+
+    def test_ego_subgraph_is_one_type_on_either_kind(self, either_chain, chain_graph):
+        ego = ego_subgraph(either_chain, 2, hops=1)
+        ref = ego_subgraph(chain_graph, 2, hops=1)
+        assert isinstance(ego, type(ref))
+        assert ego.nodes.tolist() == ref.nodes.tolist() == [1, 2, 3]
+        assert ego.center_local == ref.center_local == 1
+        assert ego.subgraph.src.tolist() == ref.subgraph.src.tolist()
+        assert ego.subgraph.dst.tolist() == ref.subgraph.dst.tolist()
+
     def test_k_hop_zero_is_seed(self, chain_graph):
         assert list(k_hop_nodes(chain_graph, [1], 0)) == [1]
 
@@ -150,9 +188,9 @@ class TestSampling:
             k_hop_nodes(chain_graph, [0], -1)
 
     def test_ego_subgraph_center_tracked(self, chain_graph):
-        sub, originals, center = ego_subgraph(chain_graph, 2, hops=1)
-        assert originals[center] == 2
-        assert sub.num_nodes == len(originals)
+        ego = ego_subgraph(chain_graph, 2, hops=1)
+        assert ego.center == 2 and ego.nodes[ego.center_local] == 2
+        assert ego.subgraph.num_nodes == ego.num_nodes == len(ego.nodes)
 
     def test_ego_subgraph_bad_center(self, chain_graph):
         with pytest.raises(IndexError):
@@ -219,12 +257,12 @@ class TestSampling:
         batched = ego_subgraphs(g, centers, hops=2)
         assert [e.center for e in batched] == centers
         for ego in batched:
-            sub, originals, center_local = ego_subgraph(g, ego.center, hops=2)
-            assert np.array_equal(ego.nodes, originals)
-            assert ego.center_local == center_local
-            assert ego.subgraph.num_edges == sub.num_edges
-            assert np.array_equal(ego.subgraph.src, sub.src)
-            assert np.array_equal(ego.subgraph.dst, sub.dst)
+            single = ego_subgraph(g, ego.center, hops=2)
+            assert np.array_equal(ego.nodes, single.nodes)
+            assert ego.center_local == single.center_local
+            assert ego.subgraph.num_edges == single.subgraph.num_edges
+            assert np.array_equal(ego.subgraph.src, single.subgraph.src)
+            assert np.array_equal(ego.subgraph.dst, single.subgraph.dst)
 
     def test_batched_ego_subgraphs_validates_range(self, chain_graph):
         with pytest.raises(IndexError):

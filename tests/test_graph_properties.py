@@ -1,9 +1,13 @@
 """Property-based invariants for ``repro.graph.sampling``.
 
 Seeded random multigraphs (self-loops, duplicate edges, isolated nodes)
-are thrown at the CSR-based frontier expansion, batched ego-subgraph
-extraction and vectorised neighbor sampling, and each result is checked
-against a brute-force reference.  The harness is
+are thrown at the frontier expansion, batched ego-subgraph extraction
+and vectorised neighbor sampling, and each result is checked against a
+brute-force reference.  The extraction properties run over every holder
+of the same live graph (:func:`views`): the static ``ESellerGraph``, a
+``DynamicGraph`` carrying it as base + overlay + tombstones + grown
+nodes, and that overlay after ``compact()`` — one loop serves them all,
+so one oracle checks them all.  The harness is
 :func:`tests.helpers.forall` — hypothesis-free trials with
 shrinking-lite minimisation.
 """
@@ -13,6 +17,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes, sample_neighbors
+from repro.streaming import DynamicGraph
 
 from helpers import forall, random_eseller_graph, shrink_graph
 
@@ -50,6 +55,67 @@ def induced_edge_multiset(graph: ESellerGraph, nodes: np.ndarray):
     return sorted(triples)
 
 
+def overlay_view(graph: ESellerGraph) -> DynamicGraph:
+    """The same live graph, held as base + overlay + tombstones.
+
+    A prefix of the nodes and the edge prefix it can hold is the frozen
+    base, salted with decoy edges that are then retired (base tombstones); the
+    remaining nodes are grown with ``add_shop`` and the remaining edges
+    arrive as overlay additions, interleaved with add-then-retire decoy
+    pairs (overlay tombstones).  A decoy's key never equals a generated
+    edge's, so LIFO retirement removes exactly the decoys and the live
+    edges keep the generated order.  The split is a pure function of the
+    graph, so shrunk cases re-split themselves.
+    """
+    n, e = graph.num_nodes, graph.num_edges
+    rng = np.random.default_rng([n, e])
+    edges = list(zip(graph.src.tolist(), graph.dst.tolist(),
+                     graph.edge_types.tolist()))
+    taken = set(edges)
+
+    def decoy(limit):
+        for _ in range(8):
+            key = (int(rng.integers(limit)), int(rng.integers(limit)),
+                   int(rng.integers(3)))
+            if key not in taken:
+                return key
+        return None
+
+    base_nodes = n if rng.random() < 0.5 else int(rng.integers(1, n + 1))
+    split = int(rng.integers(0, e + 1))
+    for position, (s, d, _) in enumerate(edges[:split]):
+        if max(s, d) >= base_nodes:     # the base is a prefix it can hold
+            split = position
+            break
+    rows = edges[:split]
+    base_decoys = [key for key in (decoy(base_nodes) for _ in range(3)) if key]
+    for key in base_decoys:
+        rows.insert(int(rng.integers(0, len(rows) + 1)), key)
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    dyn = DynamicGraph(ESellerGraph(base_nodes, *columns),
+                       compact_threshold=None)
+    while dyn.num_nodes < n:
+        dyn.add_shop()
+    for key in base_decoys:
+        dyn.retire_edge(*key)
+    for edge in edges[split:]:
+        key = decoy(n) if rng.random() < 0.3 else None
+        if key:
+            dyn.add_edge(*key)
+            dyn.retire_edge(*key)
+        dyn.add_edge(*edge)
+    return dyn
+
+
+def views(graph: ESellerGraph):
+    """Every holder of the generated live graph the extractor serves."""
+    yield "static", graph
+    dyn = overlay_view(graph)
+    yield "overlay", dyn
+    dyn.compact()
+    yield "compacted", dyn
+
+
 def graph_seeds_hops(rng: np.random.Generator):
     graph = random_eseller_graph(rng, max_nodes=30, max_edges=90)
     num_seeds = int(rng.integers(1, min(graph.num_nodes, 4) + 1))
@@ -76,9 +142,10 @@ class TestKHopFrontier:
 
         def prop(case):
             graph, seeds, hops = case
-            fast = k_hop_nodes(graph, seeds, hops)
             slow = brute_force_k_hop(graph, seeds, hops)
-            assert np.array_equal(fast, slow), f"{fast} != {slow}"
+            for kind, view in views(graph):
+                fast = k_hop_nodes(view, seeds, hops)
+                assert np.array_equal(fast, slow), f"{kind}: {fast} != {slow}"
 
         forall(graph_seeds_hops, prop, trials=TRIALS, seed=11,
                shrink=shrink_case, name="k_hop_nodes == BFS")
@@ -86,11 +153,12 @@ class TestKHopFrontier:
     def test_multi_seed_is_union_of_single_seeds(self):
         def prop(case):
             graph, seeds, hops = case
-            joint = k_hop_nodes(graph, seeds, hops)
-            union = np.unique(np.concatenate(
-                [k_hop_nodes(graph, [s], hops) for s in seeds]
-            ))
-            assert np.array_equal(joint, union)
+            for kind, view in views(graph):
+                joint = k_hop_nodes(view, seeds, hops)
+                union = np.unique(np.concatenate(
+                    [k_hop_nodes(view, [s], hops) for s in seeds]
+                ))
+                assert np.array_equal(joint, union), kind
 
         forall(graph_seeds_hops, prop, trials=TRIALS, seed=12,
                shrink=shrink_case, name="multi-seed k_hop is a union")
@@ -103,34 +171,79 @@ class TestEgoSubgraphs:
 
         def prop(case):
             graph, seeds, hops = case
-            egos = ego_subgraphs(graph, seeds, hops)
-            union = np.unique(np.concatenate([ego.nodes for ego in egos]))
-            expected = k_hop_nodes(graph, seeds, hops)
-            assert np.array_equal(union, expected)
-            for ego in egos:
-                _, originals, center_local = ego_subgraph(graph, ego.center, hops)
-                assert np.array_equal(ego.nodes, originals)
-                assert ego.center_local == center_local
-                assert int(ego.nodes[ego.center_local]) == ego.center
+            for kind, view in views(graph):
+                egos = ego_subgraphs(view, seeds, hops)
+                union = np.unique(np.concatenate([ego.nodes for ego in egos]))
+                expected = k_hop_nodes(view, seeds, hops)
+                assert np.array_equal(union, expected), kind
+                for ego in egos:
+                    single = ego_subgraph(view, ego.center, hops)
+                    assert np.array_equal(ego.nodes, single.nodes), kind
+                    assert ego.center_local == single.center_local, kind
+                    assert int(ego.nodes[ego.center_local]) == ego.center, kind
 
         forall(graph_seeds_hops, prop, trials=TRIALS, seed=13,
                shrink=shrink_case, name="ego_subgraphs union exactness")
 
     def test_subgraph_edges_are_induced(self):
-        """Every ego's relabelled edge list is exactly the induced multiset."""
+        """Every ego's relabelled edge list is exactly the induced multiset
+        — and through the overlay it is the cold graph's list *in order*:
+        edge order fixes the float accumulation order of message passing,
+        hence forecast bits."""
 
         def prop(case):
             graph, seeds, hops = case
-            for ego in ego_subgraphs(graph, seeds, hops):
-                local = list(
-                    zip(ego.nodes[ego.subgraph.src].tolist(),
-                        ego.nodes[ego.subgraph.dst].tolist(),
-                        ego.subgraph.edge_types.tolist())
-                )
-                assert sorted(local) == induced_edge_multiset(graph, ego.nodes)
+            cold = ego_subgraphs(graph, seeds, hops)
+            for kind, view in views(graph):
+                for ego, ref in zip(ego_subgraphs(view, seeds, hops), cold):
+                    local = list(
+                        zip(ego.nodes[ego.subgraph.src].tolist(),
+                            ego.nodes[ego.subgraph.dst].tolist(),
+                            ego.subgraph.edge_types.tolist())
+                    )
+                    assert sorted(local) == induced_edge_multiset(graph, ego.nodes), kind
+                    assert np.array_equal(ego.subgraph.src, ref.subgraph.src), kind
+                    assert np.array_equal(ego.subgraph.dst, ref.subgraph.dst), kind
+                    assert np.array_equal(ego.subgraph.edge_types,
+                                          ref.subgraph.edge_types), kind
 
         forall(graph_seeds_hops, prop, trials=TRIALS, seed=14,
                shrink=shrink_case, name="ego subgraphs are induced")
+
+    def test_overlay_arm_is_not_vacuous(self):
+        """The overlay views really carry base tombstones, overlay edges,
+        overlay tombstones and grown nodes — and fold to the generated
+        graph exactly (the live view *is* the generated graph)."""
+        rng = np.random.default_rng(14)
+        seen = {"base_dead": 0, "overlay": 0, "overlay_dead": 0, "grown": 0}
+        for _ in range(TRIALS):
+            graph, _, _ = graph_seeds_hops(rng)
+            dyn = overlay_view(graph)
+            seen["base_dead"] += dyn._dead > 0
+            seen["overlay"] += dyn.overlay_size > 0
+            seen["overlay_dead"] += dyn.tombstones > dyn._dead
+            seen["grown"] += dyn.base.num_nodes < dyn.num_nodes
+            folded = dyn.compact()
+            assert folded.num_nodes == graph.num_nodes
+            assert np.array_equal(folded.src, graph.src)
+            assert np.array_equal(folded.dst, graph.dst)
+            assert np.array_equal(folded.edge_types, graph.edge_types)
+        assert all(count >= TRIALS // 4 for count in seen.values()), seen
+
+    def test_grown_node_is_a_seed_like_any_other(self):
+        """A shop added beyond the base is isolated until linked, then
+        reaches — and is reached — through overlay edges only."""
+        dyn = DynamicGraph(ESellerGraph(3, [0, 1], [1, 2], [0, 0]),
+                           compact_threshold=None)
+        grown = dyn.add_shop()
+        assert k_hop_nodes(dyn, [grown], 2).tolist() == [grown]
+        assert ego_subgraph(dyn, grown, 2).subgraph.num_edges == 0
+        dyn.add_edge(grown, 1, 2)
+        for view in (dyn, dyn.as_graph()):
+            ego = ego_subgraph(view, grown, 1)
+            assert ego.nodes.tolist() == [1, grown] and ego.center_local == 1
+            assert ego.subgraph.edge_types.tolist() == [2]
+            assert k_hop_nodes(view, [0], 2).tolist() == [0, 1, 2, grown]
 
 
 class TestSampleNeighbors:

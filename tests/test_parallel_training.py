@@ -180,6 +180,36 @@ class TestParallelTrainerAPI:
         assert "overall" in table
         assert np.isfinite(table["overall"]["MAE"])
 
+    def test_sharded_fit_records_the_sequential_span_tree(self, dataset):
+        """Regression: a sharded fit opened ``train.step`` roots but never
+        the ``train.epoch`` span around them, so validation time had no
+        address in a sharded run.  One inherited loop → one tree."""
+        from repro.obs import MetricsHub, Tracer, use_tracer
+
+        def train_tree(span):
+            return (span.name, [train_tree(child) for child in span.children
+                                if child.name.startswith("train.")])
+
+        def traced_fit(trainer):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                trainer.fit()
+            return [train_tree(root) for root in tracer.roots]
+
+        steps = ("train.step", [])
+        expected = [("train.epoch", [steps] * len(dataset.train))] * 2
+        sequential = Trainer(make_model(dataset), dataset, train_config(epochs=2))
+        sharded = ParallelTrainer(make_model(dataset), dataset,
+                                  train_config(epochs=2), n_shards=2)
+        assert traced_fit(sequential) == expected
+        assert traced_fit(sharded) == expected
+        # The straggler report the hub federates is untouched by the merge.
+        hub = MetricsHub()
+        hub.attach_parallel(sharded)
+        rows = {row["name"]: row["value"] for row in hub.collect()}
+        assert rows["train_steps"] == 2 * len(dataset.train)
+        assert rows["shard0_step_seconds"] > 0 and rows["shard1_step_seconds"] > 0
+
     def test_unknown_mode_rejected(self, dataset):
         with pytest.raises(ValueError, match="unknown mode"):
             ParallelTrainer(make_model(dataset), dataset, n_shards=2,

@@ -96,15 +96,11 @@ class TestHaloCompleteness:
                                    replace=False)
                 for seed in probe:
                     seed = int(seed)
-                    full_sub, full_nodes, full_center = ego_subgraph(
-                        graph, seed, hops
-                    )
+                    full = ego_subgraph(graph, seed, hops)
                     local_seed = int(np.searchsorted(originals, seed))
-                    local_sub, local_nodes, local_center = ego_subgraph(
-                        local_graph, local_seed, hops
-                    )
-                    assert np.array_equal(originals[local_nodes], full_nodes)
-                    assert local_center == full_center
+                    local = ego_subgraph(local_graph, local_seed, hops)
+                    assert np.array_equal(originals[local.nodes], full.nodes)
+                    assert local.center_local == full.center_local
                     # relabel both edge lists to global ids and compare
                     def triples(sub, nodes):
                         return sorted(zip(
@@ -112,8 +108,8 @@ class TestHaloCompleteness:
                             sub.edge_types.tolist(),
                         ))
                     assert (
-                        triples(local_sub, originals[local_nodes])
-                        == triples(full_sub, full_nodes)
+                        triples(local.subgraph, originals[local.nodes])
+                        == triples(full.subgraph, full.nodes)
                     )
 
         forall(graph_and_k, prop, trials=TRIALS, seed=23,

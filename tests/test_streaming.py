@@ -151,7 +151,7 @@ class TestDynamicGraph:
         dyn.retire_edge(0, 1, 0)          # tombstone a *base* edge
         assert dyn.num_edges == 2
         assert dyn.tombstones == 1
-        assert np.array_equal(dyn.k_hop_nodes([0], 1), [0, 2])
+        assert np.array_equal(k_hop_nodes(dyn, [0], 1), [0, 2])
         with pytest.raises(LookupError):
             dyn.retire_edge(0, 1, 0)      # already gone
 
@@ -161,7 +161,7 @@ class TestDynamicGraph:
         assert dyn.add_shop() == 2
         dyn.add_edge(2, 0)
         assert dyn.num_nodes == 3
-        assert np.array_equal(dyn.k_hop_nodes([1], 2), [0, 1, 2])
+        assert np.array_equal(k_hop_nodes(dyn, [1], 2), [0, 1, 2])
         compacted = dyn.compact()
         assert compacted.num_nodes == 3 and compacted.num_edges == 2
 
@@ -285,15 +285,15 @@ def check_replay_equals_cold_rebuild(case):
     seeds = range(0, cold.num_nodes, max(cold.num_nodes // 5, 1))
     for seed in seeds:
         for hops in (1, 2):
-            assert np.array_equal(dyn.k_hop_nodes([seed], hops),
+            assert np.array_equal(k_hop_nodes(dyn, [seed], hops),
                                   k_hop_nodes(cold, [seed], hops))
-        ego = dyn.ego_subgraph(seed, 2)
-        sub, nodes, center_local = ego_subgraph(cold, seed, 2)
-        assert np.array_equal(ego.nodes, nodes)
-        assert ego.center_local == center_local
-        assert np.array_equal(ego.subgraph.src, sub.src)
-        assert np.array_equal(ego.subgraph.dst, sub.dst)
-        assert np.array_equal(ego.subgraph.edge_types, sub.edge_types)
+        ego = ego_subgraph(dyn, seed, 2)
+        ref = ego_subgraph(cold, seed, 2)
+        assert np.array_equal(ego.nodes, ref.nodes)
+        assert ego.center_local == ref.center_local
+        assert np.array_equal(ego.subgraph.src, ref.subgraph.src)
+        assert np.array_equal(ego.subgraph.dst, ref.subgraph.dst)
+        assert np.array_equal(ego.subgraph.edge_types, ref.subgraph.edge_types)
     # Compaction is exact: same arrays, same order — including the
     # incrementally patched CSR planes (built above by the ego queries).
     compacted = dyn.compact()
@@ -711,7 +711,7 @@ class TestDeltaInvalidation:
         dyn.add_edge(grown, 0, 0)               # node 0's ego now reaches it
         far = next(
             shop for shop in range(1, dataset.test.num_shops)
-            if grown not in dyn.ego_subgraph(shop, gateway.config.hops).nodes
+            if grown not in ego_subgraph(dyn, shop, gateway.config.hops).nodes
         )
         doomed = gateway.submit(0)
         fine = gateway.submit(far)
