@@ -314,7 +314,9 @@ def durable_probe(log, checkpointer=None,
             details={"high_water": float(log.high_water),
                      "checkpoint_lag_events": float(lag),
                      "torn_records_truncated":
-                         float(log.torn_records_truncated)},
+                         float(log.torn_records_truncated),
+                     "segments_rescanned":
+                         float(log.segments_rescanned)},
         )
 
     return probe

@@ -7,8 +7,10 @@ persist the log, snapshot the fold, and a restarted process is just
 
 * :class:`~repro.streaming.durable.log.DurableEventLog` — a file-backed
   segmented log (length-prefixed, CRC32-checked JSONL records;
-  seal/rotate; torn-tail truncation on reopen; bounded-memory
-  ``since(offset)`` replay).  Attach one to an in-memory
+  seal/rotate with a checksummed sidecar per sealed segment, so a
+  reopen checksums sealed bytes instead of decoding them; torn-tail
+  truncation on reopen; bounded-memory ``since(offset)`` replay).
+  Attach one to an in-memory
   :class:`~repro.streaming.events.EventLog` (``EventLog(durable=...)``)
   and every event is journaled *before* it reaches any consumer.
 * :mod:`~repro.streaming.durable.checkpoint` — offset-stamped snapshots

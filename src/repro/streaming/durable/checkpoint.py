@@ -247,19 +247,12 @@ def load_checkpoint(path) -> Checkpoint:
                       manifest=manifest, arrays=arrays)
 
 
-def latest_checkpoint(directory, max_offset: Optional[int] = None
-                      ) -> Optional[Path]:
-    """Newest complete checkpoint under ``directory`` (optionally ≤ an offset).
-
-    Staging directories (interrupted writes) are ignored — atomic rename
-    means only complete snapshots ever carry the final name.  Returns
-    ``None`` when no usable checkpoint exists.
-    """
+def _checkpoints(directory, max_offset: Optional[int] = None) -> List[Path]:
+    """Complete checkpoints under ``directory`` (≤ an offset), newest first."""
     root = Path(directory)
     if not root.is_dir():
-        return None
-    best: Optional[Path] = None
-    best_offset = -1
+        return []
+    found = []
     for path in root.iterdir():
         if not path.is_dir() or not path.name.startswith(_CKPT_PREFIX) \
                 or path.name.endswith(_STAGING_SUFFIX):
@@ -268,11 +261,20 @@ def latest_checkpoint(directory, max_offset: Optional[int] = None
             offset = int(path.name[len(_CKPT_PREFIX):])
         except ValueError:
             continue
-        if max_offset is not None and offset > max_offset:
-            continue
-        if offset > best_offset:
-            best, best_offset = path, offset
-    return best
+        if max_offset is None or offset <= max_offset:
+            found.append((offset, path))
+    return [path for _offset, path in sorted(found, reverse=True)]
+
+
+def latest_checkpoint(directory, max_offset: Optional[int] = None
+                      ) -> Optional[Path]:
+    """Newest complete checkpoint under ``directory`` (optionally ≤ an offset).
+
+    Staging directories (interrupted writes) are ignored — atomic rename
+    means only complete snapshots ever carry the final name.  Returns
+    ``None`` when no usable checkpoint exists.
+    """
+    return next(iter(_checkpoints(directory, max_offset)), None)
 
 
 @dataclass
@@ -330,10 +332,13 @@ def recover(
         A :class:`~repro.streaming.durable.DurableEventLog` (anything
         with ``since(offset)`` and ``high_water``).
     checkpoint_dir:
-        Where :func:`write_checkpoint` snapshots live.  When it holds
-        none, recovery cold-starts from offset 0 — ``base_graph`` and
-        ``store_factory`` (a zero-argument callable returning an empty
-        :class:`StreamingFeatureStore`) must then be provided.
+        Where :func:`write_checkpoint` snapshots live.  A snapshot that
+        fails to load (SHA-256 mismatch, missing or truncated file) is
+        noted (``checkpoint_rejected``) and the next older one tried.
+        When none loads, recovery cold-starts from offset 0 —
+        ``base_graph`` and ``store_factory`` (a zero-argument callable
+        returning an empty :class:`StreamingFeatureStore`) must then be
+        provided, else the last load error (if any) is raised.
     adapter:
         Optional live :class:`~repro.training.online.OnlineAdapter`;
         its fold state is restored from the snapshot (when present) and
@@ -354,10 +359,16 @@ def recover(
     # just before a torn tail was truncated may sit *ahead* of the
     # recovered log head, and replaying "since the future" would
     # silently skip nothing while claiming the snapshotted state.
-    ckpt_path = latest_checkpoint(checkpoint_dir,
-                                  max_offset=int(log.high_water))
-    if ckpt_path is not None:
-        ckpt = load_checkpoint(ckpt_path)
+    ckpt = rejected = None
+    for path in _checkpoints(checkpoint_dir, max_offset=int(log.high_water)):
+        try:
+            ckpt = load_checkpoint(path)
+            break
+        except (CheckpointError, ValueError) as exc:
+            obs_recorder.note("checkpoint_rejected", path=str(path),
+                              reason=str(exc))
+            rejected = exc
+    if ckpt is not None:
         dyn = ckpt.build_dynamic_graph(**graph_kwargs)
         store = ckpt.build_store()
         if adapter is not None and "adapter" in ckpt.components:
@@ -365,7 +376,7 @@ def recover(
         offset = ckpt.offset
     else:
         if base_graph is None or store_factory is None:
-            raise CheckpointError(
+            raise rejected or CheckpointError(
                 f"no checkpoint under {checkpoint_dir} and no cold-start "
                 "base_graph/store_factory provided"
             )
@@ -387,7 +398,7 @@ def recover(
         checkpoint_offset=int(offset),
         replayed_events=replayed,
         high_water=int(offset) + replayed,
-        cold_start=ckpt_path is None,
+        cold_start=ckpt is None,
     )
     return RecoveredState(
         dynamic_graph=dyn,

@@ -12,6 +12,14 @@ representation that survives crashes:
   once it holds ``segment_events`` records, so no single file grows
   without bound and sealed segments can be archived or compacted
   without touching the write path.
+* **Seals** — the process that seals a segment summarises it once in a
+  one-line, self-checksummed sidecar (``events-<first offset>.seal``:
+  record count, body length and CRC32, the event-time statistics so
+  far), staged and ``os.replace``d into place.  Opening the directory
+  checksums each sealed body against its sidecar instead of decoding
+  it; a missing, damaged or disagreeing sidecar falls back to the
+  per-record scan, which rewrites it.  Only the active segment is
+  always scanned record by record.
 * **Records** — one line per event: two fixed-width hex fields (payload
   byte length, CRC32 of the payload) followed by the event as compact
   JSON.  Every read re-checks the length and CRC, so silent disk
@@ -49,6 +57,7 @@ import json
 import os
 import zlib
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
@@ -78,6 +87,7 @@ EVENT_KINDS: Dict[str, Type[ShopEvent]] = {
 
 _SEGMENT_PREFIX = "events-"
 _SEGMENT_SUFFIX = ".seg"
+_SEAL_SUFFIX = ".seal"
 # "llllllll cccccccc <payload>\n": 8 hex digits of payload byte length,
 # 8 hex digits of CRC32, one space each.
 _HEADER_LEN = 18
@@ -111,13 +121,24 @@ def encode_event(event: ShopEvent) -> str:
 
 
 def decode_event(payload: str) -> ShopEvent:
-    """Rebuild an event from its JSON payload (inverse of :func:`encode_event`)."""
+    """Rebuild an event from its JSON payload (inverse of :func:`encode_event`).
+
+    A payload that parses but is not an event this build knows — not an
+    object, an unregistered ``kind``, fields its dataclass rejects (a
+    journal written by a newer build) — is :class:`LogCorruptionError`.
+    """
     fields = json.loads(payload)
+    if not isinstance(fields, dict):
+        raise LogCorruptionError(
+            f"event payload is not an object: {payload[:60]!r}")
     kind = fields.pop("kind", None)
-    cls = EVENT_KINDS.get(kind)
+    cls = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise LogCorruptionError(f"unknown event kind in log: {kind!r}")
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except TypeError as exc:   # names the kind and the offending field
+        raise LogCorruptionError(f"malformed {kind} record: {exc}") from None
 
 
 def _format_record(payload: str) -> bytes:
@@ -146,6 +167,29 @@ def _parse_record(line: bytes) -> str:
     return raw.decode("utf-8")
 
 
+def _verified_seal(path: Path, start: int) -> Tuple[int, int, int]:
+    """``(count, frontier, late_arrivals)`` from a sealed segment's sidecar.
+
+    Raises unless the sidecar's own CRC, its first offset and the body's
+    length and CRC32 (streamed in bounded chunks) all hold:
+    ``FileNotFoundError`` without a sidecar, else what disagreed.
+    """
+    seal = json.loads(_parse_record(
+        path.with_suffix(_SEAL_SUFFIX).read_bytes()))
+    if seal["first_offset"] != start:
+        raise ValueError(f"sidecar is for offset {seal['first_offset']}")
+    length = crc = 0
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            length += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+    if (length, crc) != (seal["body_bytes"], seal["body_crc"]):
+        raise ValueError(
+            f"body is {length} bytes, CRC {crc:08x}; sidecar says "
+            f"{seal['body_bytes']} bytes, CRC {seal['body_crc']:08x}")
+    return seal["count"], seal["frontier"], seal["late_arrivals"]
+
+
 class DurableEventLog:
     """Append-only, crash-safe, segmented event log on disk.
 
@@ -153,10 +197,13 @@ class DurableEventLog:
     ----------
     directory:
         Where segments live; created if missing.  Opening a non-empty
-        directory scans every segment (CRC-checking each record),
-        truncates a torn active tail, and restores ``high_water`` /
-        ``frontier`` / ``late_arrivals`` to what the in-memory log
-        tracking the same stream would report.
+        directory verifies every byte: each sealed segment's body is
+        checksummed against its ``.seal`` sidecar (or, without a usable
+        one, scanned record by record and the sidecar rewritten), the
+        active segment is scanned record by record and a torn tail
+        truncated.  That restores ``high_water`` / ``frontier`` /
+        ``late_arrivals`` to what the in-memory log tracking the same
+        stream would report.
     segment_events:
         Records per segment before the active segment seals and a new
         one starts.
@@ -185,8 +232,15 @@ class DurableEventLog:
         self.late_arrivals = 0
         #: Torn records truncated from the active tail at open (0 or 1).
         self.torn_records_truncated = 0
+        #: Sealed segments opened by per-record scan for want of a
+        #: sidecar that matched them (each rewrote its sidecar).
+        self.segments_rescanned = 0
         # (first_offset, record_count) per segment, in offset order.
         self._segments: List[Tuple[int, int]] = []
+        # Byte length and running CRC32 of the active segment's body:
+        # what its sidecar will say when it seals.
+        self._body_bytes = 0
+        self._body_crc = 0
         self._handle = None
         self._closed = False
         try:
@@ -223,19 +277,72 @@ class DurableEventLog:
                     f"segment {path.name} starts at {start}, "
                     f"expected {self.high_water}"
                 )
-            active = rank == len(paths) - 1
-            count = self._scan_segment(path, active=active)
+            if rank == len(paths) - 1:
+                count = self._scan_segment(path, active=True)
+            else:
+                count = self._open_sealed(start, path)
             self._segments.append((start, count))
             self.high_water = start + count
+
+    def _open_sealed(self, start: int, path: Path) -> int:
+        """Record count of a sealed segment, its every byte verified.
+
+        A sidecar that matches the body yields the count and event-time
+        state without parsing a record.  Anything else is settled by the
+        per-record scan, which raises on a damaged body; after a clean
+        one the sidecar is rewritten, so the next open is cheap again.
+        """
+        reason = None
+        try:
+            count, self.frontier, self.late_arrivals = _verified_seal(
+                path, start)
+            return count
+        except FileNotFoundError:   # sealed before sidecars, or a crash
+            pass                    # between the seal and its sidecar
+        except (ValueError, KeyError, TypeError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        count = self._scan_segment(path, active=False)
+        self.segments_rescanned += 1
+        if reason is not None:
+            obs_recorder.note("segment_seal_rejected", segment=path.name,
+                              reason=reason)
+        try:
+            self._write_seal(start, count)
+        except OSError:   # unwritable directory: the next open rescans
+            pass
+        return count
+
+    def _write_seal(self, start: int, count: int) -> None:
+        """Summarise the closed segment at ``start`` in its sidecar.
+
+        One line, framed and checksummed like an event record; staged
+        and renamed, so a crash leaves the old sidecar, none, or this one.
+        """
+        final = self._segment_path(start).with_suffix(_SEAL_SUFFIX)
+        staging = final.with_name(final.name + ".tmp")
+        with open(staging, "wb") as handle:
+            handle.write(_format_record(json.dumps({
+                "first_offset": start, "count": count,
+                "body_bytes": self._body_bytes, "body_crc": self._body_crc,
+                "frontier": self.frontier,
+                "late_arrivals": self.late_arrivals,
+            })))
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(staging, final)
 
     def _scan_segment(self, path: Path, active: bool) -> int:
         """Replay one segment's framing, folding event-time stats.
 
-        Returns the record count.  In the active segment a torn *final*
-        record is truncated away; any other framing failure raises.
+        Returns the record count and leaves the length and CRC32 of the
+        bytes it kept in ``_body_bytes`` / ``_body_crc``.  In the active
+        segment a torn *final* record is truncated away; any other
+        framing failure raises.
         """
         count = 0
         good_bytes = 0
+        crc = 0
         with open(path, "rb") as handle:
             while True:
                 line = handle.readline()
@@ -255,6 +362,8 @@ class DurableEventLog:
                 self._fold_event_time(event)
                 count += 1
                 good_bytes += len(line)
+                crc = zlib.crc32(line, crc)
+        self._body_bytes, self._body_crc = good_bytes, crc
         if good_bytes < path.stat().st_size:
             with open(path, "r+b") as handle:
                 handle.truncate(good_bytes)
@@ -291,10 +400,13 @@ class DurableEventLog:
             self.seal()
             start, count = self._segments[-1]
         handle = self._active_handle()
-        handle.write(_format_record(encode_event(event)))
+        record = _format_record(encode_event(event))
+        handle.write(record)
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())
+        self._body_bytes += len(record)
+        self._body_crc = zlib.crc32(record, self._body_crc)
         self._segments[-1] = (start, count + 1)
         offset = self.high_water
         self.high_water += 1
@@ -310,11 +422,17 @@ class DurableEventLog:
         """Close the active segment and start an empty successor.
 
         Sealed segments are immutable from here on: any framing failure
-        inside one is treated as corruption, never as a torn tail.
+        inside one is treated as corruption, never as a torn tail.  The
+        sidecar lands before the successor is registered, so an
+        ``OSError`` from writing it leaves the seal to be retried by the
+        next append.
         """
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+        if self._segments and self._segments[-1][1]:   # not an empty one
+            self._write_seal(*self._segments[-1])
+        self._body_bytes = self._body_crc = 0
         self._segments.append((self.high_water, 0))
 
     def sync(self) -> None:
@@ -374,10 +492,9 @@ class DurableEventLog:
             if count == 0 or start + count <= offset:
                 continue
             skip = max(offset - start, 0)
+            index = -1
             with open(self._segment_path(start), "rb") as handle:
-                for index, line in enumerate(handle):
-                    if index >= count:
-                        break
+                for index, line in enumerate(islice(handle, count)):
                     if index < skip:
                         continue
                     try:
@@ -388,6 +505,11 @@ class DurableEventLog:
                             f"{index}: {exc}"
                         )
                     yield decode_event(payload)
+            if index + 1 < count:
+                raise LogCorruptionError(
+                    f"segment at {start}: holds {index + 1} records, "
+                    f"{count - index - 1} short of its {count}"
+                )
 
     def __iter__(self) -> Iterator[ShopEvent]:
         return self.since(0)

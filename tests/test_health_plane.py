@@ -583,6 +583,28 @@ class TestFlightRecorder:
         assert kinds == ["torn_tail_truncated"]
         assert recorder.notes[0]["details"]["kept_records"] == 1
 
+    def test_rejected_seal_drops_a_note(self, tmp_path):
+        directory = tmp_path / "wal"
+        log = DurableEventLog(directory, segment_events=2)
+        for month in range(5):
+            log.append(SalesTick(month=month, shop_index=0, gmv=1.0))
+        log.close()
+        recorder = FlightRecorder()
+        with use_recorder(recorder):
+            clean = DurableEventLog(directory, segment_events=2)
+        assert clean.segments_rescanned == 0 and not recorder.notes
+        sidecar = sorted(directory.glob("events-*.seal"))[1]
+        sidecar.write_bytes(b"GARBLED\n")
+        with use_recorder(recorder):
+            reopened = DurableEventLog(directory, segment_events=2)
+        assert reopened.segments_rescanned == 1
+        assert [n["kind"] for n in recorder.notes] == ["segment_seal_rejected"]
+        details = recorder.notes[0]["details"]
+        assert details["segment"] == sidecar.with_suffix(".seg").name
+        assert "incomplete record" in details["reason"]
+        probe = durable_probe(reopened)()
+        assert probe.ready and probe.details["segments_rescanned"] == 1.0
+
     def test_recovery_drops_a_note(self, tmp_path, serving_parts):
         dataset, _, num_months = serving_parts
         log = DurableEventLog(tmp_path / "wal")

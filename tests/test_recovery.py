@@ -13,6 +13,7 @@ verification, newest-reachable selection).
 
 import itertools
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.deploy import ModelRegistry
+from repro.obs import FlightRecorder, use_recorder
 from repro.serving import GatewayConfig, ServingGateway
 from repro.streaming import (
     DynamicGraph,
@@ -31,6 +33,7 @@ from repro.streaming import (
     ShopAdded,
     StreamingFeatureStore,
 )
+from repro.streaming.durable import log as durable_log
 from repro.streaming.durable import (
     Checkpoint,
     CheckpointError,
@@ -107,6 +110,11 @@ def some_events():
     ]
 
 
+#: A CRC-valid tick from a build that knows one more field than this one.
+NEWER_BUILD_TICK = ('{"coupon":3,"customers":0,"gmv":1.0,"kind":"SalesTick",'
+                    '"month":1,"orders":0,"shop_index":0}')
+
+
 # ----------------------------------------------------------------------
 # durable log mechanics
 # ----------------------------------------------------------------------
@@ -124,6 +132,51 @@ class TestDurableLog:
     def test_codec_rejects_unknown_kind(self):
         with pytest.raises(LogCorruptionError, match="unknown event kind"):
             decode_event(json.dumps({"kind": "Mystery", "month": 0}))
+
+    def test_codec_rejects_payloads_that_are_not_events(self):
+        with pytest.raises(LogCorruptionError, match="not an object"):
+            decode_event("[1,2]")
+        with pytest.raises(LogCorruptionError, match="SalesTick.*'coupon'"):
+            decode_event(NEWER_BUILD_TICK)
+        with pytest.raises(LogCorruptionError, match="SalesTick.*'month'"):
+            decode_event('{"kind":"SalesTick","shop_index":0,"gmv":1.0}')
+
+    @pytest.mark.parametrize("payload", ["[1,2]", NEWER_BUILD_TICK],
+                             ids=["not_an_object", "unknown_field"])
+    def test_crc_valid_non_event_is_corruption_not_a_type_error(
+            self, tmp_path, payload):
+        good = [durable_log._format_record(encode_event(event))
+                for event in some_events()[:3]]
+        bad = durable_log._format_record(payload)
+        directory = tmp_path / "log"
+        log = DurableEventLog(directory)
+        log.extend(some_events()[:3])
+        segment = next(directory.glob("events-*.seg"))
+        # Swapped in behind the open log's back: since() meets it
+        # mid-replay, inside the registered record count ...
+        segment.write_bytes(good[0] + bad + good[2])
+        with pytest.raises(LogCorruptionError):
+            list(log.since(0))
+        # ... and a reopen meets it in the scan, tail position included
+        # (a CRC-valid record is not what a torn write leaves behind).
+        for body in (good[0] + bad + good[2], good[0] + good[1] + bad):
+            segment.write_bytes(body)
+            recorder = FlightRecorder()
+            with use_recorder(recorder), pytest.raises(LogCorruptionError):
+                DurableEventLog(directory)
+            assert [n["kind"] for n in recorder.notes] == ["log_corruption"]
+
+    def test_since_raises_on_a_segment_shorter_than_registered(
+            self, tmp_path):
+        events = (some_events() * 2)[:10]
+        log = DurableEventLog(tmp_path / "log", segment_events=4)
+        log.extend(events)
+        first = sorted((tmp_path / "log").glob("events-*.seg"))[0]
+        lines = first.read_bytes().splitlines(keepends=True)
+        first.write_bytes(b"".join(lines[:-1]))   # lost after the open
+        with pytest.raises(LogCorruptionError, match="holds 3 records, 1 short"):
+            list(log.since(0))
+        assert list(log.since(4)) == events[4:]   # later segments unharmed
 
     def test_append_reopen_replays_identically(self, tmp_path):
         events = some_events()
@@ -221,6 +274,216 @@ class TestDurableLog:
         assert log.segments() == []
         assert list(log.since(0)) == []
         assert log.frontier == -1
+
+
+# ----------------------------------------------------------------------
+# sealed-segment sidecars
+# ----------------------------------------------------------------------
+SEAL_FAULTS = ("intact", "deleted", "truncated", "flipped", "stale",
+               "leftover_tmp")
+
+
+def _random_stream(rng, max_events=40):
+    """Events of every kind with unordered months (late ones included)."""
+    events = []
+    for _ in range(int(rng.integers(1, max_events))):
+        month = int(rng.integers(0, 12))
+        kind = rng.random()
+        if kind < 0.1:
+            events.append(ShopAdded(month=month, shop_index=len(events),
+                                    industry="ind_a", region="reg_b"))
+        elif kind < 0.3:
+            events.append(EdgeAdded(month=month, src=int(rng.integers(0, 9)),
+                                    dst=int(rng.integers(0, 9)),
+                                    edge_type=int(rng.integers(0, 3))))
+        else:
+            events.append(SalesTick(month=month,
+                                    shop_index=int(rng.integers(0, 9)),
+                                    gmv=float(rng.normal() * 10.0)))
+    return events
+
+
+def _observable(log):
+    return (log.high_water, log.frontier, log.late_arrivals, log.segments(),
+            list(log.since(0)))
+
+
+def _sealed_files(directory):
+    return sorted(directory.glob("events-*.seg"))[:-1]
+
+
+def _break_seal(segment, fault, pristine, rng):
+    """Apply one of ``SEAL_FAULTS`` to ``segment``'s sidecar."""
+    sidecar = segment.with_suffix(".seal")
+    raw = pristine[segment]
+    if fault == "deleted":
+        sidecar.unlink()
+    elif fault == "truncated":
+        sidecar.write_bytes(raw[:int(rng.integers(1, len(raw)))])
+    elif fault == "flipped":
+        damaged = bytearray(raw)
+        damaged[int(rng.integers(0, len(raw)))] ^= 0xFF
+        sidecar.write_bytes(bytes(damaged))
+    elif fault == "stale":
+        others = [other for other in pristine if other != segment]
+        sidecar.write_bytes(
+            pristine[others[int(rng.integers(0, len(others)))]])
+    elif fault == "leftover_tmp":
+        sidecar.with_name(sidecar.name + ".tmp").write_bytes(raw[:7])
+
+
+def check_seal_fault_matrix(case):
+    events, segment_events, seal_at, reopen_at, torn_at, fault_seed, root = case
+    shutil.rmtree(root, ignore_errors=True)
+    reference = DurableEventLog(root / "never-closed",
+                                segment_events=segment_events)
+    directory = root / "log"
+    log = DurableEventLog(directory, segment_events=segment_events)
+    for index, event in enumerate(events):
+        if index in reopen_at:
+            log.close()
+            if index == torn_at:
+                active = sorted(directory.glob("events-*.seg"))[-1]
+                with open(active, "ab") as handle:
+                    handle.write(b"0000002a 1badc0de {\"kind\": torn-mid-w")
+            log = DurableEventLog(directory, segment_events=segment_events)
+            assert log.torn_records_truncated == int(index == torn_at)
+            assert log.segments_rescanned == 0
+        if index in seal_at:       # always followed by an append: a seal
+            log.seal()             # with no successor file does not
+            reference.seal()       # survive a reopen (as at the parent)
+        log.append(event)
+        reference.append(event)
+    log.close()
+    expected = _observable(reference)
+    assert expected[-1] == events
+
+    rng = np.random.default_rng(fault_seed)
+    sealed = _sealed_files(directory)
+    pristine = {segment: segment.with_suffix(".seal").read_bytes()
+                for segment in sealed}
+    choices = SEAL_FAULTS if len(sealed) > 1 else tuple(
+        fault for fault in SEAL_FAULTS if fault != "stale")
+    faults = [choices[int(rng.integers(0, len(choices)))] for _ in sealed]
+    for segment, fault in zip(sealed, faults):
+        _break_seal(segment, fault, pristine, rng)
+
+    recorder = FlightRecorder()
+    with use_recorder(recorder):
+        reopened = DurableEventLog(directory, segment_events=segment_events)
+    assert _observable(reopened) == expected
+    assert reopened.segments_rescanned == sum(
+        fault not in ("intact", "leftover_tmp") for fault in faults), faults
+    # A merely missing sidecar is the expected crash/upgrade signature;
+    # every other rejection is noted with the segment and the reason.
+    assert [note["details"]["segment"] for note in recorder.notes] == [
+        segment.name for segment, fault in zip(sealed, faults)
+        if fault in ("truncated", "flipped", "stale")]
+    assert all(note["kind"] == "segment_seal_rejected"
+               and note["details"]["reason"] for note in recorder.notes)
+    reopened.close()
+
+    # The rescan backfilled every sidecar: the next open trusts them all.
+    again = DurableEventLog(directory, segment_events=segment_events)
+    assert again.segments_rescanned == 0
+    assert _observable(again) == expected
+    assert {s: s.with_suffix(".seal").read_bytes() for s in sealed} == pristine
+
+
+class TestSegmentSeals:
+    def _journal(self, directory, segments=10, segment_events=4):
+        events = (some_events() * segments)[:segments * segment_events]
+        with DurableEventLog(directory, segment_events=segment_events) as log:
+            log.extend(events)
+        return events
+
+    def test_sidecar_fault_matrix(self, tmp_path):
+        def gen(rng):
+            events = _random_stream(rng)
+            points = lambda p: {i for i in range(1, len(events))
+                                if rng.random() < p}
+            reopen_at = points(0.15)
+            torn_at = (sorted(reopen_at)[int(rng.integers(0, len(reopen_at)))]
+                       if reopen_at else -1)
+            return (events, int(rng.integers(1, 8)), points(0.1), reopen_at,
+                    torn_at, int(rng.integers(0, 2 ** 31)), tmp_path / "case")
+
+        forall(gen, check_seal_fault_matrix, trials=60, seed=29,
+               name="reopen == never-closed under any sidecar fault")
+
+    def test_reopen_decodes_only_the_active_segment(self, tmp_path,
+                                                    monkeypatch):
+        events = self._journal(tmp_path / "log")
+        decoded = []
+        real = durable_log.decode_event
+        monkeypatch.setattr(
+            durable_log, "decode_event",
+            lambda payload: decoded.append(payload) or real(payload))
+        reopened = DurableEventLog(tmp_path / "log", segment_events=4)
+        assert reopened.high_water == len(events) == 40
+        assert len(reopened.segments()) == 10
+        assert len(decoded) <= 4       # O(segment_events), not O(journal)
+
+    def test_sealed_body_damage_under_an_intact_sidecar_raises(
+            self, tmp_path):
+        self._journal(tmp_path / "log")
+        sealed = _sealed_files(tmp_path / "log")[3]
+        sidecar = sealed.with_suffix(".seal")
+        raw, intact = sealed.read_bytes(), sidecar.read_bytes()
+        lines = raw.splitlines(keepends=True)
+        for damaged in (
+            raw[:40] + bytes([raw[40] ^ 0xFF]) + raw[41:],   # bit rot
+            b"".join(lines[:-1]),            # cut at a record boundary
+            raw + lines[0],                  # a valid record too many
+        ):
+            sealed.write_bytes(damaged)
+            sidecar.write_bytes(intact)
+            recorder = FlightRecorder()
+            with use_recorder(recorder), pytest.raises(LogCorruptionError):
+                DurableEventLog(tmp_path / "log", segment_events=4)
+            assert recorder.notes[-1]["kind"] == "log_corruption"
+
+    def test_crash_between_segment_close_and_sidecar(self, tmp_path,
+                                                     monkeypatch):
+        events = (some_events() * 2)[:10]
+        directory = tmp_path / "log"
+        log = DurableEventLog(directory, segment_events=4)
+        log.extend(events[:4])
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(durable_log.os, "replace", disk_full)
+            with pytest.raises(OSError):
+                log.append(events[4])      # the roll-over seal fails
+            # The process dies here: segment closed, no sidecar, no
+            # successor.  A restart sees one full active segment.
+            crashed = DurableEventLog(directory, segment_events=4)
+            assert list(crashed.since(0)) == events[:4]
+            assert crashed.segments_rescanned == 0
+            crashed.close()
+        # The survivor simply retries the seal on its next append.
+        log.extend(events[4:])
+        log.close()
+        assert list(log.since(0)) == events
+        reopened = DurableEventLog(directory, segment_events=4)
+        assert reopened.segments_rescanned == 0
+        assert _observable(reopened) == _observable(log)
+
+    def test_unwritable_directory_still_opens_a_journal_without_sidecars(
+            self, tmp_path, monkeypatch):
+        events = self._journal(tmp_path / "log", segments=3)
+        for sidecar in (tmp_path / "log").glob("events-*.seal"):
+            sidecar.unlink()               # a journal the parent wrote
+
+        def read_only(src, dst):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(durable_log.os, "replace", read_only)
+        reopened = DurableEventLog(tmp_path / "log", segment_events=4)
+        assert list(reopened.since(0)) == events
+        assert reopened.segments_rescanned == 2
 
 
 # ----------------------------------------------------------------------
@@ -575,6 +838,69 @@ class TestCrashAtEveryOffset:
         ref_dyn, ref_store, _r2, _e2 = fold_world(events, base)
         assert_graphs_identical(state.dynamic_graph, ref_dyn)
         assert_stores_identical(state.store, ref_store)
+
+    def _three_checkpoint_world(self, tmp_path):
+        rng = np.random.default_rng(31)
+        base = random_eseller_graph(rng, max_nodes=8, max_edges=16)
+        events = []
+        while len(events) < 12:
+            events = _valid_sequence(rng, base)
+        durable = DurableEventLog(tmp_path / "log", segment_events=5)
+        dyn, store, _r, _e = fold_world([], base)
+        offsets = [len(events) // 4, len(events) // 2, 3 * len(events) // 4]
+        paths = []
+        for offset, event in enumerate(events, start=1):
+            durable.append(event)
+            dyn.apply(event)
+            store.apply(event)
+            if offset in offsets:
+                paths.append(write_checkpoint(
+                    tmp_path / "ckpt", offset, dynamic_graph=dyn,
+                    store=store))
+        return base, durable, (dyn, store), offsets, paths
+
+    def test_rejected_newest_checkpoint_falls_back_to_an_older_one(
+            self, tmp_path):
+        base, durable, (dyn, store), offsets, paths = \
+            self._three_checkpoint_world(tmp_path)
+        arrays = paths[-1] / "arrays.npz"
+        raw = bytearray(arrays.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        arrays.write_bytes(bytes(raw))
+        recorder = FlightRecorder()
+        with use_recorder(recorder):
+            state = recover(durable, tmp_path / "ckpt")
+        assert state.checkpoint_offset == offsets[1]
+        assert_graphs_identical(state.dynamic_graph, dyn)
+        assert_stores_identical(state.store, store)
+        rejected = [note for note in recorder.notes
+                    if note["kind"] == "checkpoint_rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["details"]["path"] == str(paths[-1])
+        assert "SHA-256" in rejected[0]["details"]["reason"]
+
+    def test_every_checkpoint_rejected_cold_starts_or_raises_the_last_error(
+            self, tmp_path):
+        base, durable, (dyn, store), _offsets, paths = \
+            self._three_checkpoint_world(tmp_path)
+        (paths[2] / "arrays.npz").unlink()                 # CheckpointError
+        manifest = paths[1] / "manifest.json"
+        manifest.write_text(manifest.read_text()[:40])     # ValueError
+        (paths[0] / "manifest.json").unlink()
+        with pytest.raises(CheckpointError, match="incomplete"):
+            recover(durable, tmp_path / "ckpt")
+        recorder = FlightRecorder()
+        with use_recorder(recorder):
+            state = recover(
+                durable, tmp_path / "ckpt", base_graph=base,
+                store_factory=lambda: StreamingFeatureStore(
+                    base.num_nodes, 12))
+        assert state.checkpoint_offset == 0
+        assert state.replayed_events == durable.high_water
+        assert_graphs_identical(state.dynamic_graph, dyn)
+        assert_stores_identical(state.store, store)
+        assert [note["kind"] for note in recorder.notes] == [
+            "checkpoint_rejected"] * 3 + ["recovery"]
 
 
 # ----------------------------------------------------------------------
