@@ -9,8 +9,9 @@ codes plus optional per-edge feature vectors.
 All model layers in this repository consume the COO view (``src``,
 ``dst`` arrays) because message passing is implemented with dense
 gather / segment-sum kernels; the CSR view answers
-:meth:`ESellerGraph.hop_neighbors`, the one neighbour query the
-breadth-first loop in :mod:`repro.graph.sampling` asks of a graph.
+:meth:`ESellerGraph.incident_edges`, the one edge query the
+breadth-first loop and the ego assembly of :mod:`repro.graph.sampling`
+ask of a graph.
 """
 
 from __future__ import annotations
@@ -24,48 +25,21 @@ __all__ = ["EdgeType", "ESellerGraph"]
 
 def _gather_segments(
     indptr: np.ndarray, order: np.ndarray, nodes: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``order[indptr[v]:indptr[v+1]]`` for every ``v`` in ``nodes``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(origin, edges)``: the CSR rows of ``nodes``, concatenated.
 
-    Fully vectorised CSR multi-row gather: the returned array lists the
-    edge indices incident to each node, nodes in the given order.
+    Fully vectorised multi-row gather: ``edges`` lists
+    ``order[indptr[v]:indptr[v + 1]]`` for every ``v`` in ``nodes``,
+    nodes in the given order (repeats answer again), and ``origin[k]``
+    is the index into ``nodes`` of the row ``edges[k]`` came from.
     """
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
     starts = indptr[nodes]
-    seg_offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets, counts)
-    return order[np.repeat(starts, counts) + within]
-
-
-def _relabel_map(num_nodes: int, nodes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(nodes, lookup)``: ``lookup[v]`` is ``v``'s position in ``nodes`` or -1."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size != np.unique(nodes).size:
-        raise ValueError("subgraph nodes must be unique")
-    lookup = np.full(num_nodes, -1, dtype=np.int64)
-    lookup[nodes] = np.arange(nodes.size)
-    return nodes, lookup
-
-
-def _induced_edges(
-    lookup: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    edge_types: np.ndarray,
-    alive: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relabelled ``(src, dst, types)`` of the (live) edges inside ``lookup``.
-
-    Edges keep their order in the input arrays — the order that fixes
-    the float accumulation order of message passing downstream.
-    """
-    keep = (lookup[src] >= 0) & (lookup[dst] >= 0)
-    if alive is not None:
-        keep &= alive
-    return lookup[src[keep]], lookup[dst[keep]], edge_types[keep]
+    counts = indptr[nodes + 1] - starts
+    origin = np.arange(nodes.size, dtype=np.int64).repeat(counts)
+    # Entry k of the answer is its row's start plus k minus the entries
+    # of the rows before it.
+    shift = starts - (counts.cumsum() - counts)
+    return origin, order[np.arange(origin.size, dtype=np.int64) + shift[origin]]
 
 
 class EdgeType:
@@ -299,25 +273,33 @@ class ESellerGraph:
         """Destination nodes of edges leaving ``node``."""
         return self.dst[self.out_edges(node)]
 
-    def hop_neighbors(
-        self, frontier: np.ndarray, alive: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Endpoints one undirected hop from ``frontier`` (repeats kept).
+    def incident_edges(
+        self, nodes: np.ndarray, out: bool, alive: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edges leaving (``out``) or entering each of ``nodes``.
 
-        Gathers only the frontier's incident edges from the CSR index —
-        O(frontier edges), not O(E).  ``alive`` is the per-edge
-        tombstone mask a
+        The one edge query :mod:`repro.graph.sampling` asks of a graph.
+        ``nodes`` is an ``int64`` array inside ``[0, num_nodes)``,
+        repeats allowed; the answer is four aligned arrays
+        ``(origin, position, other, edge_types)``, one entry per
+        (queried node, incident edge): ``origin`` indexes into ``nodes``
+        (a node asked twice answers twice), ``position`` is the edge's
+        index in ``src`` / ``dst`` — its *canonical position*, the order
+        an induced edge list must keep — and ``other`` is the endpoint
+        that is not the queried one.  Gathered from the CSR index:
+        O(incident edges), never O(N) or O(E).  ``alive`` is the
+        per-edge tombstone mask a
         :class:`~repro.streaming.dynamic_graph.DynamicGraph` passes when
-        this graph is its frozen base.
+        this graph is its frozen base; dead edges drop out of all four
+        arrays together.
         """
-        if self.num_edges == 0:
-            return np.zeros(0, dtype=np.int64)
-        eid_out = _gather_segments(*self.out_csr(), frontier)
-        eid_in = _gather_segments(*self.in_csr(), frontier)
+        origin, position = _gather_segments(
+            *(self.out_csr() if out else self.in_csr()), nodes)
         if alive is not None:
-            eid_out = eid_out[alive[eid_out]]
-            eid_in = eid_in[alive[eid_in]]
-        return np.concatenate([self.dst[eid_out], self.src[eid_in]])
+            keep = alive[position]
+            origin, position = origin[keep], position[keep]
+        other = (self.dst if out else self.src)[position]
+        return origin, position, other, self.edge_types[position]
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node."""
@@ -334,6 +316,11 @@ class ESellerGraph:
     # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------
+    def as_graph(self) -> "ESellerGraph":
+        """This graph: what a static graph answers where a
+        :class:`~repro.streaming.dynamic_graph.DynamicGraph` compacts."""
+        return self
+
     def with_reverse_edges(self) -> "ESellerGraph":
         """Return a graph with each edge duplicated in the reverse direction.
 
@@ -360,14 +347,24 @@ class ESellerGraph:
         """Induced subgraph on ``nodes``.
 
         Returns the subgraph (nodes relabelled ``0..len(nodes)-1`` in the
-        order given) and the array of original node indices.
+        order given, edges in this graph's order, ``node_ids`` carried
+        along) and the array of original node indices.  An O(N + E)
+        filter, right for its callers — partition shards at whole-graph
+        scale; ego extraction gathers from the CSR index instead
+        (:func:`repro.graph.sampling.ego_subgraphs`).
         """
-        nodes, lookup = _relabel_map(self.num_nodes, nodes)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size != np.unique(nodes).size:
+            raise ValueError("subgraph nodes must be unique")
+        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
+        lookup[nodes] = np.arange(nodes.size)
         sub_ids = None
         if self.node_ids is not None:
             sub_ids = [self.node_ids[i] for i in nodes]
-        edges = _induced_edges(lookup, self.src, self.dst, self.edge_types)
-        return ESellerGraph(nodes.size, *edges, sub_ids), nodes
+        keep = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
+        return ESellerGraph(nodes.size, lookup[self.src[keep]],
+                            lookup[self.dst[keep]], self.edge_types[keep],
+                            sub_ids), nodes
 
     def normalized_adjacency(self, add_self_loops: bool = True) -> np.ndarray:
         """Dense symmetric-normalised adjacency ``D^-1/2 (A + I) D^-1/2``.

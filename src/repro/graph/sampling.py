@@ -2,16 +2,25 @@
 
 The deployed Gaia system (paper §VI) predicts a newcoming e-seller from
 the *ego-subgraph* extracted around it.  This module owns the only
-breadth-first loop (:func:`k_hop_nodes`) and the only ego assembly
-(:func:`ego_subgraph`; :func:`ego_subgraphs` for the serving gateway's
-micro-batches) in the repository, for **any** graph that answers three
-things: ``num_nodes``, ``hop_neighbors(frontier)`` — the endpoints one
-undirected hop away — and ``subgraph(nodes)``.  The static
-:class:`~repro.graph.graph.ESellerGraph` answers from its CSR index
-(O(frontier edges) per hop, not O(E)); the streaming
-:class:`~repro.streaming.dynamic_graph.DynamicGraph` answers from its
-base's index minus tombstones plus the overlay adjacency.  Callers never
-need to know which kind they hold.  :func:`sample_neighbors` provides
+breadth-first loop (:func:`_reach`, over ``(label, node)`` pairs;
+:func:`k_hop_nodes` is its single-label case) and the only ego assembly
+(:func:`ego_subgraphs`, the serving gateway's batch entry point;
+:func:`ego_subgraph` is a batch of one) in the repository, for **any**
+graph that answers two things: ``num_nodes`` and
+``incident_edges(nodes, out)`` — for an array of nodes and a direction,
+the live incident edges as ``(origin index into the array, canonical
+edge position, other endpoint, edge type)``.  The static
+:class:`~repro.graph.graph.ESellerGraph` answers from its CSR index;
+the streaming :class:`~repro.streaming.dynamic_graph.DynamicGraph`
+answers from its base's index minus tombstones plus the overlay
+adjacency.  Callers never need to know which kind they hold.
+
+A batch of centers is **one** traversal and **one** edge gather: the
+graph is asked ``2 * hops + 1`` times whatever the batch size, nothing
+of size ``O(num_nodes)`` or ``O(num_edges)`` is allocated or scanned,
+and every ego is array-identical to a single-seed extraction (the
+brute-force oracles of ``tests/test_graph_properties.py`` are the
+sequential reference).  :func:`sample_neighbors` provides
 GraphSAGE-style fanout capping for minibatch training on larger graphs.
 """
 
@@ -33,32 +42,81 @@ __all__ = [
 ]
 
 
+def _checked_seeds(graph, seeds: Sequence[int]) -> np.ndarray:
+    """``seeds`` as an ``int64`` array, all inside ``[0, num_nodes)``."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.size and not (0 <= seeds.min() and seeds.max() < graph.num_nodes):
+        raise IndexError(
+            f"seeds out of range [0, {graph.num_nodes}): "
+            f"min={seeds.min()}, max={seeds.max()}"
+        )
+    return seeds
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for a 1-D integer array.
+
+    Spelled as sort + neighbour compare because ``np.unique``'s wrapper
+    alone costs a tenth of a single-center extraction.
+    """
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _position_in(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(index, found)``: where each query sits in sorted, non-empty ``keys``.
+
+    ``searchsorted`` answers ``len(keys)`` for a query beyond the last
+    key; the index is clamped before the equality test reads it.
+    """
+    index = np.minimum(keys.searchsorted(queries), keys.size - 1)
+    return index, keys[index] == queries
+
+
+def _reach(graph, keys: np.ndarray, hops: int) -> np.ndarray:
+    """The repository's one breadth-first loop, over ``(label, node)`` pairs.
+
+    A pair travels as the ``int64`` key ``label * num_nodes + node``;
+    ``keys`` are the seed pairs, sorted and unique.  Returns the sorted
+    keys of every pair within ``hops`` undirected hops of a seed pair
+    *of the same label*: labels never mix, so one traversal serves a
+    whole batch of independent seeds.  Per hop the graph is asked twice
+    (out- and in-edges of the whole frontier); the visited set is a
+    sorted key array probed by binary search, never an
+    ``O(num_nodes)`` mask.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be non-negative, got {hops}")
+    n = graph.num_nodes
+    visited = frontier = keys
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        label, node = np.divmod(frontier, n)
+        reached = []
+        for out in (True, False):
+            origin, _, other, _ = graph.incident_edges(node, out)
+            reached.append(label[origin] * n + other)
+        reached = np.concatenate(reached)
+        _, seen = _position_in(visited, reached)
+        frontier = _sorted_unique(reached[~seen])
+        visited = np.sort(np.concatenate([visited, frontier]))
+    return visited
+
+
 def k_hop_nodes(graph, seeds: Sequence[int], hops: int) -> np.ndarray:
     """Return nodes within ``hops`` (undirected) hops of ``seeds``.
 
     The frontier expands over both in- and out-edges because supply-chain
     influence in the paper flows both ways through aggregation.  With
-    several seeds the result is the union of the per-seed neighborhoods.
+    several seeds the result is the union of the per-seed neighborhoods
+    — the traversal of :func:`ego_subgraphs` with every seed under one
+    label, where a pair's key is the node itself.
     Seeds outside ``[0, num_nodes)`` raise ``IndexError``.
     """
-    if hops < 0:
-        raise ValueError(f"hops must be non-negative, got {hops}")
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    if frontier.size and not (0 <= frontier[0] and frontier[-1] < graph.num_nodes):
-        raise IndexError(
-            f"seeds out of range [0, {graph.num_nodes}): "
-            f"min={frontier[0]}, max={frontier[-1]}"
-        )
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    visited[frontier] = True
-    for _ in range(hops):
-        if frontier.size == 0:
-            break
-        nxt = np.unique(graph.hop_neighbors(frontier))
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-    return np.flatnonzero(visited)
+    return _reach(graph, _sorted_unique(_checked_seeds(graph, seeds)), hops)
 
 
 @dataclass
@@ -67,7 +125,12 @@ class EgoSubgraph:
 
     ``nodes`` are the original node indices (sorted); ``center_local`` is
     the seed's position within them; ``subgraph`` is the induced graph
-    with nodes relabelled ``0..len(nodes)-1`` in that order.
+    with nodes relabelled ``0..len(nodes)-1`` in that order, edges in
+    the host graph's canonical order.  The subgraph carries no
+    ``node_ids`` (no builder in the repository sets them on a host
+    graph; ``nodes`` is the way back to it), and its arrays may be views
+    into arrays shared by the batch it was extracted with: treat them
+    as read-only.
     """
 
     center: int
@@ -87,25 +150,59 @@ def ego_subgraph(graph, center: int, hops: int = 2) -> EgoSubgraph:
     The center is always the node whose prediction the online server
     computes (paper Fig. 5).
     """
-    center = int(center)
-    sub, nodes = graph.subgraph(k_hop_nodes(graph, [center], hops))
-    return EgoSubgraph(
-        center=center,
-        subgraph=sub,
-        nodes=nodes,
-        center_local=int(np.searchsorted(nodes, center)),
-    )
+    return ego_subgraphs(graph, [center], hops)[0]
 
 
 def ego_subgraphs(graph, centers: Sequence[int], hops: int = 2) -> List[EgoSubgraph]:
     """One :class:`EgoSubgraph` per center (the gateway's batch entry point).
 
-    Each equals the single-seed :func:`ego_subgraph` exactly, so a serving
-    layer can stitch the results into one node-disjoint batch and still
-    reproduce per-request forwards bit-for-bit.
+    The whole batch is one traversal and one edge gather: position ``i``
+    of ``centers`` labels its own ball (repeated centers get one ego
+    each), :func:`_reach` grows all balls together, and one query for
+    the out-edges of every ``(label, node)`` pair — each induced edge
+    leaves exactly one member, so out-edges alone list it once —
+    filtered to destinations inside the same ball and sorted by
+    ``(label, canonical position)`` yields every induced edge list in
+    the host graph's edge order.  Each ego equals what a single-seed
+    extraction returns, array for array, so a serving layer can stitch
+    the results into one node-disjoint batch and still reproduce
+    per-request forwards bit-for-bit.  Cost is O(sum of ego degrees),
+    independent of the host graph's size.
     """
-    return [ego_subgraph(graph, center, hops)
-            for center in np.asarray(centers, dtype=np.int64).tolist()]
+    centers = _checked_seeds(graph, centers)
+    if centers.size == 0:
+        return []
+    n = graph.num_nodes
+    batch = np.arange(centers.size + 1, dtype=np.int64)
+    seeds = batch[:-1] * n + centers
+    keys = _reach(graph, seeds, hops)
+    label, node = np.divmod(keys, n)
+    origin, position, other, types = graph.incident_edges(node, out=True)
+    edge_label = label[origin]
+    target, inside = _position_in(keys, edge_label * n + other)
+    order = np.flatnonzero(inside)
+    order = order[np.lexsort((position[order], edge_label[order]))]
+    edge_label = edge_label[order]
+    # Ego i owns rows first_row[i]:first_row[i + 1] of ``keys`` and
+    # edges first_edge[i]:first_edge[i + 1] of the sorted edge arrays.
+    first_row = keys.searchsorted(batch * n)
+    first_edge = edge_label.searchsorted(batch).tolist()
+    shift = first_row[edge_label]
+    src, dst, types = origin[order] - shift, target[order] - shift, types[order]
+    center_local = (keys.searchsorted(seeds) - first_row[:-1]).tolist()
+    first_row = first_row.tolist()
+    egos = []
+    for i, center in enumerate(centers.tolist()):
+        rows = slice(first_row[i], first_row[i + 1])
+        edges = slice(first_edge[i], first_edge[i + 1])
+        egos.append(EgoSubgraph(
+            center=center,
+            subgraph=ESellerGraph(rows.stop - rows.start,
+                                  src[edges], dst[edges], types[edges]),
+            nodes=node[rows],
+            center_local=center_local[i],
+        ))
+    return egos
 
 
 def sample_neighbors(
@@ -130,10 +227,9 @@ def sample_neighbors(
         return empty, empty.copy(), empty.copy()
     indptr, order = graph.in_csr()
     counts = indptr[nodes + 1] - indptr[nodes]
-    edges = _gather_segments(indptr, order, nodes)
+    segments, edges = _gather_segments(indptr, order, nodes)
     if edges.size == 0:
         return empty, empty.copy(), empty.copy()
-    segments = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
     keys = rng.random(edges.size)
     perm = np.lexsort((keys, segments))
     seg_offsets = np.cumsum(counts) - counts

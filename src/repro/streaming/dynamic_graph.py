@@ -13,12 +13,12 @@ makes mutation cheap instead:
   without moving anything.
 
 Queries merge the three planes on the fly, so they see every update
-immediately at O(overlay) extra cost — no per-event CSR rebuilds.  The
-overlay does not run its own traversal: it answers the same three
-questions a static graph does (``num_nodes``,
-:meth:`~DynamicGraph.hop_neighbors`, :meth:`~DynamicGraph.subgraph`) and
-the one breadth-first loop and ego assembly of
-:mod:`repro.graph.sampling` (``k_hop_nodes(dyn, ...)``,
+immediately — no per-event CSR rebuilds, and no pass over the overlay
+either: a query touches the asked nodes' adjacency only.  The overlay
+does not run its own traversal: it answers the same two questions a
+static graph does (``num_nodes`` and
+:meth:`~DynamicGraph.incident_edges`) and the one breadth-first loop and
+ego assembly of :mod:`repro.graph.sampling` (``k_hop_nodes(dyn, ...)``,
 ``ego_subgraphs(dyn, ...)``) run over either kind.  When the overlay plus
 tombstones outgrow ``compact_threshold`` of the live edge count,
 :meth:`compact` folds everything into a fresh base.
@@ -56,12 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.graph import (
-    ESellerGraph,
-    _gather_segments,
-    _induced_edges,
-    _relabel_map,
-)
+from ..graph.graph import ESellerGraph, _gather_segments
 from ..obs import tracing as obs_tracing
 from .events import (
     EdgeAdded,
@@ -422,7 +417,7 @@ class DynamicGraph:
                 keep[node] = False
         untouched = np.flatnonzero(keep)
         if untouched.size:
-            old_ids = _gather_segments(old_indptr, old_order, untouched)
+            _, old_ids = _gather_segments(old_indptr, old_order, untouched)
             counts = old_indptr[untouched + 1] - old_indptr[untouched]
             dest = _segment_scatter(new_indptr, untouched, counts)
             new_order[dest] = new_pos_base[old_ids]
@@ -503,48 +498,42 @@ class DynamicGraph:
         """Live in-degree of every node."""
         return self._in_deg.copy()
 
-    def hop_neighbors(self, frontier: np.ndarray) -> np.ndarray:
-        """Live endpoints one undirected hop from ``frontier`` (repeats kept).
+    def incident_edges(
+        self, nodes: np.ndarray, out: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Live edges leaving (``out``) or entering each of ``nodes``.
 
-        The base answers from its CSR index with this overlay's
-        tombstone mask; the overlay adjacency lists are appended.
+        Same contract as :meth:`ESellerGraph.incident_edges
+        <repro.graph.graph.ESellerGraph.incident_edges>`:
+        ``(origin, position, other, edge_types)`` with ``origin``
+        indexing into ``nodes``.  The base answers from its CSR index
+        under this overlay's tombstone mask — nodes grown beyond the
+        base have no row there and are skipped, ``origin`` remapped to
+        the caller's indexing — and the asked nodes' live overlay
+        adjacency is appended at positions ``base.num_edges + slot``.
+        Positions therefore order edges exactly as :meth:`compact` lays
+        them out (base survivors in base order, then overlay survivors
+        in addition order): sorting an induced edge list by position
+        gives the list the compacted graph would give, hence the same
+        float accumulation order in message passing.
         """
         base = self._base
-        hits = base.hop_neighbors(
-            frontier[frontier < base.num_nodes],
-            self._base_alive if self._dead else None,
-        )
-        found: List[int] = []
-        for node in frontier.tolist():
-            for pos in self._ov_out.get(node, ()):
-                if self._ov_alive[pos]:
-                    found.append(self._ov_dst[pos])
-            for pos in self._ov_in.get(node, ()):
-                if self._ov_alive[pos]:
-                    found.append(self._ov_src[pos])
-        if found:
-            hits = np.concatenate([hits, np.asarray(found, dtype=np.int64)])
-        return hits
-
-    def subgraph(self, nodes: Sequence[int]) -> Tuple[ESellerGraph, np.ndarray]:
-        """Induced live subgraph on ``nodes`` (canonical edge order).
-
-        Base survivors come first in base order, then live overlay edges
-        in addition order — the same order
-        ``self.as_graph().subgraph(nodes)`` would produce, which keeps
-        downstream message-passing numerics identical.
-        """
-        nodes, lookup = _relabel_map(self.num_nodes, nodes)
-        base = self._base
-        edges = _induced_edges(lookup, base.src, base.dst, base.edge_types,
-                               self._base_alive if self._dead else None)
-        if self._ov_src:
-            overlay = _induced_edges(
-                lookup,
-                np.asarray(self._ov_src, dtype=np.int64),
-                np.asarray(self._ov_dst, dtype=np.int64),
-                np.asarray(self._ov_type, dtype=np.int64),
-                np.asarray(self._ov_alive, dtype=bool),
-            )
-            edges = [np.concatenate(pair) for pair in zip(edges, overlay)]
-        return ESellerGraph(nodes.size, *edges), nodes
+        alive = self._base_alive if self._dead else None
+        if base.num_nodes == self.num_nodes:
+            answer = base.incident_edges(nodes, out, alive)
+        else:
+            held = np.flatnonzero(nodes < base.num_nodes)
+            origin, *rest = base.incident_edges(nodes[held], out, alive)
+            answer = (held[origin], *rest)
+        adjacency = self._ov_out if out else self._ov_in
+        if not adjacency:
+            return answer
+        ends = self._ov_dst if out else self._ov_src
+        found = [(index, base.num_edges + slot, ends[slot], self._ov_type[slot])
+                 for index, node in enumerate(nodes.tolist())
+                 for slot in adjacency.get(node, ())
+                 if self._ov_alive[slot]]
+        if not found:
+            return answer
+        return tuple(np.concatenate(pair) for pair in
+                     zip(answer, np.array(found, dtype=np.int64).T))

@@ -284,10 +284,6 @@ class OnlineAdapter:
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
-    def _training_graph(self):
-        as_graph = getattr(self.graph, "as_graph", None)
-        return as_graph() if callable(as_graph) else self.graph
-
     def _fresh_window(self, month: int) -> Optional[InstanceBatch]:
         """The freshest complete window: labels end at ``month``.
 
@@ -361,7 +357,7 @@ class OnlineAdapter:
         if batch is None:
             return None
         cutoff = month - self.dataset.horizon + 1
-        graph = self._training_graph()
+        graph = self.graph.as_graph()
         if self.registry.num_versions:
             self.registry.load_into(self.model)
         errors = self._shop_errors(batch, graph)

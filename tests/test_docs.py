@@ -545,7 +545,7 @@ def test_one_body_per_promise():
     assert not own, f"parallel.py re-defines {own}"
     # Vacuity guards: the class bodies were found with the methods that
     # replaced the mirrors, the walk saw the tree and the one mask.
-    assert {"hop_neighbors", "subgraph", "compact"} <= dynamic_methods
+    assert {"incident_edges", "compact"} <= dynamic_methods
     assert "super" in _called_names(fit)
     assert "data/dataset.py" in mask_sites and len(trees) > 60
     assert {"masked_mse", "active_mask", "getattr"} <= identifiers

@@ -130,6 +130,29 @@ class TestESellerGraph:
         sub, _ = g.subgraph([1])
         assert sub.node_ids == ["b"]
 
+    def test_as_graph_is_the_graph_itself(self, chain_graph):
+        """A static graph answers ``as_graph`` like a ``DynamicGraph``
+        does, so holders of either kind need not ask which they hold."""
+        assert chain_graph.as_graph() is chain_graph
+
+    def test_incident_edges_contract(self):
+        """``origin`` indexes the array asked (repeats answer again),
+        ``position`` the edge arrays; a tombstone mask drops an edge from
+        all four arrays together."""
+        g = ESellerGraph(4, [2, 0, 2, 3], [1, 2, 2, 0], [0, 1, 2, 1])
+        origin, position, other, types = g.incident_edges(
+            np.array([2, 1, 2]), out=True)
+        assert origin.tolist() == [0, 0, 2, 2]
+        assert position.tolist() == [0, 2, 0, 2]
+        assert other.tolist() == [1, 2, 1, 2] and types.tolist() == [0, 2, 0, 2]
+        origin, position, other, types = g.incident_edges(
+            np.array([2, 1, 2]), out=False,
+            alive=np.array([True, True, False, True]))
+        assert origin.tolist() == [0, 1, 2] and position.tolist() == [1, 0, 1]
+        assert other.tolist() == [0, 2, 0] and types.tolist() == [1, 0, 1]
+        for part in g.incident_edges(np.zeros(0, dtype=np.int64), out=True):
+            assert part.size == 0 and part.dtype == np.int64
+
     def test_empty_graph(self):
         g = ESellerGraph(3, [], [])
         assert g.num_edges == 0

@@ -7,14 +7,19 @@ brute-force reference.  The extraction properties run over every holder
 of the same live graph (:func:`views`): the static ``ESellerGraph``, a
 ``DynamicGraph`` carrying it as base + overlay + tombstones + grown
 nodes, and that overlay after ``compact()`` — one loop serves them all,
-so one oracle checks them all.  The harness is
+so one oracle checks them all.  The sequential extractor lives here, as
+the reference (:func:`brute_force_ego`: a textbook BFS per center plus
+an ordered ``O(E)`` edge filter); ``TestOneTraversalPerBatch`` holds the
+batched one to a query count and an allocation ceiling.  The harness is
 :func:`tests.helpers.forall` — hypothesis-free trials with
 shrinking-lite minimisation.
 """
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
+import pytest
 
 from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes, sample_neighbors
 from repro.streaming import DynamicGraph
@@ -53,6 +58,30 @@ def induced_edge_multiset(graph: ESellerGraph, nodes: np.ndarray):
             graph.edge_types[keep].tolist())
     )
     return sorted(triples)
+
+
+def brute_force_ego(graph: ESellerGraph, center: int, hops: int):
+    """The sequential extractor, kept here as the reference: one textbook
+    BFS per center, then an O(E) pass keeping the induced edges *in
+    order*.  Returns ``(nodes, center_local, src, dst, types)``."""
+    nodes = brute_force_k_hop(graph, [center], hops)
+    members = np.zeros(graph.num_nodes, dtype=bool)
+    members[nodes] = True
+    keep = members[graph.src] & members[graph.dst]
+    return (nodes, int(np.searchsorted(nodes, center)),
+            np.searchsorted(nodes, graph.src[keep]),
+            np.searchsorted(nodes, graph.dst[keep]),
+            graph.edge_types[keep])
+
+
+def assert_ego_equals(ego, center, reference, context):
+    nodes, center_local, src, dst, types = reference
+    assert ego.center == center, context
+    assert ego.center_local == center_local, context
+    assert ego.subgraph.num_nodes == ego.num_nodes == nodes.size, context
+    for got, want in ((ego.nodes, nodes), (ego.subgraph.src, src),
+                      (ego.subgraph.dst, dst), (ego.subgraph.edge_types, types)):
+        assert got.dtype == np.int64 and np.array_equal(got, want), context
 
 
 def overlay_view(graph: ESellerGraph) -> DynamicGraph:
@@ -244,6 +273,160 @@ class TestEgoSubgraphs:
             assert ego.nodes.tolist() == [1, grown] and ego.center_local == 1
             assert ego.subgraph.edge_types.tolist() == [2]
             assert k_hop_nodes(view, [0], 2).tolist() == [0, 1, 2, grown]
+
+
+    def test_batches_with_repeats_equal_the_sequential_reference(self):
+        """1–40 centers drawn *with* repeats, hops 0–3, all three views:
+        one ego per position, each array-identical — nodes, center_local,
+        src, dst, types, in order — to the brute-force extractor."""
+
+        def gen(rng: np.random.Generator):
+            graph = random_eseller_graph(rng, max_nodes=30, max_edges=90)
+            centers = rng.integers(0, graph.num_nodes,
+                                   size=int(rng.integers(1, 41)))
+            return graph, centers, int(rng.integers(0, 4))
+
+        def prop(case):
+            graph, centers, hops = case
+            wanted = {int(c): brute_force_ego(graph, int(c), hops)
+                      for c in np.unique(centers)}
+            for kind, view in views(graph):
+                egos = ego_subgraphs(view, centers, hops)
+                assert len(egos) == centers.size, kind
+                for position, (ego, center) in enumerate(zip(egos, centers)):
+                    assert_ego_equals(ego, int(center), wanted[int(center)],
+                                      (kind, position))
+
+        forall(gen, prop, trials=TRIALS, seed=16, shrink=shrink_case,
+               name="batched egos == sequential reference")
+
+    def test_degenerate_batches(self):
+        """What the gateway can hand the batch entry point: no centers
+        (every ego of a group was a cache hit), ``hops=0``, a graph
+        without edges, the same center in every position."""
+        lonely = ESellerGraph(5, [], [], [])
+        chain = ESellerGraph(4, [0, 1, 2, 2], [1, 2, 3, 2], [0, 1, 2, 0])
+        # hops=0 keeps only the center: chain's self-loop on 2 is its one edge.
+        for graph, loops_on_2 in ((lonely, 0), (chain, 1)):
+            for kind, view in views(graph):
+                for hops in range(3):
+                    assert ego_subgraphs(view, [], hops) == [], kind
+                    assert ego_subgraphs(
+                        view, np.zeros(0, dtype=np.int64), hops) == [], kind
+                    centers = [3, 0, 3, 3]
+                    egos = ego_subgraphs(view, centers, hops)
+                    for ego, center in zip(egos, centers):
+                        assert_ego_equals(
+                            ego, center, brute_force_ego(graph, center, hops),
+                            (kind, hops, center))
+                isolated = ego_subgraphs(view, [2, 2], 0)
+                assert [ego.nodes.tolist() for ego in isolated] == [[2], [2]]
+                assert [ego.subgraph.num_edges for ego in isolated] \
+                    == [loops_on_2, loops_on_2], kind
+
+    @pytest.mark.parametrize("bad", [[-1], [0, -3], [2, 4], [99, 1]])
+    def test_out_of_range_centers_raise_before_any_traversal(self, bad):
+        graph = ESellerGraph(4, [0, 1], [1, 2], [0, 0])
+        for kind, view in views(graph):
+            asked = CountingGraph(view)
+            with pytest.raises(IndexError, match=r"seeds out of range \[0, 4\)"):
+                ego_subgraphs(asked, bad, 2)
+            with pytest.raises(IndexError, match=r"seeds out of range \[0, 4\)"):
+                k_hop_nodes(asked, bad, 2)
+            assert asked.calls == [], kind
+
+    def test_grown_node_as_center_and_as_neighbour_in_one_batch(self):
+        """Grown shops have no row in the base CSR: as frontier members
+        they must skip it *with their labels*, or a neighbour's ball
+        would pick up another label's edges."""
+        dyn = DynamicGraph(ESellerGraph(4, [0, 1, 2], [1, 2, 3], [0, 1, 2]),
+                           compact_threshold=None)
+        first, second = dyn.add_shop(), dyn.add_shop()
+        dyn.add_edge(first, 0, 1)
+        dyn.add_edge(3, second, 2)
+        dyn.add_edge(second, second, 0)
+        centers = [first, 0, second, 3, first, 2]
+        cold = ESellerGraph(6, [0, 1, 2, first, 3, second],
+                            [1, 2, 3, 0, second, second], [0, 1, 2, 1, 2, 0])
+        for hops in range(4):
+            egos = ego_subgraphs(dyn, centers, hops)
+            assert dyn.overlay_size == 3 and dyn.base.num_nodes == 4
+            for ego, center in zip(egos, centers):
+                assert_ego_equals(ego, center,
+                                  brute_force_ego(cold, center, hops),
+                                  (hops, center))
+
+
+class CountingGraph:
+    """A graph seen through a counter: attributes pass through, every
+    method call the extractor makes of it is recorded by name."""
+
+    def __init__(self, graph):
+        self._graph = graph
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(self._graph, name)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return value(*args, **kwargs)
+
+        return counted
+
+
+class TestOneTraversalPerBatch:
+    """The two gates this extractor exists to hold — neither needs a clock."""
+
+    @pytest.mark.parametrize("hops", [0, 1, 2, 3])
+    def test_graph_queries_do_not_grow_with_the_batch(self, hops):
+        """Two queries per hop (out, in) and one for assembly, whether the
+        batch holds one center or thirty-two.  A per-center loop asks
+        ``batch * (2 * hops + 1)`` times."""
+        rng = np.random.default_rng(21)
+        graph = random_eseller_graph(rng, max_nodes=60, max_edges=240,
+                                     min_nodes=40)
+        for kind, view in views(graph):
+            counts = []
+            for size in (1, 32):
+                asked = CountingGraph(view)
+                centers = rng.integers(0, graph.num_nodes, size=size)
+                assert len(ego_subgraphs(asked, centers, hops)) == size
+                counts.append(len(asked.calls))
+            assert 1 <= counts[1] <= 2 * hops + 1, (kind, counts)
+            assert counts[0] <= counts[1], (kind, counts)
+
+    def test_one_ego_allocates_nothing_graph_sized(self):
+        """With the CSR built, extracting a 2-hop ego from a 100k-node /
+        300k-edge graph peaks under 64 KiB: no ``O(N)`` visited mask or
+        relabel table, no ``O(E)`` edge mask (either is >= 100 KB here)
+        — on the static graph and on an overlay of it."""
+        rng = np.random.default_rng(22)
+        n, e = 100_000, 300_000
+        graph = ESellerGraph(n, rng.integers(0, n, e), rng.integers(0, n, e),
+                             rng.integers(0, 3, e))
+        graph.out_csr(), graph.in_csr()
+        dyn = DynamicGraph(graph, compact_threshold=None)
+        center = int(graph.src[0])
+        for other in rng.integers(0, n, 100).tolist():
+            dyn.add_edge(other, int(rng.integers(0, n)), 2)
+        for other in rng.integers(0, n, 3).tolist():
+            dyn.add_edge(center, other, 1)
+        dyn.retire_edge(center, int(graph.dst[0]), int(graph.edge_types[0]))
+        dyn.add_shop()
+        for kind, view in (("static", graph), ("overlay", dyn)):
+            ego_subgraphs(view, [center], 2)          # warm lazy imports
+            tracemalloc.start()
+            try:
+                (ego,) = ego_subgraphs(view, [center], 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ego.num_nodes > 3, kind
+            assert peak < 64 * 1024, (kind, ego.num_nodes, peak)
+        assert dyn.overlay_size == 103 and dyn.tombstones == 1
 
 
 class TestSampleNeighbors:

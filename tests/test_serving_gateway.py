@@ -23,6 +23,7 @@ from repro.serving import (
     build_disjoint_batch,
     run_load,
 )
+from repro.streaming import DynamicGraph
 
 from helpers import forall, scan_evicts
 
@@ -446,6 +447,38 @@ class TestGatewayCaching:
         gateway.predict(3)
         # The ego-subgraph did not change with the weights.
         assert gateway.subgraph_cache.stats.hits >= 1
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_full_batch_of_cached_egos_served_after_publish(
+            self, factory, dataset, attached):
+        """A publish purges every result and keeps every ego, so the
+        re-asked batch reaches extraction with nothing left to extract —
+        an empty ``ego_subgraphs`` call, on the static graph and on an
+        attached overlay alike."""
+        registry = ModelRegistry()
+        registry.publish(factory(), trained_at_month=28)
+        gateway = make_gateway(factory, dataset, registry)
+        if attached:
+            dyn = DynamicGraph(dataset.graph, compact_threshold=None)
+            dyn.add_edge(0, 9, 1)
+            dyn.retire_edge(int(dataset.graph.src[0]), int(dataset.graph.dst[0]),
+                            int(dataset.graph.edge_types[0]))
+            gateway.attach_stream(dyn)
+        shops = np.arange(8)                    # one full batch
+        first = gateway.predict_many(shops)
+        misses = gateway.metrics.counter("subgraph_cache_misses")
+        assert misses == len(shops)
+        registry.publish(factory(), trained_at_month=29)
+        assert len(gateway.result_cache) == 0
+        second = gateway.predict_many(shops)
+        assert [r.model_version for r in second] == [2] * len(shops)
+        assert not any(r.cached for r in second)
+        assert gateway.metrics.counter("requests_failed") == 0
+        assert gateway.metrics.counter("subgraph_cache_misses") == misses
+        assert gateway.metrics.counter("subgraph_cache_hits") == len(shops)
+        for a, b in zip(first, second):         # same weights, same egos
+            np.testing.assert_array_equal(a.forecast, b.forecast)
+        gateway.close()
 
 
 class TestReplicaRouter:

@@ -165,6 +165,36 @@ class TestDynamicGraph:
         compacted = dyn.compact()
         assert compacted.num_nodes == 3 and compacted.num_edges == 2
 
+    def test_incident_edges_positions_are_the_compacted_order(self):
+        """Base edges answer at their base index (tombstones dropped with
+        their ``origin``), overlay edges at ``base.num_edges + slot``;
+        a grown node skips the base and ``origin`` still indexes the
+        array asked.  Sorted by position, the live answer is the
+        compacted graph's edge list."""
+        dyn = DynamicGraph(ESellerGraph(3, [0, 1, 0], [1, 2, 2], [0, 1, 2]),
+                           compact_threshold=None)
+        grown = dyn.add_shop()
+        dyn.add_edge(grown, 0, 1)         # slot 0 -> position 3
+        dyn.add_edge(0, 1, 2)             # slot 1 -> position 4, retired below
+        dyn.add_edge(0, grown, 0)         # slot 2 -> position 5
+        dyn.retire_edge(0, 1, 2)
+        dyn.retire_edge(0, 2, 2)          # base position 2
+        asked = np.array([grown, 0, 1, 0])
+        origin, position, other, types = dyn.incident_edges(asked, out=True)
+        rows = sorted(zip(origin.tolist(), position.tolist(),
+                          other.tolist(), types.tolist()))
+        assert rows == [(0, 3, 0, 1), (1, 0, 1, 0), (1, 5, grown, 0),
+                        (2, 1, 2, 1), (3, 0, 1, 0), (3, 5, grown, 0)]
+        origin, position, other, _ = dyn.incident_edges(asked, out=False)
+        assert sorted(zip(origin.tolist(), position.tolist(), other.tolist())) \
+            == [(0, 5, 0), (1, 3, grown), (2, 0, 0), (3, 3, grown)]
+        everyone = np.arange(dyn.num_nodes)
+        _, position, other, types = dyn.incident_edges(everyone, out=True)
+        order = np.argsort(position)
+        cold = dyn.compact()
+        assert np.array_equal(other[order], cold.dst)
+        assert np.array_equal(types[order], cold.edge_types)
+
     def test_out_of_range_edge_rejected(self):
         dyn = DynamicGraph(ESellerGraph(2, [], [], []))
         with pytest.raises(IndexError):
