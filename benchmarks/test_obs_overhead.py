@@ -19,7 +19,7 @@ gates on one synthetic marketplace:
 
 ``test_health_plane_degradation`` exercises the **active** health
 plane under a FakeClock: a healthy 40-round serving timeline must fire
-zero transitions, and three injected faults (slow replica, staleness
+zero transitions, and three injected faults (slow model, staleness
 creep, queue buildup) must each fire their matching alert within a
 bounded number of evaluation rounds, reproduce their transition
 sequence bitwise on re-run, and keep the plane's per-request cost
@@ -60,7 +60,13 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs import tracing as obs_tracing
-from repro.serving import GatewayConfig, LoadGenerator, ServingGateway, run_load
+from repro.serving import (
+    GatewayConfig,
+    LoadGenerator,
+    ServiceTimeModel,
+    ServingGateway,
+    run_load,
+)
 from repro.streaming import SalesTick, StreamingFeatureStore
 from repro.training import TrainConfig, Trainer
 
@@ -267,31 +273,10 @@ EVAL_CADENCE_SECONDS = 1.0
 #: scenario -> (matching transition (source, name, state), max rounds
 #: from fault injection to that transition).
 SCENARIO_EXPECTATIONS = {
-    "slow_replica": (("slo", "latency:page", "firing"), 10),
+    "slow_model": (("slo", "latency:page", "firing"), 10),
     "staleness_creep": (("probe", "streaming", "degraded"), 4),
     "queue_buildup": (("probe", "gateway", "degraded"), 6),
 }
-
-
-class _SlowModel:
-    """Model proxy whose forward advances the fake clock.
-
-    Under ``use_clock(FakeClock)`` every gateway timestamp comes from
-    the fake clock, so an ``advance`` inside the forward *is* the
-    replica's serving latency — injected, deterministic, and visible to
-    the latency histogram exactly like a genuinely slow replica."""
-
-    def __init__(self, inner, clock, delay):
-        self._inner = inner
-        self._clock = clock
-        self._delay = delay
-
-    def __call__(self, *args, **kwargs):
-        self._clock.advance(self._delay["value"])
-        return self._inner(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def _run_health_timeline(dataset, gaia_config, num_months, fault):
@@ -310,9 +295,11 @@ def _run_health_timeline(dataset, gaia_config, num_months, fault):
             config=GatewayConfig(max_batch_size=64, max_wait=1e9,
                                  result_cache_size=1),
         )
-        delay = {"value": 0.005}
-        for replica in gateway.router.replicas:
-            replica.model = _SlowModel(replica.model, clock, delay)
+        # Under use_clock(FakeClock) every gateway timestamp comes from
+        # the fake clock, so the advance inside each forward *is* the
+        # serving latency the histogram sees.
+        gateway.model = ServiceTimeModel(gateway.model, clock,
+                                         per_forward_s=0.005)
         store = StreamingFeatureStore(dataset.graph.num_nodes, num_months,
                                       watermark=0)
         month = {"value": 0}
@@ -344,8 +331,8 @@ def _run_health_timeline(dataset, gaia_config, num_months, fault):
         try:
             for rnd in range(HEALTH_ROUNDS):
                 faulty = fault is not None and rnd >= FAULT_ROUND
-                delay["value"] = 0.08 if (faulty and fault == "slow_replica") \
-                    else 0.005
+                gateway.model.per_forward_s = \
+                    0.08 if (faulty and fault == "slow_model") else 0.005
                 if faulty and fault == "queue_buildup":
                     # Traffic arrives faster than the batcher drains:
                     # park submits, skip the synchronous serves.
@@ -487,9 +474,9 @@ def test_health_plane_degradation(benchmark):
 
     # Bitwise-reproducible transition sequences under the same FakeClock.
     replay, _ = _run_health_timeline(dataset, gaia_config, num_months,
-                                     fault="slow_replica")
-    deterministic = replay == scenario_rows["slow_replica"][0]
-    assert deterministic, "re-running slow_replica changed the transitions"
+                                     fault="slow_model")
+    deterministic = replay == scenario_rows["slow_model"][0]
+    assert deterministic, "re-running slow_model changed the transitions"
 
     # Cost: full plane evaluation, amortised per request at a 1 Hz
     # evaluation cadence against the disabled serving p95.

@@ -17,7 +17,7 @@ equivalence check compares gateway vs sequential on the same weights.
 
 ``test_admission_fault_matrix`` is the admission plane's companion:
 four adversarial traffic scenarios (10x flash-sale spike, hot-key skew,
-diurnal wave, slow-drain replica) replayed through the deadline-aware
+diurnal wave, slow-drain server) replayed through the deadline-aware
 gateway under a ``FakeClock`` + simulated service times, each gated on
 per-class p95-within-budget, zero high-priority starvation, a bounded
 shed fraction and a bitwise-identical decision log on re-run.  It
@@ -179,18 +179,17 @@ def test_serving_throughput(benchmark):
 #: Per-class deadline budgets (seconds) every scenario declares.
 ADMISSION_BUDGETS = {"high": 0.03, "normal": 0.06, "low": 0.12}
 
-#: scenario name -> (generate_timed kwargs, replica service costs,
-#: max tolerated shed fraction).  Service cost tuples give the
-#: ``per_forward_s`` of each replica — the slow-drain scenario models
-#: one healthy and one degraded replica.
+#: scenario name -> (generate_timed kwargs, the model's simulated
+#: ``per_forward_s``, max tolerated shed fraction).  The slow-drain
+#: scenario is steady traffic on a degraded server: every forward
+#: costs twice the healthy 4 ms.
 ADMISSION_SCENARIOS = {
     "flash_sale": (dict(pattern="flash_sale", base_rps=400.0,
-                        spike_factor=10.0), (0.004,), 0.80),
+                        spike_factor=10.0), 0.004, 0.80),
     "hot_key": (dict(pattern="hot_key", base_rps=600.0,
-                     hot_fraction=0.8), (0.004,), 0.60),
-    "diurnal": (dict(pattern="diurnal", base_rps=700.0), (0.004,), 0.70),
-    "slow_drain": (dict(pattern="steady", base_rps=300.0),
-                   (0.004, 0.008), 0.50),
+                     hot_fraction=0.8), 0.004, 0.60),
+    "diurnal": (dict(pattern="diurnal", base_rps=700.0), 0.004, 0.70),
+    "slow_drain": (dict(pattern="steady", base_rps=300.0), 0.008, 0.50),
 }
 
 
@@ -202,16 +201,15 @@ class _ZeroForecastModel(Module):
         return Tensor(np.zeros((batch.num_shops, batch.horizon)))
 
 
-def _simulate_admission(dataset, requests, service_s):
+def _simulate_admission(dataset, requests, per_forward_s):
     """One deterministic replay: fresh gateway, fake clock, simulated
-    per-replica service times.  Returns (responses, decision log)."""
+    service time.  Returns (responses, decision log)."""
     clock = FakeClock()
     gateway = ServingGateway(
         _ZeroForecastModel, dataset,
         config=GatewayConfig(
             admission=True, max_batch_size=8, max_wait=0.01,
             max_queue_depth=32, default_deadline_s=0.05,
-            num_replicas=len(service_s),
             # A warm result cache would serve repeats for free and hide
             # the overload the scenarios inject; capacity 1 keeps every
             # admitted request on the simulated-service-time path.
@@ -220,11 +218,10 @@ def _simulate_admission(dataset, requests, service_s):
         clock=clock.now,
     )
     try:
-        for replica, per_forward in zip(gateway.router.replicas, service_s):
-            replica.model = ServiceTimeModel(
-                replica.model, clock,
-                per_forward_s=per_forward, per_row_s=0.0005,
-            )
+        gateway.model = ServiceTimeModel(
+            gateway.model, clock,
+            per_forward_s=per_forward_s, per_row_s=0.0005,
+        )
         responses = replay_timed(gateway, requests, clock)
         return responses, gateway.admission.decision_log()
     finally:
@@ -237,13 +234,15 @@ def test_admission_fault_matrix():
     generator = LoadGenerator(num_shops=dataset.test.num_shops, seed=23)
     scenario_rows = {}
     print()
-    for name, (gen_kwargs, service_s, max_shed) in ADMISSION_SCENARIOS.items():
+    for name, (gen_kwargs, per_forward_s,
+               max_shed) in ADMISSION_SCENARIOS.items():
         requests = generator.generate_timed(
             duration_s=1.0, deadline_by_priority=dict(ADMISSION_BUDGETS),
             **gen_kwargs)
-        responses, log = _simulate_admission(dataset, requests, service_s)
+        responses, log = _simulate_admission(dataset, requests,
+                                             per_forward_s)
         replayed, log_replay = _simulate_admission(dataset, requests,
-                                                   service_s)
+                                                   per_forward_s)
         report = admission_report(responses)
 
         # Gate: replaying the identical arrival sequence reproduces the
@@ -313,8 +312,8 @@ def test_admission_fault_matrix():
         )
 
     # The injected faults must actually bite: overload scenarios shed,
-    # and the degraded replica sheds more than the same steady traffic
-    # on healthy replicas would.
+    # and the degraded server sheds more than the same steady traffic
+    # on a healthy one would.
     assert scenario_rows["flash_sale"]["shed"] > 0
     assert scenario_rows["slow_drain"]["shed"] > 0
 

@@ -11,8 +11,8 @@ marketplace and appended to ``BENCH_streaming.json`` (override with
 2. **Retention** — under a mutation-heavy serving load, delta-aware
    invalidation retains at least ``MIN_RETENTION_RATIO``x more cache
    entries across mutation rounds than the wholesale-flush baseline
-   (``GatewayConfig(delta_invalidation=False)``), with a visibly higher
-   post-warmup hit rate.
+   (the same gateway with ``notify_graph_changed`` subscribed to every
+   mutation), with a visibly higher post-warmup hit rate.
 3. **Latency** — serving p95 with churn interleaved (delta overlay +
    delta invalidation) stays within ``MAX_P95_RATIO``x of the
    static-graph p95 on the same request stream.
@@ -159,9 +159,11 @@ def _measure_retention(factory, dataset, registry, simulator) -> dict:
         dyn = simulator.initial_dynamic_graph()
         gateway = ServingGateway(
             factory, dataset, registry,
-            GatewayConfig(max_batch_size=32, delta_invalidation=delta),
+            GatewayConfig(max_batch_size=32),
         )
         gateway.attach_stream(dyn)
+        if not delta:
+            dyn.subscribe(lambda touched: gateway.notify_graph_changed())
         generator = LoadGenerator(num_shops=dataset.test.num_shops, seed=7)
         working = generator.generate(
             "repeating", num_requests=STREAM_REQUESTS,

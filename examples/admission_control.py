@@ -48,17 +48,15 @@ def build_gateway(dataset, clock):
             max_wait=0.01,
             max_queue_depth=32,
             default_deadline_s=0.05,
-            shed_retry_after_s=0.02,
             # Keep every request on the (simulated) service path so the
             # spike actually pressures the queue instead of the cache.
             result_cache_size=1,
         ),
         clock=clock.now,
     )
-    for replica in gateway.router.replicas:
-        replica.model = ServiceTimeModel(
-            replica.model, clock, per_forward_s=0.004, per_row_s=0.0005,
-        )
+    gateway.model = ServiceTimeModel(
+        gateway.model, clock, per_forward_s=0.004, per_row_s=0.0005,
+    )
     return gateway
 
 

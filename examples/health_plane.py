@@ -12,7 +12,7 @@ watches the plane catch it:
 * **Health server** — gateway + streaming probes aggregated into one
   liveness/readiness report with flip transitions.
 * **Flight recorder** — bounded rings of recent metric samples and
-  transitions; when the injected slow replica fires the page alert,
+  transitions; when the injected slow model fires the page alert,
   the recorder dumps a JSON diagnostic bundle of the incident.
 
 Everything runs under a :class:`~repro.obs.FakeClock`, so the whole
@@ -41,25 +41,8 @@ from repro.obs import (
     streaming_probe,
     use_clock,
 )
-from repro.serving import GatewayConfig, ServingGateway
+from repro.serving import GatewayConfig, ServiceTimeModel, ServingGateway
 from repro.streaming import SalesTick, StreamingFeatureStore
-
-
-class SlowableModel:
-    """Model proxy whose forward advances the fake clock — under
-    ``use_clock(FakeClock)`` that *is* the replica's serving latency."""
-
-    def __init__(self, inner, clock):
-        self._inner = inner
-        self._clock = clock
-        self.delay = 0.005
-
-    def __call__(self, *args, **kwargs):
-        self._clock.advance(self.delay)
-        return self._inner(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def main() -> None:
@@ -81,10 +64,10 @@ def main() -> None:
             (lambda: Gaia(config, seed=0)), dataset,
             config=GatewayConfig(max_batch_size=16, result_cache_size=1),
         )
-        models = [SlowableModel(r.model, clock)
-                  for r in gateway.router.replicas]
-        for replica, model in zip(gateway.router.replicas, models):
-            replica.model = model
+        # Each forward advances the fake clock — under
+        # use_clock(FakeClock) that *is* the serving latency.
+        gateway.model = ServiceTimeModel(gateway.model, clock,
+                                         per_forward_s=0.005)
         store = StreamingFeatureStore(dataset.graph.num_nodes,
                                       market.config.num_months, watermark=0)
 
@@ -108,14 +91,13 @@ def main() -> None:
         server.register("gateway", gateway_probe(gateway))
         server.register("streaming", streaming_probe(store))
 
-        # --- healthy cruise, then a replica degrades ------------------
+        # --- healthy cruise, then the model degrades ------------------
         print("=== timeline (one round = 1 fake minute) ===")
         month = 0
         for rnd in range(30):
             if rnd == 15:
-                for model in models:
-                    model.delay = 0.08      # the incident: 80 ms forwards
-                print(f"[{rnd:02d}] >>> replica degrades: "
+                gateway.model.per_forward_s = 0.08   # the incident
+                print(f"[{rnd:02d}] >>> model degrades: "
                       "forwards now take 80 ms")
             for k in range(4):
                 gateway.predict((rnd * 4 + k) % dataset.test.num_shops)

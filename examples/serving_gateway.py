@@ -4,8 +4,8 @@ Builds on the online deployment scenario: the monthly pipeline publishes
 Gaia versions to the model registry, then a :class:`ServingGateway`
 serves a heavy, skewed request stream in front of the model — requests
 coalesce into node-disjoint micro-batches (one forward per batch),
-repeated shops hit the LRU result cache, and two replicas share the
-load with hot weight swaps on every publish.  The same stream is also
+repeated shops hit the LRU result cache, and every publish hot-swaps
+the model's weights whole.  The same stream is also
 replayed through the classic sequential ``OnlineModelServer`` so the
 speedup and the numerical equivalence are both visible.
 
@@ -42,12 +42,12 @@ def main() -> None:
           f"(val MAE {run.val_mae:,.0f})")
     dataset = run.dataset
 
-    # --- Gateway setup: 2 replicas, batch up to 32 requests ------------
+    # --- Gateway setup: batch up to 32 requests ------------------------
     gateway = ServingGateway(
         model_factory=lambda: gaia_factory(dataset),
         dataset=dataset,
         registry=pipeline.registry,
-        config=GatewayConfig(max_batch_size=32, num_replicas=2),
+        config=GatewayConfig(max_batch_size=32),
     )
 
     # --- Load generation: skewed traffic with a hot working set --------
@@ -86,17 +86,15 @@ def main() -> None:
     print(f"\ncache hit rate:  {metrics['cache_hit_rate']:.2%}")
     print(f"batch occupancy: {metrics['batch_occupancy']:.2%} "
           f"of max_batch_size={gateway.config.max_batch_size}")
-    for replica in metrics["replicas"]:
-        print(f"  {replica['replica_id']}: v{replica['version']}, "
-              f"{replica['served_requests']} requests in "
-              f"{replica['served_batches']} batches")
+    print(f"serving v{metrics['serving_version']}: "
+          f"{metrics['counters']['batches_total']:.0f} batches forwarded")
 
-    # --- Hot swap: a new publish refreshes replicas mid-traffic --------
+    # --- Hot swap: a new publish refreshes the weights mid-traffic -----
     print("\nretraining + publishing v2 (hot swap)...")
     run2 = pipeline.run_month(market.config.num_months - 3)
     response = gateway.predict(int(stream[0]))
-    print(f"first request after publish: served by {response.replica_id} "
-          f"on v{response.model_version} (cached={response.cached})")
+    print(f"first request after publish: served on "
+          f"v{response.model_version} (cached={response.cached})")
     assert response.model_version == run2.version.version
 
 

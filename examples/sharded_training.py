@@ -10,9 +10,8 @@ scale-out path on a synthetic marketplace:
    ``ParallelTrainer`` in deterministic sim mode, and (on multi-core
    hosts) ``ParallelTrainer`` with one OS process per shard — and show
    the loss trajectories agree to ~1e-15 while wall-clock drops;
-3. run the monthly pipeline with ``n_shards=4`` and route serving
-   traffic by partition owner so each replica keeps one shard's
-   ego-subgraphs hot in cache.
+3. run the monthly pipeline with ``n_shards=4`` and publish the
+   sharded-trained model to the registry.
 
 Run:
     python examples/sharded_training.py
@@ -28,7 +27,6 @@ from repro.data import build_dataset
 from repro.deploy import MonthlyPipeline
 from repro.experiments import benchmark_marketplace_config
 from repro.partition import partition_graph
-from repro.serving import GatewayConfig, ServingGateway
 from repro.training import ParallelTrainer
 
 
@@ -86,7 +84,7 @@ def main() -> None:
         print(f"4 shards (process): {proc_seconds:.1f}s "
               f"({seq_seconds / proc_seconds:.2f}x)")
 
-    # --- 3. Sharded monthly pipeline + partition-affine serving --------
+    # --- 3. Sharded monthly pipeline -----------------------------------
     pipeline = MonthlyPipeline(
         market, gaia_factory,
         TrainConfig(epochs=12, patience=6, learning_rate=7e-3),
@@ -96,25 +94,6 @@ def main() -> None:
     print(f"\npipeline month {run.month}: published v{run.version.version} "
           f"(val MAE {run.val_mae:,.0f}) trained on "
           f"{run.partition.num_partitions} shards")
-
-    gateway = ServingGateway(
-        model_factory=lambda: gaia_factory(run.dataset),
-        dataset=run.dataset,
-        registry=pipeline.registry,
-        config=GatewayConfig(max_batch_size=32, num_replicas=2,
-                             routing="partition"),
-        partition_map=run.partition,
-    )
-    shops = np.arange(0, run.dataset.graph.num_nodes, 7)
-    responses = gateway.predict_many(shops)
-    by_replica = {}
-    for response in responses:
-        owner = int(run.partition.assignment[response.shop_index])
-        by_replica.setdefault(response.replica_id, set()).add(owner)
-    print("partition-affine routing: "
-          + ", ".join(f"{rid} serves partitions {sorted(owners)}"
-                      for rid, owners in sorted(by_replica.items())))
-    gateway.close()
 
 
 if __name__ == "__main__":

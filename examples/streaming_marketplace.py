@@ -76,8 +76,7 @@ def main() -> None:
         model_factory=lambda: gaia_factory(dataset),
         dataset=dataset,
         registry=pipeline.registry,
-        config=GatewayConfig(max_batch_size=32, num_replicas=2,
-                             max_staleness_months=1),
+        config=GatewayConfig(max_batch_size=32, max_staleness_months=1),
     )
     gateway.attach_stream(dynamic_graph, store=store)
 

@@ -39,7 +39,8 @@ Subpackages
 ``repro.serving``
     Serving at scale: the high-throughput gateway — micro-batched
     node-disjoint ego-subgraph scoring, LRU subgraph/result caches,
-    replica routing with hot model swaps, metrics, load generation.
+    whole-model hot swaps on publish, admission, metrics, load
+    generation.
 ``repro.streaming``
     Streaming marketplace: replayable event log, delta-overlay
     :class:`~repro.streaming.DynamicGraph` with compaction equal to a
@@ -55,7 +56,7 @@ Wrap any trained model (or a :class:`~repro.deploy.model_server.ModelRegistry`)
 in a :class:`~repro.serving.ServingGateway` to serve heavy request
 traffic: concurrent per-shop requests coalesce into one model forward
 per micro-batch, repeated requests hit an LRU result cache invalidated
-on model publishes, and replicas hot-swap weights without dropping
+on model publishes, and the model hot-swaps weights without dropping
 requests — all while producing forecasts numerically equal to the
 sequential :class:`~repro.deploy.OnlineModelServer` path.  See
 ``examples/serving_gateway.py``.

@@ -8,12 +8,11 @@ ego-subgraph, one model forward.  For heavy traffic, put the
 :class:`~repro.serving.gateway.ServingGateway` (package
 :mod:`repro.serving`) in front: it micro-batches concurrent requests
 into node-disjoint unions of ego-subgraphs, caches subgraphs and
-finished forecasts in LRU planes, and shards across hot-swappable model
-replicas fed by this package's :class:`ModelRegistry` — the registry's
-``subscribe``/``publish`` hooks keep replica weights and caches
-consistent.  :meth:`OnlineModelServer.attach_gateway` turns the classic
-server into a thin client of that layer without changing its API or its
-numerics.
+finished forecasts in LRU planes, and scores them with one model fed by
+this package's :class:`ModelRegistry` — the registry's
+``subscribe``/``publish`` hooks keep its weights and caches consistent.
+:class:`OnlineModelServer` stays what the gateway is tested against:
+the sequential numerics reference.
 """
 
 from .model_server import ModelRegistry, ModelVersion

@@ -8,8 +8,8 @@ versioned registry populated by the offline training pipeline.
 Serving at scale: the registry is also the coordination point for hot
 model swaps — the :class:`~repro.serving.gateway.ServingGateway`
 subscribes via :meth:`ModelRegistry.subscribe`, and every ``publish``
-triggers replica weight reloads plus result-cache invalidation without
-dropping in-flight requests.
+triggers a whole-model weight reload plus result-cache invalidation
+without dropping parked requests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class ModelVersion:
 
     ``state`` is the canonical float64 snapshot; :meth:`state_for`
     returns the precision-cast twin a serving backend loads
-    (``"float32"`` replicas avoid a per-reload cast because
+    (a ``"float32"`` gateway avoids a per-reload cast because
     :meth:`ModelRegistry.publish` precomputes the twin once).
     """
 
@@ -77,8 +77,8 @@ class ModelRegistry:
         The stored state is deep-copied here rather than trusting
         ``state_dict`` implementations to copy, so continued training of
         ``model`` can never mutate an already-published version.  A
-        float32-cast twin is precomputed so ``float32`` serving replicas
-        reload without a per-replica cast.  Subscribers are notified
+        float32-cast twin is precomputed so ``float32`` serving models
+        reload without a cast of their own.  Subscribers are notified
         after the version is queryable.
         """
         version = ModelVersion(
@@ -112,7 +112,7 @@ class ModelRegistry:
     def health(self) -> Dict[str, object]:
         """Registry liveness view for the health plane.
 
-        A registry with zero versions cannot serve (every replica load
+        A registry with zero versions cannot serve (every weight load
         would fail), so ``servable`` gates liveness in
         :func:`repro.obs.health.registry_probe`.
         """
@@ -146,7 +146,7 @@ class ModelRegistry:
         ``precision`` selects which cast twin to hand to
         ``load_state_dict`` (the load itself re-casts to each
         parameter's dtype, so this is a copy-avoidance hint for
-        ``float32`` replicas, not a correctness knob).
+        ``float32`` serving, not a correctness knob).
         """
         record = self.latest() if version is None else self.get(version)
         model.load_state_dict(record.state_for(precision))

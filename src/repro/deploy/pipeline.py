@@ -13,9 +13,8 @@ with the data-parallel
 :class:`~repro.training.parallel.ParallelTrainer` instead of the
 sequential trainer — numerically equivalent, but each worker touches
 only its shard.  The run's :class:`~repro.partition.partition.GraphPartition`
-is kept on the :class:`PipelineRun` so the serving tier can route
-requests by partition owner
-(:class:`~repro.serving.router.ReplicaRouter` ``policy="partition"``).
+is kept on the :class:`PipelineRun` for inspection (cut fraction, halo
+sizes).
 """
 
 from __future__ import annotations
@@ -192,10 +191,3 @@ class MonthlyPipeline:
         registry's version numbering reflects execution order.
         """
         return [self.run_month(m) for m in sorted(months)]
-
-    def latest_partition(self) -> Optional[GraphPartition]:
-        """Most recent run's graph partition (``None`` when unsharded)."""
-        for run in reversed(self.runs):
-            if run.partition is not None:
-                return run.partition
-        return None

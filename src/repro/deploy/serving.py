@@ -8,12 +8,11 @@
   paper's linear-scaling claim can be checked.
 
 Serving at scale: :class:`OnlineModelServer` is the *sequential*
-reference path.  Attach a :class:`~repro.serving.gateway.ServingGateway`
-(``server.attach_gateway(gateway)``) and the server becomes a thin
-client of the gateway layer — requests are micro-batched, cached and
-routed across replicas while keeping this class's API and numerics.
-The request log is a bounded ring buffer (``max_log`` entries) so a
-long-running server's memory never grows with traffic.
+reference path — one request, one ego-subgraph, one forward — that the
+micro-batching :class:`~repro.serving.gateway.ServingGateway` is tested
+to match numerically.  The request log is a bounded ring buffer
+(``max_log`` entries) so a long-running server's memory never grows
+with traffic.
 """
 
 from __future__ import annotations
@@ -85,20 +84,6 @@ class OnlineModelServer:
         self.hops = hops
         self.request_log: Deque[PredictionResponse] = deque(maxlen=max_log)
         self.total_requests = 0
-        self.gateway = None
-
-    def attach_gateway(self, gateway) -> None:
-        """Become a thin client of a :class:`~repro.serving.gateway.ServingGateway`.
-
-        Default-batch requests are then delegated — micro-batched,
-        cached and replica-routed — while explicit ``batch`` overrides
-        keep using the local sequential path.
-        """
-        if gateway is not None and gateway.config.hops != self.hops:
-            raise ValueError(
-                f"gateway hops ({gateway.config.hops}) != server hops ({self.hops})"
-            )
-        self.gateway = gateway
 
     def _log(self, response: PredictionResponse) -> PredictionResponse:
         self.request_log.append(response)
@@ -130,24 +115,13 @@ class OnlineModelServer:
 
         Extracts the shop's ``hops``-hop ego-subgraph, slices the batch
         to those nodes, runs the model on the subgraph only, and
-        returns the center node's raw-unit forecast.  With a gateway
-        attached (and no explicit ``batch``), the request goes through
-        the batching/caching/routing layer instead.
+        returns the center node's raw-unit forecast.
         """
-        if self.gateway is not None and batch is None:
-            return self._log(self.gateway.predict(shop_index))
         return self._predict_local(shop_index, batch)
 
     def predict_many(self, shop_indices: np.ndarray,
                      batch: Optional[InstanceBatch] = None) -> List[PredictionResponse]:
-        """Serve a stream of requests (throughput probe).
-
-        Sequential scoring by default; with a gateway attached the
-        stream is coalesced into micro-batches.
-        """
-        if self.gateway is not None and batch is None:
-            responses = self.gateway.predict_many(np.asarray(shop_indices))
-            return [self._log(r) for r in responses]
+        """Serve a stream of requests one by one (throughput probe)."""
         return [self._predict_local(int(i), batch) for i in np.asarray(shop_indices)]
 
     def latency_summary(self) -> Dict[str, float]:

@@ -22,7 +22,7 @@ Two backends are registered:
 
 ``float32``
     The serving backend: half the memory traffic and measurably faster
-    GEMMs for inference forwards, selected per replica through
+    GEMMs for inference forwards, selected per gateway through
     ``GatewayConfig(precision="float32")``.  Its accuracy budget —
     :data:`FLOAT32_ACCURACY_BUDGET`, the maximum relative forecast
     deviation vs the float64 path — is gated in
@@ -33,8 +33,8 @@ Example::
     from repro.nn import engine
 
     with engine.use_backend("float32"):
-        replica_model = build_model()          # float32 parameters
-        forecast = replica_model(batch, graph) # float32 forward
+        serving_model = build_model()          # float32 parameters
+        forecast = serving_model(batch, graph) # float32 forward
 
 Backends nest like any context manager and restore the previous backend
 on exit; :func:`active_backend` / :func:`active_dtype` read the current

@@ -143,7 +143,7 @@ _STATS_LOCK = threading.Lock()
 
 
 def _bump(key: str, amount: int = 1) -> None:
-    # Gateway replica threads and trainer threads bump concurrently;
+    # Gateway pump threads and trainer threads bump concurrently;
     # dict read-modify-write is not atomic, so serialise under a lock.
     with _STATS_LOCK:
         _STATS[key] = _STATS.get(key, 0) + amount

@@ -132,7 +132,9 @@ class Module:
 
         Values are cast to each parameter's existing dtype, so a model
         built under ``engine.use_backend("float32")`` loads a float64
-        checkpoint into float32 parameters (and vice versa).
+        checkpoint into float32 parameters (and vice versa).  Every
+        name and shape is checked before anything is assigned: a load
+        that raises leaves the module exactly as it was.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
@@ -142,12 +144,13 @@ class Module:
                 f"state mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
             )
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
+            shape = np.shape(state[name])
+            if shape != param.data.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
+                    f"shape mismatch for {name}: expected {param.data.shape}, got {shape}"
                 )
-            param.data = value.copy()
+        for name, param in own.items():
+            param.data = np.asarray(state[name], dtype=param.data.dtype).copy()
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

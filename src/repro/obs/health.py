@@ -3,7 +3,7 @@
 Each subsystem answers two questions, Kubernetes-style:
 
 * **live** — is the component structurally able to do its job at all
-  (a gateway with zero replicas, a closed journal)?  A dead probe
+  (a registry with no version, a closed journal)?  A dead probe
   means restart/rebuild, not wait.
 * **ready** — should traffic/flow be routed at it *right now* (queue
   depth within bound, watermark lag acceptable, checkpoint recent)?
@@ -169,7 +169,11 @@ class HealthServer:
 def gateway_probe(gateway, max_queue_depth: Optional[int] = None,
                   max_shed_rate: Optional[float] = None
                   ) -> Callable[[], ProbeResult]:
-    """Serving-gateway probe: live = ≥1 replica, ready = queue in bound.
+    """Serving-gateway probe: always live, ready = queue in bound.
+
+    A constructed gateway owns its model, so nothing it can observe
+    makes it structurally dead; an unservable registry is the registry
+    probe's verdict.
 
     ``max_queue_depth`` defaults to four full micro-batches — deep
     enough that the batcher can be mid-drain, shallow enough that a
@@ -183,16 +187,12 @@ def gateway_probe(gateway, max_queue_depth: Optional[int] = None,
         max_queue_depth = 4 * gateway.config.max_batch_size
 
     def probe() -> ProbeResult:
-        replicas = len(gateway.router.replicas)
         depth = gateway.queue_depth()
-        live = replicas > 0
         reasons = []
-        if not live:
-            reasons.append("no replicas available")
         if depth > max_queue_depth:
             reasons.append(
                 f"queue depth {depth} exceeds bound {max_queue_depth}")
-        details = {"replicas": float(replicas), "queue_depth": float(depth),
+        details = {"queue_depth": float(depth),
                    "max_queue_depth": float(max_queue_depth)}
         if max_shed_rate is not None:
             shed_rate = float(getattr(gateway, "shed_rate", lambda: 0.0)())
@@ -200,10 +200,9 @@ def gateway_probe(gateway, max_queue_depth: Optional[int] = None,
             if shed_rate > max_shed_rate:
                 reasons.append(
                     f"shed rate {shed_rate:.3f} exceeds {max_shed_rate:.3f}")
-        ready = live and not reasons
         return ProbeResult(
-            "gateway", live=live, ready=ready, reason="; ".join(reasons),
-            details=details,
+            "gateway", live=True, ready=not reasons,
+            reason="; ".join(reasons), details=details,
         )
 
     return probe

@@ -14,10 +14,8 @@ into ``k`` balanced shards with explicit halo (ghost-node) sets:
   sets sized so each shard extracts complete ``k``-hop ego-subgraphs
   locally, and quality metrics (edge cut, balance, halo overhead).
 
-Downstream consumers: :class:`~repro.training.parallel.ParallelTrainer`
-trains one worker per shard with synchronous gradient averaging, and
-:class:`~repro.serving.router.ReplicaRouter` can route requests by
-partition owner (``policy="partition"``) for partition-affine serving.
+Downstream consumer: :class:`~repro.training.parallel.ParallelTrainer`
+trains one worker per shard with synchronous gradient averaging.
 
 Quickstart::
 

@@ -49,7 +49,7 @@ class Partition:
     partition_id:
         Shard index in ``0..num_partitions-1``.
     owned:
-        Sorted node indices this shard owns (loss / labels / routing).
+        Sorted node indices this shard owns (loss / labels).
     halo:
         Sorted ghost nodes — within ``halo_hops`` of ``owned`` but owned
         elsewhere.  Read-only context for message passing.

@@ -11,10 +11,11 @@ heavy traffic:
   ``pump`` / ``flush`` serve due batches (full, ``max_wait`` elapsed,
   or a deadline at risk; drained earliest-deadline-first within strict
   priority), and ``predict`` / ``predict_many`` run that loop to
-  completion.  Batches route across hot-swappable model replicas and
-  are scored as node-disjoint unions of ego-subgraphs — one model
-  forward per micro-batch instead of one per request, numerically equal
-  to the sequential path.
+  completion.  A drained batch is scored as one node-disjoint union of
+  ego-subgraphs by the gateway's one model — one forward per
+  micro-batch instead of one per request, numerically equal to the
+  sequential path — and a registry publish swaps that model's weights
+  whole (``gateway.model`` / ``gateway.model_version``).
 * :class:`~repro.serving.cache.SubgraphCache` /
   :class:`~repro.serving.cache.ResultCache` — LRU planes for extracted
   ego-subgraphs and finished forecasts (per model version), invalidated
@@ -27,9 +28,6 @@ heavy traffic:
   and results also expire on **data freshness**: forecasts whose egos
   received fresher sales ticks are stale-tagged or evicted per
   ``GatewayConfig(max_staleness_months=...)``.
-* :class:`~repro.serving.router.ReplicaRouter` — rendezvous-hash or
-  least-loaded sharding over N replicas with hot model swaps that never
-  drop requests.
 * :class:`~repro.serving.metrics.MetricsRegistry` — QPS, batch
   occupancy, cache hit rate, p50/p95/p99 latency.
 * :class:`~repro.serving.loadgen.LoadGenerator` / :func:`~repro.serving.loadgen.run_load`
@@ -46,7 +44,7 @@ heavy traffic:
   :func:`~repro.serving.loadgen.replay_timed` +
   :class:`~repro.serving.loadgen.ServiceTimeModel` simulate
   adversarial traffic (flash-sale spike, hot-key shop, diurnal wave,
-  slow-drain replica) deterministically under a ``FakeClock``.
+  slow-drain server) deterministically under a ``FakeClock``.
 
 Quickstart::
 
@@ -56,7 +54,7 @@ Quickstart::
         model_factory=lambda: gaia_factory(dataset),
         dataset=dataset,
         registry=pipeline.registry,                 # hot swaps on publish
-        config=GatewayConfig(max_batch_size=32, num_replicas=2),
+        config=GatewayConfig(max_batch_size=32),
     )
     responses = gateway.predict_many(shop_indices)  # == sequential path
     print(gateway.metrics_report())
@@ -86,7 +84,6 @@ from .loadgen import (
     run_load,
 )
 from .metrics import MetricsRegistry, RollingWindow
-from .router import ModelReplica, ReplicaRouter
 
 __all__ = [
     "ServingGateway",
@@ -105,8 +102,6 @@ __all__ = [
     "SubgraphCache",
     "ResultCache",
     "CachedResult",
-    "ReplicaRouter",
-    "ModelReplica",
     "MetricsRegistry",
     "RollingWindow",
     "LoadGenerator",

@@ -91,11 +91,14 @@ class AdmissionController:
     (``at``), making the full decision log deterministic under a
     :class:`~repro.obs.clock.FakeClock`.  ``max_queue_depth`` and
     ``default_deadline_s`` may be ``inf``: a queue that never refuses
-    and requests that never expire.
+    and requests that never expire.  ``shed_retry_after_s`` is the base
+    client back-off hint on shed responses
+    (``GatewayResponse.retry_after_s``), scaled by :meth:`retry_after`.
     """
 
     def __init__(self, max_queue_depth: float, default_deadline_s: float,
-                 shed_retry_after_s: float, max_decisions: int = 8192) -> None:
+                 shed_retry_after_s: float = 0.02,
+                 max_decisions: int = 8192) -> None:
         if max_queue_depth <= 0:
             raise ValueError(
                 f"max_queue_depth must be positive, got {max_queue_depth}"

@@ -1,6 +1,6 @@
 """LRU caches for the serving gateway.
 
-Two cache planes sit in front of the model replicas:
+Two cache planes sit in front of the gateway's model:
 
 * :class:`SubgraphCache` — extracted ego-subgraphs keyed on
   ``(shop_index, hops)``.  Invalidated either wholesale (graph epoch

@@ -1,4 +1,4 @@
-"""The serving gateway: micro-batching + caching + replica routing.
+"""The serving gateway: micro-batching + caching in front of one model.
 
 :class:`ServingGateway` is the production-style front door for real-time
 GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
@@ -8,18 +8,19 @@ GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
 2. **micro-batcher** — misses park until a batch is due: ``max_batch_size``
    requests accumulated, the oldest waited ``max_wait`` seconds, or a
    parked deadline is at risk;
-3. **replica router** — the drained batch is partitioned across model
-   replicas (rendezvous hash or least-loaded);
-4. **node-disjoint forward** — each replica's share is stitched into one
-   block-diagonal graph (subgraph extractions memoised in an LRU keyed
-   per graph epoch) and scored with a single model forward whose per-
-   center outputs equal the sequential per-request path bit-for-bit.
+3. **node-disjoint forward** — the drained batch's misses, coalesced by
+   shop, are stitched into one block-diagonal graph (subgraph
+   extractions memoised in an LRU keyed per graph epoch) and scored
+   with a single forward of the gateway's one model, whose per-center
+   outputs equal the sequential per-request path bit-for-bit.
 
-The gateway subscribes to the :class:`~repro.deploy.model_server.ModelRegistry`:
-a publish triggers a hot weight swap on every replica and purges result
-cache entries from superseded versions.  ``notify_graph_changed`` does
-the same for opaque graph mutations (new shops / edges with unknown
-blast radius).
+The gateway owns one model (``gateway.model``) at one
+``gateway.model_version`` and subscribes to the
+:class:`~repro.deploy.model_server.ModelRegistry`: a publish loads the
+new weights into it whole (a load that cannot complete changes nothing)
+and purges result cache entries from superseded versions.
+``notify_graph_changed`` flushes both cache planes for opaque graph
+mutations (new shops / edges with unknown blast radius).
 
 Streaming: :meth:`ServingGateway.attach_stream` plugs the gateway into
 a live :class:`~repro.streaming.dynamic_graph.DynamicGraph` — requests
@@ -43,8 +44,8 @@ staleness tag (``GatewayResponse.stale`` /
 ``GatewayResponse.staleness_months``).  All traffic is accounted in a
 :class:`~repro.serving.metrics.MetricsRegistry`.
 
-One serving path, whoever calls (bulk ``predict_many``, the thin-client
-:class:`~repro.deploy.serving.OnlineModelServer`, an open-loop worker):
+One serving path, whoever calls (bulk ``predict_many``, an open-loop
+worker):
 :meth:`ServingGateway.submit` is *pure admission* (see
 :mod:`repro.serving.admission`) — the request gets a **priority class**
 and an absolute **deadline** (``submit(shop, priority="high",
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +98,6 @@ from .batching import (
 )
 from .cache import ResultCache, SubgraphCache
 from .metrics import MetricsRegistry
-from .router import ModelReplica, ReplicaRouter
 
 __all__ = ["GatewayConfig", "GatewayResponse", "ServingGateway"]
 
@@ -111,21 +111,13 @@ class GatewayConfig:
     max_wait: float = 0.005
     subgraph_cache_size: int = 2048
     result_cache_size: int = 8192
-    num_replicas: int = 1
-    routing: str = "hash"  # "hash" | "load" | "partition" (needs partition_map)
-    #: Execution backend replica models run under — any key of
+    #: Execution backend the model is built and run under — any key of
     #: ``repro.nn.engine.BACKENDS``.  ``"float64"`` (default) serves the
-    #: exact training-precision forward; ``"float32"`` halves replica
-    #: memory traffic at a documented accuracy budget
+    #: exact training-precision forward; ``"float32"`` halves the
+    #: forward's memory traffic at a documented accuracy budget
     #: (``engine.FLOAT32_ACCURACY_BUDGET``; responses are cast back to
     #: float64 at the gateway boundary either way).
     precision: str = "float64"
-    metrics_window: int = 4096
-    #: With an attached stream, invalidate caches delta-aware (evict
-    #: only entries intersecting each mutation's touched frontier).
-    #: ``False`` falls back to wholesale flushes per mutation — the
-    #: pre-streaming behaviour, kept as the benchmark baseline.
-    delta_invalidation: bool = True
     #: Data-freshness budget for cached forecasts (needs a feature
     #: store attached via ``attach_stream(dyn, store=...)``).  ``None``
     #: disables freshness accounting (topology-only expiry, the
@@ -151,10 +143,6 @@ class GatewayConfig:
     #: request, or is itself shed (``GatewayResponse.shed``) when nothing
     #: lower is parked.  Must be at least ``max_batch_size``.
     max_queue_depth: int = 256
-    #: Base client back-off hint attached to shed responses
-    #: (``GatewayResponse.retry_after_s``); scaled up to 2x with queue
-    #: pressure so synchronized retry waves spread out.
-    shed_retry_after_s: float = 0.02
 
     def validate(self) -> None:
         """Reject inconsistent settings early."""
@@ -163,10 +151,6 @@ class GatewayConfig:
         if self.max_batch_size <= 0:
             raise ValueError(
                 f"max_batch_size must be positive, got {self.max_batch_size}"
-            )
-        if self.num_replicas <= 0:
-            raise ValueError(
-                f"num_replicas must be positive, got {self.num_replicas}"
             )
         if self.precision not in engine.BACKENDS:
             raise ValueError(
@@ -183,11 +167,6 @@ class GatewayConfig:
             raise ValueError(
                 f"default_deadline_s must be positive, "
                 f"got {self.default_deadline_s}"
-            )
-        if self.shed_retry_after_s < 0:
-            raise ValueError(
-                f"shed_retry_after_s must be non-negative, "
-                f"got {self.shed_retry_after_s}"
             )
         if self.admission and self.max_queue_depth < self.max_batch_size:
             raise ValueError(
@@ -213,7 +192,6 @@ class GatewayResponse(PredictionResponse):
     """
 
     cached: bool = False
-    replica_id: str = ""
     model_version: int = 0
     batch_size: int = 1
     stale: bool = False
@@ -229,22 +207,18 @@ class ServingGateway:
     Parameters
     ----------
     model_factory:
-        Zero-argument callable building a registry-compatible model;
-        one instance is created per replica.
+        Zero-argument callable building a registry-compatible model.
+        Called once, under ``engine.use_backend(config.precision)``, so
+        a float32 gateway holds float32 parameters; the instance is
+        :attr:`model`.
     dataset:
         The serving snapshot; forecasts run against ``dataset.test``
         (override via ``source_batch``) and ``dataset.graph``.
     registry:
-        Optional model registry.  When given, replicas load its latest
-        weights immediately and every later ``publish`` hot-swaps them.
-    partition_map:
-        Node → partition assignment (array or
-        :class:`~repro.partition.partition.GraphPartition`) enabling
-        ``routing="partition"``: all shops of one graph partition are
-        scored by the same replica.  (This gateway's subgraph/result
-        caches are shared across replicas; the affinity pays off for
-        deployments whose replicas hold private caches, and here keeps
-        each partition's work on one model instance.)
+        Optional model registry.  When given, the model loads its latest
+        weights immediately and every later ``publish`` hot-swaps them;
+        :attr:`model_version` is the version now serving (0 = the
+        factory's own weights).
     """
 
     def __init__(
@@ -254,7 +228,6 @@ class ServingGateway:
         registry: Optional[ModelRegistry] = None,
         config: Optional[GatewayConfig] = None,
         source_batch: Optional[InstanceBatch] = None,
-        partition_map=None,
         clock=None,
     ) -> None:
         self.config = config or GatewayConfig()
@@ -266,14 +239,12 @@ class ServingGateway:
         # latency percentiles and rolling QPS all move under a FakeClock.
         clock = clock or obs_clock.now
         self._clock = clock
-        self.router = ReplicaRouter(
-            model_factory,
-            registry=registry,
-            num_replicas=self.config.num_replicas,
-            policy=self.config.routing,
-            partition_map=partition_map,
-            precision=self.config.precision,
-        )
+        with engine.use_backend(self.config.precision):
+            self.model = model_factory()
+        self.model_version = 0
+        if registry is not None and registry.num_versions:
+            self.model_version = registry.load_into(
+                self.model, precision=self.config.precision).version
         self.batcher = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
             max_wait=self.config.max_wait,
@@ -287,14 +258,12 @@ class ServingGateway:
                              else math.inf),
             default_deadline_s=(self.config.default_deadline_s if bounded
                                 else math.inf),
-            shed_retry_after_s=self.config.shed_retry_after_s,
         )
         self.subgraph_cache = SubgraphCache(self.config.subgraph_cache_size)
         self.result_cache = ResultCache(self.config.result_cache_size)
-        self.metrics = MetricsRegistry(window=self.config.metrics_window,
-                                       clock=clock)
+        # 4096 samples per rolling distribution (latency, batch size, QPS).
+        self.metrics = MetricsRegistry(window=4096, clock=clock)
         self._stream_graph = None
-        self._stream_callback = None
         self._data_store = None
         self._data_frontier = -1
         self._ticks_seen = 0
@@ -332,9 +301,8 @@ class ServingGateway:
             self.registry.unsubscribe(self._on_publish)
             self._subscribed = False
         if self._stream_graph is not None:
-            self._stream_graph.unsubscribe(self._stream_callback)
+            self._stream_graph.unsubscribe(self.notify_graph_delta)
             self._stream_graph = None
-            self._stream_callback = None
         if self._data_store is not None:
             self._data_store.unsubscribe(self._on_ticks)
             self._data_store = None
@@ -346,8 +314,14 @@ class ServingGateway:
     # invalidation hooks
     # ------------------------------------------------------------------
     def _on_publish(self, version: ModelVersion) -> None:
-        """Registry published: hot-swap replicas, purge stale results."""
-        self.router.sync(version.version)
+        """Registry published: swap the weights whole, purge stale results.
+
+        ``load_state_dict`` validates before it assigns, so a version
+        this model cannot hold raises (out of ``registry.publish``) with
+        the weights, the version and the cache exactly as they were.
+        """
+        self.model.load_state_dict(version.state_for(self.config.precision))
+        self.model_version = version.version
         self.result_cache.invalidate_versions_other_than(version.version)
         self.metrics.inc("model_swaps")
 
@@ -387,9 +361,7 @@ class ServingGateway:
 
         Subgraph extraction switches to the delta overlay (updates are
         visible immediately, no CSR rebuilds) and every mutation's
-        touched frontier flows into :meth:`notify_graph_delta` (or, with
-        ``config.delta_invalidation`` off, into the wholesale
-        :meth:`notify_graph_changed` — the full-flush baseline).  The
+        touched frontier flows into :meth:`notify_graph_delta`.  The
         caches are flushed once at attach time — entries memoised from
         the static snapshot have unknown provenance relative to the
         stream — and survive mutations selectively from then on.
@@ -423,18 +395,12 @@ class ServingGateway:
         them, and freshness stamps carry over unchanged.
         """
         if self._stream_graph is not None:
-            self._stream_graph.unsubscribe(self._stream_callback)
+            self._stream_graph.unsubscribe(self.notify_graph_delta)
         if self._data_store is not None:
             self._data_store.unsubscribe(self._on_ticks)
             self._data_store = None
-        if self.config.delta_invalidation:
-            callback = self.notify_graph_delta
-        else:
-            def callback(touched, _self=self):
-                _self.notify_graph_changed()
         self._stream_graph = dynamic_graph
-        self._stream_callback = callback
-        dynamic_graph.subscribe(callback)
+        dynamic_graph.subscribe(self.notify_graph_delta)
         self.health_server.unregister("streaming")
         if store is not None:
             self._data_store = store
@@ -525,7 +491,6 @@ class ServingGateway:
                 "refresh source_batch before serving shops added beyond it"
             )
         with obs_tracing.span("gateway.admission"):
-            self.metrics.record_request()
             return self._admit(shop_index, priority, deadline_s)
 
     def _admit(self, shop_index: int, priority: Optional[str],
@@ -541,8 +506,11 @@ class ServingGateway:
         controller = self.admission
         budget = (controller.default_deadline_s
                   if deadline_s is None else float(deadline_s))
-        if budget <= 0:
+        if not budget > 0:               # NaN compares false: rejected too
             raise ValueError(f"deadline_s must be positive, got {budget}")
+        # Counted only once it is a request the verdicts below account
+        # for: requests_total == admitted + shed at the door.
+        self.metrics.record_request()
         now = self._clock()
         deadline = now + budget
         depth = len(self.batcher)
@@ -713,7 +681,7 @@ class ServingGateway:
         return egos
 
     def _resolve(self, request: PendingRequest, forecast: np.ndarray,
-                 subgraph_nodes: int, cached: bool, replica: ModelReplica,
+                 subgraph_nodes: int, cached: bool,
                  batch_size: int, stale: bool = False,
                  staleness_months: int = 0) -> None:
         now = self._clock()
@@ -732,8 +700,7 @@ class ServingGateway:
             subgraph_nodes=int(subgraph_nodes),
             latency_seconds=latency,
             cached=cached,
-            replica_id=replica.replica_id,
-            model_version=replica.version,
+            model_version=self.model_version,
             batch_size=batch_size,
             stale=stale,
             staleness_months=int(staleness_months),
@@ -782,18 +749,15 @@ class ServingGateway:
                 tracer.record("gateway.queue_wait", request.enqueued_at,
                               drained_at, shop=request.shop_index)
         hops = self.config.hops
-        # Partition: result-cache hits answer immediately; misses group
-        # per replica, coalescing duplicate shops into one computation.
-        groups: Dict[str, Tuple[ModelReplica,
-                                Dict[int, List[PendingRequest]]]] = {}
+        version = self.model_version
+        # Result-cache hits answer immediately; misses coalesce by shop
+        # into the batch's one forward.
+        by_shop: Dict[int, List[PendingRequest]] = {}
         for request in requests:
-            replica = self.router.route(request.shop_index)
-            cached = self.result_cache.get(
-                request.shop_index, hops, replica.version
-            )
+            cached = self.result_cache.get(request.shop_index, hops, version)
             if cached is not None:
                 verdict = self._check_freshness(
-                    request.shop_index, hops, replica.version, cached
+                    request.shop_index, hops, version, cached
                 )
                 if verdict is None:
                     cached = None      # expired at lookup: recompute
@@ -801,32 +765,24 @@ class ServingGateway:
                 stale, staleness = verdict
                 self.metrics.inc("cache_hits")
                 self._resolve(request, cached.forecast, cached.subgraph_nodes,
-                              cached=True, replica=replica,
-                              batch_size=len(requests), stale=stale,
-                              staleness_months=staleness)
+                              cached=True, batch_size=len(requests),
+                              stale=stale, staleness_months=staleness)
                 continue
             self.metrics.inc("cache_misses")
-            # Claim the slot at assignment time so least-loaded routing
-            # sees the load of requests already parked on each replica.
-            replica.inflight += 1
-            _, by_shop = groups.setdefault(replica.replica_id, (replica, {}))
             by_shop.setdefault(request.shop_index, []).append(request)
-        for replica, by_shop in groups.values():
-            grouped = [r for reqs in by_shop.values() for r in reqs]
-            try:
-                self._forward_group(replica, by_shop, len(requests))
-            except Exception as error:
-                # Contain a raising forward to its own group: these
-                # requests are already drained, so they must resolve
-                # here (result() re-raises ``error``), and the groups
-                # after this one are still owed their forward.
-                unresolved = [r for r in grouped if not r.done]
-                for request in unresolved:
-                    request.fail(error)
-                self.metrics.inc("requests_failed", float(len(unresolved)))
-            finally:
-                # Release the slots claimed at routing time above.
-                replica.inflight -= len(grouped)
+        if not by_shop:
+            return
+        try:
+            self._forward_batch(by_shop, len(requests))
+        except Exception as error:
+            # Contain a raising forward to its batch: these requests
+            # are already drained, so they must resolve here (result()
+            # re-raises ``error``), and the next batch is still served.
+            unresolved = [r for reqs in by_shop.values() for r in reqs
+                          if not r.done]
+            for request in unresolved:
+                request.fail(error)
+            self.metrics.inc("requests_failed", float(len(unresolved)))
 
     def _fail_unservable(self, by_shop, egos) -> List[int]:
         """Fail requests whose egos reach beyond the feature snapshot.
@@ -835,7 +791,7 @@ class ServingGateway:
         presence but no feature row; scoring any ego containing it would
         crash the whole stitched forward.  Those requests fail
         individually (:meth:`PendingRequest.result` re-raises) and the
-        rest of the group proceeds.  Returns the servable shops.
+        rest of the batch proceeds.  Returns the servable shops.
         """
         limit = self.source_batch.num_shops
         servable: List[int] = []
@@ -855,10 +811,9 @@ class ServingGateway:
                 servable.append(shop)
         return servable
 
-    def _forward_group(self, replica: ModelReplica,
-                       by_shop: Dict[int, List[PendingRequest]],
+    def _forward_batch(self, by_shop: Dict[int, List[PendingRequest]],
                        batch_size: int) -> None:
-        """One node-disjoint forward for a replica's share of a batch."""
+        """One node-disjoint forward for a drained batch's cache misses."""
         with obs_tracing.span("gateway.extract"):
             egos = self._extract_egos(list(by_shop))
         shops = self._fail_unservable(by_shop, egos)
@@ -868,24 +823,22 @@ class ServingGateway:
             union = build_disjoint_batch(
                 [egos[s] for s in shops], self.source_batch
             )
-        replica.model.eval()
+        self.model.eval()
         # Inference mode = no autograd metadata + the engine's
         # optimized kernel set (GEMM convolutions, reduceat
         # scatter-adds, in-place masked softmax) for the stitched
         # block-diagonal forward.  The configured backend pins the
-        # replica's dtype policy (float32 serving); forecasts cross
+        # model's dtype policy (float32 serving); forecasts cross
         # back to float64 at the gateway boundary below.
         with obs_tracing.span("gateway.forward"):
             with engine.use_backend(self.config.precision):
                 with engine.inference_mode():
-                    scaled = replica.model(union.batch, union.graph)
+                    scaled = self.model(union.batch, union.graph)
         raw = np.asarray(
             union.batch.inverse_scale(scaled.data), dtype=np.float64)
-        served = sum(len(by_shop[s]) for s in shops)
-        replica.served_requests += served
-        replica.served_batches += 1
         self.metrics.inc("batches_total")
-        self.metrics.observe("batch_size", float(served))
+        self.metrics.observe(
+            "batch_size", float(sum(len(by_shop[s]) for s in shops)))
         store = self._data_store
         data_month = int(store.frontier) if store is not None else -1
         tick_seq = int(store.ticks_applied) if store is not None else -1
@@ -893,12 +846,12 @@ class ServingGateway:
             forecast = raw[int(row)].copy()
             forecast.setflags(write=False)
             nodes = int(egos[shop].num_nodes)
-            self.result_cache.put(shop, self.config.hops, replica.version,
+            self.result_cache.put(shop, self.config.hops, self.model_version,
                                   forecast, nodes, nodes=egos[shop].nodes,
                                   data_month=data_month, tick_seq=tick_seq)
             for request in by_shop[shop]:
                 self._resolve(request, forecast, nodes, cached=False,
-                              replica=replica, batch_size=batch_size)
+                              batch_size=batch_size)
 
     # ------------------------------------------------------------------
     # reporting
@@ -927,27 +880,18 @@ class ServingGateway:
         """Aggregated liveness/readiness across the attached subsystems.
 
         Runs every probe on :attr:`health_server` — the gateway probe
-        (replica availability + queue depth), the registry probe when a
-        :class:`~repro.deploy.model_server.ModelRegistry` is attached,
-        and the streaming probe once :meth:`attach_stream` connected a
-        feature store.  External components (online adapter, durable
-        journal) register through ``gateway.health_server.register``.
+        (queue depth), the registry probe when a
+        :class:`~repro.deploy.model_server.ModelRegistry` is attached, and
+        the streaming probe once :meth:`attach_stream` connected a feature
+        store.  External components (online adapter, durable journal)
+        register through ``gateway.health_server.register``.
         """
         return self.health_server.check()
 
     def metrics_report(self) -> Dict[str, object]:
         """Serialisable snapshot of gateway health and traffic."""
         report = self.metrics.snapshot(max_batch_size=self.config.max_batch_size)
-        report["replicas"] = [
-            {
-                "replica_id": r.replica_id,
-                "version": r.version,
-                "served_requests": r.served_requests,
-                "served_batches": r.served_batches,
-            }
-            for r in self.router.replicas
-        ]
-        report["serving_version"] = self.router.serving_version
+        report["serving_version"] = self.model_version
         report["subgraph_cache"] = {
             "size": len(self.subgraph_cache),
             "hit_rate": self.subgraph_cache.stats.hit_rate(),

@@ -18,8 +18,8 @@ and :func:`replay_timed` replays one such stream against a gateway
 under a :class:`~repro.obs.clock.FakeClock`, advancing simulated time
 to each arrival.  :class:`ServiceTimeModel` completes the simulation by
 charging a configurable per-forward/per-row cost to the same clock
-(wrap one replica's model with a higher cost for the slow-drain
-replica-failure fault).  Everything is a pure function of the seed and
+(wrap the gateway's model with a higher cost for the slow-drain
+degraded-server fault).  Everything is a pure function of the seed and
 the clock, so scenario runs — and the gateway's admission decision log
 — are bitwise reproducible.
 """
@@ -263,10 +263,10 @@ class ServiceTimeModel:
     where a model forward costs zero simulated seconds — so queues
     would never build and deadlines would never bind.  This wrapper
     advances the clock by ``per_forward_s + per_row_s * num_rows`` on
-    every call, making service capacity finite and deterministic.  A
-    *slow-drain* replica fault is the same wrapper with a larger
-    ``per_forward_s`` on one replica's model
-    (``gateway.router.replicas[i].model = ServiceTimeModel(...)``).
+    every call, making service capacity finite and deterministic
+    (``gateway.model = ServiceTimeModel(gateway.model, clock)``).  A
+    *slow-drain* server fault is the same wrapper with a larger
+    ``per_forward_s``.
 
     Everything else (``eval``, ``load_state_dict``, parameters)
     delegates to the wrapped model, so registry hot swaps and backend
@@ -298,7 +298,7 @@ def replay_timed(gateway, requests: Sequence[TimedRequest], clock,
     The discrete-event loop of the admission simulation.  Before each
     arrival the serving worker runs: while simulated time has not yet
     reached the arrival, due batches are pumped one at a time (each
-    advancing ``clock`` by its service cost when the replicas are
+    advancing ``clock`` by its service cost when the model is
     wrapped in :class:`ServiceTimeModel`), and idle gaps fast-forward.
     When a long service pushes the clock *past* upcoming arrivals, those
     requests submit without any pump in between — they arrived while

@@ -23,7 +23,7 @@ the deployed model slowly drifts away from live sales.
 4. **Hot swap** — the adapted weights go out through
    :meth:`~repro.deploy.model_server.ModelRegistry.publish`; any
    subscribed :class:`~repro.serving.gateway.ServingGateway` swaps
-   replicas and purges superseded cached results on the spot.
+   its weights and purges superseded cached results on the spot.
 """
 
 from __future__ import annotations

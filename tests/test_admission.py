@@ -238,13 +238,11 @@ class TestGatewayAdmission:
                           max_queue_depth=4).validate()
         with pytest.raises(ValueError, match="default_deadline_s"):
             GatewayConfig(default_deadline_s=0.0).validate()
-        with pytest.raises(ValueError, match="shed_retry_after_s"):
-            GatewayConfig(shed_retry_after_s=-1.0).validate()
 
     def test_queue_full_sheds_newcomer_with_retry_after(self, dataset):
         clock = FakeClock()
         gateway = make_gateway(dataset, clock, max_batch_size=4,
-                               max_queue_depth=4, shed_retry_after_s=0.01)
+                               max_queue_depth=4)
         try:
             # Fill the bounded queue with high-priority traffic so the
             # low newcomer has nothing to preempt (nothing is due under
@@ -258,7 +256,7 @@ class TestGatewayAdmission:
             assert shed.done
             response = shed.result()
             assert response.shed and response.priority == "low"
-            assert response.retry_after_s == pytest.approx(0.02)  # 2x @ full
+            assert response.retry_after_s == pytest.approx(0.04)  # 2x @ full
             assert not response.forecast.flags.writeable
             assert np.all(response.forecast == 0.0)
             assert response.subgraph_nodes == 0
@@ -311,9 +309,8 @@ class TestGatewayAdmission:
         clock = FakeClock()
         gateway = make_gateway(dataset, clock, default_deadline_s=0.05)
         try:
-            for replica in gateway.router.replicas:
-                replica.model = ServiceTimeModel(
-                    replica.model, clock, per_forward_s=0.2)
+            gateway.model = ServiceTimeModel(
+                gateway.model, clock, per_forward_s=0.2)
             request = gateway.submit(0, deadline_s=0.05)
             gateway.flush()               # forward costs 0.2s simulated
             assert request.result().shed
@@ -401,42 +398,77 @@ class TestGatewayAdmission:
 # request conservation under a raising forward
 # ----------------------------------------------------------------------
 class _RaisingModel(_StubModel):
+    """Raises on its first ``failures`` forwards, serves zeros after."""
+
+    def __init__(self, failures):
+        super().__init__()
+        self.failures = failures
+
     def forward(self, batch, graph):
-        raise RuntimeError("replica fell over mid-batch")
+        if self.failures > 0:
+            self.failures -= 1
+            raise RuntimeError("model fell over mid-batch")
+        return super().forward(batch, graph)
 
 
 class TestRequestConservation:
-    def test_raising_forward_fails_its_group_only(self, dataset):
-        # One replica's forward raises mid-batch: its requests fail
-        # (result() re-raises the original error), the other replica's
-        # group is still served, and no inflight slot leaks.
+    def test_raising_forward_fails_its_batch_only(self, dataset):
+        # The first batch's forward raises: its requests fail (result()
+        # re-raises the original error) and the next batch is still
+        # served — submitted == served + shed + failed.
         clock = FakeClock()
-        gateway = make_gateway(dataset, clock, num_replicas=2,
-                               max_batch_size=16, max_queue_depth=64)
+        gateway = make_gateway(dataset, clock, max_batch_size=8,
+                               max_queue_depth=64)
         try:
+            gateway.model = _RaisingModel(failures=1)
             shops = list(range(16))
-            # Break the replica whose group is forwarded first, so the
-            # healthy group comes after the exception.
-            broken = gateway.router.route(shops[0])
-            broken.model = _RaisingModel()
-            owners = [gateway.router.route(shop) for shop in shops]
-            assert any(owner is not broken for owner in owners)
             requests = [gateway.submit(shop) for shop in shops]
             gateway.flush()
             assert all(r.done for r in requests)
-            for request, owner in zip(requests, owners):
-                if owner is broken:
-                    with pytest.raises(RuntimeError, match="fell over"):
-                        request.result()
-                else:
-                    assert not request.result().shed
-            failed = sum(owner is broken for owner in owners)
-            assert gateway.metrics.counter("requests_failed") == failed
-            assert [r.inflight for r in gateway.router.replicas] == [0, 0]
+            for request in requests[:8]:
+                with pytest.raises(RuntimeError, match="fell over"):
+                    request.result()
+            served = [r.result() for r in requests[8:]]
+            assert not any(response.shed for response in served)
+            counter = gateway.metrics.counter
+            assert counter("requests_failed") == 8
+            assert counter("batches_total") == 1
+            assert len(requests) == (len(served) + counter("requests_shed")
+                                     + counter("requests_failed"))
+            gateway.model = _RaisingModel(failures=sys.maxsize)
+            gateway.notify_graph_changed()      # nothing answers from cache
             with pytest.raises(RuntimeError, match="fell over"):
                 gateway.predict_many(shops)
-            assert [r.inflight for r in gateway.router.replicas] == [0, 0]
             assert gateway.queue_depth() == 0
+        finally:
+            gateway.close()
+
+    def test_rejected_submits_are_not_offered_requests(self, dataset):
+        # A submit that raises on a bad argument admitted, shed and
+        # failed nothing, so it must not move requests_total — the
+        # denominator of shed_rate() and of any shed-rate SLO.
+        clock = FakeClock()
+        gateway = make_gateway(dataset, clock, max_batch_size=4,
+                               max_queue_depth=4)
+        try:
+            # An infinite budget stays legal: it is what admission=False
+            # resolves a missing deadline to.
+            gateway.submit(0, priority="high", deadline_s=float("inf"))
+            for shop in range(1, 4):
+                gateway.submit(shop, priority="high")
+            assert gateway.submit(9, priority="low").result().shed
+            with pytest.raises(ValueError, match="priority"):
+                gateway.submit(1, priority="urgent")
+            for budget in (-1.0, 0.0, float("nan")):
+                with pytest.raises(ValueError, match="deadline_s"):
+                    gateway.submit(1, deadline_s=budget)
+            counter = gateway.metrics.counter
+            assert gateway.queue_depth() == 4       # nothing rejected parked
+            assert counter("requests_admitted") == 4
+            assert counter("requests_shed") == 1    # at the door
+            assert counter("requests_total") == \
+                counter("requests_admitted") + counter("requests_shed")
+            assert gateway.shed_rate() == pytest.approx(1 / 5)
         finally:
             gateway.close()
 
@@ -478,9 +510,8 @@ def _run_scenario(dataset, scenario: _Scenario):
     gateway = make_gateway(dataset, clock, max_batch_size=4,
                            max_queue_depth=6, max_wait=0.02)
     try:
-        for replica in gateway.router.replicas:
-            replica.model = ServiceTimeModel(
-                replica.model, clock, per_forward_s=scenario.per_forward_s)
+        gateway.model = ServiceTimeModel(
+            gateway.model, clock, per_forward_s=scenario.per_forward_s)
         responses = replay_timed(gateway, scenario.requests, clock)
         return responses, gateway.admission.decision_log()
     finally:

@@ -485,7 +485,7 @@ class TestTrainerEquivalence:
 
 
 class TestStatsThreadSafety:
-    """The gateway's replicas replay plans from worker threads, so the
+    """Gateway pumps and trainers may run on worker threads, so the
     engine stats counters must not lose increments under contention."""
 
     def test_concurrent_bumps_never_lose_increments(self):

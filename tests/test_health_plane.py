@@ -12,7 +12,6 @@ identical alert/probe transition sequence).
 """
 
 import json
-import types
 
 import numpy as np
 import pytest
@@ -401,19 +400,6 @@ class TestGatewayHealth:
             assert probe().ready
         finally:
             gateway.close()
-
-    def test_gateway_probe_dead_without_replicas(self):
-        # ReplicaRouter refuses to drop its last replica, so the
-        # zero-replica path is exercised through a duck-typed stand-in.
-        husk = types.SimpleNamespace(
-            config=types.SimpleNamespace(max_batch_size=8),
-            router=types.SimpleNamespace(replicas=[]),
-            queue_depth=lambda: 0,
-        )
-        result = gateway_probe(husk)()
-        assert result.status == "dead"
-        assert not result.live
-        assert "no replicas" in result.reason
 
     def test_attach_stream_registers_streaming_probe(self, serving_parts):
         dataset, factory, num_months = serving_parts

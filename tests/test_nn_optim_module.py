@@ -210,6 +210,19 @@ class TestModuleSystem:
         with pytest.raises(ValueError):
             a.load_state_dict(bad)
 
+    def test_failed_load_leaves_every_parameter_untouched(self, rng):
+        net = Sequential(Linear(3, 2, rng), Linear(2, 2, rng))
+        before = net.state_dict()
+        state = {name: value + 1.0 for name, value in before.items()}
+        last = list(state)[-1]          # every earlier name loads cleanly
+        state[last] = np.zeros(state[last].shape + (2,))
+        with pytest.raises(ValueError, match=f"shape mismatch for {last}"):
+            net.load_state_dict(state)
+        after = net.state_dict()
+        assert list(after) == list(before)
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])
+
     def test_zero_grad_clears_all(self, rng):
         net = Linear(2, 2, rng)
         out = net(Tensor(rng.normal(size=(3, 2))))

@@ -1,9 +1,9 @@
 """Property-based invariants for ``repro.partition``.
 
-The partitioner contracts that the data-parallel trainer and the
-partition-affinity router lean on: disjoint ownership covers, balance
-caps, halo completeness (shard-local ego-subgraphs equal full-graph
-ones), refinement monotonicity, and determinism of the hash baseline.
+The partitioner contracts that the data-parallel trainer leans on:
+disjoint ownership covers, balance caps, halo completeness (shard-local
+ego-subgraphs equal full-graph ones), refinement monotonicity, and
+determinism of the hash baseline.
 """
 
 import numpy as np

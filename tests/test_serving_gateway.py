@@ -16,7 +16,6 @@ from repro.serving import (
     LRUCache,
     MetricsRegistry,
     MicroBatcher,
-    ReplicaRouter,
     ResultCache,
     ServingGateway,
     SubgraphCache,
@@ -65,10 +64,8 @@ def make_gateway(factory, dataset, registry=None, **kwargs):
     # node-disjoint batches rather than degenerate singletons.
     defaults = dict(max_batch_size=8, max_wait=10.0)
     defaults.update(kwargs)
-    partition_map = defaults.pop("partition_map", None)
     return ServingGateway(factory, dataset, registry,
-                          GatewayConfig(**defaults),
-                          partition_map=partition_map)
+                          GatewayConfig(**defaults))
 
 
 class TestMicroBatcher:
@@ -434,7 +431,7 @@ class TestGatewayCaching:
         gateway.close()  # idempotent
         registry.publish(factory(), trained_at_month=29)
         # Closed gateways no longer hot-swap on publish.
-        assert gateway.router.serving_version == 1
+        assert gateway.model_version == 1
         assert gateway.metrics.counter("model_swaps") == 0
 
     def test_subgraph_cache_reused_across_versions(
@@ -481,74 +478,6 @@ class TestGatewayCaching:
         gateway.close()
 
 
-class TestReplicaRouter:
-    def test_hash_routing_is_deterministic(self, factory, registry):
-        router = ReplicaRouter(factory, registry, num_replicas=3)
-        keys = list(range(40))
-        first = router.assignments(keys)
-        second = router.assignments(keys)
-        assert first == second
-        assert len(set(first.values())) > 1  # keys spread across replicas
-
-    def test_removal_only_remaps_lost_keys(self, factory, registry):
-        router = ReplicaRouter(factory, registry, num_replicas=3)
-        keys = list(range(60))
-        before = router.assignments(keys)
-        victim = router.replicas[1].replica_id
-        router.remove_replica(victim)
-        after = router.assignments(keys)
-        for key in keys:
-            if before[key] != victim:
-                assert after[key] == before[key]
-            else:
-                assert after[key] != victim
-        # The victim's keys rebalanced somewhere.
-        moved = [k for k in keys if before[k] == victim]
-        assert moved and all(after[k] in {r.replica_id for r in router.replicas}
-                             for k in moved)
-
-    def test_cannot_remove_last_replica(self, factory, registry):
-        router = ReplicaRouter(factory, registry, num_replicas=1)
-        with pytest.raises(ValueError):
-            router.remove_replica(router.replicas[0].replica_id)
-
-    def test_load_policy_picks_least_loaded(self, factory, registry):
-        router = ReplicaRouter(factory, registry, num_replicas=2, policy="load")
-        a, b = router.replicas
-        a.inflight = 5
-        assert router.route(0) is b
-        b.inflight = 9
-        assert router.route(0) is a
-
-    def test_sync_hot_swaps_all_replicas(self, factory):
-        registry = ModelRegistry()
-        registry.publish(factory(), trained_at_month=28)
-        router = ReplicaRouter(factory, registry, num_replicas=2)
-        assert router.serving_version == 1
-        registry.publish(factory(), trained_at_month=29)
-        assert router.sync() == 2
-        assert all(r.version == 2 for r in router.replicas)
-
-    def test_gateway_spreads_work_across_replicas(
-            self, factory, dataset, registry):
-        gateway = make_gateway(factory, dataset, registry, num_replicas=2)
-        gateway.predict_many(np.arange(30))
-        served = [r.served_requests for r in gateway.router.replicas]
-        assert sum(served) == 30
-        assert all(s > 0 for s in served)
-
-    def test_gateway_load_policy_spreads_within_batch(
-            self, factory, dataset, registry):
-        gateway = make_gateway(factory, dataset, registry, num_replicas=3,
-                               routing="load", max_batch_size=30)
-        gateway.predict_many(np.arange(30))
-        served = [r.served_requests for r in gateway.router.replicas]
-        assert sum(served) == 30
-        # Least-loaded assignment balances one batch across all replicas.
-        assert served == [10, 10, 10]
-        assert all(r.inflight == 0 for r in gateway.router.replicas)
-
-
 class _RefStateModel(Module):
     """Model whose state_dict leaks references (worst-case publisher)."""
 
@@ -590,24 +519,6 @@ class TestThinClientServer:
     def test_invalid_max_log(self, factory, dataset):
         with pytest.raises(ValueError):
             OnlineModelServer(factory(), dataset, max_log=0)
-
-    def test_gateway_attached_matches_local(self, factory, dataset, registry):
-        model = factory()
-        registry.load_into(model)
-        local = OnlineModelServer(model, dataset, hops=2)
-        client = OnlineModelServer(model, dataset, hops=2)
-        client.attach_gateway(make_gateway(factory, dataset, registry))
-        shops = np.arange(8)
-        via_gateway = client.predict_many(shops)
-        reference = local.predict_many(shops)
-        for got, want in zip(via_gateway, reference):
-            np.testing.assert_allclose(got.forecast, want.forecast, atol=1e-6)
-        assert len(client.request_log) == 8
-
-    def test_attach_gateway_hops_mismatch(self, factory, dataset, registry):
-        server = OnlineModelServer(factory(), dataset, hops=1)
-        with pytest.raises(ValueError):
-            server.attach_gateway(make_gateway(factory, dataset, registry))
 
 
 class TestMetrics:
@@ -677,7 +588,7 @@ class TestLoadGenerator:
 
 # ----------------------------------------------------------------------
 # PR 1 regression gaps (ISSUE 2): mutation mid-flight, hot swaps under
-# concurrent load, duplicate-row subset unions, partition routing
+# load, duplicate-row subset unions
 # ----------------------------------------------------------------------
 def _with_extra_edges(dataset, num_extra=8, seed=91):
     """Copy of ``dataset`` whose graph gained random extra edges."""
@@ -740,59 +651,59 @@ class TestGraphMutationMidFlight:
 
 
 class TestHotSwapUnderLoad:
+    def test_publish_hot_swaps_model_and_version(self, factory, dataset):
+        registry = ModelRegistry()
+        registry.publish(factory(), trained_at_month=28)
+        gateway = make_gateway(factory, dataset, registry)
+        assert gateway.model_version == 1
+        model_v2 = factory()
+        model_v2.w_p.data = model_v2.w_p.data + 0.5
+        registry.publish(model_v2, trained_at_month=29)
+        assert gateway.model_version == 2
+        np.testing.assert_array_equal(gateway.model.w_p.data,
+                                      model_v2.w_p.data)
+        gateway.close()
+
     def test_publish_mid_flight_serves_new_version(self, factory, dataset):
-        """A publish while requests are parked hot-swaps replicas first;
+        """A publish while requests are parked hot-swaps the model first;
         the drained batch is scored by the new version only."""
         registry = ModelRegistry()
         registry.publish(factory(), trained_at_month=28)
-        gateway = make_gateway(factory, dataset, registry, num_replicas=2)
-        old_version = gateway.router.serving_version
+        gateway = make_gateway(factory, dataset, registry)
+        old_version = gateway.model_version
         parked = [gateway.submit(i) for i in range(4)]
         registry.publish(factory(), trained_at_month=29)  # mid-flight swap
         gateway.flush()
         for request in parked:
             assert request.result().model_version == old_version + 1
-        assert gateway.router.serving_version == old_version + 1
+        assert gateway.model_version == old_version + 1
         gateway.close()
 
-    def test_concurrent_routing_during_hot_swaps(self, factory):
-        """route() stays consistent while sync() swaps weights underneath:
-        no exceptions, every answer is a live replica, and versions only
-        move forward."""
-        import threading
+    def test_incompatible_publish_changes_nothing(self, factory, dataset,
+                                                  gaia_config):
+        """A version the serving model cannot hold raises out of
+        ``publish`` and leaves weights, version and cache untouched —
+        the gateway must not serve a model that is neither version."""
+        import dataclasses
 
         registry = ModelRegistry()
         registry.publish(factory(), trained_at_month=28)
-        router = ReplicaRouter(factory, registry=registry, num_replicas=3)
-        errors = []
-        seen_versions = []
-        stop = threading.Event()
-
-        def hammer(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                while not stop.is_set():
-                    key = int(rng.integers(0, 500))
-                    replica = router.route(key)
-                    assert replica.replica_id in {
-                        r.replica_id for r in router.replicas
-                    }
-                    seen_versions.append(replica.version)
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(4)]
-        for thread in threads:
-            thread.start()
-        for _ in range(5):
-            registry.publish(factory(), trained_at_month=30)
-            router.sync()
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not errors
-        assert router.serving_version == registry.num_versions
-        assert seen_versions and max(seen_versions) <= registry.num_versions
+        gateway = make_gateway(factory, dataset, registry)
+        shops = np.arange(6)
+        before = gateway.predict_many(shops)
+        wider = Gaia(dataclasses.replace(gaia_config,
+                                         horizon=gaia_config.horizon + 1),
+                     seed=1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            registry.publish(wider, trained_at_month=29)
+        assert gateway.metrics_report()["serving_version"] == 1
+        assert gateway.metrics.counter("model_swaps") == 0
+        gateway.notify_graph_changed()          # force a recompute
+        after = gateway.predict_many(shops)
+        for a, b in zip(before, after):
+            assert not b.cached and b.model_version == 1
+            np.testing.assert_array_equal(a.forecast, b.forecast)
+        gateway.close()
 
 
 class TestSubsetDuplicateRows:
@@ -839,17 +750,19 @@ class TestServingPrecision:
         with pytest.raises(ValueError, match="unknown precision"):
             GatewayConfig(precision="bfloat16").validate()
 
-    def test_float32_replicas_hold_float32_weights(self, factory, registry):
-        router = ReplicaRouter(factory, registry=registry, num_replicas=2,
+    def test_float32_model_holds_float32_weights(self, factory, dataset):
+        registry = ModelRegistry()
+        registry.publish(factory(), trained_at_month=28)
+        gateway = make_gateway(factory, dataset, registry,
                                precision="float32")
-        for replica in router.replicas:
-            assert replica.version == registry.latest().version
-            for _name, param in replica.model.named_parameters():
-                assert param.data.dtype == np.float32
-        router.sync()  # hot swap keeps the precision
-        for replica in router.replicas:
-            for _name, param in replica.model.named_parameters():
-                assert param.data.dtype == np.float32
+        assert gateway.model_version == registry.latest().version
+        for _name, param in gateway.model.named_parameters():
+            assert param.data.dtype == np.float32
+        registry.publish(factory(), trained_at_month=29)
+        assert gateway.model_version == 2  # hot swap keeps the precision
+        for _name, param in gateway.model.named_parameters():
+            assert param.data.dtype == np.float32
+        gateway.close()
 
     def test_float32_forecasts_within_budget_and_cast_back(
             self, factory, dataset, registry):
@@ -876,45 +789,3 @@ class TestServingPrecision:
         assert reference.metrics_report()["engine"]["precision"] == "float64"
         reference.close()
         serving.close()
-
-
-class TestPartitionRouting:
-    def test_partition_policy_groups_by_owner(self, factory, dataset, registry):
-        from repro.partition import partition_graph
-
-        parts = partition_graph(dataset.graph, 3, halo_hops=1)
-        gateway = make_gateway(
-            factory, dataset, registry,
-            num_replicas=3, routing="partition", partition_map=parts,
-        )
-        responses = gateway.predict_many(list(range(dataset.graph.num_nodes)))
-        replica_of_partition = {}
-        for response in responses:
-            pid = int(parts.assignment[response.shop_index])
-            replica_of_partition.setdefault(pid, set()).add(response.replica_id)
-        assert all(len(v) == 1 for v in replica_of_partition.values())
-        gateway.close()
-
-    def test_partition_policy_requires_map(self, factory):
-        with pytest.raises(ValueError, match="requires a partition_map"):
-            ReplicaRouter(factory, num_replicas=2, policy="partition")
-
-    def test_keys_beyond_map_fall_back_to_hash(self, factory):
-        router = ReplicaRouter(
-            factory, num_replicas=2, policy="partition",
-            partition_map=np.array([0, 0, 1]),
-        )
-        fallback = router.route(10)  # a shop added after partitioning
-        hash_router = ReplicaRouter(factory, num_replicas=2, policy="hash")
-        assert fallback.replica_id == hash_router.route(10).replica_id
-
-    def test_set_partition_map_refreshes_routing(self, factory):
-        router = ReplicaRouter(
-            factory, num_replicas=2, policy="partition",
-            partition_map=np.zeros(8, dtype=np.int64),
-        )
-        before = {router.route(k).replica_id for k in range(8)}
-        assert len(before) == 1  # one partition -> one replica
-        router.set_partition_map(np.arange(8) % 2)
-        after = {router.route(k).replica_id for k in range(8)}
-        assert len(after) == 2
