@@ -20,7 +20,7 @@ per edge; attention itself is batched over edges with 3-D matmuls.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class ConvolutionalAttentionUnit(Module):
         self.conv_k = Conv1d(c, c, width=w, rng=rng, padding="causal")
         self.conv_v = Conv1d(c, c, width=1, rng=rng, padding="causal")
         self._mask_cache: dict = {}
-        #: Attention probabilities of the most recent forward pass,
-        #: shape ``(E, T, T)`` — captured for the paper's Fig 4 case
-        #: study.  Raw numpy, detached from the graph.
+        #: Attention probabilities of the most recent capturing
+        #: :meth:`attend`, shape ``(E, T, T)`` — for the paper's Fig 4
+        #: case study.  Raw numpy, detached from the graph.
         self.last_attention: np.ndarray | None = None
 
     def _mask(self, t: int) -> np.ndarray:
@@ -55,8 +55,13 @@ class ConvolutionalAttentionUnit(Module):
             self._mask_cache[t] = F.causal_mask(t)
         return self._mask_cache[t]
 
-    def project(self, h: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+    def project(self, h: Tensor, num_queries: Optional[int] = None
+                ) -> Tuple[Tensor, Tensor, Tensor]:
         """Per-node Q/K/V projections of ``(S, T, C)`` representations.
+
+        ``num_queries`` projects Q for the first that many rows only (a
+        layer computing a prefix of its rows still keys and values every
+        row it reads).
 
         Kept as three separate convolutions on purpose: fusing them into
         one ``conv_bank`` block was measured slower here — the wide
@@ -64,18 +69,23 @@ class ConvolutionalAttentionUnit(Module):
         channels, and the sliced outputs turn every downstream attention
         kernel non-contiguous.
         """
-        return self.conv_q(h), self.conv_k(h), self.conv_v(h)
+        queried = h if num_queries is None else h[:num_queries]
+        return self.conv_q(queried), self.conv_k(h), self.conv_v(h)
 
-    def attend(self, q_dst: Tensor, k_src: Tensor, v_src: Tensor) -> Tensor:
+    def attend(self, q_dst: Tensor, k_src: Tensor, v_src: Tensor,
+               capture: bool = True) -> Tensor:
         """Batched attention over edges.
 
         All inputs are ``(E, T, C)`` gathers (destination queries paired
-        with source keys/values); output is ``(E, T, C)``.
+        with source keys/values); output is ``(E, T, C)``.  ``capture``
+        copies the attention maps into :attr:`last_attention`; a forward
+        over part of a graph passes ``False`` and leaves it alone.
         """
         t = q_dst.shape[1]
         scores = (q_dst @ k_src.transpose()) * (1.0 / np.sqrt(self.channels))
         attention = F.masked_softmax(scores, self._mask(t))
-        self.last_attention = attention.data.copy()
+        if capture:
+            self.last_attention = attention.data.copy()
         return attention @ v_src
 
     def forward(self, h_dst: Tensor, h_src: Tensor) -> Tensor:

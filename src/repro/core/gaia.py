@@ -13,7 +13,7 @@ The model consumes :class:`repro.data.dataset.InstanceBatch` plus an
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,14 +64,47 @@ class Gaia(Module):
         fused = self.ffl(series, temporal, static)
         return self.tel(fused)
 
-    def forward(self, batch: InstanceBatch, graph: ESellerGraph) -> Tensor:
-        """Predict scaled GMV for the horizon months, shape ``(S, T')``."""
+    @property
+    def receptive_depth(self) -> int:
+        """A row's forecast reads ``num_layers`` steps upstream of it."""
+        return self.config.num_layers
+
+    def forward(self, batch: InstanceBatch, graph: ESellerGraph,
+                trim: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
+        """Predict scaled GMV for the horizon months, shape ``(S, T')``.
+
+        ``trim=None`` computes every row of ``batch`` from every edge of
+        ``graph`` — training, evaluation and the paper figures; the
+        recorded trace is what it always was.
+
+        ``trim=(rows_within, edges_into)`` is the serving forward over a
+        :class:`~repro.serving.batching.DisjointBatch` built with
+        ``depth=receptive_depth``: rows ordered by the depth at which a
+        center first reads them, so that the first ``rows_within[d]``
+        rows sit within ``d`` steps of a center and the first
+        ``edges_into[d]`` edges lead into them.  FFL/TEL embed all
+        ``rows_within[L]`` rows; layer ``l`` of ``L`` reads the first
+        ``rows_within[L - l + 1]`` rows and ``edges_into[L - l]`` edges
+        and writes the first ``rows_within[L - l]`` rows; the head runs
+        on the centers.  Returns ``(rows_within[0], T')`` — the center
+        rows of the untrimmed forward over the whole egos, to 1e-12
+        relative in float64 (every kernel is row- or segment-wise; BLAS
+        may round a row of the gate's matrix-vector product by its
+        position, one ulp) and bit for bit when no edge leads into a
+        center.
+        """
         embedding = self.embed(batch)
         h = embedding
-        for layer in self.layers:
-            h = layer(h, graph)
+        if trim is None:
+            for layer in self.layers:
+                h = layer(h, graph)
+        else:
+            rows_within, edges_into = trim
+            for layer, d in zip(self.layers, reversed(range(len(self.layers)))):
+                h = layer(h, graph, (int(rows_within[d]), int(edges_into[d])))
+            embedding = embedding[:h.shape[0]]
         pooled = self.conv_p(h + embedding)               # (S, T, 1)
-        pooled = pooled.reshape(batch.num_shops, -1)      # (S, T)
+        pooled = pooled.reshape(h.shape[0], -1)           # (S, T)
         out = pooled @ self.w_p + self.b_p                # (S, T')
         if self.config.final_activation == "relu":
             out = F.relu(out)                             # literal Eq. 9
@@ -81,13 +114,25 @@ class Gaia(Module):
     # introspection for the Fig 4 case study
     # ------------------------------------------------------------------
     def intra_attention(self) -> Optional[np.ndarray]:
-        """Last layer's per-node intra CAU attention maps ``(S, T, T)``."""
+        """Last layer's per-node intra CAU attention maps ``(S, T, T)``.
+
+        As the last full forward left them; a trimmed forward (``trim``
+        given) records nothing.
+        """
         return self.layers[-1].last_intra_attention
 
     def inter_attention(self) -> Optional[np.ndarray]:
-        """Last layer's per-edge inter CAU attention maps ``(E, T, T)``."""
+        """Last layer's per-edge inter CAU attention maps ``(E, T, T)``.
+
+        As the last full forward left them; a trimmed forward (``trim``
+        given) records nothing.
+        """
         return self.layers[-1].last_inter_attention
 
     def neighbor_alpha(self) -> Optional[np.ndarray]:
-        """Last layer's per-edge neighbor mixing weights ``(E,)``."""
+        """Last layer's per-edge neighbor mixing weights ``(E,)``.
+
+        As the last full forward left them; a trimmed forward (``trim``
+        given) records nothing.
+        """
         return self.layers[-1].last_alpha

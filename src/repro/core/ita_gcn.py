@@ -15,7 +15,7 @@ edge, and neighbor messages are scattered back with ``segment_sum``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,43 +53,67 @@ class ITAGCNLayer(Module):
         #: Per-node intra CAU attention maps, shape ``(S, T, T)``.
         self.last_intra_attention: Optional[np.ndarray] = None
 
-    def forward(self, h: Tensor, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
-        num_nodes = h.shape[0]
-        if num_nodes != graph.num_nodes:
+    def forward(self, h: Tensor, graph: ESellerGraph,
+                trim: Optional[Tuple[int, int]] = None) -> Tensor:
+        """Compute the layer output (see class docstring).
+
+        ``trim=None`` is the full layer: one output row per graph node,
+        every edge read.  ``trim=(num_out, num_edges)`` computes only
+        the first ``num_out`` rows from the first ``num_edges`` edges —
+        the layer-wise minibatch computation graph, on a layout where
+        what a layer needs is a prefix
+        (:class:`repro.serving.batching.DisjointBatch`): ``h`` holds the
+        input rows, every one of those edges ends in an output row, and
+        Q and the intra attention are computed for output rows only.
+        The body is the same; the trimmed case differs in which prefix
+        each operand is read from.  It leaves ``last_alpha`` /
+        ``last_inter_attention`` / ``last_intra_attention`` as the last
+        full forward wrote them: maps over a prefix are not indexed by
+        the graph's nodes and edges.
+        """
+        full = trim is None
+        if full and h.shape[0] != graph.num_nodes:
             raise ValueError(
-                f"representation rows ({num_nodes}) != graph nodes ({graph.num_nodes})"
+                f"representation rows ({h.shape[0]}) != graph nodes "
+                f"({graph.num_nodes})"
             )
-        q, k, v = self.cau.project(h)
+        num_out, num_edges = (h.shape[0], graph.num_edges) if full else trim
+        src, dst = graph.src[:num_edges], graph.dst[:num_edges]
+        # Slicing a tensor records an op: the full layer records none.
+        q, k, v = self.cau.project(h, None if full else num_out)
+        k_out, v_out = (k, v) if full else (k[:num_out], v[:num_out])
 
-        # Intra self attention: CAU(H_u, H_u) for every node.
-        intra = self.cau.attend(q, k, v)
-        self.last_intra_attention = self.cau.last_attention
+        # Intra self attention: CAU(H_u, H_u) for every output node.
+        intra = self.cau.attend(q, k_out, v_out, capture=full)
+        intra_attention = self.cau.last_attention
 
-        if graph.num_edges == 0:
-            self.last_alpha = np.zeros(0)
-            self.last_inter_attention = None
+        if src.size == 0:
+            if full:
+                self.last_intra_attention = intra_attention
+                self.last_alpha = np.zeros(0)
+                self.last_inter_attention = None
             return intra
-
-        src = graph.src
-        dst = graph.dst
 
         # Inter neighbor attention: CAU(H_u, H_v) batched over edges.
         messages = self.cau.attend(
-            F.gather_rows(q, dst), F.gather_rows(k, src), F.gather_rows(v, src)
+            F.gather_rows(q, dst), F.gather_rows(k, src), F.gather_rows(v, src),
+            capture=full,
         )
-        self.last_inter_attention = self.cau.last_attention
 
         # alpha_{u,v}: scalar gate per edge, softmax over u's in-edges.
-        # Both 1x1 gate convolutions read the same h: fused bank.
+        # Both 1x1 gate convolutions read the same h: fused bank (the
+        # s term of a row that is only read is computed, never gathered).
         s_term, d_term = F.conv_bank(
             h, [self.conv_s.weight, self.conv_d.weight]
         )                                           # 2x (S, T, 1)
         combined = F.gather_rows(s_term, dst) + F.gather_rows(d_term, src)
         gate = F.tanh(combined).reshape(src.size, -1) @ self.mu   # (E,)
-        alpha = F.segment_softmax(gate, dst, num_nodes)
-        self.last_alpha = alpha.data.copy()
+        alpha = F.segment_softmax(gate, dst, num_out)
+        if full:
+            self.last_intra_attention = intra_attention
+            self.last_inter_attention = self.cau.last_attention
+            self.last_alpha = alpha.data.copy()
 
         weighted = messages * alpha.reshape(src.size, 1, 1)
-        inter = F.segment_sum(weighted, dst, num_nodes)           # (S, T, C)
+        inter = F.segment_sum(weighted, dst, num_out)             # (S, T, C)
         return inter + intra

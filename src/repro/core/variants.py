@@ -111,6 +111,9 @@ class GaiaNoITA(Gaia):
     """Gaia with traditional self-attention in place of ITA (Table II)."""
 
     name = "Gaia w/o ITA"
+    #: ``_TraditionalAttentionLayer`` computes whole graphs only, so the
+    #: variant is served on whole egos (no workload serves it).
+    receptive_depth = None
 
     def __init__(self, config: GaiaConfig, rng: Optional[np.random.Generator] = None,
                  seed: int = 0) -> None:

@@ -22,6 +22,16 @@ and every ego is array-identical to a single-seed extraction (the
 brute-force oracles of ``tests/test_graph_properties.py`` are the
 sequential reference).  :func:`sample_neighbors` provides
 GraphSAGE-style fanout capping for minibatch training on larger graphs.
+
+Extraction is *undirected* and ``hops`` deep because it answers "what
+could change this forecast's inputs" (the cache invalidation radius).
+What a forward pass *reads* is narrower: an ``L``-layer message-passing
+model lets a seed see only what reaches it along ``src -> dst`` edges
+in ``L`` steps.  :func:`receptive_levels` computes that directed
+in-reach over an edge list — the second and last traversal this module
+owns — so the serving layer can lay a stitched batch out by the depth
+at which each row is first read and skip the rest
+(:func:`repro.serving.batching.build_disjoint_batch`).
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .graph import ESellerGraph, _gather_segments
 
 __all__ = [
     "k_hop_nodes",
+    "receptive_levels",
     "ego_subgraph",
     "ego_subgraphs",
     "EgoSubgraph",
@@ -117,6 +128,33 @@ def k_hop_nodes(graph, seeds: Sequence[int], hops: int) -> np.ndarray:
     Seeds outside ``[0, num_nodes)`` raise ``IndexError``.
     """
     return _reach(graph, _sorted_unique(_checked_seeds(graph, seeds)), hops)
+
+
+def receptive_levels(src: np.ndarray, dst: np.ndarray, num_nodes: int,
+                     seeds: np.ndarray, depth: int) -> np.ndarray:
+    """Per node, the fewest ``src -> dst`` steps from it to a seed.
+
+    The layer-wise computation graph of a ``depth``-layer
+    message-passing model over the edge list ``(src, dst)``: seeds are
+    level 0, and ``level d + 1`` holds the sources of edges into level
+    ``d`` not met earlier (``need[d + 1] = need[d] | src(edges with dst
+    in need[d])``).  A node no seed can read within ``depth`` steps —
+    an out-neighbour only, or one further upstream — gets ``depth + 1``.
+    Direction matters: the undirected hop distance of :func:`_reach`
+    would also keep the nodes a seed only *writes* to.  One boolean
+    pass over the edges per level, no per-seed loop.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    level = np.full(num_nodes, depth + 1, dtype=np.int64)
+    level[seeds] = 0
+    for d in range(depth):
+        reached = src[level[dst] == d]
+        reached = reached[level[reached] > depth]
+        if reached.size == 0:
+            break
+        level[reached] = d + 1
+    return level
 
 
 @dataclass

@@ -50,6 +50,13 @@ class Module:
     are needed.  ``__call__`` forwards to ``forward``.
     """
 
+    #: How many ``src -> dst`` steps upstream of a row ``forward(batch,
+    #: graph)`` reads to produce that row's output, when the model can
+    #: also be run on just those rows (``forward(batch, graph, trim)``).
+    #: ``None`` declares nothing: the model reads the whole graph it is
+    #: given, and a serving layer hands it whole ego-subgraphs.
+    receptive_depth = None
+
     def __init__(self) -> None:
         self.training = True
 

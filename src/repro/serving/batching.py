@@ -10,8 +10,19 @@ stitched into a single *node-disjoint* graph — each request's
 ego-subgraph becomes its own connected component, node ids offset so
 components never collide — and scored with **one** forward pass.
 Because components are disjoint and message passing is strictly
-per-node / per-edge, every center's output equals the per-request
-forward bit-for-bit, even when the original ego-subgraphs overlap.
+per-node / per-edge, every center's output is that of the per-request
+forward (to 1e-12; bit for bit except where BLAS rounds a row by its
+position in the batch), even when the original ego-subgraphs overlap.
+
+:func:`build_disjoint_batch` stitches only what the model will read.
+Given the model's receptive depth ``L`` it keeps the rows within ``L``
+directed ``src -> dst`` steps of a center, ordered centers first and
+then by the depth at which they are first needed, with the edges sorted
+by the level of their ``dst`` — so that everything a layer needs is a
+*prefix* of the row and edge arrays (:class:`DisjointBatch` carries the
+two cumulative counts) and a trimmed forward slices instead of
+gathering.  Without a depth it stitches the whole egos, component by
+component.
 
 *Which* requests a batch contains is a schedule, not a mode: every
 request carries a **priority class** (:data:`PRIORITIES`) and an
@@ -35,14 +46,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.dataset import InstanceBatch
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import EgoSubgraph
+from ..graph.sampling import EgoSubgraph, receptive_levels
 from ..obs import clock as obs_clock
 
 __all__ = [
@@ -270,19 +281,36 @@ class MicroBatcher:
 
 @dataclass
 class DisjointBatch:
-    """A node-disjoint union of ego-subgraphs ready for one forward.
+    """The rows and edges one forward reads of a node-disjoint union of egos.
 
-    ``graph`` holds every component with offset node ids; ``batch`` is
-    the matching row-sliced :class:`~repro.data.dataset.InstanceBatch`
-    (rows may repeat when components share original nodes); ``center_rows``
-    locates each request's center inside the union.
+    Every ego is its own connected component (node ids offset, shared
+    shops repeated per component).  Rows are laid out by the depth at
+    which the model first reads them — the centers in request order
+    (level 0), then the rows first needed one ``src -> dst`` step
+    upstream, two steps, ... — and rows no layer reads are left out;
+    edges are stably sorted by the level of their ``dst`` and kept only
+    below the last level, so the relative order inside one ``dst`` is
+    that of the ego's own edge list and segment sums add in the same
+    order.  What an ``L``-layer model needs at each layer is therefore a
+    *prefix*: ``rows_within[d]`` rows sit within ``d`` steps of a center
+    (``L + 1`` entries) and ``edges_into[d]`` edges lead into them
+    (``L`` entries).  Every edge in the first ``edges_into[d]`` has
+    ``dst < rows_within[d]`` and ``src < rows_within[d + 1]``.
+
+    ``graph`` holds the kept rows and edges; ``batch`` is the matching
+    row-gathered :class:`~repro.data.dataset.InstanceBatch`;
+    ``center_rows`` locates each request's center in it
+    (``arange(num_requests)`` whenever a depth was given);
+    ``component_sizes`` are the whole egos' node counts, kept or not.
     """
 
     graph: ESellerGraph
     batch: InstanceBatch
     center_rows: np.ndarray
     component_sizes: np.ndarray
-    centers: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    centers: np.ndarray
+    rows_within: np.ndarray
+    edges_into: np.ndarray
 
     @property
     def num_requests(self) -> int:
@@ -291,12 +319,22 @@ class DisjointBatch:
 
 
 def build_disjoint_batch(
-    egos: Sequence[EgoSubgraph], source_batch: InstanceBatch
+    egos: Sequence[EgoSubgraph], source_batch: InstanceBatch,
+    depth: Optional[int] = None,
 ) -> DisjointBatch:
     """Stitch ego-subgraphs into one block-diagonal graph + feature batch.
 
-    Rows of the union batch are gathered from ``source_batch`` via one
-    :meth:`InstanceBatch.subset` call over the concatenated original node
+    ``depth`` is the receptive depth of the model about to read the
+    batch (:attr:`repro.nn.module.Module.receptive_depth`): only rows
+    within ``depth`` directed steps of a center are kept, in the
+    level-ordered layout :class:`DisjointBatch` documents.  ``None`` —
+    a model that reads the whole ego — is the same routine with every
+    row at level 0: the stable sorts are the identity, and the union
+    comes out component by component with every row and edge.
+
+    The layout is a pure function of the egos' arrays.  Rows of the
+    batch are gathered from ``source_batch`` via one
+    :meth:`InstanceBatch.subset` call over the kept original node
     indices (duplicates allowed — overlapping ego-subgraphs simply repeat
     the shared rows), so no per-request slicing survives on the hot path.
     """
@@ -304,22 +342,38 @@ def build_disjoint_batch(
         raise ValueError("cannot build a batch from zero ego-subgraphs")
     sizes = np.array([ego.num_nodes for ego in egos], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
-    src = np.concatenate(
-        [ego.subgraph.src + off for ego, off in zip(egos, offsets)]
-    )
-    dst = np.concatenate(
-        [ego.subgraph.dst + off for ego, off in zip(egos, offsets)]
-    )
+    total = int(sizes.sum())
+    # One shift per edge — its component's offset — instead of an add
+    # per ego and endpoint array.
+    shift = offsets.repeat([ego.subgraph.num_edges for ego in egos])
+    src = np.concatenate([ego.subgraph.src for ego in egos]) + shift
+    dst = np.concatenate([ego.subgraph.dst for ego in egos]) + shift
     types = np.concatenate([ego.subgraph.edge_types for ego in egos])
-    union = ESellerGraph(int(sizes.sum()), src, dst, types)
-    rows = np.concatenate([ego.nodes for ego in egos])
-    center_rows = offsets + np.array(
+    nodes = np.concatenate([ego.nodes for ego in egos])
+    seeds = offsets + np.array(
         [ego.center_local for ego in egos], dtype=np.int64
     )
+    if depth is None:
+        # Every row is read: all of them are level 0, and the one level
+        # of edges into level-0 rows is all of the edges.
+        level, depth = np.zeros(total, dtype=np.int64), 1
+    else:
+        level = receptive_levels(src, dst, total, seeds, depth)
+    rows_within = np.bincount(level, minlength=depth + 1)[:depth + 1].cumsum()
+    edge_level = level[dst]
+    edges_into = np.bincount(edge_level, minlength=depth)[:depth].cumsum()
+    rows = np.argsort(level, kind="stable")[:rows_within[-1]]
+    edges = np.argsort(edge_level, kind="stable")
+    edges = edges[:np.count_nonzero(edge_level < depth)]
+    row_of = np.empty(total, dtype=np.int64)
+    row_of[rows] = np.arange(rows.size, dtype=np.int64)
     return DisjointBatch(
-        graph=union,
-        batch=source_batch.subset(rows),
-        center_rows=center_rows,
+        graph=ESellerGraph(rows.size, row_of[src[edges]], row_of[dst[edges]],
+                           types[edges]),
+        batch=source_batch.subset(nodes[rows]),
+        center_rows=row_of[seeds],
         component_sizes=sizes,
         centers=np.array([ego.center for ego in egos], dtype=np.int64),
+        rows_within=rows_within,
+        edges_into=edges_into,
     )

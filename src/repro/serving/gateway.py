@@ -11,8 +11,13 @@ GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
 3. **node-disjoint forward** — the drained batch's misses, coalesced by
    shop, are stitched into one block-diagonal graph (subgraph
    extractions memoised in an LRU keyed per graph epoch) and scored
-   with a single forward of the gateway's one model, whose per-center
-   outputs equal the sequential per-request path bit-for-bit.
+   with a single forward of the gateway's one model.  The model
+   declares how far upstream of a center it reads
+   (``Module.receptive_depth``); the stitched batch holds exactly those
+   rows and edges, centers first, and the forward computes each layer on
+   its receptive prefix.  Per-center outputs equal the sequential
+   whole-ego path (``OnlineModelServer``) to 1e-12.  Caches, staleness
+   tags, servability and ``subgraph_nodes`` stay whole-ego.
 
 The gateway owns one model (``gateway.model``) at one
 ``gateway.model_version`` and subscribes to the
@@ -819,10 +824,16 @@ class ServingGateway:
         shops = self._fail_unservable(by_shop, egos)
         if not shops:
             return
+        # The model says how far upstream of a center it reads; the
+        # batch is laid out for exactly that, and a model that says
+        # nothing gets the whole egos and no ``trim``.
+        depth = self.model.receptive_depth
         with obs_tracing.span("gateway.batch_assembly"):
             union = build_disjoint_batch(
-                [egos[s] for s in shops], self.source_batch
+                [egos[s] for s in shops], self.source_batch, depth
             )
+        trim = {} if depth is None else {
+            "trim": (union.rows_within, union.edges_into)}
         self.model.eval()
         # Inference mode = no autograd metadata + the engine's
         # optimized kernel set (GEMM convolutions, reduceat
@@ -833,17 +844,22 @@ class ServingGateway:
         with obs_tracing.span("gateway.forward"):
             with engine.use_backend(self.config.precision):
                 with engine.inference_mode():
-                    scaled = self.model(union.batch, union.graph)
-        raw = np.asarray(
-            union.batch.inverse_scale(scaled.data), dtype=np.float64)
+                    scaled = self.model(union.batch, union.graph, **trim)
+        # A trimmed forward returns the center rows only, a whole-ego
+        # one every row: ``center_rows`` indexes either.
+        source = self.source_batch
+        raw = np.asarray(source.scaler.inverse_transform(
+            scaled.data[union.center_rows], source.levels[union.centers]),
+            dtype=np.float64)
+        self.metrics.observe("forward_rows", float(union.batch.num_shops))
         self.metrics.inc("batches_total")
         self.metrics.observe(
             "batch_size", float(sum(len(by_shop[s]) for s in shops)))
         store = self._data_store
         data_month = int(store.frontier) if store is not None else -1
         tick_seq = int(store.ticks_applied) if store is not None else -1
-        for row, shop in zip(union.center_rows, shops):
-            forecast = raw[int(row)].copy()
+        for row, shop in enumerate(shops):
+            forecast = raw[row].copy()
             forecast.setflags(write=False)
             nodes = int(egos[shop].num_nodes)
             self.result_cache.put(shop, self.config.hops, self.model_version,

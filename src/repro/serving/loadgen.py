@@ -273,6 +273,10 @@ class ServiceTimeModel:
     selection keep working.
     """
 
+    #: Declares nothing itself (not delegated): the wrapper is handed the
+    #: whole union, so ``per_row_s`` charges for every ego row.
+    receptive_depth = None
+
     def __init__(self, inner, clock, per_forward_s: float = 0.002,
                  per_row_s: float = 0.0) -> None:
         if per_forward_s < 0 or per_row_s < 0:

@@ -131,7 +131,10 @@ class MetricsRegistry:
       decides whether a queue bound and a default budget exist to
       shed against
     * distributions — ``latency_seconds`` (per request, queue wait
-      included), ``batch_size`` (requests per model forward)
+      included), ``batch_size`` (requests per model forward),
+      ``forward_rows`` (rows one forward computed: the receptive rows
+      of the batch's egos, not their sizes — those are
+      ``GatewayResponse.subgraph_nodes``)
     """
 
     def __init__(self, window: int = 2048, clock=None) -> None:

@@ -12,7 +12,12 @@ from repro.core import (
     build_gaia_variant,
 )
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
+from repro.graph import ego_subgraphs
+from repro.nn import engine
 from repro.nn.tensor import no_grad
+from repro.serving import build_disjoint_batch
+
+from helpers import forall
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +97,99 @@ class TestGaiaForward:
         (out * out).sum().backward()
         missing = [n for n, p in model.named_parameters() if p.grad is None]
         assert not missing, f"no gradient for: {missing}"
+
+
+class TestTrimmedForward:
+    """``model(batch, graph, trim)`` == the center rows of the whole-ego
+    forward, for what :func:`build_disjoint_batch` lays out."""
+
+    @pytest.mark.parametrize("backend", ["float64", "float32"])
+    def test_equals_center_rows_of_the_full_forward(self, dataset, config,
+                                                    backend):
+        """Random center batches (repeats allowed), ``hops`` 0–3 x ``L``
+        1–3 (``hops < L`` included).  Required: 1e-12 in float64 (every
+        kernel is row- or segment-wise; only BLAS choosing another
+        blocking for another row count moves a last bit) and the float32
+        budget in float32.  With no edge into any center the forward is
+        the intra path alone, and that is bit for bit."""
+        import dataclasses
+        with engine.use_backend(backend):
+            models = {
+                layers: Gaia(dataclasses.replace(config, num_layers=layers),
+                             seed=layers).eval()
+                for layers in (1, 2, 3)
+            }
+        seen = {"isolated": 0, "edges": 0, "deep": 0}
+
+        def gen(rng: np.random.Generator):
+            centers = rng.integers(0, dataset.graph.num_nodes,
+                                   size=int(rng.integers(1, 10)))
+            return centers, int(rng.integers(0, 4)), int(rng.integers(1, 4))
+
+        def prop(case):
+            centers, hops, layers = case
+            model = models[layers]
+            assert model.receptive_depth == layers
+            egos = ego_subgraphs(dataset.graph, centers, hops)
+            whole = build_disjoint_batch(egos, dataset.test)
+            cut = build_disjoint_batch(egos, dataset.test,
+                                       model.receptive_depth)
+            with engine.use_backend(backend), engine.inference_mode():
+                want = model(whole.batch, whole.graph).data[whole.center_rows]
+                got = model(cut.batch, cut.graph,
+                            (cut.rows_within, cut.edges_into)).data
+            assert got.shape == (centers.size, dataset.horizon)
+            assert got.dtype == want.dtype == np.dtype(backend)
+            if cut.edges_into[-1] == 0:
+                assert np.array_equal(got, want)
+            elif backend == "float64":
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            else:
+                deviation = np.max(np.abs(got - want) / (np.abs(want) + 1.0))
+                assert deviation <= engine.FLOAT32_ACCURACY_BUDGET, deviation
+            seen["isolated"] += int(cut.edges_into[-1] == 0)
+            seen["edges"] += int(cut.edges_into[0] > 0)
+            seen["deep"] += int(layers > 1 and cut.edges_into[0] > 0
+                                and cut.rows_within[-1] > cut.rows_within[1])
+
+        forall(gen, prop, trials=40, seed=41, name="trimmed == full[centers]")
+        assert all(count >= 3 for count in seen.values()), seen
+
+    def test_trimmed_forward_leaves_the_introspection_captures(
+            self, dataset, config):
+        """The attention maps describe the last *full* forward: maps over
+        a receptive prefix would not be indexed by the graph's edges."""
+        model = Gaia(config, seed=0).eval()
+        assert model.inter_attention() is None
+        with no_grad():
+            model(dataset.test, dataset.graph)
+        before = (model.intra_attention(), model.inter_attention(),
+                  model.neighbor_alpha())
+        shapes = [array.shape for array in before]
+        cau_before = [layer.cau.last_attention for layer in model.layers]
+        cut = build_disjoint_batch(ego_subgraphs(dataset.graph, [1, 5, 5], 2),
+                                   dataset.test, model.receptive_depth)
+        assert cut.edges_into[0] > 0
+        with engine.inference_mode():
+            model(cut.batch, cut.graph, (cut.rows_within, cut.edges_into))
+        after = (model.intra_attention(), model.inter_attention(),
+                 model.neighbor_alpha())
+        assert all(a is b for a, b in zip(after, before))
+        assert [array.shape for array in after] == shapes
+        assert after[1].shape[0] == dataset.graph.num_edges
+        assert all(layer.cau.last_attention is kept
+                   for layer, kept in zip(model.layers, cau_before))
+
+    def test_variant_without_trim_declares_no_depth(self, dataset, config):
+        """``GaiaNoITA`` opted out: it says so, and cannot be handed a
+        trim by mistake."""
+        model = GaiaNoITA(config, seed=0).eval()
+        assert model.receptive_depth is None
+        assert GaiaNoFFL(config, seed=0).receptive_depth == config.num_layers
+        cut = build_disjoint_batch(ego_subgraphs(dataset.graph, [1], 2),
+                                   dataset.test, config.num_layers)
+        with pytest.raises(TypeError), engine.inference_mode():
+            model(cut.batch, cut.graph, (cut.rows_within, cut.edges_into))
 
 
 class TestVariants:

@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Eleven invariants, all cheap enough for tier-1:
+Twelve invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -30,6 +30,11 @@ Eleven invariants, all cheap enough for tier-1:
   under ``src/``, ``ServingGateway._serve`` reaches the model forward
   through one call site, and ``GatewayConfig`` has exactly its ten
   documented fields;
+* the **trimmed forward is the one forward** (AST lint): the gateway
+  reads the model's declared ``receptive_depth`` as a plain attribute
+  and never probes the model with ``getattr`` / ``hasattr``, and
+  ``ITAGCNLayer`` has one ``forward`` with the two ``attend`` calls and
+  the one ``segment_softmax`` it always had — no second attention body;
 * **node invalidation stays indexed** (AST lint): ``repro.serving.cache``
   calls no numpy set-membership routine, and neither ``invalidate_nodes``
   goes through the scanning ``invalidate_items`` / ``invalidate_if``;
@@ -376,6 +381,61 @@ def test_gateway_serves_one_model_behind_one_pump():
     # Vacuity guards: the walks covered the package and the class body.
     assert len(src_files) > 50 and len(identifiers) > 1000
     assert len(cls.body) > 20, "ServingGateway scan looks vacuous"
+
+
+def test_trimmed_forward_is_the_one_forward_behind_a_declaration():
+    """Structure lint (tier-1): trimming added no second path.
+
+    ``serving/gateway.py`` applies neither ``getattr`` nor ``hasattr``
+    to the model — what the model reads is the plain attribute
+    ``self.model.receptive_depth``, read once; ``ITAGCNLayer`` defines
+    exactly one ``forward`` and no other method named after it or after
+    trimming, that ``forward`` holds the layer's only two ``attend``
+    calls (intra, inter) and its one ``segment_softmax``, and
+    ``masked_softmax`` — the attention body — is called once, in
+    ``ConvolutionalAttentionUnit.attend``.
+    """
+    src = REPO_ROOT / "src" / "repro"
+    gateway = ast.parse((src / "serving" / "gateway.py").read_text())
+    probes = [
+        node.lineno for node in ast.walk(gateway)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("getattr", "hasattr")
+        and node.args and "model" in ast.unparse(node.args[0])
+    ]
+    assert not probes, f"gateway.py probes the model by name: {probes}"
+    declared = [node for node in ast.walk(gateway)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "receptive_depth"]
+    assert len(declared) == 1 and _is_self_attr(declared[0].value, "model")
+
+    layer_tree = ast.parse((src / "core" / "ita_gcn.py").read_text())
+    (layer,) = [node for node in layer_tree.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "ITAGCNLayer"]
+    methods = [item.name for item in layer.body
+               if isinstance(item, ast.FunctionDef)]
+    assert methods.count("forward") == 1
+    twins = [name for name in methods
+             if name != "forward" and ("forward" in name or "trim" in name)]
+    assert not twins, f"ITAGCNLayer grew a second layer body: {twins}"
+    (forward,) = [item for item in layer.body
+                  if isinstance(item, ast.FunctionDef)
+                  and item.name == "forward"]
+    assert _called_names(forward).count("attend") == 2
+    assert _called_names(layer_tree).count("attend") == 2
+    assert _called_names(layer_tree).count("segment_softmax") == 1
+    assert "masked_softmax" not in _called_names(layer_tree)
+    cau_tree = ast.parse((src / "core" / "cau.py").read_text())
+    (attend,) = [node for node in ast.walk(cau_tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "attend"]
+    assert _called_names(cau_tree).count("masked_softmax") == 1
+    assert _called_names(attend).count("masked_softmax") == 1
+    # Vacuity guards: the walks saw the gateway class and the layer body.
+    assert "build_disjoint_batch" in _called_names(gateway)
+    assert {"conv_bank", "segment_sum", "gather_rows"} \
+        <= set(_called_names(forward))
 
 
 def _called_names(tree):

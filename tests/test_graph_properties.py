@@ -10,7 +10,11 @@ nodes, and that overlay after ``compact()`` — one loop serves them all,
 so one oracle checks them all.  The sequential extractor lives here, as
 the reference (:func:`brute_force_ego`: a textbook BFS per center plus
 an ordered ``O(E)`` edge filter); ``TestOneTraversalPerBatch`` holds the
-batched one to a query count and an allocation ceiling.  The harness is
+batched one to a query count and an allocation ceiling.
+``TestReceptiveLayout`` holds the serving forward's computation graph —
+:func:`repro.graph.sampling.receptive_levels` and the level-ordered
+layout of :func:`repro.serving.batching.build_disjoint_batch` — to a
+per-center reverse-reach BFS written here.  The harness is
 :func:`tests.helpers.forall` — hypothesis-free trials with
 shrinking-lite minimisation.
 """
@@ -21,7 +25,10 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.data.dataset import InstanceBatch
 from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes, sample_neighbors
+from repro.graph.sampling import receptive_levels
+from repro.serving import build_disjoint_batch
 from repro.streaming import DynamicGraph
 
 from helpers import forall, random_eseller_graph, shrink_graph
@@ -355,6 +362,161 @@ class TestEgoSubgraphs:
                 assert_ego_equals(ego, center,
                                   brute_force_ego(cold, center, hops),
                                   (hops, center))
+
+
+def reverse_reach_levels(src, dst, num_nodes, seeds, depth):
+    """Reference: a BFS over in-edges from every seed on its own; per
+    node the fewest ``src -> dst`` steps to any seed, ``depth + 1`` when
+    none reads it within ``depth``."""
+    incoming = {v: [] for v in range(num_nodes)}
+    for s, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
+        incoming[d].append(s)
+    best = [depth + 1] * num_nodes
+    for seed in np.asarray(seeds).tolist():
+        dist = {seed: 0}
+        queue = deque([seed])
+        while queue:
+            v = queue.popleft()
+            if dist[v] == depth:
+                continue
+            for u in incoming[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        for v, steps in dist.items():
+            best[v] = min(best[v], steps)
+    return np.array(best, dtype=np.int64)
+
+
+def id_batch(num_nodes: int) -> InstanceBatch:
+    """A feature batch whose ``series`` column is the shop's own index,
+    so a stitched batch says which original shop each of its rows is."""
+    ids = np.arange(num_nodes, dtype=np.float64)
+    blank = np.zeros((num_nodes, 1))
+    return InstanceBatch(
+        cutoff=0, series=ids[:, None], series_scaled=blank, mask=blank > 0,
+        temporal=np.zeros((num_nodes, 1, 1)), static=blank, labels=blank,
+        labels_scaled=blank, levels=ids, scaler=None)
+
+
+class TestReceptiveLayout:
+    """What an ``L``-layer forward reads of a stitched batch, and where."""
+
+    def test_levels_match_per_seed_reverse_reach(self):
+        """Directed in-reach over any edge list == one BFS per seed:
+        repeated seeds, self-loops, seeds nothing leads into."""
+
+        def gen(rng: np.random.Generator):
+            graph = random_eseller_graph(rng, max_nodes=30, max_edges=90)
+            seeds = rng.integers(0, graph.num_nodes,
+                                 size=int(rng.integers(1, 9)))
+            return graph, seeds, int(rng.integers(0, 4))
+
+        def prop(case):
+            graph, seeds, depth = case
+            want = reverse_reach_levels(graph.src, graph.dst, graph.num_nodes,
+                                        seeds, depth)
+            got = receptive_levels(graph.src, graph.dst, graph.num_nodes,
+                                   seeds, depth)
+            assert np.array_equal(got, want), f"{got} != {want}"
+
+        forall(gen, prop, trials=TRIALS, seed=31, shrink=shrink_case,
+               name="receptive_levels == per-seed reverse reach")
+        with pytest.raises(ValueError, match="non-negative"):
+            receptive_levels(np.zeros(0, int), np.zeros(0, int), 1, [0], -1)
+
+    def test_layout_is_the_level_ordered_prefix_of_the_whole_union(self):
+        """``build_disjoint_batch(egos, batch, L)`` against the whole
+        union and the oracle's levels on it: ``hops`` 0–3 x ``L`` 1–3
+        (``hops < L`` included), repeated centers, isolated centers."""
+        seen = {"isolated": 0, "shallow": 0, "dropped": 0, "repeat": 0}
+
+        def gen(rng: np.random.Generator):
+            graph = random_eseller_graph(rng, max_nodes=30, max_edges=70)
+            centers = rng.integers(0, graph.num_nodes,
+                                   size=int(rng.integers(1, 13)))
+            return (graph, centers, int(rng.integers(0, 4)),
+                    int(rng.integers(1, 4)))
+
+        def prop(case):
+            graph, centers, hops, depth = case
+            source = id_batch(graph.num_nodes)
+            egos = ego_subgraphs(graph, centers, hops)
+            whole = build_disjoint_batch(egos, source)
+            cut = build_disjoint_batch(egos, source, depth)
+            n = centers.size
+            # The whole union is component by component, as it always was.
+            sizes = np.array([ego.num_nodes for ego in egos])
+            assert np.array_equal(whole.component_sizes, sizes)
+            assert np.array_equal(
+                whole.center_rows, np.cumsum(sizes) - sizes
+                + np.array([ego.center_local for ego in egos]))
+            assert np.array_equal(
+                whole.batch.series[:, 0],
+                np.concatenate([ego.nodes for ego in egos]))
+            assert whole.graph.num_edges == sum(
+                ego.subgraph.num_edges for ego in egos)
+
+            level = reverse_reach_levels(whole.graph.src, whole.graph.dst,
+                                         whole.graph.num_nodes,
+                                         whole.center_rows, depth)
+            rows = np.argsort(level, kind="stable")
+            rows = rows[:int((level <= depth).sum())]
+            counts = np.cumsum(np.bincount(level, minlength=depth + 2))
+            assert np.array_equal(cut.center_rows, np.arange(n))
+            assert np.array_equal(cut.centers, centers)
+            assert np.array_equal(cut.rows_within, counts[:depth + 1])
+            assert cut.rows_within[0] == n
+            assert cut.graph.num_nodes == cut.batch.num_shops == rows.size
+            assert np.array_equal(cut.batch.series[:, 0],
+                                  whole.batch.series[rows, 0])
+
+            into = level[whole.graph.dst]
+            edges = np.argsort(into, kind="stable")
+            edges = edges[:int((into < depth).sum())]
+            row_of = np.full(whole.graph.num_nodes, -1)
+            row_of[rows] = np.arange(rows.size)
+            assert np.array_equal(cut.graph.src, row_of[whole.graph.src[edges]])
+            assert np.array_equal(cut.graph.dst, row_of[whole.graph.dst[edges]])
+            assert np.array_equal(cut.graph.edge_types,
+                                  whole.graph.edge_types[edges])
+            assert np.array_equal(
+                cut.edges_into,
+                np.cumsum(np.bincount(into, minlength=depth + 2))[:depth])
+            assert np.all(np.diff(cut.rows_within) >= 0)
+            assert np.all(np.diff(cut.edges_into) >= 0)
+            for d in range(depth):
+                prefix = slice(0, int(cut.edges_into[d]))
+                assert np.all(cut.graph.dst[prefix] < cut.rows_within[d])
+                assert np.all(cut.graph.src[prefix] < cut.rows_within[d + 1])
+            # Inside one dst the in-edges keep the whole union's order
+            # (segment sums add in scan order).
+            for row in np.unique(cut.graph.dst):
+                mine = cut.graph.dst == row
+                theirs = whole.graph.dst == rows[row]
+                assert np.array_equal(
+                    cut.batch.series[cut.graph.src[mine], 0],
+                    whole.batch.series[whole.graph.src[theirs], 0])
+                assert np.array_equal(cut.graph.edge_types[mine],
+                                      whole.graph.edge_types[theirs])
+            # A pure function of the egos' arrays: the same egos from a
+            # different extraction batch give the same layout.
+            again = build_disjoint_batch(
+                [ego_subgraph(graph, int(c), hops) for c in centers],
+                source, depth)
+            for name in ("center_rows", "rows_within", "edges_into"):
+                assert np.array_equal(getattr(again, name), getattr(cut, name))
+            assert np.array_equal(again.graph.src, cut.graph.src)
+            assert np.array_equal(again.graph.dst, cut.graph.dst)
+            assert np.array_equal(again.batch.series, cut.batch.series)
+            seen["isolated"] += int(cut.edges_into[0] == 0)
+            seen["shallow"] += int(hops < depth)
+            seen["dropped"] += int(rows.size < whole.graph.num_nodes)
+            seen["repeat"] += int(np.unique(centers).size < n)
+
+        forall(gen, prop, trials=TRIALS, seed=32, shrink=None,
+               name="trimmed layout == level-ordered prefix of the union")
+        assert all(count >= 3 for count in seen.values()), seen
 
 
 class CountingGraph:

@@ -8,8 +8,9 @@ import pytest
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.deploy import ModelRegistry, OnlineModelServer
-from repro.graph.sampling import EgoSubgraph, ego_subgraphs
+from repro.graph.sampling import EgoSubgraph, ego_subgraphs, receptive_levels
 from repro.nn.module import Module, Parameter
+from repro.nn.tensor import Tensor
 from repro.serving import (
     GatewayConfig,
     LoadGenerator,
@@ -357,23 +358,119 @@ class TestGatewayNumerics:
 
     def test_disjoint_batch_layout(self, dataset):
         egos = ego_subgraphs(dataset.graph, [0, 0, 3], hops=1)
-        union = build_disjoint_batch(egos, dataset.test)
+        union = build_disjoint_batch(egos, dataset.test, 1)
         assert union.num_requests == 3
-        assert union.graph.num_nodes == sum(e.num_nodes for e in egos)
-        # Component offsets keep centers on their own rows.
+        # Centers first, in request order; a repeated center is two rows.
+        assert union.center_rows.tolist() == [0, 1, 2]
+        assert union.centers.tolist() == [0, 0, 3]
         for row, ego in zip(union.center_rows, egos):
             assert union.batch.series[row] == pytest.approx(
                 dataset.test.series[ego.center]
             )
+        # Only what one layer reads of each ego is kept ...
+        assert union.rows_within[0] == 3
+        assert union.graph.num_nodes == union.batch.num_shops \
+            == union.rows_within[-1] <= sum(e.num_nodes for e in egos)
+        assert union.graph.num_edges == union.edges_into[-1]
+        assert np.all(union.graph.dst < 3)          # every edge ends in a center
+        # ... while the sizes stay the whole egos' (what responses report).
+        assert union.component_sizes.tolist() == [e.num_nodes for e in egos]
+        # No declared depth: the whole egos, component by component.
+        whole = build_disjoint_batch(egos, dataset.test)
+        assert whole.graph.num_nodes == sum(e.num_nodes for e in egos)
+        assert whole.graph.num_edges == sum(e.subgraph.num_edges for e in egos)
+        offsets = np.cumsum(whole.component_sizes) - whole.component_sizes
+        assert whole.center_rows.tolist() == [
+            off + ego.center_local for off, ego in zip(offsets, egos)]
 
     def test_build_disjoint_batch_rejects_empty(self, dataset):
-        with pytest.raises(ValueError):
-            build_disjoint_batch([], dataset.test)
+        for depth in (None, 1):
+            with pytest.raises(ValueError):
+                build_disjoint_batch([], dataset.test, depth)
 
     def test_submit_validates_range(self, factory, dataset, registry):
         gateway = make_gateway(factory, dataset, registry)
         with pytest.raises(IndexError):
             gateway.submit(dataset.graph.num_nodes)
+
+
+class _WholeEgoModel(Module):
+    """Declares no receptive depth; forecasts each row's own last inputs
+    and remembers the shape of what it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def forward(self, batch, graph):
+        self.seen.append((batch.num_shops, graph.num_nodes, graph.num_edges))
+        return Tensor(batch.series_scaled[:, -batch.horizon:].copy())
+
+
+class TestReceptiveServing:
+    """The gateway computes what the model says it reads — and keeps
+    everything else (caches, tags, counters) whole-ego."""
+
+    def test_forward_rows_metric_counts_computed_rows(self, factory, dataset,
+                                                      registry):
+        gateway = make_gateway(factory, dataset, registry, max_batch_size=8)
+        assert gateway.model.receptive_depth == 1
+        shops = list(range(8))
+        responses = gateway.predict_many(shops)
+        egos = ego_subgraphs(dataset.graph, shops, gateway.config.hops)
+        kept = build_disjoint_batch(egos, dataset.test, 1).batch.num_shops
+        rows = gateway.metrics_report()["distributions"]["forward_rows"]
+        assert rows["count"] == 1 and rows["mean"] == kept
+        # Responses still report the ego, the unit caches and tags keep.
+        assert [r.subgraph_nodes for r in responses] \
+            == [ego.num_nodes for ego in egos]
+        assert kept < sum(ego.num_nodes for ego in egos)
+        gateway.close()
+
+    def test_model_without_declared_depth_gets_whole_egos(self, dataset):
+        gateway = make_gateway(_WholeEgoModel, dataset, max_batch_size=8)
+        assert gateway.model.receptive_depth is None
+        shops = [4, 9, 9, 17]
+        responses = gateway.predict_many(shops)
+        egos = ego_subgraphs(dataset.graph, [4, 9, 17], gateway.config.hops)
+        assert gateway.model.seen == [(
+            sum(ego.num_nodes for ego in egos),
+            sum(ego.num_nodes for ego in egos),
+            sum(ego.subgraph.num_edges for ego in egos),
+        )]
+        # center_rows located each shop's own row in the whole union.
+        test = dataset.test
+        for response in responses:
+            shop = response.shop_index
+            want = test.scaler.inverse_transform(
+                test.series_scaled[shop, -test.horizon:], test.levels[shop])
+            np.testing.assert_array_equal(response.forecast, want)
+        rows = gateway.metrics.distribution("forward_rows")
+        assert rows.values().tolist() == [gateway.model.seen[0][0]]
+        gateway.close()
+
+    def test_service_time_wrapper_is_handed_whole_egos(self, factory, dataset,
+                                                       registry):
+        """The wrapper declares nothing itself (it does not delegate the
+        declaration), so simulated per-row costs charge ego rows."""
+        from repro.obs.clock import FakeClock
+        from repro.serving import ServiceTimeModel
+
+        clock = FakeClock()
+        gateway = ServingGateway(factory, dataset, registry, GatewayConfig(
+            max_batch_size=4, max_wait=10.0), clock=clock.now)
+        gateway.model = ServiceTimeModel(gateway.model, clock,
+                                         per_forward_s=0.0, per_row_s=1.0)
+        shops = [2, 6, 11, 30]
+        before = clock.now()
+        got = gateway.predict_many(shops)
+        egos = ego_subgraphs(dataset.graph, shops, gateway.config.hops)
+        assert clock.now() - before == sum(ego.num_nodes for ego in egos)
+        trimmed = make_gateway(factory, dataset, registry, max_batch_size=4)
+        for a, b in zip(got, trimmed.predict_many(shops)):
+            np.testing.assert_allclose(a.forecast, b.forecast, rtol=1e-12)
+        gateway.close()
+        trimmed.close()
 
 
 class TestGatewayCaching:
@@ -723,16 +820,36 @@ class TestSubsetDuplicateRows:
 
     def test_overlapping_union_rows_match_components(self, dataset):
         """A disjoint union over overlapping egos repeats shared rows so
-        every component stays self-contained."""
-        egos = ego_subgraphs(dataset.graph, [0, 1], hops=2)
-        union = build_disjoint_batch(egos, dataset.test)
+        every component stays self-contained: level by level, each ego
+        contributes its own copy of what its center reads."""
+        # A reader and the shop it reads: the second is a center of its
+        # own ego and a level-1 row of the first's.
+        reader, read = int(dataset.graph.dst[0]), int(dataset.graph.src[0])
+        assert reader != read
+        egos = ego_subgraphs(dataset.graph, [reader, read], hops=2)
+        levels = [
+            receptive_levels(ego.subgraph.src, ego.subgraph.dst,
+                             ego.num_nodes, [ego.center_local], 2)
+            for ego in egos
+        ]
+        expected = np.concatenate([
+            ego.nodes[level == depth]
+            for depth in range(3) for ego, level in zip(egos, levels)
+        ])
+        union = build_disjoint_batch(egos, dataset.test, 2)
+        np.testing.assert_array_equal(union.batch.series,
+                                      dataset.test.series[expected])
+        assert np.unique(expected).size < expected.size, \
+            "the two egos share no kept shop: the test checks nothing"
+        # Whole egos: the shared shop sits at its own offset in each.
+        whole = build_disjoint_batch(egos, dataset.test)
         shared = np.intersect1d(egos[0].nodes, egos[1].nodes)
         offset = egos[0].num_nodes
         for node in shared:
             row_a = int(np.searchsorted(egos[0].nodes, node))
             row_b = offset + int(np.searchsorted(egos[1].nodes, node))
             np.testing.assert_array_equal(
-                union.batch.series[row_a], union.batch.series[row_b]
+                whole.batch.series[row_a], whole.batch.series[row_b]
             )
 
     def test_out_of_range_subset_rejected(self, dataset):
@@ -787,5 +904,13 @@ class TestServingPrecision:
         report = serving.metrics_report()
         assert report["engine"]["precision"] == "float32"
         assert reference.metrics_report()["engine"]["precision"] == "float64"
+        # Both went through the trimmed forward, float32 weights and all.
+        assert serving.model.receptive_depth == 1
+        assert all(param.data.dtype == np.float32
+                   for param in serving.model.parameters())
+        rows = serving.metrics.distribution("forward_rows").values()
+        assert rows.sum() < sum(r.subgraph_nodes for r in got)
+        assert rows.tolist() == reference.metrics.distribution(
+            "forward_rows").values().tolist()
         reference.close()
         serving.close()

@@ -20,6 +20,7 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.data.dataset import make_instance_batch
 from repro.deploy import ModelRegistry
 from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
+from repro.graph.sampling import receptive_levels
 from repro.obs import Tracer, use_tracer
 from repro.obs import tracing as obs_tracing
 from repro.serving import GatewayConfig, LRUCache, ServingGateway
@@ -599,6 +600,40 @@ class TestDeltaInvalidation:
         assert len(evicted) < len(shops), "delta eviction flushed everything"
         gateway.close()
 
+    def test_event_outside_the_receptive_rows_still_evicts(
+            self, factory, dataset, registry, simulator):
+        """The invalidation radius is the ego, not what the forward
+        reads: an edge event on a hop-2 node no layer reads still evicts
+        the cached forecast.  Deliberately conservative — pinned so the
+        radius is not narrowed to the receptive rows by accident."""
+        gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
+        hops, depth = gateway.config.hops, gateway.model.receptive_depth
+        assert (hops, depth) == (2, 1)
+        unread = {}
+        for shop in range(dataset.test.num_shops):
+            ego = ego_subgraph(dyn, shop, hops)
+            level = receptive_levels(ego.subgraph.src, ego.subgraph.dst,
+                                     ego.num_nodes, [ego.center_local], depth)
+            if (level > depth).any():
+                unread[shop] = ego.nodes[level > depth]
+        shop, outside = next(iter(unread.items()))
+        bystander = next(
+            other for other in range(dataset.test.num_shops)
+            if not np.isin(outside[:1], ego_subgraph(dyn, other, hops).nodes).any())
+        first = gateway.predict_many([shop, bystander])
+        assert not any(r.cached for r in first)
+        dyn.add_edge(int(outside[0]), int(outside[0]), 0)   # a self-loop out there
+        version = gateway.model_version
+        assert gateway.result_cache.get(shop, hops, version) is None
+        assert gateway.result_cache.get(bystander, hops, version) is not None
+        again = gateway.predict_many([shop, bystander])
+        assert [r.cached for r in again] == [False, True]
+        # What the center reads did not change, so neither did its
+        # forecast (another batch composition: the 1e-12 guarantee).
+        np.testing.assert_allclose(again[0].forecast, first[0].forecast,
+                                   rtol=1e-12)
+        gateway.close()
+
     def test_delta_path_matches_cold_gateway(self, factory, dataset, registry,
                                              simulator):
         """After churn, delta-invalidated serving equals a cold gateway
@@ -747,6 +782,27 @@ class TestDeltaInvalidation:
         fine = gateway.submit(far)
         gateway.flush()
         assert fine.done and fine.result().forecast.shape == (3,)
+        with pytest.raises(IndexError, match="beyond the serving snapshot"):
+            doomed.result()
+        assert gateway.metrics.counter("requests_failed") == 1
+        gateway.close()
+
+    def test_overflow_shop_nobody_reads_still_fails_its_ego(
+            self, factory, dataset, registry, simulator):
+        """Servability is judged on the whole ego: a beyond-snapshot shop
+        that shop 0 only *writes to* (no layer of 0's forward reads it)
+        still fails 0's requests, like one it reads."""
+        gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
+        grown = dyn.add_shop()
+        dyn.add_edge(0, grown, 0)               # 0 -> grown: an out-neighbour
+        ego = ego_subgraph(dyn, 0, gateway.config.hops)
+        level = receptive_levels(ego.subgraph.src, ego.subgraph.dst,
+                                 ego.num_nodes, [ego.center_local],
+                                 gateway.model.receptive_depth)
+        assert level[np.searchsorted(ego.nodes, grown)] \
+            > gateway.model.receptive_depth
+        doomed = gateway.submit(0)
+        gateway.flush()
         with pytest.raises(IndexError, match="beyond the serving snapshot"):
             doomed.result()
         assert gateway.metrics.counter("requests_failed") == 1
