@@ -74,24 +74,26 @@ class Gaia(Module):
         """Predict scaled GMV for the horizon months, shape ``(S, T')``.
 
         ``trim=None`` computes every row of ``batch`` from every edge of
-        ``graph`` — training, evaluation and the paper figures; the
-        recorded trace is what it always was.
+        ``graph`` — ``Trainer.predict_raw``, the adapter's drift scoring
+        and the paper figures; the recorded trace is what it always was.
 
-        ``trim=(rows_within, edges_into)`` is the serving forward over a
-        :class:`~repro.serving.batching.DisjointBatch` built with
-        ``depth=receptive_depth``: rows ordered by the depth at which a
-        center first reads them, so that the first ``rows_within[d]``
-        rows sit within ``d`` steps of a center and the first
-        ``edges_into[d]`` edges lead into them.  FFL/TEL embed all
+        ``trim=(rows_within, edges_into)`` is the forward over a
+        :func:`~repro.graph.sampling.receptive_layout` built with
+        ``depth=receptive_depth`` — a gateway batch seeded with its
+        centers (:class:`~repro.serving.batching.DisjointBatch`), or the
+        training graph seeded with the rows the loss reads
+        (:func:`~repro.training.trainer.masked_loss`): rows ordered by
+        the depth at which a seed first reads them, so that the first
+        ``rows_within[d]`` rows sit within ``d`` steps of a seed and the
+        first ``edges_into[d]`` edges lead into them.  FFL/TEL embed all
         ``rows_within[L]`` rows; layer ``l`` of ``L`` reads the first
         ``rows_within[L - l + 1]`` rows and ``edges_into[L - l]`` edges
         and writes the first ``rows_within[L - l]`` rows; the head runs
-        on the centers.  Returns ``(rows_within[0], T')`` — the center
-        rows of the untrimmed forward over the whole egos, to 1e-12
+        on the seeds.  Returns ``(rows_within[0], T')`` — the seed rows
+        of the untrimmed forward over the whole graph, to 1e-12
         relative in float64 (every kernel is row- or segment-wise; BLAS
-        may round a row of the gate's matrix-vector product by its
-        position, one ulp) and bit for bit when no edge leads into a
-        center.
+        may round a row of a matrix product by its position, one ulp)
+        and bit for bit when no edge leads into a seed.
         """
         embedding = self.embed(batch)
         h = embedding
@@ -116,23 +118,26 @@ class Gaia(Module):
     def intra_attention(self) -> Optional[np.ndarray]:
         """Last layer's per-node intra CAU attention maps ``(S, T, T)``.
 
-        As the last full forward left them; a trimmed forward (``trim``
-        given) records nothing.
+        As the last full forward left them (``trim=None``: a direct call,
+        ``Trainer.predict_raw``); a trimmed forward — the serving batch,
+        the training loss — records nothing.
         """
         return self.layers[-1].last_intra_attention
 
     def inter_attention(self) -> Optional[np.ndarray]:
         """Last layer's per-edge inter CAU attention maps ``(E, T, T)``.
 
-        As the last full forward left them; a trimmed forward (``trim``
-        given) records nothing.
+        As the last full forward left them (``trim=None``: a direct call,
+        ``Trainer.predict_raw``); a trimmed forward — the serving batch,
+        the training loss — records nothing.
         """
         return self.layers[-1].last_inter_attention
 
     def neighbor_alpha(self) -> Optional[np.ndarray]:
         """Last layer's per-edge neighbor mixing weights ``(E,)``.
 
-        As the last full forward left them; a trimmed forward (``trim``
-        given) records nothing.
+        As the last full forward left them (``trim=None``: a direct call,
+        ``Trainer.predict_raw``); a trimmed forward — the serving batch,
+        the training loss — records nothing.
         """
         return self.layers[-1].last_alpha

@@ -62,7 +62,7 @@ class ITAGCNLayer(Module):
         the first ``num_out`` rows from the first ``num_edges`` edges —
         the layer-wise minibatch computation graph, on a layout where
         what a layer needs is a prefix
-        (:class:`repro.serving.batching.DisjointBatch`): ``h`` holds the
+        (:class:`repro.graph.sampling.ReceptiveLayout`): ``h`` holds the
         input rows, every one of those edges ends in an output row, and
         Q and the intra attention are computed for output rows only.
         The body is the same; the trimmed case differs in which prefix

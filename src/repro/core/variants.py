@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,24 +52,36 @@ class _TraditionalAttentionLayer(Module):
             self._mask_cache[t] = F.causal_mask(t)
         return self._mask_cache[t]
 
-    def forward(self, h: Tensor, graph: ESellerGraph) -> Tensor:
-        """Compute the layer output (see class docstring)."""
-        num_nodes = h.shape[0]
-        q = self.proj_q(h)
+    def forward(self, h: Tensor, graph: ESellerGraph,
+                trim: Optional[Tuple[int, int]] = None) -> Tensor:
+        """Compute the layer output (see class docstring).
+
+        ``trim`` is :meth:`repro.core.ita_gcn.ITAGCNLayer.forward`'s:
+        ``(num_out, num_edges)`` computes the first ``num_out`` rows from
+        the first ``num_edges`` edges of a level-ordered layout — Q and
+        the intra attention for output rows only, K/V and the gate terms
+        for every row read.  One body; the trimmed case differs in which
+        prefix each operand is read from.
+        """
+        full = trim is None
+        num_out, num_edges = (h.shape[0], graph.num_edges) if full else trim
+        src, dst = graph.src[:num_edges], graph.dst[:num_edges]
+        # Slicing a tensor records an op: the full layer records none.
+        q = self.proj_q(h if full else h[:num_out])
         k = self.proj_k(h)
         v = self.proj_v(h)
+        k_out, v_out = (k, v) if full else (k[:num_out], v[:num_out])
         # Intra: standard (non-convolutional) causal self-attention.
-        scores = (q @ k.transpose()) * (1.0 / np.sqrt(self.channels))
-        intra = F.masked_softmax(scores, self._mask(h.shape[1])) @ v
-        if graph.num_edges == 0:
+        scores = (q @ k_out.transpose()) * (1.0 / np.sqrt(self.channels))
+        intra = F.masked_softmax(scores, self._mask(h.shape[1])) @ v_out
+        if src.size == 0:
             return intra
-        src, dst = graph.src, graph.dst
         # Inter: neighbors' values mixed by alpha, no temporal matching.
         gate_terms = F.gather_rows(self.attn_s(h), dst) + F.gather_rows(self.attn_d(h), src)
         gate = F.tanh(gate_terms).reshape(src.size, -1) @ self.mu
-        alpha = F.segment_softmax(gate, dst, num_nodes)
+        alpha = F.segment_softmax(gate, dst, num_out)
         weighted = F.gather_rows(v, src) * alpha.reshape(src.size, 1, 1)
-        inter = F.segment_sum(weighted, dst, num_nodes)
+        inter = F.segment_sum(weighted, dst, num_out)
         return inter + intra
 
 
@@ -111,9 +123,6 @@ class GaiaNoITA(Gaia):
     """Gaia with traditional self-attention in place of ITA (Table II)."""
 
     name = "Gaia w/o ITA"
-    #: ``_TraditionalAttentionLayer`` computes whole graphs only, so the
-    #: variant is served on whole egos (no workload serves it).
-    receptive_depth = None
 
     def __init__(self, config: GaiaConfig, rng: Optional[np.random.Generator] = None,
                  seed: int = 0) -> None:

@@ -29,15 +29,18 @@ What a forward pass *reads* is narrower: an ``L``-layer message-passing
 model lets a seed see only what reaches it along ``src -> dst`` edges
 in ``L`` steps.  :func:`receptive_levels` computes that directed
 in-reach over an edge list — the second and last traversal this module
-owns — so the serving layer can lay a stitched batch out by the depth
-at which each row is first read and skip the rest
-(:func:`repro.serving.batching.build_disjoint_batch`).
+owns — and :func:`receptive_layout` turns it into the one row / edge
+order in which everything a layer reads is a prefix.  Serving lays a
+stitched batch of egos out with it, seeded by the centers
+(:func:`repro.serving.batching.build_disjoint_batch`); training lays the
+whole graph out with it, seeded by the rows the loss reads
+(:func:`repro.training.trainer.masked_loss`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,8 @@ from .graph import ESellerGraph, _gather_segments
 __all__ = [
     "k_hop_nodes",
     "receptive_levels",
+    "ReceptiveLayout",
+    "receptive_layout",
     "ego_subgraph",
     "ego_subgraphs",
     "EgoSubgraph",
@@ -155,6 +160,72 @@ def receptive_levels(src: np.ndarray, dst: np.ndarray, num_nodes: int,
             break
         level[reached] = d + 1
     return level
+
+
+@dataclass
+class ReceptiveLayout:
+    """The rows and edges a forward over ``seeds`` reads, level-ordered.
+
+    Rows are laid out by the depth at which the model first reads them
+    — the seeds in ascending node order (level 0), then the rows first
+    needed one ``src -> dst`` step upstream, two steps, ... — and rows
+    no layer reads are left out; edges are stably sorted by the level of
+    their ``dst`` and kept only below the last level, so the relative
+    order inside one ``dst`` is that of the given edge list and segment
+    sums add in the same order.  What an ``L``-layer model needs at each
+    layer is therefore a *prefix*: ``rows_within[d]`` rows sit within
+    ``d`` steps of a seed (``L + 1`` entries) and ``edges_into[d]``
+    edges lead into them (``L`` entries).  Every edge in the first
+    ``edges_into[d]`` has ``dst < rows_within[d]`` and
+    ``src < rows_within[d + 1]``.
+
+    ``rows`` are the kept nodes of the given edge list in layout order
+    (what to gather features with), ``graph`` the kept edges relabelled
+    to positions in ``rows``, ``seed_rows`` where each seed sits.
+    """
+
+    graph: ESellerGraph
+    rows: np.ndarray
+    seed_rows: np.ndarray
+    rows_within: np.ndarray
+    edges_into: np.ndarray
+
+
+def receptive_layout(src: np.ndarray, dst: np.ndarray, edge_types: np.ndarray,
+                     num_nodes: int, seeds: np.ndarray,
+                     depth: Optional[int]) -> ReceptiveLayout:
+    """Lay an edge list out for a ``depth``-layer forward over ``seeds``.
+
+    ``depth`` is the receptive depth of the model about to read the
+    result (:attr:`repro.nn.module.Module.receptive_depth`): only rows
+    within ``depth`` directed steps of a seed are kept, in the
+    level-ordered layout :class:`ReceptiveLayout` documents.  ``None``
+    — a model that reads everything — is the same routine with every
+    row at level 0: the stable sorts are the identity, and every row
+    and edge comes out where it was.  A pure function of its arrays.
+    """
+    if depth is None:
+        # Every row is read: all of them are level 0, and the one level
+        # of edges into level-0 rows is all of the edges.
+        level, depth = np.zeros(num_nodes, dtype=np.int64), 1
+    else:
+        level = receptive_levels(src, dst, num_nodes, seeds, depth)
+    rows_within = np.bincount(level, minlength=depth + 1)[:depth + 1].cumsum()
+    edge_level = level[dst]
+    edges_into = np.bincount(edge_level, minlength=depth)[:depth].cumsum()
+    rows = np.argsort(level, kind="stable")[:rows_within[-1]]
+    edges = np.argsort(edge_level, kind="stable")
+    edges = edges[:np.count_nonzero(edge_level < depth)]
+    row_of = np.empty(num_nodes, dtype=np.int64)
+    row_of[rows] = np.arange(rows.size, dtype=np.int64)
+    return ReceptiveLayout(
+        graph=ESellerGraph(rows.size, row_of[src[edges]], row_of[dst[edges]],
+                           edge_types[edges]),
+        rows=rows,
+        seed_rows=row_of[seeds],
+        rows_within=rows_within,
+        edges_into=edges_into,
+    )
 
 
 @dataclass

@@ -22,7 +22,9 @@ by the level of their ``dst`` — so that everything a layer needs is a
 *prefix* of the row and edge arrays (:class:`DisjointBatch` carries the
 two cumulative counts) and a trimmed forward slices instead of
 gathering.  Without a depth it stitches the whole egos, component by
-component.
+component.  The layout itself is
+:func:`repro.graph.sampling.receptive_layout`, the one the training
+loss uses over its loss rows.
 
 *Which* requests a batch contains is a schedule, not a mode: every
 request carries a **priority class** (:data:`PRIORITIES`) and an
@@ -53,7 +55,7 @@ import numpy as np
 
 from ..data.dataset import InstanceBatch
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import EgoSubgraph, receptive_levels
+from ..graph.sampling import EgoSubgraph, receptive_layout
 from ..obs import clock as obs_clock
 
 __all__ = [
@@ -284,18 +286,14 @@ class DisjointBatch:
     """The rows and edges one forward reads of a node-disjoint union of egos.
 
     Every ego is its own connected component (node ids offset, shared
-    shops repeated per component).  Rows are laid out by the depth at
-    which the model first reads them — the centers in request order
-    (level 0), then the rows first needed one ``src -> dst`` step
-    upstream, two steps, ... — and rows no layer reads are left out;
-    edges are stably sorted by the level of their ``dst`` and kept only
-    below the last level, so the relative order inside one ``dst`` is
-    that of the ego's own edge list and segment sums add in the same
-    order.  What an ``L``-layer model needs at each layer is therefore a
-    *prefix*: ``rows_within[d]`` rows sit within ``d`` steps of a center
-    (``L + 1`` entries) and ``edges_into[d]`` edges lead into them
-    (``L`` entries).  Every edge in the first ``edges_into[d]`` has
-    ``dst < rows_within[d]`` and ``src < rows_within[d + 1]``.
+    shops repeated per component), laid out by
+    :func:`~repro.graph.sampling.receptive_layout` seeded with the
+    centers: rows in the order the model first reads them (the centers
+    in request order, then one ``src -> dst`` step upstream, two, ...),
+    rows no layer reads left out, edges sorted by the level of their
+    ``dst``.  ``rows_within`` and ``edges_into`` are that layout's
+    per-depth prefix counts
+    (:class:`~repro.graph.sampling.ReceptiveLayout`).
 
     ``graph`` holds the kept rows and edges; ``batch`` is the matching
     row-gathered :class:`~repro.data.dataset.InstanceBatch`;
@@ -324,13 +322,11 @@ def build_disjoint_batch(
 ) -> DisjointBatch:
     """Stitch ego-subgraphs into one block-diagonal graph + feature batch.
 
-    ``depth`` is the receptive depth of the model about to read the
-    batch (:attr:`repro.nn.module.Module.receptive_depth`): only rows
-    within ``depth`` directed steps of a center are kept, in the
-    level-ordered layout :class:`DisjointBatch` documents.  ``None`` —
-    a model that reads the whole ego — is the same routine with every
-    row at level 0: the stable sorts are the identity, and the union
-    comes out component by component with every row and edge.
+    Concatenate the egos with their node ids offset, lay the union out
+    for a ``depth``-layer model reading the centers
+    (:func:`~repro.graph.sampling.receptive_layout`; ``None`` — a model
+    that reads the whole ego — keeps every row and edge, component by
+    component), gather the rows.
 
     The layout is a pure function of the egos' arrays.  Rows of the
     batch are gathered from ``source_batch`` via one
@@ -342,38 +338,24 @@ def build_disjoint_batch(
         raise ValueError("cannot build a batch from zero ego-subgraphs")
     sizes = np.array([ego.num_nodes for ego in egos], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
     # One shift per edge — its component's offset — instead of an add
     # per ego and endpoint array.
     shift = offsets.repeat([ego.subgraph.num_edges for ego in egos])
-    src = np.concatenate([ego.subgraph.src for ego in egos]) + shift
-    dst = np.concatenate([ego.subgraph.dst for ego in egos]) + shift
-    types = np.concatenate([ego.subgraph.edge_types for ego in egos])
-    nodes = np.concatenate([ego.nodes for ego in egos])
-    seeds = offsets + np.array(
-        [ego.center_local for ego in egos], dtype=np.int64
+    layout = receptive_layout(
+        np.concatenate([ego.subgraph.src for ego in egos]) + shift,
+        np.concatenate([ego.subgraph.dst for ego in egos]) + shift,
+        np.concatenate([ego.subgraph.edge_types for ego in egos]),
+        int(sizes.sum()),
+        offsets + np.array([ego.center_local for ego in egos], dtype=np.int64),
+        depth,
     )
-    if depth is None:
-        # Every row is read: all of them are level 0, and the one level
-        # of edges into level-0 rows is all of the edges.
-        level, depth = np.zeros(total, dtype=np.int64), 1
-    else:
-        level = receptive_levels(src, dst, total, seeds, depth)
-    rows_within = np.bincount(level, minlength=depth + 1)[:depth + 1].cumsum()
-    edge_level = level[dst]
-    edges_into = np.bincount(edge_level, minlength=depth)[:depth].cumsum()
-    rows = np.argsort(level, kind="stable")[:rows_within[-1]]
-    edges = np.argsort(edge_level, kind="stable")
-    edges = edges[:np.count_nonzero(edge_level < depth)]
-    row_of = np.empty(total, dtype=np.int64)
-    row_of[rows] = np.arange(rows.size, dtype=np.int64)
+    nodes = np.concatenate([ego.nodes for ego in egos])
     return DisjointBatch(
-        graph=ESellerGraph(rows.size, row_of[src[edges]], row_of[dst[edges]],
-                           types[edges]),
-        batch=source_batch.subset(nodes[rows]),
-        center_rows=row_of[seeds],
+        graph=layout.graph,
+        batch=source_batch.subset(nodes[layout.rows]),
+        center_rows=layout.seed_rows,
         component_sizes=sizes,
         centers=np.array([ego.center for ego in egos], dtype=np.int64),
-        rows_within=rows_within,
-        edges_into=edges_into,
+        rows_within=layout.rows_within,
+        edges_into=layout.edges_into,
     )

@@ -42,6 +42,7 @@ from ..nn.tensor import Tensor, no_grad
 from ..obs import tracing as obs_tracing
 from ..streaming.events import SalesTick, ShopEvent
 from ..streaming.features import StreamingFeatureStore, grow_rows
+from .trainer import masked_loss
 
 __all__ = ["OnlineAdapterConfig", "AdaptationReport", "ShopRingWindows",
            "OnlineAdapter"]
@@ -387,11 +388,9 @@ class OnlineAdapter:
                active: np.ndarray, drifted: np.ndarray) -> AdaptationReport:
         """Warm fine-tune on the fresh window and hot-swap via publish."""
         cfg = self.config
-        labels = Tensor(batch.labels_scaled[active])
 
         def loss_fn() -> Tensor:
-            diff = self.model(batch, graph)[active] - labels
-            return (diff * diff).mean()
+            return masked_loss(self.model, graph, batch, active)
 
         self.model.train()
         optimizer = Adam(self.model.parameters(), lr=cfg.learning_rate)

@@ -24,11 +24,13 @@ cannot.  This module shards the problem along the graph:
 **Numerical equivalence.**  With ``halo_hops >= `` the model's
 message-passing depth, a shard-local forward equals the full-graph
 forward on its owned rows (induced ``k``-hop neighborhoods are
-complete), and the count-weighted average of shard losses / gradients
-equals the global mean over active shops.  The stopping rule and the
-restored weights are the sequential trainer's by construction; the loss
-trajectory matches it up to float reassociation (~1e-12/step; the
-equivalence test budgets 1e-6).
+complete; :func:`~repro.training.trainer.masked_loss` then forwards
+only the part of ``owned | halo`` the owned loss rows read, so halo
+rows nothing owned reads cost nothing), and the count-weighted average
+of shard losses / gradients equals the global mean over active shops.
+The stopping rule and the restored weights are the sequential trainer's
+by construction; the loss trajectory matches it up to float
+reassociation (~1e-12/step; the equivalence test budgets 1e-6).
 
 **Execution modes.**  ``mode="sim"`` runs the workers sequentially
 in-process — deterministic, dependency-free, used by tests and as the

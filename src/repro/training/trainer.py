@@ -5,7 +5,9 @@ Tensor (S, H)`` in scaled space and ``parameters()`` can be trained.
 :func:`masked_mse` is the repository's one loss — MSE over
 :meth:`~repro.data.dataset.ForecastDataset.active_mask` (Eq. 10,
 restricted to shops that exist at the cutoff) — for this trainer and for
-every shard worker of :mod:`repro.training.parallel`.
+every shard worker of :mod:`repro.training.parallel`; its body,
+:func:`masked_loss`, is also the online adapter's, and runs the model
+only on the rows and edges the loss rows can read.
 :meth:`Trainer.fit` is the one epoch / early-stopping / best-weight
 loop; a trainer that computes its step differently overrides
 :meth:`Trainer._train_step_loss` and :meth:`Trainer._val_loss`, never
@@ -21,6 +23,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..data.dataset import ForecastDataset, InstanceBatch
+from ..graph.graph import ESellerGraph
+from ..graph.sampling import receptive_layout
 from ..nn import engine
 from ..nn import functional as F
 from ..nn.module import Module
@@ -30,7 +34,8 @@ from ..obs import clock as obs_clock
 from ..obs import tracing as obs_tracing
 from .metrics import MetricTable, evaluate_forecast
 
-__all__ = ["TrainConfig", "TrainHistory", "Trainer", "masked_mse"]
+__all__ = ["TrainConfig", "TrainHistory", "Trainer", "masked_mse",
+           "masked_loss"]
 
 
 @dataclass
@@ -85,8 +90,45 @@ def masked_mse(model: Module, dataset: ForecastDataset, batch: InstanceBatch,
     count = int(active.sum())
     if count == 0:
         return None, 0
-    pred = model(batch, dataset.graph)
-    return F.mse_loss(pred[active], batch.labels_scaled[active]), count
+    return masked_loss(model, dataset.graph, batch, active), count
+
+
+def masked_loss(model: Module, graph: ESellerGraph, batch: InstanceBatch,
+                active: np.ndarray) -> Tensor:
+    """MSE over the ``active`` rows of ``batch``, forwarding what they read.
+
+    The loss reads the ``active`` rows only, and a model that declares
+    an integer :attr:`~repro.nn.module.Module.receptive_depth` reads, for
+    those, only the rows within that many ``src -> dst`` steps of them.
+    So the model is run on the
+    :func:`~repro.graph.sampling.receptive_layout` of ``graph`` seeded
+    with the active rows — the layout the serving gateway stitches its
+    batches in, the loss rows first and in the order of
+    ``labels_scaled[active]`` — with ``trim`` naming the per-layer
+    prefixes; rows no loss row can read (other roles' shops nothing
+    links to a loss row, a shard's unread halo) are never embedded.  A
+    model that declares ``None`` gets ``batch`` and ``graph`` as they
+    are.  Loss and gradients equal the whole-graph forward's to
+    rounding (1e-12 relative; GEMMs over fewer rows reassociate), not
+    bit for bit.  The layout is rebuilt per call: a fraction of a
+    millisecond against the forward, and a compiled plan calls this
+    once.
+    """
+    labels = batch.labels_scaled[active]
+    depth = model.receptive_depth
+    if depth is None:
+        rows, trim = active, {}
+    else:
+        layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
+                                  graph.num_nodes, np.flatnonzero(active),
+                                  depth)
+        batch, graph = batch.subset(layout.rows), layout.graph
+        rows, trim = layout.seed_rows, {
+            "trim": (layout.rows_within, layout.edges_into)}
+    # A trimmed forward returns the loss rows only, a whole-graph one
+    # every row: ``rows`` indexes either.
+    pred = model(batch, graph, **trim)
+    return F.mse_loss(pred[rows], labels)
 
 
 class Trainer:
@@ -197,10 +239,18 @@ class Trainer:
 
         Evaluation is restricted to shops active at the cutoff and in
         the ``role`` node set (shop split), intersected with
-        ``shop_mask`` if given.
+        ``shop_mask`` if given.  ``role`` picks the batch for ``"test"``
+        and ``"val"``; any other role (``"train"`` has a list of
+        batches) must come with its ``batch``.
         """
         if batch is None:
-            batch = self.dataset.test if role == "test" else self.dataset.val
+            batches = {"test": self.dataset.test, "val": self.dataset.val}
+            if role not in batches:
+                raise ValueError(
+                    f"no default batch for role {role!r}; pass batch= "
+                    f"(roles with one: {sorted(batches)})"
+                )
+            batch = batches[role]
         pred = self.predict_raw(batch)
         active = self.dataset.active_mask(batch, role)
         if shop_mask is not None:

@@ -15,7 +15,8 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.graph import ego_subgraphs
 from repro.nn import engine
 from repro.nn.tensor import no_grad
-from repro.serving import build_disjoint_batch
+from repro.obs.clock import FakeClock
+from repro.serving import ServiceTimeModel, build_disjoint_batch
 
 from helpers import forall
 
@@ -107,28 +108,33 @@ class TestTrimmedForward:
     def test_equals_center_rows_of_the_full_forward(self, dataset, config,
                                                     backend):
         """Random center batches (repeats allowed), ``hops`` 0–3 x ``L``
-        1–3 (``hops < L`` included).  Required: 1e-12 in float64 (every
-        kernel is row- or segment-wise; only BLAS choosing another
-        blocking for another row count moves a last bit) and the float32
-        budget in float32.  With no edge into any center the forward is
-        the intra path alone, and that is bit for bit."""
+        1–3 (``hops < L`` included), all four Table II variants.
+        Required: 1e-12 in float64 (every kernel is row- or
+        segment-wise; only BLAS choosing another blocking for another
+        row count moves a last bit) and the float32 budget in float32.
+        With no edge into any center the forward is the intra path
+        alone, and that is bit for bit."""
         import dataclasses
+        variants = (Gaia, GaiaNoITA, GaiaNoFFL, GaiaNoTEL)
         with engine.use_backend(backend):
             models = {
-                layers: Gaia(dataclasses.replace(config, num_layers=layers),
-                             seed=layers).eval()
-                for layers in (1, 2, 3)
+                (variant, layers): variant(
+                    dataclasses.replace(config, num_layers=layers),
+                    seed=layers).eval()
+                for variant in variants for layers in (1, 2, 3)
             }
         seen = {"isolated": 0, "edges": 0, "deep": 0}
+        seen.update(dict.fromkeys(variants, 0))
 
         def gen(rng: np.random.Generator):
             centers = rng.integers(0, dataset.graph.num_nodes,
                                    size=int(rng.integers(1, 10)))
-            return centers, int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            return (centers, int(rng.integers(0, 4)), int(rng.integers(1, 4)),
+                    variants[int(rng.integers(0, len(variants)))])
 
         def prop(case):
-            centers, hops, layers = case
-            model = models[layers]
+            centers, hops, layers, variant = case
+            model = models[variant, layers]
             assert model.receptive_depth == layers
             egos = ego_subgraphs(dataset.graph, centers, hops)
             whole = build_disjoint_batch(egos, dataset.test)
@@ -151,8 +157,9 @@ class TestTrimmedForward:
             seen["edges"] += int(cut.edges_into[0] > 0)
             seen["deep"] += int(layers > 1 and cut.edges_into[0] > 0
                                 and cut.rows_within[-1] > cut.rows_within[1])
+            seen[variant] += int(cut.edges_into[0] > 0)
 
-        forall(gen, prop, trials=40, seed=41, name="trimmed == full[centers]")
+        forall(gen, prop, trials=80, seed=41, name="trimmed == full[centers]")
         assert all(count >= 3 for count in seen.values()), seen
 
     def test_trimmed_forward_leaves_the_introspection_captures(
@@ -180,12 +187,13 @@ class TestTrimmedForward:
         assert all(layer.cau.last_attention is kept
                    for layer, kept in zip(model.layers, cau_before))
 
-    def test_variant_without_trim_declares_no_depth(self, dataset, config):
-        """``GaiaNoITA`` opted out: it says so, and cannot be handed a
-        trim by mistake."""
-        model = GaiaNoITA(config, seed=0).eval()
+    def test_every_variant_declares_its_depth(self, dataset, config):
+        """All four Table II variants train and serve trimmed; a model
+        that declares nothing cannot be handed a trim by mistake."""
+        for variant in (Gaia, GaiaNoITA, GaiaNoFFL, GaiaNoTEL):
+            assert variant(config, seed=0).receptive_depth == config.num_layers
+        model = ServiceTimeModel(Gaia(config, seed=0).eval(), FakeClock(), 0.0)
         assert model.receptive_depth is None
-        assert GaiaNoFFL(config, seed=0).receptive_depth == config.num_layers
         cut = build_disjoint_batch(ego_subgraphs(dataset.graph, [1], 2),
                                    dataset.test, config.num_layers)
         with pytest.raises(TypeError), engine.inference_mode():

@@ -31,10 +31,12 @@ Twelve invariants, all cheap enough for tier-1:
   through one call site, and ``GatewayConfig`` has exactly its ten
   documented fields;
 * the **trimmed forward is the one forward** (AST lint): the gateway
-  reads the model's declared ``receptive_depth`` as a plain attribute
-  and never probes the model with ``getattr`` / ``hasattr``, and
-  ``ITAGCNLayer`` has one ``forward`` with the two ``attend`` calls and
-  the one ``segment_softmax`` it always had — no second attention body;
+  and the training loss each read the model's declared
+  ``receptive_depth`` once as a plain attribute, never probe the model
+  with ``getattr`` / ``hasattr`` and call it at one site, and
+  ``ITAGCNLayer`` (and the ablation's ``_TraditionalAttentionLayer``)
+  has one ``forward`` with the ``attend`` calls and the one
+  ``segment_softmax`` it always had — no second attention body;
 * **node invalidation stays indexed** (AST lint): ``repro.serving.cache``
   calls no numpy set-membership routine, and neither ``invalidate_nodes``
   goes through the scanning ``invalidate_items`` / ``invalidate_if``;
@@ -49,8 +51,10 @@ Twelve invariants, all cheap enough for tier-1:
   lint): ``DynamicGraph`` mirrors none of ``repro.graph.sampling``'s
   traversal / ego functions and nothing under ``src/`` probes for them
   by name, ``ParallelTrainer`` inherits ``Trainer.fit`` and defines no
-  loss or mask of its own, the active-shop mask is written once, and
-  the closure autograd path stays deleted.
+  loss or mask of its own, the active-shop mask is written once, the
+  squared error over the active rows is written once (``masked_loss``,
+  which the adapter calls too), and the closure autograd path stays
+  deleted.
 """
 
 import ast
@@ -393,7 +397,11 @@ def test_trimmed_forward_is_the_one_forward_behind_a_declaration():
     trimming, that ``forward`` holds the layer's only two ``attend``
     calls (intra, inter) and its one ``segment_softmax``, and
     ``masked_softmax`` — the attention body — is called once, in
-    ``ConvolutionalAttentionUnit.attend``.
+    ``ConvolutionalAttentionUnit.attend``.  The ablation's
+    ``_TraditionalAttentionLayer`` likewise has one ``forward`` with its
+    one attention and one neighbor softmax, and no variant opts out of a
+    depth; ``training/trainer.py`` reads ``model.receptive_depth`` once,
+    in ``masked_loss``, which calls the model at one site.
     """
     src = REPO_ROOT / "src" / "repro"
     gateway = ast.parse((src / "serving" / "gateway.py").read_text())
@@ -432,10 +440,38 @@ def test_trimmed_forward_is_the_one_forward_behind_a_declaration():
                  and node.name == "attend"]
     assert _called_names(cau_tree).count("masked_softmax") == 1
     assert _called_names(attend).count("masked_softmax") == 1
-    # Vacuity guards: the walks saw the gateway class and the layer body.
+    # Table II's ablation layer trims the same way: one forward, one
+    # attention body, one neighbor softmax.
+    variants = ast.parse((src / "core" / "variants.py").read_text())
+    (traditional,) = [node for node in variants.body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "_TraditionalAttentionLayer"]
+    methods = [item.name for item in traditional.body
+               if isinstance(item, ast.FunctionDef)]
+    assert methods.count("forward") == 1
+    assert not [name for name in methods
+                if name != "forward" and ("forward" in name or "trim" in name)]
+    assert _called_names(traditional).count("masked_softmax") == 1
+    assert _called_names(traditional).count("segment_softmax") == 1
+    assert "receptive_depth" not in (src / "core" / "variants.py").read_text()
+
+    # The training loss is the second (and last) reader of the
+    # declaration: read once, and one model call site for both answers.
+    trainer = ast.parse((src / "training" / "trainer.py").read_text())
+    (loss,) = [node for node in trainer.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "masked_loss"]
+    assert [ast.unparse(node.value) for node in ast.walk(trainer)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "receptive_depth"] == ["model"]
+    assert [ast.unparse(node.func) for node in ast.walk(loss)
+            if isinstance(node, ast.Call)].count("model") == 1
+    # Vacuity guards: the walks saw the gateway class and the layer bodies.
     assert "build_disjoint_batch" in _called_names(gateway)
     assert {"conv_bank", "segment_sum", "gather_rows"} \
         <= set(_called_names(forward))
+    assert {"segment_sum", "gather_rows"} <= set(_called_names(traditional))
+    assert "receptive_layout" in _called_names(loss)
 
 
 def _called_names(tree):
@@ -604,6 +640,21 @@ _SHARD_MIRRORS = ("_shard" "_loss", "_active" "_rows")
 _CLOSURE_PATH = ("backward" "_fn", "_backward" "_fn", "_ma" "ke")
 
 
+def _squares_an_error(function):
+    """``mse_loss(...)``, ``x * x`` or ``x ** 2`` anywhere in the body."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                "mse_loss"):
+            return True
+        if isinstance(node, ast.BinOp) and (
+                (isinstance(node.op, ast.Mult)
+                 and ast.unparse(node.left) == ast.unparse(node.right))
+                or (isinstance(node.op, ast.Pow)
+                    and ast.unparse(node.right) == "2")):
+            return True
+    return False
+
+
 def test_one_body_per_promise():
     """Structure lint (tier-1): extraction and fitting each have one body.
 
@@ -614,8 +665,11 @@ def test_one_body_per_promise():
     loop, and ``parallel.py`` defines no loss or row mask of its own;
     the active-shop expression ``mask.any(axis=1)`` is written only in
     ``repro/data`` (``ForecastDataset.active_mask``, and the scaler) and
-    in the adapter's role-free mask in ``training/online.py``; the
-    closure autograd identifiers exist nowhere under ``src/``.
+    in the adapter's role-free mask in ``training/online.py``; under
+    ``repro/training`` exactly one function squares an error over rows
+    it selects with ``[active]`` — ``trainer.masked_loss``, the body the
+    trainer, the shard workers and the adapter's fine-tune all call;
+    the closure autograd identifiers exist nowhere under ``src/``.
     """
     src = REPO_ROOT / "src" / "repro"
     trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
@@ -653,6 +707,19 @@ def test_one_body_per_promise():
     assert not strays, f"active-shop mask re-typed in {sorted(strays)}"
     closure = identifiers & set(_CLOSURE_PATH)
     assert not closure, f"src/ still names {sorted(closure)}"
+
+    losses = {
+        f"{module}:{function.name}"
+        for module, tree in trees.items() if module.startswith("training/")
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and _squares_an_error(function)
+        and any(isinstance(node, ast.Subscript)
+                and ast.unparse(node.slice) == "active"
+                for node in ast.walk(function))
+    }
+    assert losses == {"training/trainer.py:masked_loss"}, losses
+    assert "masked_loss" in _called_names(trees["training/online.py"])
 
     parallel = class_named("training/parallel.py", "ParallelTrainer")
     assert [ast.unparse(base) for base in parallel.bases] == ["Trainer"]

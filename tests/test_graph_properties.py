@@ -11,10 +11,12 @@ so one oracle checks them all.  The sequential extractor lives here, as
 the reference (:func:`brute_force_ego`: a textbook BFS per center plus
 an ordered ``O(E)`` edge filter); ``TestOneTraversalPerBatch`` holds the
 batched one to a query count and an allocation ceiling.
-``TestReceptiveLayout`` holds the serving forward's computation graph —
+``TestReceptiveLayout`` holds a trimmed forward's computation graph —
 :func:`repro.graph.sampling.receptive_levels` and the level-ordered
-layout of :func:`repro.serving.batching.build_disjoint_batch` — to a
-per-center reverse-reach BFS written here.  The harness is
+:func:`repro.graph.sampling.receptive_layout`, called directly on any
+seed set (what the training loss does) and through
+:func:`repro.serving.batching.build_disjoint_batch` — to a per-seed
+reverse-reach BFS written here.  The harness is
 :func:`tests.helpers.forall` — hypothesis-free trials with
 shrinking-lite minimisation.
 """
@@ -27,7 +29,7 @@ import pytest
 
 from repro.data.dataset import InstanceBatch
 from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes, sample_neighbors
-from repro.graph.sampling import receptive_levels
+from repro.graph.sampling import receptive_layout, receptive_levels
 from repro.serving import build_disjoint_batch
 from repro.streaming import DynamicGraph
 
@@ -399,8 +401,51 @@ def id_batch(num_nodes: int) -> InstanceBatch:
         labels_scaled=blank, levels=ids, scaler=None)
 
 
+def assert_level_ordered_prefix(whole, whole_ids, seeds, depth, graph, ids,
+                                rows_within, edges_into):
+    """``graph`` / ``ids`` / the two prefix counts are the level-ordered
+    layout of the edge list ``whole`` for ``seeds``, against the oracle's
+    levels.  ``whole_ids`` / ``ids`` name the rows of either side (a
+    stitched batch repeats shops).  Returns the kept rows of ``whole``."""
+    level = reverse_reach_levels(whole.src, whole.dst, whole.num_nodes,
+                                 seeds, depth)
+    rows = np.argsort(level, kind="stable")
+    rows = rows[:int((level <= depth).sum())]
+    counts = np.cumsum(np.bincount(level, minlength=depth + 2))
+    assert np.array_equal(rows_within, counts[:depth + 1])
+    assert graph.num_nodes == ids.size == rows.size
+    assert np.array_equal(ids, whole_ids[rows])
+
+    into = level[whole.dst]
+    edges = np.argsort(into, kind="stable")
+    edges = edges[:int((into < depth).sum())]
+    row_of = np.full(whole.num_nodes, -1)
+    row_of[rows] = np.arange(rows.size)
+    assert np.array_equal(graph.src, row_of[whole.src[edges]])
+    assert np.array_equal(graph.dst, row_of[whole.dst[edges]])
+    assert np.array_equal(graph.edge_types, whole.edge_types[edges])
+    assert np.array_equal(
+        edges_into, np.cumsum(np.bincount(into, minlength=depth + 2))[:depth])
+    assert np.all(np.diff(rows_within) >= 0)
+    assert np.all(np.diff(edges_into) >= 0)
+    for d in range(depth):
+        prefix = slice(0, int(edges_into[d]))
+        assert np.all(graph.dst[prefix] < rows_within[d])
+        assert np.all(graph.src[prefix] < rows_within[d + 1])
+    # Inside one dst the in-edges keep the whole edge list's order
+    # (segment sums add in scan order).
+    for row in np.unique(graph.dst):
+        mine = graph.dst == row
+        theirs = whole.dst == rows[row]
+        assert np.array_equal(ids[graph.src[mine]],
+                              whole_ids[whole.src[theirs]])
+        assert np.array_equal(graph.edge_types[mine],
+                              whole.edge_types[theirs])
+    return rows
+
+
 class TestReceptiveLayout:
-    """What an ``L``-layer forward reads of a stitched batch, and where."""
+    """What an ``L``-layer forward reads of an edge list, and where."""
 
     def test_levels_match_per_seed_reverse_reach(self):
         """Directed in-reach over any edge list == one BFS per seed:
@@ -424,6 +469,49 @@ class TestReceptiveLayout:
                name="receptive_levels == per-seed reverse reach")
         with pytest.raises(ValueError, match="non-negative"):
             receptive_levels(np.zeros(0, int), np.zeros(0, int), 1, [0], -1)
+
+    def test_layout_of_any_seed_set_is_the_level_ordered_prefix(self):
+        """``receptive_layout`` itself, as the training loss calls it: a
+        whole graph, a sorted set of loss rows (one row up to all of
+        them), ``L`` 1–3; and ``depth=None``, where nothing moves."""
+        seen = {"all": 0, "dropped": 0, "isolated": 0}
+
+        def gen(rng: np.random.Generator):
+            graph = random_eseller_graph(rng, max_nodes=30, max_edges=90)
+            seeds = np.flatnonzero(rng.random(graph.num_nodes)
+                                   < rng.choice([0.1, 0.5, 1.0]))
+            if seeds.size == 0:
+                seeds = rng.integers(0, graph.num_nodes, size=1)
+            return graph, seeds, int(rng.integers(1, 4))
+
+        def prop(case):
+            graph, seeds, depth = case
+            ids = np.arange(graph.num_nodes)
+            layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
+                                      graph.num_nodes, seeds, depth)
+            rows = assert_level_ordered_prefix(
+                graph, ids, seeds, depth, layout.graph, layout.rows,
+                layout.rows_within, layout.edges_into)
+            # Sorted seeds are the first rows, in their own order: row i
+            # of a trimmed forward is the i-th loss row.
+            assert np.array_equal(layout.seed_rows, np.arange(seeds.size))
+            assert np.array_equal(layout.rows[:seeds.size], seeds)
+            whole = receptive_layout(graph.src, graph.dst, graph.edge_types,
+                                     graph.num_nodes, seeds, None)
+            assert np.array_equal(whole.rows, ids)
+            assert np.array_equal(whole.seed_rows, seeds)
+            assert np.array_equal(whole.graph.src, graph.src)
+            assert np.array_equal(whole.graph.dst, graph.dst)
+            assert np.array_equal(whole.graph.edge_types, graph.edge_types)
+            assert whole.rows_within.tolist() == [graph.num_nodes] * 2
+            assert whole.edges_into.tolist() == [graph.num_edges]
+            seen["all"] += int(seeds.size == graph.num_nodes)
+            seen["dropped"] += int(rows.size < graph.num_nodes)
+            seen["isolated"] += int(layout.edges_into[0] == 0)
+
+        forall(gen, prop, trials=TRIALS, seed=33, shrink=None,
+               name="receptive_layout == level-ordered prefix")
+        assert all(count >= 3 for count in seen.values()), seen
 
     def test_layout_is_the_level_ordered_prefix_of_the_whole_union(self):
         """``build_disjoint_batch(egos, batch, L)`` against the whole
@@ -457,48 +545,14 @@ class TestReceptiveLayout:
             assert whole.graph.num_edges == sum(
                 ego.subgraph.num_edges for ego in egos)
 
-            level = reverse_reach_levels(whole.graph.src, whole.graph.dst,
-                                         whole.graph.num_nodes,
-                                         whole.center_rows, depth)
-            rows = np.argsort(level, kind="stable")
-            rows = rows[:int((level <= depth).sum())]
-            counts = np.cumsum(np.bincount(level, minlength=depth + 2))
             assert np.array_equal(cut.center_rows, np.arange(n))
             assert np.array_equal(cut.centers, centers)
-            assert np.array_equal(cut.rows_within, counts[:depth + 1])
             assert cut.rows_within[0] == n
-            assert cut.graph.num_nodes == cut.batch.num_shops == rows.size
-            assert np.array_equal(cut.batch.series[:, 0],
-                                  whole.batch.series[rows, 0])
-
-            into = level[whole.graph.dst]
-            edges = np.argsort(into, kind="stable")
-            edges = edges[:int((into < depth).sum())]
-            row_of = np.full(whole.graph.num_nodes, -1)
-            row_of[rows] = np.arange(rows.size)
-            assert np.array_equal(cut.graph.src, row_of[whole.graph.src[edges]])
-            assert np.array_equal(cut.graph.dst, row_of[whole.graph.dst[edges]])
-            assert np.array_equal(cut.graph.edge_types,
-                                  whole.graph.edge_types[edges])
-            assert np.array_equal(
-                cut.edges_into,
-                np.cumsum(np.bincount(into, minlength=depth + 2))[:depth])
-            assert np.all(np.diff(cut.rows_within) >= 0)
-            assert np.all(np.diff(cut.edges_into) >= 0)
-            for d in range(depth):
-                prefix = slice(0, int(cut.edges_into[d]))
-                assert np.all(cut.graph.dst[prefix] < cut.rows_within[d])
-                assert np.all(cut.graph.src[prefix] < cut.rows_within[d + 1])
-            # Inside one dst the in-edges keep the whole union's order
-            # (segment sums add in scan order).
-            for row in np.unique(cut.graph.dst):
-                mine = cut.graph.dst == row
-                theirs = whole.graph.dst == rows[row]
-                assert np.array_equal(
-                    cut.batch.series[cut.graph.src[mine], 0],
-                    whole.batch.series[whole.graph.src[theirs], 0])
-                assert np.array_equal(cut.graph.edge_types[mine],
-                                      whole.graph.edge_types[theirs])
+            assert cut.graph.num_nodes == cut.batch.num_shops
+            rows = assert_level_ordered_prefix(
+                whole.graph, whole.batch.series[:, 0], whole.center_rows,
+                depth, cut.graph, cut.batch.series[:, 0], cut.rows_within,
+                cut.edges_into)
             # A pure function of the egos' arrays: the same egos from a
             # different extraction batch give the same layout.
             again = build_disjoint_batch(
