@@ -28,11 +28,12 @@ Subpackages
 ``repro.baselines``
     All eight compared methods from Table I.
 ``repro.training``
-    Trainer, data-parallel ParallelTrainer, metrics, grid search.
+    Trainer, ParallelTrainer (gradient accumulation over owner
+    blocks), metrics, grid search.
 ``repro.partition``
-    Sharded graph partitioning: edge-cut partitioners (greedy BFS /
-    label propagation, hash baseline) with halo sets for shard-local
-    ego-subgraph extraction.
+    Graph partitioning: edge-cut partitioners (greedy BFS / label
+    propagation, hash baseline) deciding which loss rows share a
+    training forward.
 ``repro.deploy``
     Monthly pipeline (optionally sharded via ``n_shards``), model
     registry, online/offline serving.

@@ -9,18 +9,17 @@ publishes the weights to the :class:`~repro.deploy.model_server.ModelRegistry`.
 
 Scaling out: with ``n_shards > 1`` each run partitions the e-seller
 graph (:func:`~repro.partition.partitioners.partition_graph`) and trains
-with the data-parallel
-:class:`~repro.training.parallel.ParallelTrainer` instead of the
-sequential trainer — numerically equivalent, but each worker touches
-only its shard.  The run's :class:`~repro.partition.partition.GraphPartition`
-is kept on the :class:`PipelineRun` for inspection (cut fraction, halo
-sizes).
+with :class:`~repro.training.parallel.ParallelTrainer`, which
+accumulates each step's gradient over one owner block of loss rows per
+shard — numerically equivalent to the sequential trainer.  The run's
+:class:`~repro.partition.partition.GraphPartition` is kept on the
+:class:`PipelineRun` for inspection (cut fraction, balance, rows read).
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from ..data.dataset import ForecastDataset, build_dataset
 from ..data.synthetic import SyntheticMarketplace
 from ..nn.module import Module
-from ..partition import GraphPartition, partition_graph
+from ..partition import GraphPartition
 from ..training.parallel import ParallelTrainer
 from ..training.trainer import TrainConfig, Trainer
 from .model_server import ModelRegistry, ModelVersion
@@ -75,13 +74,8 @@ class MonthlyPipeline:
         :class:`~repro.training.trainer.Trainer`; ``> 1`` partitions the
         month's graph and trains with the
         :class:`~repro.training.parallel.ParallelTrainer`.
-    shard_mode:
-        ``"sim"`` (deterministic in-process workers) or ``"process"``
-        (one OS process per shard); only consulted when ``n_shards > 1``.
-    partition_method / halo_hops:
-        Forwarded to :func:`~repro.partition.partitioners.partition_graph`;
-        ``halo_hops=None`` lets the trainer infer the model's
-        message-passing depth.
+    partition_method:
+        Forwarded to :func:`~repro.partition.partitioners.partition_graph`.
     """
 
     def __init__(
@@ -92,9 +86,7 @@ class MonthlyPipeline:
         input_window: int = 24,
         horizon: int = 3,
         n_shards: int = 1,
-        shard_mode: str = "sim",
         partition_method: str = "bfs",
-        halo_hops: Optional[int] = None,
         seed: int = 101,
     ) -> None:
         if n_shards <= 0:
@@ -114,9 +106,7 @@ class MonthlyPipeline:
         self.input_window = input_window
         self.horizon = horizon
         self.n_shards = n_shards
-        self.shard_mode = shard_mode
         self.partition_method = partition_method
-        self.halo_hops = halo_hops
         self.registry = ModelRegistry()
         self.runs: List[PipelineRun] = []
 
@@ -158,9 +148,7 @@ class MonthlyPipeline:
                 dataset,
                 self.train_config,
                 n_shards=self.n_shards,
-                mode=self.shard_mode,
                 partition_method=self.partition_method,
-                halo_hops=self.halo_hops,
             )
             partition = trainer.partition
         else:

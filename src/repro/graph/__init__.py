@@ -8,7 +8,6 @@ from .sampling import (
     ego_subgraph,
     ego_subgraphs,
     k_hop_nodes,
-    sample_neighbors,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "ego_subgraph",
     "ego_subgraphs",
     "k_hop_nodes",
-    "sample_neighbors",
     "connected_components",
     "bfs_distances",
     "degree_statistics",

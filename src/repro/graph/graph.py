@@ -343,29 +343,6 @@ class ESellerGraph:
             self.num_nodes, self.src[keep], self.dst[keep], self.edge_types[keep], self.node_ids
         )
 
-    def subgraph(self, nodes: Sequence[int]) -> Tuple["ESellerGraph", np.ndarray]:
-        """Induced subgraph on ``nodes``.
-
-        Returns the subgraph (nodes relabelled ``0..len(nodes)-1`` in the
-        order given, edges in this graph's order, ``node_ids`` carried
-        along) and the array of original node indices.  An O(N + E)
-        filter, right for its callers — partition shards at whole-graph
-        scale; ego extraction gathers from the CSR index instead
-        (:func:`repro.graph.sampling.ego_subgraphs`).
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size != np.unique(nodes).size:
-            raise ValueError("subgraph nodes must be unique")
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size)
-        sub_ids = None
-        if self.node_ids is not None:
-            sub_ids = [self.node_ids[i] for i in nodes]
-        keep = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
-        return ESellerGraph(nodes.size, lookup[self.src[keep]],
-                            lookup[self.dst[keep]], self.edge_types[keep],
-                            sub_ids), nodes
-
     def normalized_adjacency(self, add_self_loops: bool = True) -> np.ndarray:
         """Dense symmetric-normalised adjacency ``D^-1/2 (A + I) D^-1/2``.
 

@@ -1,4 +1,4 @@
-"""Ego-subgraph extraction and neighbor sampling.
+"""Ego-subgraph extraction and receptive layouts.
 
 The deployed Gaia system (paper §VI) predicts a newcoming e-seller from
 the *ego-subgraph* extracted around it.  This module owns the only
@@ -20,8 +20,7 @@ graph is asked ``2 * hops + 1`` times whatever the batch size, nothing
 of size ``O(num_nodes)`` or ``O(num_edges)`` is allocated or scanned,
 and every ego is array-identical to a single-seed extraction (the
 brute-force oracles of ``tests/test_graph_properties.py`` are the
-sequential reference).  :func:`sample_neighbors` provides
-GraphSAGE-style fanout capping for minibatch training on larger graphs.
+sequential reference).
 
 Extraction is *undirected* and ``hops`` deep because it answers "what
 could change this forecast's inputs" (the cache invalidation radius).
@@ -44,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import ESellerGraph, _gather_segments
+from .graph import ESellerGraph
 
 __all__ = [
     "k_hop_nodes",
@@ -54,7 +53,6 @@ __all__ = [
     "ego_subgraph",
     "ego_subgraphs",
     "EgoSubgraph",
-    "sample_neighbors",
 ]
 
 
@@ -313,35 +311,3 @@ def ego_subgraphs(graph, centers: Sequence[int], hops: int = 2) -> List[EgoSubgr
         ))
     return egos
 
-
-def sample_neighbors(
-    graph: ESellerGraph,
-    nodes: Sequence[int],
-    fanout: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample up to ``fanout`` incoming edges per node.
-
-    Returns ``(src, dst, edge_types)`` arrays of the sampled edges.  When
-    a node has fewer than ``fanout`` in-edges, all are kept (sampling
-    without replacement).  The per-node reservoir runs vectorised: every
-    candidate edge draws a random key and each node keeps its ``fanout``
-    smallest keys, so no Python-level loop over nodes remains.
-    """
-    if fanout <= 0:
-        raise ValueError(f"fanout must be positive, got {fanout}")
-    nodes = np.asarray(nodes, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    if nodes.size == 0 or graph.num_edges == 0:
-        return empty, empty.copy(), empty.copy()
-    indptr, order = graph.in_csr()
-    counts = indptr[nodes + 1] - indptr[nodes]
-    segments, edges = _gather_segments(indptr, order, nodes)
-    if edges.size == 0:
-        return empty, empty.copy(), empty.copy()
-    keys = rng.random(edges.size)
-    perm = np.lexsort((keys, segments))
-    seg_offsets = np.cumsum(counts) - counts
-    rank = np.arange(edges.size, dtype=np.int64) - seg_offsets[segments]
-    keep = edges[perm][rank < fanout]
-    return graph.src[keep], graph.dst[keep], graph.edge_types[keep]

@@ -1,31 +1,32 @@
-"""Partition data structures: ownership, halos, and quality metrics.
+"""Partition data structure: ownership, owner blocks, and quality metrics.
 
 A :class:`GraphPartition` splits the e-seller graph's nodes into
-disjoint *owned* sets, one per shard.  Each :class:`Partition` also
-carries a *halo* (ghost-node) set — every node within ``halo_hops``
-undirected hops of its owned set — so a shard can extract complete
-``k``-hop ego-subgraphs, and run ``k``-layer message passing for its
-owned nodes, entirely from its local induced subgraph: for any owned
-node ``v`` and ``k <= halo_hops``, the full ``k``-hop neighborhood of
-``v`` (nodes *and* edges) lives inside ``owned | halo``.
+disjoint *owned* sets, one per shard.  For training, a shard is a seed
+set: :meth:`GraphPartition.blocks` cuts a row mask (the loss rows of a
+batch) into one block per owner, and each block is forwarded on the
+**full** graph through the receptive layout of its own rows
+(:func:`~repro.graph.sampling.receptive_layout`) — nothing is copied
+per shard, and no block can miss a row it reads.
 
 Quality of a partitioning is measured by its **edge cut** (edges whose
-endpoints live in different owned sets — the traffic a distributed
-trainer must ship between shards) and its **balance** (largest owned
-set relative to the ideal even split).
+endpoints live in different owned sets), its **balance** (largest owned
+set relative to the ideal even split) and, for an ``L``-layer model,
+the **rows read** (:meth:`GraphPartition.rows_read`: per block, the rows
+within ``L`` ``src -> dst`` steps of its seeds — a row two blocks read
+is embedded twice, so a partitioner that keeps neighbourhoods together
+keeps the sum near the rows one block over every seed reads).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import k_hop_nodes
+from ..graph.sampling import receptive_levels
 
-__all__ = ["Partition", "GraphPartition", "edge_cut"]
+__all__ = ["GraphPartition", "edge_cut"]
 
 
 def edge_cut(graph: ESellerGraph, assignment: np.ndarray) -> int:
@@ -40,129 +41,70 @@ def edge_cut(graph: ESellerGraph, assignment: np.ndarray) -> int:
     return int((assignment[graph.src] != assignment[graph.dst]).sum())
 
 
-@dataclass
-class Partition:
-    """One shard's slice of the graph: owned nodes plus their halo.
-
-    Attributes
-    ----------
-    partition_id:
-        Shard index in ``0..num_partitions-1``.
-    owned:
-        Sorted node indices this shard owns (loss / labels).
-    halo:
-        Sorted ghost nodes — within ``halo_hops`` of ``owned`` but owned
-        elsewhere.  Read-only context for message passing.
-    nodes:
-        Sorted union ``owned | halo``; the local subgraph's node order.
-    """
-
-    partition_id: int
-    owned: np.ndarray
-    halo: np.ndarray
-    nodes: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.owned = np.unique(np.asarray(self.owned, dtype=np.int64))
-        self.halo = np.unique(np.asarray(self.halo, dtype=np.int64))
-        if np.intersect1d(self.owned, self.halo).size:
-            raise ValueError("owned and halo sets must be disjoint")
-        if self.nodes is None:
-            self.nodes = np.union1d(self.owned, self.halo)
-
-    @property
-    def num_owned(self) -> int:
-        """Number of owned nodes."""
-        return int(self.owned.size)
-
-    @property
-    def num_halo(self) -> int:
-        """Number of ghost nodes."""
-        return int(self.halo.size)
-
-    @property
-    def num_nodes(self) -> int:
-        """Total local nodes (owned + halo)."""
-        return int(self.nodes.size)
-
-    def local_owned_mask(self) -> np.ndarray:
-        """Boolean mask over ``nodes`` marking the owned rows."""
-        return np.isin(self.nodes, self.owned, assume_unique=True)
-
-
 class GraphPartition:
-    """A complete disjoint partitioning of one graph, with halos.
+    """A complete disjoint partitioning of one graph.
 
     Build via :meth:`from_assignment` (or the
     :func:`~repro.partition.partitioners.partition_graph` front door);
     the constructor trusts its inputs.
     """
 
-    def __init__(
-        self,
-        graph: ESellerGraph,
-        assignment: np.ndarray,
-        parts: List[Partition],
-        halo_hops: int,
-    ) -> None:
+    def __init__(self, graph: ESellerGraph, assignment: np.ndarray) -> None:
         self.graph = graph
         self.assignment = assignment
-        self.parts = parts
-        self.halo_hops = int(halo_hops)
+        self.owned_sizes = np.bincount(assignment)
 
     @classmethod
-    def from_assignment(
-        cls, graph: ESellerGraph, assignment: np.ndarray, halo_hops: int = 2
-    ) -> "GraphPartition":
-        """Materialise partitions (with halos) from a node→shard map.
+    def from_assignment(cls, graph: ESellerGraph,
+                        assignment: np.ndarray) -> "GraphPartition":
+        """Validate a node→shard map.
 
         Every shard must own at least one node: an empty shard would
-        train nothing yet still take a gradient-averaging slot.
+        train nothing yet still take a slot.
         """
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.shape != (graph.num_nodes,):
             raise ValueError(
                 f"assignment must have one entry per node, got shape {assignment.shape}"
             )
-        if halo_hops < 0:
-            raise ValueError(f"halo_hops must be non-negative, got {halo_hops}")
         if graph.num_nodes == 0:
             raise ValueError("cannot partition an empty graph")
-        num_partitions = int(assignment.max()) + 1
         if assignment.min() < 0:
             raise ValueError("assignment entries must be non-negative")
-        parts: List[Partition] = []
-        for pid in range(num_partitions):
-            owned = np.flatnonzero(assignment == pid)
-            if owned.size == 0:
-                raise ValueError(f"partition {pid} owns no nodes")
-            reach = k_hop_nodes(graph, owned, halo_hops)
-            halo = np.setdiff1d(reach, owned, assume_unique=True)
-            parts.append(Partition(partition_id=pid, owned=owned, halo=halo))
-        return cls(graph, assignment, parts, halo_hops)
+        empty = np.flatnonzero(np.bincount(assignment) == 0)
+        if empty.size:
+            raise ValueError(f"partition {int(empty[0])} owns no nodes")
+        return cls(graph, assignment)
 
     # ------------------------------------------------------------------
     @property
     def num_partitions(self) -> int:
         """Number of shards."""
-        return len(self.parts)
+        return int(self.owned_sizes.size)
 
-    def owner(self, node: int) -> int:
-        """Shard id owning ``node``."""
-        if not 0 <= node < self.graph.num_nodes:
-            raise IndexError(
-                f"node {node} out of range for {self.graph.num_nodes} nodes"
-            )
-        return int(self.assignment[node])
+    def blocks(self, rows: Optional[np.ndarray] = None) -> List[np.ndarray]:
+        """One boolean row mask per shard: ``rows & (assignment == s)``.
 
-    def local_subgraph(self, partition_id: int):
-        """Induced subgraph over one shard's ``owned | halo`` node set.
-
-        Returns ``(subgraph, original_node_indices)`` exactly like
-        :meth:`~repro.graph.graph.ESellerGraph.subgraph`.
+        ``rows`` (a boolean mask over the graph's nodes, default all)
+        is cut into disjoint blocks that cover it; a block may be empty.
         """
-        part = self.parts[partition_id]
-        return self.graph.subgraph(part.nodes)
+        if rows is None:
+            rows = np.ones(self.graph.num_nodes, dtype=bool)
+        return [rows & (self.assignment == s) for s in range(self.num_partitions)]
+
+    def rows_read(self, depth: int, rows: Optional[np.ndarray] = None) -> List[int]:
+        """Per block of ``rows``, the rows a ``depth``-layer forward reads.
+
+        ``rows_within[depth]`` of the block's
+        :func:`~repro.graph.sampling.receptive_layout`: the block's rows
+        plus every row within ``depth`` ``src -> dst`` steps upstream.
+        """
+        graph = self.graph
+        return [
+            int((receptive_levels(graph.src, graph.dst, graph.num_nodes,
+                                  np.flatnonzero(block), depth) <= depth).sum())
+            for block in self.blocks(rows)
+        ]
 
     # ------------------------------------------------------------------
     # quality metrics
@@ -179,25 +121,17 @@ class GraphPartition:
 
     def balance(self) -> float:
         """Largest owned set relative to the ideal ``n / k`` split (>= 1)."""
-        largest = max(part.num_owned for part in self.parts)
         ideal = self.graph.num_nodes / self.num_partitions
-        return float(largest / ideal)
-
-    def halo_overhead(self) -> float:
-        """Total ghost rows replicated across shards, relative to ``n``."""
-        return sum(part.num_halo for part in self.parts) / self.graph.num_nodes
+        return float(self.owned_sizes.max() / ideal)
 
     def summary(self) -> Dict[str, object]:
         """Serialisable quality report (benchmarks and logs)."""
         return {
             "num_partitions": self.num_partitions,
-            "halo_hops": self.halo_hops,
-            "owned_sizes": [part.num_owned for part in self.parts],
-            "halo_sizes": [part.num_halo for part in self.parts],
+            "owned_sizes": self.owned_sizes.tolist(),
             "edge_cut": self.edge_cut(),
             "edge_cut_fraction": self.edge_cut_fraction(),
             "balance": self.balance(),
-            "halo_overhead": self.halo_overhead(),
         }
 
     def __repr__(self) -> str:

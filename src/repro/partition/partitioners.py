@@ -6,23 +6,22 @@ training (AGL-style subgraph parallelism):
 * :func:`hash_partition` — the stateless baseline: a node's shard is a
   deterministic hash of its id.  Perfect balance in expectation, but
   blind to topology, so the edge cut approaches ``(k-1)/k`` of all
-  edges and halos balloon.
+  edges and every block reads most of its neighbourhood from others.
 * :func:`greedy_bfs_partition` — grows ``k`` regions breadth-first from
   spread-out seeds under a hard balance cap, then runs a few
   label-propagation refinement passes that move boundary nodes to the
   shard holding most of their neighbors (capacity permitting).  Keeps
   supply chains and ownership cliques intact, which is what shrinks
-  halos and cut edges.
+  cut edges and the rows two blocks both read.
 
 :func:`partition_graph` is the front door: it runs the chosen method and
-materialises a :class:`~repro.partition.partition.GraphPartition` with
-halo sets.
+wraps the assignment in a :class:`~repro.partition.partition.GraphPartition`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -260,18 +259,14 @@ def partition_graph(
     graph: ESellerGraph,
     num_partitions: int,
     method: str = "bfs",
-    halo_hops: int = 2,
     balance_slack: float = 0.1,
     refine_passes: int = 2,
     seed: int = 0,
 ) -> GraphPartition:
-    """Partition a graph and materialise halos in one call.
+    """Partition a graph in one call.
 
     ``method`` is ``"bfs"`` (greedy BFS + label-propagation refinement)
-    or ``"hash"`` (stateless baseline).  ``halo_hops`` must be at least
-    the downstream model's message-passing depth for shard-local
-    computation to match the full graph (see
-    :mod:`repro.training.parallel`).
+    or ``"hash"`` (stateless baseline).
     """
     if method == "bfs":
         assignment = greedy_bfs_partition(
@@ -285,4 +280,4 @@ def partition_graph(
         assignment = hash_partition(graph, num_partitions, seed=seed)
     else:
         raise ValueError(f"unknown partition method {method!r}")
-    return GraphPartition.from_assignment(graph, assignment, halo_hops=halo_hops)
+    return GraphPartition.from_assignment(graph, assignment)

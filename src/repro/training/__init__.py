@@ -9,7 +9,7 @@ from .online import (
     OnlineAdapterConfig,
     ShopRingWindows,
 )
-from .parallel import ParallelTrainer, ShardedDataset, ShardView
+from .parallel import ParallelTrainer
 from .trainer import TrainConfig, Trainer, TrainHistory
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "TrainHistory",
     "Trainer",
     "ParallelTrainer",
-    "ShardedDataset",
-    "ShardView",
     "OnlineAdapter",
     "OnlineAdapterConfig",
     "AdaptationReport",

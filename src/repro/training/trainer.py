@@ -4,10 +4,10 @@ The trainer is model-agnostic: anything with ``forward(batch, graph) ->
 Tensor (S, H)`` in scaled space and ``parameters()`` can be trained.
 :func:`masked_mse` is the repository's one loss — MSE over
 :meth:`~repro.data.dataset.ForecastDataset.active_mask` (Eq. 10,
-restricted to shops that exist at the cutoff) — for this trainer and for
-every shard worker of :mod:`repro.training.parallel`; its body,
-:func:`masked_loss`, is also the online adapter's, and runs the model
-only on the rows and edges the loss rows can read.
+restricted to shops that exist at the cutoff); its body,
+:func:`masked_loss`, is also every owner block's of
+:mod:`repro.training.parallel` and the online adapter's, and runs the
+model only on the rows and edges the loss rows can read.
 :meth:`Trainer.fit` is the one epoch / early-stopping / best-weight
 loop; a trainer that computes its step differently overrides
 :meth:`Trainer._train_step_loss` and :meth:`Trainer._val_loss`, never
@@ -18,7 +18,7 @@ scaler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ def masked_mse(model: Module, dataset: ForecastDataset, batch: InstanceBatch,
     """Eq. 10 on one batch: ``(MSE over the active rows, their count)``.
 
     ``(None, 0)`` when ``dataset`` has no active shop for ``role`` in
-    ``batch`` — an error for a full-graph trainer, a zero-weight reply
-    for a shard whose rows other shards cover.
+    ``batch``.
     """
     active = dataset.active_mask(batch, role)
     count = int(active.sum())
@@ -106,9 +105,9 @@ def masked_loss(model: Module, graph: ESellerGraph, batch: InstanceBatch,
     batches in, the loss rows first and in the order of
     ``labels_scaled[active]`` — with ``trim`` naming the per-layer
     prefixes; rows no loss row can read (other roles' shops nothing
-    links to a loss row, a shard's unread halo) are never embedded.  A
-    model that declares ``None`` gets ``batch`` and ``graph`` as they
-    are.  Loss and gradients equal the whole-graph forward's to
+    links to a loss row, the rest of the graph for one owner block) are
+    never embedded.  A model that declares ``None`` gets ``batch`` and
+    ``graph`` as they are.  Loss and gradients equal the whole-graph forward's to
     rounding (1e-12 relative; GEMMs over fewer rows reassociate), not
     bit for bit.  The layout is rebuilt per call: a fraction of a
     millisecond against the forward, and a compiled plan calls this
@@ -147,7 +146,7 @@ class Trainer:
         self.history = TrainHistory()
         # One compiled loss per train batch: the batch's arrays/masks are
         # the plan's constants, so keying by batch keeps replay static.
-        self._compiled: Dict[int, engine.CompiledLoss] = {}
+        self._compiled: Dict[Hashable, engine.CompiledLoss] = {}
 
     # ------------------------------------------------------------------
     def _loss(self, batch: InstanceBatch, role: str) -> Tensor:
@@ -164,22 +163,25 @@ class Trainer:
         return loss.item()
 
     def _train_step_loss(self, batch_index: int, batch: InstanceBatch) -> float:
-        """One forward/backward on a train batch; returns the loss.
+        """One forward/backward on a train batch; returns the loss."""
+        return self._backward(batch_index, lambda: self._loss(batch, "train"))
 
-        With ``use_engine`` the step runs through a per-batch
-        :class:`~repro.nn.engine.CompiledLoss`: identical gradients
+    def _backward(self, key: Hashable, loss_fn: Callable[[], Tensor]) -> float:
+        """Add the gradient of ``loss_fn()`` to ``param.grad``; return the loss.
+
+        With ``use_engine`` the loss runs through the
+        :class:`~repro.nn.engine.CompiledLoss` cached under ``key`` (one
+        per train batch, or per batch and block): identical gradients
         (bit-for-bit — the planned executor replays the same kernels in
         the same order), minus the per-step graph construction.
+        ``loss_fn`` must read the same arrays on every call.
         """
         if self.config.use_engine and engine.fused_enabled():
-            compiled = self._compiled.get(batch_index)
+            compiled = self._compiled.get(key)
             if compiled is None:
-                compiled = engine.CompiledLoss(
-                    lambda b=batch: self._loss(b, "train")
-                )
-                self._compiled[batch_index] = compiled
+                compiled = self._compiled[key] = engine.CompiledLoss(loss_fn)
             return compiled.run()
-        loss = self._loss(batch, "train")
+        loss = loss_fn()
         loss.backward()
         return loss.item()
 

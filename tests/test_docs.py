@@ -661,14 +661,15 @@ def test_one_body_per_promise():
     ``DynamicGraph`` defines none of the traversal / ego methods
     ``repro.graph.sampling`` owns, and nothing under ``src/`` asks an
     object by name (``getattr`` / ``hasattr``) whether it brings its
-    own; ``ParallelTrainer`` is a ``Trainer`` whose ``fit`` contains no
-    loop, and ``parallel.py`` defines no loss or row mask of its own;
+    own; ``ParallelTrainer`` is a ``Trainer`` that inherits ``fit`` and
+    overrides only the train step, and ``parallel.py`` defines no loss
+    or row mask of its own;
     the active-shop expression ``mask.any(axis=1)`` is written only in
     ``repro/data`` (``ForecastDataset.active_mask``, and the scaler) and
     in the adapter's role-free mask in ``training/online.py``; under
     ``repro/training`` exactly one function squares an error over rows
     it selects with ``[active]`` — ``trainer.masked_loss``, the body the
-    trainer, the shard workers and the adapter's fine-tune all call;
+    trainer, every owner block and the adapter's fine-tune all call;
     the closure autograd identifiers exist nowhere under ``src/``.
     """
     src = REPO_ROOT / "src" / "repro"
@@ -723,20 +724,48 @@ def test_one_body_per_promise():
 
     parallel = class_named("training/parallel.py", "ParallelTrainer")
     assert [ast.unparse(base) for base in parallel.bases] == ["Trainer"]
-    (fit,) = [item for item in parallel.body
-              if isinstance(item, ast.FunctionDef) and item.name == "fit"]
-    loops = [node for node in ast.walk(fit)
-             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-    assert not loops, "ParallelTrainer.fit must inherit the one fit loop"
+    parallel_methods = {item.name for item in parallel.body
+                        if isinstance(item, ast.FunctionDef)}
+    overridden = parallel_methods & {"fit", "_val_loss", "_backward"}
+    assert not overridden, f"ParallelTrainer re-defines {overridden}"
     own = {node.name for node in ast.walk(trees["training/parallel.py"])
            if isinstance(node, ast.FunctionDef)} & set(_SHARD_MIRRORS)
     assert not own, f"parallel.py re-defines {own}"
     # Vacuity guards: the class bodies were found with the methods that
     # replaced the mirrors, the walk saw the tree and the one mask.
     assert {"incident_edges", "compact"} <= dynamic_methods
-    assert "super" in _called_names(fit)
+    assert "_train_step_loss" in parallel_methods
     assert "data/dataset.py" in mask_sites and len(trees) > 60
     assert {"masked_mse", "active_mask", "getattr"} <= identifiers
+
+
+def _top_level_imports(tree):
+    """Top-level package names a module imports (relative ones as ``.name``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." + (node.module or "") if node.level
+                      else node.module.split(".")[0])
+    return names
+
+
+def test_training_spawns_no_workers_and_copies_no_model():
+    """Structure lint (tier-1): a shard is a seed set, not a worker.
+
+    ``ParallelTrainer`` runs every owner block on the one master model,
+    so ``parallel.py`` imports neither ``multiprocessing`` nor ``copy``,
+    and nothing under ``repro/training`` imports ``multiprocessing``.
+    """
+    training = REPO_ROOT / "src" / "repro" / "training"
+    imports = {path.name: _top_level_imports(ast.parse(path.read_text()))
+               for path in sorted(training.glob("*.py"))}
+    assert not imports["parallel.py"] & {"multiprocessing", "copy"}
+    spawning = sorted(name for name, names in imports.items()
+                      if "multiprocessing" in names)
+    assert not spawning, f"repro/training modules spawn processes: {spawning}"
+    assert ".trainer" in imports["parallel.py"], "vacuity: the walk saw imports"
 
 
 def test_roadmap_points_at_versioned_design_docs():

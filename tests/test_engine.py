@@ -417,8 +417,7 @@ class TestTrainerEquivalence:
         config = TrainConfig(epochs=self.EPOCHS, min_epochs=self.EPOCHS,
                              patience=self.EPOCHS, use_engine=use_engine)
         if parallel:
-            trainer = ParallelTrainer(model, dataset, config, n_shards=2,
-                                      mode="sim")
+            trainer = ParallelTrainer(model, dataset, config, n_shards=2)
         else:
             trainer = Trainer(model, dataset, config)
         history = trainer.fit()

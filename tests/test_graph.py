@@ -15,7 +15,6 @@ from repro.graph import (
     ego_subgraphs,
     generate_seller_graph,
     k_hop_nodes,
-    sample_neighbors,
 )
 
 
@@ -100,19 +99,6 @@ class TestESellerGraph:
         g = ESellerGraph(3, [0, 0, 1], [1, 1, 2], [0, 0, 0])
         assert g.without_duplicate_edges().num_edges == 2
 
-    def test_subgraph_relabels(self, chain_graph):
-        sub, originals = chain_graph.subgraph([1, 2, 3])
-        assert sub.num_nodes == 3
-        assert list(originals) == [1, 2, 3]
-        # Only 1->2 and 2->3 survive; every edge touching node 0 drops.
-        assert sub.num_edges == 2
-        pairs = set(zip(sub.src.tolist(), sub.dst.tolist()))
-        assert pairs == {(0, 1), (1, 2)}
-
-    def test_subgraph_rejects_duplicates(self, chain_graph):
-        with pytest.raises(ValueError):
-            chain_graph.subgraph([1, 1])
-
     def test_normalized_adjacency_symmetric(self, chain_graph):
         adj = chain_graph.normalized_adjacency()
         assert adj.shape == (4, 4)
@@ -127,8 +113,11 @@ class TestESellerGraph:
 
     def test_node_ids_roundtrip(self):
         g = ESellerGraph(2, [0], [1], node_ids=["a", "b"])
-        sub, _ = g.subgraph([1])
-        assert sub.node_ids == ["b"]
+        assert g.node_ids == ["a", "b"]
+        assert g.with_reverse_edges().node_ids == ["a", "b"]
+        assert g.without_duplicate_edges().node_ids == ["a", "b"]
+        with pytest.raises(ValueError):
+            ESellerGraph(2, [0], [1], node_ids=["a"])
 
     def test_as_graph_is_the_graph_itself(self, chain_graph):
         """A static graph answers ``as_graph`` like a ``DynamicGraph``
@@ -218,49 +207,6 @@ class TestSampling:
     def test_ego_subgraph_bad_center(self, chain_graph):
         with pytest.raises(IndexError):
             ego_subgraph(chain_graph, 99)
-
-    def test_sample_neighbors_caps_fanout(self):
-        # Node 0 has 5 in-edges.
-        g = ESellerGraph(6, src=[1, 2, 3, 4, 5], dst=[0] * 5)
-        rng = np.random.default_rng(0)
-        src, dst, types = sample_neighbors(g, [0], fanout=2, rng=rng)
-        assert src.size == 2
-        assert np.all(dst == 0)
-
-    def test_sample_neighbors_keeps_all_when_few(self):
-        g = ESellerGraph(3, src=[1], dst=[0])
-        rng = np.random.default_rng(0)
-        src, _, _ = sample_neighbors(g, [0, 2], fanout=5, rng=rng)
-        assert src.size == 1
-
-    def test_sample_neighbors_invalid_fanout(self, chain_graph):
-        with pytest.raises(ValueError):
-            sample_neighbors(chain_graph, [0], 0, np.random.default_rng(0))
-
-    def test_sample_neighbors_without_replacement(self):
-        # Star: 10 distinct sources into node 0.
-        g = ESellerGraph(11, src=list(range(1, 11)), dst=[0] * 10)
-        src, dst, _ = sample_neighbors(g, [0], fanout=4,
-                                       rng=np.random.default_rng(2))
-        assert src.size == 4
-        assert np.all(dst == 0)
-        assert len(set(src.tolist())) == 4  # no edge drawn twice
-
-    def test_sample_neighbors_subset_of_real_edges(self):
-        spec = generate_seller_graph(80, np.random.default_rng(1))
-        g = spec.graph
-        src, dst, types = sample_neighbors(g, np.arange(g.num_nodes), fanout=3,
-                                           rng=np.random.default_rng(2))
-        real_edges = set(zip(g.src.tolist(), g.dst.tolist(), g.edge_types.tolist()))
-        assert set(zip(src.tolist(), dst.tolist(), types.tolist())) <= real_edges
-        counts = np.zeros(g.num_nodes, dtype=int)
-        np.add.at(counts, dst, 1)
-        assert counts.max() <= 3
-
-    def test_sample_neighbors_empty_nodes(self, chain_graph):
-        src, dst, types = sample_neighbors(chain_graph, [], 2,
-                                           np.random.default_rng(0))
-        assert src.size == dst.size == types.size == 0
 
     def test_multi_seed_k_hop_equals_per_seed_union(self):
         spec = generate_seller_graph(60, np.random.default_rng(9))

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import InstanceBatch
-from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes, sample_neighbors
+from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes
 from repro.graph.sampling import receptive_layout, receptive_levels
 from repro.serving import build_disjoint_batch
 from repro.streaming import DynamicGraph
@@ -643,56 +643,6 @@ class TestOneTraversalPerBatch:
             assert ego.num_nodes > 3, kind
             assert peak < 64 * 1024, (kind, ego.num_nodes, peak)
         assert dyn.overlay_size == 103 and dyn.tombstones == 1
-
-
-class TestSampleNeighbors:
-    def test_fanout_and_degree_bounds(self):
-        """Per node: exactly min(fanout, in_degree) sampled in-edges,
-        sampling without replacement from the node's true in-edges."""
-
-        def prop(case):
-            graph, nodes, fanout, rng_seed = case
-            rng = np.random.default_rng(rng_seed)
-            src, dst, types = sample_neighbors(graph, nodes, fanout, rng)
-            assert src.shape == dst.shape == types.shape
-            true_in = {
-                int(v): sorted(
-                    zip(graph.src[graph.in_edges(int(v))].tolist(),
-                        graph.edge_types[graph.in_edges(int(v))].tolist())
-                )
-                for v in nodes
-            }
-            for v in np.asarray(nodes):
-                v = int(v)
-                picked = sorted(
-                    (int(s), int(t))
-                    for s, d, t in zip(src, dst, types) if int(d) == v
-                )
-                degree = len(true_in[v])
-                assert len(picked) == min(fanout, degree), (v, picked)
-                # without replacement: the picked multiset embeds in the
-                # node's true in-edge multiset
-                remaining = list(true_in[v])
-                for edge in picked:
-                    assert edge in remaining, (v, edge)
-                    remaining.remove(edge)
-
-        def gen(rng: np.random.Generator):
-            graph = random_eseller_graph(rng, max_nodes=25, max_edges=80)
-            count = int(rng.integers(1, min(graph.num_nodes, 6) + 1))
-            nodes = rng.choice(graph.num_nodes, size=count, replace=False)
-            fanout = int(rng.integers(1, 7))
-            return graph, nodes, fanout, int(rng.integers(0, 2**31))
-
-        forall(gen, prop, trials=TRIALS, seed=15,
-               name="sample_neighbors bounds")
-
-    def test_duplicate_query_nodes_tolerated(self):
-        """Querying the same node twice yields its segment twice."""
-        graph = ESellerGraph(4, src=[0, 1, 2, 0], dst=[3, 3, 3, 1])
-        rng = np.random.default_rng(0)
-        src, dst, _ = sample_neighbors(graph, [3, 3], fanout=2, rng=rng)
-        assert (dst == 3).sum() == 4
 
 
 class TestHarness:

@@ -1,15 +1,16 @@
 """Property-based invariants for ``repro.partition``.
 
-The partitioner contracts that the data-parallel trainer leans on:
-disjoint ownership covers, balance caps, halo completeness (shard-local
-ego-subgraphs equal full-graph ones), refinement monotonicity, and
-determinism of the hash baseline.
+The partitioner contracts that the block-accumulating trainer leans on:
+disjoint ownership covers, owner blocks that cover a row mask exactly
+once, the rows a block's forward reads, balance caps, refinement
+monotonicity, and determinism of the hash baseline.
 """
 
 import numpy as np
 import pytest
 
-from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
+from repro.graph import ESellerGraph
+from repro.graph.sampling import receptive_layout
 from repro.partition import (
     GraphPartition,
     edge_cut,
@@ -28,38 +29,35 @@ def graph_and_k(rng: np.random.Generator):
     graph = random_eseller_graph(rng, max_nodes=40, max_edges=120, min_nodes=2)
     k = int(rng.integers(1, min(graph.num_nodes, 6) + 1))
     method = "bfs" if rng.random() < 0.5 else "hash"
-    hops = int(rng.integers(0, 3))
-    return graph, k, method, hops
+    depth = int(rng.integers(0, 3))
+    return graph, k, method, depth
 
 
 def shrink_case(case):
-    graph, k, method, hops = case
+    graph, k, method, depth = case
     for smaller in shrink_graph(graph):
         if smaller.num_nodes >= k:
-            yield smaller, k, method, hops
+            yield smaller, k, method, depth
     if k > 1:
-        yield graph, k - 1, method, hops
-    if hops > 0:
-        yield graph, k, method, hops - 1
+        yield graph, k - 1, method, depth
+    if depth > 0:
+        yield graph, k, method, depth - 1
 
 
 class TestPartitionCover:
     def test_disjoint_nonempty_cover(self):
-        """Owned sets are a disjoint cover; halos never overlap owned."""
+        """Owned sets are a non-empty disjoint cover of the nodes."""
 
         def prop(case):
-            graph, k, method, hops = case
-            parts = partition_graph(graph, k, method=method, halo_hops=hops)
+            graph, k, method, _ = case
+            parts = partition_graph(graph, k, method=method)
             assert parts.num_partitions == k
-            counts = np.zeros(graph.num_nodes, dtype=np.int64)
-            for part in parts.parts:
-                assert part.num_owned > 0
-                counts[part.owned] += 1
-                assert np.intersect1d(part.owned, part.halo).size == 0
-                assert np.array_equal(part.nodes, np.union1d(part.owned, part.halo))
+            assert parts.owned_sizes.min() > 0
+            assert parts.owned_sizes.sum() == graph.num_nodes
+            counts = np.sum(parts.blocks(), axis=0)
             assert np.all(counts == 1), "every node owned exactly once"
-            for part in parts.parts:
-                assert np.all(parts.assignment[part.owned] == part.partition_id)
+            for s, block in enumerate(parts.blocks()):
+                assert np.all(parts.assignment[block] == s)
 
         forall(graph_and_k, prop, trials=TRIALS, seed=21,
                shrink=shrink_case, name="disjoint ownership cover")
@@ -80,53 +78,44 @@ class TestPartitionCover:
                shrink=shrink_case, name="bfs balance cap")
 
 
-class TestHaloCompleteness:
-    def test_local_ego_subgraph_equals_global(self):
-        """For any owned seed and radius <= halo_hops, the shard-local
-        ego-subgraph (nodes AND edges) equals the full-graph one — the
-        property that lets each shard serve/train its shops alone."""
+class TestBlocks:
+    def test_blocks_cover_any_row_mask_once(self):
+        """Owner blocks of a row mask are disjoint and cover it — the
+        property that makes ``|block| / |rows|`` weights sum to one."""
 
         def prop(case):
-            graph, k, method, hops = case
-            parts = partition_graph(graph, k, method=method, halo_hops=hops)
-            rng = np.random.default_rng(0)
-            for part in parts.parts:
-                local_graph, originals = parts.local_subgraph(part.partition_id)
-                probe = rng.choice(part.owned, size=min(3, part.num_owned),
-                                   replace=False)
-                for seed in probe:
-                    seed = int(seed)
-                    full = ego_subgraph(graph, seed, hops)
-                    local_seed = int(np.searchsorted(originals, seed))
-                    local = ego_subgraph(local_graph, local_seed, hops)
-                    assert np.array_equal(originals[local.nodes], full.nodes)
-                    assert local.center_local == full.center_local
-                    # relabel both edge lists to global ids and compare
-                    def triples(sub, nodes):
-                        return sorted(zip(
-                            nodes[sub.src].tolist(), nodes[sub.dst].tolist(),
-                            sub.edge_types.tolist(),
-                        ))
-                    assert (
-                        triples(local.subgraph, originals[local.nodes])
-                        == triples(full.subgraph, full.nodes)
-                    )
+            graph, k, method, _ = case
+            parts = partition_graph(graph, k, method=method)
+            rows = np.random.default_rng(graph.num_edges).random(
+                graph.num_nodes) < 0.5
+            blocks = parts.blocks(rows)
+            assert len(blocks) == k
+            assert np.array_equal(np.sum(blocks, axis=0), rows.astype(int))
 
         forall(graph_and_k, prop, trials=TRIALS, seed=23,
-               shrink=shrink_case, name="halo completeness")
+               shrink=shrink_case, name="blocks cover the rows once")
 
-    def test_halo_is_khop_closure_minus_owned(self):
+    def test_rows_read_is_the_receptive_prefix_of_each_block(self):
+        """``rows_read(L)`` counts what an ``L``-layer forward seeded by
+        each block reads; summed over blocks it is never below the rows
+        one forward over every seed reads (a shared row is read twice)."""
+
         def prop(case):
-            graph, k, method, hops = case
-            parts = partition_graph(graph, k, method=method, halo_hops=hops)
-            for part in parts.parts:
-                reach = k_hop_nodes(graph, part.owned, hops)
-                assert np.array_equal(
-                    part.halo, np.setdiff1d(reach, part.owned)
-                )
+            graph, k, method, depth = case
+            parts = partition_graph(graph, k, method=method)
+            per_block = parts.rows_read(depth)
+            for block, read in zip(parts.blocks(), per_block):
+                layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
+                                          graph.num_nodes,
+                                          np.flatnonzero(block), depth)
+                assert read == layout.rows_within[depth]
+            whole = receptive_layout(graph.src, graph.dst, graph.edge_types,
+                                     graph.num_nodes, np.arange(graph.num_nodes),
+                                     depth)
+            assert sum(per_block) >= whole.rows_within[depth]
 
         forall(graph_and_k, prop, trials=TRIALS, seed=24,
-               shrink=shrink_case, name="halo = closure \\ owned")
+               shrink=shrink_case, name="rows read per block")
 
 
 class TestRefinementAndMetrics:
@@ -150,7 +139,7 @@ class TestRefinementAndMetrics:
     def test_edge_cut_matches_manual_count(self):
         def prop(case):
             graph, k, method, _ = case
-            parts = partition_graph(graph, k, method=method, halo_hops=1)
+            parts = partition_graph(graph, k, method=method)
             manual = sum(
                 1 for s, d in zip(graph.src, graph.dst)
                 if parts.assignment[s] != parts.assignment[d]
@@ -180,7 +169,7 @@ class TestValidation:
         graph = ESellerGraph(4, src=[0, 1], dst=[1, 2])
         assignment = np.array([0, 0, 0, 2])  # partition 1 owns nothing
         with pytest.raises(ValueError, match="owns no nodes"):
-            GraphPartition.from_assignment(graph, assignment, halo_hops=1)
+            GraphPartition.from_assignment(graph, assignment)
 
     def test_too_many_partitions_rejected(self):
         graph = ESellerGraph(3, src=[0], dst=[1])
@@ -190,7 +179,7 @@ class TestValidation:
     def test_assignment_shape_checked(self):
         graph = ESellerGraph(3, src=[0], dst=[1])
         with pytest.raises(ValueError):
-            GraphPartition.from_assignment(graph, np.array([0, 1]), halo_hops=1)
+            GraphPartition.from_assignment(graph, np.array([0, 1]))
 
     def test_bfs_beats_hash_on_structured_graph(self):
         """On a locality-rich graph the BFS partitioner's cut must be no

@@ -360,14 +360,13 @@ class TestTrainingTrim:
 
     @pytest.mark.parametrize("make", [
         lambda model, data, cfg: Trainer(model, data, cfg),
-        lambda model, data, cfg: ParallelTrainer(model, data, cfg, n_shards=3,
-                                                 mode="sim"),
+        lambda model, data, cfg: ParallelTrainer(model, data, cfg, n_shards=3),
     ], ids=["Trainer", "ParallelTrainer-sim-x3"])
     def test_thirty_epochs_track_the_whole_graph_trajectory(self, dataset,
                                                             make):
-        """Planned replay + eager validation, and the shard workers (halo
-        rows no owned row reads drop out), against the same trainer on a
-        model that declares no depth."""
+        """Planned replay + eager validation, and the owner-block steps
+        (each forwarding only what its rows read), against the same
+        trainer on a model that declares no depth."""
         cfg = TrainConfig(epochs=30, min_epochs=30, patience=30)
         histories = []
         for cls in (Gaia, WholeGraphGaia):
