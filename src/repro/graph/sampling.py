@@ -1,45 +1,36 @@
-"""Ego-subgraph extraction and receptive layouts.
+"""Receptive layouts and ego-subgraph extraction.
 
 The deployed Gaia system (paper §VI) predicts a newcoming e-seller from
-the *ego-subgraph* extracted around it.  This module owns the only
-breadth-first loop (:func:`_reach`, over ``(label, node)`` pairs;
-:func:`k_hop_nodes` is its single-label case) and the only ego assembly
-(:func:`ego_subgraphs`, the serving gateway's batch entry point;
-:func:`ego_subgraph` is a batch of one) in the repository, for **any**
-graph that answers two things: ``num_nodes`` and
-``incident_edges(nodes, out)`` — for an array of nodes and a direction,
-the live incident edges as ``(origin index into the array, canonical
-edge position, other endpoint, edge type)``.  The static
-:class:`~repro.graph.graph.ESellerGraph` answers from its CSR index;
-the streaming :class:`~repro.streaming.dynamic_graph.DynamicGraph`
-answers from its base's index minus tombstones plus the overlay
-adjacency.  Callers never need to know which kind they hold.
+the subgraph around it.  This module owns the repository's one
+breadth-first loop (:func:`_reach`, over ``(label, node)`` pairs, in
+either or both edge directions) for **any** graph that answers two
+things: ``num_nodes`` and ``incident_edges(nodes, out)`` — for an array
+of nodes and a direction, the live incident edges as ``(origin index
+into the array, canonical edge position, other endpoint, edge type)``.
+The static :class:`~repro.graph.graph.ESellerGraph` answers from its CSR
+index, the streaming :class:`~repro.streaming.dynamic_graph.DynamicGraph`
+from its base's index minus tombstones plus the overlay adjacency.  The
+graph is asked once per step and direction whatever the batch size, and
+nothing of size ``O(num_nodes)`` or ``O(num_edges)`` is allocated.
 
-A batch of centers is **one** traversal and **one** edge gather: the
-graph is asked ``2 * hops + 1`` times whatever the batch size, nothing
-of size ``O(num_nodes)`` or ``O(num_edges)`` is allocated or scanned,
-and every ego is array-identical to a single-seed extraction (the
-brute-force oracles of ``tests/test_graph_properties.py`` are the
-sequential reference).
+:func:`receptive_layout` runs the loop over in-edges: what an ``L``-layer
+message-passing model reads of a seed is what reaches it along
+``src -> dst`` edges in ``L`` steps, laid out so that everything a layer
+reads is a prefix.  The serving gateway lays a batch of centers out with
+it, one label per request; the training loss lays its loss rows out with
+it under one label (:func:`repro.training.trainer.masked_loss`).
 
-Extraction is *undirected* and ``hops`` deep because it answers "what
-could change this forecast's inputs" (the cache invalidation radius).
-What a forward pass *reads* is narrower: an ``L``-layer message-passing
-model lets a seed see only what reaches it along ``src -> dst`` edges
-in ``L`` steps.  :func:`receptive_levels` computes that directed
-in-reach over an edge list — the second and last traversal this module
-owns — and :func:`receptive_layout` turns it into the one row / edge
-order in which everything a layer reads is a prefix.  Serving lays a
-stitched batch of egos out with it, seeded by the centers
-(:func:`repro.serving.batching.build_disjoint_batch`); training lays the
-whole graph out with it, seeded by the rows the loss reads
-(:func:`repro.training.trainer.masked_loss`).
+:func:`ego_subgraphs` runs the loop both ways, ``hops`` deep, and
+gathers the induced edges: the whole ego a model that declares no
+receptive depth is handed.  Each ego is array-identical to a
+single-seed extraction (the brute-force oracles of
+``tests/test_graph_properties.py`` are the sequential reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +38,6 @@ from .graph import ESellerGraph
 
 __all__ = [
     "k_hop_nodes",
-    "receptive_levels",
     "ReceptiveLayout",
     "receptive_layout",
     "ego_subgraph",
@@ -89,35 +79,42 @@ def _position_in(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.
     return index, keys[index] == queries
 
 
-def _reach(graph, keys: np.ndarray, hops: int) -> np.ndarray:
+def _reach(graph, keys: np.ndarray, hops: int,
+           directions: Tuple[bool, ...] = (True, False)):
     """The repository's one breadth-first loop, over ``(label, node)`` pairs.
 
     A pair travels as the ``int64`` key ``label * num_nodes + node``;
-    ``keys`` are the seed pairs, sorted and unique.  Returns the sorted
-    keys of every pair within ``hops`` undirected hops of a seed pair
-    *of the same label*: labels never mix, so one traversal serves a
-    whole batch of independent seeds.  Per hop the graph is asked twice
-    (out- and in-edges of the whole frontier); the visited set is a
-    sorted key array probed by binary search, never an
-    ``O(num_nodes)`` mask.
+    ``keys`` are the seed pairs, sorted and unique.  Each step asks for
+    the whole frontier's edges in ``directions`` (``True`` out, ``False``
+    in) and moves to their other endpoints under the same label, so one
+    traversal serves a batch of independent seeds.  The visited set is a
+    sorted key array probed by binary search.  Returns ``(visited,
+    levels, edges)``: the sorted keys within ``hops`` steps of a seed;
+    ``levels[d]`` those first met at step ``d`` (fewer than ``hops + 1``
+    when a frontier empties); ``edges[d] = (origin, position, reached,
+    types)``, the edges of ``levels[d]``, ``origin`` indexing it and
+    ``reached`` the other endpoint's key.
     """
     if hops < 0:
         raise ValueError(f"hops must be non-negative, got {hops}")
     n = graph.num_nodes
     visited = frontier = keys
+    levels, edges = [keys], []
     for _ in range(hops):
         if frontier.size == 0:
             break
         label, node = np.divmod(frontier, n)
-        reached = []
-        for out in (True, False):
-            origin, _, other, _ = graph.incident_edges(node, out)
-            reached.append(label[origin] * n + other)
-        reached = np.concatenate(reached)
+        answers = [graph.incident_edges(node, out) for out in directions]
+        origin, position, other, types = (
+            answers[0] if len(answers) == 1
+            else [np.concatenate(column) for column in zip(*answers)])
+        reached = label[origin] * n + other
         _, seen = _position_in(visited, reached)
         frontier = _sorted_unique(reached[~seen])
         visited = np.sort(np.concatenate([visited, frontier]))
-    return visited
+        levels.append(frontier)
+        edges.append((origin, position, reached, types))
+    return visited, levels, edges
 
 
 def k_hop_nodes(graph, seeds: Sequence[int], hops: int) -> np.ndarray:
@@ -130,99 +127,87 @@ def k_hop_nodes(graph, seeds: Sequence[int], hops: int) -> np.ndarray:
     label, where a pair's key is the node itself.
     Seeds outside ``[0, num_nodes)`` raise ``IndexError``.
     """
-    return _reach(graph, _sorted_unique(_checked_seeds(graph, seeds)), hops)
-
-
-def receptive_levels(src: np.ndarray, dst: np.ndarray, num_nodes: int,
-                     seeds: np.ndarray, depth: int) -> np.ndarray:
-    """Per node, the fewest ``src -> dst`` steps from it to a seed.
-
-    The layer-wise computation graph of a ``depth``-layer
-    message-passing model over the edge list ``(src, dst)``: seeds are
-    level 0, and ``level d + 1`` holds the sources of edges into level
-    ``d`` not met earlier (``need[d + 1] = need[d] | src(edges with dst
-    in need[d])``).  A node no seed can read within ``depth`` steps —
-    an out-neighbour only, or one further upstream — gets ``depth + 1``.
-    Direction matters: the undirected hop distance of :func:`_reach`
-    would also keep the nodes a seed only *writes* to.  One boolean
-    pass over the edges per level, no per-seed loop.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
-    level = np.full(num_nodes, depth + 1, dtype=np.int64)
-    level[seeds] = 0
-    for d in range(depth):
-        reached = src[level[dst] == d]
-        reached = reached[level[reached] > depth]
-        if reached.size == 0:
-            break
-        level[reached] = d + 1
-    return level
+    return _reach(graph, _sorted_unique(_checked_seeds(graph, seeds)), hops)[0]
 
 
 @dataclass
 class ReceptiveLayout:
     """The rows and edges a forward over ``seeds`` reads, level-ordered.
 
-    Rows are laid out by the depth at which the model first reads them
-    — the seeds in ascending node order (level 0), then the rows first
-    needed one ``src -> dst`` step upstream, two steps, ... — and rows
-    no layer reads are left out; edges are stably sorted by the level of
-    their ``dst`` and kept only below the last level, so the relative
-    order inside one ``dst`` is that of the given edge list and segment
-    sums add in the same order.  What an ``L``-layer model needs at each
-    layer is therefore a *prefix*: ``rows_within[d]`` rows sit within
-    ``d`` steps of a seed (``L + 1`` entries) and ``edges_into[d]``
-    edges lead into them (``L`` entries).  Every edge in the first
-    ``edges_into[d]`` has ``dst < rows_within[d]`` and
-    ``src < rows_within[d + 1]``.
+    Rows come by the depth at which the model first reads them — the
+    seeds, then the rows one ``src -> dst`` step upstream, two, ... —
+    ``(label, node)`` order inside a level; edges by the level of their
+    ``dst``, then label, then canonical position (the in-edges of one
+    row keep the host graph's order, so segment sums add in it), only
+    those into rows below the last level.  What an ``L``-layer model
+    needs at each layer is therefore a *prefix*: ``rows_within[d]`` rows
+    sit within ``d`` steps of a seed (``L + 1`` entries) and
+    ``edges_into[d]`` edges lead into them (``L`` entries), every one
+    with ``dst < rows_within[d]`` and ``src < rows_within[d + 1]``.
 
-    ``rows`` are the kept nodes of the given edge list in layout order
-    (what to gather features with), ``graph`` the kept edges relabelled
-    to positions in ``rows``, ``seed_rows`` where each seed sits.
+    ``rows`` are host node ids (what to gather features with), ``labels``
+    the seed label each row was reached under, ``graph`` the edges
+    relabelled to positions in ``rows``, ``seed_rows`` each seed's row.
     """
 
     graph: ESellerGraph
     rows: np.ndarray
+    labels: np.ndarray
     seed_rows: np.ndarray
     rows_within: np.ndarray
     edges_into: np.ndarray
 
 
-def receptive_layout(src: np.ndarray, dst: np.ndarray, edge_types: np.ndarray,
-                     num_nodes: int, seeds: np.ndarray,
-                     depth: Optional[int]) -> ReceptiveLayout:
-    """Lay an edge list out for a ``depth``-layer forward over ``seeds``.
+def receptive_layout(graph, seeds: Sequence[int], depth: int,
+                     labelled: bool = False) -> ReceptiveLayout:
+    """What a ``depth``-layer forward over ``seeds`` reads of ``graph``.
 
-    ``depth`` is the receptive depth of the model about to read the
-    result (:attr:`repro.nn.module.Module.receptive_depth`): only rows
-    within ``depth`` directed steps of a seed are kept, in the
-    level-ordered layout :class:`ReceptiveLayout` documents.  ``None``
-    — a model that reads everything — is the same routine with every
-    row at level 0: the stable sorts are the identity, and every row
-    and edge comes out where it was.  A pure function of its arrays.
+    ``depth`` is the model's :attr:`~repro.nn.module.Module.receptive_depth`.
+    :func:`_reach` over in-edges: level ``d + 1`` holds the sources of
+    the live in-edges of level ``d`` not met earlier, and those in-edges
+    are what a layer aggregates into level ``d``, so ``depth`` graph
+    queries build the whole layout.  ``labelled=False`` reads the seeds
+    as one set (the training loss: ascending node order, a repeated seed
+    one row); ``labelled=True`` gives seed ``i`` label ``i`` — the
+    node-disjoint union the serving gateway scores, centers first in
+    request order, a repeated center twice.  Seeds outside
+    ``[0, num_nodes)`` raise ``IndexError``.
     """
-    if depth is None:
-        # Every row is read: all of them are level 0, and the one level
-        # of edges into level-0 rows is all of the edges.
-        level, depth = np.zeros(num_nodes, dtype=np.int64), 1
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    seeds = _checked_seeds(graph, seeds)
+    n = graph.num_nodes
+    if labelled:                         # label-major: already sorted
+        seed_keys = keys = np.arange(seeds.size, dtype=np.int64) * n + seeds
     else:
-        level = receptive_levels(src, dst, num_nodes, seeds, depth)
-    rows_within = np.bincount(level, minlength=depth + 1)[:depth + 1].cumsum()
-    edge_level = level[dst]
-    edges_into = np.bincount(edge_level, minlength=depth)[:depth].cumsum()
-    rows = np.argsort(level, kind="stable")[:rows_within[-1]]
-    edges = np.argsort(edge_level, kind="stable")
-    edges = edges[:np.count_nonzero(edge_level < depth)]
-    row_of = np.empty(num_nodes, dtype=np.int64)
-    row_of[rows] = np.arange(rows.size, dtype=np.int64)
+        seed_keys, keys = seeds, _sorted_unique(seeds)
+    _, levels, edges = _reach(graph, keys, depth, directions=(False,))
+    row_keys = np.concatenate(levels)
+    sizes = [level.size for level in levels] + [0] * (depth + 1 - len(levels))
+    # Where each key sits in the layout: every source of a kept edge is
+    # at most one level above its destination, so it has a row.
+    by_key = np.argsort(row_keys)
+    sorted_keys = row_keys[by_key]
+    empty = np.zeros(0, dtype=np.int64)
+    src, dst, types, counts = [empty], [empty], [empty], []
+    first = 0
+    for level, (origin, position, reached, kinds) in zip(levels, edges):
+        order = np.lexsort((position, level[origin] // n))
+        src.append(by_key[sorted_keys.searchsorted(reached[order])])
+        dst.append(first + origin[order])
+        types.append(kinds[order])
+        counts.append(order.size)
+        first += level.size
+    counts += [0] * (depth - len(counts))
+    labels, rows = np.divmod(row_keys, n)
     return ReceptiveLayout(
-        graph=ESellerGraph(rows.size, row_of[src[edges]], row_of[dst[edges]],
-                           edge_types[edges]),
+        graph=ESellerGraph(row_keys.size, np.concatenate(src),
+                           np.concatenate(dst), np.concatenate(types)),
         rows=rows,
-        seed_rows=row_of[seeds],
-        rows_within=rows_within,
-        edges_into=edges_into,
+        labels=labels,
+        seed_rows=keys.searchsorted(seed_keys),
+        rows_within=np.cumsum(sizes),
+        edges_into=np.cumsum(counts, dtype=np.int64),
     )
 
 
@@ -282,7 +267,7 @@ def ego_subgraphs(graph, centers: Sequence[int], hops: int = 2) -> List[EgoSubgr
     n = graph.num_nodes
     batch = np.arange(centers.size + 1, dtype=np.int64)
     seeds = batch[:-1] * n + centers
-    keys = _reach(graph, seeds, hops)
+    keys = _reach(graph, seeds, hops)[0]
     label, node = np.divmod(keys, n)
     origin, position, other, types = graph.incident_edges(node, out=True)
     edge_label = label[origin]

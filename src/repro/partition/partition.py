@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import receptive_levels
+from ..graph.sampling import receptive_layout
 
 __all__ = ["GraphPartition", "edge_cut"]
 
@@ -99,10 +99,9 @@ class GraphPartition:
         :func:`~repro.graph.sampling.receptive_layout`: the block's rows
         plus every row within ``depth`` ``src -> dst`` steps upstream.
         """
-        graph = self.graph
         return [
-            int((receptive_levels(graph.src, graph.dst, graph.num_nodes,
-                                  np.flatnonzero(block), depth) <= depth).sum())
+            int(receptive_layout(self.graph, np.flatnonzero(block),
+                                 depth).rows_within[depth])
             for block in self.blocks(rows)
         ]
 

@@ -71,6 +71,7 @@ from .batching import (
     MicroBatcher,
     PendingRequest,
     build_disjoint_batch,
+    gather_batch,
     priority_rank,
 )
 from .cache import CachedResult, LRUCache, ResultCache, SubgraphCache
@@ -95,6 +96,7 @@ __all__ = [
     "priority_rank",
     "DisjointBatch",
     "build_disjoint_batch",
+    "gather_batch",
     "AdmissionController",
     "AdmissionDecision",
     "admission_report",

@@ -6,25 +6,21 @@ full ``max_batch_size`` is parked, the oldest request has waited
 ``max_wait`` seconds, or the tightest parked deadline would be at risk
 if the batcher kept waiting for occupancy (an EWMA of recent batch
 service times is the risk estimate).  The drained batch is then
-stitched into a single *node-disjoint* graph — each request's
-ego-subgraph becomes its own connected component, node ids offset so
-components never collide — and scored with **one** forward pass.
-Because components are disjoint and message passing is strictly
-per-node / per-edge, every center's output is that of the per-request
-forward (to 1e-12; bit for bit except where BLAS rounds a row by its
-position in the batch), even when the original ego-subgraphs overlap.
+laid out as a single *node-disjoint* graph — each request its own
+connected component, shared shops repeated per component — and scored
+with **one** forward pass.  Because components are disjoint and message
+passing is strictly per-node / per-edge, every center's output is that
+of the per-request forward (to 1e-12; bit for bit except where BLAS
+rounds a row by its position in the batch).
 
-:func:`build_disjoint_batch` stitches only what the model will read.
-Given the model's receptive depth ``L`` it keeps the rows within ``L``
-directed ``src -> dst`` steps of a center, ordered centers first and
-then by the depth at which they are first needed, with the edges sorted
-by the level of their ``dst`` — so that everything a layer needs is a
-*prefix* of the row and edge arrays (:class:`DisjointBatch` carries the
-two cumulative counts) and a trimmed forward slices instead of
-gathering.  Without a depth it stitches the whole egos, component by
-component.  The layout itself is
-:func:`repro.graph.sampling.receptive_layout`, the one the training
-loss uses over its loss rows.
+What the union holds is what the model reads: for a model with
+receptive depth ``L``, :func:`gather_batch` gathers the rows of one
+labelled in-edge traversal of the centers
+(:func:`repro.graph.sampling.receptive_layout`), ordered so that
+everything a layer needs is a *prefix* of the row and edge arrays
+(:class:`DisjointBatch` carries the two cumulative counts) and a trimmed
+forward slices instead of gathering.  A model that declares no depth
+reads whole ego-subgraphs, stitched by :func:`build_disjoint_batch`.
 
 *Which* requests a batch contains is a schedule, not a mode: every
 request carries a **priority class** (:data:`PRIORITIES`) and an
@@ -55,7 +51,7 @@ import numpy as np
 
 from ..data.dataset import InstanceBatch
 from ..graph.graph import ESellerGraph
-from ..graph.sampling import EgoSubgraph, receptive_layout
+from ..graph.sampling import EgoSubgraph, ReceptiveLayout
 from ..obs import clock as obs_clock
 
 __all__ = [
@@ -65,6 +61,7 @@ __all__ = [
     "MicroBatcher",
     "DisjointBatch",
     "build_disjoint_batch",
+    "gather_batch",
 ]
 
 #: Priority classes, best first.  Scheduling is strict-priority: a
@@ -283,29 +280,22 @@ class MicroBatcher:
 
 @dataclass
 class DisjointBatch:
-    """The rows and edges one forward reads of a node-disjoint union of egos.
+    """The rows and edges one forward reads of a node-disjoint union.
 
-    Every ego is its own connected component (node ids offset, shared
-    shops repeated per component), laid out by
-    :func:`~repro.graph.sampling.receptive_layout` seeded with the
-    centers: rows in the order the model first reads them (the centers
-    in request order, then one ``src -> dst`` step upstream, two, ...),
-    rows no layer reads left out, edges sorted by the level of their
-    ``dst``.  ``rows_within`` and ``edges_into`` are that layout's
-    per-depth prefix counts
-    (:class:`~repro.graph.sampling.ReceptiveLayout`).
-
-    ``graph`` holds the kept rows and edges; ``batch`` is the matching
-    row-gathered :class:`~repro.data.dataset.InstanceBatch`;
-    ``center_rows`` locates each request's center in it
-    (``arange(num_requests)`` whenever a depth was given);
-    ``component_sizes`` are the whole egos' node counts, kept or not.
+    Every request is its own connected component, shared shops repeated
+    per component.  For a model with a receptive depth it is a labelled
+    :class:`~repro.graph.sampling.ReceptiveLayout` of the centers
+    (:func:`gather_batch`), ``rows_within`` / ``edges_into`` its
+    per-depth prefix counts and ``center_rows == arange(num_requests)``;
+    for one without, the whole egos component by component
+    (:func:`build_disjoint_batch`), every row at level 0.  ``batch`` is
+    the row-gathered :class:`~repro.data.dataset.InstanceBatch` matching
+    ``graph``.
     """
 
     graph: ESellerGraph
     batch: InstanceBatch
     center_rows: np.ndarray
-    component_sizes: np.ndarray
     centers: np.ndarray
     rows_within: np.ndarray
     edges_into: np.ndarray
@@ -316,23 +306,28 @@ class DisjointBatch:
         return int(self.center_rows.size)
 
 
-def build_disjoint_batch(
-    egos: Sequence[EgoSubgraph], source_batch: InstanceBatch,
-    depth: Optional[int] = None,
-) -> DisjointBatch:
-    """Stitch ego-subgraphs into one block-diagonal graph + feature batch.
+def gather_batch(layout: ReceptiveLayout, centers: Sequence[int],
+                 source_batch: InstanceBatch) -> DisjointBatch:
+    """The feature rows of ``receptive_layout(graph, centers, depth,
+    labelled=True)``, gathered with one :meth:`InstanceBatch.subset`
+    call (a shop two requests read is two rows)."""
+    return DisjointBatch(
+        graph=layout.graph,
+        batch=source_batch.subset(layout.rows),
+        center_rows=layout.seed_rows,
+        centers=np.asarray(centers, dtype=np.int64),
+        rows_within=layout.rows_within,
+        edges_into=layout.edges_into,
+    )
 
-    Concatenate the egos with their node ids offset, lay the union out
-    for a ``depth``-layer model reading the centers
-    (:func:`~repro.graph.sampling.receptive_layout`; ``None`` — a model
-    that reads the whole ego — keeps every row and edge, component by
-    component), gather the rows.
 
-    The layout is a pure function of the egos' arrays.  Rows of the
-    batch are gathered from ``source_batch`` via one
-    :meth:`InstanceBatch.subset` call over the kept original node
-    indices (duplicates allowed — overlapping ego-subgraphs simply repeat
-    the shared rows), so no per-request slicing survives on the hot path.
+def build_disjoint_batch(egos: Sequence[EgoSubgraph],
+                         source_batch: InstanceBatch) -> DisjointBatch:
+    """Stitch whole ego-subgraphs into one block-diagonal graph + batch.
+
+    Node ids are offset per ego (edges in each ego's order) and the rows
+    gathered with one :meth:`InstanceBatch.subset` call (overlapping egos
+    repeat the shared rows): what a model without a receptive depth reads.
     """
     if not egos:
         raise ValueError("cannot build a batch from zero ego-subgraphs")
@@ -341,21 +336,18 @@ def build_disjoint_batch(
     # One shift per edge — its component's offset — instead of an add
     # per ego and endpoint array.
     shift = offsets.repeat([ego.subgraph.num_edges for ego in egos])
-    layout = receptive_layout(
+    graph = ESellerGraph(
+        int(sizes.sum()),
         np.concatenate([ego.subgraph.src for ego in egos]) + shift,
         np.concatenate([ego.subgraph.dst for ego in egos]) + shift,
         np.concatenate([ego.subgraph.edge_types for ego in egos]),
-        int(sizes.sum()),
-        offsets + np.array([ego.center_local for ego in egos], dtype=np.int64),
-        depth,
     )
-    nodes = np.concatenate([ego.nodes for ego in egos])
     return DisjointBatch(
-        graph=layout.graph,
-        batch=source_batch.subset(nodes[layout.rows]),
-        center_rows=layout.seed_rows,
-        component_sizes=sizes,
+        graph=graph,
+        batch=source_batch.subset(np.concatenate([ego.nodes for ego in egos])),
+        center_rows=offsets + np.array([ego.center_local for ego in egos],
+                                       dtype=np.int64),
         centers=np.array([ego.center for ego in egos], dtype=np.int64),
-        rows_within=layout.rows_within,
-        edges_into=layout.edges_into,
+        rows_within=np.array([graph.num_nodes] * 2, dtype=np.int64),
+        edges_into=np.array([graph.num_edges], dtype=np.int64),
     )

@@ -3,7 +3,8 @@
 Two cache planes sit in front of the gateway's model:
 
 * :class:`SubgraphCache` — extracted ego-subgraphs keyed on
-  ``(shop_index, hops)``.  Invalidated either wholesale (graph epoch
+  ``(shop_index, hops)`` (of a model that declares no receptive depth).
+  Invalidated either wholesale (graph epoch
   bump, the conservative fallback) or **delta-aware**: given the node
   frontier a mutation touched, only entries whose memoised node sets
   contain one of its nodes are evicted — sound because a k-hop ball can
@@ -12,9 +13,10 @@ Two cache planes sit in front of the gateway's model:
   ``(shop_index, hops, model_version)``.  Entries for superseded model
   versions are purged when the
   :class:`~repro.deploy.model_server.ModelRegistry` publishes (so a hot
-  swap can never serve stale numbers); each entry also records its
-  forecast's subgraph node set, enabling the same delta-aware eviction
-  under graph churn, plus its **data provenance** (the feature store's
+  swap can never serve stale numbers); each entry also records the
+  rows its forward read, enabling the same delta-aware eviction (what a
+  forward reads changes only through an edge into one of them), plus
+  its **data provenance** (the feature store's
   event-time frontier and tick sequence at compute time) so the gateway
   can expire forecasts on data freshness — a stale-month entry is
   evicted or served with a staleness tag, governed by
@@ -28,13 +30,13 @@ rates are never polluted by pre-flush traffic (while no-op delta probes
 leave the window intact).
 
 **Delta invalidation is an index lookup, not a scan.**  The LRU keeps an
-inverted index ``node -> {keys of live entries whose ego holds it}``:
+inverted index ``node -> {keys of live entries whose node set holds it}``:
 each plane passes its entry's node set as ``tags`` on ``put`` and the
 LRU, which owns every insert and every way an entry leaves, keeps the
 postings exact.  ``invalidate_nodes(touched)`` unions the postings of
 the touched nodes and evicts exactly those keys.  Cost: insert
-``O(|ego|)``, one topology event ``O(|touched| + evicted)`` however many
-entries are cached, memory ``sum(|ego|)`` over live entries.  An entry
+``O(|tags|)``, one topology event ``O(|touched| + evicted)`` however many
+entries are cached, memory ``sum(|tags|)`` over live entries.  An entry
 stored with ``nodes=None`` (unknown provenance) is evicted by every
 non-empty ``touched``; an empty ``touched`` evicts nothing.
 """
@@ -320,14 +322,14 @@ class SubgraphCache:
 class CachedResult:
     """One memoised finished forecast.
 
-    ``nodes`` records the ego-subgraph node set the forecast was
-    computed from, so graph-delta invalidation can decide whether a
-    mutation could have changed it.  ``data_month`` / ``tick_seq``
+    ``nodes`` records the host rows the forecast's forward read, so
+    graph-delta invalidation can decide whether a mutation could have
+    changed it.  ``data_month`` / ``tick_seq``
     record the attached feature store's event-time frontier and global
     tick sequence at compute time (``-1`` when no store was attached):
     the freshness check compares them against the store's current state
-    to decide whether fresher sales data has landed inside the entry's
-    ego since it was computed.
+    to decide whether fresher sales data has landed in one of those
+    rows since it was computed.
     """
 
     forecast: np.ndarray

@@ -9,15 +9,15 @@ GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
    requests accumulated, the oldest waited ``max_wait`` seconds, or a
    parked deadline is at risk;
 3. **node-disjoint forward** — the drained batch's misses, coalesced by
-   shop, are stitched into one block-diagonal graph (subgraph
-   extractions memoised in an LRU keyed per graph epoch) and scored
-   with a single forward of the gateway's one model.  The model
-   declares how far upstream of a center it reads
-   (``Module.receptive_depth``); the stitched batch holds exactly those
-   rows and edges, centers first, and the forward computes each layer on
-   its receptive prefix.  Per-center outputs equal the sequential
-   whole-ego path (``OnlineModelServer``) to 1e-12.  Caches, staleness
-   tags, servability and ``subgraph_nodes`` stay whole-ego.
+   shop, are scored with a single forward of the gateway's one model.
+   The model declares how far upstream of a center it reads
+   (``Module.receptive_depth``); one labelled in-edge traversal of the
+   centers (``graph.sampling.receptive_layout``) lays out exactly those
+   rows and edges, and the forward computes each layer on its receptive
+   prefix (a model that declares no depth gets whole ``hops`` egos,
+   memoised per graph epoch).  Per-center outputs equal the sequential
+   whole-ego path (``OnlineModelServer``) to 1e-12.  Cache tags,
+   staleness, servability and ``subgraph_nodes`` follow the rows read.
 
 The gateway owns one model (``gateway.model``) at one
 ``gateway.model_version`` and subscribes to the
@@ -34,7 +34,8 @@ mutation's touched frontier flows into
 :meth:`ServingGateway.notify_graph_delta`, which evicts **only** the
 cached subgraphs/results whose node sets intersect it instead of
 flushing both planes.  Under churn this keeps hit rates high: entries
-far from the mutation keep serving.
+far from the mutation (or only in a part of the ego no layer reads)
+keep serving.
 
 Data freshness: pass the live
 :class:`~repro.streaming.features.StreamingFeatureStore` to
@@ -82,7 +83,7 @@ import numpy as np
 from ..data.dataset import ForecastDataset, InstanceBatch
 from ..deploy.model_server import ModelRegistry, ModelVersion
 from ..deploy.serving import PredictionResponse
-from ..graph.sampling import EgoSubgraph, ego_subgraphs
+from ..graph.sampling import ego_subgraphs, receptive_layout
 from ..nn import engine
 from ..nn.module import Module
 from ..obs import clock as obs_clock
@@ -99,6 +100,7 @@ from .batching import (
     MicroBatcher,
     PendingRequest,
     build_disjoint_batch,
+    gather_batch,
     priority_rank,
 )
 from .cache import ResultCache, SubgraphCache
@@ -111,6 +113,8 @@ __all__ = ["GatewayConfig", "GatewayResponse", "ServingGateway"]
 class GatewayConfig:
     """Tuning knobs for one :class:`ServingGateway`."""
 
+    #: ``hops`` / ``subgraph_cache_size``: the egos of a model that
+    #: declares no ``receptive_depth`` (else ``hops`` only keys results).
     hops: int = 2
     max_batch_size: int = 32
     max_wait: float = 0.005
@@ -129,7 +133,7 @@ class GatewayConfig:
     #: pre-event-time behaviour).  With a budget ``k``, a cached result
     #: whose compute-time data frontier trails the store's by more than
     #: ``k`` months is evicted; one merely *outdated* (fresher ticks
-    #: landed inside its ego, but within budget) is served with a
+    #: landed in a row it read, but within budget) is served with a
     #: staleness tag.  ``0`` = evict the moment the frontier advances
     #: past the entry's data month.
     max_staleness_months: Optional[int] = None
@@ -185,8 +189,9 @@ class GatewayConfig:
 class GatewayResponse(PredictionResponse):
     """A :class:`PredictionResponse` plus gateway-side provenance.
 
+    ``subgraph_nodes`` counts the rows the forecast's forward read.
     ``stale`` marks a cached forecast served after fresher sales data
-    landed inside its ego (allowed while within the
+    landed in one of those rows (allowed while within the
     ``max_staleness_months`` budget); ``staleness_months`` is how many
     event-time months its data frontier trails the store's.
 
@@ -346,9 +351,9 @@ class ServingGateway:
 
         ``touched`` is the mutation's node frontier (edge endpoints /
         arrived shops).  Only cached entries whose memoised node sets
-        intersect it can have changed — a k-hop ball grows or shrinks
-        only through a node it already contains — so everything else
-        survives, keeping hit rates high under churn.
+        intersect it can have changed — what a forward reads (or a
+        k-hop ball) changes only through an edge into a node it holds —
+        so everything else survives, keeping hit rates high under churn.
         """
         touched = np.asarray(touched, dtype=np.int64)
         if touched.size == 0:
@@ -446,7 +451,7 @@ class ServingGateway:
         are stamped with the frontier at compute time, so a sweep
         without an advance can never evict.  Entries inside the budget
         stay put; the per-entry *outdatedness* check (fresher ticks
-        inside the ego) happens lazily at lookup time, where the
+        in a row it read) happens lazily at lookup time, where the
         staleness tag is attached.
         """
         if frontier <= self._data_frontier:
@@ -667,24 +672,6 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # batch execution
     # ------------------------------------------------------------------
-    def _extract_egos(self, shops: List[int]) -> Dict[int, EgoSubgraph]:
-        """Fetch ego-subgraphs for unique shops, via the LRU cache."""
-        hops = self.config.hops
-        egos: Dict[int, EgoSubgraph] = {}
-        missing: List[int] = []
-        for shop in shops:
-            cached = self.subgraph_cache.get(shop, hops)
-            if cached is None:
-                missing.append(shop)
-                self.metrics.inc("subgraph_cache_misses")
-            else:
-                egos[shop] = cached
-                self.metrics.inc("subgraph_cache_hits")
-        for ego in ego_subgraphs(self.graph, missing, hops):
-            self.subgraph_cache.put(ego.center, hops, ego)
-            egos[ego.center] = ego
-        return egos
-
     def _resolve(self, request: PendingRequest, forecast: np.ndarray,
                  subgraph_nodes: int, cached: bool,
                  batch_size: int, stale: bool = False,
@@ -718,7 +705,7 @@ class ServingGateway:
         Returns ``None`` when the entry outlived the staleness budget
         (it is evicted and the lookup falls through to a recompute), or
         ``(stale, staleness_months)`` — ``stale`` marks an in-budget
-        entry whose ego received fresher ticks since compute time.
+        entry a read row of which got fresher ticks since compute time.
         Without an attached store or budget everything is fresh.
         """
         store = self._data_store
@@ -789,49 +776,77 @@ class ServingGateway:
                 request.fail(error)
             self.metrics.inc("requests_failed", float(len(unresolved)))
 
-    def _fail_unservable(self, by_shop, egos) -> List[int]:
-        """Fail requests whose egos reach beyond the feature snapshot.
+    def _extract(self, shops: List[int], depth: Optional[int]):
+        """What a forward over ``shops`` reads: ``(extracted, reads)``.
 
-        A streamed-in shop linked into a served neighborhood has graph
-        presence but no feature row; scoring any ego containing it would
-        crash the whole stitched forward.  Those requests fail
-        individually (:meth:`PendingRequest.result` re-raises) and the
-        rest of the batch proceeds.  Returns the servable shops.
+        For an integer ``depth`` the labelled
+        :func:`~repro.graph.sampling.receptive_layout` of the shops (one
+        traversal, one label per shop); for ``None`` their whole egos,
+        via the LRU.  ``reads[shop]`` are the host rows its forecast reads.
+        """
+        if depth is not None:
+            layout = receptive_layout(self.graph, shops, depth, labelled=True)
+            grouped = layout.rows[np.argsort(layout.labels, kind="stable")]
+            ends = [0] + np.bincount(layout.labels).cumsum().tolist()
+            return layout, {shop: grouped[ends[i]:ends[i + 1]]
+                            for i, shop in enumerate(shops)}
+        hops = self.config.hops
+        egos = {shop: self.subgraph_cache.get(shop, hops) for shop in shops}
+        missing = [shop for shop, ego in egos.items() if ego is None]
+        self.metrics.inc("subgraph_cache_misses", len(missing))
+        self.metrics.inc("subgraph_cache_hits", len(shops) - len(missing))
+        for ego in ego_subgraphs(self.graph, missing, hops):
+            self.subgraph_cache.put(ego.center, hops, ego)
+            egos[ego.center] = ego
+        return egos, {shop: egos[shop].nodes for shop in shops}
+
+    def _fail_unservable(self, by_shop, reads) -> List[int]:
+        """Fail requests whose forward reads beyond the feature snapshot.
+
+        A streamed-in shop has graph presence but no feature row; a
+        forward that reads it (not one the center merely writes to)
+        would crash the whole batch.  Those requests fail individually
+        (:meth:`PendingRequest.result` re-raises) and the rest of the
+        batch proceeds.  Returns the servable shops.
         """
         limit = self.source_batch.num_shops
+        if np.concatenate(list(reads.values())).max() < limit:
+            return list(by_shop)             # the common case: one test
         servable: List[int] = []
         for shop, requests in by_shop.items():
-            nodes = egos[shop].nodes
-            if nodes.size and int(nodes.max()) >= limit:
-                error = IndexError(
-                    f"ego-subgraph of shop {shop} reaches node "
-                    f"{int(nodes.max())}, beyond the serving snapshot's "
-                    f"{limit} feature rows; refresh source_batch before "
-                    "linking streamed-in shops into served neighborhoods"
-                )
-                for request in requests:
-                    request.fail(error)
-                self.metrics.inc("requests_failed", float(len(requests)))
-            else:
+            widest = int(reads[shop].max())
+            if widest < limit:
                 servable.append(shop)
+                continue
+            error = IndexError(
+                f"the forecast of shop {shop} reads node {widest}, beyond the "
+                f"serving snapshot's {limit} feature rows; refresh "
+                "source_batch before linking streamed-in shops into it")
+            for request in requests:
+                request.fail(error)
+            self.metrics.inc("requests_failed", float(len(requests)))
         return servable
 
     def _forward_batch(self, by_shop: Dict[int, List[PendingRequest]],
                        batch_size: int) -> None:
         """One node-disjoint forward for a drained batch's cache misses."""
-        with obs_tracing.span("gateway.extract"):
-            egos = self._extract_egos(list(by_shop))
-        shops = self._fail_unservable(by_shop, egos)
-        if not shops:
-            return
         # The model says how far upstream of a center it reads; the
         # batch is laid out for exactly that, and a model that says
         # nothing gets the whole egos and no ``trim``.
         depth = self.model.receptive_depth
+        with obs_tracing.span("gateway.extract"):
+            extracted, reads = self._extract(list(by_shop), depth)
+        shops = self._fail_unservable(by_shop, reads)
+        if not shops:
+            return
+        if len(shops) < len(by_shop):    # rare: lay the rest out afresh
+            with obs_tracing.span("gateway.extract"):
+                extracted = self._extract(shops, depth)[0]
         with obs_tracing.span("gateway.batch_assembly"):
-            union = build_disjoint_batch(
-                [egos[s] for s in shops], self.source_batch, depth
-            )
+            union = (build_disjoint_batch([extracted[s] for s in shops],
+                                          self.source_batch)
+                     if depth is None
+                     else gather_batch(extracted, shops, self.source_batch))
         trim = {} if depth is None else {
             "trim": (union.rows_within, union.edges_into)}
         self.model.eval()
@@ -861,12 +876,12 @@ class ServingGateway:
         for row, shop in enumerate(shops):
             forecast = raw[row].copy()
             forecast.setflags(write=False)
-            nodes = int(egos[shop].num_nodes)
+            nodes = reads[shop]
             self.result_cache.put(shop, self.config.hops, self.model_version,
-                                  forecast, nodes, nodes=egos[shop].nodes,
+                                  forecast, nodes.size, nodes=nodes,
                                   data_month=data_month, tick_seq=tick_seq)
             for request in by_shop[shop]:
-                self._resolve(request, forecast, nodes, cached=False,
+                self._resolve(request, forecast, nodes.size, cached=False,
                               batch_size=batch_size)
 
     # ------------------------------------------------------------------

@@ -109,18 +109,16 @@ def masked_loss(model: Module, graph: ESellerGraph, batch: InstanceBatch,
     never embedded.  A model that declares ``None`` gets ``batch`` and
     ``graph`` as they are.  Loss and gradients equal the whole-graph forward's to
     rounding (1e-12 relative; GEMMs over fewer rows reassociate), not
-    bit for bit.  The layout is rebuilt per call: a fraction of a
-    millisecond against the forward, and a compiled plan calls this
-    once.
+    bit for bit.  The layout is rebuilt per call — one in-edge traversal
+    from the loss rows, a fraction of a millisecond against the forward
+    — and a compiled plan calls this once.
     """
     labels = batch.labels_scaled[active]
     depth = model.receptive_depth
     if depth is None:
         rows, trim = active, {}
     else:
-        layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                  graph.num_nodes, np.flatnonzero(active),
-                                  depth)
+        layout = receptive_layout(graph, np.flatnonzero(active), depth)
         batch, graph = batch.subset(layout.rows), layout.graph
         rows, trim = layout.seed_rows, {
             "trim": (layout.rows_within, layout.edges_into)}

@@ -3,6 +3,7 @@ property-test harness (seeded trial runner with shrinking-lite)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -119,6 +120,64 @@ def shrink_graph(graph: ESellerGraph) -> Iterable[ESellerGraph]:
     used = int(max(graph.src.max(), graph.dst.max())) + 1 if e else 1
     if used < graph.num_nodes:
         yield ESellerGraph(used, graph.src, graph.dst, graph.edge_types)
+
+
+# ----------------------------------------------------------------------
+# receptive-layout oracle: the edge-list path serving and training took
+# before one directed traversal of the graph replaced it
+# ----------------------------------------------------------------------
+def receptive_levels_oracle(src, dst, num_nodes: int, seeds,
+                            depth: int) -> np.ndarray:
+    """Per node, the fewest ``src -> dst`` steps to a seed (``depth + 1``
+    beyond reach): one boolean pass over the whole edge list per level."""
+    level = np.full(num_nodes, depth + 1, dtype=np.int64)
+    level[np.asarray(seeds, dtype=np.int64)] = 0
+    for d in range(depth):
+        reached = src[level[dst] == d]
+        reached = reached[level[reached] > depth]
+        if reached.size == 0:
+            break
+        level[reached] = d + 1
+    return level
+
+
+def receptive_layout_oracle(src, dst, edge_types, num_nodes: int, seeds,
+                            depth: int) -> SimpleNamespace:
+    """The level-ordered layout of an edge list: rows stably sorted by
+    level, edges stably sorted by the level of their ``dst`` and kept
+    below the last one.  ``rows`` index the edge list's nodes."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    level = receptive_levels_oracle(src, dst, num_nodes, seeds, depth)
+    rows_within = np.bincount(level, minlength=depth + 1)[:depth + 1].cumsum()
+    edge_level = level[dst]
+    edges_into = np.bincount(edge_level, minlength=depth)[:depth].cumsum()
+    rows = np.argsort(level, kind="stable")[:rows_within[-1]]
+    edges = np.argsort(edge_level, kind="stable")
+    edges = edges[:np.count_nonzero(edge_level < depth)]
+    row_of = np.empty(num_nodes, dtype=np.int64)
+    row_of[rows] = np.arange(rows.size, dtype=np.int64)
+    return SimpleNamespace(
+        graph=ESellerGraph(rows.size, row_of[src[edges]], row_of[dst[edges]],
+                           edge_types[edges]),
+        rows=rows, seed_rows=row_of[seeds], rows_within=rows_within,
+        edges_into=edges_into)
+
+
+def ego_union_oracle(egos, depth: int) -> SimpleNamespace:
+    """The old serving union: the egos stitched with offset node ids,
+    then laid out seeded by their centers.  ``rows`` are host node ids."""
+    sizes = np.array([ego.num_nodes for ego in egos], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    shift = offsets.repeat([ego.subgraph.num_edges for ego in egos])
+    layout = receptive_layout_oracle(
+        np.concatenate([ego.subgraph.src for ego in egos]) + shift,
+        np.concatenate([ego.subgraph.dst for ego in egos]) + shift,
+        np.concatenate([ego.subgraph.edge_types for ego in egos]),
+        int(sizes.sum()),
+        offsets + np.array([ego.center_local for ego in egos], dtype=np.int64),
+        depth)
+    layout.rows = np.concatenate([ego.nodes for ego in egos])[layout.rows]
+    return layout
 
 
 def numerical_gradient(fn: Callable[[], float], array: np.ndarray,

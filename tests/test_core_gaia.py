@@ -13,12 +13,19 @@ from repro.core import (
 )
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.graph import ego_subgraphs
+from repro.graph.sampling import receptive_layout
 from repro.nn import engine
 from repro.nn.tensor import no_grad
 from repro.obs.clock import FakeClock
-from repro.serving import ServiceTimeModel, build_disjoint_batch
+from repro.serving import ServiceTimeModel, build_disjoint_batch, gather_batch
 
 from helpers import forall
+
+
+def trimmed_batch(dataset, centers, depth):
+    """What the gateway hands a ``depth``-layer model for ``centers``."""
+    layout = receptive_layout(dataset.graph, centers, depth, labelled=True)
+    return gather_batch(layout, centers, dataset.test)
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +109,14 @@ class TestGaiaForward:
 
 class TestTrimmedForward:
     """``model(batch, graph, trim)`` == the center rows of the whole-ego
-    forward, for what :func:`build_disjoint_batch` lays out."""
+    forward, for what :func:`gather_batch` lays out."""
 
     @pytest.mark.parametrize("backend", ["float64", "float32"])
     def test_equals_center_rows_of_the_full_forward(self, dataset, config,
                                                     backend):
-        """Random center batches (repeats allowed), ``hops`` 0–3 x ``L``
-        1–3 (``hops < L`` included), all four Table II variants.
+        """Random center batches (repeats allowed), ``L`` 1–3 against
+        whole egos ``L`` or ``L + 1`` hops deep (every row a center reads
+        is in them), all four Table II variants.
         Required: 1e-12 in float64 (every kernel is row- or
         segment-wise; only BLAS choosing another blocking for another
         row count moves a last bit) and the float32 budget in float32.
@@ -126,10 +134,15 @@ class TestTrimmedForward:
         seen = {"isolated": 0, "edges": 0, "deep": 0}
         seen.update(dict.fromkeys(variants, 0))
 
+        unread = np.flatnonzero(dataset.graph.in_degrees() == 0)
+
         def gen(rng: np.random.Generator):
             centers = rng.integers(0, dataset.graph.num_nodes,
                                    size=int(rng.integers(1, 10)))
-            return (centers, int(rng.integers(0, 4)), int(rng.integers(1, 4)),
+            if rng.random() < 0.2:      # centers nothing links into
+                centers = rng.choice(unread, size=int(rng.integers(1, 4)))
+            layers = int(rng.integers(1, 4))
+            return (centers, layers + int(rng.integers(0, 2)), layers,
                     variants[int(rng.integers(0, len(variants)))])
 
         def prop(case):
@@ -138,8 +151,7 @@ class TestTrimmedForward:
             assert model.receptive_depth == layers
             egos = ego_subgraphs(dataset.graph, centers, hops)
             whole = build_disjoint_batch(egos, dataset.test)
-            cut = build_disjoint_batch(egos, dataset.test,
-                                       model.receptive_depth)
+            cut = trimmed_batch(dataset, centers, model.receptive_depth)
             with engine.use_backend(backend), engine.inference_mode():
                 want = model(whole.batch, whole.graph).data[whole.center_rows]
                 got = model(cut.batch, cut.graph,
@@ -174,8 +186,7 @@ class TestTrimmedForward:
                   model.neighbor_alpha())
         shapes = [array.shape for array in before]
         cau_before = [layer.cau.last_attention for layer in model.layers]
-        cut = build_disjoint_batch(ego_subgraphs(dataset.graph, [1, 5, 5], 2),
-                                   dataset.test, model.receptive_depth)
+        cut = trimmed_batch(dataset, [1, 5, 5], model.receptive_depth)
         assert cut.edges_into[0] > 0
         with engine.inference_mode():
             model(cut.batch, cut.graph, (cut.rows_within, cut.edges_into))
@@ -194,8 +205,7 @@ class TestTrimmedForward:
             assert variant(config, seed=0).receptive_depth == config.num_layers
         model = ServiceTimeModel(Gaia(config, seed=0).eval(), FakeClock(), 0.0)
         assert model.receptive_depth is None
-        cut = build_disjoint_batch(ego_subgraphs(dataset.graph, [1], 2),
-                                   dataset.test, config.num_layers)
+        cut = trimmed_batch(dataset, [1], config.num_layers)
         with pytest.raises(TypeError), engine.inference_mode():
             model(cut.batch, cut.graph, (cut.rows_within, cut.edges_into))
 

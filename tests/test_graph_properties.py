@@ -12,12 +12,13 @@ the reference (:func:`brute_force_ego`: a textbook BFS per center plus
 an ordered ``O(E)`` edge filter); ``TestOneTraversalPerBatch`` holds the
 batched one to a query count and an allocation ceiling.
 ``TestReceptiveLayout`` holds a trimmed forward's computation graph —
-:func:`repro.graph.sampling.receptive_levels` and the level-ordered
-:func:`repro.graph.sampling.receptive_layout`, called directly on any
-seed set (what the training loss does) and through
-:func:`repro.serving.batching.build_disjoint_batch` — to a per-seed
-reverse-reach BFS written here.  The harness is
-:func:`tests.helpers.forall` — hypothesis-free trials with
+:func:`repro.graph.sampling.receptive_layout`, called on any seed set
+under one label (what the training loss does) and one label per center
+(what the gateway gathers with :func:`repro.serving.gather_batch`), on
+every view — to a per-seed reverse-reach BFS written here and, array
+for array, to the edge-list path it replaced (``ego_subgraphs`` + the
+level-ordered layout of the stitched union, kept in ``helpers``).  The
+harness is :func:`tests.helpers.forall` — hypothesis-free trials with
 shrinking-lite minimisation.
 """
 
@@ -29,11 +30,17 @@ import pytest
 
 from repro.data.dataset import InstanceBatch
 from repro.graph import ESellerGraph, ego_subgraph, ego_subgraphs, k_hop_nodes
-from repro.graph.sampling import receptive_layout, receptive_levels
-from repro.serving import build_disjoint_batch
+from repro.graph.sampling import receptive_layout
+from repro.serving import build_disjoint_batch, gather_batch
 from repro.streaming import DynamicGraph
 
-from helpers import forall, random_eseller_graph, shrink_graph
+from helpers import (
+    ego_union_oracle,
+    forall,
+    random_eseller_graph,
+    receptive_layout_oracle,
+    shrink_graph,
+)
 
 TRIALS = 60
 
@@ -444,12 +451,20 @@ def assert_level_ordered_prefix(whole, whole_ids, seeds, depth, graph, ids,
     return rows
 
 
+def layout_levels(layout, num_nodes, depth):
+    """Per host node, the level ``layout`` (one label) puts it at."""
+    level = np.full(num_nodes, depth + 1, dtype=np.int64)
+    level[layout.rows] = np.searchsorted(
+        layout.rows_within, np.arange(layout.rows.size), side="right")
+    return level
+
+
 class TestReceptiveLayout:
-    """What an ``L``-layer forward reads of an edge list, and where."""
+    """What an ``L``-layer forward reads of a graph, and where."""
 
     def test_levels_match_per_seed_reverse_reach(self):
-        """Directed in-reach over any edge list == one BFS per seed:
-        repeated seeds, self-loops, seeds nothing leads into."""
+        """Directed in-reach on every view == one BFS per seed: repeated
+        seeds, self-loops, seeds nothing leads into, ``L`` 0–3."""
 
         def gen(rng: np.random.Generator):
             graph = random_eseller_graph(rng, max_nodes=30, max_edges=90)
@@ -461,19 +476,24 @@ class TestReceptiveLayout:
             graph, seeds, depth = case
             want = reverse_reach_levels(graph.src, graph.dst, graph.num_nodes,
                                         seeds, depth)
-            got = receptive_levels(graph.src, graph.dst, graph.num_nodes,
-                                   seeds, depth)
-            assert np.array_equal(got, want), f"{got} != {want}"
+            for kind, view in views(graph):
+                layout = receptive_layout(view, seeds, depth)
+                got = layout_levels(layout, graph.num_nodes, depth)
+                assert np.array_equal(got, want), f"{kind}: {got} != {want}"
+                assert not layout.labels.any(), kind
 
         forall(gen, prop, trials=TRIALS, seed=31, shrink=shrink_case,
-               name="receptive_levels == per-seed reverse reach")
+               name="receptive_layout levels == per-seed reverse reach")
         with pytest.raises(ValueError, match="non-negative"):
-            receptive_levels(np.zeros(0, int), np.zeros(0, int), 1, [0], -1)
+            receptive_layout(ESellerGraph(1, [], [], []), [0], -1)
+        with pytest.raises(IndexError, match="out of range"):
+            receptive_layout(ESellerGraph(1, [], [], []), [1], 1)
 
     def test_layout_of_any_seed_set_is_the_level_ordered_prefix(self):
-        """``receptive_layout`` itself, as the training loss calls it: a
-        whole graph, a sorted set of loss rows (one row up to all of
-        them), ``L`` 1–3; and ``depth=None``, where nothing moves."""
+        """``receptive_layout`` as the training loss calls it: a whole
+        graph, a sorted set of loss rows (one row up to all of them),
+        ``L`` 1–3, against the per-seed oracle and, array for array, the
+        edge-list layout it replaced."""
         seen = {"all": 0, "dropped": 0, "isolated": 0}
 
         def gen(rng: np.random.Generator):
@@ -487,8 +507,7 @@ class TestReceptiveLayout:
         def prop(case):
             graph, seeds, depth = case
             ids = np.arange(graph.num_nodes)
-            layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                      graph.num_nodes, seeds, depth)
+            layout = receptive_layout(graph, seeds, depth)
             rows = assert_level_ordered_prefix(
                 graph, ids, seeds, depth, layout.graph, layout.rows,
                 layout.rows_within, layout.edges_into)
@@ -496,15 +515,10 @@ class TestReceptiveLayout:
             # of a trimmed forward is the i-th loss row.
             assert np.array_equal(layout.seed_rows, np.arange(seeds.size))
             assert np.array_equal(layout.rows[:seeds.size], seeds)
-            whole = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                     graph.num_nodes, seeds, None)
-            assert np.array_equal(whole.rows, ids)
-            assert np.array_equal(whole.seed_rows, seeds)
-            assert np.array_equal(whole.graph.src, graph.src)
-            assert np.array_equal(whole.graph.dst, graph.dst)
-            assert np.array_equal(whole.graph.edge_types, graph.edge_types)
-            assert whole.rows_within.tolist() == [graph.num_nodes] * 2
-            assert whole.edges_into.tolist() == [graph.num_edges]
+            old = receptive_layout_oracle(graph.src, graph.dst,
+                                          graph.edge_types, graph.num_nodes,
+                                          seeds, depth)
+            assert_same_layout(layout, old)
             seen["all"] += int(seeds.size == graph.num_nodes)
             seen["dropped"] += int(rows.size < graph.num_nodes)
             seen["isolated"] += int(layout.edges_into[0] == 0)
@@ -514,28 +528,28 @@ class TestReceptiveLayout:
         assert all(count >= 3 for count in seen.values()), seen
 
     def test_layout_is_the_level_ordered_prefix_of_the_whole_union(self):
-        """``build_disjoint_batch(egos, batch, L)`` against the whole
-        union and the oracle's levels on it: ``hops`` 0–3 x ``L`` 1–3
-        (``hops < L`` included), repeated centers, isolated centers."""
-        seen = {"isolated": 0, "shallow": 0, "dropped": 0, "repeat": 0}
+        """``gather_batch`` of a labelled layout against the whole union
+        of ``hops >= L`` egos (which holds every row a center reads) and
+        the oracle's levels on it: ``L`` 1–3, repeated centers, isolated
+        centers; the whole union itself is component by component."""
+        seen = {"isolated": 0, "dropped": 0, "repeat": 0}
 
         def gen(rng: np.random.Generator):
             graph = random_eseller_graph(rng, max_nodes=30, max_edges=70)
             centers = rng.integers(0, graph.num_nodes,
                                    size=int(rng.integers(1, 13)))
-            return (graph, centers, int(rng.integers(0, 4)),
-                    int(rng.integers(1, 4)))
+            depth = int(rng.integers(1, 4))
+            return graph, centers, depth + int(rng.integers(0, 2)), depth
 
         def prop(case):
             graph, centers, hops, depth = case
             source = id_batch(graph.num_nodes)
             egos = ego_subgraphs(graph, centers, hops)
             whole = build_disjoint_batch(egos, source)
-            cut = build_disjoint_batch(egos, source, depth)
+            layout = receptive_layout(graph, centers, depth, labelled=True)
+            cut = gather_batch(layout, centers, source)
             n = centers.size
-            # The whole union is component by component, as it always was.
             sizes = np.array([ego.num_nodes for ego in egos])
-            assert np.array_equal(whole.component_sizes, sizes)
             assert np.array_equal(
                 whole.center_rows, np.cumsum(sizes) - sizes
                 + np.array([ego.center_local for ego in egos]))
@@ -544,6 +558,8 @@ class TestReceptiveLayout:
                 np.concatenate([ego.nodes for ego in egos]))
             assert whole.graph.num_edges == sum(
                 ego.subgraph.num_edges for ego in egos)
+            assert whole.rows_within.tolist() == [whole.graph.num_nodes] * 2
+            assert whole.edges_into.tolist() == [whole.graph.num_edges]
 
             assert np.array_equal(cut.center_rows, np.arange(n))
             assert np.array_equal(cut.centers, centers)
@@ -553,24 +569,96 @@ class TestReceptiveLayout:
                 whole.graph, whole.batch.series[:, 0], whole.center_rows,
                 depth, cut.graph, cut.batch.series[:, 0], cut.rows_within,
                 cut.edges_into)
-            # A pure function of the egos' arrays: the same egos from a
-            # different extraction batch give the same layout.
-            again = build_disjoint_batch(
-                [ego_subgraph(graph, int(c), hops) for c in centers],
-                source, depth)
-            for name in ("center_rows", "rows_within", "edges_into"):
-                assert np.array_equal(getattr(again, name), getattr(cut, name))
-            assert np.array_equal(again.graph.src, cut.graph.src)
-            assert np.array_equal(again.graph.dst, cut.graph.dst)
-            assert np.array_equal(again.batch.series, cut.batch.series)
-            seen["isolated"] += int(cut.edges_into[0] == 0)
-            seen["shallow"] += int(hops < depth)
+            # Labels count the rows each request reads.
+            read = np.bincount(layout.labels, minlength=n)
+            for i, center in enumerate(centers):
+                alone = receptive_layout(graph, [center], depth)
+                assert read[i] == alone.rows_within[-1]
+            seen["isolated"] += int((read == 1).any())
             seen["dropped"] += int(rows.size < whole.graph.num_nodes)
             seen["repeat"] += int(np.unique(centers).size < n)
 
         forall(gen, prop, trials=TRIALS, seed=32, shrink=None,
-               name="trimmed layout == level-ordered prefix of the union")
+               name="labelled layout == level-ordered prefix of the union")
         assert all(count >= 3 for count in seen.values()), seen
+
+
+def assert_same_layout(layout, oracle, context=""):
+    """Array for array: rows, relabelled edges, prefixes, seed rows."""
+    for name in ("rows", "seed_rows", "rows_within", "edges_into"):
+        got, want = getattr(layout, name), getattr(oracle, name)
+        assert np.array_equal(got, want), (context, name, got, want)
+    for name in ("src", "dst", "edge_types"):
+        got, want = getattr(layout.graph, name), getattr(oracle.graph, name)
+        assert np.array_equal(got, want), (context, name, got, want)
+    assert layout.graph.num_nodes == oracle.graph.num_nodes, context
+
+
+class TestReceptiveUnion:
+    """The serving union from one labelled in-edge traversal equals the
+    path it replaced — ``ego_subgraphs`` then the level-ordered layout of
+    the stitched egos — array for array, whenever ``L <= hops``."""
+
+    def test_labelled_layout_equals_the_ego_union_oracle(self):
+        """Random graphs on every view (static, overlay with tombstones
+        and grown shops, compacted), batches with repeated and
+        self-looped centers, ``hops`` 0–3 and ``L`` 0..``hops``: rows,
+        ``src`` / ``dst`` / types, ``rows_within``, ``edges_into``,
+        ``center_rows``, labels and the gathered features."""
+        seen = {"repeat": 0, "self_loop": 0, "deep": 0, "depth0": 0}
+
+        def gen(rng: np.random.Generator):
+            graph = random_eseller_graph(rng, max_nodes=30, max_edges=80)
+            centers = rng.integers(0, graph.num_nodes,
+                                   size=int(rng.integers(1, 10)))
+            if rng.random() < 0.5:               # repeat a center
+                centers = np.append(centers, centers[0])
+            if rng.random() < 0.5:               # self-loop a center
+                loop = int(centers[-1])
+                graph = ESellerGraph(
+                    graph.num_nodes, np.append(graph.src, loop),
+                    np.append(graph.dst, loop),
+                    np.append(graph.edge_types, 1))
+            hops = int(rng.integers(0, 4))
+            return graph, centers, hops, int(rng.integers(0, hops + 1))
+
+        def prop(case):
+            graph, centers, hops, depth = case
+            source = id_batch(graph.num_nodes)
+            for kind, view in views(graph):
+                oracle = ego_union_oracle(ego_subgraphs(view, centers, hops),
+                                          depth)
+                layout = receptive_layout(view, centers, depth, labelled=True)
+                assert_same_layout(layout, oracle, (kind, hops, depth))
+                union = gather_batch(layout, centers, source)
+                assert np.array_equal(union.center_rows, oracle.seed_rows)
+                assert np.array_equal(union.batch.series[:, 0], oracle.rows)
+                # Centers first, in request order, each under its own label.
+                assert np.array_equal(union.center_rows,
+                                      np.arange(centers.size)), kind
+                assert np.array_equal(layout.labels[:centers.size],
+                                      np.arange(centers.size)), kind
+            loops = graph.src[graph.src == graph.dst]
+            seen["repeat"] += int(np.unique(centers).size < centers.size)
+            seen["self_loop"] += int(np.isin(centers, loops).any())
+            seen["deep"] += int(depth >= 2)
+            seen["depth0"] += int(depth == 0)
+
+        forall(gen, prop, trials=TRIALS, seed=34, shrink=None,
+               name="labelled layout == ego_subgraphs + union layout")
+        assert all(count >= 3 for count in seen.values()), seen
+
+    def test_rows_are_what_the_model_reads_of_a_deeper_graph(self):
+        """``L > hops`` is where the two paths part: the ball truncates
+        the reach, the traversal does not.  A chain ``0 -> 1 -> 2 -> 3``
+        read from 3 with ``L = 3`` keeps every link."""
+        chain = ESellerGraph(4, [0, 1, 2], [1, 2, 3], [0, 1, 2])
+        layout = receptive_layout(chain, [3], 3, labelled=True)
+        assert layout.rows.tolist() == [3, 2, 1, 0]
+        assert layout.rows_within.tolist() == [1, 2, 3, 4]
+        assert layout.edges_into.tolist() == [1, 2, 3]
+        truncated = ego_union_oracle(ego_subgraphs(chain, [3], 1), 3)
+        assert truncated.rows.tolist() == [3, 2]
 
 
 class CountingGraph:

@@ -617,6 +617,14 @@ class TestRequestPathTracing:
         serve = root.find("gateway.serve_batch")
         assert serve.find("gateway.queue_wait").meta == {"shop": 3}
         assert serve.find("gateway.forward") is not None
+        # An integer-depth model: extract wraps the in-edge traversal and
+        # batch_assembly the row gather, one of each, in that order and
+        # before the forward.
+        assert gateway.model.receptive_depth == 1
+        batch_spans = [child.name for child in serve.children
+                       if child.name != "gateway.queue_wait"]
+        assert batch_spans == ["gateway.extract", "gateway.batch_assembly",
+                               "gateway.forward"]
         # ...and the export paths see the same tree.
         names = [event["name"] for event in tracer.chrome_trace()]
         assert "gateway.forward" in names

@@ -105,13 +105,9 @@ class TestBlocks:
             parts = partition_graph(graph, k, method=method)
             per_block = parts.rows_read(depth)
             for block, read in zip(parts.blocks(), per_block):
-                layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                          graph.num_nodes,
-                                          np.flatnonzero(block), depth)
+                layout = receptive_layout(graph, np.flatnonzero(block), depth)
                 assert read == layout.rows_within[depth]
-            whole = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                     graph.num_nodes, np.arange(graph.num_nodes),
-                                     depth)
+            whole = receptive_layout(graph, np.arange(graph.num_nodes), depth)
             assert sum(per_block) >= whole.rows_within[depth]
 
         forall(graph_and_k, prop, trials=TRIALS, seed=24,

@@ -8,7 +8,7 @@ import pytest
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.deploy import ModelRegistry, OnlineModelServer
-from repro.graph.sampling import EgoSubgraph, ego_subgraphs, receptive_levels
+from repro.graph.sampling import EgoSubgraph, ego_subgraphs, receptive_layout
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.serving import (
@@ -21,11 +21,12 @@ from repro.serving import (
     ServingGateway,
     SubgraphCache,
     build_disjoint_batch,
+    gather_batch,
     run_load,
 )
 from repro.streaming import DynamicGraph
 
-from helpers import forall, scan_evicts
+from helpers import forall, receptive_levels_oracle, scan_evicts
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,24 @@ def gaia_config(dataset):
 @pytest.fixture(scope="module")
 def factory(gaia_config):
     return lambda: Gaia(gaia_config, seed=0)
+
+
+class WholeEgoGaia(Gaia):
+    """The same model declaring no depth: served whole ``hops`` egos
+    through the subgraph cache, the path every model took before the
+    gateway laid batches out by what they read."""
+
+    receptive_depth = None
+
+
+@pytest.fixture(scope="module")
+def whole_ego_factory(gaia_config):
+    return lambda: WholeEgoGaia(gaia_config, seed=0)
+
+
+def rows_read(graph, shop, depth=1):
+    """Host rows one shop's ``depth``-layer forecast reads."""
+    return int(receptive_layout(graph, [shop], depth).rows_within[-1])
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +327,11 @@ class TestGatewayNumerics:
         assert gateway.metrics.counter("batches_total") == 3
         assert max(r.batch_size for r in batched) == 8
         for got, want in zip(batched, reference):
-            assert got.subgraph_nodes == want.subgraph_nodes
+            # The sequential server reports its whole ego; the gateway
+            # the rows its forward read of it.
+            assert got.subgraph_nodes == rows_read(dataset.graph,
+                                                   got.shop_index)
+            assert got.subgraph_nodes <= want.subgraph_nodes
             np.testing.assert_allclose(got.forecast, want.forecast, atol=1e-6)
 
     def test_admission_flag_selects_values_not_a_path(
@@ -350,43 +373,51 @@ class TestGatewayNumerics:
         np.testing.assert_array_equal(responses[0].forecast,
                                       responses[1].forecast)
         # All four parked into one batch and none hit the result cache,
-        # so one forward over one deduplicated ego-subgraph served them.
+        # so one forward over one deduplicated component served them.
         assert not any(r.cached for r in responses)
         report = gateway.metrics_report()
         assert report["counters"]["batches_total"] == 1
-        assert report["counters"]["subgraph_cache_misses"] == 1
+        assert gateway.metrics.distribution("forward_rows").values().tolist() \
+            == [rows_read(dataset.graph, 5)]
 
     def test_disjoint_batch_layout(self, dataset):
-        egos = ego_subgraphs(dataset.graph, [0, 0, 3], hops=1)
-        union = build_disjoint_batch(egos, dataset.test, 1)
+        centers = [0, 0, 3]
+        layout = receptive_layout(dataset.graph, centers, 1, labelled=True)
+        union = gather_batch(layout, centers, dataset.test)
         assert union.num_requests == 3
         # Centers first, in request order; a repeated center is two rows.
         assert union.center_rows.tolist() == [0, 1, 2]
-        assert union.centers.tolist() == [0, 0, 3]
-        for row, ego in zip(union.center_rows, egos):
+        assert union.centers.tolist() == centers
+        for row, center in zip(union.center_rows, centers):
             assert union.batch.series[row] == pytest.approx(
-                dataset.test.series[ego.center]
+                dataset.test.series[center]
             )
-        # Only what one layer reads of each ego is kept ...
+        # Only what one layer reads of each center is kept ...
+        egos = ego_subgraphs(dataset.graph, centers, hops=1)
         assert union.rows_within[0] == 3
         assert union.graph.num_nodes == union.batch.num_shops \
             == union.rows_within[-1] <= sum(e.num_nodes for e in egos)
         assert union.graph.num_edges == union.edges_into[-1]
         assert np.all(union.graph.dst < 3)          # every edge ends in a center
-        # ... while the sizes stay the whole egos' (what responses report).
-        assert union.component_sizes.tolist() == [e.num_nodes for e in egos]
+        # ... and each request's rows are what it reads alone.
+        assert np.bincount(layout.labels).tolist() == [
+            rows_read(dataset.graph, c) for c in centers]
         # No declared depth: the whole egos, component by component.
         whole = build_disjoint_batch(egos, dataset.test)
         assert whole.graph.num_nodes == sum(e.num_nodes for e in egos)
         assert whole.graph.num_edges == sum(e.subgraph.num_edges for e in egos)
-        offsets = np.cumsum(whole.component_sizes) - whole.component_sizes
+        sizes = np.array([e.num_nodes for e in egos])
+        offsets = np.cumsum(sizes) - sizes
         assert whole.center_rows.tolist() == [
             off + ego.center_local for off, ego in zip(offsets, egos)]
 
     def test_build_disjoint_batch_rejects_empty(self, dataset):
-        for depth in (None, 1):
-            with pytest.raises(ValueError):
-                build_disjoint_batch([], dataset.test, depth)
+        with pytest.raises(ValueError):
+            build_disjoint_batch([], dataset.test)
+        # A layout of no centers is empty, not an error.
+        empty = gather_batch(receptive_layout(dataset.graph, [], 1,
+                                              labelled=True), [], dataset.test)
+        assert empty.num_requests == 0 and empty.batch.num_shops == 0
 
     def test_submit_validates_range(self, factory, dataset, registry):
         gateway = make_gateway(factory, dataset, registry)
@@ -408,8 +439,8 @@ class _WholeEgoModel(Module):
 
 
 class TestReceptiveServing:
-    """The gateway computes what the model says it reads — and keeps
-    everything else (caches, tags, counters) whole-ego."""
+    """The gateway extracts and computes what the model says it reads,
+    and reports, tags and checks exactly those rows."""
 
     def test_forward_rows_metric_counts_computed_rows(self, factory, dataset,
                                                       registry):
@@ -418,13 +449,18 @@ class TestReceptiveServing:
         shops = list(range(8))
         responses = gateway.predict_many(shops)
         egos = ego_subgraphs(dataset.graph, shops, gateway.config.hops)
-        kept = build_disjoint_batch(egos, dataset.test, 1).batch.num_shops
+        kept = [rows_read(dataset.graph, shop) for shop in shops]
         rows = gateway.metrics_report()["distributions"]["forward_rows"]
-        assert rows["count"] == 1 and rows["mean"] == kept
-        # Responses still report the ego, the unit caches and tags keep.
-        assert [r.subgraph_nodes for r in responses] \
-            == [ego.num_nodes for ego in egos]
-        assert kept < sum(ego.num_nodes for ego in egos)
+        assert rows["count"] == 1 and rows["mean"] == sum(kept)
+        # Responses report the rows read, the unit caches tag.
+        assert [r.subgraph_nodes for r in responses] == kept
+        assert sum(kept) < sum(ego.num_nodes for ego in egos)
+        for shop in shops:
+            entry = gateway.result_cache.get(shop, gateway.config.hops,
+                                             gateway.model_version)
+            assert sorted(entry.nodes.tolist()) == sorted(
+                receptive_layout(dataset.graph, [shop], 1).rows.tolist())
+        assert len(gateway.subgraph_cache) == 0   # no ego was extracted
         gateway.close()
 
     def test_model_without_declared_depth_gets_whole_egos(self, dataset):
@@ -509,8 +545,8 @@ class TestGatewayCaching:
         assert gateway.metrics.counter("model_swaps") == 1
 
     def test_graph_change_invalidates_subgraph_cache(
-            self, factory, dataset, registry):
-        gateway = make_gateway(factory, dataset, registry)
+            self, whole_ego_factory, dataset, registry):
+        gateway = make_gateway(whole_ego_factory, dataset, registry)
         gateway.predict_many(np.arange(6))
         assert len(gateway.subgraph_cache) > 0
         epoch = gateway.subgraph_cache.epoch
@@ -532,10 +568,10 @@ class TestGatewayCaching:
         assert gateway.metrics.counter("model_swaps") == 0
 
     def test_subgraph_cache_reused_across_versions(
-            self, factory, dataset):
+            self, factory, whole_ego_factory, dataset):
         registry = ModelRegistry()
         registry.publish(factory(), trained_at_month=28)
-        gateway = make_gateway(factory, dataset, registry)
+        gateway = make_gateway(whole_ego_factory, dataset, registry)
         gateway.predict(3)
         registry.publish(factory(), trained_at_month=29)
         gateway.predict(3)
@@ -544,14 +580,14 @@ class TestGatewayCaching:
 
     @pytest.mark.parametrize("attached", [False, True])
     def test_full_batch_of_cached_egos_served_after_publish(
-            self, factory, dataset, attached):
+            self, factory, whole_ego_factory, dataset, attached):
         """A publish purges every result and keeps every ego, so the
-        re-asked batch reaches extraction with nothing left to extract —
-        an empty ``ego_subgraphs`` call, on the static graph and on an
-        attached overlay alike."""
+        re-asked batch of a model served whole egos reaches extraction
+        with nothing left to extract — an empty ``ego_subgraphs`` call,
+        on the static graph and on an attached overlay alike."""
         registry = ModelRegistry()
         registry.publish(factory(), trained_at_month=28)
-        gateway = make_gateway(factory, dataset, registry)
+        gateway = make_gateway(whole_ego_factory, dataset, registry)
         if attached:
             dyn = DynamicGraph(dataset.graph, compact_threshold=None)
             dyn.add_edge(0, 9, 1)
@@ -819,29 +855,30 @@ class TestSubsetDuplicateRows:
         assert sub.series[1, 0] != -123.0
 
     def test_overlapping_union_rows_match_components(self, dataset):
-        """A disjoint union over overlapping egos repeats shared rows so
-        every component stays self-contained: level by level, each ego
-        contributes its own copy of what its center reads."""
+        """A disjoint union over overlapping reaches repeats shared rows
+        so every component stays self-contained: level by level, each
+        request contributes its own copy of what its center reads."""
         # A reader and the shop it reads: the second is a center of its
-        # own ego and a level-1 row of the first's.
+        # own and a level-1 row of the first's.
         reader, read = int(dataset.graph.dst[0]), int(dataset.graph.src[0])
         assert reader != read
-        egos = ego_subgraphs(dataset.graph, [reader, read], hops=2)
-        levels = [
-            receptive_levels(ego.subgraph.src, ego.subgraph.dst,
-                             ego.num_nodes, [ego.center_local], 2)
-            for ego in egos
-        ]
+        graph = dataset.graph
+        levels = [receptive_levels_oracle(graph.src, graph.dst,
+                                          graph.num_nodes, [center], 2)
+                  for center in (reader, read)]
         expected = np.concatenate([
-            ego.nodes[level == depth]
-            for depth in range(3) for ego, level in zip(egos, levels)
+            np.flatnonzero(level == depth)
+            for depth in range(3) for level in levels
         ])
-        union = build_disjoint_batch(egos, dataset.test, 2)
+        union = gather_batch(
+            receptive_layout(graph, [reader, read], 2, labelled=True),
+            [reader, read], dataset.test)
         np.testing.assert_array_equal(union.batch.series,
                                       dataset.test.series[expected])
         assert np.unique(expected).size < expected.size, \
-            "the two egos share no kept shop: the test checks nothing"
+            "the two reaches share no shop: the test checks nothing"
         # Whole egos: the shared shop sits at its own offset in each.
+        egos = ego_subgraphs(graph, [reader, read], hops=2)
         whole = build_disjoint_batch(egos, dataset.test)
         shared = np.intersect1d(egos[0].nodes, egos[1].nodes)
         offset = egos[0].num_nodes
@@ -909,7 +946,9 @@ class TestServingPrecision:
         assert all(param.data.dtype == np.float32
                    for param in serving.model.parameters())
         rows = serving.metrics.distribution("forward_rows").values()
-        assert rows.sum() < sum(r.subgraph_nodes for r in got)
+        assert rows.sum() == sum(r.subgraph_nodes for r in got)
+        assert rows.sum() < sum(ego.num_nodes for ego in ego_subgraphs(
+            dataset.graph, shops, serving.config.hops))
         assert rows.tolist() == reference.metrics.distribution(
             "forward_rows").values().tolist()
         reference.close()

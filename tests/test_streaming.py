@@ -20,7 +20,7 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.data.dataset import make_instance_batch
 from repro.deploy import ModelRegistry
 from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
-from repro.graph.sampling import receptive_levels
+from repro.graph.sampling import receptive_layout
 from repro.obs import Tracer, use_tracer
 from repro.obs import tracing as obs_tracing
 from repro.serving import GatewayConfig, LRUCache, ServingGateway
@@ -577,21 +577,21 @@ class TestDeltaInvalidation:
     def test_only_touched_entries_evicted(self, factory, dataset, registry,
                                           simulator):
         gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
-        hops = gateway.config.hops
+        hops, version = gateway.config.hops, gateway.model_version
         shops = list(range(0, 24))
         gateway.predict_many(shops)
-        assert len(gateway.subgraph_cache) == len(shops)
+        assert len(gateway.result_cache) == len(shops)
         pre_nodes = {
-            shop: gateway.subgraph_cache.get(shop, hops).nodes.copy()
+            shop: gateway.result_cache.get(shop, hops, version).nodes.copy()
             for shop in shops
         }
-        # Craft a mutation inside shop 0's ego so at least one entry
-        # must go, touching nothing outside its frontier.
-        ego0 = pre_nodes[0]
-        touched = np.array([int(ego0[0]), int(ego0[-1])])
+        # Craft a mutation inside the rows shop 0 read so at least one
+        # entry must go, touching nothing outside its frontier.
+        read0 = pre_nodes[0]
+        touched = np.array([int(read0[0]), int(read0[-1])])
         dyn.add_edge(touched[0], touched[1], 0)
         evicted = {shop for shop in shops
-                   if gateway.subgraph_cache.get(shop, hops) is None}
+                   if gateway.result_cache.get(shop, hops, version) is None}
         # Exactly the entries whose memoised node sets met the frontier.
         for shop in shops:
             intersects = bool(np.isin(touched, pre_nodes[shop]).any())
@@ -600,39 +600,121 @@ class TestDeltaInvalidation:
         assert len(evicted) < len(shops), "delta eviction flushed everything"
         gateway.close()
 
-    def test_event_outside_the_receptive_rows_still_evicts(
+    def test_event_outside_the_receptive_rows_keeps_the_entry(
             self, factory, dataset, registry, simulator):
-        """The invalidation radius is the ego, not what the forward
-        reads: an edge event on a hop-2 node no layer reads still evicts
-        the cached forecast.  Deliberately conservative — pinned so the
-        radius is not narrowed to the receptive rows by accident."""
+        """A result is tagged with the rows its forward read, not its
+        ego: an edge event on a hop-2 node no layer reads evicts
+        nothing, and the cached forecast still equals a recompute."""
         gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
         hops, depth = gateway.config.hops, gateway.model.receptive_depth
         assert (hops, depth) == (2, 1)
         unread = {}
         for shop in range(dataset.test.num_shops):
-            ego = ego_subgraph(dyn, shop, hops)
-            level = receptive_levels(ego.subgraph.src, ego.subgraph.dst,
-                                     ego.num_nodes, [ego.center_local], depth)
-            if (level > depth).any():
-                unread[shop] = ego.nodes[level > depth]
+            read = receptive_layout(dyn, [shop], depth).rows
+            outside = np.setdiff1d(ego_subgraph(dyn, shop, hops).nodes, read)
+            if outside.size:
+                unread[shop] = outside
         shop, outside = next(iter(unread.items()))
-        bystander = next(
-            other for other in range(dataset.test.num_shops)
-            if not np.isin(outside[:1], ego_subgraph(dyn, other, hops).nodes).any())
-        first = gateway.predict_many([shop, bystander])
-        assert not any(r.cached for r in first)
+        first = gateway.predict_many([shop])
+        assert not first[0].cached
         dyn.add_edge(int(outside[0]), int(outside[0]), 0)   # a self-loop out there
         version = gateway.model_version
+        assert gateway.result_cache.get(shop, hops, version) is not None
+        assert gateway.metrics.counter("delta_evicted_results") == 0
+        again = gateway.predict_many([shop])
+        assert again[0].cached
+        np.testing.assert_array_equal(again[0].forecast, first[0].forecast)
+        cold = ServingGateway(
+            factory, dataclasses.replace(dataset, graph=dyn.as_graph()),
+            registry, GatewayConfig(max_batch_size=1))
+        np.testing.assert_array_equal(cold.predict(shop).forecast,
+                                      first[0].forecast)
+        # An edge into a row it reads does evict.
+        dyn.add_edge(int(outside[0]), shop, 0)
         assert gateway.result_cache.get(shop, hops, version) is None
-        assert gateway.result_cache.get(bystander, hops, version) is not None
-        again = gateway.predict_many([shop, bystander])
-        assert [r.cached for r in again] == [False, True]
-        # What the center reads did not change, so neither did its
-        # forecast (another batch composition: the 1e-12 guarantee).
-        np.testing.assert_allclose(again[0].forecast, first[0].forecast,
-                                   rtol=1e-12)
         gateway.close()
+        cold.close()
+
+    def test_read_row_tags_evict_only_what_an_event_can_change(
+            self, factory, dataset, registry, simulator):
+        """Property: random edge additions, retirements and late ticks on
+        an attached stream.  After every event each surviving result
+        equals a cold recompute on the folded graph (to summation order:
+        another batch composition), an entry is evicted only if the rows
+        its forward read meet the event's touched frontier, and a cache
+        hit is tagged stale exactly when a tick landed in one of them."""
+        seen = {"evicted": 0, "kept_touched_ego": 0, "stale": 0}
+
+        def prop(seed):
+            rng = np.random.default_rng(seed)
+            gateway = ServingGateway(
+                factory, dataset, registry,
+                GatewayConfig(max_batch_size=8, max_wait=10.0,
+                              max_staleness_months=100))
+            dyn = simulator.initial_dynamic_graph(compact_threshold=None)
+            store = simulator.initial_store(watermark=2)
+            gateway.attach_stream(dyn, store=store)
+            frontiers = []
+            dyn.subscribe(frontiers.append)
+            lru, hops = gateway.result_cache.stats, gateway.config.hops
+            depth = gateway.model.receptive_depth
+            n = dataset.test.num_shops
+            for _ in range(10):
+                asked = rng.integers(0, n, size=6)
+                before = {key: value for key, (value, _) in lru._entries.items()}
+                for response in gateway.predict_many(asked):
+                    entry = before.get((response.shop_index, hops,
+                                        gateway.model_version))
+                    if entry is not None:
+                        read = receptive_layout(dyn, [response.shop_index],
+                                                depth).rows
+                        ticked = store.last_tick_seq[read]
+                        assert response.stale == bool(
+                            (ticked > entry.tick_seq).any())
+                        seen["stale"] += int(response.stale)
+                before = {key: value for key, (value, _) in lru._entries.items()}
+                frontiers.clear()
+                kind = rng.integers(3)
+                if kind == 0:
+                    s, d = rng.integers(0, n, size=2)
+                    dyn.add_edge(int(s), int(d), int(rng.integers(0, 3)))
+                elif kind == 1:
+                    live = dyn.as_graph()
+                    e = int(rng.integers(live.num_edges))
+                    dyn.retire_edge(int(live.src[e]), int(live.dst[e]),
+                                    int(live.edge_types[e]))
+                else:                           # late: the frontier stays
+                    store.apply(SalesTick(
+                        month=int(store.frontier) - int(rng.integers(0, 2)),
+                        shop_index=int(rng.integers(0, n)), gmv=1.0))
+                touched = (np.concatenate(frontiers) if frontiers
+                           else np.zeros(0, dtype=np.int64))
+                after = dict(lru._entries)
+                for key, (entry, _) in after.items():  # tagged with what it read
+                    read = receptive_layout(dyn, [key[0]], depth).rows
+                    assert sorted(entry.nodes.tolist()) == sorted(read.tolist())
+                for key, entry in before.items():
+                    hit = bool(np.isin(entry.nodes, touched).any())
+                    if key not in after:
+                        assert hit, (key, touched)
+                        seen["evicted"] += 1
+                    elif np.isin(touched, ego_subgraph(dyn, key[0], hops).nodes).any():
+                        seen["kept_touched_ego"] += 1
+                survivors = sorted({key[0] for key in after})
+                cold = ServingGateway(
+                    factory, dataclasses.replace(dataset, graph=dyn.as_graph()),
+                    registry, GatewayConfig(max_batch_size=64, max_wait=10.0))
+                for shop, response in zip(survivors,
+                                          cold.predict_many(survivors)):
+                    np.testing.assert_allclose(
+                        after[(shop, hops, gateway.model_version)][0].forecast,
+                        response.forecast, rtol=1e-12, atol=0)
+                cold.close()
+            gateway.close()
+
+        forall(lambda rng: int(rng.integers(1 << 30)), prop, trials=6,
+               seed=71, name="read-row tags")
+        assert all(count >= 3 for count in seen.values()), seen
 
     def test_delta_path_matches_cold_gateway(self, factory, dataset, registry,
                                              simulator):
@@ -655,8 +737,10 @@ class TestDeltaInvalidation:
         cold_responses = cold.predict_many(shops)
         live_forecasts = np.stack([r.forecast for r in live_responses])
         cold_forecasts = np.stack([r.forecast for r in cold_responses])
+        # A surviving entry was computed in another batch composition
+        # than the cold sweep's: equal to summation order, not bitwise.
         np.testing.assert_allclose(live_forecasts, cold_forecasts,
-                                   rtol=0, atol=1e-12)
+                                   rtol=1e-12, atol=0)
         gateway.close()
         cold.close()
 
@@ -787,20 +871,21 @@ class TestDeltaInvalidation:
         assert gateway.metrics.counter("requests_failed") == 1
         gateway.close()
 
-    def test_overflow_shop_nobody_reads_still_fails_its_ego(
+    def test_overflow_shop_nobody_reads_is_served(
             self, factory, dataset, registry, simulator):
-        """Servability is judged on the whole ego: a beyond-snapshot shop
-        that shop 0 only *writes to* (no layer of 0's forward reads it)
-        still fails 0's requests, like one it reads."""
+        """Servability is judged on the rows the forward reads: a
+        beyond-snapshot shop that shop 0 only *writes to* leaves 0
+        servable; once it links *into* 0, 0's requests fail as before."""
         gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
         grown = dyn.add_shop()
+        assert grown >= gateway.source_batch.num_shops
         dyn.add_edge(0, grown, 0)               # 0 -> grown: an out-neighbour
-        ego = ego_subgraph(dyn, 0, gateway.config.hops)
-        level = receptive_levels(ego.subgraph.src, ego.subgraph.dst,
-                                 ego.num_nodes, [ego.center_local],
-                                 gateway.model.receptive_depth)
-        assert level[np.searchsorted(ego.nodes, grown)] \
-            > gateway.model.receptive_depth
+        assert grown in ego_subgraph(dyn, 0, gateway.config.hops).nodes
+        served = gateway.submit(0)
+        gateway.flush()
+        assert served.result().forecast.shape == (3,)
+        assert gateway.metrics.counter("requests_failed") == 0
+        dyn.add_edge(grown, 0, 0)               # grown -> 0: now it is read
         doomed = gateway.submit(0)
         gateway.flush()
         with pytest.raises(IndexError, match="beyond the serving snapshot"):
@@ -849,9 +934,10 @@ class TestFreshnessAwareCaching:
                                           simulator, max_staleness_months=3)
         hops = gateway.config.hops
         target = gateway.predict(0)
-        ego_nodes = set(gateway.subgraph_cache.get(0, hops).nodes.tolist())
+        read = set(gateway.result_cache.get(
+            0, hops, gateway.model_version).nodes.tolist())
         far = next(s for s in range(dataset.test.num_shops)
-                   if s not in ego_nodes)
+                   if s not in read)
         store.apply(SalesTick(month=simulator.start_month, shop_index=far,
                               gmv=10.0, orders=1, customers=1))
         again = gateway.predict(0)

@@ -245,29 +245,27 @@ def assert_trim_equals_oracle(case, seen=None):
     for param, a, b in zip(model.parameters(), got_grads, want_grads):
         assert np.abs(a - b).max() <= 1e-12 * scale, param.name
     if seen is not None:
-        layout = receptive_layout(graph.src, graph.dst, graph.edge_types,
-                                  graph.num_nodes, np.flatnonzero(active),
-                                  depth)
+        layout = receptive_layout(graph, np.flatnonzero(active), depth)
         seen[kind] += 1
         seen["dropped"] += int(layout.rows.size < graph.num_nodes)
         seen["deep"] += int(depth > 1 and layout.edges_into[0] > 0
                             and layout.rows_within[-1] > layout.rows_within[1])
 
 
-def one_level_short(src, dst, types, num_nodes, seeds, depth):
+def one_level_short(graph, seeds, depth):
     """Mutant: the layout of a model one layer shallower (the outermost
     level and the edges out of it are missing)."""
-    layout = receptive_layout(src, dst, types, num_nodes, seeds, depth - 1)
+    layout = receptive_layout(graph, seeds, depth - 1)
     return dataclasses.replace(
         layout, rows_within=np.append(layout.rows_within,
                                       layout.rows_within[-1]),
         edges_into=np.append(layout.edges_into, layout.graph.num_edges))
 
 
-def unstable_row_sort(src, dst, types, num_nodes, seeds, depth):
+def unstable_row_sort(graph, seeds, depth):
     """Mutant: the loss rows come out in another order than
     ``labels_scaled[active]`` while ``seed_rows`` still says ``arange``."""
-    layout = receptive_layout(src, dst, types, num_nodes, seeds, depth)
+    layout = receptive_layout(graph, seeds, depth)
     order = np.arange(layout.rows.size)
     order[:seeds.size] = order[:seeds.size][::-1]
     row_of = np.empty_like(order)
@@ -278,10 +276,10 @@ def unstable_row_sort(src, dst, types, num_nodes, seeds, depth):
             layout.graph.edge_types))
 
 
-def edges_by_level_of_src(src, dst, types, num_nodes, seeds, depth):
+def edges_by_level_of_src(graph, seeds, depth):
     """Mutant: the kept edges sorted by the level of their source, so a
     layer's edge prefix is no longer the edges into its output rows."""
-    layout = receptive_layout(src, dst, types, num_nodes, seeds, depth)
+    layout = receptive_layout(graph, seeds, depth)
     graph = layout.graph
     level = np.searchsorted(layout.rows_within, graph.src, side="right")
     order = np.argsort(-level, kind="stable")
@@ -396,8 +394,8 @@ class TestTrainingTrim:
                   if step.op == "scaled_masked_softmax"]
         graph = dataset.graph
         layout = receptive_layout(
-            graph.src, graph.dst, graph.edge_types, graph.num_nodes,
-            np.flatnonzero(dataset.active_mask(dataset.train[0], "train")), 2)
+            graph, np.flatnonzero(dataset.active_mask(dataset.train[0], "train")),
+            2)
         rows, edges = layout.rows_within, layout.edges_into
         assert blocks == [rows[1], edges[1], rows[0], edges[0]]
         assert rows[0] + edges[0] < graph.num_nodes + graph.num_edges
