@@ -27,40 +27,13 @@ __all__ = ["ModelVersion", "ModelRegistry"]
 
 @dataclass
 class ModelVersion:
-    """One published model version.
-
-    ``state`` is the canonical float64 snapshot; :meth:`state_for`
-    returns the precision-cast twin a serving backend loads
-    (a ``"float32"`` gateway avoids a per-reload cast because
-    :meth:`ModelRegistry.publish` precomputes the twin once).
-    """
+    """One published model version; ``state`` is its float64 weights."""
 
     version: int
     state: Dict[str, np.ndarray]
     trained_at_month: int
     metadata: Dict[str, float] = field(default_factory=dict)
     published_at: float = field(default_factory=obs_clock.wall_time)
-    #: precision name -> cast copy of ``state`` (lazily filled).
-    state_twins: Dict[str, Dict[str, np.ndarray]] = field(
-        default_factory=dict, repr=False)
-
-    def state_for(self, precision: str = "float64") -> Dict[str, np.ndarray]:
-        """The weight snapshot cast to ``precision``.
-
-        ``"float64"`` returns the canonical ``state``; other precisions
-        are cast on first request and memoised in ``state_twins`` (the
-        registry pre-warms the ``"float32"`` twin at publish time).
-        """
-        if precision == "float64":
-            return self.state
-        twin = self.state_twins.get(precision)
-        if twin is None:
-            dtype = np.dtype(precision)
-            twin = self.state_twins[precision] = {
-                name: np.asarray(value, dtype=dtype)
-                for name, value in self.state.items()
-            }
-        return twin
 
 
 class ModelRegistry:
@@ -76,10 +49,8 @@ class ModelRegistry:
 
         The stored state is deep-copied here rather than trusting
         ``state_dict`` implementations to copy, so continued training of
-        ``model`` can never mutate an already-published version.  A
-        float32-cast twin is precomputed so ``float32`` serving models
-        reload without a cast of their own.  Subscribers are notified
-        after the version is queryable.
+        ``model`` can never mutate an already-published version.
+        Subscribers are notified after the version is queryable.
         """
         version = ModelVersion(
             version=len(self._versions) + 1,
@@ -90,7 +61,6 @@ class ModelRegistry:
             trained_at_month=trained_at_month,
             metadata=dict(metadata or {}),
         )
-        version.state_for("float32")
         self._versions.append(version)
         for callback in list(self._subscribers):
             callback(version)
@@ -139,15 +109,9 @@ class ModelRegistry:
             raise LookupError(f"unknown model version {version}")
         return self._versions[version - 1]
 
-    def load_into(self, model: Module, version: Optional[int] = None,
-                  precision: str = "float64") -> ModelVersion:
-        """Restore a version's weights into a compatible model instance.
-
-        ``precision`` selects which cast twin to hand to
-        ``load_state_dict`` (the load itself re-casts to each
-        parameter's dtype, so this is a copy-avoidance hint for
-        ``float32`` serving, not a correctness knob).
-        """
+    def load_into(self, model: Module,
+                  version: Optional[int] = None) -> ModelVersion:
+        """Restore a version's weights into a compatible model instance."""
         record = self.latest() if version is None else self.get(version)
-        model.load_state_dict(record.state_for(precision))
+        model.load_state_dict(record.state)
         return record

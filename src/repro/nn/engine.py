@@ -45,16 +45,13 @@ the remedy — *record once, plan, then execute* — in four layers:
    to a per-replay observer, so a kernel profile is a measurement of
    the loop production runs.
 
-4. **Memory planning + backends** (:mod:`repro.nn.passes`,
-   :mod:`repro.nn.backends`).  Binding a plan runs liveness analysis
-   over the schedule and assigns the outputs of ``arena`` kernels to a
-   preallocated pool of reusable buffers — the ``out`` each step's
-   forward is handed — so steady-state replay allocates ≈ nothing for
-   the outputs it manages.  The
-   :class:`~repro.nn.backends.ExecutionBackend` active at compile time
-   supplies the dtype policy — ``float64`` (trainers; the bitwise gate
-   below) and a ``float32`` serving backend selected per
-   ``GatewayConfig(precision=...)`` with an explicit accuracy budget.
+4. **Memory planning** (:mod:`repro.nn.passes`).  Binding a plan runs
+   liveness analysis over the schedule and assigns the outputs of
+   ``arena`` kernels to a preallocated pool of reusable float64 buffers
+   — the ``out`` each step's forward is handed — so steady-state replay
+   allocates ≈ nothing for the outputs it manages.  float64 is the
+   engine's one dtype: leaf tensors, plans, training and serving all
+   compute in it.
 
 Replay assumes the traced structure is *static*: same batch arrays, same
 index/mask constants, same control flow.  Ops whose recorded constants
@@ -80,16 +77,6 @@ import numpy as np
 from ..obs.profiling import KernelProfiler, estimate_cost
 from ..obs.tracing import span as _obs_span
 from . import passes as _passes
-from .backends import (
-    BACKENDS,
-    FLOAT32_ACCURACY_BUDGET,
-    ExecutionBackend,
-    active_backend,
-    active_dtype,
-    get_backend,
-    register_backend,
-    use_backend,
-)
 # Importing the package fills KERNELS; the names are re-exported here
 # (``tensor.py`` dispatches through ``engine.select_kernel``).
 from .kernels.registry import (  # noqa: F401
@@ -107,14 +94,7 @@ __all__ = [
     "OpKernel",
     "KERNELS",
     "register_kernel",
-    "ExecutionBackend",
-    "BACKENDS",
-    "FLOAT32_ACCURACY_BUDGET",
-    "register_backend",
-    "get_backend",
-    "active_backend",
-    "active_dtype",
-    "use_backend",
+    "DTYPE",
     "engine_mode",
     "set_engine_mode",
     "use_mode",
@@ -133,6 +113,10 @@ __all__ = [
     "kernel_profiler",
     "set_kernel_profiler",
 ]
+
+
+#: The engine's one dtype: leaf tensors, plan buffers and gradients.
+DTYPE = np.dtype(np.float64)
 
 
 # ======================================================================
@@ -391,8 +375,7 @@ def compile_plan(root, tape: Tape) -> "ExecutionPlan":
 
     Lowering order: dead-node pruning (:mod:`repro.nn.passes`) →
     slot/schedule construction → plan binding, where binding runs
-    liveness analysis and arena planning under the *active backend's*
-    dtype.
+    liveness analysis and arena planning.
 
     Raises :class:`PlanError` when the graph is not statically
     replayable (dynamic ops, ancestors created outside the trace, or a
@@ -467,7 +450,6 @@ class _ReplayObserver:
             cost = self._costs[i] = estimate_cost(
                 step.op, tuple(shapes[j] for j in step.ins),
                 shapes[step.out], step.meta, phase=self._phase,
-                itemsize=plan._dtype.itemsize,
             )
         now = self._clock()
         elapsed = now - self._boundary
@@ -498,18 +480,18 @@ class ExecutionPlan:
     array references, and per-slot gradient references are reused
     across steps.
 
-    Binding runs liveness + arena planning (:mod:`repro.nn.passes`)
-    under the dtype of the backend active at compile time: arena-managed
-    steps write into preallocated buffers (materialised lazily on the
-    first replay, then reused forever), so steady-state replay allocates
-    nothing for the outputs the plan manages.  A step that raises
-    releases the plan's activations before the exception propagates.
+    Binding runs liveness + arena planning (:mod:`repro.nn.passes`):
+    arena-managed steps write into preallocated float64 buffers
+    (materialised lazily on the first replay, then reused forever), so
+    steady-state replay allocates nothing for the outputs the plan
+    manages.  A step that raises releases the plan's activations before
+    the exception propagates.
     """
 
     __slots__ = ("steps", "num_slots", "root_slot", "slot_shapes",
                  "needs_grad", "memory_plan",
                  "_params", "_consts", "_values",
-                 "_saved", "_grads", "_unbroadcast", "_seed", "_dtype",
+                 "_saved", "_grads", "_unbroadcast", "_seed",
                  "_arena", "_outs", "_profile", "_costs")
 
     def __init__(self, steps: List[_Step], leaves: List, root_slot: int,
@@ -520,7 +502,6 @@ class ExecutionPlan:
         self.num_slots = len(slot_shapes)
         self.root_slot = root_slot
         self.slot_shapes = slot_shapes
-        self._dtype = active_dtype()
         self._unbroadcast = unbroadcast
         self._params = [(slot, leaf) for slot, leaf in enumerate(leaves)
                         if leaf.requires_grad]
@@ -537,8 +518,8 @@ class ExecutionPlan:
             self._values[slot] = data
         self._saved: List[object] = [None] * len(steps)
         self._grads: List[Optional[np.ndarray]] = [None] * self.num_slots
-        self._seed = np.ones(slot_shapes[root_slot], dtype=self._dtype)
-        self.memory_plan = _passes.plan_memory(self, KERNELS, self._dtype)
+        self._seed = np.ones(slot_shapes[root_slot], dtype=DTYPE)
+        self.memory_plan = _passes.plan_memory(self, KERNELS)
         # Arena buffers and, per step, the one it writes (``None`` for
         # unmanaged steps); both filled on the first replay.
         self._arena: Optional[List[np.ndarray]] = None
@@ -570,7 +551,7 @@ class ExecutionPlan:
         """Allocate the arena (once, on first replay); returns the
         per-step output buffers."""
         plan = self.memory_plan
-        arena = self._arena = [np.empty(shape, dtype=self._dtype)
+        arena = self._arena = [np.empty(shape, dtype=DTYPE)
                                for shape in plan.buffer_shapes]
         self._outs = [arena[buf] if buf >= 0 else None
                       for buf in plan.step_buffer]
@@ -651,7 +632,7 @@ class ExecutionPlan:
                     if pgrad is None or not needs[j]:
                         continue
                     pgrad = unbroadcast(
-                        np.asarray(pgrad, dtype=self._dtype), shapes[j]
+                        np.asarray(pgrad, dtype=DTYPE), shapes[j]
                     )
                     if grads[j] is None:
                         grads[j] = pgrad

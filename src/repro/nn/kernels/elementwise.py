@@ -14,9 +14,10 @@ def _denom_floor(dtype) -> float:
     """Smallest safe softmax-denominator floor for a working dtype.
 
     The historical float64 constant ``1e-300`` is kept bit-for-bit for
-    8-byte floats (the engine's bitwise gate); narrower dtypes get
-    their own smallest positive normal instead, since ``1e-300``
-    underflows to ``0.0`` in float32 and would stop guarding at all.
+    8-byte floats (the engine's dtype and its bitwise gate); kernels
+    follow their operands' dtype, so narrower ones get their own
+    smallest positive normal instead, since ``1e-300`` underflows to
+    ``0.0`` in float32 and would stop guarding at all.
     """
     if dtype.itemsize >= 8:
         return 1e-300

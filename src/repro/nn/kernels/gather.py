@@ -30,8 +30,8 @@ def _scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int,
         # bincount rejects negatives; normalise like numpy indexing does.
         index = index + (index < 0) * num_rows
     if values.ndim == 1:
-        # bincount accumulates in float64; cast back to the working
-        # dtype (a no-op copy-free view under the float64 backend).
+        # bincount accumulates in float64; cast back to the operands'
+        # dtype (a no-op, copy-free, for the engine's float64).
         return np.bincount(
             index, weights=values, minlength=num_rows
         ).astype(values.dtype, copy=False)

@@ -14,9 +14,10 @@ from .registry import register_kernel
 def _mask_like(meta, a: np.ndarray) -> np.ndarray:
     """The recorded additive mask, cast to the working dtype.
 
-    Masks are recorded float64; under the float32 backend the cast is
-    computed once and memoised under a kernel-private meta key.  For
-    float64 inputs this returns the recorded array itself.
+    Masks are recorded float64, as the engine computes; for float64
+    inputs this returns the recorded array itself.  Kernels follow their
+    operands' dtype, so narrower scores get a cast computed once and
+    memoised under a kernel-private meta key.
     """
     mask = meta["mask"]
     if mask.dtype == a.dtype:

@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from . import engine
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module"]
@@ -137,11 +138,9 @@ class Module:
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load arrays produced by :meth:`state_dict` (strict matching).
 
-        Values are cast to each parameter's existing dtype, so a model
-        built under ``engine.use_backend("float32")`` loads a float64
-        checkpoint into float32 parameters (and vice versa).  Every
-        name and shape is checked before anything is assigned: a load
-        that raises leaves the module exactly as it was.
+        Values are cast to float64, the engine's one dtype.  Every name
+        and shape is checked before anything is assigned: a load that
+        raises leaves the module exactly as it was.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
@@ -157,7 +156,7 @@ class Module:
                     f"shape mismatch for {name}: expected {param.data.shape}, got {shape}"
                 )
         for name, param in own.items():
-            param.data = np.asarray(state[name], dtype=param.data.dtype).copy()
+            param.data = np.array(state[name], dtype=engine.DTYPE)
 
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):

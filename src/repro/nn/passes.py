@@ -22,7 +22,7 @@ fused eager walk:
 
 The result is a :class:`MemoryPlan` consumed by
 :class:`repro.nn.engine.ExecutionPlan`; see ``docs/ARCHITECTURE.md``
-("Pass pipeline & backends") for the ordering/equivalence contract and
+("Pass pipeline") for the ordering/equivalence contract and
 ``tests/test_passes.py`` for the property tests that pin it down.
 """
 
@@ -47,6 +47,11 @@ __all__ = [
 #: but classifying every ``getitem`` as a view only over-extends a
 #: lifetime — safe, never corrupting.
 VIEW_OPS = frozenset({"reshape", "transpose", "getitem"})
+
+
+def _nbytes(shape: tuple) -> int:
+    """Bytes of one float64 buffer of ``shape``."""
+    return int(np.prod(shape, dtype=np.int64)) * 8
 
 
 def prune_dead_nodes(root, recorded_nodes: Sequence) -> Tuple[Dict[int, object], List]:
@@ -81,28 +86,24 @@ class MemoryPlan:
     allocates its output as under eager dispatch).
     """
 
-    __slots__ = ("step_buffer", "buffer_shapes", "dtype",
+    __slots__ = ("step_buffer", "buffer_shapes",
                  "managed_steps", "unmanaged_steps", "view_steps",
                  "reused_buffers", "arena_bytes",
                  "backward_live", "buffer_occupancy", "op_bytes")
 
     def __init__(self, step_buffer: List[int],
-                 buffer_shapes: List[tuple], dtype: np.dtype,
+                 buffer_shapes: List[tuple],
                  managed_steps: int, unmanaged_steps: int, view_steps: int,
                  reused_buffers: int, backward_live: int,
                  buffer_occupancy: List[List[Tuple[int, int, int]]],
                  op_bytes: Dict[str, int]) -> None:
         self.step_buffer = step_buffer
         self.buffer_shapes = buffer_shapes
-        self.dtype = dtype
         self.managed_steps = managed_steps
         self.unmanaged_steps = unmanaged_steps
         self.view_steps = view_steps
         self.reused_buffers = reused_buffers
-        self.arena_bytes = sum(
-            int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            for shape in buffer_shapes
-        )
+        self.arena_bytes = sum(_nbytes(shape) for shape in buffer_shapes)
         self.backward_live = backward_live
         self.buffer_occupancy = buffer_occupancy
         self.op_bytes = op_bytes
@@ -132,8 +133,7 @@ class MemoryPlan:
         }
 
 
-def plan_memory(structure, kernel_table: Dict,
-                dtype: np.dtype) -> MemoryPlan:
+def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
     """Liveness analysis + arena buffer assignment over one plan.
 
     ``structure`` is an :class:`~repro.nn.engine.ExecutionPlan` or
@@ -143,7 +143,7 @@ def plan_memory(structure, kernel_table: Dict,
     forward reads at consumer steps, the root read at schedule end, and
     backward reads per the producing/consuming kernels'
     ``vjp_uses`` contracts — then linear-scans the managed steps,
-    recycling exactly-matching ``(shape, dtype)`` buffers whose
+    recycling exactly-matching ``shape`` buffers (all float64) whose
     occupants' lifetimes have ended.  A buffer last read at step ``t``
     only re-enters the pool at step ``t + 1``, so an output buffer can
     never alias any input of the step writing it.
@@ -198,16 +198,14 @@ def plan_memory(structure, kernel_table: Dict,
 
     step_buffer = [-1] * num_steps
     buffer_shapes: List[tuple] = []
-    buffer_key: List[tuple] = []
     occupancy: List[List[Tuple[int, int, int]]] = []
     free: Dict[tuple, List[int]] = {}
     releases: Dict[int, List[int]] = {}
     managed = unmanaged = views = reused = 0
     op_bytes: Dict[str, int] = {}
-    itemsize = dtype.itemsize
     for i, step in enumerate(steps):
         for buf in releases.pop(i, ()):
-            free.setdefault(buffer_key[buf], []).append(buf)
+            free.setdefault(buffer_shapes[buf], []).append(buf)
         if step.op in VIEW_OPS:
             views += 1
             continue
@@ -215,21 +213,17 @@ def plan_memory(structure, kernel_table: Dict,
             unmanaged += 1
             continue
         shape = structure.slot_shapes[step.out]
-        key = (shape,)
-        pool = free.get(key)
+        pool = free.get(shape)
         if pool:
             buf = pool.pop()
             reused += 1
         else:
             buf = len(buffer_shapes)
             buffer_shapes.append(shape)
-            buffer_key.append(key)
             occupancy.append([])
         step_buffer[i] = buf
         managed += 1
-        op_bytes[step.op] = op_bytes.get(step.op, 0) + (
-            int(np.prod(shape, dtype=np.int64)) * itemsize
-        )
+        op_bytes[step.op] = op_bytes.get(step.op, 0) + _nbytes(shape)
         end = last_use[resolve(step.out)]
         occupancy[buf].append((i, i, end))
         if end <= root_read:
@@ -239,7 +233,6 @@ def plan_memory(structure, kernel_table: Dict,
     return MemoryPlan(
         step_buffer=step_buffer,
         buffer_shapes=buffer_shapes,
-        dtype=dtype,
         managed_steps=managed,
         unmanaged_steps=unmanaged,
         view_steps=views,

@@ -7,10 +7,10 @@ model in this repository (Gaia and all eight baselines) is built on the
 
 Design notes
 ------------
-* ``Tensor`` wraps a ``numpy.ndarray`` (in the active execution
-  backend's dtype — ``float64`` by default; see
-  :mod:`repro.nn.backends`) together with an optional gradient buffer
-  and a reference to the registered kernel that produced it.  Ops are *data, not closures*: every primitive is an
+* ``Tensor`` wraps a float64 ``numpy.ndarray`` (the engine's one
+  dtype) together with an optional gradient buffer and a reference to
+  the registered kernel that produced it.  Ops are *data, not
+  closures*: every primitive is an
   :class:`repro.nn.engine.OpKernel` — a pure
   ``forward(meta, arrays, out=None)`` / ``vjp(meta, grad, arrays, out,
   saved)`` pair — dispatched through :func:`_apply_op`.  Because
@@ -117,8 +117,7 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array data; converted to the active backend's dtype
-        (``float64`` unless inside ``engine.use_backend("float32")``).
+        Array data; converted to ``float64`` (``engine.DTYPE``).
     requires_grad:
         Whether gradients should flow into this tensor.  Leaf tensors
         with ``requires_grad=True`` accumulate into :attr:`grad`.
@@ -141,7 +140,7 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=engine.active_dtype())
+        self.data = np.asarray(data, dtype=engine.DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._parents: tuple = tuple(parents) if self.requires_grad else ()

@@ -26,8 +26,7 @@ this package is the cross-cutting layer that makes them observable as
   :class:`~repro.nn.engine.ExecutionPlan` replay loops accumulates
   per-:class:`~repro.nn.engine.OpKernel` call counts, cumulative time
   and estimated FLOPs/bytes, surfaced through
-  :meth:`~repro.nn.engine.CompiledLoss.profile_report` — the cost model
-  the memory-planned multi-precision backends (ROADMAP item 1) need.
+  :meth:`~repro.nn.engine.CompiledLoss.profile_report`.
 * **A federated** :class:`MetricsHub` (:mod:`repro.obs.hub`) — the
   per-component registries (gateway
   :class:`~repro.serving.metrics.MetricsRegistry`, streaming

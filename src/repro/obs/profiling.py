@@ -2,7 +2,7 @@
 
 The execution engine replays a compiled plan as a flat loop over
 :class:`~repro.nn.engine.OpKernel` calls — exactly the granularity a
-backend cost model needs.  Installing a :class:`KernelProfiler`
+kernel cost model needs.  Installing a :class:`KernelProfiler`
 (:func:`profile_kernels`, or :func:`repro.nn.engine.set_kernel_profiler`
 directly) makes every ``ExecutionPlan.forward`` / ``backward`` replay
 report each executed step to an observer that times it and attributes
@@ -46,26 +46,22 @@ def _size(shape: Sequence[int]) -> int:
 def estimate_cost(op: str, in_shapes: Sequence[Sequence[int]],
                   out_shape: Sequence[int],
                   meta: Optional[dict] = None,
-                  phase: str = "forward",
-                  itemsize: float = 8.0) -> Tuple[float, float]:
+                  phase: str = "forward") -> Tuple[float, float]:
     """Analytic ``(flops, bytes)`` estimate for one kernel call.
 
     FLOPs follow the textbook formulas (``2*M*N*K`` for GEMM-shaped
     ops, ``2 * out * width * c_in`` for convolutions, a few ops per
     element for the pointwise/softmax families, zero for pure data
     movement); bytes is the traffic of reading every input and writing
-    the output at ``itemsize`` bytes per element — the executing
-    backend's dtype width (float64 by default; the engine passes the
-    plan's actual itemsize, so float32 plans report half the traffic).
+    the output at 8 bytes (one float64) per element.
     ``phase="backward"`` doubles both — the VJP of each op runs the
     mirrored computation over gradients of the same shapes.  Estimates
-    are *model* numbers for ranking and backend-planning, not
-    measurements.
+    are *model* numbers for ranking kernels, not measurements.
     """
     meta = meta or {}
     out = _size(out_shape)
     in_total = sum(_size(s) for s in in_shapes)
-    bytes_moved = float(itemsize) * (in_total + out)
+    bytes_moved = 8.0 * (in_total + out)
     if op in ("matmul", "linear", "linear_relu", "linear_tanh",
               "linear_sigmoid"):
         k = int(in_shapes[0][-1]) if in_shapes and len(in_shapes[0]) else 1

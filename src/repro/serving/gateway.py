@@ -120,13 +120,6 @@ class GatewayConfig:
     max_wait: float = 0.005
     subgraph_cache_size: int = 2048
     result_cache_size: int = 8192
-    #: Execution backend the model is built and run under — any key of
-    #: ``repro.nn.engine.BACKENDS``.  ``"float64"`` (default) serves the
-    #: exact training-precision forward; ``"float32"`` halves the
-    #: forward's memory traffic at a documented accuracy budget
-    #: (``engine.FLOAT32_ACCURACY_BUDGET``; responses are cast back to
-    #: float64 at the gateway boundary either way).
-    precision: str = "float64"
     #: Data-freshness budget for cached forecasts (needs a feature
     #: store attached via ``attach_stream(dyn, store=...)``).  ``None``
     #: disables freshness accounting (topology-only expiry, the
@@ -160,11 +153,6 @@ class GatewayConfig:
         if self.max_batch_size <= 0:
             raise ValueError(
                 f"max_batch_size must be positive, got {self.max_batch_size}"
-            )
-        if self.precision not in engine.BACKENDS:
-            raise ValueError(
-                f"unknown precision {self.precision!r}; "
-                f"registered backends: {sorted(engine.BACKENDS)}"
             )
         if self.max_staleness_months is not None \
                 and self.max_staleness_months < 0:
@@ -218,9 +206,7 @@ class ServingGateway:
     ----------
     model_factory:
         Zero-argument callable building a registry-compatible model.
-        Called once, under ``engine.use_backend(config.precision)``, so
-        a float32 gateway holds float32 parameters; the instance is
-        :attr:`model`.
+        Called once; the instance is :attr:`model`.
     dataset:
         The serving snapshot; forecasts run against ``dataset.test``
         (override via ``source_batch``) and ``dataset.graph``.
@@ -249,12 +235,10 @@ class ServingGateway:
         # latency percentiles and rolling QPS all move under a FakeClock.
         clock = clock or obs_clock.now
         self._clock = clock
-        with engine.use_backend(self.config.precision):
-            self.model = model_factory()
+        self.model = model_factory()
         self.model_version = 0
         if registry is not None and registry.num_versions:
-            self.model_version = registry.load_into(
-                self.model, precision=self.config.precision).version
+            self.model_version = registry.load_into(self.model).version
         self.batcher = MicroBatcher(
             max_batch_size=self.config.max_batch_size,
             max_wait=self.config.max_wait,
@@ -330,7 +314,7 @@ class ServingGateway:
         this model cannot hold raises (out of ``registry.publish``) with
         the weights, the version and the cache exactly as they were.
         """
-        self.model.load_state_dict(version.state_for(self.config.precision))
+        self.model.load_state_dict(version.state)
         self.model_version = version.version
         self.result_cache.invalidate_versions_other_than(version.version)
         self.metrics.inc("model_swaps")
@@ -853,19 +837,15 @@ class ServingGateway:
         # Inference mode = no autograd metadata + the engine's
         # optimized kernel set (GEMM convolutions, reduceat
         # scatter-adds, in-place masked softmax) for the stitched
-        # block-diagonal forward.  The configured backend pins the
-        # model's dtype policy (float32 serving); forecasts cross
-        # back to float64 at the gateway boundary below.
+        # block-diagonal forward.
         with obs_tracing.span("gateway.forward"):
-            with engine.use_backend(self.config.precision):
-                with engine.inference_mode():
-                    scaled = self.model(union.batch, union.graph, **trim)
+            with engine.inference_mode():
+                scaled = self.model(union.batch, union.graph, **trim)
         # A trimmed forward returns the center rows only, a whole-ego
         # one every row: ``center_rows`` indexes either.
         source = self.source_batch
-        raw = np.asarray(source.scaler.inverse_transform(
-            scaled.data[union.center_rows], source.levels[union.centers]),
-            dtype=np.float64)
+        raw = source.scaler.inverse_transform(
+            scaled.data[union.center_rows], source.levels[union.centers])
         self.metrics.observe("forward_rows", float(union.batch.num_shops))
         self.metrics.inc("batches_total")
         self.metrics.observe(
@@ -968,7 +948,6 @@ class ServingGateway:
         }
         report["engine"] = {
             "mode": engine.engine_mode(),
-            "precision": self.config.precision,
             **engine.stats_snapshot(),
         }
         return report

@@ -269,8 +269,7 @@ class ServiceTimeModel:
     ``per_forward_s``.
 
     Everything else (``eval``, ``load_state_dict``, parameters)
-    delegates to the wrapped model, so registry hot swaps and backend
-    selection keep working.
+    delegates to the wrapped model, so registry hot swaps keep working.
     """
 
     #: Declares nothing itself (not delegated): the wrapper is handed the

@@ -111,26 +111,22 @@ class TestTrimmedForward:
     """``model(batch, graph, trim)`` == the center rows of the whole-ego
     forward, for what :func:`gather_batch` lays out."""
 
-    @pytest.mark.parametrize("backend", ["float64", "float32"])
-    def test_equals_center_rows_of_the_full_forward(self, dataset, config,
-                                                    backend):
+    def test_equals_center_rows_of_the_full_forward(self, dataset, config):
         """Random center batches (repeats allowed), ``L`` 1–3 against
         whole egos ``L`` or ``L + 1`` hops deep (every row a center reads
         is in them), all four Table II variants.
-        Required: 1e-12 in float64 (every kernel is row- or
-        segment-wise; only BLAS choosing another blocking for another
-        row count moves a last bit) and the float32 budget in float32.
-        With no edge into any center the forward is the intra path
+        Required: 1e-12 (every kernel is row- or segment-wise; only
+        BLAS choosing another blocking for another row count moves a
+        last bit).  With no edge into any center the forward is the intra path
         alone, and that is bit for bit."""
         import dataclasses
         variants = (Gaia, GaiaNoITA, GaiaNoFFL, GaiaNoTEL)
-        with engine.use_backend(backend):
-            models = {
-                (variant, layers): variant(
-                    dataclasses.replace(config, num_layers=layers),
-                    seed=layers).eval()
-                for variant in variants for layers in (1, 2, 3)
-            }
+        models = {
+            (variant, layers): variant(
+                dataclasses.replace(config, num_layers=layers),
+                seed=layers).eval()
+            for variant in variants for layers in (1, 2, 3)
+        }
         seen = {"isolated": 0, "edges": 0, "deep": 0}
         seen.update(dict.fromkeys(variants, 0))
 
@@ -152,19 +148,15 @@ class TestTrimmedForward:
             egos = ego_subgraphs(dataset.graph, centers, hops)
             whole = build_disjoint_batch(egos, dataset.test)
             cut = trimmed_batch(dataset, centers, model.receptive_depth)
-            with engine.use_backend(backend), engine.inference_mode():
+            with engine.inference_mode():
                 want = model(whole.batch, whole.graph).data[whole.center_rows]
                 got = model(cut.batch, cut.graph,
                             (cut.rows_within, cut.edges_into)).data
             assert got.shape == (centers.size, dataset.horizon)
-            assert got.dtype == want.dtype == np.dtype(backend)
             if cut.edges_into[-1] == 0:
                 assert np.array_equal(got, want)
-            elif backend == "float64":
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             else:
-                deviation = np.max(np.abs(got - want) / (np.abs(want) + 1.0))
-                assert deviation <= engine.FLOAT32_ACCURACY_BUDGET, deviation
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             seen["isolated"] += int(cut.edges_into[-1] == 0)
             seen["edges"] += int(cut.edges_into[0] > 0)
             seen["deep"] += int(layers > 1 and cut.edges_into[0] > 0

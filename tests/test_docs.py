@@ -10,10 +10,10 @@ Twelve invariants, all cheap enough for tier-1:
 * the documentation files the README points at actually exist, and the
   ROADMAP keeps pointing at the versioned design docs it delegated its
   per-subsystem guides to;
-* the engine's **dtype policy** holds at the source level: kernel
-  forward/VJP bodies never hard-code ``np.float64`` (AST lint), which is
-  what lets one kernel table serve both the float64 and float32
-  execution backends;
+* the kernels' **dtype rule** holds at the source level: kernel
+  forward/VJP bodies never hard-code ``np.float64`` (AST lint) — a
+  kernel computes in its operands' dtype, which the engine keeps at
+  float64;
 * the **clock policy** holds at the source level: no ``repro`` module
   outside ``repro/obs/clock.py`` calls the stdlib clocks directly (AST
   lint), which is what keeps SLO/anomaly/health transition sequences
@@ -28,7 +28,7 @@ Twelve invariants, all cheap enough for tier-1:
 * the **one-model** structure holds at the source level (AST lint):
   there is no ``serving/router.py`` and no replica / routing identifier
   under ``src/``, ``ServingGateway._serve`` reaches the model forward
-  through one call site, and ``GatewayConfig`` has exactly its ten
+  through one call site, and ``GatewayConfig`` has exactly its nine
   documented fields;
 * the **trimmed forward is the one forward** (AST lint): the gateway
   and the training loss each read the model's declared
@@ -45,8 +45,9 @@ Twelve invariants, all cheap enough for tier-1:
   and no profiled twin, every kernel has one forward that takes
   ``out`` (no arena twin anywhere under ``src/``) and lives in
   ``repro/nn/kernels/``, ``repro.nn`` reads one environment variable
-  and never tunes the allocator, and the pass / backend surface stay
-  at what the engine uses;
+  and never tunes the allocator, the pass surface stays at what the
+  engine uses, and there is one dtype — no backend module, registry or
+  precision switch anywhere under ``src/``;
 * the **one-body-per-promise** structure holds at the source level (AST
   lint): ``DynamicGraph`` mirrors none of ``repro.graph.sampling``'s
   traversal / ego functions and nothing under ``src/`` probes for them
@@ -149,11 +150,12 @@ def _kernel_sources():
 
 
 def test_engine_kernels_never_hardcode_float64():
-    """Dtype-policy lint (tier-1): kernels derive their working dtype
-    from their input arrays.  A bare ``np.float64`` anywhere in a kernel
-    family module — forward/VJP bodies and the helpers beside them —
-    would silently up-cast the float32 serving backend's arrays back to
-    double precision."""
+    """Dtype lint (tier-1): kernels derive their working dtype from
+    their input arrays.  The engine only hands them float64, but a bare
+    ``np.float64`` anywhere in a kernel family module — forward/VJP
+    bodies and the helpers beside them — would be a second statement of
+    the dtype, and would up-cast the float32 operands of the kernel
+    contract (``tests/test_kernels.py``)."""
     offenders = []
     scanned = []
     for relative, source in _kernel_sources().items():
@@ -260,7 +262,7 @@ def test_every_gateway_config_field_is_documented():
         f"{undocumented}"
     )
     # Vacuity guard: the walk must actually be covering the config.
-    assert len(names) >= 10
+    assert len(names) >= 9
 
 
 def _is_self_attr(node, attr):
@@ -343,7 +345,7 @@ _CLUSTER_NAMES = ("ReplicaRouter", "ModelReplica", "num_replicas",
                   "partition_map", "inflight", "attach_gateway")
 _GATEWAY_CONFIG_FIELDS = [
     "hops", "max_batch_size", "max_wait", "subgraph_cache_size",
-    "result_cache_size", "precision", "max_staleness_months", "admission",
+    "result_cache_size", "max_staleness_months", "admission",
     "default_deadline_s", "max_queue_depth",
 ]
 
@@ -356,7 +358,7 @@ def test_gateway_serves_one_model_behind_one_pump():
     ``self.model(...)`` in one place (``_forward_batch``) and
     ``_forward_batch`` in one place (``_serve``), so a drained batch
     reaches the model through exactly one call site; ``GatewayConfig``
-    has exactly the ten fields ``docs/ARCHITECTURE.md`` tabulates.
+    has exactly the nine fields ``docs/ARCHITECTURE.md`` tabulates.
     """
     from repro.serving.gateway import GatewayConfig
 
@@ -527,6 +529,11 @@ def _schedule_loops(function):
 # acceptance grep for them over src/ tests/ docs/ README.md stays clean.
 _BANNED_PREFIX = "_fw" "o_"
 _BANNED_NAMES = ("forward" "_out", "Plan" "Structure", "run" "_pipeline")
+# Names deleted with the float32 backend and its registry.
+_BACKEND_NAMES = ("ExecutionBackend", "BACKENDS", "register_backend",
+                  "get_backend", "use_backend", "active_backend",
+                  "active_dtype", "FLOAT32_ACCURACY_BUDGET", "state_twins",
+                  "state_for", "precision")
 
 
 def test_engine_has_one_plan_executor():
@@ -544,8 +551,10 @@ def test_engine_has_one_plan_executor():
     ``repro/nn/kernels/``, not in ``engine.py``.  ``repro/nn`` reads
     ``os.environ`` for ``REPRO_NN_ENGINE`` only and never names
     ``malloc``/``mallopt``; the pass module exports prune +
-    liveness/arena only; an ``ExecutionBackend`` is ``name, dtype,
-    accuracy_budget``.
+    liveness/arena only; float64 is the one dtype, so there is no
+    ``repro/nn/backends.py`` and none of ``_BACKEND_NAMES`` (the backend
+    registry, the dtype switch, the registry's cast twins, the gateway's
+    ``precision``) is an identifier under ``src/``.
     """
     nn = REPO_ROOT / "src" / "repro" / "nn"
     sources = {path.name: path.read_text()
@@ -595,7 +604,7 @@ def test_engine_has_one_plan_executor():
         f"kernel bodies belong in repro/nn/kernels/: {bodies_in_engine}"
     )
 
-    from repro.nn import backends, engine, passes
+    from repro.nn import engine, passes
 
     deaf = [name for name, kernel in engine.KERNELS.items()
             if "out" not in inspect.signature(kernel.forward).parameters]
@@ -621,9 +630,9 @@ def test_engine_has_one_plan_executor():
     assert sorted(passes.__all__) == sorted([
         "VIEW_OPS", "MemoryPlan", "prune_dead_nodes", "plan_memory",
     ])
-    parameters = list(inspect.signature(
-        backends.ExecutionBackend.__init__).parameters)
-    assert parameters == ["self", "name", "dtype", "accuracy_budget"]
+    assert not (nn / "backends.py").exists()
+    backend = sorted(identifiers & set(_BACKEND_NAMES))
+    assert not backend, f"src/ still names {backend}"
     # Vacuity guards: the class body and its two loops were found, the
     # identifier walk saw the tree, the registry is populated.
     assert len(methods) >= 5, "ExecutionPlan scan looks vacuous"

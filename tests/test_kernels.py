@@ -14,6 +14,11 @@ the planner / executor rely on each without re-checking it:
 (c) **optimized == reference** — where a kernel keeps a pre-engine
     ``ref_forward`` / ``ref_vjp``, both agree to 1e-12 (float64).
 
+The engine computes in float64 only, but a kernel is a plain array
+function that computes in its operands' dtype; the float32 column
+checks that no kernel up-casts (and that (a)-(c) do not depend on the
+dtype), which is also what ``tests/test_docs.py``'s dtype lint guards.
+
 A kernel registered without a case generator here fails the suite.
 """
 
@@ -28,6 +33,9 @@ from repro.nn import functional as F
 pytestmark = pytest.mark.engine
 
 DTYPES = (np.float64, np.float32)
+#: (c)'s tolerance for float32 operands: ~1e-7 rounding per operation
+#: over one kernel, with room to spare.
+FLOAT32_TOLERANCE = 5e-4
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +428,7 @@ def test_reference_variants_were_found():
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("name", REFERENCED)
 def test_optimized_matches_reference_forward_and_vjp(name, dtype):
-    tol = 1e-12 if dtype == np.float64 else engine.FLOAT32_ACCURACY_BUDGET
+    tol = 1e-12 if dtype == np.float64 else FLOAT32_TOLERANCE
 
     def prop(kernel, meta, arrays):
         out, saved = kernel.forward(meta, arrays)

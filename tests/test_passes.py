@@ -12,9 +12,8 @@ Pins down the three contracts ``repro.nn.passes`` makes:
 * **the arena reaches steady state** — the first replay materialises
   the buffers, further replays allocate nothing for managed outputs.
 
-Plus the backend seam: dtype policy of leaf tensors, ``use_backend``
-nesting, ``load_state_dict`` cross-precision casts, and the registry's
-float32 state twins.
+Plus the one dtype: leaf tensors, plan buffers, gradients, loaded
+checkpoints and published versions are all float64.
 """
 
 from contextlib import nullcontext
@@ -177,35 +176,6 @@ def test_cse_arena_replay_bitwise_equals_eager(family, make):
     assert report["managed_outputs"] > 0, f"{family}: arena never engaged"
 
 
-def test_float32_planned_replay_matches_float32_eager_bitwise():
-    """The equivalence gate is stated for float64, but the pass pipeline
-    is precision-agnostic: the same bitwise property holds under the
-    float32 backend (same kernels, same schedule, float32 arrays)."""
-    with engine.use_backend("float32"):
-        rng = np.random.default_rng(3)
-        xs = Tensor(rng.normal(size=(6, 4)))
-        w = Parameter(rng.normal(size=(4, 3)), name="w")
-
-        def loss_fn():
-            h = F.tanh(xs @ w) + F.tanh(xs @ w)
-            return (h * h).mean()
-
-        eager = loss_fn()
-        eager.backward()
-        ref_loss, ref_grad = float(eager.data), w.grad.copy()
-        assert w.grad.dtype == np.float32
-
-        compiled = engine.CompiledLoss(loss_fn)
-        for replay in range(5):
-            w.zero_grad()
-            with _observed(replay):
-                assert compiled.run() == ref_loss
-            assert np.array_equal(w.grad, ref_grad)
-        assert compiled._plan is not None
-        assert compiled._plan.memory_plan.dtype == np.float32
-        assert compiled.profile_report()["replays"] == 2
-
-
 # ----------------------------------------------------------------------
 # liveness: no two simultaneously-live slots share an arena buffer
 # ----------------------------------------------------------------------
@@ -294,8 +264,7 @@ def _naive_storage_last_read(structure):
 
 def test_liveness_never_overlaps_buffer_occupants():
     def prop(structure):
-        plan = passes.plan_memory(structure, engine.KERNELS,
-                                  np.dtype(np.float64))
+        plan = passes.plan_memory(structure, engine.KERNELS)
         resolve, naive_last = _naive_storage_last_read(structure)
         for i, step in enumerate(structure.steps):
             buf = plan.step_buffer[i]
@@ -325,8 +294,7 @@ def test_view_lifetimes_extend_their_base_buffer():
     def prop(seed):
         case_rng = np.random.default_rng(seed)
         structure = _RandomStructure(case_rng)
-        plan = passes.plan_memory(structure, engine.KERNELS,
-                                  np.dtype(np.float64))
+        plan = passes.plan_memory(structure, engine.KERNELS)
         resolve, naive_last = _naive_storage_last_read(structure)
         # The planner's recorded end for every occupant covers the
         # independently computed last read (views included).
@@ -390,7 +358,7 @@ def test_arena_allocates_once_then_never_again():
 
 
 # ----------------------------------------------------------------------
-# backend seam
+# one dtype
 # ----------------------------------------------------------------------
 class _TwoLayer(Module):
     def __init__(self):
@@ -403,76 +371,63 @@ class _TwoLayer(Module):
         return self.fc2(F.tanh(self.fc1(x)))
 
 
-class TestBackends:
-    def test_use_backend_nests_and_restores(self):
-        assert engine.active_backend().name == "float64"
-        with engine.use_backend("float32") as backend:
-            assert backend is engine.BACKENDS["float32"]
-            assert engine.active_dtype() == np.float32
-            with engine.use_backend("float64"):
-                assert engine.active_dtype() == np.float64
-            assert engine.active_dtype() == np.float32
-        assert engine.active_backend().name == "float64"
+class TestOneDtype:
+    def test_leaf_tensors_are_float64(self):
+        for data in ([1, 2, 3], np.arange(3, dtype=np.int32),
+                     np.ones(3, dtype=np.float32)):
+            assert Tensor(data).data.dtype == np.float64
+        assert Parameter(np.ones(3, dtype=np.float32),
+                         name="p").data.dtype == np.float64
 
-    def test_get_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            engine.get_backend("bfloat16")
-        with pytest.raises(TypeError):
-            engine.use_backend(42)
+    def test_plans_replay_in_float64(self):
+        """float32 inputs are widened at the leaf, so the plan, its
+        arena, the loss and the gradients are float64 — and replay is
+        bitwise the eager walk."""
+        rng = np.random.default_rng(3)
+        xs = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
+        w = Parameter(rng.normal(size=(4, 3)).astype(np.float32), name="w")
 
-    def test_leaf_tensors_follow_backend_dtype(self):
-        data = [1.0, 2.0, 3.0]
-        assert Tensor(data).data.dtype == np.float64
-        with engine.use_backend("float32"):
-            assert Tensor(data).data.dtype == np.float32
-            assert Parameter(np.ones(3), name="p").data.dtype == np.float32
+        def loss_fn():
+            h = F.tanh(xs @ w) + F.tanh(xs @ w)
+            return (h * h).mean()
 
-    def test_load_state_dict_casts_to_param_dtype(self):
+        eager = loss_fn()
+        eager.backward()
+        ref_loss, ref_grad = float(eager.data), w.grad.copy()
+        compiled = engine.CompiledLoss(loss_fn)
+        for replay in range(5):
+            w.zero_grad()
+            with _observed(replay):
+                assert compiled.run() == ref_loss
+            assert np.array_equal(w.grad, ref_grad)
+        plan = compiled._plan
+        assert plan is not None and plan._arena
+        assert all(buf.dtype == np.float64 for buf in plan._arena)
+        assert w.grad.dtype == np.float64
+        assert plan.memory_plan.arena_bytes == 8 * sum(
+            int(np.prod(shape)) for shape in plan.memory_plan.buffer_shapes)
+
+    def test_load_state_dict_casts_to_float64(self):
         reference = _TwoLayer()
-        state = reference.state_dict()
-        with engine.use_backend("float32"):
-            model = _TwoLayer()
-        model.load_state_dict(state)  # float64 checkpoint -> float32 params
-        for _name, param in model.named_parameters():
-            assert param.data.dtype == np.float32
-        restored = _TwoLayer()
-        restored.load_state_dict(model.state_dict())
-        for name, param in restored.named_parameters():
+        narrow = {name: value.astype(np.float32)
+                  for name, value in reference.state_dict().items()}
+        model = _TwoLayer()
+        model.load_state_dict(narrow)
+        for name, param in model.named_parameters():
             assert param.data.dtype == np.float64
+            assert param.data is not narrow[name]
+            np.testing.assert_array_equal(param.data, narrow[name])
 
-    def test_float32_forward_within_accuracy_budget(self):
-        reference = _TwoLayer()
-        state = reference.state_dict()
-        with engine.use_backend("float32"):
-            serving = _TwoLayer()
-        serving.load_state_dict(state)
-        x64 = np.random.default_rng(11).normal(size=(32, 6))
-        out64 = reference(Tensor(x64)).data
-        with engine.use_backend("float32"):
-            out32 = serving(Tensor(x64)).data
-        assert out32.dtype == np.float32
-        deviation = np.max(np.abs(out32.astype(np.float64) - out64)
-                           / (np.abs(out64) + 1.0))
-        assert deviation <= engine.FLOAT32_ACCURACY_BUDGET, deviation
-
-    def test_model_version_carries_float32_twin(self):
+    def test_registry_publishes_and_loads_one_float64_state(self):
         registry = ModelRegistry()
-        version = registry.publish(_TwoLayer(), trained_at_month=12)
-        assert "float32" in version.state_twins  # pre-warmed at publish
-        twin = version.state_for("float32")
-        assert twin is version.state_twins["float32"]  # memoised
-        for name, value in twin.items():
-            assert value.dtype == np.float32
-            np.testing.assert_allclose(value, version.state[name],
-                                       rtol=1e-6)
-        assert version.state_for("float64") is version.state
-
-    def test_registry_load_into_respects_precision(self):
-        registry = ModelRegistry()
-        registry.publish(_TwoLayer(), trained_at_month=12)
-        with engine.use_backend("float32"):
-            serving = _TwoLayer()
-        record = registry.load_into(serving, precision="float32")
-        assert record.version == 1
-        for _name, param in serving.named_parameters():
-            assert param.data.dtype == np.float32
+        source = _TwoLayer()
+        version = registry.publish(source, trained_at_month=12)
+        serving = _TwoLayer()
+        for param in serving.parameters():
+            param.data = np.zeros_like(param.data)
+        record = registry.load_into(serving)
+        assert record is version and record.version == 1
+        for name, param in serving.named_parameters():
+            assert version.state[name].dtype == np.float64
+            np.testing.assert_array_equal(param.data, version.state[name])
+            assert param.data is not version.state[name]

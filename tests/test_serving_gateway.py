@@ -895,61 +895,3 @@ class TestSubsetDuplicateRows:
             batch.subset(np.array([0, batch.num_shops]))
         with pytest.raises(IndexError):
             batch.subset(np.array([-1]))
-
-
-class TestServingPrecision:
-    """The float32 serving backend, threaded through GatewayConfig."""
-
-    def test_config_rejects_unknown_precision(self):
-        with pytest.raises(ValueError, match="unknown precision"):
-            GatewayConfig(precision="bfloat16").validate()
-
-    def test_float32_model_holds_float32_weights(self, factory, dataset):
-        registry = ModelRegistry()
-        registry.publish(factory(), trained_at_month=28)
-        gateway = make_gateway(factory, dataset, registry,
-                               precision="float32")
-        assert gateway.model_version == registry.latest().version
-        for _name, param in gateway.model.named_parameters():
-            assert param.data.dtype == np.float32
-        registry.publish(factory(), trained_at_month=29)
-        assert gateway.model_version == 2  # hot swap keeps the precision
-        for _name, param in gateway.model.named_parameters():
-            assert param.data.dtype == np.float32
-        gateway.close()
-
-    def test_float32_forecasts_within_budget_and_cast_back(
-            self, factory, dataset, registry):
-        from repro.nn import engine
-
-        reference = make_gateway(factory, dataset, registry)
-        serving = make_gateway(factory, dataset, registry,
-                               precision="float32")
-        shops = list(range(12))
-        want = reference.predict_many(shops)
-        got = serving.predict_many(shops)
-        for response in got:
-            # The precision seam ends at the gateway boundary: callers
-            # always see float64 forecasts.
-            assert response.forecast.dtype == np.float64
-        deviation = max(
-            np.max(np.abs(g.forecast - w.forecast)
-                   / (np.abs(w.forecast) + 1.0))
-            for g, w in zip(got, want)
-        )
-        assert deviation <= engine.FLOAT32_ACCURACY_BUDGET, deviation
-        report = serving.metrics_report()
-        assert report["engine"]["precision"] == "float32"
-        assert reference.metrics_report()["engine"]["precision"] == "float64"
-        # Both went through the trimmed forward, float32 weights and all.
-        assert serving.model.receptive_depth == 1
-        assert all(param.data.dtype == np.float32
-                   for param in serving.model.parameters())
-        rows = serving.metrics.distribution("forward_rows").values()
-        assert rows.sum() == sum(r.subgraph_nodes for r in got)
-        assert rows.sum() < sum(ego.num_nodes for ego in ego_subgraphs(
-            dataset.graph, shops, serving.config.hops))
-        assert rows.tolist() == reference.metrics.distribution(
-            "forward_rows").values().tolist()
-        reference.close()
-        serving.close()
