@@ -7,13 +7,17 @@ Fig 4 / deployment benches instead of being retrained.
 
 Scale is controlled by the ``REPRO_BENCH_SHOPS`` / ``REPRO_BENCH_EPOCHS``
 environment variables (defaults: 400 shops, 400 epochs — the calibrated
-configuration recorded in EXPERIMENTS.md).
+configuration recorded in EXPERIMENTS.md) and ``REPRO_BENCH_SMALL_SHOPS``
+(default 200) for the reduced-scale ablation sweeps.
+
+The same-run checks beside the figures report through :func:`record`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,9 +31,15 @@ from repro.experiments import (
     run_method,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(REPO_ROOT))     # bench/ is scripts, not an installed package
+from bench.harness import environment  # noqa: E402  (read-only import)
+
 BENCH_SHOPS = int(os.environ.get("REPRO_BENCH_SHOPS", "400"))
 BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "400"))
 SMALL_SHOPS = int(os.environ.get("REPRO_BENCH_SMALL_SHOPS", "200"))
+#: Untracked: a run writes here and never dirties the tree.
+RECORD_DIR = Path(__file__).resolve().parent / "out"
 
 
 def seeded_rng(seed: int = 0) -> np.random.Generator:
@@ -38,20 +48,35 @@ def seeded_rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def bench_dataset(num_shops: int, seed: int = 7, config_factory=None,
-                  **dataset_kwargs):
-    """Marketplace + shop-split dataset; shared by the serving /
-    partition / ablation benches so they stop duplicating setup.
+def bench_dataset(num_shops: int, seed: int = 7):
+    """Calibrated marketplace + shop-split dataset, shared by every
+    benchmark world."""
+    market = build_marketplace(
+        benchmark_marketplace_config(num_shops=num_shops, seed=seed))
+    return market, build_dataset(market, train_fraction=0.65, val_fraction=0.15)
 
-    ``config_factory`` defaults to the calibrated benchmark config;
-    benches whose JSON artifacts predate this helper pass their original
-    config class so their cross-PR history stays comparable.
+
+def record(name: str, metrics: dict, checks: dict) -> None:
+    """Write one result to ``out/<name>.json`` and fail on a broken check.
+
+    Every same-run check reports the one shape ``{name, environment,
+    metrics, checks}``: ``environment`` is ``bench.harness``'s stamp
+    (commit, cores, interpreter, BLAS), ``checks`` maps each claim to
+    whether it held.  The record is written before the verdict, so a
+    failing run leaves its numbers behind.
     """
-    factory = config_factory or benchmark_marketplace_config
-    market = build_marketplace(factory(num_shops=num_shops, seed=seed))
-    kwargs = dict(train_fraction=0.65, val_fraction=0.15)
-    kwargs.update(dataset_kwargs)
-    return market, build_dataset(market, **kwargs)
+    RECORD_DIR.mkdir(exist_ok=True)
+    result = {"name": name, "environment": environment(),
+              "metrics": metrics, "checks": checks}
+    text = json.dumps(result, indent=2,
+                      default=lambda value: value.item())   # numpy scalars
+    (RECORD_DIR / f"{name}.json").write_text(text + "\n")
+    print(f"\n{name}")
+    for key, value in metrics.items():
+        print(f"  {key:40s} {value:.4g}" if isinstance(value, float)
+              else f"  {key:40s} {value}")
+    failed = [claim for claim, held in checks.items() if not held]
+    assert not failed, f"{name}: {failed} failed ({metrics})"
 
 
 @pytest.fixture(scope="session")
@@ -65,8 +90,7 @@ def small_marketplace():
 @pytest.fixture(scope="session")
 def bench_env():
     """Marketplace, dataset, budget and a lazy per-method result cache."""
-    market = build_marketplace(benchmark_marketplace_config(num_shops=BENCH_SHOPS))
-    dataset = build_dataset(market, train_fraction=0.65, val_fraction=0.15)
+    market, dataset = bench_dataset(BENCH_SHOPS)
     train_config = benchmark_train_config(epochs=BENCH_EPOCHS)
     store: dict = {}
 
@@ -90,32 +114,3 @@ def bench_env():
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-# ----------------------------------------------------------------------
-# execution-engine regression gate
-# ----------------------------------------------------------------------
-ENGINE_ARTIFACT = Path(__file__).resolve().parent / "BENCH_engine.json"
-
-
-@pytest.fixture(scope="session")
-def engine_baseline():
-    """Last committed ``BENCH_engine.json`` record, snapshotted before
-    any test of this session rewrites the artifact.
-
-    ``test_engine_speedup`` fails the ``-m slow`` run when its measured
-    engine throughput regresses more than 10% below this record (set
-    ``REPRO_BENCH_UPDATE_BASELINE=1`` to accept an intentional change).
-    Returns ``None`` when no baseline has been committed yet.
-    """
-    if not ENGINE_ARTIFACT.exists():
-        return None
-    try:
-        history = json.loads(ENGINE_ARTIFACT.read_text())
-    except (ValueError, OSError):
-        return None
-    if isinstance(history, list) and history:
-        return history[-1]
-    if isinstance(history, dict):
-        return history
-    return None

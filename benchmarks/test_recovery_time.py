@@ -1,229 +1,100 @@
-"""Benchmark: crash-recovery time-to-serve vs replay-tail length.
+"""Same-run check: checkpoint + tail beats full replay to first forecast.
 
-Measures the persistence plane end to end and appends a record to
-``BENCH_recovery.json`` (override with
-``REPRO_BENCH_RECOVERY_ARTIFACT``):
-
-1. **Journal throughput** — write-ahead appending the full simulator
-   stream through :class:`DurableEventLog` sustains at least
-   ``MIN_APPEND_EVENTS_PER_SECOND`` events/sec.
-2. **Bitwise recovery** — for every scenario, the recovered world's
-   forecasts equal the never-crashed fold's exactly (max diff 0.0);
-   recovery is correct before it is fast.
-3. **Snapshot beats full replay** — time-to-serve (reopen journal +
-   recover + attach gateway + first forecast) from the tightest
-   checkpoint cadence is at least ``MIN_SPEEDUP``x faster than
-   replaying the whole journal with no checkpoint.
-4. **Cadence gate** — the replay tail under a cadence of ``N`` events
-   is at most ``N`` events, so time-to-serve is bounded by snapshot
-   load + ``N`` event applications: the knob operators tune.
-
-Scale knobs: ``REPRO_BENCH_RECOVERY_SHOPS`` (default 400) and
-``REPRO_BENCH_RECOVERY_REPEATS`` (default 3, min-of-repeats timing).
-Weights are untrained — no claim here depends on fit quality.
+One journaled marketplace stream is folded once, snapshotting into one
+checkpoint directory per cadence.  For every cadence (``0`` = no
+checkpoint, the full replay) the min-of-repeats time-to-serve — reopen
+the journal, ``recover``, attach a cold gateway, serve one forecast
+batch — is measured in the same run.  The recovered forecasts equal the
+never-crashed fold's exactly, the replayed tail is at most the cadence,
+and the tightest cadence serves at least 1.2x sooner than full replay.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Gaia, GaiaConfig
-from repro.data import MarketplaceConfig
 from repro.deploy import ModelRegistry
 from repro.serving import GatewayConfig, ServingGateway
 from repro.streaming import MarketplaceSimulator
 from repro.streaming.durable import DurableEventLog, recover, write_checkpoint
 
-from conftest import bench_dataset, run_once
+from conftest import bench_dataset, record
 
 pytestmark = pytest.mark.slow
 
-RECOVERY_SHOPS = int(os.environ.get("REPRO_BENCH_RECOVERY_SHOPS", "400"))
-REPEATS = int(os.environ.get("REPRO_BENCH_RECOVERY_REPEATS", "3"))
-ARTIFACT_PATH = Path(os.environ.get(
-    "REPRO_BENCH_RECOVERY_ARTIFACT",
-    Path(__file__).resolve().parent / "BENCH_recovery.json",
-))
-MIN_APPEND_EVENTS_PER_SECOND = 2000.0
-MIN_SPEEDUP = 1.2
-# Checkpoint cadences (events between snapshots); 0 = no checkpoints,
-# the full-replay baseline every scenario is compared against.
+SHOPS = 400
+REPEATS = 3
+#: Events between snapshots.  Nothing writes cadence 0's directory, so
+#: recovering from it replays the whole journal.
 CADENCES = (0, 512, 128)
 
 
-def _append_artifact(record: dict) -> None:
-    history = []
-    if ARTIFACT_PATH.exists():
-        try:
-            history = json.loads(ARTIFACT_PATH.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    ARTIFACT_PATH.write_text(json.dumps(history, indent=2) + "\n")
-
-
-def _world():
-    market, dataset = bench_dataset(RECOVERY_SHOPS, seed=13,
-                                    config_factory=MarketplaceConfig)
-    config = GaiaConfig(
-        input_window=dataset.input_window,
-        horizon=dataset.horizon,
-        temporal_dim=dataset.temporal_dim,
-        static_dim=dataset.static_dim,
-        channels=8,
-        num_scales=2,
-        num_layers=1,
-    )
-
-    def factory():
-        return Gaia(config, seed=0)
-
+def test_recovery_time_to_serve(tmp_path):
+    market, dataset = bench_dataset(SHOPS, seed=13)
+    config = GaiaConfig(input_window=dataset.input_window,
+                        horizon=dataset.horizon,
+                        temporal_dim=dataset.temporal_dim,
+                        static_dim=dataset.static_dim,
+                        channels=8, num_scales=2, num_layers=1)
     registry = ModelRegistry()
-    registry.publish(factory(), trained_at_month=market.config.num_months - 3)
+    registry.publish(Gaia(config, seed=0),
+                     trained_at_month=market.config.num_months - 3)
     simulator = MarketplaceSimulator(
         market, start_month=market.config.num_months - 8,
         edge_churn_per_month=4, late_tick_fraction=0.25,
-        late_tick_max_delay=2, seed=3,
-    )
-    return market, dataset, factory, registry, simulator
-
-
-def _gateway(dataset, factory, registry):
-    return ServingGateway(
-        model_factory=factory, dataset=dataset, registry=registry,
-        config=GatewayConfig(max_batch_size=32),
-    )
-
-
-def _time_to_serve(log_dir, ckpt_dir, simulator, dataset, factory,
-                   registry, sample):
-    """Reopen journal, recover, attach a cold gateway, serve one batch."""
-    started = time.perf_counter()
-    with DurableEventLog(log_dir) as log:
-        state = recover(
-            log, ckpt_dir,
-            base_graph=simulator.initial_graph(),
-            store_factory=lambda: simulator.initial_store(watermark=2),
-        )
-        gateway = _gateway(dataset, factory, registry)
-        gateway.attach_stream(state.dynamic_graph, store=state.store)
-        forecasts = np.stack(
-            [r.forecast for r in gateway.predict_many(sample)])
-        elapsed = time.perf_counter() - started
-        gateway.close()
-    return elapsed, state, forecasts
-
-
-def test_recovery_time_to_serve(benchmark, tmp_path):
-    market, dataset, factory, registry, simulator = _world()
-    events = [event
-              for month in simulator.streaming_months
+        late_tick_max_delay=2, seed=3)
+    events = [event for month in simulator.streaming_months
               for event in simulator.events_for_month(month)]
     sample = list(range(0, simulator.initial_graph().num_nodes, 7))
 
-    def run():
-        # --- Journal the stream once (write-ahead append throughput) --
-        log_dir = tmp_path / "journal"
-        started = time.perf_counter()
-        with DurableEventLog(log_dir, segment_events=1024) as log:
-            log.extend(events)
-        append_elapsed = max(time.perf_counter() - started, 1e-12)
-        journal_bytes = sum(
-            p.stat().st_size for p in log_dir.glob("events-*.seg"))
+    def serve(dyn, store):
+        gateway = ServingGateway(lambda: Gaia(config, seed=0), dataset, registry,
+                                 GatewayConfig(max_batch_size=32))
+        gateway.attach_stream(dyn, store=store)
+        forecasts = np.stack([r.forecast for r in gateway.predict_many(sample)])
+        gateway.close()
+        return forecasts
 
-        # --- Fold once, snapshotting into one dir per cadence ---------
-        dirs = {c: tmp_path / f"ckpt-every-{c}" for c in CADENCES if c}
-        dyn = simulator.initial_dynamic_graph()
-        store = simulator.initial_store(watermark=2)
-        for offset, event in enumerate(events):
-            dyn.apply(event)
-            store.apply(event)
-            for cadence, ckpt_dir in dirs.items():
-                if (offset + 1) % cadence == 0:
-                    write_checkpoint(ckpt_dir, offset + 1,
-                                     dynamic_graph=dyn, store=store)
+    log_dir = tmp_path / "journal"
+    with DurableEventLog(log_dir, segment_events=1024) as log:
+        log.extend(events)
+    dirs = {c: tmp_path / f"every-{c}" for c in CADENCES}
+    dyn = simulator.initial_dynamic_graph()
+    store = simulator.initial_store(watermark=2)
+    for offset, event in enumerate(events, start=1):
+        dyn.apply(event)
+        store.apply(event)
+        for cadence in CADENCES[1:]:
+            if offset % cadence == 0:
+                write_checkpoint(dirs[cadence], offset,
+                                 dynamic_graph=dyn, store=store)
+    reference = serve(dyn, store)
 
-        # Never-crashed reference forecasts from the same fold.
-        ref_gateway = _gateway(dataset, factory, registry)
-        ref_gateway.attach_stream(dyn, store=store)
-        reference = np.stack(
-            [r.forecast for r in ref_gateway.predict_many(sample)])
-        ref_gateway.close()
-
-        # --- Time-to-serve per cadence (min of repeats) ---------------
-        scenarios = []
-        for cadence in CADENCES:
-            ckpt_dir = dirs.get(cadence, tmp_path / "ckpt-none")
-            timings = []
-            for _ in range(REPEATS):
-                elapsed, state, forecasts = _time_to_serve(
-                    log_dir, ckpt_dir, simulator, dataset, factory,
-                    registry, sample)
-                timings.append(elapsed)
-                max_diff = float(np.abs(forecasts - reference).max())
-                assert max_diff == 0.0, (
-                    f"cadence {cadence}: recovered forecasts diverged "
-                    f"(max diff {max_diff:.3e})")
-            scenarios.append({
-                "cadence": cadence,
-                "checkpoint_offset": state.checkpoint_offset,
-                "tail_events": state.replayed_events,
-                "time_to_serve_ms": min(timings) * 1e3,
-            })
-        return append_elapsed, journal_bytes, scenarios
-
-    append_elapsed, journal_bytes, scenarios = run_once(benchmark, run)
-
-    append_eps = len(events) / append_elapsed
-    by_cadence = {s["cadence"]: s for s in scenarios}
-    full_replay = by_cadence[0]
-    tightest = by_cadence[min(c for c in CADENCES if c)]
-    speedup = (full_replay["time_to_serve_ms"]
-               / max(tightest["time_to_serve_ms"], 1e-9))
-
-    print(f"\njournal: {len(events)} events, {journal_bytes / 1024:.0f} KiB, "
-          f"{append_eps:,.0f} appends/sec")
-    for s in scenarios:
-        label = f"every {s['cadence']}" if s["cadence"] else "no checkpoint"
-        print(f"  {label:>14}: snapshot @ {s['checkpoint_offset']:5d} + "
-              f"{s['tail_events']:5d}-event tail -> "
-              f"{s['time_to_serve_ms']:7.1f} ms to first forecast")
-    print(f"  snapshot+tail vs full replay: {speedup:.2f}x")
-
-    record = {
-        "bench": "recovery",
-        "num_shops": RECOVERY_SHOPS,
-        "num_events": len(events),
-        "journal_bytes": int(journal_bytes),
-        "append_events_per_second": append_eps,
-        "scenarios": scenarios,
-        "speedup_vs_full_replay": speedup,
-        "gates": {
-            "bitwise_equal": True,
-            "min_append_events_per_second": MIN_APPEND_EVENTS_PER_SECOND,
-            "min_speedup": MIN_SPEEDUP,
-        },
-    }
-    _append_artifact(record)
-
-    # Gate 1: write-ahead journaling keeps up with the stream.
-    assert append_eps >= MIN_APPEND_EVENTS_PER_SECOND
-    # Gate 3: recovering from the tightest cadence beats full replay.
-    assert speedup >= MIN_SPEEDUP, (
-        f"snapshot+tail {tightest['time_to_serve_ms']:.1f} ms not "
-        f"{MIN_SPEEDUP}x faster than full replay "
-        f"{full_replay['time_to_serve_ms']:.1f} ms")
-    # Gate 4: the cadence bounds the replay tail — the operator's knob.
-    for s in scenarios:
-        if s["cadence"]:
-            assert s["tail_events"] <= s["cadence"]
-    assert full_replay["checkpoint_offset"] == 0
-    assert full_replay["tail_events"] == len(events)
+    metrics, checks = {}, {}
+    for cadence in CADENCES:
+        seconds = []
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            with DurableEventLog(log_dir) as log:
+                state = recover(
+                    log, dirs[cadence],
+                    base_graph=simulator.initial_graph(),
+                    store_factory=lambda: simulator.initial_store(watermark=2))
+                forecasts = serve(state.dynamic_graph, state.store)
+            seconds.append(time.perf_counter() - started)
+        metrics[f"every_{cadence}_tail_events"] = state.replayed_events
+        metrics[f"every_{cadence}_time_to_serve_ms"] = min(seconds) * 1e3
+        checks[f"every {cadence}: forecasts == never-crashed"] = bool(
+            (forecasts == reference).all())
+        checks[f"every {cadence}: tail <= cadence (0: the whole journal)"] = (
+            state.replayed_events <= cadence if cadence
+            else state.replayed_events == len(events))
+    speedup = (metrics["every_0_time_to_serve_ms"]
+               / metrics[f"every_{min(CADENCES[1:])}_time_to_serve_ms"])
+    metrics["speedup_vs_full_replay"] = speedup
+    checks["speedup >= 1.2"] = speedup >= 1.2
+    record("recovery_time", metrics, checks)

@@ -19,8 +19,8 @@ this package is the cross-cutting layer that makes them observable as
   invalidation) and the training step path.  Trees export as a
   flamegraph-style text rendering and as Chrome-trace JSON.  Disabled
   (the default, :data:`NULL_TRACER`), every instrumentation point costs
-  one dict-free null context manager — benchmarked under 2% of serving
-  p95 and engine step time in ``benchmarks/test_obs_overhead.py``.
+  one dict-free null context manager — ``benchmarks/test_obs_overhead.py``
+  checks that stays under 2% of serving p95 and engine step time.
 * **Per-kernel engine profiling** (:mod:`repro.obs.profiling`) — a
   :class:`KernelProfiler` installed into the
   :class:`~repro.nn.engine.ExecutionPlan` replay loops accumulates

@@ -18,12 +18,12 @@ Two views of the data exist:
   fraction of measured replay time the kernel timings account for);
 * global — the installed profiler aggregates across every plan that
   replayed while it was active (:meth:`KernelProfiler.report`), which
-  is what the top-k kernel tables in ``examples/observability.py`` and
-  ``benchmarks/test_obs_overhead.py`` print.
+  is what the top-k kernel table in ``examples/observability.py``
+  prints and what ``benchmarks/test_obs_overhead.py`` checks covers
+  at least 95% of replay wall time.
 
 When no profiler is installed the replay loops run with no observer:
-the only cost is one ``is None`` test per step, gated under 2% in
-``BENCH_obs.json``.
+the only cost is one ``is None`` test per step.
 """
 
 from __future__ import annotations

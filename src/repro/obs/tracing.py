@@ -15,8 +15,8 @@ Cost when disabled: the process-wide tracer defaults to
 :data:`NULL_TRACER`, whose ``span()`` returns one shared, stateless
 null context manager — no allocation, no clock read.  Hot paths call
 the module-level :func:`span` helper, which is a single list read plus
-that null handle; the serving/engine overhead gate lives in
-``benchmarks/test_obs_overhead.py``.
+that null handle; ``benchmarks/test_obs_overhead.py`` checks its
+serving/engine overhead in one run.
 
 >>> from repro.obs.clock import FakeClock
 >>> clock = FakeClock()

@@ -23,7 +23,8 @@ persist the log, snapshot the fold, and a restarted process is just
 
 See the "persistence plane" section of ``docs/streaming.md`` and
 ``examples/crash_recovery.py`` for the kill-and-recover walkthrough;
-``benchmarks/test_recovery.py`` gates time-to-serve vs tail length.
+``benchmarks/test_recovery_time.py`` compares checkpoint + tail
+time-to-serve against a full replay in one run.
 """
 
 from .checkpoint import (

@@ -181,9 +181,9 @@ class Checkpoint:
     def build_dynamic_graph(self, **kwargs) -> DynamicGraph:
         """A fresh :class:`DynamicGraph` over the snapshotted base.
 
-        ``kwargs`` forward to the constructor (compaction thresholds,
-        ``incremental_csr``); the restored overlay is empty, exactly as
-        after the compaction that preceded the snapshot.
+        ``kwargs`` forward to the constructor (compaction thresholds);
+        the restored overlay is empty, exactly as after the compaction
+        that preceded the snapshot.
         """
         dyn = DynamicGraph(self.graph(), **kwargs)
         dyn.events_applied = int(self.manifest["graph"]["events_applied"])

@@ -516,11 +516,3 @@ class DurableEventLog:
 
     def __len__(self) -> int:
         return self.high_water
-
-    def counts(self) -> Dict[str, int]:
-        """Events per kind (full-log scan; for reporting)."""
-        out: Dict[str, int] = {}
-        for event in self.since(0):
-            name = type(event).__name__
-            out[name] = out.get(name, 0) + 1
-        return out

@@ -29,8 +29,7 @@ nodes an event actually touched (overlay endpoints, tombstone
 endpoints — the *touched frontier*) get their adjacency rows rebuilt;
 every other row of the old index is bulk-remapped and reused, so the
 non-vectorised part of a compaction is proportional to the frontier,
-not the graph (``incremental_csr=False`` restores the full-rebuild
-baseline the benchmark compares against).
+not the graph.
 
 **Equivalence guarantee.**  After ``compact()``, the base graph is
 *identical* — same ``num_nodes``, same edge arrays in the same order —
@@ -101,11 +100,6 @@ class DynamicGraph:
     min_compact_edges:
         Floor below which auto-compaction never triggers, so tiny graphs
         don't compact on every other event.
-    incremental_csr:
-        Patch the base's CSR index at compaction (reuse untouched rows)
-        instead of letting the new base re-sort from scratch.  ``False``
-        is the full-rebuild baseline; the patched and rebuilt indexes
-        are array-identical either way.
 
     >>> from repro.graph import ESellerGraph
     >>> dyn = DynamicGraph(ESellerGraph(3, [0], [1], [0]),
@@ -126,7 +120,6 @@ class DynamicGraph:
         base: ESellerGraph,
         compact_threshold: Optional[float] = 0.5,
         min_compact_edges: int = 256,
-        incremental_csr: bool = True,
     ) -> None:
         if compact_threshold is not None and compact_threshold <= 0:
             raise ValueError(
@@ -134,7 +127,6 @@ class DynamicGraph:
             )
         self.compact_threshold = compact_threshold
         self.min_compact_edges = int(min_compact_edges)
-        self.incremental_csr = bool(incremental_csr)
         self.compactions = 0
         self.events_applied = 0
         self._listeners: List[Callable[[np.ndarray], None]] = []
@@ -442,20 +434,17 @@ class DynamicGraph:
         The result equals ``ESellerGraph.from_edit_history`` over the
         full event history (see the module docstring); queries before
         and after compaction are indistinguishable, so no cache
-        invalidation is needed and listeners are not notified.  With
-        ``incremental_csr`` (the default), any CSR plane the old base
-        had built is patched and adopted by the new base — reusing the
-        untouched rows of the old index — instead of being re-sorted
-        from scratch on the next query.
+        invalidation is needed and listeners are not notified.  Any CSR
+        plane the old base had built is patched and adopted by the new
+        base — reusing the untouched rows of the old index — instead of
+        being re-sorted from scratch on the next query.
         """
         with obs_tracing.span("streaming.compact"):
             return self._compact_traced()
 
     def _compact_traced(self) -> ESellerGraph:
-        out_csr = in_csr = None
-        if self.incremental_csr:
-            out_csr = self._patched_csr(by_src=True)
-            in_csr = self._patched_csr(by_src=False)
+        out_csr = self._patched_csr(by_src=True)
+        in_csr = self._patched_csr(by_src=False)
         src = np.concatenate([
             self._base.src, np.asarray(self._ov_src, dtype=np.int64)
         ])
@@ -471,8 +460,7 @@ class DynamicGraph:
         base = ESellerGraph.from_edit_history(
             self.num_nodes, src, dst, types, alive
         )
-        if out_csr is not None or in_csr is not None:
-            base.adopt_csr(out_csr=out_csr, in_csr=in_csr)
+        base.adopt_csr(out_csr=out_csr, in_csr=in_csr)
         self._reset_from(base)
         self.compactions += 1
         return base

@@ -274,14 +274,6 @@ class EventLog:
         """
         return sorted(self._events, key=lambda event: event.month)
 
-    def counts(self) -> Dict[str, int]:
-        """Events per kind (for reporting and benchmarks)."""
-        out: Dict[str, int] = {}
-        for event in self._events:
-            name = type(event).__name__
-            out[name] = out.get(name, 0) + 1
-        return out
-
 
 @dataclass
 class EdgeHistory:

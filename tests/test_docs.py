@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Twelve invariants, all cheap enough for tier-1:
+Thirteen invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -10,6 +10,9 @@ Twelve invariants, all cheap enough for tier-1:
 * the documentation files the README points at actually exist, and the
   ROADMAP keeps pointing at the versioned design docs it delegated its
   per-subsystem guides to;
+* there is **one measurement system**: ``benchmarks/`` keeps no
+  ``BENCH_*.json`` history, reads three ``REPRO_BENCH_*`` scales and
+  reports its same-run checks through one ``record()``;
 * the kernels' **dtype rule** holds at the source level: kernel
   forward/VJP bodies never hard-code ``np.float64`` (AST lint) — a
   kernel computes in its operands' dtype, which the engine keeps at
@@ -63,6 +66,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -127,19 +131,38 @@ def test_documentation_files_exist():
         assert path.read_text().strip(), f"{relative} is empty"
 
 
-def test_readme_documents_the_test_matrix_and_benchmarks():
+def test_benchmarks_are_figures_and_same_run_checks():
+    """Policy gate (tier-1): ``bench/run.py`` is the one place numbers
+    come from; ``benchmarks/`` holds the paper figures and same-run
+    checks that report through one ``record()``.
+
+    No committed ``BENCH_*.json`` history and no ``_append_artifact``
+    writer under ``benchmarks/``; ``REPRO_BENCH_*`` is spelled only in
+    ``conftest.py`` and only for the three figure scales; exactly one
+    ``def record``; every ``benchmarks/test_*.py`` is named in
+    ``benchmarks/README.md``; the top-level README points at both.
+    """
     readme = (REPO_ROOT / "README.md").read_text()
-    for needle in ("-m slow", "pytest", "BENCH_"):
+    for needle in ("-m slow", "pytest", "bench/run.py"):
         assert needle in readme, f"README.md must mention {needle!r}"
-    bench_readme = (REPO_ROOT / "benchmarks" / "README.md").read_text()
-    missing = [
-        artifact.name
-        for artifact in sorted((REPO_ROOT / "benchmarks").glob("BENCH_*.json"))
-        if artifact.name not in bench_readme
-    ]
-    assert not missing, (
-        f"benchmarks/README.md never documents artifacts: {missing}"
-    )
+    benchmarks = REPO_ROOT / "benchmarks"
+    assert not sorted(benchmarks.glob("BENCH_*.json"))
+    sources = {path.name: path.read_text()
+               for path in sorted(benchmarks.glob("*.py"))}
+    assert not [name for name, text in sources.items()
+                if "_append_artifact" in text]
+    knobs = {name: set(re.findall(r"REPRO_BENCH_\w+", text))
+             for name, text in sources.items()}
+    assert {name for name, found in knobs.items() if found} == {"conftest.py"}
+    assert knobs["conftest.py"] == {"REPRO_BENCH_SHOPS", "REPRO_BENCH_EPOCHS",
+                                    "REPRO_BENCH_SMALL_SHOPS"}
+    assert sum(text.count("def record(") for text in sources.values()) == 1
+    bench_readme = (benchmarks / "README.md").read_text()
+    tests = [name for name in sources if name.startswith("test_")]
+    missing = [name for name in tests if name not in bench_readme]
+    assert not missing, f"benchmarks/README.md never names {missing}"
+    # Vacuity guard: the seven paper-figure tests are among the files.
+    assert len(tests) >= 7
 
 
 def _kernel_sources():

@@ -269,7 +269,7 @@ def _random_mutations(rng, base):
 def check_patched_csr_equals_cold_sort(case):
     base, events, threshold = case
     dyn = DynamicGraph(base, compact_threshold=threshold,
-                       min_compact_edges=8, incremental_csr=True)
+                       min_compact_edges=8)
     # Prime both CSR planes so compaction has an index to patch.
     base.out_csr()
     base.in_csr()
@@ -317,16 +317,6 @@ class TestIncrementalCompaction:
         compacted = dyn.compact()          # no CSR existed: nothing adopted
         assert compacted._csr is None and compacted._csr_in is None
         assert np.array_equal(compacted.out_edges(3), [3])
-
-    def test_baseline_mode_skips_patching(self):
-        base = ESellerGraph(3, [0, 1], [1, 2], [0, 0])
-        dyn = DynamicGraph(base, compact_threshold=None,
-                           incremental_csr=False)
-        base.out_csr()
-        dyn.add_edge(2, 0, 0)
-        compacted = dyn.compact()
-        assert compacted._csr is None      # full-rebuild baseline
-        assert np.array_equal(compacted.successors(2), [0])
 
     def test_queries_identical_across_repeated_patched_compactions(self):
         rng = np.random.default_rng(3)

@@ -11,6 +11,7 @@ graph → delta-aware gateway → online adapter chain.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,7 +105,8 @@ class TestEventLog:
             "ShopAdded", "EdgeAdded"
         ]
         assert log.since(1) == list(log)[1:]
-        assert log.counts() == {"ShopAdded": 1, "EdgeAdded": 1, "SalesTick": 1}
+        assert Counter(type(e).__name__ for e in log) == {
+            "ShopAdded": 1, "EdgeAdded": 1, "SalesTick": 1}
 
     def test_rejects_non_events(self):
         with pytest.raises(TypeError):
@@ -391,8 +393,7 @@ class TestSimulator:
                               np.asarray(market.opened_month))
 
     def test_churn_exercises_tombstones(self, simulator):
-        counts = simulator.event_log().counts()
-        assert counts.get("EdgeRetired", 0) > 0
+        assert any(isinstance(e, EdgeRetired) for e in simulator.event_log())
 
 
 # ----------------------------------------------------------------------
