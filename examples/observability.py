@@ -78,8 +78,11 @@ def main() -> None:
     # --- 3. Federate metrics and export --------------------------------
     hub = MetricsHub()
     hub.attach_registry(gateway.metrics, namespace="serving")
-    hub.inc("app", "demo_runs_total")
-    hub.set_gauge("app", "traced_requests", float(len(stream)))
+    # An ad-hoc series is a source like any other: the hub stores nothing.
+    hub.register_source("app", lambda: {
+        "demo_runs_total": {"kind": "counter", "value": 1},
+        "traced_requests": float(len(stream)),
+    })
     print("\n=== prometheus exposition (excerpt) ===")
     for line in hub.to_prometheus().splitlines():
         if line.startswith(("# TYPE serving_qps", "serving_qps",

@@ -140,8 +140,8 @@ def main() -> None:
           f"{int(metrics['counters'].get('graph_delta_invalidations', 0))} "
           f"delta invalidations (evicted "
           f"{int(metrics['counters'].get('delta_evicted_subgraphs', 0))} "
-          f"subgraphs), result-cache lifetime hit rate "
-          f"{metrics['result_cache']['lifetime_hit_rate']:.2%}")
+          f"subgraphs), result-cache hit rate "
+          f"{metrics['cache_hit_rate']:.2%}")
     freshness = metrics["data_freshness"]
     print(f"event time: frontier month {freshness['frontier']}, "
           f"{simulator.late_ticks_injected} ticks arrived late "

@@ -74,6 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.profiling import INSTALLED as _PROFILER
 from ..obs.profiling import KernelProfiler, estimate_cost
 from ..obs.tracing import span as _obs_span
 from . import passes as _passes
@@ -155,11 +156,8 @@ def reset_stats() -> None:
 
 
 # ======================================================================
-# kernel profiling hook (see repro.obs.profiling)
+# kernel profiling hook (the slot lives in repro.obs.profiling)
 # ======================================================================
-_PROFILER: List[Optional[object]] = [None]
-
-
 def kernel_profiler():
     """The installed per-kernel profiler, or ``None`` when disabled."""
     return _PROFILER[0]

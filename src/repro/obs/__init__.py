@@ -31,10 +31,12 @@ this package is the cross-cutting layer that makes them observable as
   per-component registries (gateway
   :class:`~repro.serving.metrics.MetricsRegistry`, streaming
   :meth:`~repro.streaming.features.StreamingFeatureStore.freshness_report`,
-  :class:`~repro.training.online.OnlineAdapter` drift/swap counters,
-  :class:`~repro.training.parallel.ParallelTrainer` per-shard timings)
-  federate under namespaced counter/gauge/histogram series with
-  Prometheus-text and JSONL exporters.
+  :class:`~repro.training.parallel.ParallelTrainer` per-block timings,
+  any dict-backed ``register_source``) federate under namespaced
+  counter/gauge/histogram series with a Prometheus-text exporter.  The
+  hub stores nothing: each quantity is counted once, by its owner, and
+  :func:`series_values` is the one reader the SLO engine and the
+  anomaly monitor share.
 
 On top of the passive planes sits the **active health plane**:
 
@@ -80,7 +82,7 @@ from .health import (
     registry_probe,
     streaming_probe,
 )
-from .hub import MetricsHub
+from .hub import MetricsHub, series_values
 from .profiling import KernelProfiler, estimate_cost, profile_kernels
 from .recorder import (
     FlightRecorder,
@@ -124,6 +126,7 @@ __all__ = [
     "estimate_cost",
     "profile_kernels",
     "MetricsHub",
+    "series_values",
     "Transition",
     "BurnWindow",
     "DEFAULT_BURN_WINDOWS",

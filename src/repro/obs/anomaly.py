@@ -41,6 +41,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from . import clock as _clock
+from .hub import series_values
 from .slo import Transition
 
 __all__ = ["EwmaZScoreDetector", "AnomalyMonitor"]
@@ -173,6 +174,16 @@ class _Watch:
         #: (monotonic ts, raw value) of the previous reading (rate mode).
         self._last: Optional[tuple] = None
 
+    def rate(self, value: float, now: float) -> Optional[float]:
+        """Per-second change since the previous reading (``None`` first)."""
+        previous, self._last = self._last, (now, value)
+        if previous is None:
+            return None
+        span = now - previous[0]
+        if span <= 0.0:
+            return None
+        return (value - previous[1]) / span
+
 
 class AnomalyMonitor:
     """Runs z-score detectors over :class:`~repro.obs.hub.MetricsHub` series.
@@ -210,44 +221,18 @@ class AnomalyMonitor:
         self._watches[name] = _Watch(series, field, mode, detector)
         return detector
 
-    def _read(self, watch: _Watch, rows: Dict[str, dict],
-              now: float) -> Optional[float]:
-        row = rows.get(watch.series)
-        if row is None:
-            return None
-        value = row["value"]
-        if isinstance(value, dict):
-            if watch.field is None:
-                return None
-            picked = value.get(watch.field)
-            if picked is None:
-                return None
-            value = float(picked)
-        elif watch.field is not None:
-            return None
-        else:
-            value = float(value)
-        if watch.mode == "level":
-            return value
-        previous, watch._last = watch._last, (now, value)
-        if previous is None:
-            return None
-        span = now - previous[0]
-        if span <= 0.0:
-            return None
-        return (value - previous[1]) / span
-
     def observe(self) -> List[Transition]:
         """Feed one hub collection to every detector; return transitions."""
         now = self._clock()
         wall = _clock.wall_time()
-        rows = {
-            f"{row['namespace']}.{row['name']}": row
-            for row in self.hub.collect()
-        }
+        rows = self.hub.collect()
+        views = {field: series_values(rows, field)
+                 for field in {watch.field for watch in self._watches.values()}}
         caused: List[Transition] = []
         for name, watch in self._watches.items():
-            reading = self._read(watch, rows, now)
+            reading = views[watch.field].get(watch.series)
+            if reading is not None and watch.mode == "rate":
+                reading = watch.rate(reading, now)
             if reading is None:
                 continue
             before = watch.detector.state

@@ -2,44 +2,44 @@
 
 Each subsystem keeps its own telemetry object — the gateway's
 :class:`~repro.serving.metrics.MetricsRegistry`, the streaming store's
-``freshness_report()``, the :class:`~repro.training.online.OnlineAdapter`
-drift counters, the :class:`~repro.training.parallel.ParallelTrainer`
-per-shard timings.  A :class:`MetricsHub` federates them: every source
-registers under a unique namespace with a zero-argument ``collect``
-callable, and :meth:`MetricsHub.collect` pulls all of them into one flat
-list of series with explicit kinds (``counter`` / ``gauge`` /
-``histogram``).  The hub never copies state eagerly — sources are read
-at collection time, so a hub is free to outlive model swaps, adapter
-generations and gateway restarts.
+``freshness_report()``, the :class:`~repro.training.parallel.ParallelTrainer`
+per-block timings.  A :class:`MetricsHub` federates them and stores
+nothing itself: every source registers under a unique namespace with a
+zero-argument ``collect`` callable, and :meth:`MetricsHub.collect`
+pulls all of them into one flat list of series with explicit kinds
+(``counter`` / ``gauge`` / ``histogram``).  Sources are read at
+collection time, so a hub is free to outlive model swaps and gateway
+restarts, and each quantity is counted once, by its owner.
 
-Exports: :meth:`~MetricsHub.to_prometheus` renders Prometheus text
-exposition (histograms as summaries with p50/p95/p99 quantile labels);
-:meth:`~MetricsHub.to_jsonl` writes one JSON object per series per
-line, parseable back with :meth:`~MetricsHub.parse_jsonl` (the
-round-trip is a tier-1 gate in ``tests/test_obs.py``).
+:meth:`~MetricsHub.to_prometheus` renders Prometheus text exposition
+(histograms as summaries with p50/p95/p99 quantile labels), and
+:func:`series_values` is the one reader the SLO engine and the anomaly
+monitor turn a collection into ``{"namespace.name": value}`` with.
 
 Source ``collect`` callables return a ``name -> spec`` mapping where a
 spec is either a bare number (treated as a gauge) or a dict::
 
     {"kind": "counter", "value": 42.0}
-    {"kind": "gauge", "value": 0.93}
+    {"kind": "gauge", "value": 0.93, "help": "HELP text for the exporter"}
     {"kind": "histogram", "summary": {"count": ..., "mean": ...,
                                       "p50": ..., "p95": ..., "p99": ...}}
 
-The ``attach_*`` helpers build these adapters for the in-repo sources;
-they are duck-typed, so the hub module imports nothing outside
-:mod:`repro.obs`.
+An ad-hoc series needs no instrument of its own: a dict-backed source
+(``hub.register_source("app", lambda: values)``) exports whatever the
+caller last wrote into ``values``.  Histogram summaries come from their
+owner (:meth:`~repro.serving.metrics.RollingWindow.summary`), so every
+percentile in the repository is computed by
+:func:`~repro.serving.metrics.percentile_summary`.  The ``attach_*``
+helpers build these adapters for the in-repo sources; they are
+duck-typed, so the hub module imports nothing outside :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Callable, Dict, List, Optional
 
-from . import clock as _clock
-
-__all__ = ["MetricsHub"]
+__all__ = ["MetricsHub", "series_values"]
 
 _KINDS = ("counter", "gauge", "histogram")
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -85,13 +85,41 @@ def _normalise_spec(namespace: str, name: str, spec: object) -> Dict[str, object
     )
 
 
+def series_values(rows: List[Dict[str, object]],
+                  field: Optional[str] = None) -> Dict[str, float]:
+    """``{"namespace.name": value}`` over one :meth:`MetricsHub.collect`.
+
+    The one series reader of the SLO engine and the anomaly monitor.
+    Without ``field`` it reads the scalar series (counters, gauges);
+    with one, that key of each histogram summary.  A series of the
+    other shape, or a summary without ``field``, is absent: no data.
+
+    >>> hub = MetricsHub()
+    >>> hub.register_source("app", lambda: {"depth": 3, "latency": {
+    ...     "kind": "histogram", "summary": {"mean": 0.5, "p95": 0.9}}})
+    >>> series_values(hub.collect()), series_values(hub.collect(), "p95")
+    ({'app.depth': 3.0}, {'app.latency': 0.9})
+    """
+    out: Dict[str, float] = {}
+    for row in rows:
+        value = row["value"]
+        if isinstance(value, dict):
+            if field is None or field not in value:
+                continue
+            value = value[field]
+        elif field is not None:
+            continue
+        out[f"{row['namespace']}.{row['name']}"] = float(value)
+    return out
+
+
 class MetricsHub:
     """Federates per-component metric sources under unique namespaces.
 
     >>> hub = MetricsHub()
     >>> hub.register_source("build", lambda: {"runs_total":
     ...     {"kind": "counter", "value": 3}})
-    >>> hub.inc("app", "errors_total")
+    >>> hub.register_source("app", lambda: {"errors_total": 1})
     >>> [f"{s['namespace']}.{s['name']}={s['value']}" for s in hub.collect()]
     ['app.errors_total=1.0', 'build.runs_total=3.0']
     >>> hub.register_source("build", lambda: {})
@@ -100,139 +128,25 @@ class MetricsHub:
     ValueError: metrics namespace 'build' is already registered
     """
 
-    def __init__(self, histogram_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self._sources: Dict[str, Callable[[], Dict[str, object]]] = {}
-        # direct instruments: namespace -> name -> state
-        self._counters: Dict[str, Dict[str, float]] = {}
-        self._gauges: Dict[str, Dict[str, float]] = {}
-        self._histograms: Dict[str, Dict[str, List[float]]] = {}
-        self._histogram_totals: Dict[str, Dict[str, int]] = {}
-        self._histogram_window = int(histogram_window)
-        # "namespace.name" -> HELP text (exporter metadata only)
-        self._help: Dict[str, str] = {}
-
-    def describe(self, namespace: str, name: str, text: str) -> None:
-        """Attach HELP text to a series for the Prometheus exporter.
-
-        Works for hub-owned instruments and source series alike; a
-        source spec's own ``"help"`` key takes precedence.
-        """
-        self._help[f"{namespace}.{name}"] = str(text)
-
-    # ------------------------------------------------------------------
-    # namespaces
-    # ------------------------------------------------------------------
-    def namespaces(self) -> List[str]:
-        """Every namespace currently known, sorted."""
-        direct = set(self._counters) | set(self._gauges) | set(self._histograms)
-        return sorted(set(self._sources) | direct)
-
-    def _check_free(self, namespace: str) -> None:
-        if namespace in self._sources:
-            raise ValueError(
-                f"metrics namespace {namespace!r} is already registered"
-            )
 
     def register_source(self, namespace: str,
                         collect: Callable[[], Dict[str, object]]) -> None:
         """Attach a pull-based source; the namespace must be unused."""
         if not namespace:
             raise ValueError("metrics namespace must be non-empty")
-        self._check_free(namespace)
-        if (namespace in self._counters or namespace in self._gauges
-                or namespace in self._histograms):
+        if namespace in self._sources:
             raise ValueError(
                 f"metrics namespace {namespace!r} is already registered"
             )
         self._sources[namespace] = collect
 
-    def unregister_source(self, namespace: str) -> None:
-        """Detach a source (no-op when absent)."""
-        self._sources.pop(namespace, None)
-
-    # ------------------------------------------------------------------
-    # direct instruments (for code without its own registry)
-    # ------------------------------------------------------------------
-    def inc(self, namespace: str, name: str, amount: float = 1.0) -> None:
-        """Increment a hub-owned counter."""
-        self._check_free(namespace)
-        bucket = self._counters.setdefault(namespace, {})
-        bucket[name] = bucket.get(name, 0.0) + float(amount)
-
-    def set_gauge(self, namespace: str, name: str, value: float) -> None:
-        """Set a hub-owned gauge."""
-        self._check_free(namespace)
-        self._gauges.setdefault(namespace, {})[name] = float(value)
-
-    def observe(self, namespace: str, name: str, value: float) -> None:
-        """Record one observation into a hub-owned histogram.
-
-        The retained series is bounded (``histogram_window``); a
-        lifetime total is tracked separately so the summary can report
-        both window-scoped ``count`` and monotone ``total``.
-
-        On a 1-element window every percentile is that element (the
-        nearest-rank index ``round(q * (n - 1))`` is 0 for all ``q``),
-        so SLO evaluation against a sparse histogram is well-defined:
-
-        >>> hub = MetricsHub()
-        >>> hub.observe("app", "latency", 0.125)
-        >>> summary = hub.collect()[0]["value"]
-        >>> summary["p50"] == summary["p95"] == summary["p99"] == 0.125
-        True
-        """
-        self._check_free(namespace)
-        series = self._histograms.setdefault(namespace, {}).setdefault(name, [])
-        series.append(float(value))
-        if len(series) > self._histogram_window:
-            del series[: len(series) - self._histogram_window]
-        totals = self._histogram_totals.setdefault(namespace, {})
-        totals[name] = totals.get(name, 0) + 1
-
-    # ------------------------------------------------------------------
-    # collection
-    # ------------------------------------------------------------------
     def collect(self) -> List[Dict[str, object]]:
         """Every series from every namespace, sorted for stable export."""
-        rows: List[Dict[str, object]] = []
-        for namespace, names in self._counters.items():
-            for name, value in names.items():
-                rows.append({"namespace": namespace, "name": name,
-                             "kind": "counter", "value": value})
-        for namespace, names in self._gauges.items():
-            for name, value in names.items():
-                rows.append({"namespace": namespace, "name": name,
-                             "kind": "gauge", "value": value})
-        for namespace, names in self._histograms.items():
-            for name, values in names.items():
-                count = float(len(values))
-                total = float(self._histogram_totals
-                              .get(namespace, {}).get(name, 0))
-                if values:
-                    ordered = sorted(values)
-
-                    def _pct(q: float) -> float:
-                        idx = min(len(ordered) - 1,
-                                  max(0, round(q * (len(ordered) - 1))))
-                        return ordered[idx]
-
-                    summary = {"count": count, "total": total,
-                               "mean": sum(values) / count,
-                               "p50": _pct(0.50), "p95": _pct(0.95),
-                               "p99": _pct(0.99)}
-                else:
-                    summary = {"count": 0.0, "total": total, "mean": 0.0,
-                               "p50": 0.0, "p95": 0.0, "p99": 0.0}
-                rows.append({"namespace": namespace, "name": name,
-                             "kind": "histogram", "value": summary})
-        for namespace, collect_fn in self._sources.items():
-            for name, spec in collect_fn().items():
-                rows.append(_normalise_spec(namespace, name, spec))
-        for row in rows:
-            if "help" not in row:
-                text = self._help.get(f"{row['namespace']}.{row['name']}")
-                if text is not None:
-                    row["help"] = text
+        rows = [_normalise_spec(namespace, name, spec)
+                for namespace, collect_fn in self._sources.items()
+                for name, spec in collect_fn().items()]
         rows.sort(key=lambda row: (row["namespace"], row["name"]))
         return rows
 
@@ -314,35 +228,6 @@ class MetricsHub:
                 lines.append(f"{metric} {row['value']:.9g}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def to_jsonl(self, timestamp: Optional[float] = None) -> str:
-        """One JSON object per series per line (stable key order).
-
-        ``timestamp`` defaults to the injectable wall clock, so JSONL
-        snapshots are deterministic under a fake clock.
-        """
-        stamp = _clock.wall_time() if timestamp is None else float(timestamp)
-        lines = []
-        for row in self.collect():
-            payload = dict(row)
-            payload["ts"] = stamp
-            lines.append(json.dumps(payload, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def parse_jsonl(text: str) -> List[Dict[str, object]]:
-        """Parse a :meth:`to_jsonl` export back into series dicts."""
-        rows: List[Dict[str, object]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            for key in ("namespace", "name", "kind", "value"):
-                if key not in row:
-                    raise ValueError(f"JSONL series line missing {key!r}: {line}")
-            rows.append(row)
-        return rows
-
     # ------------------------------------------------------------------
     # adapters for the in-repo sources (duck-typed; no imports)
     # ------------------------------------------------------------------
@@ -379,30 +264,6 @@ class MetricsHub:
                     continue
                 kind = "counter" if name in counters else "gauge"
                 out[name] = {"kind": kind, "value": float(value)}
-            return out
-
-        self.register_source(namespace, collect)
-
-    def attach_online(self, adapter, namespace: str = "online") -> None:
-        """Federate an :class:`~repro.training.online.OnlineAdapter`."""
-
-        def collect() -> Dict[str, object]:
-            out: Dict[str, object] = {
-                "ticks_ingested": {"kind": "counter",
-                                   "value": float(adapter.ticks_ingested)},
-                "ticks_rejected": {"kind": "counter",
-                                   "value": float(adapter.ticks_rejected)},
-                "adaptations_total": {"kind": "counter",
-                                      "value": float(len(adapter.adaptations))},
-                "drifted_shops": {"kind": "gauge",
-                                  "value": float(adapter.drifted_shops().size)},
-            }
-            if adapter.adaptations:
-                last = adapter.adaptations[-1]
-                out["model_version"] = {"kind": "gauge",
-                                        "value": float(last.version)}
-                out["last_post_loss"] = {"kind": "gauge",
-                                         "value": float(last.post_loss)}
             return out
 
         self.register_source(namespace, collect)

@@ -35,6 +35,11 @@ from . import clock as _clock
 
 __all__ = ["estimate_cost", "KernelProfiler", "profile_kernels"]
 
+#: The installed profiler (``None``: off).  The engine's replay loops
+#: read this one slot (``repro.nn.engine.kernel_profiler``), so
+#: :func:`profile_kernels` installs into it without importing the engine.
+INSTALLED: List[Optional["KernelProfiler"]] = [None]
+
 
 def _size(shape: Sequence[int]) -> int:
     n = 1
@@ -184,12 +189,9 @@ def profile_kernels(
     :meth:`~repro.nn.engine.CompiledLoss.profile_report`); the previous
     profiler — usually none — is restored on exit.
     """
-    from ..nn import engine
-
     prof = profiler or KernelProfiler()
-    previous = engine.kernel_profiler()
-    engine.set_kernel_profiler(prof)
+    previous, INSTALLED[0] = INSTALLED[0], prof
     try:
         yield prof
     finally:
-        engine.set_kernel_profiler(previous)
+        INSTALLED[0] = previous

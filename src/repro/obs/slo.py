@@ -40,13 +40,14 @@ transition sequence is bit-for-bit reproducible (property-tested in
 
 >>> from repro.obs.clock import FakeClock, use_clock
 >>> from repro.obs.hub import MetricsHub
->>> hub = MetricsHub()
+>>> hub, app = MetricsHub(), {}
+>>> hub.register_source("app", lambda: app)
 >>> engine = SLOEngine(hub)
 >>> _ = engine.add(SLO(name="cheap-gauge", series="app.queue_depth",
 ...                    objective=10.0, target=0.5))
 >>> with use_clock(FakeClock()) as clock:
 ...     for depth in (3.0, 4.0, 50.0):
-...         hub.set_gauge("app", "queue_depth", depth)
+...         app["queue_depth"] = depth
 ...         _ = engine.evaluate()
 ...         clock.advance(60.0)
 >>> report = engine.report()["cheap-gauge"]
@@ -61,6 +62,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from . import clock as _clock
+from .hub import series_values
 
 __all__ = [
     "Transition",
@@ -274,43 +276,29 @@ class SLOEngine:
         self._states[slo.name] = _SloState(slo, self._max_samples)
         return slo
 
-    def slos(self) -> List[SLO]:
-        """Every registered objective, in registration order."""
-        return [state.slo for state in self._states.values()]
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     @staticmethod
-    def _series_value(rows: Dict[str, dict], series: str,
-                      summary_field: Optional[str]) -> Optional[float]:
-        row = rows.get(series)
-        if row is None:
-            return None
-        value = row["value"]
-        if isinstance(value, dict):
-            if summary_field is None:
-                return None
-            picked = value.get(summary_field)
-            return None if picked is None else float(picked)
-        return None if summary_field is not None else float(value)
-
-    def _sample(self, state: _SloState, rows: Dict[str, dict]
+    def _sample(state: _SloState, views: Dict[Optional[str], Dict[str, float]]
                 ) -> Optional[Tuple[float, bool]]:
-        """One SLI reading for ``state`` (``None`` = no sample this round)."""
+        """One SLI reading for ``state`` (``None`` = no sample this round).
+
+        ``views`` maps a summary field (``None``: scalar series) to the
+        :func:`~repro.obs.hub.series_values` of this round's collection.
+        """
         slo = state.slo
+        value = views[slo.field].get(slo.series)
         if slo.total_series is None:
-            value = self._series_value(rows, slo.series, slo.field)
             if value is None:
                 return None
             return value, slo.compliant(value)
-        total = self._series_value(rows, slo.total_series, None)
+        total = views[None].get(slo.total_series)
         if total is None:
             return None
         # A numerator counter nobody has incremented yet reads as 0 —
         # an error-rate SLO must not go no-data just because no error
         # ever happened.
-        value = self._series_value(rows, slo.series, slo.field)
         if value is None:
             value = 0.0
         previous = state.last_counters
@@ -334,14 +322,13 @@ class SLOEngine:
         """
         now = self._clock()
         wall = _clock.wall_time()
-        rows = {
-            f"{row['namespace']}.{row['name']}": row
-            for row in self.hub.collect()
-        }
+        rows = self.hub.collect()
+        fields = {state.slo.field for state in self._states.values()}
+        views = {field: series_values(rows, field) for field in fields | {None}}
         self.evaluations += 1
         caused: List[Transition] = []
         for state in self._states.values():
-            sampled = self._sample(state, rows)
+            sampled = self._sample(state, views)
             if sampled is not None:
                 value, good = sampled
                 state.last_value = value

@@ -10,7 +10,7 @@ Two cache planes sit in front of the gateway's model:
   contain one of its nodes are evicted — sound because a k-hop ball can
   only change when an edge event touches a node already inside it.
 * :class:`ResultCache` — finished raw-unit forecasts keyed on
-  ``(shop_index, hops, model_version)``.  Entries for superseded model
+  ``(shop_index, model_version)``.  Entries for superseded model
   versions are purged when the
   :class:`~repro.deploy.model_server.ModelRegistry` publishes (so a hot
   swap can never serve stale numbers); each entry also records the
@@ -22,12 +22,11 @@ Two cache planes sit in front of the gateway's model:
   evicted or served with a staleness tag, governed by
   ``GatewayConfig(max_staleness_months=...)``.
 
-Both planes are thin policies over one generic :class:`LRUCache`, whose
-hit/miss statistics are *flush-scoped*: ``clear`` and any
-``invalidate_*`` call that actually evicted something fold the counters
-into lifetime totals and restart the current window, so post-churn hit
-rates are never polluted by pre-flush traffic (while no-op delta probes
-leave the window intact).
+Both planes are thin policies over one generic :class:`LRUCache`.  It
+counts capacity evictions and nothing else: hits and misses are what
+the gateway served, so its ``cache_hits`` / ``cache_misses`` counters
+are the one count of them (an entry expired at lookup time is a miss
+there and nowhere else).
 
 **Delta invalidation is an index lookup, not a scan.**  The LRU keeps an
 inverted index ``node -> {keys of live entries whose node set holds it}``:
@@ -64,17 +63,10 @@ class LRUCache:
     """Bounded mapping with least-recently-used eviction.
 
     ``get`` refreshes recency; ``put`` evicts the stalest entry once
-    ``capacity`` is exceeded.  Statistics are kept locally so cache
-    planes can be inspected without a metrics registry:
-
-    * :attr:`hits` / :attr:`misses` count the *current window* — they
-      restart at every ``clear`` and every ``invalidate_*`` that
-      evicted at least one entry, so :meth:`hit_rate` reflects
-      behaviour since the cache contents last changed underneath it;
-    * :meth:`lifetime_hit_rate` aggregates across flushes;
-    * :attr:`evictions` counts capacity evictions only (never resets —
-      it is the cache-pressure signal, and explicit invalidations are
-      not pressure).
+    ``capacity`` is exceeded.  :attr:`evictions` counts those capacity
+    evictions only and never resets: it is the cache-pressure signal,
+    and explicit invalidations are not pressure.  Hits and misses are
+    counted by the caller, which knows what it served.
 
     ``put(..., tags=...)`` posts the key in an inverted index kept exact
     on every removal path, so :meth:`invalidate_tags` never visits the
@@ -96,11 +88,7 @@ class LRUCache:
         self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
         # tag -> keys of the live entries posted under it (never empty).
         self._postings: "dict[Hashable, set]" = {}
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
-        self._flushed_hits = 0
-        self._flushed_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,10 +100,8 @@ class LRUCache:
         """Return the cached value or ``None``, refreshing recency."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return entry[0]
 
     def put(self, key: Hashable, value,
@@ -154,29 +140,13 @@ class LRUCache:
                     del self._postings[tag]
 
     def _drop(self, doomed) -> int:
-        """Evict ``doomed`` keys; roll the hit-rate window if any went."""
+        """Evict ``doomed`` keys; returns how many went."""
         for key in doomed:
             self._unpost(key, self._entries.pop(key)[1])
-        if doomed:
-            # A no-op invalidation (nothing matched) leaves the window
-            # alone — under per-event streaming churn, rolling on every
-            # probe would shrink the window to near-zero samples.
-            self._roll_stats()
         return len(doomed)
 
-    def _roll_stats(self) -> None:
-        """Fold the current hit/miss window into the lifetime totals."""
-        self._flushed_hits += self.hits
-        self._flushed_misses += self.misses
-        self.hits = 0
-        self.misses = 0
-
     def invalidate_if(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose *key* satisfies ``predicate``.
-
-        Starts a fresh hit-rate window when anything was evicted (see
-        class docstring).
-        """
+        """Drop every entry whose *key* satisfies ``predicate``."""
         return self.invalidate_items(lambda key, _value: predicate(key))
 
     def invalidate_items(
@@ -185,8 +155,7 @@ class LRUCache:
         """Drop every entry whose ``(key, value)`` satisfies ``predicate``.
 
         A full scan, for the rare value predicates that are not
-        tag-shaped (freshness expiry on a frontier advance).  Starts a
-        fresh hit-rate window when anything was evicted.
+        tag-shaped (freshness expiry on a frontier advance).
         """
         return self._drop([key for key, (value, _) in self._entries.items()
                            if predicate(key, value)])
@@ -197,8 +166,7 @@ class LRUCache:
         A posting-list lookup: ``O(len(tags) + evicted)`` whatever the
         cache holds.  Entries stored with ``tags=None`` are of unknown
         provenance and go with every non-empty ``tags``; an empty
-        ``tags`` is a no-op.  Starts a fresh hit-rate window when
-        anything was evicted.
+        ``tags`` is a no-op.
 
         >>> cache = LRUCache(8)
         >>> cache.put("a", 1, tags=[3, 4])
@@ -214,53 +182,19 @@ class LRUCache:
         return self._drop(doomed)
 
     def discard(self, key: Hashable) -> bool:
-        """Drop one entry if present; returns whether it existed.
-
-        Unlike the ``invalidate_*`` family this does **not** roll the
-        hit-rate window: it is the surgical form used when a single
-        entry is found expired at lookup time, which says nothing about
-        the validity of the traffic pattern around it.
-        """
+        """Drop one entry if present; returns whether it existed."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
         self._unpost(key, entry[1])
         return True
 
-    def reclassify_hit_as_miss(self) -> None:
-        """Recount the latest hit as a miss (entry expired at lookup).
-
-        A ``get`` that finds an entry counts a hit before the caller can
-        inspect the value; when the caller then rejects it (freshness
-        expiry) and recomputes, the lookup was effectively a miss — this
-        keeps the flush-scoped window consistent with what was actually
-        served from cache.
-        """
-        if self.hits > 0:
-            self.hits -= 1
-            self.misses += 1
-
     def clear(self) -> int:
-        """Drop all entries, returning how many were held.
-
-        Starts a fresh hit-rate window.
-        """
+        """Drop all entries, returning how many were held."""
         dropped = len(self._entries)
         self._entries.clear()
         self._postings.clear()
-        self._roll_stats()
         return dropped
-
-    def hit_rate(self) -> float:
-        """Hit fraction since the last flush (0 when never queried)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def lifetime_hit_rate(self) -> float:
-        """Hit fraction across all flush windows."""
-        hits = self._flushed_hits + self.hits
-        total = hits + self._flushed_misses + self.misses
-        return hits / total if total else 0.0
 
 
 def _node_tags(nodes) -> list:
@@ -311,7 +245,7 @@ class SubgraphCache:
 
     @property
     def stats(self) -> LRUCache:
-        """Underlying LRU (hits / misses / evictions / len)."""
+        """Underlying LRU (evictions / len)."""
         return self._lru
 
     def __len__(self) -> int:
@@ -342,7 +276,7 @@ class CachedResult:
 class ResultCache:
     """LRU cache of finished forecasts keyed by model version.
 
-    Keys are ``(shop_index, hops, model_version)``; because the version
+    Keys are ``(shop_index, model_version)``; because the version
     participates in the key, a swapped-in model can never read a
     predecessor's numbers even before the purge runs.  Graph churn is
     handled like the subgraph plane: wholesale :meth:`clear` or
@@ -354,12 +288,12 @@ class ResultCache:
     def __init__(self, capacity: int = 4096) -> None:
         self._lru = LRUCache(capacity)
 
-    def get(self, shop_index: int, hops: int,
+    def get(self, shop_index: int,
             model_version: int) -> Optional[CachedResult]:
         """Cached result, if present."""
-        return self._lru.get((shop_index, hops, model_version))
+        return self._lru.get((shop_index, model_version))
 
-    def put(self, shop_index: int, hops: int, model_version: int,
+    def put(self, shop_index: int, model_version: int,
             forecast: np.ndarray, subgraph_nodes: int,
             nodes: Optional[np.ndarray] = None,
             data_month: int = -1, tick_seq: int = -1) -> None:
@@ -367,7 +301,7 @@ class ResultCache:
         value = np.asarray(forecast).copy()
         value.setflags(write=False)
         self._lru.put(
-            (shop_index, hops, model_version),
+            (shop_index, model_version),
             CachedResult(
                 forecast=value,
                 subgraph_nodes=int(subgraph_nodes),
@@ -379,18 +313,9 @@ class ResultCache:
             tags=None if nodes is None else _node_tags(nodes),
         )
 
-    def evict(self, shop_index: int, hops: int, model_version: int) -> bool:
-        """Drop one entry found expired at lookup time.
-
-        The lookup that surfaced it already counted as a hit in the LRU
-        window; since nothing was served from cache, it is recounted as
-        a miss so ``stats.hit_rate()`` agrees with the gateway's own
-        hit/miss counters.
-        """
-        existed = self._lru.discard((shop_index, hops, model_version))
-        if existed:
-            self._lru.reclassify_hit_as_miss()
-        return existed
+    def discard(self, shop_index: int, model_version: int) -> bool:
+        """Drop one entry (found expired at lookup time); whether it existed."""
+        return self._lru.discard((shop_index, model_version))
 
     def expire_older_than(self, min_data_month: int) -> int:
         """Freshness sweep: drop entries computed before ``min_data_month``.
@@ -406,7 +331,7 @@ class ResultCache:
 
     def invalidate_versions_other_than(self, model_version: int) -> int:
         """Purge entries for every version except the one now serving."""
-        return self._lru.invalidate_if(lambda key: key[2] != model_version)
+        return self._lru.invalidate_if(lambda key: key[1] != model_version)
 
     def invalidate_nodes(self, touched: np.ndarray) -> int:
         """Delta-aware eviction: drop results whose subgraphs were touched."""
@@ -418,7 +343,7 @@ class ResultCache:
 
     @property
     def stats(self) -> LRUCache:
-        """Underlying LRU (hits / misses / evictions / len)."""
+        """Underlying LRU (evictions / len)."""
         return self._lru
 
     def __len__(self) -> int:

@@ -3,7 +3,7 @@
 :class:`ServingGateway` is the production-style front door for real-time
 GMV forecasts (paper §VI, Fig 5, scaled up).  One request travels:
 
-1. **result cache** — ``(shop, hops, model_version)`` hit returns a
+1. **result cache** — ``(shop, model_version)`` hit returns a
    finished forecast without touching a model;
 2. **micro-batcher** — misses park until a batch is due: ``max_batch_size``
    requests accumulated, the oldest waited ``max_wait`` seconds, or a
@@ -113,8 +113,7 @@ __all__ = ["GatewayConfig", "GatewayResponse", "ServingGateway"]
 class GatewayConfig:
     """Tuning knobs for one :class:`ServingGateway`."""
 
-    #: ``hops`` / ``subgraph_cache_size``: the egos of a model that
-    #: declares no ``receptive_depth`` (else ``hops`` only keys results).
+    #: The ego radius for models that declare no ``receptive_depth``.
     hops: int = 2
     max_batch_size: int = 32
     max_wait: float = 0.005
@@ -683,7 +682,7 @@ class ServingGateway:
             priority=request.priority,
         ))
 
-    def _check_freshness(self, shop: int, hops: int, version: int, cached):
+    def _check_freshness(self, shop: int, version: int, cached):
         """Event-time verdict on a result-cache hit.
 
         Returns ``None`` when the entry outlived the staleness budget
@@ -698,7 +697,7 @@ class ServingGateway:
             return False, 0
         age = max(int(store.frontier) - cached.data_month, 0)
         if age > budget:
-            self.result_cache.evict(shop, hops, version)
+            self.result_cache.discard(shop, version)
             self.metrics.inc("freshness_evictions")
             return None
         nodes = cached.nodes
@@ -724,16 +723,15 @@ class ServingGateway:
             for request in requests:
                 tracer.record("gateway.queue_wait", request.enqueued_at,
                               drained_at, shop=request.shop_index)
-        hops = self.config.hops
         version = self.model_version
         # Result-cache hits answer immediately; misses coalesce by shop
         # into the batch's one forward.
         by_shop: Dict[int, List[PendingRequest]] = {}
         for request in requests:
-            cached = self.result_cache.get(request.shop_index, hops, version)
+            cached = self.result_cache.get(request.shop_index, version)
             if cached is not None:
                 verdict = self._check_freshness(
-                    request.shop_index, hops, version, cached
+                    request.shop_index, version, cached
                 )
                 if verdict is None:
                     cached = None      # expired at lookup: recompute
@@ -857,7 +855,7 @@ class ServingGateway:
             forecast = raw[row].copy()
             forecast.setflags(write=False)
             nodes = reads[shop]
-            self.result_cache.put(shop, self.config.hops, self.model_version,
+            self.result_cache.put(shop, self.model_version,
                                   forecast, nodes.size, nodes=nodes,
                                   data_month=data_month, tick_seq=tick_seq)
             for request in by_shop[shop]:
@@ -903,17 +901,16 @@ class ServingGateway:
         """Serialisable snapshot of gateway health and traffic."""
         report = self.metrics.snapshot(max_batch_size=self.config.max_batch_size)
         report["serving_version"] = self.model_version
+        # Hit rates are ``cache_hit_rate`` and the ``*cache_hits`` /
+        # ``*cache_misses`` counters above: the gateway counts what it
+        # served, the caches only what capacity pushed out.
         report["subgraph_cache"] = {
             "size": len(self.subgraph_cache),
-            "hit_rate": self.subgraph_cache.stats.hit_rate(),
-            "lifetime_hit_rate": self.subgraph_cache.stats.lifetime_hit_rate(),
             "evictions": self.subgraph_cache.stats.evictions,
             "epoch": self.subgraph_cache.epoch,
         }
         report["result_cache"] = {
             "size": len(self.result_cache),
-            "hit_rate": self.result_cache.stats.hit_rate(),
-            "lifetime_hit_rate": self.result_cache.stats.lifetime_hit_rate(),
             "evictions": self.result_cache.stats.evictions,
         }
         report["streaming"] = self._stream_graph is not None

@@ -800,6 +800,39 @@ def test_training_spawns_no_workers_and_copies_no_model():
     assert ".trainer" in imports["parallel.py"], "vacuity: the walk saw imports"
 
 
+def test_obs_imports_only_the_stdlib_and_itself():
+    """Structure lint (tier-1): the layering ``repro.obs/hub.py`` and
+    ``health.py`` promise — everything imports obs, obs imports only
+    the stdlib — holds for every import statement under
+    ``repro/obs``, function-local ones included (a lazy import of the
+    engine would still couple obs to it).  Adapters and probes
+    duck-type the subsystems they read instead."""
+    import sys
+
+    obs = REPO_ROOT / "src" / "repro" / "obs"
+    outside, relative = {}, 0
+    for path in sorted(obs.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative += 1
+                if node.level > 1:              # ``from ..nn import …``
+                    outside.setdefault(path.name, set()).add(
+                        "." * node.level + (node.module or ""))
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] not in sys.stdlib_module_names \
+                        and not module.startswith("repro.obs"):
+                    outside.setdefault(path.name, set()).add(module)
+    assert not outside, f"repro.obs imports beyond the stdlib: {outside}"
+    assert relative >= 10, "vacuity: the walk saw obs's own imports"
+
+
 def test_roadmap_points_at_versioned_design_docs():
     roadmap = (REPO_ROOT / "ROADMAP.md").read_text()
     for pointer in ("docs/ARCHITECTURE.md", "docs/streaming.md",

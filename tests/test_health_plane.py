@@ -12,6 +12,7 @@ identical alert/probe transition sequence).
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,13 +42,29 @@ from repro.obs import (
 )
 from repro.obs import recorder as obs_recorder
 from repro.obs.slo import BurnWindow
-from repro.serving import GatewayConfig, ServingGateway
+from repro.serving import GatewayConfig, MetricsRegistry, ServingGateway
 from repro.serving.metrics import RollingWindow
 from repro.streaming import DynamicGraph, SalesTick, StreamingFeatureStore
 from repro.streaming.durable import Checkpointer, DurableEventLog, recover
 from repro.training.online import OnlineAdapter, OnlineAdapterConfig
 
 pytestmark = pytest.mark.obs
+
+
+def app_source(hub, namespace="app"):
+    """A dict-backed hub source: it exports whatever the test last wrote
+    (a ``Counter``, so ``app["ticks_total"] += 100`` counts up)."""
+    values = Counter()
+    hub.register_source(namespace, lambda: values)
+    return values
+
+
+def registry_source(hub, namespace="gw"):
+    """A gateway-style ``MetricsRegistry`` federated into ``hub``: the
+    way histogram series (``RollingWindow`` summaries) reach a hub."""
+    registry = MetricsRegistry()
+    hub.attach_registry(registry, namespace=namespace)
+    return registry
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +90,15 @@ class TestSLOEngine:
     def _engine(self, clock):
         hub = MetricsHub()
         engine = SLOEngine(hub, clock=clock.now)
-        return hub, engine
+        return hub, engine, app_source(hub)
 
     def test_healthy_series_never_alerts(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.99))
         for _ in range(200):
-            hub.set_gauge("app", "p95", 0.01)
+            app["p95"] = 0.01
             assert engine.evaluate() == []
             clock.advance(60.0)
         assert engine.active_alerts() == []
@@ -91,10 +108,10 @@ class TestSLOEngine:
 
     def test_sustained_breach_fires_page_then_ticket(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.99))
-        hub.set_gauge("app", "p95", 0.50)
+        app["p95"] = 0.50
         transitions = engine.evaluate()
         # Every retained sample is bad: burn = 1/0.01 = 100 over both
         # window pairs, so page and ticket fire together.
@@ -106,15 +123,15 @@ class TestSLOEngine:
 
     def test_recovery_clears_page_once_short_window_drains(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.99))
-        hub.set_gauge("app", "p95", 0.50)
+        app["p95"] = 0.50
         engine.evaluate()
         # Recover: good samples every 30s. Once the bad sample ages out
         # of the 5m short window, the page pair can no longer hold.
         cleared = []
-        hub.set_gauge("app", "p95", 0.01)
+        app["p95"] = 0.01
         for _ in range(12):
             clock.advance(30.0)
             cleared.extend(engine.evaluate())
@@ -125,25 +142,25 @@ class TestSLOEngine:
 
     def test_ratio_slo_tracks_counter_increments(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="errors", series="app.errors_total",
                        total_series="app.requests_total",
                        objective=0.1, target=0.9))
         # First evaluation only primes the counters — no sample yet.
-        hub.inc("app", "requests_total", 100)
+        app["requests_total"] += 100
         engine.evaluate()
         assert engine.report()["errors"]["samples"] == 0.0
         # 5% error increment: compliant.
-        hub.inc("app", "requests_total", 100)
-        hub.inc("app", "errors_total", 5)
+        app["requests_total"] += 100
+        app["errors_total"] += 5
         clock.advance(60.0)
         engine.evaluate()
         report = engine.report()["errors"]
         assert report["sli"] == pytest.approx(0.05)
         assert report["compliant"] is True
         # 50% error increment: violating.
-        hub.inc("app", "requests_total", 100)
-        hub.inc("app", "errors_total", 50)
+        app["requests_total"] += 100
+        app["errors_total"] += 50
         clock.advance(60.0)
         engine.evaluate()
         report = engine.report()["errors"]
@@ -152,11 +169,11 @@ class TestSLOEngine:
 
     def test_ratio_slo_skips_stalled_denominator(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="errors", series="app.errors_total",
                        total_series="app.requests_total",
                        objective=0.1, target=0.9))
-        hub.inc("app", "requests_total", 10)
+        app["requests_total"] += 10
         engine.evaluate()
         clock.advance(60.0)
         engine.evaluate()  # no new requests: no sample recorded
@@ -164,7 +181,7 @@ class TestSLOEngine:
 
     def test_missing_series_records_no_samples(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="ghost", series="app.never_written",
                        objective=1.0))
         for _ in range(5):
@@ -175,21 +192,32 @@ class TestSLOEngine:
 
     def test_histogram_field_selection(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
-        engine.add(SLO(name="p95", series="app.latency", field="p95",
+        hub, engine, app = self._engine(clock)
+        registry = registry_source(hub)
+        engine.add(SLO(name="p95", series="gw.latency", field="p95",
                        objective=0.05, target=0.5, comparison="<="))
-        hub.observe("app", "latency", 0.01)
-        hub.observe("app", "latency", 0.02)
+        # A field on a scalar series, or none on a histogram, is no data.
+        engine.add(SLO(name="no-field", series="gw.latency", objective=1.0))
+        engine.add(SLO(name="field-on-gauge", series="app.depth",
+                       field="p95", objective=1.0))
+        app["depth"] = 0.5
+        registry.observe("latency", 0.01)
+        registry.observe("latency", 0.02)
         engine.evaluate()
-        assert engine.report()["p95"]["compliant"] is True
+        report = engine.report()
+        # Interpolated p95 of {0.01, 0.02}, as percentile_summary gives it.
+        assert report["p95"]["sli"] == pytest.approx(0.0195)
+        assert report["p95"]["compliant"] is True
+        assert report["no-field"]["sli"] is None
+        assert report["field-on-gauge"]["sli"] is None
 
     def test_budget_accounting(self):
         clock = FakeClock()
-        hub, engine = self._engine(clock)
+        hub, engine, app = self._engine(clock)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.9))
         for bad in (False, False, True, False, True):
-            hub.set_gauge("app", "p95", 0.5 if bad else 0.01)
+            app["p95"] = 0.5 if bad else 0.01
             engine.evaluate()
             clock.advance(60.0)
         budget = engine.budget_report()["lat"]
@@ -205,7 +233,7 @@ class TestSLOEngine:
 
     def test_validation(self):
         clock = FakeClock()
-        _, engine = self._engine(clock)
+        _, engine, _ = self._engine(clock)
         engine.add(SLO(name="a", series="x.y", objective=1.0))
         with pytest.raises(ValueError):
             engine.add(SLO(name="a", series="x.z", objective=1.0))
@@ -286,19 +314,20 @@ class TestAnomalyMonitor:
     def test_level_watch_transitions(self):
         clock = FakeClock()
         hub = MetricsHub()
+        registry = registry_source(hub)
         monitor = AnomalyMonitor(hub, clock=clock.now)
         # min_std floors the baseline spread at ~2x the injected noise
         # so jitter stays in-band while the 20x step change still fires.
-        monitor.watch("p95-step", "app.latency", field="p95",
+        monitor.watch("p95-step", "gw.latency", field="p95",
                       warmup=4, z_threshold=3.0, clear_samples=2,
                       min_std=0.001)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            hub.observe("app", "latency", 0.010 + rng.normal(0.0, 0.0005))
+            registry.observe("latency", 0.010 + rng.normal(0.0, 0.0005))
             assert monitor.observe() == []
             clock.advance(60.0)
         for _ in range(4):
-            hub.observe("app", "latency", 0.200)
+            registry.observe("latency", 0.200)
             transitions = monitor.observe()
             clock.advance(60.0)
             if transitions:
@@ -310,6 +339,7 @@ class TestAnomalyMonitor:
     def test_rate_watch_catches_ingest_collapse(self):
         clock = FakeClock()
         hub = MetricsHub()
+        app = app_source(hub)
         monitor = AnomalyMonitor(hub, clock=clock.now)
         # Rates are per *second* (~1.7/s for ~100 ticks/min), so the
         # std floor has to sit well under that scale or the collapse
@@ -322,7 +352,7 @@ class TestAnomalyMonitor:
         fired = []
         for step in range(30):
             if step < 15:
-                hub.inc("app", "ticks_total", 100 + int(rng.integers(0, 5)))
+                app["ticks_total"] += 100 + int(rng.integers(0, 5))
             clock.advance(60.0)
             fired.extend(monitor.observe())
         assert [t.state for t in fired] == ["anomalous"]
@@ -494,12 +524,13 @@ class TestFlightRecorder:
         assert [n["kind"] for n in recorder.notes] == [
             "kind-7", "kind-8", "kind-9"]
         hub = MetricsHub()
+        app = app_source(hub)
         engine = SLOEngine(hub, recorder=recorder)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.99))
         with use_clock(FakeClock()) as clock:
             for value in (0.5, 0.01, 0.5, 0.01, 0.5):
-                hub.set_gauge("app", "p95", value)
+                app["p95"] = value
                 engine.evaluate()
                 clock.advance(400.0)
         assert len(recorder.transitions) == 2
@@ -523,7 +554,8 @@ class TestFlightRecorder:
     def test_dump_bundle_schema_and_auto_dump(self, tmp_path):
         with use_clock(FakeClock()):
             hub = MetricsHub()
-            hub.set_gauge("app", "p95", 0.5)
+            app = app_source(hub)
+            app["p95"] = 0.5
             recorder = FlightRecorder(hub=hub, dump_dir=tmp_path,
                                       config={"deployment": "test"})
             engine = SLOEngine(hub, recorder=recorder)
@@ -615,22 +647,23 @@ class TestFlightRecorder:
 class TestPrometheusHardening:
     def test_sanitize_collision_raises(self):
         hub = MetricsHub()
-        hub.set_gauge("app", "a.b", 1.0)
-        hub.set_gauge("app", "a_b", 2.0)
+        hub.register_source("app", lambda: {"a.b": 1.0, "a_b": 2.0})
         with pytest.raises(ValueError, match="collision"):
             hub.to_prometheus()
 
     def test_summary_derived_names_collide_too(self):
         hub = MetricsHub()
-        hub.observe("app", "latency", 0.1)
-        hub.set_gauge("app", "latency_sum", 5.0)
+        registry = registry_source(hub, namespace="app")
+        registry.observe("latency", 0.1)
+        registry.inc("latency_sum", 5.0)
         with pytest.raises(ValueError, match="collision"):
             hub.to_prometheus()
 
     def test_help_lines_escape_hostile_text(self):
         hub = MetricsHub()
-        hub.set_gauge("app", "depth", 3.0)
-        hub.describe("app", "depth", "queue depth\nwith a \\ backslash")
+        hub.register_source("app", lambda: {"depth": {
+            "kind": "gauge", "value": 3.0,
+            "help": "queue depth\nwith a \\ backslash"}})
         text = hub.to_prometheus()
         assert ("# HELP app_depth queue depth\\nwith a \\\\ backslash"
                 in text)
@@ -645,20 +678,23 @@ class TestPrometheusHardening:
 
     def test_each_type_emitted_exactly_once(self):
         hub = MetricsHub()
-        hub.inc("app", "hits_total", 3)
-        hub.set_gauge("app", "depth", 1.0)
-        hub.observe("app", "latency", 0.1)
-        hub.observe("app", "latency", 0.2)
+        registry = registry_source(hub, namespace="app")
+        registry.inc("hits_total", 3)
+        registry.observe("latency", 0.1)
+        registry.observe("latency", 0.2)
+        hub.register_source("dep", lambda: {"depth": 1.0})
         text = hub.to_prometheus()
         type_lines = [line for line in text.splitlines()
                       if line.startswith("# TYPE ")]
         families = [line.split()[2] for line in type_lines]
         assert len(families) == len(set(families))
+        assert {line.split()[3] for line in type_lines} == {
+            "counter", "gauge", "summary"}
         assert text.count("# TYPE app_latency summary") == 1
 
     def test_hostile_names_round_trip_when_unambiguous(self):
         hub = MetricsHub()
-        hub.set_gauge("app", "weird-name.with chars", 1.5)
+        hub.register_source("app", lambda: {"weird-name.with chars": 1.5})
         text = hub.to_prometheus()
         assert "app_weird_name_with_chars 1.5" in text
 
@@ -677,8 +713,9 @@ class TestSparseWindows:
 
     def test_hub_histogram_single_element(self):
         hub = MetricsHub()
-        hub.observe("app", "latency", 0.25)
-        summary = hub.collect()[0]["value"]
+        registry_source(hub).observe("latency", 0.25)
+        summary = next(row["value"] for row in hub.collect()
+                       if row["name"] == "latency")
         assert summary["p50"] == summary["p95"] == summary["p99"] == 0.25
 
 
@@ -695,6 +732,7 @@ def _run_timeline(start, epoch, faults):
     with use_clock(FakeClock(start=start, epoch=epoch)) as clock:
         origin = clock.now()
         hub = MetricsHub()
+        app = app_source(hub)
         engine = SLOEngine(hub, clock=clock.now)
         engine.add(SLO(name="lat", series="app.p95", objective=0.05,
                        target=0.99))
@@ -715,9 +753,9 @@ def _run_timeline(start, epoch, faults):
 
         before = 0
         for step, (p95, depth) in enumerate(faults):
-            hub.set_gauge("app", "p95", p95)
+            app["p95"] = p95
             state["depth"] = depth
-            hub.set_gauge("app", "queue_depth", depth)
+            app["queue_depth"] = depth
             collect(engine.evaluate())
             collect(monitor.observe())
             server.check()

@@ -377,10 +377,9 @@ class TestMetricsHub:
         with pytest.raises(ValueError, match="already registered"):
             hub.register_source("serving", lambda: {})
         with pytest.raises(ValueError, match="already registered"):
-            hub.inc("serving", "requests_total")
-        hub.inc("app", "errors_total")
-        with pytest.raises(ValueError, match="already registered"):
-            hub.register_source("app", lambda: {})
+            hub.attach_registry(MetricsRegistry(), namespace="serving")
+        with pytest.raises(ValueError, match="non-empty"):
+            hub.register_source("", lambda: {})
 
     def test_collect_normalises_kinds(self):
         hub = MetricsHub()
@@ -404,33 +403,30 @@ class TestMetricsHub:
         with pytest.raises(ValueError, match="unknown kind"):
             hub.collect()
 
-    def test_direct_histogram_summary(self):
-        hub = MetricsHub()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            hub.observe("lat", "seconds", value)
-        row = hub.collect()[0]
-        assert row["kind"] == "histogram"
-        assert row["value"]["count"] == 4.0
-        assert row["value"]["mean"] == pytest.approx(2.5)
-
     def test_prometheus_export_format(self):
         hub = MetricsHub()
-        hub.inc("serving.gw", "requests_total", 7)
-        hub.set_gauge("serving.gw", "qps", 12.5)
-        hub.observe("serving.gw", "latency", 0.25)
+        registry = MetricsRegistry()
+        registry.inc("requests_total", 7)
+        registry.observe("latency", 0.25)
+        hub.attach_registry(registry, namespace="serving.gw")
+        hub.register_source("app", lambda: {"depth": 12.5})
         text = hub.to_prometheus()
         assert "# TYPE serving_gw_requests_total counter" in text
         assert "serving_gw_requests_total 7" in text
         assert "# TYPE serving_gw_qps gauge" in text
+        assert "# TYPE app_depth gauge" in text
+        assert "app_depth 12.5" in text
         assert "# TYPE serving_gw_latency summary" in text
         assert 'serving_gw_latency{quantile="0.95"} 0.25' in text
         assert "serving_gw_latency_count 1" in text
 
     def test_histogram_count_is_window_scoped_total_lifetime(self):
-        hub = MetricsHub(histogram_window=4)
+        hub = MetricsHub()
+        registry = MetricsRegistry(window=4)
         for value in range(10):
-            hub.observe("lat", "seconds", float(value))
-        row = hub.collect()[0]
+            registry.observe("seconds", float(value))
+        hub.attach_registry(registry, namespace="lat")
+        row = next(r for r in hub.collect() if r["name"] == "seconds")
         # ``count`` matches what mean/percentiles were computed over
         # (the retained ring); ``total`` is the monotone lifetime tally.
         assert row["value"]["count"] == 4.0
@@ -440,25 +436,6 @@ class TestMetricsHub:
         assert "lat_seconds_count 4" in text
         assert "# TYPE lat_seconds_observations_total counter" in text
         assert "lat_seconds_observations_total 10" in text
-
-    def test_jsonl_round_trip(self):
-        hub = MetricsHub()
-        hub.inc("a", "hits", 2)
-        hub.set_gauge("b", "load", 0.75)
-        hub.observe("c", "lat", 1.0)
-        with use_clock(FakeClock(start=0.0, epoch=1_000.0)):
-            text = hub.to_jsonl()
-        rows = MetricsHub.parse_jsonl(text)
-        collected = hub.collect()
-        assert [
-            {k: r[k] for k in ("namespace", "name", "kind", "value")}
-            for r in rows
-        ] == collected
-        assert all(r["ts"] == 1_000.0 for r in rows)
-
-    def test_parse_jsonl_rejects_malformed(self):
-        with pytest.raises(ValueError, match="missing"):
-            MetricsHub.parse_jsonl('{"namespace": "a", "name": "x"}')
 
     def test_attach_registry_federates_gateway_metrics(self):
         clock = FakeClock()

@@ -137,13 +137,6 @@ class TestLRUCache:
         assert cache.get("a") == 1
         assert cache.evictions == 1
 
-    def test_hit_rate(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        assert cache.hit_rate() == pytest.approx(0.5)
-
     def test_invalidate_if(self):
         cache = LRUCache(8)
         for i in range(6):
@@ -181,15 +174,15 @@ class _ResultPlane:
         self.cache = ResultCache(capacity)
 
     def key(self, k):
-        return (k, 2, 7)
+        return (k, 7)
 
     def put(self, k, nodes):
-        self.cache.put(k, 2, 7, forecast=np.zeros(1), subgraph_nodes=0,
+        self.cache.put(k, 7, forecast=np.zeros(1), subgraph_nodes=0,
                        nodes=nodes)
         return None if nodes is None else np.asarray(nodes, dtype=np.int64)
 
     def get(self, k):
-        return self.cache.get(k, 2, 7)
+        return self.cache.get(k, 7)
 
 
 def check_index(lru, model):
@@ -456,8 +449,7 @@ class TestReceptiveServing:
         assert [r.subgraph_nodes for r in responses] == kept
         assert sum(kept) < sum(ego.num_nodes for ego in egos)
         for shop in shops:
-            entry = gateway.result_cache.get(shop, gateway.config.hops,
-                                             gateway.model_version)
+            entry = gateway.result_cache.get(shop, gateway.model_version)
             assert sorted(entry.nodes.tolist()) == sorted(
                 receptive_layout(dataset.graph, [shop], 1).rows.tolist())
         assert len(gateway.subgraph_cache) == 0   # no ego was extracted
@@ -573,10 +565,16 @@ class TestGatewayCaching:
         registry.publish(factory(), trained_at_month=28)
         gateway = make_gateway(whole_ego_factory, dataset, registry)
         gateway.predict(3)
+        counter = gateway.metrics.counter
+        assert (counter("subgraph_cache_hits"),
+                counter("subgraph_cache_misses")) == (0, 1)
         registry.publish(factory(), trained_at_month=29)
         gateway.predict(3)
-        # The ego-subgraph did not change with the weights.
-        assert gateway.subgraph_cache.stats.hits >= 1
+        # The ego-subgraph did not change with the weights: the second
+        # version's miss on the result cache is a subgraph-cache hit.
+        assert (counter("subgraph_cache_hits"),
+                counter("subgraph_cache_misses")) == (1, 1)
+        assert counter("cache_misses") == 2
 
     @pytest.mark.parametrize("attached", [False, True])
     def test_full_batch_of_cached_egos_served_after_publish(

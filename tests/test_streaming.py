@@ -10,8 +10,10 @@ harness; the integration tests drive the full simulator → dynamic
 graph → delta-aware gateway → online adapter chain.
 """
 
+import ast
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from repro.data.dataset import make_instance_batch
 from repro.deploy import ModelRegistry
 from repro.graph import ESellerGraph, ego_subgraph, k_hop_nodes
 from repro.graph.sampling import receptive_layout
-from repro.obs import Tracer, use_tracer
+from repro.obs import MetricsHub, Tracer, series_values, use_tracer
 from repro.obs import tracing as obs_tracing
 from repro.serving import GatewayConfig, LRUCache, ServingGateway
 from repro.streaming import (
@@ -503,62 +505,15 @@ class TestColdStartArrival:
 
 
 # ----------------------------------------------------------------------
-# LRU statistics epochs (satellite: hit_rate must survive flushes)
+# LRU statistics (the cache counts capacity pressure only)
 # ----------------------------------------------------------------------
 class TestLRUStatsEpochs:
-    def test_clear_starts_fresh_hit_window(self):
-        cache = LRUCache(8)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        cache.get("missing")                 # window: 2 hits / 1 miss
-        cache.clear()
-        assert cache.hit_rate() == 0.0       # fresh window
-        cache.put("b", 2)
-        cache.get("b")
-        assert cache.hit_rate() == 1.0       # post-flush traffic only
-        assert cache.lifetime_hit_rate() == pytest.approx(3 / 4)
-
-    def test_invalidate_items_rolls_stats(self):
-        cache = LRUCache(8)
-        cache.put(("k", 1), "x")
-        cache.get(("k", 1))
-        dropped = cache.invalidate_items(lambda key, value: value == "x")
-        assert dropped == 1
-        assert cache.hit_rate() == 0.0
-        assert cache.lifetime_hit_rate() == 1.0
-
     def test_evictions_survive_flushes(self):
         cache = LRUCache(1)
         cache.put("a", 1)
         cache.put("b", 2)                    # capacity eviction
         cache.clear()
         assert cache.evictions == 1          # pressure signal persists
-
-    def test_no_op_invalidation_keeps_window(self):
-        """Per-event delta probes that evict nothing must not shrink the
-        hit-rate window to near-zero samples."""
-        cache = LRUCache(8)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        cache.invalidate_items(lambda key, value: False)
-        assert cache.hit_rate() == 1.0
-        assert cache.hits == 2
-
-    def test_indexed_invalidation_rolls_only_when_evicting(self):
-        """The posting-list path keeps the window rule of the scan."""
-        cache = LRUCache(8)
-        cache.put("a", 1, tags=[1, 2])
-        cache.get("a")
-        cache.get("a")
-        cache.get("missing")
-        assert cache.invalidate_tags([7]) == 0       # probe: nothing posted
-        assert cache.invalidate_tags([]) == 0
-        assert (cache.hits, cache.misses) == (2, 1)
-        assert cache.invalidate_tags([2, 7]) == 1
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert cache.lifetime_hit_rate() == pytest.approx(2 / 3)
 
 
 # ----------------------------------------------------------------------
@@ -578,12 +533,12 @@ class TestDeltaInvalidation:
     def test_only_touched_entries_evicted(self, factory, dataset, registry,
                                           simulator):
         gateway, dyn = _live_gateway(factory, dataset, registry, simulator)
-        hops, version = gateway.config.hops, gateway.model_version
+        version = gateway.model_version
         shops = list(range(0, 24))
         gateway.predict_many(shops)
         assert len(gateway.result_cache) == len(shops)
         pre_nodes = {
-            shop: gateway.result_cache.get(shop, hops, version).nodes.copy()
+            shop: gateway.result_cache.get(shop, version).nodes.copy()
             for shop in shops
         }
         # Craft a mutation inside the rows shop 0 read so at least one
@@ -592,7 +547,7 @@ class TestDeltaInvalidation:
         touched = np.array([int(read0[0]), int(read0[-1])])
         dyn.add_edge(touched[0], touched[1], 0)
         evicted = {shop for shop in shops
-                   if gateway.result_cache.get(shop, hops, version) is None}
+                   if gateway.result_cache.get(shop, version) is None}
         # Exactly the entries whose memoised node sets met the frontier.
         for shop in shops:
             intersects = bool(np.isin(touched, pre_nodes[shop]).any())
@@ -620,7 +575,7 @@ class TestDeltaInvalidation:
         assert not first[0].cached
         dyn.add_edge(int(outside[0]), int(outside[0]), 0)   # a self-loop out there
         version = gateway.model_version
-        assert gateway.result_cache.get(shop, hops, version) is not None
+        assert gateway.result_cache.get(shop, version) is not None
         assert gateway.metrics.counter("delta_evicted_results") == 0
         again = gateway.predict_many([shop])
         assert again[0].cached
@@ -632,7 +587,7 @@ class TestDeltaInvalidation:
                                       first[0].forecast)
         # An edge into a row it reads does evict.
         dyn.add_edge(int(outside[0]), shop, 0)
-        assert gateway.result_cache.get(shop, hops, version) is None
+        assert gateway.result_cache.get(shop, version) is None
         gateway.close()
         cold.close()
 
@@ -664,7 +619,7 @@ class TestDeltaInvalidation:
                 asked = rng.integers(0, n, size=6)
                 before = {key: value for key, (value, _) in lru._entries.items()}
                 for response in gateway.predict_many(asked):
-                    entry = before.get((response.shop_index, hops,
+                    entry = before.get((response.shop_index,
                                         gateway.model_version))
                     if entry is not None:
                         read = receptive_layout(dyn, [response.shop_index],
@@ -708,7 +663,7 @@ class TestDeltaInvalidation:
                 for shop, response in zip(survivors,
                                           cold.predict_many(survivors)):
                     np.testing.assert_allclose(
-                        after[(shop, hops, gateway.model_version)][0].forecast,
+                        after[(shop, gateway.model_version)][0].forecast,
                         response.forecast, rtol=1e-12, atol=0)
                 cold.close()
             gateway.close()
@@ -800,11 +755,11 @@ class TestDeltaInvalidation:
         event = next(e for e in simulator.event_log()
                      if isinstance(e, EdgeAdded))
         dyn.apply(event)
-        before_hits = gateway.result_cache.stats.hits
+        before_hits = gateway.metrics.counter("cache_hits")
         responses = gateway.predict_many(shops)
         cached = sum(r.cached for r in responses)
         assert cached > 0
-        assert gateway.result_cache.stats.hits > before_hits
+        assert gateway.metrics.counter("cache_hits") == before_hits + cached
         # The wholesale path would have retained nothing:
         gateway.notify_graph_changed()
         assert len(gateway.result_cache) == 0
@@ -822,9 +777,9 @@ class TestDeltaInvalidation:
         report = gateway.metrics_report()
         assert report["streaming"] is True
         assert report["counters"]["graph_delta_invalidations"] >= 1
-        assert "evictions" in report["subgraph_cache"]
-        assert "evictions" in report["result_cache"]
-        assert "lifetime_hit_rate" in report["result_cache"]
+        assert set(report["subgraph_cache"]) == {"size", "evictions", "epoch"}
+        assert set(report["result_cache"]) == {"size", "evictions"}
+        assert report["cache_hit_rate"] == gateway.metrics.cache_hit_rate()
         gateway.close()
 
     def test_close_detaches_from_stream(self, factory, dataset, registry,
@@ -933,10 +888,9 @@ class TestFreshnessAwareCaching:
                                                  registry, simulator):
         gateway, dyn, store = self._world(factory, dataset, registry,
                                           simulator, max_staleness_months=3)
-        hops = gateway.config.hops
         target = gateway.predict(0)
         read = set(gateway.result_cache.get(
-            0, hops, gateway.model_version).nodes.tolist())
+            0, gateway.model_version).nodes.tolist())
         far = next(s for s in range(dataset.test.num_shops)
                    if s not in read)
         store.apply(SalesTick(month=simulator.start_month, shop_index=far,
@@ -1013,22 +967,59 @@ class TestFreshnessAwareCaching:
 
     def test_expired_lookup_counts_as_cache_miss(self, factory, dataset,
                                                  registry, simulator):
-        """An entry expired at lookup time recomputes — the LRU window
-        must agree with the gateway's counters that it was a miss."""
+        """An entry expired at lookup time recomputes, and the gateway
+        counts the lookup as a miss, not a hit."""
         gateway, dyn, store = self._world(factory, dataset, registry,
                                           simulator, max_staleness_months=0)
         month = simulator.start_month
         gateway.predict(0)
-        hits_before = gateway.result_cache.stats.hits
+        counter = gateway.metrics.counter
+        assert (counter("cache_hits"), counter("cache_misses")) == (0, 1)
         # Advance the frontier without notifying the gateway, so the
         # eager sweep cannot run and the lazy lookup path must expire it.
         store.unsubscribe(gateway._on_ticks)
         store.apply(SalesTick(month=month + 1, shop_index=0, gmv=1.0))
         response = gateway.predict(0)
         assert not response.cached
-        assert gateway.result_cache.stats.hits == hits_before
+        assert (counter("cache_hits"), counter("cache_misses")) == (0, 2)
         assert gateway.metrics.counter("freshness_evictions") == 1.0
         store.subscribe(gateway._on_ticks)   # restore for close()
+        gateway.close()
+
+    def test_one_count_of_cache_hits(self, factory, dataset, registry,
+                                     simulator):
+        """Hits, misses, a lookup-time expiry and a delta eviction: the
+        report's hit rate, the gateway's counters and the hub's exported
+        series are the same number, because only the gateway counts."""
+        gateway, dyn, store = self._world(factory, dataset, registry,
+                                          simulator, max_staleness_months=0)
+        counter = gateway.metrics.counter
+        gateway.predict_many([0, 1, 2])                 # 3 misses
+        gateway.predict_many([0, 1, 2, 1, 2])           # 5 hits
+        # Lookup-time expiry: the frontier advances behind the gateway's
+        # back, so the lazy lookup (not the eager sweep) expires shop 0.
+        store.unsubscribe(gateway._on_ticks)
+        store.apply(SalesTick(month=simulator.start_month + 1, shop_index=0,
+                              gmv=1.0))
+        store.subscribe(gateway._on_ticks)
+        assert not gateway.predict(0).cached            # 1 miss
+        assert counter("freshness_evictions") == 1
+        # Delta eviction: an edge into shop 0 evicts its fresh entry.
+        read = gateway.result_cache.get(0, gateway.model_version).nodes
+        dyn.add_edge(int(read[-1]), 0, 0)
+        assert counter("delta_evicted_results") >= 1
+        assert not gateway.predict(0).cached            # 1 miss
+        assert gateway.predict(0).cached                # 1 hit
+        hits, misses = counter("cache_hits"), counter("cache_misses")
+        assert (hits, misses) == (6, 5)
+        hub = MetricsHub()
+        hub.attach_registry(gateway.metrics)
+        exported = series_values(hub.collect())["serving.cache_hit_rate"]
+        assert gateway.metrics_report()["cache_hit_rate"] \
+            == hits / (hits + misses) == exported
+        # The caches count capacity pressure and nothing else.
+        for cache in (gateway.result_cache, gateway.subgraph_cache):
+            assert not {"hits", "misses"} & set(vars(cache.stats))
         gateway.close()
 
     def test_sweep_runs_only_on_frontier_advance(self, factory, dataset,
@@ -1118,6 +1109,35 @@ class TestFreshnessAwareCaching:
     def test_negative_staleness_budget_rejected(self):
         with pytest.raises(ValueError):
             GatewayConfig(max_staleness_months=-1).validate()
+
+
+_PERCENTILE_CALLS = {"percentile", "nanpercentile", "quantile",
+                     "nanquantile", "quantiles"}
+
+
+def test_one_module_computes_percentiles():
+    """Structure lint (tier-1): every percentile in ``src/repro`` comes
+    from ``serving/metrics.py`` (``percentile_summary``).  No other
+    module calls a percentile / quantile function or defines a
+    percentile helper of its own: a second definition (nearest-rank
+    against interpolated, say) reports a different p95 for the same
+    observations."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    computing = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", "")
+                if name in _PERCENTILE_CALLS:
+                    computing.add(path.relative_to(root).as_posix())
+            elif isinstance(node, ast.FunctionDef) and any(
+                    word in node.name.lower()
+                    for word in ("percentile", "quantile", "pct")):
+                if node.name != "percentile_summary":
+                    computing.add(path.relative_to(root).as_posix())
+    assert computing == {"serving/metrics.py"}, computing
 
 
 class TestEventValidation:
