@@ -7,7 +7,7 @@ The persistence plane end to end, with a simulated hard crash:
 2. The live event stream is journaled to a :class:`DurableEventLog`
    *before* each in-memory fold (write-ahead), while a
    :class:`Checkpointer` snapshots the folded world — compacted graph,
-   feature-store tables, adapter rings/EWMAs — every few hundred events.
+   feature-store tables, adapter EWMAs — every few hundred events.
 3. The process "crashes" 70% of the way through the stream, mid-write:
    we drop every in-memory object and append a torn half-record to the
    active journal segment, the exact bytes a killed process leaves.
@@ -90,7 +90,6 @@ def main() -> None:
         log.append(event)  # journaled to disk BEFORE the in-memory fold
         dyn.apply(event)
         store.apply(event)
-        adapter.ingest(event)
         checkpointer.observe(durable.high_water)
 
     # --- The crash -------------------------------------------------------
@@ -140,7 +139,6 @@ def main() -> None:
         log.append(event)
         state.dynamic_graph.apply(event)
         state.store.apply(event)
-        adapter.ingest(event)
     print(f"second life ingested {len(all_events) - crash_at} more events; "
           f"event-time frontier month {log.frontier}, "
           f"{log.late_arrivals} late arrivals, journal high-water "

@@ -16,7 +16,8 @@ The full streaming loop on one synthetic marketplace:
    cache on data freshness (``max_staleness_months``), so hit rates
    survive without ever serving outdated numbers silently.
 4. An ``OnlineAdapter`` watches per-shop error EWMAs over the fresh
-   event-fed windows; on drift it warm fine-tunes the deployed weights
+   event-fed windows, scoring the shops the store recorded accepted
+   ticks for; on drift it warm fine-tunes the deployed weights
    and hot-swaps them through the registry — the gateway picks the new
    version up live.
 5. At the end, the dynamic graph is compacted and the gateway's
@@ -96,7 +97,6 @@ def main() -> None:
         for event in events:
             dynamic_graph.apply(event)
             store.apply(event)
-            adapter.ingest(event)
         total_events += len(events)
         responses = gateway.predict_many(stream)
         latencies = np.array([r.latency_seconds for r in responses])

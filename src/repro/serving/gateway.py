@@ -259,7 +259,6 @@ class ServingGateway:
         self._stream_graph = None
         self._data_store = None
         self._data_frontier = -1
-        self._ticks_seen = 0
         self._subscribed = registry is not None
         if registry is not None:
             registry.subscribe(self._on_publish)
@@ -297,7 +296,7 @@ class ServingGateway:
             self._stream_graph.unsubscribe(self.notify_graph_delta)
             self._stream_graph = None
         if self._data_store is not None:
-            self._data_store.unsubscribe(self._on_ticks)
+            self._data_store.unsubscribe(self.notify_data_delta)
             self._data_store = None
         # The probe holds the store: a closed gateway must neither keep
         # it alive nor keep reporting on a stream it no longer follows.
@@ -390,7 +389,7 @@ class ServingGateway:
         if self._stream_graph is not None:
             self._stream_graph.unsubscribe(self.notify_graph_delta)
         if self._data_store is not None:
-            self._data_store.unsubscribe(self._on_ticks)
+            self._data_store.unsubscribe(self.notify_data_delta)
             self._data_store = None
         self._stream_graph = dynamic_graph
         dynamic_graph.subscribe(self.notify_graph_delta)
@@ -398,8 +397,7 @@ class ServingGateway:
         if store is not None:
             self._data_store = store
             self._data_frontier = int(store.frontier)
-            self._ticks_seen = int(store.ticks_applied)
-            store.subscribe(self._on_ticks)
+            store.subscribe(self.notify_data_delta)
             self.health_server.register(
                 "streaming",
                 streaming_probe(
@@ -409,18 +407,6 @@ class ServingGateway:
             )
         if not keep_caches:
             self.notify_graph_changed()
-
-    def _on_ticks(self, shops: np.ndarray, frontier: int) -> None:
-        """Store tick subscription: track the frontier, sweep expired results."""
-        # Count accepted ticks off the store's monotone sequence — the
-        # notification's shop set is coalesced under batched ingestion,
-        # so its size undercounts multi-tick batches.
-        self.metrics.inc(
-            "data_ticks_observed",
-            float(self._data_store.ticks_applied - self._ticks_seen),
-        )
-        self._ticks_seen = int(self._data_store.ticks_applied)
-        self.notify_data_delta(shops, frontier)
 
     def notify_data_delta(self, shops, frontier: int) -> None:
         """Fresh sales data landed for ``shops``; frontier is the store's.

@@ -124,9 +124,10 @@ class MetricsRegistry:
       ``model_swaps``, ``graph_invalidations`` (wholesale flushes),
       ``graph_delta_invalidations`` / ``delta_evicted_subgraphs`` /
       ``delta_evicted_results`` (delta-aware eviction under streaming
-      churn), ``data_ticks_observed`` / ``freshness_evictions`` /
-      ``stale_results_served`` (event-time freshness of the result
-      cache under ``GatewayConfig.max_staleness_months``).  Every
+      churn), ``freshness_evictions`` / ``stale_results_served``
+      (event-time freshness of the result cache under
+      ``GatewayConfig.max_staleness_months``; the accepted-tick count
+      is the store's ``ticks_applied``).  Every
       gateway writes the same set: ``GatewayConfig.admission`` only
       decides whether a queue bound and a default budget exist to
       shed against

@@ -38,9 +38,10 @@ marketplace that never stands still:
 Downstream, the serving gateway subscribes to
 :meth:`DynamicGraph.subscribe` for **delta-aware cache invalidation**
 (evict only entries whose node sets intersect the touched frontier),
-and :class:`~repro.training.online.OnlineAdapter` turns the same stream
-into drift-triggered warm fine-tunes hot-swapped through the model
-registry.  See ``examples/streaming_marketplace.py``.
+and :class:`~repro.training.online.OnlineAdapter` reads the store's
+``ticked`` evidence at each month close and turns drift into warm
+fine-tunes hot-swapped through the model registry.  See
+``examples/streaming_marketplace.py``.
 """
 
 from . import durable

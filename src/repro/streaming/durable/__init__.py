@@ -14,9 +14,10 @@ persist the log, snapshot the fold, and a restarted process is just
   :class:`~repro.streaming.events.EventLog` (``EventLog(durable=...)``)
   and every event is journaled *before* it reaches any consumer.
 * :mod:`~repro.streaming.durable.checkpoint` — offset-stamped snapshots
-  of the DynamicGraph compacted CSR, the feature-store tables, and the
-  online adapter's EWMAs/rings (``write_checkpoint`` /
-  ``load_checkpoint``), plus :func:`~repro.streaming.durable.checkpoint.recover`,
+  of the DynamicGraph compacted CSR, the feature-store tables (its
+  ``ticked`` evidence included), and the online adapter's EWMAs and
+  adaptation history (``write_checkpoint`` / ``load_checkpoint``),
+  plus :func:`~repro.streaming.durable.checkpoint.recover`,
   which rebuilds live consumers state-identical — array for array — to
   a process that never crashed (property-tested at every crash offset
   in ``tests/test_recovery.py``).

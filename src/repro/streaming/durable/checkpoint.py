@@ -4,9 +4,9 @@ A checkpoint freezes everything the streaming consumers have folded out
 of the event log as of one offset *k*: the
 :class:`~repro.streaming.dynamic_graph.DynamicGraph`'s compacted edge
 arrays, the :class:`~repro.streaming.features.StreamingFeatureStore`'s
-tables and event-time accounting, and (optionally) the
-:class:`~repro.training.online.OnlineAdapter`'s drift EWMAs and ring
-buffers.  Recovery is then *load snapshot + replay the tail*
+tables, ``ticked`` evidence and event-time accounting, and (optionally)
+the :class:`~repro.training.online.OnlineAdapter`'s drift EWMAs and
+adaptation history.  Recovery is then *load snapshot + replay the tail*
 ``log.since(k)`` — the same replay-equivalence discipline the streaming
 subsystem is property-tested on, extended across a process boundary:
 the recovered state must be array-for-array identical to a process that
@@ -19,6 +19,12 @@ On disk a checkpoint is one directory (``ckpt-<offset>``) holding:
   shop metadata strings, and the SHA-256 of ``arrays.npz`` (so a
   half-written or bit-rotted snapshot is rejected at load, mirroring
   the log's CRC story).
+
+The store and adapter components are written from their
+``state_dict()`` by one rule: an ndarray value goes to ``arrays.npz``
+as ``<component>_<key>``, everything else to the manifest under the
+component's name.  A snapshot of another ``format_version`` is
+rejected, and :func:`recover` falls back past it.
 
 Checkpoints are written atomically (staged under a temporary name,
 renamed into place), so a crash *during* checkpointing leaves either
@@ -57,7 +63,7 @@ __all__ = [
 
 _CKPT_PREFIX = "ckpt-"
 _STAGING_SUFFIX = ".tmp"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -113,23 +119,16 @@ def write_checkpoint(
             "num_nodes": int(base.num_nodes),
             "events_applied": int(dynamic_graph.events_applied),
         }
-    if store is not None:
-        state = store.state_dict()
-        for key in ("gmv", "orders", "customers", "opened_month",
-                    "last_tick_seq"):
-            arrays[f"store_{key}"] = state.pop(key)
-        manifest["components"].append("store")
-        manifest["store"] = state
-    if adapter is not None:
-        state = adapter.state_dict()
-        ring = state.pop("windows")
-        arrays["adapter_error_ewma"] = state.pop("error_ewma")
-        arrays["adapter_ring_months"] = ring.pop("months")
-        arrays["adapter_ring_values"] = ring.pop("values")
-        arrays["adapter_ring_next"] = ring.pop("next")
-        arrays["adapter_ring_counts"] = ring.pop("counts")
-        manifest["components"].append("adapter")
-        manifest["adapter"] = {**state, "ring": ring}
+    for name, component in (("store", store), ("adapter", adapter)):
+        if component is None:
+            continue
+        manifest["components"].append(name)
+        manifest[name] = {}
+        for key, value in component.state_dict().items():
+            if isinstance(value, np.ndarray):
+                arrays[f"{name}_{key}"] = value
+            else:
+                manifest[name][key] = value
 
     arrays_path = staging / "arrays.npz"
     np.savez(arrays_path, **arrays)
@@ -189,37 +188,27 @@ class Checkpoint:
         dyn.events_applied = int(self.manifest["graph"]["events_applied"])
         return dyn
 
+    def _state(self, component: str) -> dict:
+        """The component's ``state_dict()``: manifest entries + arrays."""
+        self._require(component)
+        prefix = f"{component}_"
+        return {**self.manifest[component],
+                **{name[len(prefix):]: array
+                   for name, array in self.arrays.items()
+                   if name.startswith(prefix)}}
+
     def build_store(self) -> StreamingFeatureStore:
         """A fresh :class:`StreamingFeatureStore` holding the snapshotted fold."""
-        self._require("store")
-        state = dict(self.manifest["store"])
-        for key in ("gmv", "orders", "customers", "opened_month",
-                    "last_tick_seq"):
-            state[key] = self.arrays[f"store_{key}"]
-        return StreamingFeatureStore.from_state(state)
+        return StreamingFeatureStore.from_state(self._state("store"))
 
     def restore_adapter(self, adapter) -> None:
-        """Overwrite ``adapter``'s fold state with the snapshotted one.
+        """Overwrite ``adapter``'s month-close state with the snapshotted one.
 
         The adapter itself is constructed by the caller (it needs live
-        model/registry/store/graph handles); this puts back what the
-        stream had taught it: drift EWMAs, ring buffers, counters.
+        model/registry/store/graph handles); this puts back its drift
+        EWMAs and adaptation history.
         """
-        self._require("adapter")
-        meta = self.manifest["adapter"]
-        adapter.load_state_dict({
-            "error_ewma": self.arrays["adapter_error_ewma"],
-            "windows": {
-                **meta["ring"],
-                "months": self.arrays["adapter_ring_months"],
-                "values": self.arrays["adapter_ring_values"],
-                "next": self.arrays["adapter_ring_next"],
-                "counts": self.arrays["adapter_ring_counts"],
-            },
-            "ticks_ingested": meta["ticks_ingested"],
-            "ticks_rejected": meta["ticks_rejected"],
-            "last_adapt_month": meta["last_adapt_month"],
-        })
+        adapter.load_state_dict(self._state("adapter"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -341,10 +330,11 @@ def recover(
         provided, else the last load error (if any) is raised.
     adapter:
         Optional live :class:`~repro.training.online.OnlineAdapter`;
-        its fold state is restored from the snapshot (when present) and
-        the tail is fed through ``adapter.ingest`` alongside the other
-        consumers.  After recovery, point ``adapter.store`` /
-        ``adapter.graph`` at the returned consumers.
+        its month-close state is restored from the snapshot (when
+        present) and ``adapter.store`` / ``adapter.graph`` are pointed
+        at the recovered consumers.  The tail is folded into the graph
+        and the store only: the adapter reads its fresh evidence from
+        the store.
     graph_kwargs:
         Forwarded to the rebuilt :class:`DynamicGraph`.
 
@@ -390,8 +380,6 @@ def recover(
     for event in log.since(offset):
         dyn.apply(event)
         store.apply(event)
-        if adapter is not None:
-            adapter.ingest(event)
         replayed += 1
     obs_recorder.note(
         "recovery",

@@ -20,10 +20,12 @@ tick trailing the store's event-time frontier by more than
 ``watermark`` months is dropped (never folded, never re-counted) and
 surfaced in :attr:`StreamingFeatureStore.ticks_dropped` /
 :meth:`StreamingFeatureStore.freshness_report`.  Consumers that care
-about data freshness (the serving gateway's result cache, the online
-adapter's drift windows) subscribe via
-:meth:`StreamingFeatureStore.subscribe` and key their staleness checks
-off the same frontier.
+about data freshness (the serving gateway's result cache) subscribe
+via :meth:`StreamingFeatureStore.subscribe` and key their staleness
+checks off the same frontier.  The store is also the one record of
+*which* cells received accepted ticks (:attr:`StreamingFeatureStore.ticked`):
+the online adapter reads its fresh-evidence set from that table instead
+of folding the stream a second time.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def grow_rows(array: np.ndarray, num_rows: int, fill=0) -> np.ndarray:
     New rows are filled with ``fill``; the input is returned unchanged
     when it is already large enough.  The one grow-on-arrival policy
     shared by every streaming consumer that keys state by shop index
-    (feature tables, drift EWMAs, ring buffers).
+    (feature tables, drift EWMAs).
     """
     grow = num_rows - array.shape[0]
     if grow <= 0:
@@ -130,6 +132,10 @@ class StreamingFeatureStore:
         #: gateway's freshness checks compare cached-result stamps
         #: against this.
         self.last_tick_seq = np.zeros(num_shops, dtype=np.int64)
+        #: ``(S, M)``: the cell received at least one accepted tick.
+        #: Snapshot preloads write the tables directly and never set it,
+        #: so it marks exactly the evidence the stream delivered.
+        self.ticked = np.zeros((num_shops, num_months), dtype=bool)
         self._tick_listeners: List[Callable[[np.ndarray, int], None]] = []
         self._suppress_notify = False
         # Derived-block caches: window assembly happens every month-close
@@ -158,6 +164,7 @@ class StreamingFeatureStore:
         self.opened_month = grow_rows(self.opened_month, shop_index + 1,
                                       fill=self.num_months)
         self.last_tick_seq = grow_rows(self.last_tick_seq, shop_index + 1)
+        self.ticked = grow_rows(self.ticked, shop_index + 1)
         self._industries.extend([""] * grow)
         self._regions.extend([""] * grow)
         self.num_shops = shop_index + 1
@@ -187,10 +194,8 @@ class StreamingFeatureStore:
 
         True while the tick trails the event-time frontier by at most
         ``watermark`` months (always true with an unbounded watermark or
-        before the first tick).  Consumers sharing the store's event-time
-        path (the online adapter's drift windows) gate their own
-        ingestion on this so one feed cannot split into divergent views
-        of what counts as live data.
+        before the first tick).  :meth:`apply` drops a tick this refuses;
+        the accepted ones are what :attr:`ticked` records.
         """
         if self.watermark is None or self.frontier < 0:
             return True
@@ -222,6 +227,7 @@ class StreamingFeatureStore:
             self.gmv[event.shop_index, event.month] += float(event.gmv)
             self.orders[event.shop_index, event.month] += int(event.orders)
             self.customers[event.shop_index, event.month] += int(event.customers)
+            self.ticked[event.shop_index, event.month] = True
             self._tick_version += 1
             self.ticks_applied += 1
             self.last_tick_seq[event.shop_index] = self.ticks_applied
@@ -332,6 +338,7 @@ class StreamingFeatureStore:
             "customers": self.customers.copy(),
             "opened_month": self.opened_month.copy(),
             "last_tick_seq": self.last_tick_seq.copy(),
+            "ticked": self.ticked.copy(),
             "industries": list(self._industries),
             "regions": list(self._regions),
             "events_applied": int(self.events_applied),
@@ -355,6 +362,7 @@ class StreamingFeatureStore:
         store.customers = np.array(state["customers"], dtype=np.int64)
         store.opened_month = np.array(state["opened_month"], dtype=np.int64)
         store.last_tick_seq = np.array(state["last_tick_seq"], dtype=np.int64)
+        store.ticked = np.array(state["ticked"], dtype=bool)
         store._industries = [str(name) for name in state["industries"]]
         store._regions = [str(name) for name in state["regions"]]
         store.events_applied = int(state["events_applied"])

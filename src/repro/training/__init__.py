@@ -3,12 +3,7 @@ online drift adaptation, grid search."""
 
 from .grid_search import GridSearchResult, grid_search
 from .metrics import evaluate_forecast, mae, mape, rmse
-from .online import (
-    AdaptationReport,
-    OnlineAdapter,
-    OnlineAdapterConfig,
-    ShopRingWindows,
-)
+from .online import AdaptationReport, OnlineAdapter, OnlineAdapterConfig
 from .parallel import ParallelTrainer
 from .trainer import TrainConfig, Trainer, TrainHistory
 
@@ -24,7 +19,6 @@ __all__ = [
     "OnlineAdapter",
     "OnlineAdapterConfig",
     "AdaptationReport",
-    "ShopRingWindows",
     "grid_search",
     "GridSearchResult",
 ]

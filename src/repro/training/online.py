@@ -4,17 +4,17 @@ The monthly pipeline retrains from scratch once a month; between runs
 the deployed model slowly drifts away from live sales.
 :class:`OnlineAdapter` closes that gap from the event stream:
 
-1. **Ring-buffer windows** — every :class:`~repro.streaming.events.SalesTick`
-   lands in a per-shop ring buffer of the freshest months, so the
-   adapter knows which shops actually have new evidence (bounded
-   memory, no full-table scans).  Ingestion shares the feature store's
-   event-time path: a tick the store's watermark rejects never reaches
-   a ring buffer either (counted in ``ticks_rejected``), so drift
-   windows and feature tables agree on what counts as live data.
+1. **Fresh evidence** — the adapter never sees the event stream.  The
+   :class:`~repro.streaming.features.StreamingFeatureStore` is the one
+   fold of it, and its ``ticked`` table records which shop-months
+   received an accepted :class:`~repro.streaming.events.SalesTick`.  A
+   tick the store's watermark drops is in neither the tables nor the
+   evidence, so drift windows and feature tables cannot disagree.
 2. **Drift detection** — at each month close, the deployed model scores
-   the freshest complete window and each shop's scaled forecast error
-   updates an EWMA; a shop whose EWMA crosses
-   ``OnlineAdapterConfig.drift_threshold`` is *drifted*.
+   the freshest complete window; each active shop with an accepted tick
+   inside that window's horizon updates its scaled-error EWMA, and a
+   shop whose EWMA crosses ``OnlineAdapterConfig.drift_threshold`` is
+   *drifted*.
 3. **Warm fine-tune** — when enough shops drift, the adapter warm-starts
    from the registry's latest weights and runs a few engine-compiled
    steps (:class:`~repro.nn.engine.CompiledLoss`, same bit-exact
@@ -28,7 +28,7 @@ the deployed model slowly drifts away from live sales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -40,34 +40,29 @@ from ..nn.module import Module
 from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, no_grad
 from ..obs import tracing as obs_tracing
-from ..streaming.events import SalesTick, ShopEvent
 from ..streaming.features import StreamingFeatureStore, grow_rows
 from .trainer import masked_loss
 
-__all__ = ["OnlineAdapterConfig", "AdaptationReport", "ShopRingWindows",
-           "OnlineAdapter"]
+__all__ = ["OnlineAdapterConfig", "AdaptationReport", "OnlineAdapter"]
+
+#: EWMA smoothing for per-shop scaled forecast error.
+_EWMA_ALPHA = 0.35
+#: Gradient-norm clip of every fine-tune step.
+_CLIP_NORM = 5.0
 
 
 @dataclass
 class OnlineAdapterConfig:
     """Tuning knobs for one :class:`OnlineAdapter`."""
 
-    #: Per-shop ring-buffer capacity (months of fresh ticks retained).
-    window: int = 6
-    #: EWMA smoothing for per-shop scaled forecast error.
-    ewma_alpha: float = 0.35
     #: A shop drifts when its error EWMA (in scaled-sigma units)
     #: exceeds this.
     drift_threshold: float = 1.25
     #: Adapt only when at least this many shops drifted.
     min_drifted_shops: int = 3
-    #: A shop needs this many ring-buffer ticks inside the scored
-    #: horizon to count as having fresh evidence.
-    min_fresh_ticks: int = 1
     #: Fine-tune steps per adaptation (engine-compiled full-batch).
     adapt_steps: int = 15
     learning_rate: float = 2e-3
-    clip_norm: float = 5.0
     #: Months to wait after a publish before adapting again.
     cooldown_months: int = 1
 
@@ -86,98 +81,6 @@ class AdaptationReport:
     steps: int
 
 
-class ShopRingWindows:
-    """Per-shop ring buffers of the freshest ``(month, value)`` ticks.
-
-    Fixed ``(num_shops, capacity)`` arrays: each push overwrites the
-    shop's oldest slot, so memory is bounded no matter how long the
-    stream runs.  Months are tracked explicitly (ticks may arrive late
-    or more than once; the ring keeps arrival order).
-
-    >>> ring = ShopRingWindows(2, capacity=2)
-    >>> for month in (3, 4, 5):
-    ...     ring.push(0, month, float(month))
-    >>> ring.recent_ticks(0)[0].tolist()     # oldest slot overwritten
-    [4, 5]
-    >>> int(ring.ticks_in_range(4, 5)[0])
-    2
-    """
-
-    def __init__(self, num_shops: int, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self.num_shops = int(num_shops)
-        self.months = np.full((num_shops, capacity), -1, dtype=np.int64)
-        self.values = np.zeros((num_shops, capacity), dtype=np.float64)
-        self._next = np.zeros(num_shops, dtype=np.int64)
-        self.counts = np.zeros(num_shops, dtype=np.int64)
-
-    def _ensure_capacity(self, shop: int) -> None:
-        if shop < 0:
-            raise IndexError(f"shop index must be non-negative, got {shop}")
-        if shop < self.num_shops:
-            return
-        self.months = grow_rows(self.months, shop + 1, fill=-1)
-        self.values = grow_rows(self.values, shop + 1)
-        self._next = grow_rows(self._next, shop + 1)
-        self.counts = grow_rows(self.counts, shop + 1)
-        self.num_shops = shop + 1
-
-    def push(self, shop: int, month: int, value: float) -> None:
-        """Record one tick, evicting the shop's oldest when full."""
-        shop = int(shop)
-        self._ensure_capacity(shop)
-        slot = int(self._next[shop])
-        self.months[shop, slot] = int(month)
-        self.values[shop, slot] = float(value)
-        self._next[shop] = (slot + 1) % self.capacity
-        self.counts[shop] = min(self.counts[shop] + 1, self.capacity)
-
-    def state_dict(self) -> dict:
-        """Complete ring state, as copies (the checkpoint contract)."""
-        return {
-            "capacity": int(self.capacity),
-            "num_shops": int(self.num_shops),
-            "months": self.months.copy(),
-            "values": self.values.copy(),
-            "next": self._next.copy(),
-            "counts": self.counts.copy(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ShopRingWindows":
-        """Rebuild rings from :meth:`state_dict` output, array-identical."""
-        ring = cls(int(state["num_shops"]), int(state["capacity"]))
-        ring.months = np.array(state["months"], dtype=np.int64)
-        ring.values = np.array(state["values"], dtype=np.float64)
-        ring._next = np.array(state["next"], dtype=np.int64)
-        ring.counts = np.array(state["counts"], dtype=np.int64)
-        return ring
-
-    def ticks_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Per-shop count of retained ticks with ``lo <= month <= hi``."""
-        return ((self.months >= lo) & (self.months <= hi)).sum(axis=1)
-
-    def recent_ticks(self, shop: int):
-        """One shop's retained ``(months, values)``, oldest first.
-
-        The inspection surface of the ring: what fresh evidence the
-        adapter is holding for a shop (dashboards, drift post-mortems).
-        """
-        shop = int(shop)
-        if not 0 <= shop < self.num_shops:
-            raise IndexError(f"shop {shop} out of range for {self.num_shops}")
-        count = int(self.counts[shop])
-        if count == 0:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0))
-        # Slots wrap: the oldest retained tick sits at the write cursor
-        # once the ring has filled.
-        start = int(self._next[shop]) if count == self.capacity else 0
-        order = (start + np.arange(count)) % self.capacity
-        return self.months[shop, order], self.values[shop, order]
-
-
 class OnlineAdapter:
     """Drift-aware online fine-tuning of the deployed model.
 
@@ -192,7 +95,8 @@ class OnlineAdapter:
         Source of deployed weights and sink for adapted ones; gateways
         subscribed to it hot-swap automatically on publish.
     store:
-        The event-fed feature planes fresh windows are assembled from.
+        The event-fed feature planes fresh windows are assembled from;
+        its ``ticked`` table says which shops have fresh evidence.
     graph:
         Live graph (a :class:`~repro.streaming.dynamic_graph.DynamicGraph`
         or a static :class:`~repro.graph.graph.ESellerGraph`).
@@ -221,34 +125,10 @@ class OnlineAdapter:
         self.graph = graph
         self.dataset = dataset
         self.config = config or OnlineAdapterConfig()
-        self.windows = ShopRingWindows(store.num_shops, self.config.window)
         self.error_ewma = np.full(store.num_shops, np.nan)
         self.adaptations: List[AdaptationReport] = []
-        self.ticks_ingested = 0
-        #: Ticks refused by the store's watermark (never buffered, so
-        #: drift evidence can't diverge from the feature tables).
-        self.ticks_rejected = 0
         self._last_adapt_month = -(10 ** 9)
         self._last_observed_month = -(10 ** 9)
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-    def ingest(self, event: ShopEvent) -> None:
-        """Feed one stream event (only sales ticks are retained).
-
-        Shares the store's event-time admission: a
-        :class:`~repro.streaming.events.SalesTick` beyond the store's
-        watermark is rejected here too — the fresh windows the adapter
-        fine-tunes on are assembled from the store's tables, so evidence
-        the tables will never contain must not count as drift.
-        """
-        if isinstance(event, SalesTick):
-            if not self.store.admits_tick(event.month):
-                self.ticks_rejected += 1
-                return
-            self.windows.push(event.shop_index, event.month, event.gmv)
-            self.ticks_ingested += 1
 
     def _ensure_shop_capacity(self) -> None:
         self.error_ewma = grow_rows(self.error_ewma, self.store.num_shops,
@@ -258,29 +138,39 @@ class OnlineAdapter:
     # checkpoint support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """The adapter's fold state: drift EWMAs, rings, counters.
+        """The adapter's month-close state: drift EWMAs and adaptations.
 
         Deliberately excludes the model/registry/store/graph handles —
-        those are reconstructed by the recovery path and the weights
-        live in the registry; this is only what the *stream* taught the
-        adapter.  Round-trips through
-        :func:`~repro.streaming.durable.write_checkpoint` array-for-array.
+        those are reconstructed by the recovery path, the weights live
+        in the registry and the fresh evidence in the store.  It holds
+        everything :meth:`drift_report` reads, so a recovered adapter
+        reports what the never-crashed one does.  Round-trips through
+        :func:`~repro.streaming.durable.write_checkpoint`: the one
+        array goes to ``arrays.npz``, the rest to the JSON manifest.
         """
         return {
             "error_ewma": self.error_ewma.copy(),
-            "windows": self.windows.state_dict(),
-            "ticks_ingested": int(self.ticks_ingested),
-            "ticks_rejected": int(self.ticks_rejected),
             "last_adapt_month": int(self._last_adapt_month),
+            "last_observed_month": int(self._last_observed_month),
+            "adaptations": [
+                {**asdict(report),
+                 "drifted_shops": report.drifted_shops.tolist()}
+                for report in self.adaptations
+            ],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Overwrite the adapter's fold state from :meth:`state_dict` output."""
+        """Overwrite the month-close state from :meth:`state_dict` output."""
         self.error_ewma = np.array(state["error_ewma"], dtype=np.float64)
-        self.windows = ShopRingWindows.from_state(state["windows"])
-        self.ticks_ingested = int(state["ticks_ingested"])
-        self.ticks_rejected = int(state["ticks_rejected"])
         self._last_adapt_month = int(state["last_adapt_month"])
+        self._last_observed_month = int(state["last_observed_month"])
+        self.adaptations = [
+            AdaptationReport(**{
+                **report,
+                "drifted_shops": np.asarray(report["drifted_shops"],
+                                            dtype=np.int64)})
+            for report in state["adaptations"]
+        ]
 
     # ------------------------------------------------------------------
     # scoring
@@ -330,8 +220,6 @@ class OnlineAdapter:
         return {
             "num_drifted": int(self.drifted_shops().size),
             "adaptations": len(self.adaptations),
-            "ticks_ingested": int(self.ticks_ingested),
-            "ticks_rejected": int(self.ticks_rejected),
             "last_adapt_month": int(self._last_adapt_month),
             "in_cooldown": bool(
                 self.adaptations
@@ -363,16 +251,13 @@ class OnlineAdapter:
             self.registry.load_into(self.model)
         errors = self._shop_errors(batch, graph)
         active = batch.mask.any(axis=1)
-        counts = self.windows.ticks_in_range(cutoff, month)
-        fresh = np.zeros(active.size, dtype=bool)
-        limit = min(active.size, counts.size)
-        fresh[:limit] = counts[:limit] >= cfg.min_fresh_ticks
+        fresh = self.store.ticked[:, cutoff:month + 1].any(axis=1)
         scored = active & fresh
         previous = self.error_ewma[scored]
         updated = np.where(
             np.isnan(previous),
             errors[scored],
-            cfg.ewma_alpha * errors[scored] + (1.0 - cfg.ewma_alpha) * previous,
+            _EWMA_ALPHA * errors[scored] + (1.0 - _EWMA_ALPHA) * previous,
         )
         self.error_ewma[scored] = updated
 
@@ -403,7 +288,7 @@ class OnlineAdapter:
                     loss_value = compiled.run()
                     if step == 0:
                         pre_loss = loss_value
-                    clip_grad_norm(optimizer.parameters, cfg.clip_norm)
+                    clip_grad_norm(optimizer.parameters, _CLIP_NORM)
                     optimizer.step()
         self.model.eval()
         # Score the weights actually being published (the loop's last

@@ -1,6 +1,6 @@
 """Docs-and-policy gates: documented invariants cannot silently rot.
 
-Thirteen invariants, all cheap enough for tier-1:
+Fourteen invariants, all cheap enough for tier-1:
 
 * every symbol a ``repro.*`` module exports through ``__all__`` resolves
   and carries a docstring (modules, classes, functions — the public API
@@ -58,7 +58,11 @@ Thirteen invariants, all cheap enough for tier-1:
   loss or mask of its own, the active-shop mask is written once, the
   squared error over the active rows is written once (``masked_loss``,
   which the adapter calls too), and the closure autograd path stays
-  deleted.
+  deleted;
+* **one fold of the event stream** (AST lint): no module outside
+  ``repro/streaming/`` calls ``isinstance`` against an event class —
+  the graph and store folds consume events, everything else reads
+  their state.
 """
 
 import ast
@@ -831,6 +835,35 @@ def test_obs_imports_only_the_stdlib_and_itself():
                     outside.setdefault(path.name, set()).add(module)
     assert not outside, f"repro.obs imports beyond the stdlib: {outside}"
     assert relative >= 10, "vacuity: the walk saw obs's own imports"
+
+
+def test_only_the_streaming_fold_consumes_events():
+    """Structure lint (tier-1): outside ``repro/streaming/`` no module
+    calls ``isinstance(…, SalesTick | ShopAdded | EdgeAdded |
+    EdgeRetired)``.  The dynamic graph and the feature store are the one
+    fold of the event stream; a consumer that dispatched on event types
+    itself would be a second fold whose state could drift from theirs
+    (the online adapter reads the store's ``ticked`` table instead)."""
+    events = {"SalesTick", "ShopAdded", "EdgeAdded", "EdgeRetired"}
+    src = REPO_ROOT / "src" / "repro"
+    dispatching, inside = set(), 0
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            names = {getattr(leaf, "id", getattr(leaf, "attr", None))
+                     for leaf in ast.walk(node.args[1])}
+            if not names & events:
+                continue
+            relative = path.relative_to(src).as_posix()
+            if relative.startswith("streaming/"):
+                inside += 1
+            else:
+                dispatching.add(relative)
+    assert not dispatching, f"modules dispatching on events: {dispatching}"
+    assert inside >= 5, "vacuity: the walk saw the streaming folds"
 
 
 def test_roadmap_points_at_versioned_design_docs():

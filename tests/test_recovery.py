@@ -3,14 +3,16 @@
 The load-bearing property is **kill-and-recover equivalence**: crash
 the process between *any* two events, recover from the newest reachable
 checkpoint plus the journal tail, and every consumer — DynamicGraph
-compacted CSR, feature-store tables, adapter EWMAs/rings — must be
-array-for-array identical to a process that never died.  Around that
-core sit the journal's crash-consistency mechanics (torn-tail
-truncation, CRC rejection of real corruption, seal/rotate, streaming
-``since``) and the checkpoint integrity story (atomic writes, SHA-256
-verification, newest-reachable selection).
+compacted CSR, feature-store tables and ``ticked`` evidence, adapter
+EWMAs and adaptation history — must be array-for-array identical to a
+process that never died.  Around that core sit the journal's
+crash-consistency mechanics (torn-tail truncation, CRC rejection of
+real corruption, seal/rotate, streaming ``since``) and the checkpoint
+integrity story (atomic writes, SHA-256 verification,
+newest-reachable selection).
 """
 
+import hashlib
 import itertools
 import json
 import shutil
@@ -21,7 +23,7 @@ import pytest
 from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.deploy import ModelRegistry
-from repro.obs import FlightRecorder, use_recorder
+from repro.obs import FlightRecorder, online_probe, use_recorder
 from repro.serving import GatewayConfig, ServingGateway
 from repro.streaming import (
     DynamicGraph,
@@ -47,7 +49,8 @@ from repro.streaming.durable import (
     recover,
     write_checkpoint,
 )
-from repro.training import OnlineAdapter, ShopRingWindows
+from repro.training import OnlineAdapter, OnlineAdapterConfig
+from repro.training.online import AdaptationReport
 
 from helpers import forall, random_eseller_graph
 
@@ -527,37 +530,32 @@ class TestEventLogDurableTee:
 # checkpoint round trips
 # ----------------------------------------------------------------------
 def fold_world(events, base, num_months=12, watermark=None, ewma_seed=None):
-    """Fold ``events`` into a fresh (dyn, store, ring, ewma) world."""
+    """Fold ``events`` into a fresh (dyn, store, ewma) world."""
     dyn = DynamicGraph(base, compact_threshold=0.5, min_compact_edges=8)
     store = StreamingFeatureStore(base.num_nodes, num_months,
                                   watermark=watermark)
-    ring = ShopRingWindows(base.num_nodes, capacity=3)
     ewma = (np.random.default_rng(ewma_seed)
             .normal(size=base.num_nodes) if ewma_seed is not None
             else np.full(base.num_nodes, np.nan))
     for event in events:
         dyn.apply(event)
         store.apply(event)
-        if isinstance(event, SalesTick) and store.admits_tick(event.month):
-            ring.push(event.shop_index, event.month, event.gmv)
-    return dyn, store, ring, ewma
+    return dyn, store, ewma
 
 
 class _AdapterState:
     """Duck-typed stand-in carrying the OnlineAdapter state contract."""
 
-    def __init__(self, store, ring, ewma):
+    def __init__(self, store, ewma, adaptations=()):
         self.store = store
         self.graph = None
-        self.windows = ring
         self.error_ewma = ewma
-        self.ticks_ingested = 0
-        self.ticks_rejected = 0
+        self.adaptations = list(adaptations)
         self._last_adapt_month = -5
+        self._last_observed_month = -3
 
     state_dict = OnlineAdapter.state_dict
     load_state_dict = OnlineAdapter.load_state_dict
-    ingest = OnlineAdapter.ingest
 
 
 def assert_stores_identical(a, b):
@@ -566,6 +564,7 @@ def assert_stores_identical(a, b):
     assert np.array_equal(a.customers, b.customers)
     assert np.array_equal(a.opened_month, b.opened_month)
     assert np.array_equal(a.last_tick_seq, b.last_tick_seq)
+    assert np.array_equal(a.ticked, b.ticked)
     assert a._industries == b._industries
     assert a._regions == b._regions
     assert a.freshness_report() == b.freshness_report()
@@ -589,48 +588,49 @@ class TestCheckpoint:
     def test_store_state_round_trip(self):
         rng = np.random.default_rng(3)
         base = random_eseller_graph(rng, max_nodes=10, max_edges=20)
-        _dyn, store, _ring, _ = fold_world(
+        _dyn, store, _ = fold_world(
             _valid_sequence(rng, base, num_months=12), base, watermark=2)
         assert_stores_identical(store,
                                 StreamingFeatureStore.from_state(
                                     store.state_dict()))
 
-    def test_ring_state_round_trip_with_wraparound(self):
-        ring = ShopRingWindows(2, capacity=2)
-        for month in (3, 4, 5):                 # wraps shop 0's ring
-            ring.push(0, month, float(month))
-        back = ShopRingWindows.from_state(ring.state_dict())
-        assert np.array_equal(back.months, ring.months)
-        assert np.array_equal(back.values, ring.values)
-        assert np.array_equal(back._next, ring._next)
-        assert np.array_equal(back.counts, ring.counts)
-        months, values = back.recent_ticks(0)
-        assert months.tolist() == [4, 5] and values.tolist() == [4.0, 5.0]
-
     def test_write_load_checkpoint_all_components(self, tmp_path):
         rng = np.random.default_rng(5)
         base = random_eseller_graph(rng, max_nodes=12, max_edges=30)
         events = _valid_sequence(rng, base, num_months=12)
-        dyn, store, ring, ewma = fold_world(events, base, ewma_seed=11)
-        adapter = _AdapterState(store, ring, ewma)
+        dyn, store, ewma = fold_world(events, base, ewma_seed=11)
+        diverged = AdaptationReport(
+            month=7, cutoff=5, num_drifted=2,
+            drifted_shops=np.array([1, 4]), pre_loss=0.1 + 0.2,
+            post_loss=float("nan"), version=3, steps=15)
+        adapter = _AdapterState(store, ewma, [diverged])
         path = write_checkpoint(tmp_path, len(events), dynamic_graph=dyn,
                                 store=store, adapter=adapter)
         ckpt = load_checkpoint(path)
         assert ckpt.offset == len(events)
         assert ckpt.components == ["graph", "store", "adapter"]
+        # One rule: ndarray state goes to arrays.npz, the rest to JSON.
+        assert sorted(ckpt.arrays) == sorted(
+            ["graph_src", "graph_dst", "graph_edge_types",
+             "adapter_error_ewma"]
+            + [f"store_{key}" for key, value in store.state_dict().items()
+               if isinstance(value, np.ndarray)])
         assert_graphs_identical(dyn, ckpt.build_dynamic_graph())
         assert_stores_identical(store, ckpt.build_store())
-        restored = _AdapterState(store, ShopRingWindows(1, 1),
-                                 np.zeros(1))
+        restored = _AdapterState(store, np.zeros(1))
         ckpt.restore_adapter(restored)
         assert np.array_equal(restored.error_ewma, ewma)
-        assert np.array_equal(restored.windows.months, ring.months)
         assert restored._last_adapt_month == -5
+        assert restored._last_observed_month == -3
+        (report,) = restored.adaptations
+        assert report.drifted_shops.tolist() == [1, 4]
+        assert report.pre_loss == 0.1 + 0.2 and np.isnan(report.post_loss)
+        assert (report.month, report.version, report.steps) == (7, 3, 15)
 
     def test_checkpoint_sha_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(7)
         base = random_eseller_graph(rng, max_nodes=6, max_edges=8)
-        dyn, store, _r, _e = fold_world([], base)
+        dyn, store, _e = fold_world([], base)
         path = write_checkpoint(tmp_path, 0, dynamic_graph=dyn, store=store)
         arrays = path / "arrays.npz"
         raw = bytearray(arrays.read_bytes())
@@ -648,7 +648,7 @@ class TestCheckpoint:
     def test_latest_checkpoint_selection(self, tmp_path):
         rng = np.random.default_rng(9)
         base = random_eseller_graph(rng, max_nodes=6, max_edges=8)
-        dyn, store, _r, _e = fold_world([], base)
+        dyn, store, _e = fold_world([], base)
         for offset in (0, 7, 19):
             write_checkpoint(tmp_path, offset, dynamic_graph=dyn,
                              store=store)
@@ -661,7 +661,7 @@ class TestCheckpoint:
     def test_checkpointer_cadence(self, tmp_path):
         rng = np.random.default_rng(13)
         base = random_eseller_graph(rng, max_nodes=6, max_edges=8)
-        dyn, store, _r, _e = fold_world([], base)
+        dyn, store, _e = fold_world([], base)
         policy = Checkpointer(tmp_path, interval_events=5,
                               dynamic_graph=dyn, store=store)
         written = [offset for offset in range(14)
@@ -731,14 +731,13 @@ def check_crash_recovery(case):
 
     # First life: journal + fold + checkpoint on cadence.
     durable = DurableEventLog(log_dir, segment_events=8)
-    dyn, store, ring, ewma = fold_world([], base, watermark=watermark,
-                                        ewma_seed=ewma_seed)
-    adapter = _AdapterState(store, ring, ewma.copy())
+    dyn, store, ewma = fold_world([], base, watermark=watermark,
+                                  ewma_seed=ewma_seed)
+    adapter = _AdapterState(store, ewma.copy())
     for offset, event in enumerate(events):
         durable.append(event)
         dyn.apply(event)
         store.apply(event)
-        adapter.ingest(event)
         if (offset + 1) % cadence == 0:
             write_checkpoint(ckpt_dir, offset + 1, dynamic_graph=dyn,
                              store=store, adapter=adapter)
@@ -748,13 +747,10 @@ def check_crash_recovery(case):
     # of the same prefix (the never-crashed reference).
     reopened = DurableEventLog(log_dir, segment_events=8)
     for crash_at in range(len(events) + 1):
-        ref_dyn, ref_store, ref_ring, _ = fold_world(
+        ref_dyn, ref_store, _ = fold_world(
             events[:crash_at], base, watermark=watermark)
-        # Ring shaped for the market: a cold start (no reachable
-        # checkpoint) must still accumulate replayed ticks correctly.
-        recovered_adapter = _AdapterState(
-            StreamingFeatureStore(1, 1),
-            ShopRingWindows(base.num_nodes, capacity=3), np.zeros(1))
+        recovered_adapter = _AdapterState(StreamingFeatureStore(1, 1),
+                                          np.zeros(1))
         state = recover(
             _TruncatedLog(reopened, crash_at),
             ckpt_dir,
@@ -768,15 +764,12 @@ def check_crash_recovery(case):
         assert state.checkpoint_offset + state.replayed_events == crash_at
         assert_graphs_identical(state.dynamic_graph, ref_dyn)
         assert_stores_identical(state.store, ref_store)
-        # Adapter fold state: rings identical; EWMAs round-trip from
-        # the newest reachable snapshot (they only change in
-        # observe_month, which never ran after the pre-seed).
-        assert np.array_equal(recovered_adapter.windows.months,
-                              ref_ring.months)
-        assert np.array_equal(recovered_adapter.windows.values,
-                              ref_ring.values)
-        assert np.array_equal(recovered_adapter.windows.counts,
-                              ref_ring.counts)
+        # The adapter's fresh evidence is the recovered store's table.
+        assert recovered_adapter.store is state.store
+        assert np.array_equal(state.store.ticked, ref_store.ticked)
+        # EWMAs round-trip from the newest reachable snapshot (they
+        # only change in observe_month, which never ran after the
+        # pre-seed).
         if state.checkpoint_offset > 0:
             assert np.array_equal(recovered_adapter.error_ewma, ewma)
 
@@ -809,7 +802,7 @@ class TestCrashAtEveryOffset:
         )
         assert state.checkpoint_offset == 0
         assert state.replayed_events == len(events)
-        ref_dyn, ref_store, _r, _e = fold_world(events, base)
+        ref_dyn, ref_store, _e = fold_world(events, base)
         assert_graphs_identical(state.dynamic_graph, ref_dyn)
         assert_stores_identical(state.store, ref_store)
 
@@ -823,7 +816,7 @@ class TestCrashAtEveryOffset:
         base = random_eseller_graph(rng, max_nodes=8, max_edges=16)
         events = _valid_sequence(rng, base)
         durable = DurableEventLog(tmp_path / "log")
-        dyn, store, _r, _e = fold_world(events, base)
+        dyn, store, _e = fold_world(events, base)
         durable.extend(events)
         # Snapshot *past* the surviving journal: as if the checkpoint
         # landed but the log tail was torn away by the crash.
@@ -835,7 +828,7 @@ class TestCrashAtEveryOffset:
             store_factory=lambda: StreamingFeatureStore(base.num_nodes, 12),
         )
         assert state.checkpoint_offset == 0      # unreachable snapshot skipped
-        ref_dyn, ref_store, _r2, _e2 = fold_world(events, base)
+        ref_dyn, ref_store, _e2 = fold_world(events, base)
         assert_graphs_identical(state.dynamic_graph, ref_dyn)
         assert_stores_identical(state.store, ref_store)
 
@@ -846,7 +839,7 @@ class TestCrashAtEveryOffset:
         while len(events) < 12:
             events = _valid_sequence(rng, base)
         durable = DurableEventLog(tmp_path / "log", segment_events=5)
-        dyn, store, _r, _e = fold_world([], base)
+        dyn, store, _e = fold_world([], base)
         offsets = [len(events) // 4, len(events) // 2, 3 * len(events) // 4]
         paths = []
         for offset, event in enumerate(events, start=1):
@@ -879,6 +872,35 @@ class TestCrashAtEveryOffset:
         assert rejected[0]["details"]["path"] == str(paths[-1])
         assert "SHA-256" in rejected[0]["details"]["reason"]
 
+    def test_format_1_checkpoint_is_rejected_and_recover_falls_back(
+            self, tmp_path):
+        """A snapshot written before the store kept ``ticked`` (format 1:
+        no ``store_ticked`` array) is refused with CheckpointError, never
+        a KeyError, and recovery falls back to the next older one."""
+        base, durable, (dyn, store), offsets, paths = \
+            self._three_checkpoint_world(tmp_path)
+        newest = paths[-1]
+        with np.load(newest / "arrays.npz") as bundle:
+            arrays = {name: bundle[name] for name in bundle.files
+                      if name != "store_ticked"}
+        np.savez(newest / "arrays.npz", **arrays)
+        manifest = json.loads((newest / "manifest.json").read_text())
+        manifest["format_version"] = 1
+        manifest["arrays_sha256"] = hashlib.sha256(
+            (newest / "arrays.npz").read_bytes()).hexdigest()
+        (newest / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format: 1"):
+            load_checkpoint(newest)
+        recorder = FlightRecorder()
+        with use_recorder(recorder):
+            state = recover(durable, tmp_path / "ckpt")
+        assert state.checkpoint_offset == offsets[1]
+        assert_graphs_identical(state.dynamic_graph, dyn)
+        assert_stores_identical(state.store, store)
+        rejected = [note for note in recorder.notes
+                    if note["kind"] == "checkpoint_rejected"]
+        assert [note["details"]["path"] for note in rejected] == [str(newest)]
+
     def test_every_checkpoint_rejected_cold_starts_or_raises_the_last_error(
             self, tmp_path):
         base, durable, (dyn, store), _offsets, paths = \
@@ -901,6 +923,73 @@ class TestCrashAtEveryOffset:
         assert_stores_identical(state.store, store)
         assert [note["kind"] for note in recorder.notes] == [
             "checkpoint_rejected"] * 3 + ["recovery"]
+
+
+# ----------------------------------------------------------------------
+# the adapter reports the same after a crash
+# ----------------------------------------------------------------------
+class TestRecoveredAdapter:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_recovered_adapter_reports_like_the_never_crashed_one(
+            self, factory, dataset, simulator, tmp_path):
+        """Adapt (a diverged fine-tune, in cooldown) -> checkpoint ->
+        crash -> recover: ``drift_report()`` and the ``online_probe``
+        verdict equal the never-crashed adapter's, at the crash and at
+        every month close after it."""
+        registry = ModelRegistry()
+        registry.publish(factory(), trained_at_month=simulator.start_month)
+        # An infinite step size makes the one fine-tune step diverge.
+        config = OnlineAdapterConfig(
+            drift_threshold=0.25, min_drifted_shops=1, adapt_steps=1,
+            learning_rate=float("inf"), cooldown_months=10 ** 6)
+
+        def adapter_for(store, dyn):
+            return OnlineAdapter(factory(), registry, store, dyn, dataset,
+                                 config)
+
+        def verdict(adapter):
+            result = online_probe(adapter)()
+            return (json.dumps(adapter.drift_report(), sort_keys=True),
+                    result.live, result.ready, result.reason,
+                    result.details)
+
+        durable = DurableEventLog(tmp_path / "log", segment_events=64)
+        dyn = simulator.initial_dynamic_graph()
+        store = simulator.initial_store(watermark=2)
+        adapter = adapter_for(store, dyn)
+        months = iter(simulator.streaming_months)
+        for month in months:
+            for event in simulator.events_for_month(month):
+                durable.append(event)
+                dyn.apply(event)
+                store.apply(event)
+            adapter.observe_month(month)
+            write_checkpoint(tmp_path / "ckpt", durable.high_water,
+                             dynamic_graph=dyn, store=store,
+                             adapter=adapter)
+            if adapter.adaptations and month > adapter.adaptations[-1].month:
+                break
+        report = adapter.drift_report()
+        assert report["adaptations"] == 1 and report["in_cooldown"]
+        assert not online_probe(adapter)().live      # diverged fine-tune
+        durable.close()
+
+        reopened = DurableEventLog(tmp_path / "log", segment_events=64)
+        recovered = adapter_for(simulator.initial_store(watermark=2),
+                                simulator.initial_dynamic_graph())
+        state = recover(reopened, tmp_path / "ckpt", adapter=recovered)
+        assert state.replayed_events == 0
+        assert verdict(recovered) == verdict(adapter)
+        for month in months:
+            for event in simulator.events_for_month(month):
+                for fold in (dyn, store, state.dynamic_graph, state.store):
+                    fold.apply(event)
+            adapter.observe_month(month)
+            recovered.observe_month(month)
+            assert verdict(recovered) == verdict(adapter), month
+            assert np.array_equal(recovered.error_ewma, adapter.error_ewma,
+                                  equal_nan=True)
+        reopened.close()
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.streaming import (
     StreamingFeatureStore,
     edge_history,
 )
-from repro.training import OnlineAdapter, OnlineAdapterConfig, ShopRingWindows
+from repro.training import OnlineAdapter, OnlineAdapterConfig
 
 from helpers import forall, random_eseller_graph, scan_evicts
 
@@ -977,13 +977,13 @@ class TestFreshnessAwareCaching:
         assert (counter("cache_hits"), counter("cache_misses")) == (0, 1)
         # Advance the frontier without notifying the gateway, so the
         # eager sweep cannot run and the lazy lookup path must expire it.
-        store.unsubscribe(gateway._on_ticks)
+        store.unsubscribe(gateway.notify_data_delta)
         store.apply(SalesTick(month=month + 1, shop_index=0, gmv=1.0))
         response = gateway.predict(0)
         assert not response.cached
         assert (counter("cache_hits"), counter("cache_misses")) == (0, 2)
         assert gateway.metrics.counter("freshness_evictions") == 1.0
-        store.subscribe(gateway._on_ticks)   # restore for close()
+        store.subscribe(gateway.notify_data_delta)   # restore for close()
         gateway.close()
 
     def test_one_count_of_cache_hits(self, factory, dataset, registry,
@@ -998,10 +998,10 @@ class TestFreshnessAwareCaching:
         gateway.predict_many([0, 1, 2, 1, 2])           # 5 hits
         # Lookup-time expiry: the frontier advances behind the gateway's
         # back, so the lazy lookup (not the eager sweep) expires shop 0.
-        store.unsubscribe(gateway._on_ticks)
+        store.unsubscribe(gateway.notify_data_delta)
         store.apply(SalesTick(month=simulator.start_month + 1, shop_index=0,
                               gmv=1.0))
-        store.subscribe(gateway._on_ticks)
+        store.subscribe(gateway.notify_data_delta)
         assert not gateway.predict(0).cached            # 1 miss
         assert counter("freshness_evictions") == 1
         # Delta eviction: an edge into shop 0 evicts its fresh entry.
@@ -1075,18 +1075,31 @@ class TestFreshnessAwareCaching:
     def test_tick_counter_counts_ticks_not_coalesced_shops(
             self, factory, dataset, registry, simulator):
         """Batched ingestion coalesces notifications per shop set; the
-        gateway's tick counter must still count accepted *ticks*."""
+        store's ``ticks_applied`` — the one tick count, exported by the
+        hub — still counts accepted *ticks*, and the gateway keeps no
+        copy of it."""
         gateway, dyn, store = self._world(factory, dataset, registry,
                                           simulator, max_staleness_months=2)
+        notified = []
+        store.subscribe(lambda shops, frontier: notified.append(
+            shops.tolist()))
+        hub = MetricsHub()
+        hub.attach_streaming(store)
         month = simulator.start_month
+        before = store.ticks_applied
         store.apply_events([
             SalesTick(month=month, shop_index=0, gmv=1.0),
             SalesTick(month=month + 1, shop_index=0, gmv=2.0),
             SalesTick(month=month + 1, shop_index=3, gmv=3.0),
         ])
-        assert gateway.metrics.counter("data_ticks_observed") == 3.0
+        assert notified == [[0, 3]]
+        assert store.ticks_applied - before == 3
         store.apply(SalesTick(month=month + 1, shop_index=0, gmv=4.0))
-        assert gateway.metrics.counter("data_ticks_observed") == 4.0
+        assert store.ticks_applied - before == 4
+        assert series_values(hub.collect())["streaming.ticks_applied"] \
+            == store.ticks_applied
+        assert not any("tick" in name
+                       for name in gateway.metrics_report()["counters"])
         gateway.close()
 
     def test_close_detaches_tick_subscription(self, factory, dataset,
@@ -1149,35 +1162,10 @@ class TestEventValidation:
         with pytest.raises(IndexError):
             store.register_shop(-2, 0)
 
-    def test_ring_rejects_negative_shop_index(self):
-        ring = ShopRingWindows(2, capacity=3)
-        with pytest.raises(IndexError):
-            ring.push(-1, 0, 1.0)
-
 
 # ----------------------------------------------------------------------
 # online adaptation
 # ----------------------------------------------------------------------
-class TestShopRingWindows:
-    def test_ring_is_bounded_and_evicts_oldest(self):
-        ring = ShopRingWindows(2, capacity=3)
-        for month in range(5):
-            ring.push(0, month, float(month))
-        assert ring.counts[0] == 3
-        assert sorted(ring.months[0].tolist()) == [2, 3, 4]
-        assert ring.ticks_in_range(3, 4)[0] == 2
-        months, values = ring.recent_ticks(0)
-        assert months.tolist() == [2, 3, 4]
-        assert values.tolist() == [2.0, 3.0, 4.0]
-        assert ring.recent_ticks(1)[0].size == 0
-        ring.push(7, 1, 1.0)                  # grows on demand
-        assert ring.num_shops == 8
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ShopRingWindows(1, capacity=0)
-
-
 class TestOnlineAdapter:
     def _world(self, factory, dataset, simulator):
         registry = ModelRegistry()
@@ -1196,11 +1184,10 @@ class TestOnlineAdapter:
             for event in simulator.events_for_month(month):
                 dyn.apply(event)
                 store.apply(event)
-                adapter.ingest(event)
             adapter.observe_month(month)
         assert registry.num_versions == 1
         assert not adapter.adaptations
-        assert adapter.ticks_ingested > 0
+        assert np.isfinite(adapter.error_ewma).any()
 
     def test_drift_triggers_finetune_and_hot_swap(self, factory, dataset,
                                                   registry, simulator):
@@ -1220,7 +1207,6 @@ class TestOnlineAdapter:
             for event in simulator.events_for_month(month):
                 dyn.apply(event)
                 store.apply(event)
-                adapter.ingest(event)
             report = adapter.observe_month(month)
             if report is not None:
                 reports.append(report)
@@ -1248,7 +1234,6 @@ class TestOnlineAdapter:
             for event in simulator.events_for_month(month):
                 dyn.apply(event)
                 store.apply(event)
-                adapter.ingest(event)
             adapter.observe_month(month)
         assert adapter.adaptations
         for report in adapter.adaptations:
@@ -1268,40 +1253,80 @@ class TestOnlineAdapter:
             for event in simulator.events_for_month(month):
                 dyn.apply(event)
                 store.apply(event)
-                adapter.ingest(event)
             adapter.observe_month(month)
         assert adapter.adaptations
         report = adapter.adaptations[0]
         assert report.post_loss != report.pre_loss
 
-    def test_ingest_respects_store_watermark(self, factory, dataset,
-                                             simulator):
-        """A tick the store's watermark rejects never reaches a drift
-        ring buffer either — windows and tables agree on live data."""
+    def test_ingest_respects_store_watermark(self, simulator):
+        """A tick the store's watermark drops is not fresh evidence:
+        ``ticked`` marks exactly the accepted cells, and a snapshot
+        preload marks none."""
+        store = simulator.initial_store(watermark=1)
+        assert not store.ticked.any()           # preloaded months
+        month = simulator.start_month
+        store.apply(SalesTick(month=month, shop_index=0, gmv=5.0, orders=1,
+                              customers=1))
+        store.apply(SalesTick(month=month + 2, shop_index=1, gmv=5.0,
+                              orders=1, customers=1))
+        store.apply(SalesTick(month=month, shop_index=2, gmv=9.0, orders=1,
+                              customers=1))     # dropped by the watermark
+        store.apply(SalesTick(month=month + 1, shop_index=0, gmv=1.0))
+        assert store.ticks_dropped == 1 and store.ticks_applied == 3
+        assert sorted(zip(*np.nonzero(store.ticked))) == [
+            (0, month), (0, month + 1), (1, month + 2)]
+        store.apply(SalesTick(month=month + 3, shop_index=store.num_shops,
+                              gmv=1.0))         # grows the table
+        assert store.ticked.shape == (store.num_shops, store.num_months)
+        assert store.ticked[-1].sum() == 1
+
+    def test_scored_shops_are_active_shops_with_an_accepted_tick(
+            self, factory, dataset, market):
+        """At every month close the shops whose drift EWMA moved are
+        exactly the active shops with an accepted tick whose event month
+        lies in ``[cutoff, month]`` — worked out here from the event list
+        and the store's ``ticks_applied`` deltas, late and dropped ticks
+        included."""
+        simulator = MarketplaceSimulator(
+            market, start_month=22, edge_churn_per_month=2,
+            late_tick_fraction=0.5, late_tick_max_delay=3, seed=5)
         registry = ModelRegistry()
         registry.publish(factory(), trained_at_month=simulator.start_month)
         store = simulator.initial_store(watermark=1)
         dyn = simulator.initial_dynamic_graph()
-        adapter = OnlineAdapter(factory(), registry, store, dyn, dataset)
-        month = simulator.start_month
-        fresh = SalesTick(month=month, shop_index=0, gmv=5.0, orders=1,
-                          customers=1)
-        store.apply(fresh)
-        adapter.ingest(fresh)
-        ahead = SalesTick(month=month + 2, shop_index=1, gmv=5.0, orders=1,
-                          customers=1)
-        store.apply(ahead)
-        adapter.ingest(ahead)
-        straggler = SalesTick(month=month, shop_index=2, gmv=9.0, orders=1,
-                              customers=1)
-        store.apply(straggler)          # dropped by the watermark
-        adapter.ingest(straggler)       # rejected by the shared admission
-        assert store.ticks_dropped == 1
-        assert adapter.ticks_ingested == 2
-        assert adapter.ticks_rejected == 1
-        assert adapter.windows.counts[2] == 0
-        months, _ = adapter.windows.recent_ticks(0)
-        assert months.tolist() == [month]
+        adapter = OnlineAdapter(factory(), registry, store, dyn, dataset,
+                                OnlineAdapterConfig(drift_threshold=1e9))
+        accepted = []                           # (shop, event month)
+        scored_months = partial = 0
+        for month in simulator.streaming_months:
+            for event in simulator.events_for_month(month):
+                dyn.apply(event)
+                before = store.ticks_applied
+                store.apply(event)
+                if store.ticks_applied > before:
+                    accepted.append((event.shop_index, event.month))
+            cutoff = month - dataset.horizon + 1
+            previous = adapter.error_ewma.copy()
+            adapter.observe_month(month)
+            current = adapter.error_ewma
+            changed = np.flatnonzero(
+                ~((previous == current[:previous.size])
+                  | (np.isnan(previous) & np.isnan(current[:previous.size]))))
+            if cutoff < dataset.input_window:
+                assert changed.size == 0
+                continue
+            active = store.instance_batch(
+                cutoff, dataset.input_window, dataset.horizon,
+                dataset.scaler, dataset.temporal_scaler).mask.any(axis=1)
+            evidence = {shop for shop, tick_month in accepted
+                        if cutoff <= tick_month <= month}
+            expected = sorted(shop for shop in evidence if active[shop])
+            assert changed.tolist() == expected, month
+            scored_months += 1
+            partial += len(expected) < int(active.sum())
+        assert store.ticks_dropped > 0 and store.late_ticks_accepted > 0
+        assert scored_months >= 3
+        assert partial, "vacuity: some active shop lacked fresh evidence"
 
     def test_requires_temporal_scaler(self, factory, dataset, simulator):
         registry, store, dyn = self._world(factory, dataset, simulator)
