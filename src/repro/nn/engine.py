@@ -31,10 +31,11 @@ the remedy — *record once, plan, then execute* — in four layers:
    identical to the composition they replace.
 
 3. **Plan compile + replay** (:class:`CompiledLoss`).  Tracing one
-   forward records a tape; the tape is pruned to the loss ancestors and
-   its creation order *is* a topological order (parents are always
-   created before children), so the op schedule is derived once per
-   compile rather than re-sorted on every ``backward()``.  An
+   forward marks a tape's extent — the creation indices (``_seq``) it
+   spans, no nodes; the plan is the loss root's ancestors sorted by
+   ``_seq``, which *is* a topological order (parents are always created
+   before children), so the op schedule is derived once per compile
+   rather than re-sorted on every ``backward()``.  An
    :class:`ExecutionPlan` owns that schedule — one :class:`_Step` per
    op, carrying its slots, its meta, its forward and its VJP — bound to
    concrete leaves, and replays forward + backward as a flat loop over
@@ -103,7 +104,6 @@ __all__ = [
     "match_fusion",
     "trace",
     "mark_dynamic",
-    "record_node",
     "PlanError",
     "ExecutionPlan",
     "CompiledLoss",
@@ -299,28 +299,33 @@ def _match_conv_bank(inputs: Sequence):
 # tracing
 # ======================================================================
 class Tape:
-    """Creation-ordered record of one traced forward pass."""
+    """The extent of one traced forward pass — where it opened and closed
+    — plus its dynamic flag; it holds no node.
 
-    __slots__ = ("nodes", "dynamic", "reasons")
+    Every tensor carries a creation index (``_seq``), so the ops a trace
+    recorded are exactly the nodes created between :attr:`start` and
+    :attr:`stop`; :func:`compile_plan` recovers them from the loss root's
+    ancestors.  Holding no tensor, the tape keeps nothing alive that the
+    loss does not: per-scale convs and matmuls that fusion bypassed are
+    freed as soon as nothing reads them.
+    """
 
-    def __init__(self) -> None:
-        self.nodes: List = []
+    __slots__ = ("start", "stop", "dynamic", "reasons")
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+        #: Set when the ``trace()`` block exits (``None`` while open).
+        self.stop: Optional[int] = None
         self.dynamic = False
         self.reasons: List[str] = []
 
+    def recorded(self, node) -> bool:
+        """Whether ``node`` was created while this trace was open."""
+        return self.start <= node._seq and (
+            self.stop is None or node._seq < self.stop)
+
 
 _TAPES: List[Tape] = []
-
-
-def record_node(tensor: object) -> None:
-    """Called by the dispatcher for every op node while tracing."""
-    if _TAPES:
-        _TAPES[-1].nodes.append(tensor)
-
-
-def tracing() -> bool:
-    """Whether a trace is currently being recorded."""
-    return bool(_TAPES)
 
 
 def mark_dynamic(reason: str) -> None:
@@ -335,13 +340,16 @@ def mark_dynamic(reason: str) -> None:
 
 @contextmanager
 def trace():
-    """Record every op node created in the block onto a fresh tape."""
-    tape = Tape()
+    """Trace the block: the ops created in it are what a plan may replay."""
+    from .tensor import next_seq
+
+    tape = Tape(next_seq())
     _TAPES.append(tape)
     try:
         yield tape
     finally:
         _TAPES.pop()
+        tape.stop = next_seq()
 
 
 # ======================================================================
@@ -383,19 +391,12 @@ def compile_plan(root, tape: Tape) -> "ExecutionPlan":
         raise PlanError("dynamic trace: " + ", ".join(tape.reasons))
     if root.data.size != 1:
         raise PlanError("plans require a scalar loss root")
-    ancestors, op_nodes = _passes.prune_dead_nodes(root, tape.nodes)
-    recorded = {id(t) for t in op_nodes}
-    slot_of: Dict[int, int] = {}
-    leaves: List = []
-    for node in ancestors.values():
-        if node._parents:
-            if id(node) not in recorded:
-                raise PlanError(
-                    "loss depends on an op recorded outside the trace"
-                )
-        else:
-            slot_of[id(node)] = len(leaves)
-            leaves.append(node)
+    leaves, op_nodes = _passes.prune_dead_nodes(root)
+    # ``op_nodes`` is sorted by ``_seq``: its ends bound every op.
+    if op_nodes and not (tape.recorded(op_nodes[0])
+                         and tape.recorded(op_nodes[-1])):
+        raise PlanError("loss depends on an op recorded outside the trace")
+    slot_of: Dict[int, int] = {id(node): i for i, node in enumerate(leaves)}
     steps: List[_Step] = []
     for node in op_nodes:
         if node._op is None:
@@ -657,13 +658,12 @@ class ExecutionPlan:
 
         Trainers hold one plan per train batch for their lifetime;
         without this, every *cold* plan would pin a full set of
-        activations (including im2col buffers) between steps — also
-        when a kernel raised mid-replay.  Constant leaf bindings are
-        kept — they are references to long-lived batch arrays, not
-        copies.  Arena buffers are *not* released: they live in
-        ``self._arena`` for the plan's lifetime (that is the fixed
-        preallocated footprint); only unmanaged outputs, saved tensors,
-        and gradients are dropped here.
+        activations between steps — also when a kernel raised
+        mid-replay.  Constant leaf bindings are kept — they are
+        references to long-lived batch arrays, not copies.  Arena
+        buffers are *not* released: they live in ``self._arena`` for the
+        plan's lifetime (that is the fixed preallocated footprint); only
+        unmanaged outputs, saved tensors, and gradients are dropped here.
         """
         values = self._values
         grads = self._grads

@@ -1,6 +1,14 @@
 """Temporal convolution kernels: ``conv1d`` (im2col + GEMM, width-1
 specialised, pre-engine reference kept) and the fused multi-scale bank
-``multi_conv1d`` (TEL's capture/denoise groups as one block GEMM)."""
+``multi_conv1d`` (TEL's capture/denoise groups as one block GEMM).
+
+Neither saves anything: the im2col columns are a ``width``-fold copy of
+the input, which the arena cannot plan, so each VJP re-lays them from
+``arrays[0]`` with the forward's own call — the same columns, so the
+same gradient bits — at the cost of one contiguous copy per backward.
+Width 1 needs no columns at all: the input's ``(B * T, C)`` view is the
+GEMM operand.  Only the ``_ref`` oracles keep their saved columns.
+"""
 
 from __future__ import annotations
 
@@ -85,15 +93,14 @@ def _fw_conv1d(meta, arrays, out=None):
     b, t, _ = x.shape
     if width == 1:
         # Pointwise conv == per-timestamp linear map: one big GEMM, no
-        # padding, no window extraction, nothing saved.
-        cols2 = None
+        # padding, no window extraction.
         out = _gemm_rows(x.reshape(b * t, c_in), w[0], (b, t, c_out), out)
     else:
         cols2 = _padded_cols(x, width, meta["left"], meta["right"])
         out = np.matmul(cols2, w.reshape(width * c_in, c_out), out=out)
     if len(arrays) == 3:
         out += arrays[2]
-    return out, cols2
+    return out, None
 
 
 def _conv_input_grad(grad: np.ndarray, w: np.ndarray, t: int,
@@ -127,7 +134,7 @@ def _bw_conv1d(meta, grad, arrays, out, saved):
             return gx, gw, grad.sum(axis=(0, 1))
         return gx, gw
     out_t = grad.shape[1]
-    cols2 = saved
+    cols2 = _padded_cols(x, width, meta["left"], meta["right"])
     k = width * c_in
     # GEMM instead of einsum, in the (small, huge-K) transposed
     # orientation BLAS handles best; the transpose copy is k x c_out.
@@ -157,6 +164,24 @@ def _block_weight(ws: Sequence[np.ndarray], wmax: int, c_in: int) -> np.ndarray:
     return block.reshape(wmax * c_in, total)
 
 
+def _bank_operands(arrays: Sequence[np.ndarray], n: int):
+    """The GEMM operands of a causal bank: ``(B * T, wmax * C)`` column
+    rows of the input and the ``(wmax * C, total)`` block weight.
+
+    At ``wmax == 1`` (ITA-GCN's s/d-term pair) the rows are the input's
+    own ``(B * T, C)`` view: the same values the zero-pad + im2col copy
+    would hold, so the same GEMM bits, with neither copy made.
+    """
+    x, ws = arrays[0], arrays[1:1 + n]
+    wmax = max(w.shape[0] for w in ws)
+    b, t, c_in = x.shape
+    if wmax == 1:
+        rows = x.reshape(b * t, c_in)
+    else:
+        rows = _padded_cols(x, wmax, wmax - 1, 0).reshape(b * t, wmax * c_in)
+    return rows, _block_weight(ws, wmax, c_in)
+
+
 def _fw_multi_conv1d(meta, arrays, out=None):
     """Fused multi-scale causal conv bank over one shared input.
 
@@ -166,28 +191,22 @@ def _fw_multi_conv1d(meta, arrays, out=None):
     per-scale convs.
     """
     n = meta["num_scales"]
-    x = arrays[0]
-    ws = arrays[1:1 + n]
-    widths = tuple(w.shape[0] for w in ws)
-    wmax = max(widths)
-    b, t, c_in = x.shape
-    cols2 = _padded_cols(x, wmax, wmax - 1, 0).reshape(b * t, wmax * c_in)
-    block = _block_weight(ws, wmax, c_in)
-    out = _gemm_rows(cols2, block, (b, t, block.shape[1]), out)
+    b, t, _ = arrays[0].shape
+    rows, block = _bank_operands(arrays, n)
+    out = _gemm_rows(rows, block, (b, t, block.shape[1]), out)
     if meta["bias"]:
         out += np.concatenate(arrays[1 + n:])
-    return out, (cols2, block)
+    return out, None
 
 
 def _bw_multi_conv1d(meta, grad, arrays, out, saved):
     n = meta["num_scales"]
-    x = arrays[0]
     ws = arrays[1:1 + n]
-    b, t, c_in = x.shape
-    cols2, block = saved
+    b, t, c_in = arrays[0].shape
+    rows, block = _bank_operands(arrays, n)
     total = grad.shape[2]
     g2 = grad.reshape(b * t, total)
-    g_block = np.ascontiguousarray((g2.T @ cols2).T).reshape(-1, c_in, total)
+    g_block = np.ascontiguousarray((g2.T @ rows).T).reshape(-1, c_in, total)
     wmax = g_block.shape[0]
     grads = [None] * len(arrays)
     col = 0
@@ -214,6 +233,6 @@ def _bw_multi_conv1d(meta, grad, arrays, out, saved):
 
 register_kernel("conv1d", _fw_conv1d, _bw_conv1d,
                 ref_forward=_fw_conv1d_ref, ref_vjp=_bw_conv1d_ref,
-                arena=True, vjp_uses=("inputs", "saved"))
+                arena=True, vjp_uses=("inputs",))
 register_kernel("multi_conv1d", _fw_multi_conv1d, _bw_multi_conv1d,
-                arena=True, vjp_uses=("inputs", "saved"))
+                arena=True, vjp_uses=("inputs",))

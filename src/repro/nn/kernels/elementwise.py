@@ -115,12 +115,13 @@ def _fw_log(meta, arrays, out=None):
     # Guard non-positive inputs: clamp into [eps, inf) so the forward
     # yields a large-negative value instead of nan/-inf and the backward
     # stays finite.  (Numerics bugfix; applies in every mode.)
-    safe = np.maximum(arrays[0], _LOG_EPS)
-    return np.log(safe, out=out), safe
+    return np.log(np.maximum(arrays[0], _LOG_EPS), out=out), None
 
 
 def _bw_log(meta, grad, arrays, out, saved):
-    return (grad / saved,)
+    # The clamped input is recomputed, not saved: saving it would keep
+    # a copy of the operand that the arena cannot plan.
+    return (grad / np.maximum(arrays[0], _LOG_EPS),)
 
 
 def _fw_sqrt(meta, arrays, out=None):
@@ -151,17 +152,22 @@ def _bw_relu(meta, grad, arrays, out, saved):
     return (grad * saved,)
 
 
-def _fw_leaky_relu(meta, arrays, out=None):
-    (a,) = arrays
+def _leaky_scale(meta, a: np.ndarray) -> np.ndarray:
+    """Per-element slope of ``leaky_relu`` at ``a`` (recomputed by the
+    VJP rather than saved: it is operand-sized)."""
     # Typed scalars: np.where with two python floats would promote to
     # float64 regardless of the input dtype (bitwise no-op for float64).
-    one = a.dtype.type(1.0)
-    scale = np.where(a > 0, one, a.dtype.type(meta["negative_slope"]))
-    return np.multiply(a, scale, out=out), scale
+    return np.where(a > 0, a.dtype.type(1.0),
+                    a.dtype.type(meta["negative_slope"]))
+
+
+def _fw_leaky_relu(meta, arrays, out=None):
+    (a,) = arrays
+    return np.multiply(a, _leaky_scale(meta, a), out=out), None
 
 
 def _bw_leaky_relu(meta, grad, arrays, out, saved):
-    return (grad * saved,)
+    return (grad * _leaky_scale(meta, arrays[0]),)
 
 
 def _sigmoid_act(z: np.ndarray) -> np.ndarray:
@@ -193,13 +199,13 @@ register_kernel("mul", _fw_mul, _bw_mul, arena=True, vjp_uses=("inputs",))
 register_kernel("div", _fw_div, _bw_div, arena=True, vjp_uses=("inputs",))
 register_kernel("power", _fw_power, _bw_power, vjp_uses=("inputs",))
 register_kernel("exp", _fw_exp, _bw_exp, arena=True, vjp_uses=("output",))
-register_kernel("log", _fw_log, _bw_log, arena=True, vjp_uses=("saved",))
+register_kernel("log", _fw_log, _bw_log, arena=True, vjp_uses=("inputs",))
 register_kernel("sqrt", _fw_sqrt, _bw_sqrt,
                 arena=True, vjp_uses=("output",))
 register_kernel("abs", _fw_abs, _bw_abs, arena=True, vjp_uses=("inputs",))
 register_kernel("relu", _fw_relu, _bw_relu, arena=True, vjp_uses=("saved",))
 register_kernel("leaky_relu", _fw_leaky_relu, _bw_leaky_relu,
-                arena=True, vjp_uses=("saved",))
+                arena=True, vjp_uses=("inputs",))
 register_kernel("sigmoid", _fw_sigmoid, _bw_sigmoid, vjp_uses=("output",))
 register_kernel("tanh", _fw_tanh, _bw_tanh,
                 arena=True, vjp_uses=("output",))

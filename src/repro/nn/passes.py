@@ -1,15 +1,17 @@
 """Plan-level passes: prune → liveness → arena plan.
 
 The engine's compiler (:func:`repro.nn.engine.compile_plan`) prunes the
-traced tape through this module before it builds the schedule, and
+traced graph through this module before it builds the schedule, and
 :class:`~repro.nn.engine.ExecutionPlan` plans its own memory with it at
 bind time.  A pass only decides *which buffer* a step's one forward is
 handed (``forward(meta, arrays, out)``); it never picks a kernel
 variant, so planned float64 replay stays bitwise-identical to the
 fused eager walk:
 
-1. **Dead-node pruning** (:func:`prune_dead_nodes`): drop recorded
-   nodes that the loss root does not depend on.
+1. **Dead-node pruning** (:func:`prune_dead_nodes`): walk the loss
+   root's ancestors and order them by creation index.  The trace
+   records no nodes, so nodes the root does not depend on were never
+   held and there is nothing else to drop.
 
 2. **Liveness + arena planning** (:func:`plan_memory`): compute the
    last use of every value slot over the linear schedule — including
@@ -28,7 +30,7 @@ The result is a :class:`MemoryPlan` consumed by
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,25 +56,32 @@ def _nbytes(shape: tuple) -> int:
     return int(np.prod(shape, dtype=np.int64)) * 8
 
 
-def prune_dead_nodes(root, recorded_nodes: Sequence) -> Tuple[Dict[int, object], List]:
+def prune_dead_nodes(root) -> Tuple[List, List]:
     """Dead-node pruning: keep only ancestors of the loss root.
 
-    Returns ``(ancestors, op_nodes)`` where ``ancestors`` maps
-    ``id(node) -> node`` for every node the root depends on and
-    ``op_nodes`` is the recorded tape filtered to those ancestors (in
-    creation order, which is a topological order by construction).
+    Returns ``(leaves, op_nodes)``: the root's ancestors without parents,
+    in discovery order, and those with parents, sorted by creation index
+    ``_seq`` — a topological order by construction (parents are created
+    before children), so nothing is re-sorted per replay.  Nodes the
+    root does not depend on are never visited.
     """
-    ancestors: Dict[int, object] = {}
+    seen = set()
+    leaves: List = []
+    op_nodes: List = []
     stack = [root]
     while stack:
         node = stack.pop()
         key = id(node)
-        if key in ancestors:
+        if key in seen:
             continue
-        ancestors[key] = node
-        stack.extend(node._parents)
-    op_nodes = [t for t in recorded_nodes if id(t) in ancestors]
-    return ancestors, op_nodes
+        seen.add(key)
+        if node._parents:
+            op_nodes.append(node)
+            stack.extend(node._parents)
+        else:
+            leaves.append(node)
+    op_nodes.sort(key=lambda node: node._seq)
+    return leaves, op_nodes
 
 
 class MemoryPlan:

@@ -23,10 +23,11 @@ Design notes
   index (``_seq``).  Creation order is by construction a topological
   order of the recorded graph, so :meth:`Tensor.backward` simply visits
   the loss ancestors in decreasing ``_seq`` — no DFS re-sort — and the
-  planned executor walks its recorded tape in reverse.  Both walks
-  process the same nodes in the same order with the same kernels, which
-  makes eager and planned gradients **bit-for-bit identical**; that is
-  the engine's equivalence guarantee (see ROADMAP, "execution engine").
+  planned executor walks the same ancestors, sorted once at compile, in
+  reverse.  Both walks process the same nodes in the same order with
+  the same kernels, which makes eager and planned gradients
+  **bit-for-bit identical**; that is the engine's equivalence guarantee
+  (see ROADMAP, "execution engine").
 * Fusion happens when ops are recorded, behind this module's public API:
   ``add(matmul(x, w), b)`` becomes one ``linear`` node,
   ``relu/tanh/sigmoid`` fold into it, and ``sum(mul(a, b))`` becomes a
@@ -58,6 +59,12 @@ __all__ = ["Tensor", "as_tensor", "unbroadcast", "no_grad", "is_grad_enabled"]
 _GRAD_ENABLED = [True]
 
 _SEQ = itertools.count()
+
+
+def next_seq() -> int:
+    """Draw a creation index: later tensors get larger ``_seq`` values
+    (how :func:`repro.nn.engine.trace` marks its extent)."""
+    return next(_SEQ)
 
 
 class no_grad:
@@ -347,8 +354,8 @@ def _apply_op(op: str, inputs: tuple, meta: Optional[dict] = None) -> Tensor:
     """Dispatch one primitive through the engine's kernel registry.
 
     Chooses the kernel variant for the current engine mode, applies
-    construction-time fusion when recording, creates the output node and
-    registers it on the active trace (if any).
+    construction-time fusion when recording and creates the output node
+    (a trace finds it later by its ``_seq``).
     """
     recording = is_grad_enabled() and any(t.requires_grad for t in inputs)
     if recording and engine.fused_enabled():
@@ -371,7 +378,6 @@ def _record(op: str, inputs: tuple, meta: Optional[dict], out_data: np.ndarray,
     result._meta = meta
     result._saved = saved
     result._vjp = vjp
-    engine.record_node(result)
     return result
 
 

@@ -11,8 +11,10 @@ Three layers of guarantees, strongest first:
   ParallelTrainer).
 """
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.core import Gaia, GaiaConfig
 from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.nn import engine
 from repro.nn import functional as F
+from repro.nn.kernels.conv import _padded_cols
 from repro.nn.kernels.gather import _scatter_rows
 from repro.nn.layers import Conv1d, Linear
 from repro.nn.module import Parameter
@@ -31,6 +34,7 @@ from repro.nn.tensor import Tensor, _apply_op
 from repro.obs import profile_kernels
 from repro.training import TrainConfig, Trainer
 from repro.training.parallel import ParallelTrainer
+from repro.training.trainer import masked_loss
 
 pytestmark = pytest.mark.engine
 
@@ -235,12 +239,38 @@ class TestFusedMatchesReference:
             values = rng.normal(size=(index.size, 3, 2))
             reference = np.zeros((rows, 3, 2))
             np.add.at(reference, index, values)
-            fast = _scatter_rows(index.astype(np.int64), values,
-                                 rows, {})
-            assert np.array_equal(reference, fast), "scatter mismatch"
+            # First call: bincount.  Later calls with the same meta (a
+            # plan replay): the memoised CSR product.
+            meta = {}
+            for call in range(3):
+                fast = _scatter_rows(index.astype(np.int64), values,
+                                     rows, meta)
+                assert np.array_equal(reference, fast), (
+                    f"scatter mismatch on call {call}")
 
         forall(lambda rng: int(rng.integers(0, 10000)), prop, trials=50,
-               name="bincount scatter == add.at")
+               name="bincount / CSR scatter == add.at")
+
+    def test_width_one_bank_skips_the_columns_with_the_same_bits(self):
+        """ITA-GCN's s/d-term bank: at ``wmax == 1`` the input's own
+        ``(B * T, C)`` view is the GEMM operand the zero-pad + im2col
+        copy would have laid out, so forward and VJP keep their bits."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 6, 3))
+        ws = [rng.normal(size=(1, 3, 2)) for _ in range(2)]
+        meta = {"num_scales": 2, "bias": False}
+        out, saved = engine.KERNELS["multi_conv1d"].forward(meta, (x, *ws))
+        assert saved is None
+        cols = _padded_cols(x, 1, 0, 0).reshape(30, 3)
+        block = np.concatenate([w[0] for w in ws], axis=1)
+        assert np.array_equal(out, (cols @ block).reshape(5, 6, 4))
+        grad = rng.normal(size=out.shape)
+        g_x, g_w0, g_w1 = engine.KERNELS["multi_conv1d"].vjp(
+            meta, grad, (x, *ws), out, None)
+        g_block = np.ascontiguousarray((grad.reshape(30, 4).T @ cols).T)
+        assert np.array_equal(g_w0[0], g_block[:, :2])
+        assert np.array_equal(g_w1[0], g_block[:, 2:])
+        assert g_x.shape == x.shape
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +418,130 @@ class TestCompiledLoss:
         finally:
             del engine.KERNELS["flaky_tanh"]
         assert engine.KERNELS == registry
+
+
+class TestTraceKeepsNothingDead:
+    """A trace records no node: it holds exactly what the loss holds."""
+
+    def _held_bytes(self, forward):
+        """Bytes still allocated after ``forward()`` while its result is
+        alive (tracemalloc, after a collection)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = forward()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        del result
+        return held
+
+    def test_traced_gaia_forward_holds_what_an_untraced_one_holds(
+            self, dataset):
+        model = create_model("Gaia", dataset, seed=0, channels=8)
+        batch = dataset.train[0]
+        active = dataset.active_mask(batch, "train")
+
+        def loss():
+            return masked_loss(model, dataset.graph, batch, active)
+
+        def traced():
+            with engine.trace() as tape:
+                value = loss()
+            return value, tape
+
+        loss()  # warm the graph's lazily built indices
+        untraced_bytes = self._held_bytes(loss)
+        traced_bytes = self._held_bytes(traced)
+        assert untraced_bytes > 0
+        assert abs(traced_bytes - untraced_bytes) <= 0.01 * untraced_bytes, (
+            traced_bytes, untraced_bytes)
+
+    def test_fusion_bypassed_nodes_are_freed_before_compile(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 5, 3)))
+        w = Parameter(rng.normal(size=(3, 2)), name="net.weight")
+        b = Parameter(np.zeros(2), name="net.bias")
+        convs = [Conv1d(3, 2, width=width, rng=rng, padding="causal")
+                 for width in (2, 3)]
+        with engine.trace() as tape:
+            product = x @ w               # bypassed by the linear fusion
+            scales = [conv(x) for conv in convs]  # bypassed by the bank
+            out = (product + b).sum() + F.concat(scales, axis=-1).sum()
+        assert product._op == "matmul" and out._op == "add"
+        # Ours (the name and getrefcount's argument) are the only
+        # references: neither the tape nor the fused nodes hold them.
+        assert sys.getrefcount(product) == 2
+        assert [sys.getrefcount(scales[i]) for i in range(2)] == [2, 2]
+        plan = engine.compile_plan(out, tape)
+        ops = [step.op for step in plan.steps]
+        assert "matmul" not in ops and "conv1d" not in ops
+        assert {"linear", "multi_conv1d"} <= set(ops)
+
+    def test_an_op_outside_the_trace_raises_plan_error(self):
+        rng = np.random.default_rng(1)
+        w = Parameter(rng.normal(size=(3, 2)), name="net.weight")
+        x = Tensor(rng.normal(size=(4, 3)))
+        early = F.tanh(x @ w)             # recorded before the trace
+        with engine.trace() as tape:
+            loss = (early * early).sum()
+        with pytest.raises(engine.PlanError, match="outside the trace"):
+            engine.compile_plan(loss, tape)
+        with engine.trace() as tape:
+            pass
+        late = (F.tanh(x @ w) ** 2.0).sum()  # recorded after it closed
+        with pytest.raises(engine.PlanError, match="outside the trace"):
+            engine.compile_plan(late, tape)
+        with engine.trace() as tape:
+            inside = (F.tanh(x @ w) ** 2.0).sum()
+        assert engine.compile_plan(inside, tape).steps
+
+    def test_replayed_scatter_memos_are_o_of_the_index(self, dataset):
+        """After two replays of a compiled Gaia loss, no array reachable
+        from a scatter step's ``meta`` is larger than its index (or the
+        ``rows + 1`` offsets of the CSR memo): nothing ``E * d``."""
+        model = small_gaia(dataset)
+        trainer = Trainer(model, dataset, TrainConfig(
+            epochs=3, min_epochs=3, patience=3))
+        trainer.fit()  # the trace, then two replays
+        (compiled,) = trainer._compiled.values()
+        plan = compiled._plan
+        assert plan is not None
+        memos = 0
+        for step in plan.steps:
+            meta = step.meta or {}
+            index = meta.get("index", meta.get("ids"))
+            if not isinstance(index, np.ndarray) or index.dtype == np.bool_:
+                continue
+            rows = meta.get("num_segments") or meta["in_shape"][0]
+            bound = max(index.size, rows + 1)
+            arrays = list(_reachable_arrays(meta))
+            assert max(a.size for a in arrays) <= bound, (
+                step.op, [a.shape for a in arrays], index.size, rows)
+            memo = meta.get("_scatter")
+            memos += memo is not None and memo is not False
+        assert memos >= 3, "no scatter memo was kept: the check is vacuous"
+
+
+def _reachable_arrays(value, seen=None):
+    """Every ndarray reachable from ``value`` through containers and
+    object attributes (a memo of any type is found)."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _reachable_arrays(vars(value), seen)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The kernel contract, checked for every name in the registry.
 
-``repro.nn.kernels`` promises three things per :class:`OpKernel`, and
+``repro.nn.kernels`` promises four things per :class:`OpKernel`, and
 the planner / executor rely on each without re-checking it:
 
 (a) **one forward** — ``forward(meta, arrays, out=buf)`` is bitwise
@@ -12,11 +12,13 @@ the planner / executor rely on each without re-checking it:
     not declare, so the VJP fed NaN-filled stand-ins for every
     undeclared category must return the same bits;
 (c) **optimized == reference** — where a kernel keeps a pre-engine
-    ``ref_forward`` / ``ref_vjp``, both agree to 1e-12 (float64).
+    ``ref_forward`` / ``ref_vjp``, both agree to 1e-12 (float64);
+(d) **``saved`` never copies an operand** — it is ``None`` or smaller
+    than the largest input, because the arena cannot plan it.
 
 The engine computes in float64 only, but a kernel is a plain array
 function that computes in its operands' dtype; the float32 column
-checks that no kernel up-casts (and that (a)-(c) do not depend on the
+checks that no kernel up-casts (and that (a)-(d) do not depend on the
 dtype), which is also what ``tests/test_docs.py``'s dtype lint guards.
 
 A kernel registered without a case generator here fails the suite.
@@ -440,6 +442,33 @@ def test_optimized_matches_reference_forward_and_vjp(name, dtype):
         assert len(grads) == len(ref_grads)
         for got, want in zip(grads, ref_grads):
             _close(got, want, tol)
+
+    _run(name, dtype, prop)
+
+
+# ----------------------------------------------------------------------
+# (d) saved never copies an operand
+# ----------------------------------------------------------------------
+def _nbytes(value):
+    if value is None:
+        return 0
+    if isinstance(value, (tuple, list)):
+        return sum(_nbytes(v) for v in value)
+    return np.asarray(value).nbytes
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_saved_never_copies_an_operand(name, dtype):
+    """The arena plans inputs and outputs, not ``saved``: an
+    operand-sized ``saved`` (im2col columns, a clamped input) would live
+    outside it on every step, so the VJP recomputes it from ``arrays``."""
+    def prop(kernel, meta, arrays):
+        _, saved = kernel.forward(meta, arrays)
+        largest = max(np.asarray(a).nbytes for a in arrays)
+        assert saved is None or _nbytes(saved) < largest, (
+            f"saved holds {_nbytes(saved)} bytes against a largest "
+            f"input of {largest}")
 
     _run(name, dtype, prop)
 
