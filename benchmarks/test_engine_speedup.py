@@ -2,21 +2,23 @@
 
 On the 1000-shop marketplace a Gaia training step through the compiled
 plan (fused kernels + compile-time schedule + the memory-planned arena)
-must run at least 2x faster than the eager path (``REPRO_NN_ENGINE=eager``
-reference kernels, per-step graph builds) measured in the same run,
-while reproducing the eager loss trajectory to <= 1e-12.
+must run at least 2x faster than the eager path on the kernel oracles
+(``tests/kernel_oracles.py``: reference kernels, the K-conv composition
+of each bank, per-step graph builds) measured in the same run, while
+reproducing the oracle loss trajectory to <= 1e-12.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro import Gaia, GaiaConfig
-from repro.nn import engine
 from repro.nn.optim import clip_grad_norm
 from repro.training import TrainConfig, Trainer
+from tests.kernel_oracles import use_oracles
 
 from conftest import bench_dataset, record
 
@@ -26,11 +28,9 @@ SHOPS = 1000
 STEPS = 10
 
 
-def _timed_steps(dataset, mode: str, use_engine: bool, steps: int):
-    """Mean seconds per training step + the loss trajectory of one mode."""
-    previous_mode = engine.engine_mode()
-    engine.set_engine_mode(mode)
-    try:
+def _timed_steps(dataset, oracles: bool, use_engine: bool, steps: int):
+    """Mean seconds per training step + the loss trajectory of one side."""
+    with use_oracles() if oracles else nullcontext():
         model = Gaia(GaiaConfig(
             input_window=dataset.input_window,
             horizon=dataset.horizon,
@@ -48,24 +48,22 @@ def _timed_steps(dataset, mode: str, use_engine: bool, steps: int):
             trainer.optimizer.step()
             return loss
 
-        # Two untimed warmup steps per mode (on the engine path: trace +
+        # Two untimed warmup steps per side (on the engine path: trace +
         # compile, then the first replay that materialises the arena), so
-        # the timed trajectories stay step-aligned across modes.
+        # the timed trajectories stay step-aligned across sides.
         one_step()
         one_step()
         started = time.perf_counter()
         losses = [one_step() for _ in range(steps)]
         return (time.perf_counter() - started) / steps, losses
-    finally:
-        engine.set_engine_mode(previous_mode)
 
 
 def test_engine_training_speedup():
     _, dataset = bench_dataset(SHOPS)
     eager_step, eager_losses = _timed_steps(
-        dataset, "eager", use_engine=False, steps=STEPS // 2)
+        dataset, oracles=True, use_engine=False, steps=STEPS // 2)
     engine_step, engine_losses = _timed_steps(
-        dataset, "fused", use_engine=True, steps=STEPS)
+        dataset, oracles=False, use_engine=True, steps=STEPS)
     speedup = eager_step / engine_step
     drift = max(abs(a - b) for a, b in zip(eager_losses, engine_losses))
     record("engine_speedup", {

@@ -23,7 +23,7 @@ from ..graph.graph import ESellerGraph
 from ..nn import engine
 from ..nn import functional as F
 from ..nn import init
-from ..nn.layers import Conv1d, LayerNorm, Linear
+from ..nn.layers import Conv1d, LayerNorm, Linear, conv_bank
 from ..nn.module import Module, Parameter
 from ..nn.tensor import Tensor
 from .common import BaselineConfig, ForecastHead, SequenceInput
@@ -121,8 +121,8 @@ class _DilatedInception(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer output (see class docstring)."""
-        filters = F.concat([conv(x) for conv in self.filter_convs], axis=-1)
-        gates = F.concat([conv(x) for conv in self.gate_convs], axis=-1)
+        filters = conv_bank(x, self.filter_convs)
+        gates = conv_bank(x, self.gate_convs)
         return F.tanh(filters) * F.sigmoid(gates)
 
 

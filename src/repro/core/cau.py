@@ -82,8 +82,9 @@ class ConvolutionalAttentionUnit(Module):
         over part of a graph passes ``False`` and leaves it alone.
         """
         t = q_dst.shape[1]
-        scores = (q_dst @ k_src.transpose()) * (1.0 / np.sqrt(self.channels))
-        attention = F.masked_softmax(scores, self._mask(t))
+        attention = F.scaled_masked_softmax(
+            q_dst @ k_src.transpose(), 1.0 / np.sqrt(self.channels),
+            self._mask(t))
         if capture:
             self.last_attention = attention.data.copy()
         return attention @ v_src

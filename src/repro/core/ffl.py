@@ -56,9 +56,9 @@ class FeatureFusionLayer(Module):
                 f"series window {t} != configured input_window {self.config.input_window}"
             )
         z = series.reshape(s, t, 1)
-        z_tilde = z @ self.w_i + self.b_i                  # (S, T, C)
-        f_t = temporal @ self.w_t + self.b_t               # (S, T, C); b_t broadcasts over S
-        f_s = (static @ self.w_s + self.b_s).reshape(s, 1, -1)
+        z_tilde = F.linear(z, self.w_i, self.b_i)          # (S, T, C)
+        f_t = F.linear(temporal, self.w_t, self.b_t)       # (S, T, C); b_t broadcasts over S
+        f_s = F.linear(static, self.w_s, self.b_s).reshape(s, 1, -1)
         f_s = f_s + Tensor(np.zeros((s, t, self.config.channels)))  # broadcast to (S, T, C)
         fused = F.concat([z_tilde, f_t, f_s], axis=-1)     # (S, T, 3C)
-        return fused @ self.w_f + self.b_f
+        return F.linear(fused, self.w_f, self.b_f)

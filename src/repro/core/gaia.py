@@ -107,7 +107,7 @@ class Gaia(Module):
             embedding = embedding[:h.shape[0]]
         pooled = self.conv_p(h + embedding)               # (S, T, 1)
         pooled = pooled.reshape(h.shape[0], -1)           # (S, T)
-        out = pooled @ self.w_p + self.b_p                # (S, T')
+        out = F.linear(pooled, self.w_p, self.b_p)        # (S, T')
         if self.config.final_activation == "relu":
             out = F.relu(out)                             # literal Eq. 9
         return out

@@ -101,11 +101,10 @@ class ITAGCNLayer(Module):
         )
 
         # alpha_{u,v}: scalar gate per edge, softmax over u's in-edges.
-        # Both 1x1 gate convolutions read the same h: fused bank (the
-        # s term of a row that is only read is computed, never gathered).
-        s_term, d_term = F.conv_bank(
-            h, [self.conv_s.weight, self.conv_d.weight]
-        )                                           # 2x (S, T, 1)
+        # Both 1x1 gate convolutions read the same h: one bank (the s
+        # term of a row that is only read is computed, never gathered).
+        terms = F.conv_bank(h, [self.conv_s.weight, self.conv_d.weight])
+        s_term, d_term = terms[:, :, 0:1], terms[:, :, 1:2]   # 2x (S, T, 1)
         combined = F.gather_rows(s_term, dst) + F.gather_rows(d_term, src)
         gate = F.tanh(combined).reshape(src.size, -1) @ self.mu   # (E,)
         alpha = F.segment_softmax(gate, dst, num_out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.layers import Conv1d, Dropout
+from ..nn.layers import Conv1d, Dropout, conv_bank
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .config import GaiaConfig
@@ -51,8 +51,9 @@ class TemporalEmbeddingLayer(Module):
 
     def forward(self, fused: Tensor) -> Tensor:
         """Compute the layer output (see class docstring)."""
-        captured = F.concat([conv(fused) for conv in self.capture], axis=-1)  # Eq. 5
-        denoised = F.concat([conv(fused) for conv in self.denoise], axis=-1)  # Eq. 6
+        # Each group is one bank: one im2col and one GEMM over its kernels.
+        captured = conv_bank(fused, self.capture)                             # Eq. 5
+        denoised = conv_bank(fused, self.denoise)                             # Eq. 6
         embedding = F.relu(captured) * F.sigmoid(denoised)                    # Eq. 7
         if self.dropout is not None:
             embedding = self.dropout(embedding)

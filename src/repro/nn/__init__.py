@@ -4,11 +4,10 @@ The paper's models were implemented on Keras + AGL; neither is available
 in this offline environment, so ``repro.nn`` provides the full stack —
 reverse-mode autograd (:mod:`repro.nn.tensor`), differentiable ops
 (:mod:`repro.nn.functional`), layers (:mod:`repro.nn.layers`),
-optimizers (:mod:`repro.nn.optim`) and the fused graph-plan execution
-engine (:mod:`repro.nn.engine`: construction-time fusion, compiled-plan
-replay; its kernels, one forward each, by family in
-:mod:`repro.nn.kernels`) — that Gaia and every baseline in this
-repository are built on.
+optimizers (:mod:`repro.nn.optim`) and the graph-plan execution engine
+(:mod:`repro.nn.engine`: compiled-plan replay; its kernels, one forward
+each, by family in :mod:`repro.nn.kernels`) — that Gaia and every
+baseline in this repository are built on.
 """
 
 from . import engine

@@ -8,27 +8,25 @@ the remedy — *record once, plan, then execute* — in four layers:
 
 1. **Kernel registry** (:data:`KERNELS`).  Every primitive op is a named
    :class:`OpKernel` holding one pure ``forward(meta, arrays, out=None)``
-   and one ``vjp(meta, grad, arrays, out, saved)``.  The eager dispatcher
-   in :mod:`repro.nn.tensor` calls the forward without ``out``; the
-   planned executor below calls the *same function* with an arena
-   buffer, so eager and planned execution are the same numerics by
-   construction, not by a promise kept between two bodies.  Kernels may
-   carry a slower ``reference`` variant that preserves the original
-   (pre-engine) float association exactly; the optimized variants (GEMM
-   conv backward instead of ``einsum``, ``bincount`` scatter-add instead
-   of ``np.add.at``, in-place masked softmax, width-1 conv
-   specialisation) are selected whenever the engine mode is not
-   ``"eager"``.
+   and one ``vjp(meta, grad, arrays, out, saved)`` — one kernel per op,
+   with no mode that selects another.  The eager dispatcher in
+   :mod:`repro.nn.tensor` calls the forward without ``out``; the planned
+   executor below calls the *same function* with an arena buffer, so
+   eager and planned execution are the same numerics by construction,
+   not by a promise kept between two bodies.  The slower oracles a
+   kernel is checked against (``np.add.at`` scatters, ``einsum`` conv
+   backward, the K-conv composition of a bank) live in
+   ``tests/kernel_oracles.py``, not here.
 
-2. **Construction-time fusion** (:func:`match_fusion`).  When the
-   dispatcher records ``add(matmul(x, w), b)`` it emits a single
-   ``linear`` node with parents ``(x, w, b)`` and a fused VJP; a
-   following ``relu`` / ``tanh`` / ``sigmoid`` folds into
-   ``linear_<act>``, and ``sum(mul(a, b))`` becomes a ``mul_sum``
-   reduction whose VJP never materialises the broadcast gradient.  The
-   fused forward reuses the already-computed producer value, so fusion
-   is free at record time, and the fused VJPs are element-for-element
-   identical to the composition they replace.
+2. **Fusion by construction.**  A fused op is a kernel a layer calls:
+   ``F.linear`` records one ``linear`` node for ``x @ w + b``,
+   ``F.conv_bank`` one ``multi_conv1d`` for a bank of causal
+   convolutions over one input (TEL's capture and denoise groups,
+   MTGNN's inception), ``F.scaled_masked_softmax`` one node for CAU's
+   attention logits.  Nothing is rewritten while a forward is
+   recorded, so a recorded forward, a ``no_grad`` forward and an
+   ``inference_mode`` forward run the same kernels and give the same
+   bits.
 
 3. **Plan compile + replay** (:class:`CompiledLoss`).  Tracing one
    forward marks a tape's extent — the creation indices (``_seq``) it
@@ -58,20 +56,17 @@ Replay assumes the traced structure is *static*: same batch arrays, same
 index/mask constants, same control flow.  Ops whose recorded constants
 depend on tensor *values* (dropout masks, Huber's quadratic/linear
 split) call :func:`mark_dynamic` during tracing, and the compiled loss
-transparently falls back to fused-eager execution.  Trainers key one
+transparently falls back to eager execution.  Trainers key one
 ``CompiledLoss`` per training batch, which makes the assumption hold by
 construction; ``load_state_dict`` is safe because plans re-read
 ``parameter.data`` on every run.
-
-Mode control: ``REPRO_NN_ENGINE`` (``"fused"`` default, ``"eager"`` for
-the pre-engine reference path) or the :func:`use_mode` context manager.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,28 +75,14 @@ from ..obs.profiling import KernelProfiler, estimate_cost
 from ..obs.tracing import span as _obs_span
 from . import passes as _passes
 # Importing the package fills KERNELS; the names are re-exported here
-# (``tensor.py`` dispatches through ``engine.select_kernel``).
-from .kernels.registry import (  # noqa: F401
-    KERNELS,
-    OpKernel,
-    engine_mode,
-    fused_enabled,
-    register_kernel,
-    select_kernel,
-    set_engine_mode,
-    use_mode,
-)
+# (``tensor.py`` dispatches through ``engine.KERNELS``).
+from .kernels.registry import KERNELS, OpKernel, register_kernel
 
 __all__ = [
     "OpKernel",
     "KERNELS",
     "register_kernel",
     "DTYPE",
-    "engine_mode",
-    "set_engine_mode",
-    "use_mode",
-    "fused_enabled",
-    "match_fusion",
     "trace",
     "mark_dynamic",
     "PlanError",
@@ -135,7 +116,7 @@ def _bump(key: str, amount: int = 1) -> None:
 
 
 def stats_snapshot() -> Dict[str, int]:
-    """Copy of the engine counters (plans built, replays, fusions, ...).
+    """Copy of the engine counters (plans built, replays, arena, ...).
 
     Thread-safe (taken under the same lock ``_bump`` holds).  Includes
     the profiling plane's state: ``profiling_enabled`` (whether a
@@ -188,114 +169,6 @@ def inference_mode():
 
 
 # ======================================================================
-# construction-time fusion
-# ======================================================================
-#: fused ops reachable only through :func:`match_fusion` or the fused
-#: entry points in :mod:`repro.nn.functional` (``linear``, ``conv_bank``).
-FUSED_OPS = ("linear", "linear_relu", "linear_tanh", "linear_sigmoid",
-             "mul_sum", "multi_conv1d", "scaled_masked_softmax")
-
-_ACT_FUSION = {"relu": "linear_relu", "tanh": "linear_tanh",
-               "sigmoid": "linear_sigmoid"}
-
-
-def _is_recorded(t: object, op: str) -> bool:
-    return getattr(t, "_op", None) == op and getattr(t, "requires_grad", False)
-
-
-def match_fusion(op: str, inputs: Sequence, meta: Optional[dict]):
-    """Rewrite an op being recorded into a fused node, or return ``None``.
-
-    The rewrite reuses the producer's already-computed forward value, so
-    fusion never recomputes work at record time; replay computes the
-    fused kernel directly (the bypassed producer is pruned from the
-    plan unless another consumer needs it).
-
-    Returns ``(op, inputs, meta, out_data, saved)``.
-    """
-    if op == "add" and len(inputs) == 2:
-        for i in (0, 1):
-            prod, other = inputs[i], inputs[1 - i]
-            if _is_recorded(prod, "matmul") and prod is not other:
-                x, w = prod._parents
-                out = inputs[0].data + inputs[1].data
-                _bump("fused_linear")
-                return "linear", (x, w, other), {}, out, None
-    elif op in _ACT_FUSION and len(inputs) == 1:
-        prod = inputs[0]
-        if _is_recorded(prod, "linear"):
-            fused = _ACT_FUSION[op]
-            # The unfused activation's own forward, on the producer's
-            # value (out=None: ``prod.data`` is live, never written).
-            out, _ = KERNELS[op].forward(meta, (prod.data,))
-            _bump("fused_" + fused)
-            return fused, prod._parents, {}, out, None
-    elif op == "sum" and len(inputs) == 1:
-        prod = inputs[0]
-        if _is_recorded(prod, "mul"):
-            new_meta = dict(meta)
-            new_meta["in_shape"] = prod.data.shape
-            out = prod.data.sum(axis=meta["axis"], keepdims=meta["keepdims"])
-            _bump("fused_mul_sum")
-            return "mul_sum", prod._parents, new_meta, out, None
-    elif op == "concat" and len(inputs) >= 2 and meta["axis"] in (-1, 2):
-        fused = _match_conv_bank(inputs)
-        if fused is not None:
-            return fused
-    elif op == "masked_softmax" and len(inputs) == 1:
-        prod = inputs[0]
-        if _is_recorded(prod, "mul"):
-            for raw, scale in (prod._parents, prod._parents[::-1]):
-                if (
-                    raw.requires_grad
-                    and not scale.requires_grad
-                    and scale.data.size == 1
-                ):
-                    new_meta = {"mask": meta["mask"], "axis": meta["axis"],
-                                "scale": float(scale.data)}
-                    out, _ = KERNELS["masked_softmax"].forward(
-                        meta, (prod.data,))
-                    _bump("fused_scaled_masked_softmax")
-                    return "scaled_masked_softmax", (raw,), new_meta, out, None
-    return None
-
-
-def _match_conv_bank(inputs: Sequence):
-    """Concat of causal convs over one shared input -> ``multi_conv1d``.
-
-    Fires on TEL-style multi-scale banks.  Unlike the other fusion
-    rules, the bank recomputes its forward (one im2col + one block GEMM)
-    instead of splicing the per-scale outputs, so that the recorded
-    value is bit-identical to what plan replay computes; the bypassed
-    per-scale conv nodes are pruned from the plan.
-    """
-    first_bias = None
-    for node in inputs:
-        if not _is_recorded(node, "conv1d") or node.data.ndim != 3:
-            return None
-        width = node._parents[1].data.shape[0]
-        if node._meta["right"] != 0 or node._meta["left"] != width - 1:
-            return None  # not causal
-        has_bias = len(node._parents) == 3
-        if first_bias is None:
-            first_bias = has_bias
-        elif has_bias != first_bias:
-            return None
-        if node._parents[0] is not inputs[0]._parents[0]:
-            return None  # different source tensors
-    x = inputs[0]._parents[0]
-    weights = tuple(node._parents[1] for node in inputs)
-    biases = tuple(node._parents[2] for node in inputs) if first_bias else ()
-    new_meta = {"num_scales": len(inputs), "bias": first_bias}
-    new_inputs = (x,) + weights + biases
-    out, saved = KERNELS["multi_conv1d"].forward(
-        new_meta, tuple(t.data for t in new_inputs)
-    )
-    _bump("fused_multi_conv1d")
-    return "multi_conv1d", new_inputs, new_meta, out, saved
-
-
-# ======================================================================
 # tracing
 # ======================================================================
 class Tape:
@@ -306,8 +179,7 @@ class Tape:
     recorded are exactly the nodes created between :attr:`start` and
     :attr:`stop`; :func:`compile_plan` recovers them from the loss root's
     ancestors.  Holding no tensor, the tape keeps nothing alive that the
-    loss does not: per-scale convs and matmuls that fusion bypassed are
-    freed as soon as nothing reads them.
+    loss does not.
     """
 
     __slots__ = ("start", "stop", "dynamic", "reasons")
@@ -688,7 +560,7 @@ class CompiledLoss:
     same masks) on every call; parameters may change freely.  The first
     ``run()`` traces eagerly and compiles a plan; later runs replay it.
     If the trace is dynamic (dropout, value-dependent constants) or
-    compilation fails, every run transparently falls back to fused-eager
+    compilation fails, every run transparently falls back to eager
     execution — correctness never depends on replayability.
 
     After ``run()``, ``param.grad`` is populated exactly as
@@ -751,7 +623,7 @@ class CompiledLoss:
 
     def run(self) -> float:
         """Execute one step; returns the loss, populates ``.grad``."""
-        if self._dynamic or not fused_enabled():
+        if self._dynamic:
             _bump("compiled_eager_steps")
             with _obs_span("engine.step"):
                 return self._eager()

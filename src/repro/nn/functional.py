@@ -7,12 +7,17 @@ per-edge attention with a softmax over each destination node's incoming
 edges — using only dense numpy kernels.
 
 Primitives dispatch through the :mod:`repro.nn.engine` kernel registry
-(see the design notes in :mod:`repro.nn.tensor`), so they participate in
-construction-time fusion and planned replay automatically.  Composite
-ops whose recorded constants depend on tensor *values* (:func:`dropout`
-masks, :func:`huber_loss`'s branch mask) flag the active trace via
-:func:`repro.nn.engine.mark_dynamic`, which makes compiled losses fall
-back to fused-eager execution instead of replaying stale constants.
+(see the design notes in :mod:`repro.nn.tensor`), so they take part in
+planned replay automatically.  Each entry point records exactly the
+kernel it names: the fused ones — :func:`linear`, :func:`conv_bank`,
+:func:`scaled_masked_softmax` — are one node each because a layer calls
+them, not because a pattern of smaller ops was rewritten, so every
+forward of a model (recorded, ``no_grad``, serving) runs the same
+kernels.  Composite ops whose recorded constants depend on tensor
+*values* (:func:`dropout` masks, :func:`huber_loss`'s branch mask) flag
+the active trace via :func:`repro.nn.engine.mark_dynamic`, which makes
+compiled losses fall back to eager execution instead of replaying stale
+constants.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "tanh",
     "softmax",
     "masked_softmax",
+    "scaled_masked_softmax",
     "linear",
     "concat",
     "stack",
@@ -107,9 +113,9 @@ def tanh(a: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` as one fused node.
 
-    With a bias this records the engine's ``linear`` kernel directly
-    (one node, one fused VJP) instead of relying on the ``matmul + add``
-    pattern matcher; without a bias it is a plain matmul.
+    With a bias this records the engine's ``linear`` kernel (one node,
+    one VJP, the same bits as ``x @ weight + bias``); without a bias it
+    is a plain matmul.
     """
     if bias is None:
         return _apply_op("matmul", (x, weight))
@@ -137,6 +143,17 @@ def masked_softmax(a: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     Rows that are fully masked produce a uniform zero row instead of NaN.
     """
     return _apply_op("masked_softmax", (a,), {"mask": mask, "axis": axis})
+
+
+def scaled_masked_softmax(a: Tensor, scale: float, mask: np.ndarray,
+                          axis: int = -1) -> Tensor:
+    """``masked_softmax(a * scale, mask)`` as one node (attention logits).
+
+    The same bits as the composition, without recording the scaled
+    scores: CAU's ``softmax(Q K^T / sqrt(C) + M)``.
+    """
+    return _apply_op("scaled_masked_softmax", (a,),
+                     {"mask": mask, "axis": axis, "scale": float(scale)})
 
 
 def causal_mask(size: int) -> np.ndarray:
@@ -240,43 +257,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
 
 def conv_bank(x: Tensor, weights: Sequence[Tensor],
-              biases: Optional[Sequence[Optional[Tensor]]] = None) -> tuple:
-    """Bank of causal convolutions sharing one input, fused to one GEMM.
+              biases: Optional[Sequence[Tensor]] = None) -> Tensor:
+    """Bank of causal convolutions sharing one input, as one GEMM.
 
-    Computes ``conv1d(x, w_i, b_i, padding="causal")`` for every kernel
-    and returns the outputs as a tuple.  Under the engine's fused mode
-    the whole bank records a single ``multi_conv1d`` node (one im2col +
-    one block GEMM + slicing) — the same fusion the engine applies
-    automatically to ``concat``-of-convs patterns like the TEL groups —
-    which is ~2-3x faster than K separate skinny convolutions.  In
-    eager mode it degrades to the K separate convs, preserving the
-    reference numerics exactly.
+    Computes the channel concatenation of ``conv1d(x, w_i, b_i,
+    padding="causal")`` over the kernels, as one ``multi_conv1d`` node
+    (one im2col + one block GEMM) — ~2-3x faster than K separate skinny
+    convolutions.  Kernels may differ in width; a caller that needs the
+    per-kernel outputs slices the channel axis.
 
-    ``biases`` must be all-``None`` or all tensors (mirroring how every
-    call site constructs its convs).
+    ``biases`` is ``None`` or one tensor per kernel.
     """
-    weights = list(weights)
-    bias_list = list(biases) if biases is not None else [None] * len(weights)
-    has_bias = bias_list[0] is not None
-    if any((b is not None) != has_bias for b in bias_list):
-        raise ValueError("conv_bank requires all-or-none biases")
-    if not engine.fused_enabled():
-        return tuple(
-            conv1d(x, w, b, padding="causal")
-            for w, b in zip(weights, bias_list)
-        )
-    inputs = (x, *weights) + (tuple(bias_list) if has_bias else ())
-    meta = {"num_scales": len(weights), "bias": has_bias}
-    stacked = _apply_op("multi_conv1d", inputs, meta)
-    outputs = []
-    col = 0
-    for w in weights:
-        c_out = w.data.shape[2]
-        outputs.append(
-            stacked[(slice(None), slice(None), slice(col, col + c_out))]
-        )
-        col += c_out
-    return tuple(outputs)
+    weights = tuple(weights)
+    biases = tuple(biases) if biases is not None else ()
+    if biases and len(biases) != len(weights):
+        raise ValueError("conv_bank takes one bias per kernel, or none")
+    return _apply_op("multi_conv1d", (x, *weights, *biases),
+                     {"num_scales": len(weights), "bias": bool(biases)})
 
 
 # ----------------------------------------------------------------------

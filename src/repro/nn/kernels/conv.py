@@ -1,13 +1,14 @@
 """Temporal convolution kernels: ``conv1d`` (im2col + GEMM, width-1
-specialised, pre-engine reference kept) and the fused multi-scale bank
-``multi_conv1d`` (TEL's capture/denoise groups as one block GEMM).
+specialised) and the fused multi-scale bank ``multi_conv1d`` (TEL's
+capture/denoise groups as one block GEMM, what
+:func:`repro.nn.functional.conv_bank` records).
 
 Neither saves anything: the im2col columns are a ``width``-fold copy of
 the input, which the arena cannot plan, so each VJP re-lays them from
 ``arrays[0]`` with the forward's own call — the same columns, so the
 same gradient bits — at the cost of one contiguous copy per backward.
 Width 1 needs no columns at all: the input's ``(B * T, C)`` view is the
-GEMM operand.  Only the ``_ref`` oracles keep their saved columns.
+GEMM operand.
 """
 
 from __future__ import annotations
@@ -49,42 +50,6 @@ def _gemm_rows(rows: np.ndarray, w2: np.ndarray, shape: tuple,
         return np.matmul(rows, w2).reshape(shape)
     np.matmul(rows, w2, out=out.reshape(rows.shape[0], -1))
     return out
-
-
-def _fw_conv1d_ref(meta, arrays):
-    x, w = arrays[0], arrays[1]
-    width, c_in, c_out = w.shape
-    left, right = meta["left"], meta["right"]
-    b = x.shape[0]
-    xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
-    cols = _im2col(xp, width)
-    w2 = w.reshape(width * c_in, c_out)
-    out_t = cols.shape[1]
-    cols2 = cols.reshape(b, out_t, width * c_in)
-    out = cols2 @ w2
-    if len(arrays) == 3:
-        out = out + arrays[2]
-    return out, np.ascontiguousarray(cols2)
-
-
-def _bw_conv1d_ref(meta, grad, arrays, out, saved):
-    x, w = arrays[0], arrays[1]
-    width, c_in, c_out = w.shape
-    left = meta["left"]
-    b, t, _ = x.shape
-    out_t = grad.shape[1]
-    w2 = w.reshape(width * c_in, c_out)
-    cols2 = saved
-    gw = np.einsum("btk,bto->ko", cols2, grad).reshape(width, c_in, c_out)
-    gcols = grad @ w2.T
-    gcols = gcols.reshape(b, out_t, width, c_in)
-    gx_padded = np.zeros((b, t + left + meta["right"], c_in), dtype=grad.dtype)
-    for offset in range(width):
-        gx_padded[:, offset:offset + out_t, :] += gcols[:, :, offset, :]
-    gx = gx_padded[:, left:left + t, :]
-    if len(arrays) == 3:
-        return gx, gw, grad.sum(axis=(0, 1))
-    return gx, gw
 
 
 def _fw_conv1d(meta, arrays, out=None):
@@ -232,7 +197,6 @@ def _bw_multi_conv1d(meta, grad, arrays, out, saved):
 
 
 register_kernel("conv1d", _fw_conv1d, _bw_conv1d,
-                ref_forward=_fw_conv1d_ref, ref_vjp=_bw_conv1d_ref,
                 arena=True, vjp_uses=("inputs",))
 register_kernel("multi_conv1d", _fw_multi_conv1d, _bw_multi_conv1d,
                 arena=True, vjp_uses=("inputs",))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .registry import fused_enabled, register_kernel
+from .registry import register_kernel
 
 
 def _denom_floor(dtype) -> float:
@@ -46,8 +46,7 @@ def _mul_operand_grad(grad: np.ndarray, other: np.ndarray,
     the full product and summing it afterwards.
     """
     if (
-        fused_enabled()
-        and operand_shape != grad.shape
+        operand_shape != grad.shape
         and other.shape == grad.shape
         and len(operand_shape) == grad.ndim
         and operand_shape[0] == grad.shape[0]
@@ -114,7 +113,7 @@ _LOG_EPS = 1e-12
 def _fw_log(meta, arrays, out=None):
     # Guard non-positive inputs: clamp into [eps, inf) so the forward
     # yields a large-negative value instead of nan/-inf and the backward
-    # stays finite.  (Numerics bugfix; applies in every mode.)
+    # stays finite.
     return np.log(np.maximum(arrays[0], _LOG_EPS), out=out), None
 
 

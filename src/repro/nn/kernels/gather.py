@@ -68,12 +68,6 @@ def _fw_getitem(meta, arrays, out=None):
     return arrays[0][meta["index"]], None
 
 
-def _bw_getitem_ref(meta, grad, arrays, out, saved):
-    full = np.zeros(meta["in_shape"], dtype=np.asarray(grad).dtype)
-    np.add.at(full, meta["index"], grad)
-    return (full,)
-
-
 def _bw_getitem(meta, grad, arrays, out, saved):
     index = meta["index"]
     if isinstance(index, np.ndarray):
@@ -101,22 +95,9 @@ def _fw_gather_rows(meta, arrays, out=None):
     return np.take(arrays[0], meta["index"], axis=0, out=out), None
 
 
-def _bw_gather_rows_ref(meta, grad, arrays, out, saved):
-    full = np.zeros(meta["in_shape"], dtype=np.asarray(grad).dtype)
-    np.add.at(full, meta["index"], grad)
-    return (full,)
-
-
 def _bw_gather_rows(meta, grad, arrays, out, saved):
     return (_scatter_rows(meta["index"], np.asarray(grad),
                           meta["in_shape"][0], meta),)
-
-
-def _fw_segment_sum_ref(meta, arrays):
-    (a,) = arrays
-    out = np.zeros((meta["num_segments"],) + a.shape[1:], dtype=a.dtype)
-    np.add.at(out, meta["ids"], a)
-    return out, None
 
 
 def _fw_segment_sum(meta, arrays, out=None):
@@ -149,11 +130,10 @@ def _bw_segment_max_gather(meta, grad, arrays, out, saved):
     return (None,)
 
 
-register_kernel("getitem", _fw_getitem, _bw_getitem,
-                ref_vjp=_bw_getitem_ref, vjp_uses=())
+register_kernel("getitem", _fw_getitem, _bw_getitem, vjp_uses=())
 register_kernel("gather_rows", _fw_gather_rows, _bw_gather_rows,
-                ref_vjp=_bw_gather_rows_ref, arena=True, vjp_uses=())
+                arena=True, vjp_uses=())
 register_kernel("segment_sum", _fw_segment_sum, _bw_segment_sum,
-                ref_forward=_fw_segment_sum_ref, vjp_uses=())
+                vjp_uses=())
 register_kernel("segment_max_gather", _fw_segment_max_gather,
                 _bw_segment_max_gather, arena=True, vjp_uses=())

@@ -1,6 +1,5 @@
 """Shape and reduction kernels: views (``reshape``/``transpose``),
-joins (``concat``/``stack``/``pad_time``) and the reductions ``sum`` and
-its fused ``mul_sum``."""
+joins (``concat``/``stack``/``pad_time``) and the reduction ``sum``."""
 
 from __future__ import annotations
 
@@ -89,21 +88,6 @@ def _bw_pad_time(meta, grad, arrays, out, saved):
     return (grad[tuple(index)],)
 
 
-def _fw_mul_sum(meta, arrays, out=None):
-    # Not an arena kernel: the product is a temporary either way.
-    a, b = arrays
-    return (a * b).sum(axis=meta["axis"], keepdims=meta["keepdims"]), None
-
-
-def _bw_mul_sum(meta, grad, arrays, out, saved):
-    a, b = arrays
-    in_shape = meta["in_shape"]
-    g = _expand_reduced_grad(grad, meta["axis"], meta["keepdims"], in_shape)
-    # Broadcast *view* — the composed sum-VJP would materialise a copy.
-    g = np.broadcast_to(g, in_shape)
-    return g * b, g * a
-
-
 register_kernel("reshape", _fw_reshape, _bw_reshape, vjp_uses=())
 register_kernel("transpose", _fw_transpose, _bw_transpose, vjp_uses=())
 register_kernel("sum", _fw_sum, _bw_sum, arena=True, vjp_uses=())
@@ -111,4 +95,3 @@ register_kernel("concat", _fw_concat, _bw_concat, arena=True, vjp_uses=())
 register_kernel("stack", _fw_stack, _bw_stack, arena=True, vjp_uses=())
 register_kernel("pad_time", _fw_pad_time, _bw_pad_time,
                 arena=True, vjp_uses=())
-register_kernel("mul_sum", _fw_mul_sum, _bw_mul_sum, vjp_uses=("inputs",))

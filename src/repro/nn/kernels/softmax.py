@@ -1,7 +1,7 @@
 """Softmax kernels: ``softmax``, the additive-mask ``masked_softmax``
-(CAU attention; pre-engine reference kept) and its fused
-``scaled_masked_softmax``.  All three normalise through
-:func:`_softmax_into`."""
+and the scaled ``scaled_masked_softmax`` (CAU attention, what
+:func:`repro.nn.functional.scaled_masked_softmax` records).  All three
+normalise through :func:`_softmax_into`."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def _softmax_into(scores: np.ndarray, axis, out) -> np.ndarray:
     own buffer in place) or ``None`` (allocate).  Masked entries are
     ``-inf`` after the shift and ``exp(-inf) == 0.0`` exactly, so no
     ``isfinite`` bookkeeping is needed (finite logits assumed; the
-    reference variant also zeroes nan scores).
+    oracle in ``tests/kernel_oracles.py`` also zeroes nan scores).
     """
     row_max = scores.max(axis=axis, keepdims=True)
     # Rows of -inf (fully suppressed logits) would otherwise turn into
@@ -58,29 +58,10 @@ def _bw_softmax(meta, grad, arrays, out, saved):
     return (out * (grad - dot),)
 
 
-def _fw_masked_softmax_ref(meta, arrays):
-    (a,) = arrays
-    mask, axis = _mask_like(meta, a), meta["axis"]
-    scores = a + mask
-    row_max = scores.max(axis=axis, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    ex = np.exp(scores - row_max)
-    ex = np.where(np.isfinite(scores), ex, 0.0)
-    denom = ex.sum(axis=axis, keepdims=True)
-    safe = np.maximum(denom, _denom_floor(a.dtype))
-    return ex / safe, None
-
-
 def _fw_masked_softmax(meta, arrays, out=None):
     (a,) = arrays
     scores = np.add(a, _mask_like(meta, a), out=out)  # only allocation
     return _softmax_into(scores, meta["axis"], scores), None
-
-
-def _bw_masked_softmax_ref(meta, grad, arrays, out, saved):
-    axis = meta["axis"]
-    dot = (grad * out).sum(axis=axis, keepdims=True)
-    return (out * (grad - dot),)
 
 
 def _softmax_dot(grad: np.ndarray, out: np.ndarray, axis) -> np.ndarray:
@@ -118,8 +99,6 @@ def _bw_scaled_masked_softmax(meta, grad, arrays, out, saved):
 register_kernel("softmax", _fw_softmax, _bw_softmax,
                 arena=True, vjp_uses=("output",))
 register_kernel("masked_softmax", _fw_masked_softmax, _bw_masked_softmax,
-                ref_forward=_fw_masked_softmax_ref,
-                ref_vjp=_bw_masked_softmax_ref,
                 arena=True, vjp_uses=("output",))
 register_kernel("scaled_masked_softmax", _fw_scaled_masked_softmax,
                 _bw_scaled_masked_softmax,

@@ -19,6 +19,7 @@ from .tensor import Tensor
 __all__ = [
     "Linear",
     "Conv1d",
+    "conv_bank",
     "Embedding",
     "LayerNorm",
     "Dropout",
@@ -74,6 +75,16 @@ class Conv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Compute the layer output (see class docstring)."""
         return F.conv1d(x, self.weight, self.bias, padding=self.padding)
+
+
+def conv_bank(x: Tensor, convs: Sequence[Conv1d]) -> Tensor:
+    """``F.concat([conv(x) for conv in convs], axis=-1)`` for causal
+    :class:`Conv1d` layers, computed as one :func:`F.conv_bank` node."""
+    if any(conv.padding != "causal" for conv in convs):
+        raise ValueError("conv_bank runs causal convolutions only")
+    biases = [conv.bias for conv in convs]
+    return F.conv_bank(x, [conv.weight for conv in convs],
+                       None if biases[0] is None else biases)
 
 
 class Embedding(Module):

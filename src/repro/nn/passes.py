@@ -4,9 +4,9 @@ The engine's compiler (:func:`repro.nn.engine.compile_plan`) prunes the
 traced graph through this module before it builds the schedule, and
 :class:`~repro.nn.engine.ExecutionPlan` plans its own memory with it at
 bind time.  A pass only decides *which buffer* a step's one forward is
-handed (``forward(meta, arrays, out)``); it never picks a kernel
-variant, so planned float64 replay stays bitwise-identical to the
-fused eager walk:
+handed (``forward(meta, arrays, out)``); there is no kernel variant
+to pick, so planned float64 replay stays bitwise-identical to the
+eager walk:
 
 1. **Dead-node pruning** (:func:`prune_dead_nodes`): walk the loss
    root's ancestors and order them by creation index.  The trace

@@ -8,17 +8,17 @@ model in this repository (Gaia and all eight baselines) is built on the
 Design notes
 ------------
 * ``Tensor`` wraps a float64 ``numpy.ndarray`` (the engine's one
-  dtype) together with an optional gradient buffer and a reference to
-  the registered kernel that produced it.  Ops are *data, not
-  closures*: every primitive is an
-  :class:`repro.nn.engine.OpKernel` — a pure
+  dtype) together with an optional gradient buffer and the name of the
+  registered kernel that produced it.  Ops are *data, not closures*:
+  every primitive is an :class:`repro.nn.engine.OpKernel` — a pure
   ``forward(meta, arrays, out=None)`` / ``vjp(meta, grad, arrays, out,
-  saved)`` pair — dispatched through :func:`_apply_op`.  Because
-  kernels are addressable by name, the same functions serve three
-  executors: the eager path here (no ``out``: numpy allocates), the
-  construction-time fuser, and the planned replay executor in
-  :mod:`repro.nn.engine` (record once → schedule → re-execute over raw
-  arrays, handing each forward its arena buffer as ``out``).
+  saved)`` pair — dispatched through :func:`_apply_op`, and
+  :meth:`Tensor.backward` looks each node's VJP up in the registry by
+  that name.  Because kernels are addressable by name, the same
+  functions serve two executors: the eager path here (no ``out``: numpy
+  allocates) and the planned replay executor in :mod:`repro.nn.engine`
+  (record once → schedule → re-execute over raw arrays, handing each
+  forward its arena buffer as ``out``).
 * Scheduling: every tensor carries a monotonically increasing creation
   index (``_seq``).  Creation order is by construction a topological
   order of the recorded graph, so :meth:`Tensor.backward` simply visits
@@ -28,24 +28,21 @@ Design notes
   the same kernels, which makes eager and planned gradients
   **bit-for-bit identical**; that is the engine's equivalence guarantee
   (see ROADMAP, "execution engine").
-* Fusion happens when ops are recorded, behind this module's public API:
-  ``add(matmul(x, w), b)`` becomes one ``linear`` node,
-  ``relu/tanh/sigmoid`` fold into it, and ``sum(mul(a, b))`` becomes a
-  ``mul_sum`` reduction.  Call sites — every model in the repo — are
-  untouched; fused VJPs are element-identical to the composition they
-  replace.
+* What is recorded is what the model code called: a fused op
+  (``linear``, ``multi_conv1d``, ``scaled_masked_softmax``) is a kernel
+  a layer calls through :mod:`repro.nn.functional`, never a rewrite of
+  the ops being recorded, so recorded, ``no_grad`` and inference
+  forwards compute the same bits.
 * Broadcasting follows numpy semantics; gradients of broadcast operands
   are reduced back to the operand's shape by :func:`unbroadcast`, which
   right-aligns gradients whose rank already dropped below the operand's
   (size-1 axes in scalar-output chains) before reducing stretched axes.
-* ``REPRO_NN_ENGINE=eager`` (or ``engine.use_mode("eager")``) restores
-  the original unfused kernels and float association exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,13 +127,13 @@ class Tensor:
         with ``requires_grad=True`` accumulate into :attr:`grad`.
     parents:
         Tensors this value was computed from (internal; set by
-        :func:`_apply_op`, which also attaches the registry kernel).
+        :func:`_apply_op`, which also records the registry op name).
     name:
         Optional debugging label.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents",
-                 "name", "_op", "_meta", "_saved", "_vjp", "_seq")
+                 "name", "_op", "_meta", "_saved", "_seq")
 
     def __init__(
         self,
@@ -155,7 +152,6 @@ class Tensor:
         self._op: Optional[str] = None
         self._meta: Optional[dict] = None
         self._saved: object = None
-        self._vjp: Optional[Callable] = None
         self._seq = next(_SEQ)
 
     # ------------------------------------------------------------------
@@ -218,7 +214,8 @@ class Tensor:
     def _parent_grads(self, grad: np.ndarray):
         """Run this node's registry-kernel VJP."""
         arrays = tuple(p.data for p in self._parents)
-        return self._vjp(self._meta, grad, arrays, self.data, self._saved)
+        return engine.KERNELS[self._op].vjp(self._meta, grad, arrays,
+                                            self.data, self._saved)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -248,7 +245,7 @@ class Tensor:
             if not node._parents:
                 node._accumulate(node_grad)
                 continue
-            if node._vjp is None:
+            if node._op is None:
                 continue
             parent_grads = node._parent_grads(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):
@@ -353,31 +350,17 @@ def _topological_order(root: Tensor) -> list:
 def _apply_op(op: str, inputs: tuple, meta: Optional[dict] = None) -> Tensor:
     """Dispatch one primitive through the engine's kernel registry.
 
-    Chooses the kernel variant for the current engine mode, applies
-    construction-time fusion when recording and creates the output node
-    (a trace finds it later by its ``_seq``).
+    Runs the kernel's forward and, when recording, creates the output
+    node (a trace finds it later by its ``_seq``).
     """
-    recording = is_grad_enabled() and any(t.requires_grad for t in inputs)
-    if recording and engine.fused_enabled():
-        rewrite = engine.match_fusion(op, inputs, meta)
-        if rewrite is not None:
-            op, inputs, meta, out_data, saved = rewrite
-            return _record(op, inputs, meta, out_data, saved,
-                           engine.KERNELS[op].vjp)
-    forward, vjp = engine.select_kernel(op)
-    out_data, saved = forward(meta, tuple(t.data for t in inputs))
-    if not recording:
+    out_data, saved = engine.KERNELS[op].forward(
+        meta, tuple(t.data for t in inputs))
+    if not (is_grad_enabled() and any(t.requires_grad for t in inputs)):
         return Tensor(out_data)
-    return _record(op, inputs, meta, out_data, saved, vjp)
-
-
-def _record(op: str, inputs: tuple, meta: Optional[dict], out_data: np.ndarray,
-            saved: object, vjp: Callable) -> Tensor:
     result = Tensor(out_data, requires_grad=True, parents=inputs)
     result._op = op
     result._meta = meta
     result._saved = saved
-    result._vjp = vjp
     return result
 
 

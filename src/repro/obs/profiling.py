@@ -67,12 +67,11 @@ def estimate_cost(op: str, in_shapes: Sequence[Sequence[int]],
     out = _size(out_shape)
     in_total = sum(_size(s) for s in in_shapes)
     bytes_moved = 8.0 * (in_total + out)
-    if op in ("matmul", "linear", "linear_relu", "linear_tanh",
-              "linear_sigmoid"):
+    if op in ("matmul", "linear"):
         k = int(in_shapes[0][-1]) if in_shapes and len(in_shapes[0]) else 1
         flops = 2.0 * out * k
-        if op != "matmul":
-            flops += out  # bias add (+ the activation is ~1 op/element)
+        if op == "linear":
+            flops += out  # bias add
     elif op == "conv1d":
         w_shape = in_shapes[1] if len(in_shapes) > 1 else (1, 1, 1)
         flops = 2.0 * out * int(w_shape[0]) * int(w_shape[1])
@@ -81,8 +80,6 @@ def estimate_cost(op: str, in_shapes: Sequence[Sequence[int]],
         widths = [int(s[0]) for s in in_shapes[1:1 + num_scales]]
         c_in = int(in_shapes[0][-1]) if in_shapes else 1
         flops = 2.0 * out * (max(widths) if widths else 1) * c_in
-    elif op == "mul_sum":
-        flops = 2.0 * in_total / 2.0  # one multiply + one add per element
     elif op in ("softmax", "masked_softmax", "scaled_masked_softmax"):
         flops = 5.0 * out
     elif op in ("sum", "segment_sum", "segment_max_gather"):

@@ -929,8 +929,5 @@ class ServingGateway:
             "service_time_ewma_s": self.batcher.service_time_ewma,
             "decisions_logged": len(self.admission.decisions),
         }
-        report["engine"] = {
-            "mode": engine.engine_mode(),
-            **engine.stats_snapshot(),
-        }
+        report["engine"] = engine.stats_snapshot()
         return report

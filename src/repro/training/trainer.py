@@ -58,8 +58,7 @@ class TrainConfig:
     #: Route training steps through the planned execution engine
     #: (:mod:`repro.nn.engine`): trace each train batch once, then
     #: replay the cached plan with reused gradient buffers.  Falls back
-    #: to eager execution automatically for dynamic graphs (dropout)
-    #: or when the engine mode is ``"eager"``.
+    #: to eager execution automatically for dynamic graphs (dropout).
     use_engine: bool = True
 
 
@@ -174,7 +173,7 @@ class Trainer:
         the same order), minus the per-step graph construction.
         ``loss_fn`` must read the same arrays on every call.
         """
-        if self.config.use_engine and engine.fused_enabled():
+        if self.config.use_engine:
             compiled = self._compiled.get(key)
             if compiled is None:
                 compiled = self._compiled[key] = engine.CompiledLoss(loss_fn)

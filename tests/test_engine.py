@@ -1,14 +1,16 @@
 """Gradient correctness, equivalence and stats tests for the engine.
 
-Three layers of guarantees, strongest first:
+Four layers of guarantees, strongest first:
 
 * every fused kernel's VJP matches central differences across random
   shapes (``forall`` harness; ``-m engine`` selects this suite);
-* fused kernels match the eager reference kernels' gradients;
-* compiled-plan replay is **bit-for-bit** identical to the fused eager
-  graph walk, and the full engine tracks the pre-engine eager path to
-  <= 1e-12 over whole training trajectories (Trainer and
-  ParallelTrainer).
+* kernels match their oracles' gradients (``tests/kernel_oracles.py``);
+* one composition per model: a recorded forward, a ``no_grad`` forward
+  and an ``inference_mode`` forward give the same bits, for every
+  neural method — nothing is rewritten while recording;
+* compiled-plan replay is **bit-for-bit** identical to the eager graph
+  walk, and the engine tracks the oracle kernels to <= 1e-12 over whole
+  training trajectories (Trainer and ParallelTrainer).
 """
 
 import gc
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import check_gradients, forall, numerical_gradient
+from kernel_oracles import use_oracles
 
 from repro.baselines.registry import create_model
 from repro.core import Gaia, GaiaConfig
@@ -28,22 +31,15 @@ from repro.nn import engine
 from repro.nn import functional as F
 from repro.nn.kernels.conv import _padded_cols
 from repro.nn.kernels.gather import _scatter_rows
-from repro.nn.layers import Conv1d, Linear
+from repro.nn.layers import Conv1d, Linear, conv_bank
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor, _apply_op
+from repro.nn.tensor import Tensor, _apply_op, no_grad
 from repro.obs import profile_kernels
 from repro.training import TrainConfig, Trainer
 from repro.training.parallel import ParallelTrainer
 from repro.training.trainer import masked_loss
 
 pytestmark = pytest.mark.engine
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    previous = engine.engine_mode()
-    yield
-    engine.set_engine_mode(previous)
 
 
 @pytest.fixture(scope="module")
@@ -83,43 +79,16 @@ class TestFusedKernelGradients:
             x = leaf(rng, b, t, c_in)
             w = leaf(rng, c_in, c_out)
             bias = leaf(rng, c_out)
-            loss = ((x @ w + bias) * (x @ w + bias)).mean()
-            assert loss._op is not None
+            assert F.linear(x, w, bias)._op == "linear"
             check_gradients(
-                lambda ts: (ts[0] @ ts[1] + ts[2]).sum(), [x, w, bias]
+                lambda ts: (F.linear(ts[0], ts[1], ts[2]) ** 2.0).sum(),
+                [x, w, bias],
             )
 
         forall(
             lambda rng: (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                          int(rng.integers(1, 5)), int(rng.integers(1, 5))),
-            prop, trials=12, name="linear fusion gradients",
-        )
-
-    @pytest.mark.parametrize("act", [F.relu, F.tanh, F.sigmoid])
-    def test_linear_activation_fusion_gradcheck(self, act):
-        rng = np.random.default_rng(3)
-        x = leaf(rng, 5, 4)
-        w = leaf(rng, 4, 3)
-        bias = leaf(rng, 3)
-        fused = act(x @ w + bias)
-        assert fused._op.startswith("linear_")
-        check_gradients(lambda ts: act(ts[0] @ ts[1] + ts[2]).sum(),
-                        [x, w, bias])
-
-    def test_mul_sum_fusion_gradcheck(self):
-        def prop(case):
-            shape, axis = case
-            rng = np.random.default_rng(sum(shape))
-            a = leaf(rng, *shape)
-            b = leaf(rng, *shape)
-            fused = (a * b).sum(axis=axis)
-            assert fused._op == "mul_sum"
-            check_gradients(lambda ts: (ts[0] * ts[1]).sum(), [a, b])
-
-        forall(
-            lambda rng: (tuple(int(s) for s in rng.integers(1, 5, size=2)),
-                         None),
-            prop, trials=10, name="mul_sum gradients",
+            prop, trials=12, name="linear gradients",
         )
 
     def test_conv_bank_gradcheck(self):
@@ -127,42 +96,23 @@ class TestFusedKernelGradients:
         x = leaf(rng, 2, 6, 3)
         ws = [leaf(rng, w, 3, 2) for w in (1, 2, 4)]
         bs = [leaf(rng, 2) for _ in range(3)]
+        assert F.conv_bank(x, ws, bs)._op == "multi_conv1d"
 
         def build(ts):
             xs, w1, w2, w3, b1, b2, b3 = ts
-            outs = F.conv_bank(xs, [w1, w2, w3], [b1, b2, b3])
-            return sum((o * o).sum() for o in outs)
+            out = F.conv_bank(xs, [w1, w2, w3], [b1, b2, b3])
+            return (out * out).sum()
 
         check_gradients(build, [x, *ws, *bs], atol=1e-4)
-
-    def test_concat_of_convs_fuses_to_bank(self):
-        rng = np.random.default_rng(9)
-        x = leaf(rng, 2, 5, 3)
-        convs = [Conv1d(3, 2, width=w, rng=rng, padding="causal")
-                 for w in (2, 4)]
-        out = F.concat([conv(x) for conv in convs], axis=-1)
-        assert out._op == "multi_conv1d"
-
-        def build(ts):
-            xs, w1, b1, w2, b2 = ts
-            return F.concat(
-                [F.conv1d(xs, w1, b1), F.conv1d(xs, w2, b2)], axis=-1
-            ).sum()
-
-        check_gradients(
-            build,
-            [x, convs[0].weight, convs[0].bias, convs[1].weight, convs[1].bias],
-            atol=1e-4,
-        )
 
     def test_scaled_masked_softmax_fusion_gradcheck(self):
         rng = np.random.default_rng(5)
         mask = F.causal_mask(4)
         scores = leaf(rng, 3, 4, 4)
-        fused = F.masked_softmax(scores * Tensor(0.5), mask)
+        fused = F.scaled_masked_softmax(scores, 0.5, mask)
         assert fused._op == "scaled_masked_softmax"
         check_gradients(
-            lambda ts: (F.masked_softmax(ts[0] * Tensor(0.5), mask) ** 2.0).sum(),
+            lambda ts: (F.scaled_masked_softmax(ts[0], 0.5, mask) ** 2.0).sum(),
             [scores], atol=1e-4,
         )
 
@@ -216,6 +166,7 @@ class TestFusedMatchesReference:
 
     @pytest.mark.parametrize("width", [1, 3, 6])
     def test_conv1d_modes_agree(self, width):
+        """The conv1d kernel against its oracle, through the dispatcher."""
         def build():
             rng = np.random.default_rng(width)
             x = leaf(rng, 3, 7, 4)
@@ -223,10 +174,9 @@ class TestFusedMatchesReference:
             b = leaf(rng, 2)
             return (F.conv1d(x, w, b) ** 2.0).sum(), [x, w, b]
 
-        engine.set_engine_mode("fused")
         fused_loss, fused_grads = self._grads(build)
-        engine.set_engine_mode("eager")
-        ref_loss, ref_grads = self._grads(build)
+        with use_oracles():
+            ref_loss, ref_grads = self._grads(build)
         assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
         for fg, rg in zip(fused_grads, ref_grads):
             np.testing.assert_allclose(fg, rg, rtol=1e-10, atol=1e-12)
@@ -459,27 +409,6 @@ class TestTraceKeepsNothingDead:
         assert abs(traced_bytes - untraced_bytes) <= 0.01 * untraced_bytes, (
             traced_bytes, untraced_bytes)
 
-    def test_fusion_bypassed_nodes_are_freed_before_compile(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(4, 5, 3)))
-        w = Parameter(rng.normal(size=(3, 2)), name="net.weight")
-        b = Parameter(np.zeros(2), name="net.bias")
-        convs = [Conv1d(3, 2, width=width, rng=rng, padding="causal")
-                 for width in (2, 3)]
-        with engine.trace() as tape:
-            product = x @ w               # bypassed by the linear fusion
-            scales = [conv(x) for conv in convs]  # bypassed by the bank
-            out = (product + b).sum() + F.concat(scales, axis=-1).sum()
-        assert product._op == "matmul" and out._op == "add"
-        # Ours (the name and getrefcount's argument) are the only
-        # references: neither the tape nor the fused nodes hold them.
-        assert sys.getrefcount(product) == 2
-        assert [sys.getrefcount(scales[i]) for i in range(2)] == [2, 2]
-        plan = engine.compile_plan(out, tape)
-        ops = [step.op for step in plan.steps]
-        assert "matmul" not in ops and "conv1d" not in ops
-        assert {"linear", "multi_conv1d"} <= set(ops)
-
     def test_an_op_outside_the_trace_raises_plan_error(self):
         rng = np.random.default_rng(1)
         w = Parameter(rng.normal(size=(3, 2)), name="net.weight")
@@ -553,17 +482,60 @@ NEURAL_METHODS = ("LogTrans", "GAT", "GraphSage", "Geniepath", "STGCN",
                   "GMAN", "MTGNN", "Gaia", "Gaia w/o ITA", "Gaia w/o FFL",
                   "Gaia w/o TEL")
 #: ... except MTGNN, whose value-dependent top-k adjacency mask makes
-#: the trace dynamic: it must say so and run fused-eager instead.
+#: the trace dynamic: it must say so and run eagerly instead.
 FALLBACKS = {"MTGNN": "mtgnn top-k adjacency mask"}
+
+
+class TestOneComposition:
+    """A model computes one way: the forward a training trace records,
+    the ``no_grad`` forward of validation and the ``inference_mode``
+    forward of serving run the same kernels and give the same bits."""
+
+    @pytest.mark.parametrize("method", NEURAL_METHODS)
+    def test_recorded_no_grad_and_inference_forwards_are_bitwise_equal(
+            self, dataset, method):
+        model = create_model(method, dataset, seed=0, channels=8)
+        batch, graph = dataset.train[0], dataset.graph
+        with engine.trace():
+            recorded = model(batch, graph)
+        assert recorded.requires_grad and recorded._op is not None
+        with no_grad():
+            validation = model(batch, graph)
+        with engine.inference_mode():
+            serving = model(batch, graph)
+        assert np.array_equal(recorded.data, validation.data)
+        assert np.array_equal(recorded.data, serving.data)
+
+    def test_nothing_is_rewritten_while_recording(self):
+        """A concat of convolutions records a concat of convolutions and
+        an affine map spelled ``x @ w + b`` records a matmul and an add:
+        the fused kernels are reached by calling them, never by
+        matching what was recorded."""
+        rng = np.random.default_rng(9)
+        x = leaf(rng, 2, 5, 3)
+        convs = [Conv1d(3, 2, width=w, rng=rng, padding="causal")
+                 for w in (2, 4)]
+        joined = F.concat([conv(x) for conv in convs], axis=-1)
+        assert joined._op == "concat"
+        assert [p._op for p in joined._parents] == ["conv1d", "conv1d"]
+        w = leaf(rng, 3, 2)
+        b = leaf(rng, 2)
+        affine = x @ w + b
+        assert affine._op == "add" and affine._parents[0]._op == "matmul"
+        bank = conv_bank(x, convs)
+        assert bank._op == "multi_conv1d"
+        assert np.allclose(bank.data, joined.data, rtol=1e-12, atol=1e-12)
+        same = Conv1d(3, 2, width=3, rng=rng, padding="same")
+        with pytest.raises(ValueError, match="causal"):
+            conv_bank(x, [same])   # a bank is causal: it would shift "same"
 
 
 class TestTrainerEquivalence:
     EPOCHS = 6
 
-    def _fit(self, dataset, mode, use_engine, parallel=False, method=None):
+    def _fit(self, dataset, use_engine, parallel=False, method=None):
         """Train ``method`` (default: the small Gaia); returns the
         history, the final weights and the trainer."""
-        engine.set_engine_mode(mode)
         if method is None:
             model = small_gaia(dataset)
         else:
@@ -575,14 +547,13 @@ class TestTrainerEquivalence:
         else:
             trainer = Trainer(model, dataset, config)
         history = trainer.fit()
-        engine.set_engine_mode("fused")
         return history, model.state_dict(), trainer
 
     def _fit_planned(self, dataset, method):
         """The engine-path fit, checked to have run the way the registry
         says: planned replays, or the documented eager fallback."""
-        history, state, trainer = self._fit(dataset, "fused",
-                                            use_engine=True, method=method)
+        history, state, trainer = self._fit(dataset, use_engine=True,
+                                            method=method)
         (compiled,) = trainer._compiled.values()
         if method in FALLBACKS:
             assert FALLBACKS[method] in compiled.fallback_reason
@@ -596,7 +567,7 @@ class TestTrainerEquivalence:
     def test_planned_trainer_is_bitwise_eager_fused(self, dataset, method):
         planned, planned_state = self._fit_planned(dataset, method)
         unplanned, unplanned_state, _ = self._fit(
-            dataset, "fused", use_engine=False, method=method)
+            dataset, use_engine=False, method=method)
         assert planned.train_loss == unplanned.train_loss
         assert planned.val_loss == unplanned.val_loss
         for name, value in planned_state.items():
@@ -605,8 +576,9 @@ class TestTrainerEquivalence:
     @pytest.mark.parametrize("method", NEURAL_METHODS)
     def test_engine_matches_eager_path_to_1e12(self, dataset, method):
         planned, planned_state = self._fit_planned(dataset, method)
-        eager, eager_state, _ = self._fit(dataset, "eager", use_engine=False,
-                                          method=method)
+        with use_oracles():
+            eager, eager_state, _ = self._fit(dataset, use_engine=False,
+                                              method=method)
         drift = max(
             abs(a - b) for a, b in zip(planned.train_loss, eager.train_loss)
         )
@@ -618,17 +590,15 @@ class TestTrainerEquivalence:
             )
 
     def test_parallel_trainer_matches_eager_path_to_1e12(self, dataset):
-        planned, _, _ = self._fit(dataset, "fused", use_engine=True,
-                                  parallel=True)
-        eager, _, _ = self._fit(dataset, "eager", use_engine=False,
-                                parallel=True)
+        planned, _, _ = self._fit(dataset, use_engine=True, parallel=True)
+        with use_oracles():
+            eager, _, _ = self._fit(dataset, use_engine=False, parallel=True)
         drift = max(
             abs(a - b) for a, b in zip(planned.train_loss, eager.train_loss)
         )
         assert drift <= 1e-12, f"parallel loss trajectory drift {drift}"
 
     def test_dropout_model_still_trains_via_fallback(self, dataset):
-        engine.set_engine_mode("fused")
         model = small_gaia(dataset, dropout=0.3)
         config = TrainConfig(epochs=2, min_epochs=2, patience=2,
                              use_engine=True)

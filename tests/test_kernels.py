@@ -5,14 +5,15 @@ the planner / executor rely on each without re-checking it:
 
 (a) **one forward** — ``forward(meta, arrays, out=buf)`` is bitwise
     ``forward(meta, arrays)``; an ``arena`` kernel lands the result in
-    ``buf`` and returns it (except the documented vector-operand
-    fallbacks of ``matmul`` / ``linear*``), any other kernel ignores
-    ``out``; no input array is written;
+    ``buf`` and returns it (vector operands included), any other kernel
+    ignores ``out``; no input array is written;
 (b) **``vjp_uses`` is truthful** — liveness recycles whatever a VJP does
     not declare, so the VJP fed NaN-filled stand-ins for every
     undeclared category must return the same bits;
-(c) **optimized == reference** — where a kernel keeps a pre-engine
-    ``ref_forward`` / ``ref_vjp``, both agree to 1e-12 (float64);
+(c) **kernel == oracle** — every kernel with an oracle in
+    ``tests/kernel_oracles.py`` (a textbook body of the same math, or
+    the composition a fused kernel stands for) agrees with it to 1e-12
+    (float64), forward and gradients;
 (d) **``saved`` never copies an operand** — it is ``None`` or smaller
     than the largest input, because the arena cannot plan it.
 
@@ -28,9 +29,11 @@ import numpy as np
 import pytest
 
 from helpers import forall
+from kernel_oracles import ORACLES, use_oracles
 
 from repro.nn import engine
 from repro.nn import functional as F
+from repro.nn.tensor import unbroadcast
 
 pytestmark = pytest.mark.engine
 
@@ -78,6 +81,15 @@ def _case_add(rng, dtype):
 
 
 def _case_mul(rng, dtype):
+    if rng.random() < 0.5:
+        # Per-edge weights scaling whole messages, ``(E, ..) * (E, 1, ..)``:
+        # the operand gradient ``mul`` folds into one row-dot pass.
+        shape = (int(rng.integers(1, 5)),) + _shape(rng)
+        pair = [_arr(rng, dtype, *shape),
+                _arr(rng, dtype, shape[0], *(1,) * (len(shape) - 1))]
+        if rng.random() < 0.5:
+            pair.reverse()
+        return _needs(rng), tuple(pair)
     return _needs(rng), tuple(_broadcast_pair(rng, dtype))
 
 
@@ -139,11 +151,6 @@ def _reduction_meta(rng, shape):
 def _case_sum(rng, dtype):
     a = _arr(rng, dtype, *_shape(rng))
     return _reduction_meta(rng, a.shape), (a,)
-
-
-def _case_mul_sum(rng, dtype):
-    a, b = _broadcast_pair(rng, dtype)
-    return _reduction_meta(rng, np.broadcast_shapes(a.shape, b.shape)), (a, b)
 
 
 def _row_index(rng, rows):
@@ -283,7 +290,7 @@ CASES = {
     "add": _case_add, "mul": _case_mul, "div": _case_div,
     "power": _case_power, "matmul": _case_matmul,
     "reshape": _case_reshape, "transpose": _case_transpose,
-    "sum": _case_sum, "mul_sum": _case_mul_sum,
+    "sum": _case_sum,
     "getitem": _case_getitem, "gather_rows": _case_gather_rows,
     "concat": _case_concat, "stack": _case_stack,
     "pad_time": _case_pad_time,
@@ -295,13 +302,8 @@ CASES = {
     "segment_sum": _case_segment_sum,
     "segment_max_gather": _case_segment_max_gather,
     "conv1d": _case_conv1d, "multi_conv1d": _case_multi_conv1d,
-    "linear": _case_linear, "linear_relu": _case_linear,
-    "linear_tanh": _case_linear, "linear_sigmoid": _case_linear,
+    "linear": _case_linear,
 }
-
-#: arena kernels that may return a fresh array: vector operands have no
-#: stable ``out=`` form (see :class:`OpKernel`).
-VECTOR_FALLBACK = {"matmul", "linear", "linear_relu", "linear_tanh"}
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +341,7 @@ def _close(a, b, tol):
     assert a.shape == b.shape, (a.shape, b.shape)
     if a.size:
         error = np.max(np.abs(a - b) / (np.abs(b) + 1.0))
-        assert error <= tol, f"optimized vs reference differ by {error}"
+        assert error <= tol, f"kernel vs oracle differ by {error}"
 
 
 def _run(name, dtype, prop, trials=25):
@@ -358,7 +360,7 @@ KERNEL_NAMES = sorted(engine.KERNELS)
 
 def test_every_kernel_has_a_case_generator_and_none_is_stale():
     assert set(CASES) == set(engine.KERNELS)
-    assert len(KERNEL_NAMES) >= 33, "registry scan looks vacuous"
+    assert len(KERNEL_NAMES) >= 29, "registry scan looks vacuous"
 
 
 # ----------------------------------------------------------------------
@@ -376,9 +378,7 @@ def test_forward_into_a_buffer_is_bitwise_the_allocating_forward(name, dtype):
         assert _bits(landed) == _bits(fresh), "out= changed the bits"
         assert _bits(landed_saved) == _bits(fresh_saved)
         assert _bits(arrays) == before, "forward wrote to an input"
-        vector = name in VECTOR_FALLBACK and min(
-            arrays[0].ndim, arrays[1].ndim) < 2
-        if kernel.arena and not vector:
+        if kernel.arena:
             assert landed is buf, "arena kernel did not return its buffer"
         else:
             assert landed is not buf
@@ -414,36 +414,55 @@ def test_vjp_reads_only_what_vjp_uses_declares(name, dtype):
 
 
 # ----------------------------------------------------------------------
-# (c) optimized == reference, where a reference is kept
+# (c) kernel == oracle
 # ----------------------------------------------------------------------
-REFERENCED = sorted(
-    name for name, k in engine.KERNELS.items()
-    if k.ref_forward is not k.forward or k.ref_vjp is not k.vjp
-)
+REFERENCED = sorted(ORACLES)
 
 
 def test_reference_variants_were_found():
-    assert {"conv1d", "masked_softmax", "segment_sum", "gather_rows",
-            "getitem"} <= set(REFERENCED)
+    """Every optimisation that once had a second body in ``repro.nn``
+    (a reference variant, a mode branch, a record-time rewrite) keeps
+    that body here, as the oracle of the one kernel that remains."""
+    assert set(REFERENCED) == {
+        "conv1d", "masked_softmax", "segment_sum", "gather_rows", "getitem",
+        "matmul", "mul", "multi_conv1d", "scaled_masked_softmax", "linear",
+    }
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("name", REFERENCED)
 def test_optimized_matches_reference_forward_and_vjp(name, dtype):
     tol = 1e-12 if dtype == np.float64 else FLOAT32_TOLERANCE
+    oracle = ORACLES[name]
 
     def prop(kernel, meta, arrays):
         out, saved = kernel.forward(meta, arrays)
-        ref_out, ref_saved = kernel.ref_forward(meta, arrays)
+        ref_out, ref_saved = oracle.forward(meta, arrays)
         _close(out, ref_out, tol)
         grad = _arr(np.random.default_rng(0), dtype, *np.shape(out))
         grads = kernel.vjp(meta, grad, arrays, out, saved)
-        ref_grads = kernel.ref_vjp(meta, grad, arrays, ref_out, ref_saved)
-        assert len(grads) == len(ref_grads)
-        for got, want in zip(grads, ref_grads):
+        ref_grads = oracle.vjp(meta, grad, arrays, ref_out, ref_saved)
+        assert len(grads) == len(ref_grads) == len(arrays)
+        # The executor unbroadcasts every gradient to its operand.
+        for got, want, operand in zip(grads, ref_grads, arrays):
+            if got is not None and want is not None:
+                got = unbroadcast(np.asarray(got), operand.shape)
+                want = unbroadcast(np.asarray(want), operand.shape)
             _close(got, want, tol)
 
     _run(name, dtype, prop)
+
+
+def test_use_oracles_swaps_the_registry_and_restores_it():
+    registry = dict(engine.KERNELS)
+    with use_oracles():
+        assert all(engine.KERNELS[name] is ORACLES[name] for name in ORACLES)
+        assert engine.KERNELS.keys() == registry.keys()
+    assert engine.KERNELS == registry
+    with pytest.raises(RuntimeError):
+        with use_oracles():
+            raise RuntimeError("a failing block")
+    assert engine.KERNELS == registry
 
 
 # ----------------------------------------------------------------------

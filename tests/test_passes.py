@@ -5,7 +5,7 @@ Pins down the three contracts ``repro.nn.passes`` makes:
 * **arena replay is bitwise-neutral** — a planned float64 replay whose
   trace contains common (duplicated) subexpressions, each executed into
   its own arena buffer, returns the exact bits of the eager walk, loss
-  and gradients, for every fused-kernel family — profiled or not;
+  and gradients, for every kernel family — profiled or not;
 * **liveness never aliases two simultaneously-live slots** — randomized
   plan shapes, with an independent interval-overlap check per arena
   buffer;
@@ -35,13 +35,6 @@ from repro.obs import profile_kernels
 pytestmark = pytest.mark.engine
 
 
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    previous = engine.engine_mode()
-    yield
-    engine.set_engine_mode(previous)
-
-
 def _observed(replay: int):
     """Profile every other replay: one plan, observer on and off."""
     return profile_kernels() if replay % 2 == 0 else nullcontext()
@@ -51,7 +44,7 @@ def _observed(replay: int):
 # arena replay is bitwise-identical to eager, per kernel family
 # ----------------------------------------------------------------------
 def _builders():
-    """One ``(loss_fn, params)`` factory per fused-kernel family.
+    """One ``(loss_fn, params)`` factory per kernel family.
 
     Each closure rebuilds the identical graph from *stable* leaves on
     every call (the ``CompiledLoss`` contract) and contains common
@@ -68,7 +61,8 @@ def _builders():
         xs = Tensor(m)
         w = Parameter(rng.normal(size=(4, 3)), name="w")
         b = Parameter(rng.normal(size=3), name="b")
-        return lambda: ((xs @ w + b) + (xs @ w + b)).sum(), [w, b]
+        return lambda: (F.linear(xs, w, b) + F.linear(xs, w, b)
+                        + (xs @ w + b)).sum(), [w, b]
 
     def linear_act():
         xs = Tensor(m)
@@ -76,8 +70,8 @@ def _builders():
         b = Parameter(rng.normal(size=3), name="b")
 
         def fn():
-            h = (F.relu(xs @ w + b) + F.relu(xs @ w + b)
-                 + F.tanh(xs @ w + b) + F.sigmoid(xs @ w + b))
+            h = (F.relu(F.linear(xs, w, b)) + F.relu(F.linear(xs, w, b))
+                 + F.tanh(F.linear(xs, w, b)) + F.sigmoid(xs @ w + b))
             return (h * h).sum()
 
         return fn, [w, b]
@@ -110,8 +104,7 @@ def _builders():
         b2 = Parameter(rng.normal(size=2), name="b2")
 
         def bank():
-            return F.concat([F.conv1d(xs, w1, b1), F.conv1d(xs, w2, b2)],
-                            axis=-1)
+            return F.conv_bank(xs, [w1, w2], [b1, b2])
 
         return lambda: (bank() + bank()).sum(), [w1, w2, b1, b2]
 
@@ -121,7 +114,8 @@ def _builders():
 
         def fn():
             scores = xs @ w  # (4, 6, 6)
-            att = (F.masked_softmax(scores * Tensor(0.5), mask)
+            att = (F.scaled_masked_softmax(scores, 0.5, mask)
+                   + F.scaled_masked_softmax(scores, 0.5, mask)
                    + F.masked_softmax(scores * Tensor(0.5), mask))
             return (att * att).sum()
 
@@ -152,7 +146,7 @@ def test_cse_arena_replay_bitwise_equals_eager(family, make):
     """Graphs with common subexpressions (cse), replayed in the arena."""
     loss_fn, params = make()
 
-    # Eager reference bits (fused kernels, no plan).
+    # Eager reference bits (the same kernels, no plan).
     eager = loss_fn()
     eager.backward()
     ref_loss = float(eager.data)
