@@ -11,7 +11,7 @@ numpy blocks in the dense shop-key order of the database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "RelationExtractor",
     "ESellerGraphBuilder",
     "NodeFeatures",
+    "temporal_block",
+    "static_block",
 ]
 
 _RELATION_CODES = {
@@ -35,6 +37,48 @@ _RELATION_CODES = {
     "same_owner": EdgeType.SAME_OWNER,
     "same_shareholder": EdgeType.SAME_SHAREHOLDER,
 }
+
+
+def temporal_block(first_month: int, orders: np.ndarray,
+                   customers: np.ndarray) -> np.ndarray:
+    """``(S, M, 4)`` temporal features of months ``first_month + m``.
+
+    The month as a cyclical (sin, cos) pair, then ``log1p`` of the
+    ``(S, M)`` order and customer counts.  The one formula behind
+    :class:`TemporalFeatureExtractor` and the streaming feature store.
+    """
+    num_shops, num_months = np.shape(orders)
+    months = first_month + np.arange(num_months)
+    calendar = (TIMELINE_START_CALENDAR_MONTH + months) % 12
+    angle = 2.0 * np.pi * calendar / 12.0
+    features = np.zeros((num_shops, num_months, TemporalFeatureExtractor.DIM),
+                        dtype=np.float64)
+    features[:, :, 0] = np.sin(angle)[None, :]
+    features[:, :, 1] = np.cos(angle)[None, :]
+    features[:, :, 2] = np.log1p(orders)
+    features[:, :, 3] = np.log1p(customers)
+    return features
+
+
+def static_block(industries: Sequence[str], regions: Sequence[str],
+                 opened_month: Sequence[int],
+                 timeline_months: int) -> np.ndarray:
+    """``(S, DS)`` static features: one-hot industry and region, then
+    the opening month over ``timeline_months``.
+
+    An empty industry or region name (a shop not registered yet) sets
+    no one-hot column.  The one layout behind
+    :class:`StaticFeatureExtractor` and the streaming feature store.
+    """
+    features = np.zeros((len(opened_month), StaticFeatureExtractor.DIM),
+                        dtype=np.float64)
+    for i, (industry, region) in enumerate(zip(industries, regions)):
+        if industry:
+            features[i, INDUSTRIES.index(industry)] = 1.0
+        if region:
+            features[i, len(INDUSTRIES) + REGIONS.index(region)] = 1.0
+    features[:, -1] = np.asarray(opened_month, dtype=np.int64) / timeline_months
+    return features
 
 
 class GMVSeriesExtractor:
@@ -72,16 +116,7 @@ class TemporalFeatureExtractor:
     def extract(self, first_month: int, num_months: int) -> np.ndarray:
         """Return features of shape ``(S, num_months, 4)``."""
         _, orders, customers = self._db.monthly_activity_table(first_month, num_months)
-        months = first_month + np.arange(num_months)
-        calendar = (TIMELINE_START_CALENDAR_MONTH + months) % 12
-        angle = 2.0 * np.pi * calendar / 12.0
-        n = self._db.num_shops
-        features = np.zeros((n, num_months, self.DIM), dtype=np.float64)
-        features[:, :, 0] = np.sin(angle)[None, :]
-        features[:, :, 1] = np.cos(angle)[None, :]
-        features[:, :, 2] = np.log1p(orders)
-        features[:, :, 3] = np.log1p(customers)
-        return features
+        return temporal_block(first_month, orders, customers)
 
 
 class StaticFeatureExtractor:
@@ -103,13 +138,10 @@ class StaticFeatureExtractor:
     def extract(self) -> np.ndarray:
         """Return features of shape ``(S, DS)``."""
         shops = self._db.shops()
-        n = len(shops)
-        features = np.zeros((n, self.DIM), dtype=np.float64)
-        for i, shop in enumerate(shops):
-            features[i, INDUSTRIES.index(shop.industry)] = 1.0
-            features[i, len(INDUSTRIES) + REGIONS.index(shop.region)] = 1.0
-            features[i, -1] = shop.opened_month / self._timeline
-        return features
+        return static_block([shop.industry for shop in shops],
+                            [shop.region for shop in shops],
+                            [shop.opened_month for shop in shops],
+                            self._timeline)
 
 
 @dataclass

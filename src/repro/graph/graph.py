@@ -4,7 +4,11 @@ The paper models e-sellers as a *homogeneous* graph whose edges carry
 their relationship type (supply-chain or same-owner/shareholder) as an
 edge feature.  :class:`ESellerGraph` stores edges in COO form with a CSR
 index built lazily for fast neighbor queries, and keeps per-edge type
-codes plus optional per-edge feature vectors.
+codes plus optional per-edge feature vectors.  A graph's edge arrays are
+fixed at construction, so its index is sorted at most once per plane; a
+changed graph is a new :class:`ESellerGraph` (live edits go through
+:class:`~repro.streaming.dynamic_graph.DynamicGraph`, whose compaction
+builds one).
 
 All model layers in this repository consume the COO view (``src``,
 ``dst`` arrays) because message passing is implemented with dense
@@ -117,8 +121,8 @@ class ESellerGraph:
         if node_ids is not None and len(node_ids) != self.num_nodes:
             raise ValueError("node_ids must have one entry per node")
         self.node_ids: Optional[List[str]] = list(node_ids) if node_ids is not None else None
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._csr_in: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._csr_in: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_edit_history(
@@ -174,67 +178,12 @@ class ESellerGraph:
     # ------------------------------------------------------------------
     # CSR views
     # ------------------------------------------------------------------
-    def invalidate_csr(self) -> None:
-        """Drop the lazily built CSR indexes.
-
-        Callers that replace ``src``/``dst``/``edge_types`` in place
-        (bulk loaders reusing one graph object across snapshots) must
-        invalidate here so the next neighbor query rebuilds against the
-        new edge list instead of serving a stale index.  Incremental
-        mutation should go through
-        :class:`~repro.streaming.dynamic_graph.DynamicGraph` instead,
-        which keeps this graph frozen and overlays the deltas.
-        """
-        self._csr = None
-        self._csr_in = None
-
-    def adopt_csr(
-        self,
-        out_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        in_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Install prebuilt CSR index(es) instead of sorting from scratch.
-
-        Each view is ``(indptr, edge_order)`` exactly as :meth:`out_csr`
-        / :meth:`in_csr` return it, and must describe *this* graph's
-        edge arrays — the caller owns that invariant (the incremental
-        compaction path in
-        :class:`~repro.streaming.dynamic_graph.DynamicGraph` patches the
-        previous base's index and hands it over here, skipping the
-        O(E log E) rebuild).  Shapes and totals are validated; content
-        equivalence is the caller's contract, property-tested in
-        ``tests/test_streaming.py``.
-        """
-        for name, view, key in (("out_csr", out_csr, self.src),
-                                ("in_csr", in_csr, self.dst)):
-            if view is None:
-                continue
-            indptr, order = view
-            if indptr.shape != (self.num_nodes + 1,):
-                raise ValueError(
-                    f"{name} indptr must have {self.num_nodes + 1} entries, "
-                    f"got {indptr.shape}"
-                )
-            if order.size != self.num_edges or int(indptr[-1]) != self.num_edges:
-                raise ValueError(
-                    f"{name} must index all {self.num_edges} edges"
-                )
-            packed = (np.asarray(indptr, dtype=np.int64),
-                      np.asarray(order, dtype=np.int64),
-                      key[order])
-            if name == "out_csr":
-                self._csr = packed
-            else:
-                self._csr_in = packed
-
-    def _build_csr(self, by_src: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build_csr(self, by_src: bool) -> Tuple[np.ndarray, np.ndarray]:
         key = self.src if by_src else self.dst
         order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
         indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, sorted_key + 1, 1)
-        indptr = np.cumsum(indptr)
-        return indptr, order, sorted_key
+        np.cumsum(np.bincount(key, minlength=self.num_nodes), out=indptr[1:])
+        return indptr, order
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR view over sources: ``(indptr, edge_order)``.
@@ -245,15 +194,13 @@ class ESellerGraph:
         """
         if self._csr is None:
             self._csr = self._build_csr(by_src=True)
-        indptr, order, _ = self._csr
-        return indptr, order
+        return self._csr
 
     def in_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR view over destinations: ``(indptr, edge_order)``."""
         if self._csr_in is None:
             self._csr_in = self._build_csr(by_src=False)
-        indptr, order, _ = self._csr_in
-        return indptr, order
+        return self._csr_in
 
     def out_edges(self, node: int) -> np.ndarray:
         """Edge indices whose source is ``node``."""

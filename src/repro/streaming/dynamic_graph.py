@@ -21,15 +21,9 @@ static graph does (``num_nodes`` and
 ego assembly of :mod:`repro.graph.sampling` (``k_hop_nodes(dyn, ...)``,
 ``ego_subgraphs(dyn, ...)``) run over either kind.  When the overlay plus
 tombstones outgrow ``compact_threshold`` of the live edge count,
-:meth:`compact` folds everything into a fresh base.
-
-Compaction itself is **incremental**: the new base's CSR index is
-patched from the old one instead of re-sorted from scratch.  Only the
-nodes an event actually touched (overlay endpoints, tombstone
-endpoints — the *touched frontier*) get their adjacency rows rebuilt;
-every other row of the old index is bulk-remapped and reused, so the
-non-vectorised part of a compaction is proportional to the frontier,
-not the graph.
+:meth:`compact` folds everything into a fresh base through
+``ESellerGraph.from_edit_history``; the fresh base sorts its CSR index
+lazily on its first query, like any static graph.
 
 **Equivalence guarantee.**  After ``compact()``, the base graph is
 *identical* — same ``num_nodes``, same edge arrays in the same order —
@@ -55,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.graph import ESellerGraph, _gather_segments
+from ..graph.graph import ESellerGraph
 from ..obs import tracing as obs_tracing
 from .events import (
     EdgeAdded,
@@ -66,23 +60,6 @@ from .events import (
 )
 
 __all__ = ["DynamicGraph"]
-
-
-def _segment_scatter(indptr: np.ndarray, nodes: np.ndarray,
-                     counts: np.ndarray) -> np.ndarray:
-    """Flat destination positions of ``nodes``' CSR segments.
-
-    For each node ``v`` (with ``counts[v']`` entries to place) the
-    returned array lists ``indptr[v], indptr[v]+1, ...`` — the mirror of
-    :func:`~repro.graph.graph._gather_segments`, used to scatter
-    remapped rows into a patched index in one vectorised write.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    seg_offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_offsets, counts)
-    return np.repeat(indptr[nodes], counts) + within
 
 
 class DynamicGraph:
@@ -156,11 +133,6 @@ class DynamicGraph:
         # construction nor compaction pays an O(E) Python pass for a
         # structure only retirements read.
         self._live: Dict[Tuple[int, int, int], List[int]] = {}
-        # Touched frontier since the last compaction, per CSR plane:
-        # nodes whose adjacency rows must be rebuilt when patching the
-        # index (everything else is remapped wholesale).
-        self._touched_out: set = set()
-        self._touched_in: set = set()
         self._out_deg = base.out_degrees()
         self._in_deg = base.in_degrees()
 
@@ -253,8 +225,6 @@ class DynamicGraph:
         stack = self._live.get((src, dst, edge_type))
         if stack is not None:          # maintain only materialised stacks
             stack.append(pos)
-        self._touched_out.add(src)
-        self._touched_in.add(dst)
         self._out_deg[src] += 1
         self._in_deg[dst] += 1
         self._maybe_compact()
@@ -302,8 +272,6 @@ class DynamicGraph:
         else:
             self._ov_alive[pos - self._base.num_edges] = False
             self._ov_live -= 1
-        self._touched_out.add(key[0])
-        self._touched_in.add(key[1])
         self._out_deg[key[0]] -= 1
         self._in_deg[key[1]] -= 1
         self._maybe_compact()
@@ -367,103 +335,36 @@ class DynamicGraph:
         if overhead > self.compact_threshold * max(self.num_edges, 1):
             self.compact()
 
-    def _patched_csr(self, by_src: bool):
-        """Patch the old base's CSR index into the post-compaction one.
-
-        The compacted edge list is the old base's survivors (in base
-        order) followed by the overlay's survivors (in addition order) —
-        a stable argsort of it therefore differs from the old index only
-        at *touched* nodes.  Untouched rows are bulk-remapped through
-        the tombstone shift map and reused verbatim; touched rows are
-        rebuilt by merging their surviving base segment with their live
-        overlay adjacency (base positions always precede overlay ones,
-        so the merge is a concatenation).  Returns ``(indptr, order)``
-        for :meth:`~repro.graph.graph.ESellerGraph.adopt_csr`, or
-        ``None`` when the old base never built this plane (nothing to
-        reuse — let the new base sort lazily as before).
-        """
-        base = self._base
-        # Reaching into the base's lazily built index: None simply means
-        # no query ever needed this plane, so there is nothing to patch.
-        old = base._csr if by_src else base._csr_in
-        if old is None:
-            return None
-        old_indptr, old_order, _ = old
-        touched = self._touched_out if by_src else self._touched_in
-        adjacency = self._ov_out if by_src else self._ov_in
-        degrees = self._out_deg if by_src else self._in_deg
-        base_alive = self._base_alive
-        ov_alive = self._ov_alive
-        n_base_alive = base.num_edges - self._dead
-        # Position remaps: old base position -> compacted position
-        # (valid where alive); overlay slot -> compacted position.
-        new_pos_base = np.cumsum(base_alive) - 1
-        ov_rank = np.cumsum(np.asarray(ov_alive, dtype=np.int64)) - 1
-        new_indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=new_indptr[1:])
-        new_order = np.empty(int(new_indptr[-1]), dtype=np.int64)
-        # Untouched rows: same edge set, only shifted positions.
-        keep = np.ones(base.num_nodes, dtype=bool)
-        for node in touched:
-            if node < base.num_nodes:
-                keep[node] = False
-        untouched = np.flatnonzero(keep)
-        if untouched.size:
-            _, old_ids = _gather_segments(old_indptr, old_order, untouched)
-            counts = old_indptr[untouched + 1] - old_indptr[untouched]
-            dest = _segment_scatter(new_indptr, untouched, counts)
-            new_order[dest] = new_pos_base[old_ids]
-        # Touched rows: rebuild from surviving base + live overlay.
-        for node in touched:
-            cursor = int(new_indptr[node])
-            if node < base.num_nodes:
-                ids = old_order[old_indptr[node]:old_indptr[node + 1]]
-                if self._dead:
-                    ids = ids[base_alive[ids]]
-                new_order[cursor:cursor + ids.size] = new_pos_base[ids]
-                cursor += ids.size
-            for slot in adjacency.get(node, ()):
-                if ov_alive[slot]:
-                    new_order[cursor] = n_base_alive + ov_rank[slot]
-                    cursor += 1
-        return new_indptr, new_order
-
     def compact(self) -> ESellerGraph:
         """Fold overlay + tombstones into a fresh base graph.
 
         The result equals ``ESellerGraph.from_edit_history`` over the
         full event history (see the module docstring); queries before
         and after compaction are indistinguishable, so no cache
-        invalidation is needed and listeners are not notified.  Any CSR
-        plane the old base had built is patched and adopted by the new
-        base — reusing the untouched rows of the old index — instead of
-        being re-sorted from scratch on the next query.
+        invalidation is needed and listeners are not notified.  The new
+        base builds its CSR index lazily on its first query, like any
+        other :class:`~repro.graph.graph.ESellerGraph`.
         """
         with obs_tracing.span("streaming.compact"):
-            return self._compact_traced()
-
-    def _compact_traced(self) -> ESellerGraph:
-        out_csr = self._patched_csr(by_src=True)
-        in_csr = self._patched_csr(by_src=False)
-        src = np.concatenate([
-            self._base.src, np.asarray(self._ov_src, dtype=np.int64)
-        ])
-        dst = np.concatenate([
-            self._base.dst, np.asarray(self._ov_dst, dtype=np.int64)
-        ])
-        types = np.concatenate([
-            self._base.edge_types, np.asarray(self._ov_type, dtype=np.int64)
-        ])
-        alive = np.concatenate([
-            self._base_alive, np.asarray(self._ov_alive, dtype=bool)
-        ])
-        base = ESellerGraph.from_edit_history(
-            self.num_nodes, src, dst, types, alive
-        )
-        base.adopt_csr(out_csr=out_csr, in_csr=in_csr)
-        self._reset_from(base)
-        self.compactions += 1
-        return base
+            src = np.concatenate([
+                self._base.src, np.asarray(self._ov_src, dtype=np.int64)
+            ])
+            dst = np.concatenate([
+                self._base.dst, np.asarray(self._ov_dst, dtype=np.int64)
+            ])
+            types = np.concatenate([
+                self._base.edge_types,
+                np.asarray(self._ov_type, dtype=np.int64),
+            ])
+            alive = np.concatenate([
+                self._base_alive, np.asarray(self._ov_alive, dtype=bool)
+            ])
+            base = ESellerGraph.from_edit_history(
+                self.num_nodes, src, dst, types, alive
+            )
+            self._reset_from(base)
+            self.compactions += 1
+            return base
 
     def as_graph(self) -> ESellerGraph:
         """Current live graph as a static :class:`ESellerGraph`.

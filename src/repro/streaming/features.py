@@ -35,9 +35,8 @@ from typing import Callable, Iterable, List, Optional
 import numpy as np
 
 from ..data.dataset import InstanceBatch, make_instance_batch
+from ..data.extractors import static_block, temporal_block
 from ..data.scaling import ShopLevelScaler, StandardScaler
-from ..data.schema import INDUSTRIES, REGIONS
-from ..data.synthetic import TIMELINE_START_CALENDAR_MONTH
 from ..obs import tracing as obs_tracing
 from .events import SalesTick, ShopAdded, ShopEvent
 
@@ -381,7 +380,7 @@ class StreamingFeatureStore:
         return months[None, :] >= self.opened_month[:, None]
 
     def temporal_features(self) -> np.ndarray:
-        """``(S, M, 4)`` block matching the temporal extractor's formula.
+        """``(S, M, 4)`` block: :func:`~repro.data.extractors.temporal_block`.
 
         Cached until the next sales tick (or capacity growth); treat the
         returned array as read-only.
@@ -389,19 +388,12 @@ class StreamingFeatureStore:
         if self._temporal_cache is not None \
                 and self._temporal_cache[0] == self._tick_version:
             return self._temporal_cache[1]
-        months = np.arange(self.num_months)
-        calendar = (TIMELINE_START_CALENDAR_MONTH + months) % 12
-        angle = 2.0 * np.pi * calendar / 12.0
-        features = np.zeros((self.num_shops, self.num_months, 4), dtype=np.float64)
-        features[:, :, 0] = np.sin(angle)[None, :]
-        features[:, :, 1] = np.cos(angle)[None, :]
-        features[:, :, 2] = np.log1p(self.orders)
-        features[:, :, 3] = np.log1p(self.customers)
+        features = temporal_block(0, self.orders, self.customers)
         self._temporal_cache = (self._tick_version, features)
         return features
 
     def static_features(self) -> np.ndarray:
-        """``(S, DS)`` block matching the static extractor's layout.
+        """``(S, DS)`` block: :func:`~repro.data.extractors.static_block`.
 
         Cached until the next shop registration (or capacity growth);
         treat the returned array as read-only.
@@ -409,14 +401,8 @@ class StreamingFeatureStore:
         if self._static_cache is not None \
                 and self._static_cache[0] == self._shop_version:
             return self._static_cache[1]
-        dim = len(INDUSTRIES) + len(REGIONS) + 1
-        features = np.zeros((self.num_shops, dim), dtype=np.float64)
-        for i in range(self.num_shops):
-            if self._industries[i]:
-                features[i, INDUSTRIES.index(self._industries[i])] = 1.0
-            if self._regions[i]:
-                features[i, len(INDUSTRIES) + REGIONS.index(self._regions[i])] = 1.0
-            features[i, -1] = self.opened_month[i] / self.num_months
+        features = static_block(self._industries, self._regions,
+                                self.opened_month, self.num_months)
         self._static_cache = (self._shop_version, features)
         return features
 

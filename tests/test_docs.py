@@ -562,7 +562,12 @@ _BANNED_NAMES = ("forward" "_out", "Plan" "Structure", "run" "_pipeline",
                  # ... and with the "eager" reference mode.
                  "select_kernel", "use_mode", "set_engine_mode",
                  "engine_mode", "fused_enabled", "ref_forward", "ref_vjp",
-                 "REPRO_NN_ENGINE")
+                 "REPRO_NN_ENGINE",
+                 # ... and with the patched-CSR compaction: a compacted
+                 # base sorts its own index lazily.
+                 "adopt_csr", "invalidate_csr", "_patched_csr",
+                 "_segment_scatter", "_touched_out", "_touched_in",
+                 "_compact_traced")
 # Names deleted with the float32 backend and its registry.
 _BACKEND_NAMES = ("ExecutionBackend", "BACKENDS", "register_backend",
                   "get_backend", "use_backend", "active_backend",
@@ -582,7 +587,8 @@ def test_engine_has_one_plan_executor():
     none of the deleted names (``_BANNED_PREFIX`` / ``_BANNED_NAMES``:
     the arena-twin forwards, the schedule-structure class, the pipeline
     alias, the record-time fusion matcher, the engine-mode API and its
-    environment variable) exists anywhere under ``src/``, as an
+    environment variable, the patched-CSR compaction and its CSR
+    install / invalidate hooks) exists anywhere under ``src/``, as an
     identifier or a string; kernel bodies live in
     ``repro/nn/kernels/``, not in ``engine.py``.  ``repro/nn`` reads no
     environment variable and never names

@@ -1,7 +1,7 @@
 """Event-time streaming correctness: watermarks, late arrivals,
-incremental compaction.
+compaction.
 
-The claims under test (ISSUE 5 tentpole):
+The claims under test:
 
 * **Watermark fold equivalence** — any event log shuffled within the
   watermark folds to feature tables (and compacted graphs) *identical*
@@ -9,10 +9,11 @@ The claims under test (ISSUE 5 tentpole):
   belong to.
 * **Exact drop accounting** — beyond-watermark ticks are dropped
   exactly once, never folded, and surfaced in the store's counters.
-* **Incremental CSR compaction** — ``DynamicGraph.compact()`` patches
-  the old base's CSR index (untouched rows reused) and the result is
-  array-identical to the index a cold ``ESellerGraph`` build would
-  sort from scratch.
+* **Compaction** — after any mix of manual and automatic
+  ``DynamicGraph.compact()`` calls, with queries in between, the
+  compacted base's edge arrays and its lazily sorted CSR planes are
+  array-identical to ``ESellerGraph.from_edit_history`` plus a stable
+  sort of the same history.
 * **Late-arrival simulation** — ``MarketplaceSimulator`` can delay tick
   arrivals without changing the event-time fold.
 """
@@ -237,7 +238,7 @@ class TestWatermarkFoldProperty:
 
 
 # ----------------------------------------------------------------------
-# incremental CSR compaction
+# compaction
 # ----------------------------------------------------------------------
 def _random_mutations(rng, base):
     """Valid add/retire/shop sequence against ``base`` (tick-free)."""
@@ -266,87 +267,83 @@ def _random_mutations(rng, base):
     return events
 
 
-def check_patched_csr_equals_cold_sort(case):
-    base, events, threshold = case
-    dyn = DynamicGraph(base, compact_threshold=threshold,
-                       min_compact_edges=8)
-    # Prime both CSR planes so compaction has an index to patch.
-    base.out_csr()
-    base.in_csr()
-    for event in events:
-        dyn.apply(event)
-    compacted = dyn.compact()
+def _assert_cold_fold(graph, events, base):
+    """``graph`` equals ``from_edit_history`` over ``events`` applied to
+    ``base``, and its lazily built CSR planes equal a stable sort."""
     history = edge_history(events, base=base)
     cold = ESellerGraph.from_edit_history(
         history.num_nodes, history.src, history.dst,
         history.edge_types, history.alive,
     )
-    np.testing.assert_array_equal(compacted.src, cold.src)
-    np.testing.assert_array_equal(compacted.dst, cold.dst)
-    np.testing.assert_array_equal(compacted.edge_types, cold.edge_types)
-    # The patched index was adopted (not rebuilt) and is identical —
-    # indptr, edge order, sorted keys — to a from-scratch stable sort.
-    assert compacted._csr is not None and compacted._csr_in is not None
-    patched_out, patched_in = compacted._csr, compacted._csr_in
-    fresh = ESellerGraph(cold.num_nodes, cold.src, cold.dst, cold.edge_types)
-    fresh.out_csr()
-    fresh.in_csr()
-    for patched, built in ((patched_out, fresh._csr),
-                           (patched_in, fresh._csr_in)):
-        np.testing.assert_array_equal(patched[0], built[0])  # indptr
-        np.testing.assert_array_equal(patched[1], built[1])  # edge order
-        np.testing.assert_array_equal(patched[2], built[2])  # sorted keys
+    assert graph.num_nodes == cold.num_nodes
+    np.testing.assert_array_equal(graph.src, cold.src)
+    np.testing.assert_array_equal(graph.dst, cold.dst)
+    np.testing.assert_array_equal(graph.edge_types, cold.edge_types)
+    for view, key in ((graph.out_csr(), cold.src), (graph.in_csr(), cold.dst)):
+        indptr = np.concatenate([
+            [0], np.cumsum(np.bincount(key, minlength=cold.num_nodes))
+        ])
+        np.testing.assert_array_equal(view[0], indptr)
+        np.testing.assert_array_equal(view[1], np.argsort(key, kind="stable"))
 
 
-class TestIncrementalCompaction:
-    def test_patched_csr_equals_cold_sort(self):
+def check_compaction_equals_cold_fold(case):
+    """Replay ``events`` with manual compactions and queries in between
+    (plus auto-compactions when ``threshold`` is set); every compacted
+    base equals the cold fold of the prefix it has seen."""
+    base, events, threshold, compact_at, query_at = case
+    dyn = DynamicGraph(base, compact_threshold=threshold,
+                       min_compact_edges=8)
+    for step, event in enumerate(events):
+        dyn.apply(event)
+        if step in query_at:
+            # Builds the current base's CSR planes before the next fold.
+            history = edge_history(events[:step + 1], base=base)
+            cold = ESellerGraph.from_edit_history(
+                history.num_nodes, history.src, history.dst,
+                history.edge_types, history.alive,
+            )
+            # Positions count tombstones until the next fold, so each
+            # node's edges are compared in position order, not by value.
+            nodes = np.arange(dyn.num_nodes, dtype=np.int64)
+            for out in (True, False):
+                origin, position, other, types = dyn.incident_edges(nodes, out)
+                rank = np.lexsort((position, origin))
+                ref = cold.incident_edges(nodes, out)
+                np.testing.assert_array_equal(origin[rank], ref[0])
+                np.testing.assert_array_equal(other[rank], ref[2])
+                np.testing.assert_array_equal(types[rank], ref[3])
+        if step in compact_at:
+            _assert_cold_fold(dyn.compact(), events[:step + 1], base)
+    _assert_cold_fold(dyn.compact(), events, base)
+
+
+class TestCompaction:
+    def test_compacted_graph_equals_cold_fold(self):
         def gen(rng):
             base = random_eseller_graph(rng, max_nodes=12, max_edges=25)
-            # None = single manual compaction; 0.3 = interleaved
-            # auto-compactions, each patching the previous patch.
+            events = _random_mutations(rng, base)
+            # None = manual compactions only; 0.3 = auto-compactions
+            # interleaved with the manual ones.
             threshold = None if rng.random() < 0.5 else 0.3
-            return base, _random_mutations(rng, base), threshold
+            compact_at = set(np.flatnonzero(rng.random(len(events)) < 0.15))
+            query_at = set(np.flatnonzero(rng.random(len(events)) < 0.3))
+            return base, events, threshold, compact_at, query_at
 
-        forall(gen, check_patched_csr_equals_cold_sort, trials=TRIALS,
-               seed=17, name="patched CSR == cold stable sort")
+        forall(gen, check_compaction_equals_cold_fold, trials=TRIALS,
+               seed=17, name="compacted graph == cold fold + stable sort")
 
-    def test_unprimed_plane_falls_back_to_lazy_build(self):
+    def test_compacted_base_sorts_its_index_lazily(self):
         base = ESellerGraph(4, [0, 1, 2], [1, 2, 3], [0, 0, 0])
-        dyn = DynamicGraph(base, compact_threshold=None)
-        dyn.add_edge(3, 0, 1)
-        compacted = dyn.compact()          # no CSR existed: nothing adopted
-        assert compacted._csr is None and compacted._csr_in is None
-        assert np.array_equal(compacted.out_edges(3), [3])
-
-    def test_queries_identical_across_repeated_patched_compactions(self):
-        rng = np.random.default_rng(3)
-        base = random_eseller_graph(rng, max_nodes=10, max_edges=20)
-        dyn = DynamicGraph(base, compact_threshold=None)
         base.out_csr()
         base.in_csr()
-        for round_index in range(4):
-            for event in _random_mutations(rng, dyn.as_graph()):
-                dyn.apply(event)
-            compacted = dyn.compact()
-            fresh = ESellerGraph(compacted.num_nodes, compacted.src,
-                                 compacted.dst, compacted.edge_types)
-            for node in range(compacted.num_nodes):
-                assert np.array_equal(compacted.out_edges(node),
-                                      fresh.out_edges(node)), \
-                    (round_index, node)
-                assert np.array_equal(compacted.in_edges(node),
-                                      fresh.in_edges(node))
-
-
-class TestAdoptCsrValidation:
-    def test_rejects_mismatched_shapes(self):
-        graph = ESellerGraph(3, [0, 1], [1, 2], [0, 0])
-        with pytest.raises(ValueError, match="indptr"):
-            graph.adopt_csr(out_csr=(np.zeros(2, dtype=np.int64),
-                                     np.zeros(2, dtype=np.int64)))
-        with pytest.raises(ValueError, match="index all"):
-            graph.adopt_csr(in_csr=(np.zeros(4, dtype=np.int64),
-                                    np.zeros(0, dtype=np.int64)))
+        dyn = DynamicGraph(base, compact_threshold=None)
+        dyn.add_edge(3, 0, 1)
+        dyn.retire_edge(1, 2)
+        compacted = dyn.compact()
+        assert compacted._csr is None and compacted._csr_in is None
+        np.testing.assert_array_equal(compacted.out_edges(3), [2])
+        np.testing.assert_array_equal(compacted.in_edges(0), [2])
 
 
 # ----------------------------------------------------------------------

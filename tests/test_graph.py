@@ -69,16 +69,6 @@ class TestESellerGraph:
         with pytest.raises(ValueError):
             ESellerGraph.from_edit_history(3, [0], [1], [0], [True, False])
 
-    def test_invalidate_csr_rebuilds_after_in_place_swap(self, chain_graph):
-        assert set(chain_graph.successors(0)) == {1, 3}   # builds the CSR
-        chain_graph.src = np.array([3], dtype=np.int64)
-        chain_graph.dst = np.array([0], dtype=np.int64)
-        chain_graph.edge_types = np.array([0], dtype=np.int64)
-        chain_graph.invalidate_csr()
-        assert chain_graph.successors(0).size == 0
-        assert set(chain_graph.successors(3)) == {0}
-        assert set(chain_graph.neighbors(0)) == {3}
-
     def test_in_out_edges(self, chain_graph):
         assert set(chain_graph.src[chain_graph.in_edges(3)]) == {2, 0}
         assert set(chain_graph.dst[chain_graph.out_edges(0)]) == {1, 3}
