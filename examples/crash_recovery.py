@@ -140,9 +140,9 @@ def main() -> None:
         state.dynamic_graph.apply(event)
         state.store.apply(event)
     print(f"second life ingested {len(all_events) - crash_at} more events; "
-          f"event-time frontier month {log.frontier}, "
-          f"{log.late_arrivals} late arrivals, journal high-water "
-          f"{reopened.high_water}")
+          f"event-time frontier month {state.store.frontier}, "
+          f"{state.store.late_ticks_accepted} late ticks accepted, "
+          f"journal high-water {reopened.high_water}")
 
     # --- Equivalence: the crash must be unobservable ---------------------
     ref_dyn = simulator.initial_dynamic_graph()

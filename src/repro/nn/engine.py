@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..obs.profiling import INSTALLED as _PROFILER
-from ..obs.profiling import KernelProfiler, estimate_cost
+from ..obs.profiling import estimate_cost
 from ..obs.tracing import span as _obs_span
 from . import passes as _passes
 # Importing the package fills KERNELS; the names are re-exported here
@@ -118,16 +118,11 @@ def _bump(key: str, amount: int = 1) -> None:
 def stats_snapshot() -> Dict[str, int]:
     """Copy of the engine counters (plans built, replays, arena, ...).
 
-    Thread-safe (taken under the same lock ``_bump`` holds).  Includes
-    the profiling plane's state: ``profiling_enabled`` (whether a
-    :class:`repro.obs.profiling.KernelProfiler` is installed) and
-    ``profiled_replays`` (replays that reported to a replay observer).
+    Thread-safe (taken under the same lock ``_bump`` holds).  Whether
+    profiling is on is :func:`kernel_profiler`'s answer, not a counter.
     """
     with _STATS_LOCK:
-        snapshot = dict(_STATS)
-    snapshot["profiling_enabled"] = int(_PROFILER[0] is not None)
-    snapshot.setdefault("profiled_replays", 0)
-    return snapshot
+        return dict(_STATS)
 
 
 def reset_stats() -> None:
@@ -296,16 +291,16 @@ class _ReplayObserver:
     boundary (kernel, gradient accumulation, skipped dead-gradient
     steps, this observer's own work), so the per-kernel rows account
     for the replay wall time structurally.  Every measurement lands in
-    both the installed profiler and the plan's own one.
+    the installed profiler, the one record of kernel timings.
     """
 
-    __slots__ = ("_plan", "_phase", "_sinks", "_clock", "_costs",
+    __slots__ = ("_plan", "_phase", "_profiler", "_clock", "_costs",
                  "_start", "_boundary")
 
     def __init__(self, plan: "ExecutionPlan", profiler, phase: str) -> None:
         self._plan = plan
         self._phase = phase
-        self._sinks = (profiler, plan._profile)
+        self._profiler = profiler
         self._clock = profiler.clock
         self._costs = plan._costs[phase]
         self._start = self._boundary = self._clock()
@@ -325,18 +320,13 @@ class _ReplayObserver:
         now = self._clock()
         elapsed = now - self._boundary
         self._boundary = now
-        for sink in self._sinks:
-            sink.record(step.op, self._phase, elapsed, cost[0], cost[1])
+        self._profiler.record(step.op, self._phase, elapsed, cost[0], cost[1])
 
     def close(self) -> None:
         """Account the phase's wall time (a replay counts once, on its
         forward)."""
-        seconds = self._clock() - self._start
-        count = int(self._phase == "forward")
-        for sink in self._sinks:
-            sink.record_replay(seconds, count)
-        if count:
-            _bump("profiled_replays")
+        self._profiler.record_replay(self._clock() - self._start,
+                                     int(self._phase == "forward"))
 
 
 class ExecutionPlan:
@@ -363,7 +353,7 @@ class ExecutionPlan:
                  "needs_grad", "memory_plan",
                  "_params", "_consts", "_values",
                  "_saved", "_grads", "_unbroadcast", "_seed",
-                 "_arena", "_outs", "_profile", "_costs")
+                 "_arena", "_outs", "_costs")
 
     def __init__(self, steps: List[_Step], leaves: List, root_slot: int,
                  slot_shapes: Tuple[tuple, ...]) -> None:
@@ -396,10 +386,8 @@ class ExecutionPlan:
         self._arena: Optional[List[np.ndarray]] = None
         self._outs: Optional[List[Optional[np.ndarray]]] = None
         _bump("arena_planned_bytes", self.memory_plan.arena_bytes)
-        # profiling plane: this plan's own rows (what ``profile_report``
-        # shows) and the static per-step cost estimates, both written
+        # profiling plane: the static per-step cost estimates, written
         # only by a replay observer.
-        self._profile = KernelProfiler()
         self._costs: Dict[str, List[Optional[Tuple[float, float]]]] = {
             phase: [None] * len(steps)
             for phase in ("forward", "backward")
@@ -580,41 +568,6 @@ class CompiledLoss:
     def fallback_reason(self) -> str:
         """Why the loss is running eagerly ('' when planned)."""
         return self._reason
-
-    def profile_report(self, top: Optional[int] = None) -> Dict[str, object]:
-        """Per-kernel profile of this loss's observed plan replays.
-
-        Populated while a :class:`repro.obs.profiling.KernelProfiler`
-        is installed (see :func:`repro.obs.profiling.profile_kernels`).
-        Returns the :meth:`KernelProfiler.report
-        <repro.obs.profiling.KernelProfiler.report>` schema — kernels
-        sorted by cumulative time with calls/seconds/flops/bytes,
-        totals, and ``coverage`` (fraction of measured replay wall time
-        the kernel timings account for) — plus ``planned`` and
-        ``fallback_reason`` for losses that never compiled.  Planned
-        losses additionally report the pass pipeline's memory plan:
-        ``arena`` (the :meth:`MemoryPlan.report
-        <repro.nn.passes.MemoryPlan.report>` summary — arena bytes,
-        buffer count, reuse) and a per-kernel ``arena_bytes`` column
-        attributing each forward kernel's arena-managed output bytes.
-        """
-        plan = self._plan
-        profile = plan._profile if plan is not None else KernelProfiler()
-        report = profile.report(top)
-        report["planned"] = plan is not None
-        report["fallback_reason"] = self._reason
-        if plan is not None:
-            memory_plan = plan.memory_plan
-            report["arena"] = memory_plan.report()
-            op_bytes = memory_plan.op_bytes
-            for row in report["kernels"]:
-                row["arena_bytes"] = (
-                    op_bytes.get(row["op"], 0)
-                    if row["phase"] == "forward" else 0
-                )
-        else:
-            report["arena"] = None
-        return report
 
     def _eager(self) -> float:
         loss = self._fn()

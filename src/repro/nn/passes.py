@@ -95,51 +95,21 @@ class MemoryPlan:
     allocates its output as under eager dispatch).
     """
 
-    __slots__ = ("step_buffer", "buffer_shapes",
-                 "managed_steps", "unmanaged_steps", "view_steps",
-                 "reused_buffers", "arena_bytes",
-                 "backward_live", "buffer_occupancy", "op_bytes")
+    __slots__ = ("step_buffer", "buffer_shapes", "arena_bytes",
+                 "buffer_occupancy")
 
     def __init__(self, step_buffer: List[int],
                  buffer_shapes: List[tuple],
-                 managed_steps: int, unmanaged_steps: int, view_steps: int,
-                 reused_buffers: int, backward_live: int,
-                 buffer_occupancy: List[List[Tuple[int, int, int]]],
-                 op_bytes: Dict[str, int]) -> None:
+                 buffer_occupancy: List[List[Tuple[int, int, int]]]) -> None:
         self.step_buffer = step_buffer
         self.buffer_shapes = buffer_shapes
-        self.managed_steps = managed_steps
-        self.unmanaged_steps = unmanaged_steps
-        self.view_steps = view_steps
-        self.reused_buffers = reused_buffers
         self.arena_bytes = sum(_nbytes(shape) for shape in buffer_shapes)
-        self.backward_live = backward_live
         self.buffer_occupancy = buffer_occupancy
-        self.op_bytes = op_bytes
 
     @property
     def num_buffers(self) -> int:
         """Number of distinct arena buffers the plan preallocates."""
         return len(self.buffer_shapes)
-
-    @property
-    def fully_managed(self) -> bool:
-        """Whether every executing non-view step writes into the arena."""
-        return self.unmanaged_steps == 0
-
-    def report(self) -> Dict[str, object]:
-        """Summary dict (surfaced through ``profile_report()`` and the
-        engine benchmarks)."""
-        return {
-            "arena_bytes": self.arena_bytes,
-            "buffers": self.num_buffers,
-            "managed_outputs": self.managed_steps,
-            "unmanaged_outputs": self.unmanaged_steps,
-            "view_outputs": self.view_steps,
-            "buffer_reuse": self.reused_buffers,
-            "backward_live": self.backward_live,
-            "fully_managed": self.fully_managed,
-        }
 
 
 def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
@@ -159,8 +129,8 @@ def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
 
     View outputs (:data:`VIEW_OPS`) alias an earlier slot's storage;
     their reads extend that base slot's lifetime transitively.  Steps
-    whose kernel is not flagged ``arena`` stay unmanaged (counted,
-    reported, and gated in the benchmarks).
+    whose kernel is not flagged ``arena`` stay unmanaged
+    (``step_buffer`` ``-1``).
     """
     steps = structure.steps
     num_steps = len(steps)
@@ -193,7 +163,6 @@ def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
         touch(step.out, i)
     touch(structure.root_slot, root_read)
 
-    backward_live = 0
     for step in steps:
         uses = kernel_table[step.op].vjp_uses
         if "inputs" in uses:
@@ -201,38 +170,26 @@ def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
                 touch(j, backward)
         if "output" in uses:
             touch(step.out, backward)
-    for t in last_use:
-        if t >= backward:
-            backward_live += 1
 
     step_buffer = [-1] * num_steps
     buffer_shapes: List[tuple] = []
     occupancy: List[List[Tuple[int, int, int]]] = []
     free: Dict[tuple, List[int]] = {}
     releases: Dict[int, List[int]] = {}
-    managed = unmanaged = views = reused = 0
-    op_bytes: Dict[str, int] = {}
     for i, step in enumerate(steps):
         for buf in releases.pop(i, ()):
             free.setdefault(buffer_shapes[buf], []).append(buf)
-        if step.op in VIEW_OPS:
-            views += 1
-            continue
-        if not kernel_table[step.op].arena:
-            unmanaged += 1
+        if step.op in VIEW_OPS or not kernel_table[step.op].arena:
             continue
         shape = structure.slot_shapes[step.out]
         pool = free.get(shape)
         if pool:
             buf = pool.pop()
-            reused += 1
         else:
             buf = len(buffer_shapes)
             buffer_shapes.append(shape)
             occupancy.append([])
         step_buffer[i] = buf
-        managed += 1
-        op_bytes[step.op] = op_bytes.get(step.op, 0) + _nbytes(shape)
         end = last_use[resolve(step.out)]
         occupancy[buf].append((i, i, end))
         if end <= root_read:
@@ -242,11 +199,5 @@ def plan_memory(structure, kernel_table: Dict) -> MemoryPlan:
     return MemoryPlan(
         step_buffer=step_buffer,
         buffer_shapes=buffer_shapes,
-        managed_steps=managed,
-        unmanaged_steps=unmanaged,
-        view_steps=views,
-        reused_buffers=reused,
-        backward_live=backward_live,
         buffer_occupancy=occupancy,
-        op_bytes=op_bytes,
     )

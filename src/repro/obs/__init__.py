@@ -25,8 +25,8 @@ this package is the cross-cutting layer that makes them observable as
   :class:`KernelProfiler` installed into the
   :class:`~repro.nn.engine.ExecutionPlan` replay loops accumulates
   per-:class:`~repro.nn.engine.OpKernel` call counts, cumulative time
-  and estimated FLOPs/bytes, surfaced through
-  :meth:`~repro.nn.engine.CompiledLoss.profile_report`.
+  and estimated FLOPs/bytes; it is the one record of kernel timings,
+  read through :meth:`KernelProfiler.report`.
 * **A federated** :class:`MetricsHub` (:mod:`repro.obs.hub`) — the
   per-component registries (gateway
   :class:`~repro.serving.metrics.MetricsRegistry`, streaming

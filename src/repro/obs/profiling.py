@@ -11,16 +11,18 @@ an analytic FLOP/byte estimate from the plan's static shapes
 observed loops are the loops that always run — same kernels, same arena
 buffers — so a profile measures production replay.
 
-Two views of the data exist:
+The installed profiler is the one record of kernel timings: it
+aggregates across every plan that replayed while it was installed
+(:meth:`KernelProfiler.report`, with wall-clock ``coverage`` — the
+fraction of measured replay time the kernel timings account for).
+That is what the top-k kernel table in ``examples/observability.py``
+prints and what ``benchmarks/test_obs_overhead.py`` checks covers at
+least 95% of replay wall time.  The profile of one plan is a fresh
+profiler installed around that plan's replays::
 
-* per-plan — :meth:`repro.nn.engine.CompiledLoss.profile_report`
-  reports one compiled loss's kernels with wall-clock coverage (the
-  fraction of measured replay time the kernel timings account for);
-* global — the installed profiler aggregates across every plan that
-  replayed while it was active (:meth:`KernelProfiler.report`), which
-  is what the top-k kernel table in ``examples/observability.py``
-  prints and what ``benchmarks/test_obs_overhead.py`` checks covers
-  at least 95% of replay wall time.
+    with profile_kernels() as profiler:
+        compiled_loss.run()
+    profiler.report()
 
 When no profiler is installed the replay loops run with no observer:
 the only cost is one ``is None`` test per step.
@@ -181,10 +183,9 @@ def profile_kernels(
 ) -> Iterator[KernelProfiler]:
     """Install a :class:`KernelProfiler` into the engine for a block.
 
-    Every plan replay inside the block is observed (globally into the
-    yielded profiler, and per-plan for
-    :meth:`~repro.nn.engine.CompiledLoss.profile_report`); the previous
-    profiler — usually none — is restored on exit.
+    Every plan replay inside the block is observed into the yielded
+    profiler; the previous profiler — usually none — is restored on
+    exit.
     """
     prof = profiler or KernelProfiler()
     previous, INSTALLED[0] = INSTALLED[0], prof

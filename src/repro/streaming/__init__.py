@@ -8,8 +8,8 @@ marketplace that never stands still:
   ``EdgeAdded`` / ``EdgeRetired`` / ``SalesTick`` in an append-only,
   deterministic, replayable :class:`~repro.streaming.events.EventLog`
   that distinguishes **event time** (the month a tick belongs to) from
-  **arrival time** (its log position) and tracks the event-time
-  frontier.
+  **arrival time** (its log position); it keeps no event-time state,
+  the feature store below does.
 * :class:`~repro.streaming.dynamic_graph.DynamicGraph` — a delta
   overlay (adjacency additions + tombstones) over the frozen
   :class:`~repro.graph.graph.ESellerGraph`, so k-hop / ego-subgraph /
@@ -23,7 +23,8 @@ marketplace that never stands still:
   would emit, so fresh training windows equal a cold database rebuild.
   Ticks fold by event time under a configurable **watermark**: in-window
   late ticks merge into the correct month, beyond-watermark stragglers
-  are dropped once and counted.
+  are dropped once and counted.  The store is the one owner of event
+  time: the frontier, the watermark, the late and dropped tick counts.
 * :class:`~repro.streaming.simulator.MarketplaceSimulator` — drives
   churn against the synthetic generator: cold-start arrivals, edge
   reveals/retirements and sales ticks as one precomputed deterministic

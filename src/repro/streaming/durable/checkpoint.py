@@ -87,11 +87,14 @@ def write_checkpoint(
 ) -> Path:
     """Snapshot the streaming fold state as of log offset ``offset``.
 
-    ``dynamic_graph`` is compacted first (compaction is property-tested
-    array-identical to a cold rebuild, so this never changes observable
-    state) and its base edge arrays are what lands on disk.  ``adapter``
-    is any object with the :class:`~repro.training.online.OnlineAdapter`
-    ``state_dict()`` contract.  Returns the checkpoint directory path.
+    ``dynamic_graph`` has its pending deltas folded first
+    (:meth:`~repro.streaming.dynamic_graph.DynamicGraph.as_graph`:
+    compaction is property-tested array-identical to a cold rebuild, so
+    this never changes observable state, and a quiet graph keeps its
+    base and that base's CSR index) and its base edge arrays are what
+    lands on disk.  ``adapter`` is any object with the
+    :class:`~repro.training.online.OnlineAdapter` ``state_dict()``
+    contract.  Returns the checkpoint directory path.
     """
     if offset < 0:
         raise ValueError(f"offset must be non-negative, got {offset}")
@@ -110,7 +113,7 @@ def write_checkpoint(
         "components": [],
     }
     if dynamic_graph is not None:
-        base = dynamic_graph.compact()
+        base = dynamic_graph.as_graph()
         arrays["graph_src"] = base.src
         arrays["graph_dst"] = base.dst
         arrays["graph_edge_types"] = base.edge_types

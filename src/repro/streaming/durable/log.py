@@ -14,12 +14,12 @@ representation that survives crashes:
   without touching the write path.
 * **Seals** — the process that seals a segment summarises it once in a
   one-line, self-checksummed sidecar (``events-<first offset>.seal``:
-  record count, body length and CRC32, the event-time statistics so
-  far), staged and ``os.replace``d into place.  Opening the directory
-  checksums each sealed body against its sidecar instead of decoding
-  it; a missing, damaged or disagreeing sidecar falls back to the
-  per-record scan, which rewrites it.  Only the active segment is
-  always scanned record by record.
+  record count, body length and CRC32), staged and ``os.replace``d
+  into place.  Opening the directory checksums each sealed body
+  against its sidecar instead of decoding it; a missing, damaged or
+  disagreeing sidecar falls back to the per-record scan, which
+  rewrites it.  Only the active segment is always scanned record by
+  record.
 * **Records** — one line per event: two fixed-width hex fields (payload
   byte length, CRC32 of the payload) followed by the event as compact
   JSON.  Every read re-checks the length and CRC, so silent disk
@@ -167,12 +167,14 @@ def _parse_record(line: bytes) -> str:
     return raw.decode("utf-8")
 
 
-def _verified_seal(path: Path, start: int) -> Tuple[int, int, int]:
-    """``(count, frontier, late_arrivals)`` from a sealed segment's sidecar.
+def _verified_seal(path: Path, start: int) -> int:
+    """The record count of a sealed segment, read from its sidecar.
 
     Raises unless the sidecar's own CRC, its first offset and the body's
     length and CRC32 (streamed in bounded chunks) all hold:
-    ``FileNotFoundError`` without a sidecar, else what disagreed.
+    ``FileNotFoundError`` without a sidecar, else what disagreed.  Any
+    other key is ignored, such as the event-time fields that older
+    journals wrote.
     """
     seal = json.loads(_parse_record(
         path.with_suffix(_SEAL_SUFFIX).read_bytes()))
@@ -187,7 +189,7 @@ def _verified_seal(path: Path, start: int) -> Tuple[int, int, int]:
         raise ValueError(
             f"body is {length} bytes, CRC {crc:08x}; sidecar says "
             f"{seal['body_bytes']} bytes, CRC {seal['body_crc']:08x}")
-    return seal["count"], seal["frontier"], seal["late_arrivals"]
+    return seal["count"]
 
 
 class DurableEventLog:
@@ -201,9 +203,8 @@ class DurableEventLog:
         checksummed against its ``.seal`` sidecar (or, without a usable
         one, scanned record by record and the sidecar rewritten), the
         active segment is scanned record by record and a torn tail
-        truncated.  That restores ``high_water`` / ``frontier`` /
-        ``late_arrivals`` to what the in-memory log tracking the same
-        stream would report.
+        truncated.  That restores ``high_water`` and ``segments()`` to
+        what the in-memory log tracking the same stream would report.
     segment_events:
         Records per segment before the active segment seals and a new
         one starts.
@@ -226,10 +227,6 @@ class DurableEventLog:
         self.fsync = bool(fsync)
         #: Next append offset (= events durably recorded).
         self.high_water = 0
-        #: Event-time frontier (mirrors ``EventLog.frontier``).
-        self.frontier = -1
-        #: Events appended behind the frontier (mirrors ``EventLog``).
-        self.late_arrivals = 0
         #: Torn records truncated from the active tail at open (0 or 1).
         self.torn_records_truncated = 0
         #: Sealed segments opened by per-record scan for want of a
@@ -287,16 +284,14 @@ class DurableEventLog:
     def _open_sealed(self, start: int, path: Path) -> int:
         """Record count of a sealed segment, its every byte verified.
 
-        A sidecar that matches the body yields the count and event-time
-        state without parsing a record.  Anything else is settled by the
-        per-record scan, which raises on a damaged body; after a clean
-        one the sidecar is rewritten, so the next open is cheap again.
+        A sidecar that matches the body yields the count without parsing
+        a record.  Anything else is settled by the per-record scan,
+        which raises on a damaged body; after a clean one the sidecar is
+        rewritten, so the next open is cheap again.
         """
         reason = None
         try:
-            count, self.frontier, self.late_arrivals = _verified_seal(
-                path, start)
-            return count
+            return _verified_seal(path, start)
         except FileNotFoundError:   # sealed before sidecars, or a crash
             pass                    # between the seal and its sidecar
         except (ValueError, KeyError, TypeError) as exc:
@@ -324,8 +319,6 @@ class DurableEventLog:
             handle.write(_format_record(json.dumps({
                 "first_offset": start, "count": count,
                 "body_bytes": self._body_bytes, "body_crc": self._body_crc,
-                "frontier": self.frontier,
-                "late_arrivals": self.late_arrivals,
             })))
             if self.fsync:
                 handle.flush()
@@ -333,12 +326,13 @@ class DurableEventLog:
         os.replace(staging, final)
 
     def _scan_segment(self, path: Path, active: bool) -> int:
-        """Replay one segment's framing, folding event-time stats.
+        """Replay one segment's framing, decoding every record.
 
-        Returns the record count and leaves the length and CRC32 of the
-        bytes it kept in ``_body_bytes`` / ``_body_crc``.  In the active
-        segment a torn *final* record is truncated away; any other
-        framing failure raises.
+        Decoding validates each payload as an event.  Returns the record
+        count and leaves the length and CRC32 of the bytes it kept in
+        ``_body_bytes`` / ``_body_crc``.  In the active segment a torn
+        *final* record is truncated away; any other framing failure
+        raises.
         """
         count = 0
         good_bytes = 0
@@ -349,8 +343,7 @@ class DurableEventLog:
                 if not line:
                     break
                 try:
-                    payload = _parse_record(line)
-                    event = decode_event(payload)
+                    decode_event(_parse_record(line))
                 except LogCorruptionError:
                     raise
                 except ValueError as exc:
@@ -359,7 +352,6 @@ class DurableEventLog:
                     raise LogCorruptionError(
                         f"{path.name}: corrupt record {count}: {exc}"
                     )
-                self._fold_event_time(event)
                 count += 1
                 good_bytes += len(line)
                 crc = zlib.crc32(line, crc)
@@ -371,13 +363,6 @@ class DurableEventLog:
             obs_recorder.note("torn_tail_truncated", segment=path.name,
                               kept_records=count, kept_bytes=good_bytes)
         return count
-
-    def _fold_event_time(self, event: ShopEvent) -> None:
-        month = int(event.month)
-        if month < self.frontier:
-            self.late_arrivals += 1
-        else:
-            self.frontier = month
 
     # ------------------------------------------------------------------
     # writing
@@ -410,7 +395,6 @@ class DurableEventLog:
         self._segments[-1] = (start, count + 1)
         offset = self.high_water
         self.high_water += 1
-        self._fold_event_time(event)
         return offset
 
     def extend(self, events: Iterable[ShopEvent]) -> None:

@@ -26,15 +26,13 @@ Event time vs arrival time: every event carries the timeline month it
 log records when it *arrived* (arrival time).  A well-behaved feed
 appends in event-time order, but a real marketplace does not — partial
 sales for an old month land days after the month closed.  The log
-therefore tracks its **event-time frontier** (:attr:`EventLog.frontier`,
-the highest month any appended event belongs to) and counts
-:attr:`EventLog.late_arrivals` (events appended after the frontier had
-already passed their month).  Consumers that need a deterministic
-event-time view use :meth:`EventLog.by_event_time`, a stable sort that
-keeps same-month arrival order.  The admission policy for late events
-(how far behind the frontier a tick may trail before it is dropped) is
-a *consumer* concern — see
-:class:`~repro.streaming.features.StreamingFeatureStore`'s watermark.
+records the feed as it came and keeps no event-time state of its own:
+consumers that need a deterministic event-time view use
+:meth:`EventLog.by_event_time`, a stable sort that keeps same-month
+arrival order.  The event-time frontier, the watermark (how far behind
+the frontier a tick may trail before it is dropped) and the count of
+late ticks accepted belong to the one consumer that acts on them, the
+:class:`~repro.streaming.features.StreamingFeatureStore`.
 """
 
 from __future__ import annotations
@@ -141,16 +139,15 @@ class EventLog:
 
     Append order is *arrival* order; each event's ``month`` is its
     *event time*.  The log never reorders or drops anything — it records
-    the feed exactly as it came, including out-of-order ticks — and
-    keeps two cheap event-time statistics as it grows:
+    the feed exactly as it came, including out-of-order ticks:
 
     >>> log = EventLog()
     >>> log.append(SalesTick(month=3, shop_index=0, gmv=10.0))
     0
     >>> log.append(SalesTick(month=2, shop_index=1, gmv=5.0))  # late
     1
-    >>> log.frontier, log.late_arrivals
-    (3, 1)
+    >>> [e.month for e in log]
+    [3, 2]
     >>> [e.month for e in log.by_event_time()]
     [2, 3]
 
@@ -166,11 +163,6 @@ class EventLog:
                  durable=None) -> None:
         self._events: List[ShopEvent] = []
         self._durable = None
-        #: Event-time frontier: highest month any appended event belongs
-        #: to (``-1`` while empty).
-        self.frontier = -1
-        #: Events that arrived after the frontier had passed their month.
-        self.late_arrivals = 0
         if durable is not None:
             self.attach_durable(durable)
         if events is not None:
@@ -212,11 +204,6 @@ class EventLog:
         return self._durable
 
     def _append_memory(self, event: ShopEvent) -> int:
-        month = int(event.month)
-        if month < self.frontier:
-            self.late_arrivals += 1
-        else:
-            self.frontier = month
         self._events.append(event)
         return len(self._events) - 1
 

@@ -22,10 +22,12 @@ surfaced in :attr:`StreamingFeatureStore.ticks_dropped` /
 :meth:`StreamingFeatureStore.freshness_report`.  Consumers that care
 about data freshness (the serving gateway's result cache) subscribe
 via :meth:`StreamingFeatureStore.subscribe` and key their staleness
-checks off the same frontier.  The store is also the one record of
-*which* cells received accepted ticks (:attr:`StreamingFeatureStore.ticked`):
-the online adapter reads its fresh-evidence set from that table instead
-of folding the stream a second time.
+checks off the same frontier.  The store is the one owner of event
+time — the event log and its journal keep none — and also the one
+record of *which* cells received accepted ticks
+(:attr:`StreamingFeatureStore.ticked`): the online adapter reads its
+fresh-evidence set from that table instead of folding the stream a
+second time.
 """
 
 from __future__ import annotations

@@ -122,8 +122,8 @@ class MarketplaceSimulator:
         rng = np.random.default_rng(seed)
         self._precompute(edge_churn_per_month, churn_rebound_months, rng)
         if late_tick_fraction > 0.0:
-            self._inject_late_arrivals(late_tick_fraction,
-                                       late_tick_max_delay, rng)
+            self._inject_late_ticks(late_tick_fraction,
+                                    late_tick_max_delay, rng)
 
     # ------------------------------------------------------------------
     # stream construction (all at init time, fully deterministic)
@@ -195,8 +195,8 @@ class MarketplaceSimulator:
                     customers=int(self.customers_table[shop_index, month]),
                 ))
 
-    def _inject_late_arrivals(self, fraction: float, max_delay: int,
-                              rng: np.random.Generator) -> None:
+    def _inject_late_ticks(self, fraction: float, max_delay: int,
+                           rng: np.random.Generator) -> None:
         """Delay a deterministic subset of ticks past their event month.
 
         A picked tick keeps its event-time ``month`` but is moved to a

@@ -567,7 +567,12 @@ _BANNED_NAMES = ("forward" "_out", "Plan" "Structure", "run" "_pipeline",
                  # base sorts its own index lazily.
                  "adopt_csr", "invalidate_csr", "_patched_csr",
                  "_segment_scatter", "_touched_out", "_touched_in",
-                 "_compact_traced")
+                 "_compact_traced",
+                 # ... and with the second records: kernel timings live
+                 # only in the installed profiler, event time only in
+                 # the feature store.
+                 "profile_report", "profiled_replays", "profiling_enabled",
+                 "op_bytes", "_fold_event_time", "late_arrivals")
 # Names deleted with the float32 backend and its registry.
 _BACKEND_NAMES = ("ExecutionBackend", "BACKENDS", "register_backend",
                   "get_backend", "use_backend", "active_backend",
@@ -588,8 +593,9 @@ def test_engine_has_one_plan_executor():
     the arena-twin forwards, the schedule-structure class, the pipeline
     alias, the record-time fusion matcher, the engine-mode API and its
     environment variable, the patched-CSR compaction and its CSR
-    install / invalidate hooks) exists anywhere under ``src/``, as an
-    identifier or a string; kernel bodies live in
+    install / invalidate hooks, the per-plan kernel profile and its
+    engine stats, the journal's event-time fold) exists anywhere under
+    ``src/``, as an identifier or a string; kernel bodies live in
     ``repro/nn/kernels/``, not in ``engine.py``.  ``repro/nn`` reads no
     environment variable and never names
     ``malloc``/``mallopt``; the pass module exports prune +

@@ -51,15 +51,20 @@ def market():
 # event log: event time vs arrival time
 # ----------------------------------------------------------------------
 class TestEventLogEventTime:
-    def test_frontier_and_late_arrivals(self):
-        log = EventLog()
-        assert log.frontier == -1 and log.late_arrivals == 0
-        log.append(SalesTick(month=4, shop_index=0, gmv=1.0))
-        log.append(SalesTick(month=2, shop_index=1, gmv=2.0))   # late
-        log.append(SalesTick(month=4, shop_index=2, gmv=3.0))   # on frontier
-        log.append(ShopAdded(month=6, shop_index=3))
-        assert log.frontier == 6
-        assert log.late_arrivals == 1
+    def test_store_owns_event_time(self):
+        """The log records arrival order and nothing else; the frontier
+        and the late count are the feature store's, over accepted ticks."""
+        events = [SalesTick(month=4, shop_index=0, gmv=1.0),
+                  SalesTick(month=2, shop_index=1, gmv=2.0),   # late
+                  SalesTick(month=4, shop_index=2, gmv=3.0),   # on frontier
+                  ShopAdded(month=6, shop_index=3)]
+        log = EventLog(events)
+        assert list(log) == events
+        assert not hasattr(log, "frontier")
+        store = StreamingFeatureStore(4, num_months=8)
+        store.apply_events(log)
+        assert store.frontier == 4              # shop arrivals are no ticks
+        assert store.late_ticks_accepted == 1
 
     def test_by_event_time_is_stable(self):
         first = SalesTick(month=1, shop_index=0, gmv=1.0)
@@ -231,7 +236,6 @@ class TestWatermarkFoldProperty:
             resorted.apply_events(log.by_event_time())
             np.testing.assert_array_equal(resorted.gmv, ordered.gmv)
             np.testing.assert_array_equal(resorted.orders, ordered.orders)
-            assert log.late_arrivals >= 0
 
         forall(_random_event_time_log, check, trials=10, seed=13,
                name="by_event_time replay == in-order fold")

@@ -216,12 +216,11 @@ class TestProfiling:
     def test_profile_report_stable_across_replays(self):
         compiled, w = self._compiled_loss()
         compiled.run()  # trace + compile outside profiling
-        with profile_kernels():
+        with profile_kernels() as profiler:
             for _ in range(4):
                 w.grad = None
                 compiled.run()
-        report = compiled.profile_report()
-        assert report["planned"] is True
+        report = profiler.report()
         assert report["replays"] == 4
         by_kernel = {(r["op"], r["phase"]): r for r in report["kernels"]}
         # Every profiled kernel was called exactly once per replay, and
@@ -231,12 +230,12 @@ class TestProfiling:
             assert row["flops"] > 0 or row["op"] in ("reshape", "getitem")
         matmul = by_kernel[("matmul", "forward")]
         assert matmul["flops"] == 4 * 2.0 * 5 * 4 * 6
-        # A second profiled batch of the same size adds the same counts.
-        with profile_kernels():
+        # Installed again, the same profiler adds the same counts.
+        with profile_kernels(profiler):
             for _ in range(4):
                 w.grad = None
                 compiled.run()
-        again = compiled.profile_report()
+        again = profiler.report()
         assert again["replays"] == 8
         for row in again["kernels"]:
             assert row["calls"] == 8
@@ -253,6 +252,49 @@ class TestProfiling:
         assert report["replays"] == 10
         assert 0.0 < report["coverage"] <= 1.0
         assert report["total_seconds"] <= report["replay_seconds"]
+        # Under a fake clock (each reading ticks it) the closing read is
+        # charged to no row, so the rows undershoot the replay by
+        # exactly one tick per phase.
+        with profile_kernels(KernelProfiler(clock=FakeClock().tick)) as ticked:
+            for _ in range(3):
+                w.grad = None
+                compiled.run()
+        report = ticked.report()
+        assert report["replays"] == 3
+        assert report["total_seconds"] == report["replay_seconds"] - 2 * 3
+
+    def test_one_profiler_sums_the_plans_it_observes(self):
+        """The profile of one plan is a fresh profiler around its
+        replays; one profiler around both plans holds exactly the sum,
+        deterministically under a fake clock (each reading ticks it)."""
+        def rows(profiler):
+            return {(r["op"], r["phase"]):
+                    (r["calls"], r["seconds"], r["flops"], r["bytes"])
+                    for r in profiler.report()["kernels"]}
+
+        def replay(compiled, w, times):
+            for _ in range(times):
+                w.grad = None
+                compiled.run()
+
+        (first, w1), (second, w2) = self._compiled_loss(), self._compiled_loss()
+        for compiled in (first, second):
+            compiled.run()
+        with profile_kernels(KernelProfiler(clock=FakeClock().tick)) as mine:
+            replay(first, w1, 3)
+        with profile_kernels(KernelProfiler(clock=FakeClock().tick)) as theirs:
+            replay(second, w2, 2)
+        with profile_kernels(KernelProfiler(clock=FakeClock().tick)) as both:
+            replay(first, w1, 3)
+            replay(second, w2, 2)
+        assert both.replays == mine.replays + theirs.replays == 5
+        mine, theirs = rows(mine), rows(theirs)
+        total = rows(both)
+        assert set(total) == set(mine) | set(theirs)
+        for key, row in total.items():
+            summed = tuple(a + b for a, b in zip(mine.get(key, (0,) * 4),
+                                                 theirs.get(key, (0,) * 4)))
+            assert row == pytest.approx(summed)
 
     def test_report_top_k_sorted_by_seconds(self):
         compiled, w = self._compiled_loss()
@@ -268,62 +310,19 @@ class TestProfiling:
         assert engine.kernel_profiler() is None
         with profile_kernels() as profiler:
             assert engine.kernel_profiler() is profiler
-            assert engine.stats_snapshot()["profiling_enabled"] == 1
         assert engine.kernel_profiler() is None
-        assert engine.stats_snapshot()["profiling_enabled"] == 0
 
     def test_unprofiled_runs_record_nothing(self):
         compiled, w = self._compiled_loss()
         compiled.run()
-        w.grad = None
-        compiled.run()
-        report = compiled.profile_report()
-        assert report["planned"] is True
-        assert report["replays"] == 0
-        assert report["kernels"] == []
-
-
-    def test_plan_report_and_installed_profiler_agree(self):
-        """One observer writes both views: a plan replaying alone under
-        a profiler reports exactly that profiler's rows, and two plans
-        under one profiler sum to it — deterministically under a fake
-        clock (each reading ticks it)."""
-        def rows(report):
-            return {(r["op"], r["phase"]):
-                    (r["calls"], r["seconds"], r["flops"], r["bytes"])
-                    for r in report["kernels"]}
-
-        first, w1 = self._compiled_loss()
-        second, w2 = self._compiled_loss()
-        for compiled in (first, second):
+        with profile_kernels() as profiler:
+            w.grad = None
             compiled.run()
-        profiler = KernelProfiler(clock=FakeClock().tick)
-        with profile_kernels(profiler):
-            for _ in range(3):
-                w1.grad = None
-                first.run()
-        alone = first.profile_report()
-        installed = profiler.report()
-        assert rows(alone) == rows(installed)
-        for key in ("replays", "replay_seconds", "total_seconds", "coverage"):
-            assert alone[key] == installed[key]
-        assert alone["replays"] == 3
-        # A ticking clock charges the closing read to no row, so the
-        # rows undershoot the replay by exactly one tick per phase.
-        assert alone["total_seconds"] == alone["replay_seconds"] - 2 * 3
-        with profile_kernels(profiler):
-            for _ in range(2):
-                w2.grad = None
-                second.run()
-        total = rows(profiler.report())
-        mine = rows(first.profile_report())
-        theirs = rows(second.profile_report())
-        assert mine == rows(alone)  # the other plan's replays never leak in
-        assert set(total) == set(mine) | set(theirs)
-        for key, row in total.items():
-            summed = tuple(a + b for a, b in zip(mine[key], theirs[key]))
-            assert row == pytest.approx(summed)
-        assert profiler.report()["replays"] == 5
+        before = profiler.report()
+        assert before["replays"] == 1
+        w.grad = None
+        compiled.run()  # no profiler installed: nothing observes it
+        assert profiler.report() == before
 
 
 # ----------------------------------------------------------------------

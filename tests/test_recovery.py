@@ -190,11 +190,7 @@ class TestDurableLog:
         reopened = DurableEventLog(tmp_path / "log", segment_events=3)
         assert reopened.high_water == len(events)
         assert list(reopened.since(0)) == events
-        # Event-time statistics match the in-memory log over one feed.
-        memory = EventLog(events)
-        assert reopened.frontier == memory.frontier
-        assert reopened.late_arrivals == memory.late_arrivals
-        assert list(reopened) == list(memory)
+        assert list(reopened) == list(EventLog(events))
 
     def test_since_streams_every_offset(self, tmp_path):
         events = some_events()
@@ -276,7 +272,6 @@ class TestDurableLog:
         assert log.high_water == 0
         assert log.segments() == []
         assert list(log.since(0)) == []
-        assert log.frontier == -1
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +302,7 @@ def _random_stream(rng, max_events=40):
 
 
 def _observable(log):
-    return (log.high_water, log.frontier, log.late_arrivals, log.segments(),
-            list(log.since(0)))
+    return log.high_water, log.segments(), list(log.since(0))
 
 
 def _sealed_files(directory):
@@ -427,6 +421,26 @@ class TestSegmentSeals:
         assert len(reopened.segments()) == 10
         assert len(decoded) <= 4       # O(segment_events), not O(journal)
 
+    def test_legacy_sidecar_keys_are_ignored(self, tmp_path):
+        """Sidecars once also carried the journal's event-time fold
+        (``frontier`` / ``late_arrivals``); one that still does is
+        trusted as it is, without a rescan or a rewrite."""
+        events = self._journal(tmp_path / "log")
+        with DurableEventLog(tmp_path / "log", segment_events=4) as current:
+            expected = _observable(current)
+        legacy = {}
+        for segment in _sealed_files(tmp_path / "log"):
+            sidecar = segment.with_suffix(".seal")
+            seal = json.loads(durable_log._parse_record(sidecar.read_bytes()))
+            seal.update(frontier=11, late_arrivals=3)
+            legacy[sidecar] = durable_log._format_record(json.dumps(seal))
+            sidecar.write_bytes(legacy[sidecar])
+        reopened = DurableEventLog(tmp_path / "log", segment_events=4)
+        assert reopened.segments_rescanned == 0
+        assert _observable(reopened) == expected
+        assert expected[-1] == events
+        assert {path: path.read_bytes() for path in legacy} == legacy
+
     def test_sealed_body_damage_under_an_intact_sidecar_raises(
             self, tmp_path):
         self._journal(tmp_path / "log")
@@ -511,8 +525,6 @@ class TestEventLogDurableTee:
         reopened = DurableEventLog(tmp_path / "log")
         log = EventLog.from_durable(reopened)
         assert list(log) == events
-        assert log.frontier == EventLog(events).frontier
-        assert log.late_arrivals == EventLog(events).late_arrivals
         # No double journaling: disk still holds exactly len(events).
         assert reopened.high_water == len(events)
         # And the tee continues from the journal head.
@@ -626,6 +638,24 @@ class TestCheckpoint:
         assert report.drifted_shops.tolist() == [1, 4]
         assert report.pre_loss == 0.1 + 0.2 and np.isnan(report.post_loss)
         assert (report.month, report.version, report.steps) == (7, 3, 15)
+
+    def test_quiet_graph_checkpoints_without_a_fold(self, tmp_path):
+        """An empty overlay has nothing to fold: the checkpoint snapshots
+        the base as it is and keeps its built CSR planes."""
+        rng = np.random.default_rng(9)
+        dyn = DynamicGraph(random_eseller_graph(rng, max_nodes=12,
+                                                max_edges=30))
+        graph = dyn.base
+        graph.out_csr(), graph.in_csr()
+        compactions = dyn.compactions
+        path = write_checkpoint(tmp_path, 0, dynamic_graph=dyn)
+        assert dyn.base is graph
+        assert dyn.compactions == compactions
+        assert graph._csr is not None and graph._csr_in is not None
+        arrays = load_checkpoint(path).arrays
+        assert np.array_equal(arrays["graph_src"], graph.src)
+        assert np.array_equal(arrays["graph_dst"], graph.dst)
+        assert np.array_equal(arrays["graph_edge_types"], graph.edge_types)
 
     def test_checkpoint_sha_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(7)
