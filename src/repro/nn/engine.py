@@ -345,8 +345,10 @@ class ExecutionPlan:
     arena-managed steps write into preallocated float64 buffers
     (materialised lazily on the first replay, then reused forever), so
     steady-state replay allocates nothing for the outputs the plan
-    manages.  A step that raises releases the plan's activations before
-    the exception propagates.
+    manages.  Binding also calls each kernel's ``bind`` hook, so
+    plan-static memos (the scatter CSR matrices) are built here, not in
+    a timed replay.  A step that raises releases the plan's activations
+    before the exception propagates.
     """
 
     __slots__ = ("steps", "num_slots", "root_slot", "slot_shapes",
@@ -380,6 +382,11 @@ class ExecutionPlan:
         self._saved: List[object] = [None] * len(steps)
         self._grads: List[Optional[np.ndarray]] = [None] * self.num_slots
         self._seed = np.ones(slot_shapes[root_slot], dtype=DTYPE)
+        for step in steps:
+            bind = KERNELS[step.op].bind
+            if bind is not None:
+                bind(step.meta, tuple(slot_shapes[j] for j in step.ins),
+                     slot_shapes[step.out], needs[step.out])
         self.memory_plan = _passes.plan_memory(self, KERNELS)
         # Arena buffers and, per step, the one it writes (``None`` for
         # unmanaged steps); both filled on the first replay.

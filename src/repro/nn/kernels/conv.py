@@ -3,12 +3,34 @@ specialised) and the fused multi-scale bank ``multi_conv1d`` (TEL's
 capture/denoise groups as one block GEMM, what
 :func:`repro.nn.functional.conv_bank` records).
 
-Neither saves anything: the im2col columns are a ``width``-fold copy of
+**Blocked columns.** The im2col columns of a width-``w`` convolution
+are a ``w``-fold copy of its input (8x for TEL's widest bank).  Laid out
+for the whole batch at once they are written to memory and then read
+back by the GEMM, so the forward would be bound by memory traffic, not
+by FLOPs.  :func:`_conv_gemm` therefore lays the zero-padded columns out
+one block of batch rows at a time, :data:`_BLOCK_BYTES` of columns per
+block, and GEMMs each block straight into its slice of the output (the
+arena buffer, when one is given).  This is the cache-blocking of the
+lowered operand in Goto & van de Geijn (TOMS 2008) and MEC (Cho &
+Brand, ICML 2017).  The forward of both kernels and the input gradient
+(:func:`_conv_input_grad`, a convolution of the output gradient) are
+blocked.  An input that fits in one block runs exactly the unblocked
+calls.  Otherwise every output row is the same dot product over the
+same column row, in a GEMM with fewer rows; the bits are the unblocked
+ones wherever BLAS rounds a row independently of its GEMM's row count.
+On OpenBLAS that holds when the output width is a whole number of SIMD
+vectors and the GEMM has more than one row, as at every conv of the
+repo's models (``tests/test_kernels.py``, section (e)).
+
+**Weight gradients lay out all the columns.** A weight gradient is a
+reduction *over* the rows, ``cols.T @ grad``.  Splitting the rows into
+blocks would split that reduction into partial sums, which changes the
+bits, so it stays one GEMM over the full columns.
+
+Neither kernel saves anything: the columns are a ``width``-fold copy of
 the input, which the arena cannot plan, so each VJP re-lays them from
-``arrays[0]`` with the forward's own call — the same columns, so the
-same gradient bits — at the cost of one contiguous copy per backward.
-Width 1 needs no columns at all: the input's ``(B * T, C)`` view is the
-GEMM operand.
+``arrays[0]``.  Width 1 needs no columns at all: the input's
+``(B * T, C)`` view is the GEMM operand.
 """
 
 from __future__ import annotations
@@ -18,6 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from .registry import register_kernel
+
+
+#: Bytes of im2col columns laid out per block of batch rows.  A 1000-shop
+#: default-Gaia epoch on a 2-vCPU x86 box (BLAS on one thread) took
+#: 324 / 305 / 282 / 304 / 317 ms at 96 / 192 / 384 / 768 / 1536 KiB,
+#: and 345 ms unblocked.
+_BLOCK_BYTES = 384 * 1024
 
 
 def _im2col(x: np.ndarray, width: int) -> np.ndarray:
@@ -52,17 +81,54 @@ def _gemm_rows(rows: np.ndarray, w2: np.ndarray, shape: tuple,
     return out
 
 
+def _cols_gemm(x: np.ndarray, w2: np.ndarray, width: int, left: int,
+               right: int, out, per_sample: bool) -> np.ndarray:
+    """``_padded_cols(x, width, left, right) @ w2`` for one block, landed
+    in ``out`` when one is given.  ``per_sample`` keeps ``conv1d``'s
+    stacked ``(b, T', K) @ (K, N)`` product (one GEMM per sample);
+    otherwise the block is one 2-D GEMM over its rows."""
+    cols = _padded_cols(x, width, left, right)
+    if per_sample:
+        return np.matmul(cols, w2, out=out)
+    b, out_t, k = cols.shape
+    return _gemm_rows(cols.reshape(b * out_t, k), w2,
+                      (b, out_t, w2.shape[1]), out)
+
+
+def _conv_gemm(x: np.ndarray, w2: np.ndarray, width: int, left: int,
+               right: int, out=None, per_sample: bool = False) -> np.ndarray:
+    """``_padded_cols(x, width, left, right) @ w2``, one block of batch
+    rows at a time: ``(B, T, C) -> (B, T + left + right - w + 1, N)``.
+
+    Each block's columns (at most :data:`_BLOCK_BYTES`, at least one
+    batch row) are laid out and GEMMed into their slice of ``out``, then
+    freed; an input that fits in one block is one :func:`_cols_gemm`
+    call, the unblocked calls.  Width 1 unpadded needs no columns: the
+    input's own ``(B * T, C)`` view is the operand, the same values as
+    the copy.
+    """
+    b, t, c = x.shape
+    if width == 1 and left == right == 0:
+        return _gemm_rows(x.reshape(b * t, c), w2, (b, t, w2.shape[1]), out)
+    out_t = t + left + right - width + 1
+    rows = max(1, _BLOCK_BYTES // (out_t * width * c * x.itemsize))
+    if b <= rows:
+        return _cols_gemm(x, w2, width, left, right, out, per_sample)
+    if out is None:
+        out = np.empty((b, out_t, w2.shape[1]),
+                       dtype=np.result_type(x.dtype, w2.dtype))
+    for start in range(0, b, rows):
+        _cols_gemm(x[start:start + rows], w2, width, left, right,
+                   out[start:start + rows], per_sample)
+    return out
+
+
 def _fw_conv1d(meta, arrays, out=None):
     x, w = arrays[0], arrays[1]
     width, c_in, c_out = w.shape
-    b, t, _ = x.shape
-    if width == 1:
-        # Pointwise conv == per-timestamp linear map: one big GEMM, no
-        # padding, no window extraction.
-        out = _gemm_rows(x.reshape(b * t, c_in), w[0], (b, t, c_out), out)
-    else:
-        cols2 = _padded_cols(x, width, meta["left"], meta["right"])
-        out = np.matmul(cols2, w.reshape(width * c_in, c_out), out=out)
+    # Width 1 is a per-timestamp linear map: one big GEMM, no columns.
+    out = _conv_gemm(x, w.reshape(width * c_in, c_out), width,
+                     meta["left"], meta["right"], out, per_sample=True)
     if len(arrays) == 3:
         out += arrays[2]
     return out, None
@@ -74,17 +140,17 @@ def _conv_input_grad(grad: np.ndarray, w: np.ndarray, t: int,
 
     ``gx[m] = sum_j grad[m - j] @ w[j].T`` is itself a width-``w``
     convolution of the zero-padded output gradient with the kernel
-    flipped along time and transposed — one im2col + one GEMM instead of
-    a per-offset strided accumulation loop (~3x faster at this repo's
-    shapes).
+    flipped along time and transposed — blocked im2col + GEMM instead
+    of a per-offset strided accumulation loop (~3x faster at this
+    repo's shapes).  ``grad`` is padded only by what the ``t`` input
+    rows read: ``width - 1 - left`` on the left, ``t + left - out_t``
+    on the right.
     """
     width, c_in, c_out = w.shape
-    b, out_t, _ = grad.shape
-    gcols = _padded_cols(grad, width, width - 1, width - 1)
-    gcols = gcols.reshape(b * (out_t + width - 1), width * c_out)
+    out_t = grad.shape[1]
     w_flip = w[::-1].transpose(0, 2, 1).reshape(width * c_out, c_in)
-    gx_full = (gcols @ w_flip).reshape(b, out_t + width - 1, c_in)
-    return gx_full[:, left:left + t, :]
+    return _conv_gemm(grad, w_flip, width, width - 1 - left,
+                      t + left - out_t)
 
 
 def _bw_conv1d(meta, grad, arrays, out, saved):
@@ -104,6 +170,7 @@ def _bw_conv1d(meta, grad, arrays, out, saved):
     # GEMM instead of einsum, in the (small, huge-K) transposed
     # orientation BLAS handles best; the transpose copy is k x c_out.
     gw = (grad.reshape(b * out_t, c_out).T @ cols2.reshape(b * out_t, k))
+    del cols2  # the input gradient lays out its own blocks
     gw = np.ascontiguousarray(gw.T).reshape(width, c_in, c_out)
     gx = _conv_input_grad(grad, w, t, meta["left"])
     if len(arrays) == 3:
@@ -111,14 +178,16 @@ def _bw_conv1d(meta, grad, arrays, out, saved):
     return gx, gw
 
 
-def _block_weight(ws: Sequence[np.ndarray], wmax: int, c_in: int) -> np.ndarray:
-    """Stack causal kernels of mixed widths into one dense block weight.
+def _block_weight(ws: Sequence[np.ndarray], c_in: int) -> np.ndarray:
+    """Stack causal kernels of mixed widths into one dense
+    ``(wmax, c_in, total)`` block weight.
 
     A width-``w`` kernel occupies the *last* ``w`` window offsets of the
     shared width-``wmax`` im2col (causal right-alignment); everything
     else stays zero, so one GEMM against the block computes every scale
     at once.
     """
+    wmax = max(w.shape[0] for w in ws)
     total = sum(w.shape[2] for w in ws)
     block = np.zeros((wmax, c_in, total), dtype=ws[0].dtype)
     col = 0
@@ -126,39 +195,24 @@ def _block_weight(ws: Sequence[np.ndarray], wmax: int, c_in: int) -> np.ndarray:
         width, _, c_out = w.shape
         block[wmax - width:, :, col:col + c_out] = w
         col += c_out
-    return block.reshape(wmax * c_in, total)
-
-
-def _bank_operands(arrays: Sequence[np.ndarray], n: int):
-    """The GEMM operands of a causal bank: ``(B * T, wmax * C)`` column
-    rows of the input and the ``(wmax * C, total)`` block weight.
-
-    At ``wmax == 1`` (ITA-GCN's s/d-term pair) the rows are the input's
-    own ``(B * T, C)`` view: the same values the zero-pad + im2col copy
-    would hold, so the same GEMM bits, with neither copy made.
-    """
-    x, ws = arrays[0], arrays[1:1 + n]
-    wmax = max(w.shape[0] for w in ws)
-    b, t, c_in = x.shape
-    if wmax == 1:
-        rows = x.reshape(b * t, c_in)
-    else:
-        rows = _padded_cols(x, wmax, wmax - 1, 0).reshape(b * t, wmax * c_in)
-    return rows, _block_weight(ws, wmax, c_in)
+    return block
 
 
 def _fw_multi_conv1d(meta, arrays, out=None):
     """Fused multi-scale causal conv bank over one shared input.
 
     Replaces K separate ``conv1d`` ops (skinny GEMMs + K pad/im2col
-    passes, e.g. TEL's capture/denoise groups) with one im2col and one
-    wide GEMM; outputs are laid out exactly as the channel-concat of the
-    per-scale convs.
+    passes, e.g. TEL's capture/denoise groups) with one blocked im2col
+    and one wide GEMM per block; outputs are laid out exactly as the
+    channel-concat of the per-scale convs.  At ``wmax == 1`` (ITA-GCN's
+    s/d-term pair) the GEMM reads the input's own view.
     """
     n = meta["num_scales"]
-    b, t, _ = arrays[0].shape
-    rows, block = _bank_operands(arrays, n)
-    out = _gemm_rows(rows, block, (b, t, block.shape[1]), out)
+    x = arrays[0]
+    block = _block_weight(arrays[1:1 + n], x.shape[2])
+    wmax, c_in, total = block.shape
+    out = _conv_gemm(x, block.reshape(wmax * c_in, total), wmax, wmax - 1,
+                     0, out)
     if meta["bias"]:
         out += np.concatenate(arrays[1 + n:])
     return out, None
@@ -166,13 +220,17 @@ def _fw_multi_conv1d(meta, arrays, out=None):
 
 def _bw_multi_conv1d(meta, grad, arrays, out, saved):
     n = meta["num_scales"]
-    ws = arrays[1:1 + n]
-    b, t, c_in = arrays[0].shape
-    rows, block = _bank_operands(arrays, n)
-    total = grad.shape[2]
+    x, ws = arrays[0], arrays[1:1 + n]
+    b, t, c_in = x.shape
+    block = _block_weight(ws, c_in)
+    wmax, _, total = block.shape
+    if wmax == 1:
+        rows = x.reshape(b * t, c_in)
+    else:
+        rows = _padded_cols(x, wmax, wmax - 1, 0).reshape(b * t, wmax * c_in)
     g2 = grad.reshape(b * t, total)
     g_block = np.ascontiguousarray((g2.T @ rows).T).reshape(-1, c_in, total)
-    wmax = g_block.shape[0]
+    del rows  # the input gradient lays out its own blocks
     grads = [None] * len(arrays)
     col = 0
     for i, w in enumerate(ws):
@@ -183,9 +241,7 @@ def _bw_multi_conv1d(meta, grad, arrays, out, saved):
             g_block[wmax - width:, :, col:col + c_out]
         )
         col += c_out
-    grads[0] = _conv_input_grad(
-        grad, block.reshape(wmax, c_in, total), t, wmax - 1
-    )
+    grads[0] = _conv_input_grad(grad, block, t, wmax - 1)
     if meta["bias"]:
         g_bias = g2.sum(axis=0)
         col = 0

@@ -9,7 +9,7 @@ layer calls through its :mod:`repro.nn.functional` entry point.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 
 #: Conservative default for :attr:`OpKernel.vjp_uses` — assume the VJP
@@ -45,18 +45,26 @@ class OpKernel:
     at ``meta``/``grad`` (or array *shapes* via ``meta``) declares
     ``()``; reading ``len(arrays)`` or ``arrays[i].shape`` alone does
     not count as a use.
+
+    ``bind(meta, in_shapes, out_shape, backward)``, when given, is
+    called once per plan step as an :class:`~repro.nn.engine.ExecutionPlan`
+    is bound — never on eager dispatch — so a kernel can build the
+    plan-static constants its replays read into ``meta`` outside the
+    timed replay (``backward`` says whether the step's VJP will run).
     """
 
-    __slots__ = ("name", "forward", "vjp", "arena", "vjp_uses")
+    __slots__ = ("name", "forward", "vjp", "arena", "vjp_uses", "bind")
 
     def __init__(self, name: str, forward: Callable, vjp: Callable,
                  arena: bool = False,
-                 vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES) -> None:
+                 vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES,
+                 bind: Optional[Callable] = None) -> None:
         self.name = name
         self.forward = forward
         self.vjp = vjp
         self.arena = arena
         self.vjp_uses = tuple(vjp_uses)
+        self.bind = bind
 
 
 KERNELS: Dict[str, OpKernel] = {}
@@ -64,7 +72,8 @@ KERNELS: Dict[str, OpKernel] = {}
 
 def register_kernel(name: str, forward: Callable, vjp: Callable,
                     arena: bool = False,
-                    vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES) -> OpKernel:
+                    vjp_uses: Tuple[str, ...] = DEFAULT_VJP_USES,
+                    bind: Optional[Callable] = None) -> OpKernel:
     """Add an :class:`OpKernel` to the registry (recipe: "Adding a
     fused kernel" in ``docs/ARCHITECTURE.md``).
 
@@ -82,7 +91,7 @@ def register_kernel(name: str, forward: Callable, vjp: Callable,
             f"kernel {name!r}: unknown vjp_uses {unknown}; "
             f"use a subset of {DEFAULT_VJP_USES}"
         )
-    kernel = OpKernel(name, forward, vjp, arena, vjp_uses)
+    kernel = OpKernel(name, forward, vjp, arena, vjp_uses, bind)
     KERNELS[name] = kernel
     return kernel
 

@@ -11,6 +11,8 @@ of the same math.  ``tests/test_kernels.py`` checks every kernel against
 its oracle to 1e-12 (column (c) of the kernel contract), and
 :func:`use_oracles` swaps the registry entries for their oracles, so a
 whole training trajectory can be compared with the optimised one.
+:data:`UNBLOCKED` keeps the conv kernels as they were before their
+columns were blocked, the bodies the blocked kernels must match bitwise.
 """
 
 from __future__ import annotations
@@ -98,6 +100,132 @@ def _bw_multi_conv1d(meta, grad, arrays, out, saved):
             grads[1 + n + i] = pgrads[2]
     grads[0] = gx
     return tuple(grads)
+
+
+# ----------------------------------------------------------------------
+# convolution, unblocked: the production bodies before blocked im2col
+# ----------------------------------------------------------------------
+def _unblocked_cols(x, width, left, right):
+    """The whole batch's zero-padded columns at once:
+    ``(B, T, C) -> (B, T + left + right - w + 1, w * C)``."""
+    b, t, c = x.shape
+    xp = np.zeros((b, t + left + right, c), dtype=x.dtype)
+    xp[:, left:left + t, :] = x
+    cols = _im2col(xp, width)
+    return np.ascontiguousarray(cols).reshape(b, cols.shape[1], width * c)
+
+
+def _unblocked_input_grad(grad, w, t, left):
+    """The flipped-correlation input gradient over ``grad`` padded by
+    ``width - 1`` on both sides; the ``width - 1`` extra rows per
+    sample are computed, then sliced away."""
+    width, c_in, c_out = w.shape
+    b, out_t, _ = grad.shape
+    gcols = _unblocked_cols(grad, width, width - 1, width - 1)
+    gcols = gcols.reshape(b * (out_t + width - 1), width * c_out)
+    w_flip = w[::-1].transpose(0, 2, 1).reshape(width * c_out, c_in)
+    gx_full = (gcols @ w_flip).reshape(b, out_t + width - 1, c_in)
+    return gx_full[:, left:left + t, :]
+
+
+def _fw_conv1d_unblocked(meta, arrays, out=None):
+    x, w = arrays[0], arrays[1]
+    width, c_in, c_out = w.shape
+    b, t, _ = x.shape
+    if width == 1:
+        out = np.matmul(x.reshape(b * t, c_in), w[0]).reshape(b, t, c_out)
+    else:
+        cols2 = _unblocked_cols(x, width, meta["left"], meta["right"])
+        out = np.matmul(cols2, w.reshape(width * c_in, c_out))
+    if len(arrays) == 3:
+        out += arrays[2]
+    return out, None
+
+
+def _bw_conv1d_unblocked(meta, grad, arrays, out, saved):
+    x, w = arrays[0], arrays[1]
+    width, c_in, c_out = w.shape
+    b, t, _ = x.shape
+    if width == 1:
+        g2 = grad.reshape(b * t, c_out)
+        gw = (x.reshape(b * t, c_in).T @ g2).reshape(1, c_in, c_out)
+        gx = (g2 @ w[0].T).reshape(b, t, c_in)
+    else:
+        out_t = grad.shape[1]
+        cols2 = _unblocked_cols(x, width, meta["left"], meta["right"])
+        gw = (grad.reshape(b * out_t, c_out).T
+              @ cols2.reshape(b * out_t, width * c_in))
+        gw = np.ascontiguousarray(gw.T).reshape(width, c_in, c_out)
+        gx = _unblocked_input_grad(grad, w, t, meta["left"])
+    if len(arrays) == 3:
+        return gx, gw, grad.sum(axis=(0, 1))
+    return gx, gw
+
+
+def _unblocked_bank(arrays, n):
+    """``(rows, block)``: the bank's ``(B * T, wmax * C)`` column rows
+    (the input's own view at ``wmax == 1``) and its block weight."""
+    x, ws = arrays[0], arrays[1:1 + n]
+    wmax = max(w.shape[0] for w in ws)
+    b, t, c_in = x.shape
+    if wmax == 1:
+        rows = x.reshape(b * t, c_in)
+    else:
+        rows = _unblocked_cols(x, wmax, wmax - 1, 0).reshape(
+            b * t, wmax * c_in)
+    block = np.zeros((wmax, c_in, sum(w.shape[2] for w in ws)),
+                     dtype=ws[0].dtype)
+    col = 0
+    for w in ws:
+        block[wmax - w.shape[0]:, :, col:col + w.shape[2]] = w
+        col += w.shape[2]
+    return rows, block
+
+
+def _fw_multi_conv1d_unblocked(meta, arrays, out=None):
+    n = meta["num_scales"]
+    b, t, _ = arrays[0].shape
+    rows, block = _unblocked_bank(arrays, n)
+    wmax, c_in, total = block.shape
+    out = np.matmul(rows, block.reshape(wmax * c_in, total)).reshape(
+        b, t, total)
+    if meta["bias"]:
+        out += np.concatenate(arrays[1 + n:])
+    return out, None
+
+
+def _bw_multi_conv1d_unblocked(meta, grad, arrays, out, saved):
+    n = meta["num_scales"]
+    b, t, c_in = arrays[0].shape
+    rows, block = _unblocked_bank(arrays, n)
+    wmax, _, total = block.shape
+    g2 = grad.reshape(b * t, total)
+    g_block = np.ascontiguousarray((g2.T @ rows).T).reshape(-1, c_in, total)
+    grads = [None] * len(arrays)
+    col = 0
+    for i, w in enumerate(arrays[1:1 + n]):
+        width, _, c_out = w.shape
+        grads[1 + i] = np.ascontiguousarray(
+            g_block[wmax - width:, :, col:col + c_out])
+        col += c_out
+    grads[0] = _unblocked_input_grad(grad, block, t, wmax - 1)
+    if meta["bias"]:
+        g_bias = g2.sum(axis=0)
+        col = 0
+        for i, w in enumerate(arrays[1:1 + n]):
+            grads[1 + n + i] = g_bias[col:col + w.shape[2]]
+            col += w.shape[2]
+    return tuple(grads)
+
+
+#: The conv kernels as they were before blocked im2col: same math, same
+#: GEMM operands, the whole batch's columns laid out at once.
+UNBLOCKED = {
+    "conv1d": OpKernel("conv1d", _fw_conv1d_unblocked,
+                       _bw_conv1d_unblocked),
+    "multi_conv1d": OpKernel("multi_conv1d", _fw_multi_conv1d_unblocked,
+                             _bw_multi_conv1d_unblocked),
+}
 
 
 # ----------------------------------------------------------------------

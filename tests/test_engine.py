@@ -14,9 +14,12 @@ Four layers of guarantees, strongest first:
 """
 
 import gc
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from repro.data import MarketplaceConfig, build_dataset, build_marketplace
 from repro.nn import engine
 from repro.nn import functional as F
 from repro.nn.kernels.conv import _padded_cols
-from repro.nn.kernels.gather import _scatter_rows
+from repro.nn.kernels.gather import _bind_scatter, _scatter_rows
 from repro.nn.layers import Conv1d, Linear, conv_bank
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, _apply_op, no_grad
@@ -185,18 +188,22 @@ class TestFusedMatchesReference:
         def prop(case):
             rng = np.random.default_rng(case)
             rows = int(rng.integers(1, 8))
-            index = rng.integers(0, rows, size=int(rng.integers(0, 30)))
+            index = rng.integers(-rows, rows, size=int(rng.integers(0, 30)))
             values = rng.normal(size=(index.size, 3, 2))
             reference = np.zeros((rows, 3, 2))
             np.add.at(reference, index, values)
-            # First call: bincount.  Later calls with the same meta (a
-            # plan replay): the memoised CSR product.
+            # No memo (eager): bincount.  Bound into a plan: the
+            # memoised CSR product, on every replay.
             meta = {}
-            for call in range(3):
-                fast = _scatter_rows(index.astype(np.int64), values,
-                                     rows, meta)
+            assert np.array_equal(
+                reference, _scatter_rows(index, values, rows, meta))
+            assert meta == {}, "an eager scatter kept a memo"
+            _bind_scatter(meta, index, rows, values.shape)
+            assert ("_scatter" in meta) == (index.size > 0)
+            for replay in range(2):
+                fast = _scatter_rows(index, values, rows, meta)
                 assert np.array_equal(reference, fast), (
-                    f"scatter mismatch on call {call}")
+                    f"scatter mismatch on replay {replay}")
 
         forall(lambda rng: int(rng.integers(0, 10000)), prop, trials=50,
                name="bincount / CSR scatter == add.at")
@@ -430,7 +437,8 @@ class TestTraceKeepsNothingDead:
     def test_replayed_scatter_memos_are_o_of_the_index(self, dataset):
         """After two replays of a compiled Gaia loss, no array reachable
         from a scatter step's ``meta`` is larger than its index (or the
-        ``rows + 1`` offsets of the CSR memo): nothing ``E * d``."""
+        ``rows + 1`` offsets of the CSR memo the plan's binding built):
+        nothing ``E * d``."""
         model = small_gaia(dataset)
         trainer = Trainer(model, dataset, TrainConfig(
             epochs=3, min_epochs=3, patience=3))
@@ -449,9 +457,49 @@ class TestTraceKeepsNothingDead:
             arrays = list(_reachable_arrays(meta))
             assert max(a.size for a in arrays) <= bound, (
                 step.op, [a.shape for a in arrays], index.size, rows)
-            memo = meta.get("_scatter")
-            memos += memo is not None and memo is not False
+            memos += meta.get("_scatter") is not None
         assert memos >= 3, "no scatter memo was kept: the check is vacuous"
+
+
+    def test_scipy_is_imported_when_a_plan_is_bound(self):
+        """``scipy.sparse`` (≈180 ms) is imported by binding a plan that
+        keeps a scatter memo — not by ``import repro``, not by an eager
+        forward + backward, and so never inside a timed replay."""
+        src = str(Path(engine.__file__).resolve().parents[2])
+        result = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "import", "False", "eager", "False", "bound", "True", "planned",
+        ], result.stdout
+
+
+_SCIPY_PROBE = """
+import sys
+import repro
+print("import", "scipy.sparse" in sys.modules)
+from repro.core import Gaia, GaiaConfig
+from repro.data import MarketplaceConfig, build_dataset, build_marketplace
+from repro.nn import engine
+from repro.training.trainer import masked_mse
+
+dataset = build_dataset(build_marketplace(MarketplaceConfig(
+    num_shops=20, seed=11)), train_fraction=0.6, val_fraction=0.2)
+model = Gaia(GaiaConfig(
+    input_window=dataset.input_window, horizon=dataset.horizon,
+    temporal_dim=dataset.temporal_dim, static_dim=dataset.static_dim,
+    channels=8, num_scales=2, num_layers=1), seed=0)
+loss_fn = lambda: masked_mse(model, dataset, dataset.train[0], "train")[0]
+loss_fn().backward()
+print("eager", "scipy.sparse" in sys.modules)
+compiled = engine.CompiledLoss(loss_fn)
+compiled.run()
+print("bound", "scipy.sparse" in sys.modules)
+print("planned" if compiled.fallback_reason == "" else "eager-fallback")
+"""
 
 
 def _reachable_arrays(value, seen=None):

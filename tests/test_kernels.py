@@ -23,16 +23,24 @@ checks that no kernel up-casts (and that (a)-(d) do not depend on the
 dtype), which is also what ``tests/test_docs.py``'s dtype lint guards.
 
 A kernel registered without a case generator here fails the suite.
+
+Section (e) is particular to the conv kernels, which lay their im2col
+columns out one block of batch rows at a time: it holds them bitwise to
+their pre-blocking bodies (``kernel_oracles.UNBLOCKED``), checks that a
+row's bits do not depend on its batch, and bounds their temporaries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import forall
-from kernel_oracles import ORACLES, use_oracles
+from kernel_oracles import ORACLES, UNBLOCKED, use_oracles
 
 from repro.nn import engine
 from repro.nn import functional as F
+from repro.nn.kernels import conv as conv_kernels
 from repro.nn.tensor import unbroadcast
 
 pytestmark = pytest.mark.engine
@@ -490,6 +498,168 @@ def test_saved_never_copies_an_operand(name, dtype):
             f"input of {largest}")
 
     _run(name, dtype, prop)
+
+
+# ----------------------------------------------------------------------
+# (e) blocked im2col: the unblocked bits, batch-invariant rows, bounded
+#     temporaries
+# ----------------------------------------------------------------------
+#: Channel counts of the blocked-conv checks.  Every conv of the repo's
+#: models that lays out columns (width >= 2) has 8 or 16 input and
+#: output channels at the sizes the models are run with; width-1 convs
+#: run one GEMM over the input's own view, as before, at any width.  A
+#: GEMM whose output width leaves a partial 8-double SIMD vector, or
+#: that has one row, may round differently with its row count under
+#: OpenBLAS; at such shapes the blocked conv meets the unblocked body
+#: to contract (c)'s 1e-12, not bitwise (CHANGES.md records the counts).
+ALIGNED_CHANNELS = (8, 16)
+PADDINGS = ("causal", "same", "valid")
+
+
+def _rows_per_block(out_t, width, channels):
+    """Batch rows per block of ``conv._conv_gemm`` (float64 columns)."""
+    return max(1, conv_kernels._BLOCK_BYTES // (out_t * width * channels * 8))
+
+
+def _batch(rng, blocks, *block_rows):
+    """A batch size within one block of every GEMM that blocks, or
+    spanning several blocks of each with a remainder."""
+    if blocks == "one":
+        return int(rng.integers(1, min(block_rows) + 1))
+    rows = max(block_rows)
+    b = 2 * rows + 1 + int(rng.integers(0, rows))
+    return b + (b % min(block_rows) == 0)
+
+
+def _conv1d_aligned(rng, width, padding, bias, blocks):
+    c_in, c_out = (_pick(rng, ALIGNED_CHANNELS) for _ in range(2))
+    t = int(rng.integers(2, 31)) + (width - 1) * (padding == "valid")
+    left = {"causal": width - 1, "same": (width - 1) // 2, "valid": 0}[padding]
+    right = {"causal": 0, "same": width - 1 - left, "valid": 0}[padding]
+    out_t = t + left + right - width + 1
+    b = _batch(rng, blocks, _rows_per_block(out_t, width, c_in),
+               _rows_per_block(t, width, c_out))
+    arrays = [_arr(rng, np.float64, b, t, c_in),
+              _arr(rng, np.float64, width, c_in, c_out)]
+    if bias:
+        arrays.append(_arr(rng, np.float64, c_out))
+    return {"left": left, "right": right}, tuple(arrays)
+
+
+def _bank_aligned(rng, wmax, bias, blocks):
+    c_in = _pick(rng, ALIGNED_CHANNELS)
+    scales = _pick(rng, (1, 2, 4))
+    widths = [wmax] + [int(rng.integers(1, wmax + 1))
+                       for _ in range(scales - 1)]
+    per_scale = 16 // scales
+    t = int(rng.integers(2, 31))
+    rows = _rows_per_block(t, wmax, c_in)
+    b = _batch(rng, blocks, rows, _rows_per_block(t, wmax, per_scale * scales))
+    weights = [_arr(rng, np.float64, w, c_in, per_scale) for w in widths]
+    biases = [_arr(rng, np.float64, per_scale) for _ in widths] if bias else []
+    return ({"num_scales": scales, "bias": bias},
+            (_arr(rng, np.float64, b, t, c_in), *weights, *biases))
+
+
+def _aligned_cases(name, blocks):
+    """Every width 1-8 (with every padding for ``conv1d``), with and
+    without bias, one seeded shape each."""
+    rng = np.random.default_rng(sum(map(ord, name + blocks)))
+    if name == "conv1d":
+        return [_conv1d_aligned(rng, width, padding, bias, blocks)
+                for width in range(1, 9) for padding in PADDINGS
+                for bias in (False, True)]
+    return [_bank_aligned(rng, wmax, bias, blocks)
+            for wmax in range(1, 9) for bias in (False, True)]
+
+
+@pytest.mark.parametrize("blocks", ("one", "several"))
+@pytest.mark.parametrize("name", ("conv1d", "multi_conv1d"))
+def test_blocked_conv_is_bitwise_the_unblocked_body(name, blocks):
+    """Laying the columns out one block of batch rows at a time (and
+    padding the output gradient only by what the input rows read) keeps
+    every output row's dot product, so forward and VJP keep their bits
+    against the pre-blocking bodies in ``kernel_oracles.UNBLOCKED``."""
+    kernel, unblocked = engine.KERNELS[name], UNBLOCKED[name]
+    for meta, arrays in _aligned_cases(name, blocks):
+        out, saved = kernel.forward(meta, arrays)
+        ref_out, _ = unblocked.forward(meta, arrays)
+        shapes = [a.shape for a in arrays]
+        assert _bits(out) == _bits(ref_out), ("forward", meta, shapes)
+        grad = _arr(np.random.default_rng(0), np.float64, *out.shape)
+        grads = kernel.vjp(meta, grad, arrays, out, saved)
+        ref_grads = unblocked.vjp(meta, grad, arrays, ref_out, None)
+        for i, (got, want) in enumerate(zip(grads, ref_grads)):
+            assert _bits(got) == _bits(want), ("vjp", i, meta, shapes)
+
+
+@pytest.mark.parametrize("name", ("conv1d", "multi_conv1d"))
+def test_blocked_conv_rows_are_batch_invariant(name):
+    """Row ``i`` of ``f(X)`` is bitwise ``f(X[i:i+1])`` with ``X``
+    spanning several blocks: a block boundary moves no row's bits."""
+    kernel = engine.KERNELS[name]
+    rng = np.random.default_rng(3)
+    for meta, arrays in _aligned_cases(name, "several"):
+        x, params = arrays[0], arrays[1:]
+        full, _ = kernel.forward(meta, arrays)
+        b = x.shape[0]
+        rows = {0, 1, b // 2, b - 2, b - 1}
+        rows.update(int(i) for i in rng.integers(0, b, size=8))
+        for i in sorted(rows):
+            alone, _ = kernel.forward(meta, (x[i:i + 1], *params))
+            assert _bits(alone[0]) == _bits(full[i]), (
+                i, meta, [a.shape for a in arrays])
+
+
+def _peak_temporaries(fn):
+    """``(result, peak bytes fn allocated above what was live before)``;
+    tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - live
+
+
+class TestBlockedConvMemory:
+    """At B = 4000, T = 24, C = 16 the unblocked forward laid out
+    109 MiB of temporaries for TEL's width-8 bank; blocked, a forward
+    holds one block: its columns (at most ``_BLOCK_BYTES``) and the
+    zero-padded rows they are cut from (fewer bytes than the columns)."""
+
+    BLOCK = 2 * conv_kernels._BLOCK_BYTES
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return _arr(np.random.default_rng(5), np.float64, 4000, 24, 16)
+
+    def test_bank_forward_holds_one_block(self, x):
+        rng = np.random.default_rng(6)
+        ws = [_arr(rng, np.float64, w, 16, 4) for w in (2, 4, 6, 8)]
+        meta = {"num_scales": 4, "bias": False}
+        out = np.empty((4000, 24, 16))
+        _, peak = _peak_temporaries(
+            lambda: engine.KERNELS["multi_conv1d"].forward(meta, (x, *ws), out))
+        assert peak <= self.BLOCK, f"{peak / 2 ** 20:.1f} MiB of temporaries"
+
+    def test_conv1d_forward_holds_one_block(self, x):
+        w = _arr(np.random.default_rng(7), np.float64, 3, 16, 16)
+        meta = {"left": 2, "right": 0}
+        out = np.empty((4000, 24, 16))
+        _, peak = _peak_temporaries(
+            lambda: engine.KERNELS["conv1d"].forward(meta, (x, w), out))
+        assert peak <= self.BLOCK, f"{peak / 2 ** 20:.1f} MiB of temporaries"
+
+    def test_input_gradient_holds_its_output_and_one_block(self, x):
+        w = _arr(np.random.default_rng(8), np.float64, 8, 16, 16)
+        gx, peak = _peak_temporaries(
+            lambda: conv_kernels._conv_input_grad(x, w, 24, 7))
+        assert gx.shape == (4000, 24, 16)
+        assert peak <= gx.nbytes + self.BLOCK, (
+            f"{(peak - gx.nbytes) / 2 ** 20:.1f} MiB beyond the output")
 
 
 # ----------------------------------------------------------------------
