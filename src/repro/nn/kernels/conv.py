@@ -6,21 +6,26 @@ capture/denoise groups as one block GEMM, what
 **Blocked columns.** The im2col columns of a width-``w`` convolution
 are a ``w``-fold copy of its input (8x for TEL's widest bank).  Laid out
 for the whole batch at once they are written to memory and then read
-back by the GEMM, so the forward would be bound by memory traffic, not
-by FLOPs.  :func:`_conv_gemm` therefore lays the zero-padded columns out
-one block of batch rows at a time, :data:`_BLOCK_BYTES` of columns per
-block, and GEMMs each block straight into its slice of the output (the
-arena buffer, when one is given).  This is the cache-blocking of the
-lowered operand in Goto & van de Geijn (TOMS 2008) and MEC (Cho &
-Brand, ICML 2017).  The forward of both kernels and the input gradient
+back by the GEMM.  Once they outgrow the cache the forward is bound by
+that memory traffic, not by FLOPs.  :func:`_conv_gemm` therefore lays
+columns of more than :data:`_WHOLE_BYTES` out one block of batch rows
+at a time, :data:`_BLOCK_BYTES` of columns per block, and GEMMs each
+block straight into its slice of the output (the arena buffer, when
+one is given).  This is the cache-blocking of the lowered operand in
+Goto & van de Geijn (TOMS 2008) and MEC (Cho & Brand, ICML 2017).  The
+forward of both kernels and the input gradient
 (:func:`_conv_input_grad`, a convolution of the output gradient) are
-blocked.  An input that fits in one block runs exactly the unblocked
-calls.  Otherwise every output row is the same dot product over the
-same column row, in a GEMM with fewer rows; the bits are the unblocked
-ones wherever BLAS rounds a row independently of its GEMM's row count.
-On OpenBLAS that holds when the output width is a whole number of SIMD
-vectors and the GEMM has more than one row, as at every conv of the
-repo's models (``tests/test_kernels.py``, section (e)).
+blocked.  A training batch is cut into blocks; a serving union of up
+to about 170 rows (TEL's width-4 bank at 8 channels) is laid out whole.
+Every output row is the same dot product over the
+same column row, in a GEMM with fewer rows, so the bits are the
+unblocked ones only where BLAS rounds a row independently of its
+GEMM's row count.  On OpenBLAS that holds at aligned shapes: an output
+width that is a whole number of SIMD vectors (8 doubles) and more than
+one row per GEMM, as at every conv of the repo's models.  At other
+channel counts (``GaiaConfig(channels=12)``) or one-step series a
+blocked row may move by an ulp; ``tests/test_kernels.py`` section (e)
+holds those to 1e-12.
 
 **Weight gradients lay out all the columns.** A weight gradient is a
 reduction *over* the rows, ``cols.T @ grad``.  Splitting the rows into
@@ -47,6 +52,14 @@ from .registry import register_kernel
 #: 324 / 305 / 282 / 304 / 317 ms at 96 / 192 / 384 / 768 / 1536 KiB,
 #: and 345 ms unblocked.
 _BLOCK_BYTES = 384 * 1024
+
+#: Columns of at most this many bytes are laid out whole.  Columns, the
+#: padded rows they are cut from and the output then stay in a core's
+#: L2, so blocking saves no memory traffic and only adds calls.  At the
+#: serve shapes (T = 24, C = 8, TEL's width-4 bank) one block was 4-10%
+#: faster than 384 KiB blocks up to 0.94 MiB of columns, and 25% slower
+#: from 1.03 MiB on (2-vCPU x86, 2 MiB L2 per core).
+_WHOLE_BYTES = 1024 * 1024
 
 
 def _im2col(x: np.ndarray, width: int) -> np.ndarray:
@@ -82,17 +95,17 @@ def _gemm_rows(rows: np.ndarray, w2: np.ndarray, shape: tuple,
 
 
 def _cols_gemm(x: np.ndarray, w2: np.ndarray, width: int, left: int,
-               right: int, out, per_sample: bool) -> np.ndarray:
-    """``_padded_cols(x, width, left, right) @ w2`` for one block, landed
-    in ``out`` when one is given.  ``per_sample`` keeps ``conv1d``'s
-    stacked ``(b, T', K) @ (K, N)`` product (one GEMM per sample);
-    otherwise the block is one 2-D GEMM over its rows."""
+               right: int, out: np.ndarray, per_sample: bool) -> None:
+    """``_padded_cols(x, width, left, right) @ w2`` for one block, written
+    into ``out``.  ``per_sample`` keeps ``conv1d``'s stacked
+    ``(b, T', K) @ (K, N)`` product (one GEMM per sample); otherwise the
+    block is one 2-D GEMM over its rows."""
     cols = _padded_cols(x, width, left, right)
     if per_sample:
-        return np.matmul(cols, w2, out=out)
-    b, out_t, k = cols.shape
-    return _gemm_rows(cols.reshape(b * out_t, k), w2,
-                      (b, out_t, w2.shape[1]), out)
+        np.matmul(cols, w2, out=out)
+    else:
+        b, out_t, k = cols.shape
+        _gemm_rows(cols.reshape(b * out_t, k), w2, out.shape, out)
 
 
 def _conv_gemm(x: np.ndarray, w2: np.ndarray, width: int, left: int,
@@ -100,20 +113,20 @@ def _conv_gemm(x: np.ndarray, w2: np.ndarray, width: int, left: int,
     """``_padded_cols(x, width, left, right) @ w2``, one block of batch
     rows at a time: ``(B, T, C) -> (B, T + left + right - w + 1, N)``.
 
-    Each block's columns (at most :data:`_BLOCK_BYTES`, at least one
-    batch row) are laid out and GEMMed into their slice of ``out``, then
-    freed; an input that fits in one block is one :func:`_cols_gemm`
-    call, the unblocked calls.  Width 1 unpadded needs no columns: the
-    input's own ``(B * T, C)`` view is the operand, the same values as
-    the copy.
+    Columns of at most :data:`_WHOLE_BYTES` are one block; larger ones
+    are cut into blocks of at most :data:`_BLOCK_BYTES` (at least one
+    batch row).  Each block's columns are laid out and GEMMed into their
+    slice of ``out``, then freed.  Width 1 unpadded needs no columns:
+    the input's own ``(B * T, C)`` view is the operand, the same values
+    as the copy.
     """
     b, t, c = x.shape
     if width == 1 and left == right == 0:
         return _gemm_rows(x.reshape(b * t, c), w2, (b, t, w2.shape[1]), out)
     out_t = t + left + right - width + 1
-    rows = max(1, _BLOCK_BYTES // (out_t * width * c * x.itemsize))
-    if b <= rows:
-        return _cols_gemm(x, w2, width, left, right, out, per_sample)
+    row_bytes = out_t * width * c * x.itemsize
+    rows = b if b * row_bytes <= _WHOLE_BYTES else max(
+        1, _BLOCK_BYTES // row_bytes)
     if out is None:
         out = np.empty((b, out_t, w2.shape[1]),
                        dtype=np.result_type(x.dtype, w2.dtype))

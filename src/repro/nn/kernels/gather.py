@@ -113,7 +113,9 @@ def _bw_getitem(meta, grad, arrays, out, saved):
     return (full,)
 
 
-def _bind_getitem(meta, in_shapes, out_shape, backward):
+def _bind_row_scatter(meta, in_shapes, out_shape, backward):
+    """Bind hook of ``getitem`` and ``gather_rows``: a row-index VJP
+    scatters ``out_shape``-shaped rows back into the input's rows."""
     if backward and _is_row_index(meta["index"]):
         _bind_scatter(meta, meta["index"], meta["in_shape"][0], out_shape)
 
@@ -125,11 +127,6 @@ def _fw_gather_rows(meta, arrays, out=None):
 def _bw_gather_rows(meta, grad, arrays, out, saved):
     return (_scatter_rows(meta["index"], np.asarray(grad),
                           meta["in_shape"][0], meta),)
-
-
-def _bind_gather_rows(meta, in_shapes, out_shape, backward):
-    if backward:
-        _bind_scatter(meta, meta["index"], meta["in_shape"][0], out_shape)
 
 
 def _fw_segment_sum(meta, arrays, out=None):
@@ -167,9 +164,9 @@ def _bw_segment_max_gather(meta, grad, arrays, out, saved):
 
 
 register_kernel("getitem", _fw_getitem, _bw_getitem, vjp_uses=(),
-                bind=_bind_getitem)
+                bind=_bind_row_scatter)
 register_kernel("gather_rows", _fw_gather_rows, _bw_gather_rows,
-                arena=True, vjp_uses=(), bind=_bind_gather_rows)
+                arena=True, vjp_uses=(), bind=_bind_row_scatter)
 register_kernel("segment_sum", _fw_segment_sum, _bw_segment_sum,
                 vjp_uses=(), bind=_bind_segment_sum)
 register_kernel("segment_max_gather", _fw_segment_max_gather,
