@@ -56,9 +56,9 @@ _BLOCK_BYTES = 384 * 1024
 #: Columns of at most this many bytes are laid out whole.  Columns, the
 #: padded rows they are cut from and the output then stay in a core's
 #: L2, so blocking saves no memory traffic and only adds calls.  At the
-#: serve shapes (T = 24, C = 8, TEL's width-4 bank) one block was 4-10%
-#: faster than 384 KiB blocks up to 0.94 MiB of columns, and 25% slower
-#: from 1.03 MiB on (2-vCPU x86, 2 MiB L2 per core).
+#: serve shapes (T = 24, C = 8, TEL's width-4 bank) 384 KiB blocks took
+#: 0.97-1.10x the time of one block from 0.56 to 0.94 MiB of columns,
+#: and 0.69-0.75x from 1.03 MiB on (2-vCPU x86, 2 MiB L2 per core).
 _WHOLE_BYTES = 1024 * 1024
 
 
