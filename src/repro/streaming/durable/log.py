@@ -24,7 +24,12 @@ representation that survives crashes:
   byte length, CRC32 of the payload) followed by the event as compact
   JSON.  Every read re-checks the length and CRC, so silent disk
   corruption surfaces as :class:`LogCorruptionError` instead of a
-  quietly diverged fold.
+  quietly diverged fold.  The JSON is written from one ``%``-template
+  per event kind, built at import from the dataclass fields; a value
+  the template cannot spell exactly as ``json`` would (not exactly the
+  declared ``int``/``float``/``str``, or a non-finite float) sends the
+  event through one shared ``json`` encoder instead.  Either way the
+  bytes are those of ``json.dumps(..., sort_keys=True)``.
 * **Torn tails** — a crash mid-append leaves a truncated final record
   in the *active* segment only.  Opening the directory detects it and
   truncates the file back to the last complete record (the standard
@@ -56,8 +61,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import asdict
-from itertools import islice
+from dataclasses import fields
+from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
@@ -103,6 +111,48 @@ class LogCorruptionError(RuntimeError):
     """
 
 
+# What ``json`` writes for a value of exactly this type.  Events use
+# postponed annotations, so a dataclass field's ``type`` is its name.
+_PLACEHOLDERS = {int: "%d", float: "%r", str: "%s"}
+_TYPE_NAMES = {t.__name__: t for t in _PLACEHOLDERS}
+
+
+def _codec(cls: Type[ShopEvent]) -> Optional[tuple]:
+    """One kind's payload as a ``%``-template over its fields.
+
+    Returns ``(template, values, types, floats, strings)``: the template
+    with its keys in sorted order and ``kind`` a literal; an
+    ``attrgetter`` of the field values in the template's order; each
+    value's declared type; per value, whether it is a float (must be
+    finite) and, if the kind has any, whether it is a str (is quoted).
+    None if a field is not declared ``int``, ``float`` or ``str``.
+    """
+    declared = {field.name: _TYPE_NAMES.get(field.type, field.type)
+                for field in fields(cls)}
+    if not all(t in _PLACEHOLDERS for t in declared.values()):
+        return None
+    names = sorted(declared)
+    template = "{%s}" % ",".join(
+        encode_basestring_ascii(key) + ":" + (
+            encode_basestring_ascii(cls.__name__) if key == "kind"
+            else _PLACEHOLDERS[declared[key]])
+        for key in sorted([*names, "kind"]))
+    types = tuple(declared[name] for name in names)
+    strings = tuple(t is str for t in types)
+    return (template, attrgetter(*names), types,
+            tuple(t is float for t in types),
+            strings if any(strings) else None)
+
+
+_CODECS: Dict[Type[ShopEvent], tuple] = {
+    cls: codec for cls in EVENT_KINDS.values()
+    if (codec := _codec(cls)) is not None
+}
+# Everything the templates do not cover, with ``json.dumps``'s output
+# for these settings: built once here, not once per payload.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_event(event: ShopEvent) -> str:
     """Serialise one event to its canonical compact-JSON payload.
 
@@ -111,13 +161,31 @@ def encode_event(event: ShopEvent) -> str:
     deterministic for a given event.  Floats round-trip exactly
     (``json`` emits ``repr``-style shortest representations), which is
     what lets recovery be *bitwise* identical to the never-crashed fold.
+
+    A registered kind fills its template when every value is exactly
+    its declared ``int``/``float``/``str`` and every float is finite:
+    ``%d`` and ``%r`` are what ``json`` writes for those, and strings go
+    through ``json``'s own ASCII escaper.  Anything else — ``nan`` and
+    ``±inf``, ``bool``, numpy scalars, subclasses — is encoded by one
+    shared ``json.JSONEncoder`` with the same settings, so the bytes
+    are ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+    either way, and an unserialisable value raises its ``TypeError``.
     """
+    codec = _CODECS.get(type(event))
+    if codec is not None:
+        template, values_of, types, floats, strings = codec
+        values = values_of(event)
+        if (tuple(map(type, values)) == types
+                and all(map(isfinite, compress(values, floats)))):
+            if strings is not None:
+                values = tuple(encode_basestring_ascii(value) if quote
+                               else value
+                               for value, quote in zip(values, strings))
+            return template % values
     kind = type(event).__name__
     if kind not in EVENT_KINDS:
         raise TypeError(f"unregistered event kind: {kind}")
-    payload = {"kind": kind}
-    payload.update(asdict(event))
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode({"kind": kind, **vars(event)})
 
 
 def decode_event(payload: str) -> ShopEvent:

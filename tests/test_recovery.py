@@ -12,9 +12,11 @@ integrity story (atomic writes, SHA-256 verification,
 newest-reachable selection).
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import shutil
 
 import numpy as np
@@ -116,6 +118,46 @@ def some_events():
 #: A CRC-valid tick from a build that knows one more field than this one.
 NEWER_BUILD_TICK = ('{"coupon":3,"customers":0,"gmv":1.0,"kind":"SalesTick",'
                     '"month":1,"orders":0,"shop_index":0}')
+
+
+#: ``some_events()`` journaled with ``segment_events=3``, file by file,
+#: as the ``asdict`` + ``json.dumps`` encoder wrote them: the on-disk
+#: format, the record CRCs and the sidecars, pinned.
+GOLDEN_JOURNAL = {
+    "events-00000000000000000000.seg":
+        b'00000051 8799149f {"industry":"ind_a","kind":"ShopAdded","month":0,'
+        b'"region":"reg_b","shop_index":0}\n'
+        b'00000047 cf37055b {"industry":"","kind":"ShopAdded","month":0,'
+        b'"region":"","shop_index":1}\n'
+        b'0000003c 01acd190 {"dst":1,"edge_type":1,"kind":"EdgeAdded",'
+        b'"month":1,"src":0}\n',
+    "events-00000000000000000000.seal":
+        b'0000004a 3f52f4bd {"first_offset": 0, "count": 3, '
+        b'"body_bytes": 269, "body_crc": 1020981676}\n',
+    "events-00000000000000000003.seg":
+        b'00000060 184c4cf8 {"customers":2,"gmv":0.30000000000000004,'
+        b'"kind":"SalesTick","month":1,"orders":3,"shop_index":0}\n'
+        b'00000052 d205a799 {"customers":0,"gmv":1e-17,"kind":"SalesTick",'
+        b'"month":2,"orders":0,"shop_index":1}\n'
+        b'0000003e d01cf3a1 {"dst":1,"edge_type":1,"kind":"EdgeRetired",'
+        b'"month":2,"src":0}\n',
+    "events-00000000000000000003.seal":
+        b'0000004a 3005992f {"first_offset": 3, "count": 3, '
+        b'"body_bytes": 297, "body_crc": 2515501361}\n',
+    "events-00000000000000000006.seg":
+        b'00000052 2b16bb54 {"customers":1,"gmv":-7.25,"kind":"SalesTick",'
+        b'"month":1,"orders":1,"shop_index":1}\n',
+}
+#: The framed records alone, in log order.
+GOLDEN_RECORDS = b"".join(body for name, body in sorted(GOLDEN_JOURNAL.items())
+                          if name.endswith(".seg"))
+
+
+def asdict_payload(event):
+    """The payload encoder the templates replaced: the byte oracle."""
+    payload = {"kind": type(event).__name__}
+    payload.update(dataclasses.asdict(event))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +315,132 @@ class TestDurableLog:
         assert log.segments() == []
         assert list(log.since(0)) == []
 
+
+# ----------------------------------------------------------------------
+# payload bytes: the templates against the encoder they replaced
+# ----------------------------------------------------------------------
+_INTS = (0, 1, -1, 7, -(2 ** 31), 2 ** 63, -(2 ** 63) - 1, 2 ** 100)
+_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 1e-17,
+           -7.25, float("nan"), float("inf"), float("-inf"))
+_CHARS = ('"', "\\", "/", "\t", "\n", "\x00", "\x1f", "\x7f", "é", "商",
+          "🛒", "\ud800", "a", "Z", " ", "_")
+#: Values of another type than the field declares: the encoder fallback.
+_ODD = (True, False, np.float64(2.5), np.float64("nan"), np.float64(-0.0),
+        3, 2.5, "3")
+
+
+def _random_value(rng, declared):
+    if rng.random() < 0.15:
+        return _ODD[int(rng.integers(len(_ODD)))]
+    if declared == "int":
+        return (_INTS[int(rng.integers(len(_INTS)))] if rng.random() < 0.5
+                else int(rng.integers(-10 ** 9, 10 ** 9)))
+    if declared == "float":
+        return (_FLOATS[int(rng.integers(len(_FLOATS)))] if rng.random() < 0.5
+                else float(rng.normal() * 10.0 ** int(rng.integers(-30, 30))))
+    return "".join(_CHARS[int(i)] for i in
+                   rng.integers(len(_CHARS), size=int(rng.integers(0, 8))))
+
+
+def random_payload_event(rng):
+    """One event of a random kind, its fields drawn to stress the codec."""
+    kinds = sorted(durable_log.EVENT_KINDS)
+    cls = durable_log.EVENT_KINDS[kinds[int(rng.integers(len(kinds)))]]
+    return cls(**{field.name: _random_value(rng, field.type)
+                  for field in dataclasses.fields(cls)})
+
+
+def check_payload_is_the_oracles(event):
+    assert encode_event(event) == asdict_payload(event), event
+
+
+class TestPayloadBytes:
+    def test_payload_is_byte_identical_to_asdict_json_dumps(self):
+        forall(random_payload_event, check_payload_is_the_oracles,
+               trials=2000, seed=43, name="template payload == json.dumps")
+
+    def test_a_template_key_out_of_order_fails_the_property(
+            self, monkeypatch):
+        template, values_of, types, floats, strings = \
+            durable_log._CODECS[SalesTick]
+
+        def swapped(items):   # "customers" and "gmv", the first two keys
+            return (items[1], items[0], *items[2:])
+
+        monkeypatch.setitem(durable_log._CODECS, SalesTick, (
+            "{%s}" % ",".join(swapped(template[1:-1].split(","))),
+            lambda event: swapped(values_of(event)),
+            swapped(types), swapped(floats), strings))
+        tick = some_events()[3]
+        assert json.loads(encode_event(tick)) == json.loads(
+            asdict_payload(tick))           # the same object ...
+        assert encode_event(tick) != asdict_payload(tick)   # ... other bytes
+        with pytest.raises(AssertionError):
+            forall(random_payload_event, check_payload_is_the_oracles,
+                   trials=200, seed=43)
+
+    def test_unencodable_events_still_raise_type_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class PromoTick(SalesTick):
+            pass
+
+        with pytest.raises(TypeError, match="unregistered event kind"):
+            encode_event(PromoTick(month=1, shop_index=0, gmv=1.0))
+        numpy_month = SalesTick(month=np.int64(1), shop_index=0, gmv=1.0)
+        for encoder in (encode_event, asdict_payload):
+            with pytest.raises(TypeError, match="int64"):
+                encoder(numpy_month)
+
+    @pytest.mark.parametrize("kind", sorted(durable_log.EVENT_KINDS))
+    def test_every_event_kind_has_a_template(self, kind, monkeypatch):
+        cls = durable_log.EVENT_KINDS[kind]
+        template = durable_log._CODECS[cls][0]
+        names = [field.name for field in dataclasses.fields(cls)]
+        assert re.findall(r'"(\w+)":', template) == sorted([*names, "kind"])
+        # With the encoder fallback gone, a plain event still encodes.
+        monkeypatch.setattr(durable_log, "_ENCODER", None)
+        event = next(e for e in some_events() if type(e) is cls)
+        assert encode_event(event) == asdict_payload(event)
+
+    def test_journal_bytes_are_the_golden_ones(self, tmp_path):
+        assert b"".join(durable_log._format_record(encode_event(event))
+                        for event in some_events()) == GOLDEN_RECORDS
+        with DurableEventLog(tmp_path / "log", segment_events=3) as log:
+            log.extend(some_events())
+        assert {path.name: path.read_bytes()
+                for path in (tmp_path / "log").iterdir()} == GOLDEN_JOURNAL
+
+    def test_golden_journal_reopens_without_a_rescan(self, tmp_path):
+        directory = tmp_path / "log"
+        directory.mkdir()
+        for name, body in GOLDEN_JOURNAL.items():
+            (directory / name).write_bytes(body)
+        log = DurableEventLog(directory, segment_events=3)
+        assert (log.segments_rescanned, log.torn_records_truncated) == (0, 0)
+        assert log.high_water == len(some_events())
+        assert list(log.since(0)) == some_events()
+
+
+class TestAppendContract:
+    """What ``append`` has made durable by the time it returns."""
+
+    def test_append_is_readable_by_another_handle_at_once(self, tmp_path):
+        log = DurableEventLog(tmp_path / "log")
+        records = GOLDEN_RECORDS.splitlines(keepends=True)
+        for count, event in enumerate(some_events(), 1):
+            log.append(event)   # no sync(), no close(): the flush is append's
+            segment = next((tmp_path / "log").glob("events-*.seg"))
+            assert segment.read_bytes() == b"".join(records[:count])
+        log.close()
+
+    def test_fsync_runs_once_per_append(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(durable_log.os, "fsync", calls.append)
+        log = DurableEventLog(tmp_path / "log", fsync=True)
+        for count, event in enumerate(some_events(), 1):
+            log.append(event)
+            assert len(calls) == count
+        log.close()
 
 # ----------------------------------------------------------------------
 # sealed-segment sidecars
