@@ -137,9 +137,12 @@ def _codec(cls: Type[ShopEvent]) -> Optional[tuple]:
             encode_basestring_ascii(cls.__name__) if key == "kind"
             else _PLACEHOLDERS[declared[key]])
         for key in sorted([*names, "kind"]))
+    values = attrgetter(*names)
+    if len(names) == 1:   # one name: attrgetter returns the bare value
+        values = lambda event, one=values: (one(event),)  # noqa: E731
     types = tuple(declared[name] for name in names)
     strings = tuple(t is str for t in types)
-    return (template, attrgetter(*names), types,
+    return (template, values, types,
             tuple(t is float for t in types),
             strings if any(strings) else None)
 
@@ -185,7 +188,10 @@ def encode_event(event: ShopEvent) -> str:
     kind = type(event).__name__
     if kind not in EVENT_KINDS:
         raise TypeError(f"unregistered event kind: {kind}")
-    return _ENCODER.encode({"kind": kind, **vars(event)})
+    # Fields read one by one: ``vars`` would give the event a
+    # ``__dict__`` it keeps for as long as it lives.
+    return _ENCODER.encode({"kind": kind, **{
+        field.name: getattr(event, field.name) for field in fields(event)}})
 
 
 def decode_event(payload: str) -> ShopEvent:

@@ -18,6 +18,7 @@ import itertools
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.streaming import (
     MarketplaceSimulator,
     SalesTick,
     ShopAdded,
+    ShopEvent,
     StreamingFeatureStore,
 )
 from repro.streaming.durable import log as durable_log
@@ -390,6 +392,32 @@ class TestPayloadBytes:
         for encoder in (encode_event, asdict_payload):
             with pytest.raises(TypeError, match="int64"):
                 encoder(numpy_month)
+
+    def test_a_one_field_kind_is_the_oracles(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class MonthClosed(ShopEvent):   # carries ``month`` alone
+            pass
+
+        monkeypatch.setitem(durable_log.EVENT_KINDS, "MonthClosed",
+                            MonthClosed)
+        monkeypatch.setitem(durable_log._CODECS, MonthClosed,
+                            durable_log._codec(MonthClosed))
+        assert encode_event(MonthClosed(month=7)) == \
+            '{"kind":"MonthClosed","month":7}'
+        forall(random_payload_event, check_payload_is_the_oracles,
+               trials=400, seed=44, name="with a one-field kind")
+
+    def test_the_fallback_leaves_nothing_on_the_event(self):
+        ticks = [SalesTick(month=1, shop_index=i, gmv=float("nan"))
+                 for i in range(2000)]
+        tracemalloc.start()
+        try:
+            for tick in ticks:
+                encode_event(tick)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * len(ticks)   # ``vars`` keeps 64 B per event
 
     @pytest.mark.parametrize("kind", sorted(durable_log.EVENT_KINDS))
     def test_every_event_kind_has_a_template(self, kind, monkeypatch):
