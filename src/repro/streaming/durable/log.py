@@ -30,6 +30,16 @@ representation that survives crashes:
   declared ``int``/``float``/``str``, or a non-finite float) sends the
   event through one shared ``json`` encoder instead.  Either way the
   bytes are those of ``json.dumps(..., sort_keys=True)``.
+* **Payload checks** — the same template also yields the kind's
+  *grammar*, a regular expression in which each placeholder becomes a
+  JSON integer, number or string.  It accepts only payloads that
+  decode to an event, so opening the directory checks each
+  active-segment record's framing, CRC and grammar without building
+  the event; a payload the grammar rejects (``nan``, ``bool``, a newer
+  build's field, damage) is decoded, and one that is not an event
+  raises.  Replay decodes each record once, on a fast path for
+  payloads laid out as the template lays them out (see
+  :func:`decode_event`).
 * **Torn tails** — a crash mid-append leaves a truncated final record
   in the *active* segment only.  Opening the directory detects it and
   truncates the file back to the last complete record (the standard
@@ -60,12 +70,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from dataclasses import fields
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
@@ -194,13 +205,76 @@ def encode_event(event: ShopEvent) -> str:
         field.name: getattr(event, field.name) for field in fields(event)}})
 
 
+# What each placeholder may read back as, no wider than what ``json``
+# parses: a JSON integer for ``%d``, a JSON number for ``%r``, a JSON
+# string without raw control characters for ``%s``.  ASCII digits only
+# (``\d`` is any Unicode digit) and integer parts of at most 639 digits
+# (the least ``sys.set_int_max_str_digits`` limit is 640).
+_INTEGER = r"-?(?:0|[1-9][0-9]{0,638})"
+_NUMBER = _INTEGER + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_STRING = r'"(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*"'
+_GRAMMAR_OF = {"%d": _INTEGER, "%r": _NUMBER, "%s": _STRING}
+
+
+def _grammar(template: str) -> str:
+    """A kind's template as a regular expression over payloads.
+
+    Literal text matches itself and each placeholder the JSON value it
+    stands for, so the grammar accepts every payload the template
+    writes and only payloads that :func:`decode_event` turns into an
+    event of that kind: its keys, in its order, each value an integer,
+    a number or a string.
+    """
+    return "".join(_GRAMMAR_OF.get(part) or re.escape(part)
+                    for part in re.split(r"(%[drs])", template))
+
+
+def _decoder(cls: Type[ShopEvent]) -> tuple:
+    """``(keys, build)``: a payload object's keys in template order,
+    and the event built from such an object positionally."""
+    names = [field.name for field in fields(cls)]
+    if len(names) == 1:
+        name = names[0]
+        build = lambda obj: cls(obj[name])  # noqa: E731
+    else:
+        values = itemgetter(*names)
+        build = lambda obj: cls(*values(obj))  # noqa: E731
+    return tuple(sorted([*names, "kind"])), build
+
+
+#: Payloads every template-written record matches, one alternative per
+#: kind with a template; a payload outside it is checked by decoding.
+_GRAMMAR = re.compile("|".join(
+    "(?:%s)" % _grammar(codec[0]) for codec in _CODECS.values()))
+_DECODERS: Dict[str, tuple] = {
+    cls.__name__: _decoder(cls) for cls in _CODECS}
+_DECODER = json.JSONDecoder()
+
+
 def decode_event(payload: str) -> ShopEvent:
     """Rebuild an event from its JSON payload (inverse of :func:`encode_event`).
 
     A payload that parses but is not an event this build knows — not an
     object, an unregistered ``kind``, fields its dataclass rejects (a
     journal written by a newer build) — is :class:`LogCorruptionError`.
+
+    The fast path parses once with ``raw_decode`` and, when the whole
+    payload is one object whose ``kind`` has a template and whose keys
+    are that kind's fields plus ``kind`` in sorted order (how every
+    payload is written), builds the event positionally.  Anything else
+    — whitespace, trailing bytes, another key set or order, a kind
+    without a template — is parsed again by ``json.loads`` and checked
+    field by field, which raises what it always raised.
     """
+    try:
+        obj, end = _DECODER.raw_decode(payload)
+    except (ValueError, TypeError):
+        obj = None
+    if type(obj) is dict and end == len(payload):
+        kind = obj.get("kind")
+        decoder = _DECODERS.get(kind) if type(kind) is str else None
+        if decoder is not None and tuple(obj) == decoder[0]:
+            return decoder[1](obj)
     fields = json.loads(payload)
     if not isinstance(fields, dict):
         raise LogCorruptionError(
@@ -400,32 +474,41 @@ class DurableEventLog:
         os.replace(staging, final)
 
     def _scan_segment(self, path: Path, active: bool) -> int:
-        """Replay one segment's framing, decoding every record.
+        """Check one segment record by record: framing, CRC, payload.
 
-        Decoding validates each payload as an event.  Returns the record
-        count and leaves the length and CRC32 of the bytes it kept in
-        ``_body_bytes`` / ``_body_crc``.  In the active segment a torn
-        *final* record is truncated away; any other framing failure
-        raises.
+        A payload its kind's grammar accepts is an event without being
+        built; any other is decoded, and one that is not an event
+        raises.  Returns the record count and leaves the length and
+        CRC32 of the bytes it kept in ``_body_bytes`` / ``_body_crc``.
+        In the active segment a torn *final* record is truncated away;
+        any other failure raises, naming the segment and the record.
         """
         count = 0
         good_bytes = 0
         crc = 0
+        accepts = _GRAMMAR.fullmatch
         with open(path, "rb") as handle:
             while True:
                 line = handle.readline()
                 if not line:
                     break
                 try:
-                    decode_event(_parse_record(line))
-                except LogCorruptionError:
-                    raise
+                    payload = _parse_record(line)
                 except ValueError as exc:
                     if active and not handle.readline():  # torn final record
                         break
                     raise LogCorruptionError(
                         f"{path.name}: corrupt record {count}: {exc}"
                     )
+                if accepts(payload) is None:
+                    # A complete, CRC-valid record is never a torn write:
+                    # one that is not an event is corruption anywhere.
+                    try:
+                        decode_event(payload)
+                    except (LogCorruptionError, ValueError) as exc:
+                        raise LogCorruptionError(
+                            f"{path.name}: corrupt record {count}: {exc}"
+                        ) from exc
                 count += 1
                 good_bytes += len(line)
                 crc = zlib.crc32(line, crc)
@@ -541,7 +624,9 @@ class DurableEventLog:
         This is the bounded-memory replay path: recovery from a
         checkpoint at offset *k* iterates ``since(k)`` without ever
         holding more than one record in memory.  CRC and framing are
-        re-checked on every read.
+        re-checked on every read, and each record is decoded once; a
+        failure of either raises :class:`LogCorruptionError` naming the
+        segment file and the record's index in it.
         """
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
@@ -551,21 +636,21 @@ class DurableEventLog:
                 continue
             skip = max(offset - start, 0)
             index = -1
-            with open(self._segment_path(start), "rb") as handle:
+            path = self._segment_path(start)
+            with open(path, "rb") as handle:
                 for index, line in enumerate(islice(handle, count)):
                     if index < skip:
                         continue
                     try:
-                        payload = _parse_record(line)
-                    except ValueError as exc:
+                        event = decode_event(_parse_record(line))
+                    except (LogCorruptionError, ValueError) as exc:
                         raise LogCorruptionError(
-                            f"segment at {start}: corrupt record "
-                            f"{index}: {exc}"
-                        )
-                    yield decode_event(payload)
+                            f"{path.name}: corrupt record {index}: {exc}"
+                        ) from exc
+                    yield event
             if index + 1 < count:
                 raise LogCorruptionError(
-                    f"segment at {start}: holds {index + 1} records, "
+                    f"{path.name}: holds {index + 1} records, "
                     f"{count - index - 1} short of its {count}"
                 )
 

@@ -61,6 +61,15 @@ from .events import (
 
 __all__ = ["DynamicGraph"]
 
+#: What a :class:`SalesTick` touches: one shared, read-only empty frontier.
+_NO_NODES = np.zeros(0, dtype=np.int64)
+_NO_NODES.flags.writeable = False
+
+
+def _edge_frontier(src: int, dst: int) -> np.ndarray:
+    """An edge's endpoints, sorted and deduplicated (a self-loop is one)."""
+    return np.array(sorted({src, dst}), dtype=np.int64)
+
 
 class DynamicGraph:
     """Delta overlay (additions + tombstones) over a frozen base graph.
@@ -178,6 +187,12 @@ class DynamicGraph:
         for callback in list(self._listeners):
             callback(touched)
 
+    @property
+    def _listened(self) -> bool:
+        """Whether a mutation's frontier would reach a listener now;
+        the single-event mutations build it only then."""
+        return bool(self._listeners) and not self._suppress_notify
+
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
@@ -204,7 +219,8 @@ class DynamicGraph:
             self._in_deg = np.concatenate(
                 [self._in_deg, np.zeros(grow, dtype=np.int64)]
             )
-        self._notify(np.array([shop_index], dtype=np.int64))
+        if self._listened:
+            self._notify(np.array([shop_index], dtype=np.int64))
         return shop_index
 
     def add_edge(self, src: int, dst: int, edge_type: int = 0) -> None:
@@ -228,7 +244,8 @@ class DynamicGraph:
         self._out_deg[src] += 1
         self._in_deg[dst] += 1
         self._maybe_compact()
-        self._notify(np.unique(np.array([src, dst], dtype=np.int64)))
+        if self._listened:
+            self._notify(_edge_frontier(src, dst))
 
     def _stack_for(self, key: Tuple[int, int, int]) -> List[int]:
         """Materialise the LIFO retirement stack for one edge key.
@@ -275,25 +292,26 @@ class DynamicGraph:
         self._out_deg[key[0]] -= 1
         self._in_deg[key[1]] -= 1
         self._maybe_compact()
-        self._notify(np.unique(np.array(key[:2], dtype=np.int64)))
+        if self._listened:
+            self._notify(_edge_frontier(key[0], key[1]))
 
     def apply(self, event: ShopEvent) -> np.ndarray:
         """Apply one log event; returns the touched node frontier.
 
         :class:`SalesTick` is a graph no-op (feature planes consume it)
-        and touches nothing.
+        and touches nothing: it returns one shared read-only empty array.
         """
         self.events_applied += 1
         if isinstance(event, ShopAdded):
             return np.array([self.add_shop(event.shop_index)], dtype=np.int64)
         if isinstance(event, EdgeAdded):
             self.add_edge(event.src, event.dst, event.edge_type)
-            return np.unique(np.array([event.src, event.dst], dtype=np.int64))
+            return _edge_frontier(event.src, event.dst)
         if isinstance(event, EdgeRetired):
             self.retire_edge(event.src, event.dst, event.edge_type)
-            return np.unique(np.array([event.src, event.dst], dtype=np.int64))
+            return _edge_frontier(event.src, event.dst)
         if isinstance(event, SalesTick):
-            return np.zeros(0, dtype=np.int64)
+            return _NO_NODES
         raise TypeError(f"unknown event {event!r}")
 
     def apply_events(self, events: Sequence[ShopEvent]) -> np.ndarray:
@@ -305,7 +323,7 @@ class DynamicGraph:
         batch-factor cheaper than) per-event scans.  Use :meth:`apply`
         when queries genuinely interleave with single events.
         """
-        touched: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        touched: List[np.ndarray] = [_NO_NODES]
         self._suppress_notify = True
         try:
             with obs_tracing.span("streaming.event_apply"):

@@ -236,9 +236,11 @@ class StreamingFeatureStore:
                 self.late_ticks_accepted += 1
             else:
                 self.frontier = int(event.month)
-            self._notify_ticks(
-                np.array([event.shop_index], dtype=np.int64), self.frontier
-            )
+            if self._tick_listeners and not self._suppress_notify:
+                self._notify_ticks(
+                    np.array([event.shop_index], dtype=np.int64),
+                    self.frontier,
+                )
 
     def apply_events(self, events: Iterable[ShopEvent]) -> None:
         """Fold a batch of events in order.

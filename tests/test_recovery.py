@@ -16,9 +16,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 import shutil
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -160,6 +162,22 @@ def asdict_payload(event):
     payload = {"kind": type(event).__name__}
     payload.update(dataclasses.asdict(event))
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def decode_oracle(payload):
+    """The decoder the fast path sits in front of: the behaviour oracle."""
+    fields = json.loads(payload)
+    if not isinstance(fields, dict):
+        raise LogCorruptionError(
+            f"event payload is not an object: {payload[:60]!r}")
+    kind = fields.pop("kind", None)
+    cls = durable_log.EVENT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise LogCorruptionError(f"unknown event kind in log: {kind!r}")
+    try:
+        return cls(**fields)
+    except TypeError as exc:   # names the kind and the offending field
+        raise LogCorruptionError(f"malformed {kind} record: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +465,217 @@ class TestPayloadBytes:
         assert (log.segments_rescanned, log.torn_records_truncated) == (0, 0)
         assert log.high_water == len(some_events())
         assert list(log.since(0)) == some_events()
+
+
+# ----------------------------------------------------------------------
+# payload reading: the decode fast path and the reopen grammar
+# ----------------------------------------------------------------------
+def _pairs(payload):
+    return json.loads(payload, object_pairs_hook=list)
+
+
+def _join(pairs):
+    return "{%s}" % ",".join(json.dumps(key) + ":" + json.dumps(value)
+                             for key, value in pairs)
+
+
+def mutated_payloads(payload, rng):
+    """Payloads around one written payload that the fast path must hand
+    to the oracle body: not an object, unknown or unhashable kinds,
+    extra, missing, duplicate and reordered keys, surrounding bytes."""
+    pairs = _pairs(payload)
+    drop = int(rng.integers(len(pairs)))
+    twin = pairs[int(rng.integers(len(pairs)))]
+    kinds = sorted(durable_log.EVENT_KINDS)
+    other = kinds[int(rng.integers(len(kinds)))]
+    return [
+        "[1,2]", '"SalesTick"', "1", "null", "{}", '{"kind":[1]}',
+        '{"kind":"Mystery","month":0}', payload[:-1], "",
+        payload.replace(":", ": "),
+        _join([(k, "Mystery" if k == "kind" else v) for k, v in pairs]),
+        _join([("coupon", 3)] + pairs), _join(pairs + [("zzz", 0)]),
+        _join(pairs[:drop] + pairs[drop + 1:]),
+        _join(pairs + [twin]), _join([twin] + pairs),
+        _join(pairs + [("kind", other)]), _join(pairs[::-1]),
+        " " + payload, "\n" + payload, "\ufeff" + payload,
+        payload + " ", payload + "\n", payload + "x", payload + "{}",
+    ]
+
+
+#: Value spellings around the grammar's edges, each put in for one field.
+_EDGE_VALUES = (
+    "0", "-0", "01", "-", "+1", "1.", ".5", "1.0", "1e5", "1E+5", "1e-5",
+    "1.5e", "\u0661", "1" * 639, "1" * 640, "1" * 4400, "1" * 4400 + ".0",
+    "NaN", "Infinity", "-Infinity", "true", "null", "[1]", "{}",
+    '""', '"a"', '"\\u00e9"', '"\\ud83d\\uded2"', '"\\ud800"',
+    '"\\uZZZZ"', '"\\x"', '"\t"', '"\x7f"', '"\u2028"', '"\u00e9"',
+    '"\\"', '"\\/"', '"a', "'a'",
+)
+
+
+def grammar_probes(rng):
+    """A written payload, its mutations and one field's value swapped
+    for each edge spelling: what the reopen grammar is asked about."""
+    payload = encode_event(random_payload_event(rng))
+    probes = [payload, *mutated_payloads(payload, rng)]
+    parts = re.split(r'(:(?:"(?:[^"\\]|\\.)*"|[^,}]*))', payload)
+    values = list(range(1, len(parts), 2))
+    at = values[int(rng.integers(len(values)))]
+    for edge in _EDGE_VALUES:
+        probes.append("".join(parts[:at] + [":" + edge] + parts[at + 1:]))
+    return probes
+
+
+def _outcome(decode, payload):
+    try:
+        event = decode(payload)
+    except Exception as exc:   # the class and message must agree too
+        return type(exc), str(exc)
+    return type(event), [(type(getattr(event, field.name)),
+                          repr(getattr(event, field.name)))
+                         for field in dataclasses.fields(event)]
+
+
+def check_decode_is_the_oracles(payloads):
+    for payload in payloads:
+        assert _outcome(decode_event, payload) \
+            == _outcome(decode_oracle, payload), payload
+
+
+def check_the_grammar_accepts_only_events(payloads):
+    for payload in payloads:
+        if durable_log._GRAMMAR.fullmatch(payload) is not None:
+            event = decode_oracle(payload)       # raises if not an event
+            assert f'"kind":"{type(event).__name__}"' in payload
+
+
+def random_template_event(rng):
+    """An event every field of which the template spells: exactly the
+    declared type, floats finite."""
+    event = random_payload_event(rng)
+    values = {}
+    for field in dataclasses.fields(event):
+        value = getattr(event, field.name)
+        while type(value).__name__ != field.type or (
+                field.type == "float" and not math.isfinite(value)):
+            value = _random_value(rng, field.type)
+        values[field.name] = value
+    return type(event)(**values)
+
+
+def check_the_grammar_accepts_the_template(event):
+    template, values_of = durable_log._CODECS[type(event)][:2]
+    payload = encode_event(event)
+    assert payload == template % tuple(
+        encode_basestring_ascii(value) if isinstance(value, str) else value
+        for value in values_of(event))        # written by the template
+    assert durable_log._GRAMMAR.fullmatch(payload) is not None, payload
+
+
+class TestDecodeFastPath:
+    def test_written_payloads_decode_as_the_oracle_decodes(self):
+        forall(lambda rng: [encode_event(random_payload_event(rng))],
+               check_decode_is_the_oracles, trials=2000, seed=45,
+               name="decode_event == oracle on written payloads")
+
+    def test_mutated_payloads_decode_as_the_oracle_decodes(self):
+        forall(grammar_probes, check_decode_is_the_oracles, trials=300,
+               seed=46, name="decode_event == oracle on mutated payloads")
+
+    def test_a_fast_path_with_two_fields_swapped_fails_the_property(
+            self, monkeypatch):
+        keys, _build = durable_log._DECODERS["SalesTick"]
+        monkeypatch.setitem(durable_log._DECODERS, "SalesTick", (
+            keys, lambda obj: SalesTick(obj["shop_index"], obj["month"],
+                                        obj["gmv"], obj["orders"],
+                                        obj["customers"])))
+        with pytest.raises(AssertionError):
+            check_decode_is_the_oracles([encode_event(some_events()[3])])
+
+    def test_the_fast_path_builds_every_written_kind(self, monkeypatch):
+        monkeypatch.setattr(durable_log.json, "loads", None)
+        for event in some_events():
+            assert decode_event(encode_event(event)) == event
+
+    def test_a_one_field_kind_decodes_as_the_oracle_decodes(
+            self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class MonthClosed(ShopEvent):   # carries ``month`` alone
+            pass
+
+        monkeypatch.setitem(durable_log.EVENT_KINDS, "MonthClosed",
+                            MonthClosed)
+        monkeypatch.setitem(durable_log._DECODERS, "MonthClosed",
+                            durable_log._decoder(MonthClosed))
+        payload = '{"kind":"MonthClosed","month":7}'
+        with monkeypatch.context() as fast_only:
+            fast_only.setattr(durable_log.json, "loads", None)
+            assert decode_event(payload) == MonthClosed(month=7)
+        check_decode_is_the_oracles(
+            [payload, *mutated_payloads(payload, np.random.default_rng(0))])
+
+
+class TestReopenGrammar:
+    def test_the_grammar_accepts_only_payloads_that_decode(self):
+        forall(grammar_probes, check_the_grammar_accepts_only_events,
+               trials=300, seed=47, name="grammar ⊆ decodable events")
+
+    def test_the_grammar_accepts_every_template_payload(self):
+        forall(random_template_event, check_the_grammar_accepts_the_template,
+               trials=2000, seed=48, name="template payloads ⊆ grammar")
+
+    def test_the_grammar_rejects_the_fallbacks_spellings(self):
+        for event in (SalesTick(month=1, shop_index=0, gmv=float("nan")),
+                      SalesTick(month=1, shop_index=0, gmv=float("-inf")),
+                      SalesTick(month=True, shop_index=0, gmv=1.0),
+                      EdgeAdded(month=1, src=0, dst=1, edge_type=1.5)):
+            assert durable_log._GRAMMAR.fullmatch(encode_event(event)) is None
+
+    def test_reopen_decodes_no_template_written_record(self, tmp_path,
+                                                      monkeypatch):
+        events = (some_events() * 7)[:45]
+        with DurableEventLog(tmp_path / "log", segment_events=20) as log:
+            log.extend(events)
+        decoded = []
+        real = durable_log.decode_event
+        monkeypatch.setattr(
+            durable_log, "decode_event",
+            lambda payload: decoded.append(payload) or real(payload))
+        reopened = DurableEventLog(tmp_path / "log", segment_events=20)
+        assert (reopened.high_water, reopened.segments()[-1]) == (45, (40, 5))
+        assert decoded == []
+        nan_tick = SalesTick(month=3, shop_index=1, gmv=float("nan"))
+        reopened.append(nan_tick)
+        reopened.close()
+        assert DurableEventLog(tmp_path / "log").high_water == 46
+        assert decoded == [encode_event(nan_tick)]
+
+    @pytest.mark.parametrize("bad", [NEWER_BUILD_TICK, "not json", "[1,2]"],
+                             ids=["newer_build", "not_json", "not_an_object"])
+    def test_decode_failures_name_the_segment_and_record(self, tmp_path,
+                                                         bad):
+        directory = tmp_path / "log"
+        log = DurableEventLog(directory)
+        log.extend(some_events()[:3])
+        segment = next(directory.glob("events-*.seg"))
+        good = segment.read_bytes().splitlines(keepends=True)
+        where = re.escape(f"{segment.name}: corrupt record 1: ")
+        segment.write_bytes(good[0] + durable_log._format_record(bad)
+                            + good[2])
+        with pytest.raises(LogCorruptionError, match=where):
+            list(log.since(0))
+        recorder = FlightRecorder()
+        with use_recorder(recorder), \
+                pytest.raises(LogCorruptionError, match=where):
+            DurableEventLog(directory)
+        assert re.match(where, recorder.notes[0]["details"]["error"])
+        # A complete, CRC-valid record is never a torn write: in the
+        # tail position it raises too rather than being truncated.
+        body = good[0] + durable_log._format_record(bad)
+        segment.write_bytes(body)
+        with pytest.raises(LogCorruptionError, match=where):
+            DurableEventLog(directory)
+        assert segment.read_bytes() == body
 
 
 class TestAppendContract:

@@ -27,6 +27,7 @@ from repro.graph.sampling import receptive_layout
 from repro.obs import MetricsHub, Tracer, series_values, use_tracer
 from repro.obs import tracing as obs_tracing
 from repro.serving import GatewayConfig, LRUCache, ServingGateway
+from repro.streaming import dynamic_graph as dynamic_graph_module
 from repro.streaming import (
     DynamicGraph,
     EdgeAdded,
@@ -355,6 +356,117 @@ class TestReplayEquivalenceProperty:
         forall(gen, check_replay_equals_cold_rebuild, trials=TRIALS,
                seed=7, shrink=shrink_events,
                name="DynamicGraph replay+compact == cold rebuild")
+
+
+# ----------------------------------------------------------------------
+# fold notifications: what apply returns and what listeners receive
+# ----------------------------------------------------------------------
+def frontier_oracle(event):
+    """What ``DynamicGraph.apply`` returned and notified for one event
+    when every frontier went through ``np.unique``; None for a tick."""
+    if isinstance(event, ShopAdded):
+        return np.array([event.shop_index], dtype=np.int64)
+    if isinstance(event, (EdgeAdded, EdgeRetired)):
+        return np.unique(np.array([event.src, event.dst], dtype=np.int64))
+    return None
+
+
+def _same_arrays(got, want):
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in zip(got, want))
+
+
+def random_fold_events(rng):
+    """A valid graph sequence with self-loops and ticks mixed in."""
+    base = random_eseller_graph(rng, max_nodes=8, max_edges=15)
+    events = random_event_sequence(rng, base)
+    num_nodes = base.num_nodes + sum(isinstance(e, ShopAdded)
+                                     for e in events)
+    loop = int(rng.integers(num_nodes))
+    events += [EdgeAdded(month=0, src=loop, dst=loop, edge_type=2),
+               EdgeRetired(month=0, src=loop, dst=loop, edge_type=2)]
+    for _ in range(int(rng.integers(0, 10))):
+        events.insert(int(rng.integers(len(events) + 1)), SalesTick(
+            month=int(rng.integers(6)),
+            shop_index=int(rng.integers(num_nodes)), gmv=1.0))
+    return base, events
+
+
+def check_graph_frontiers_are_the_oracles(case):
+    base, events = case
+    dyn = DynamicGraph(base, compact_threshold=None)
+    first, second = [], []
+    dyn.subscribe(first.append)
+    dyn.subscribe(second.append)
+    returned, want = [], []
+    for event in events:
+        returned.append(dyn.apply(event))
+        if frontier_oracle(event) is not None:
+            want.append(frontier_oracle(event))
+    assert _same_arrays(first, want) and _same_arrays(second, want)
+    assert _same_arrays(
+        [touched for touched in returned if touched.size], want)
+
+
+def check_store_notifications_are_the_oracles(case):
+    _base, events = case
+    num_shops = 1 + max(getattr(e, "shop_index", 0) for e in events)
+    store = StreamingFeatureStore(num_shops, num_months=6, watermark=1)
+    seen, want = [], []
+    store.subscribe(lambda shops, frontier: seen.append((shops, frontier)))
+    for event in events:
+        accepted = store.ticks_applied
+        store.apply(event)
+        if store.ticks_applied > accepted:
+            want.append((np.array([event.shop_index], dtype=np.int64),
+                         store.frontier))
+    assert [frontier for _, frontier in seen] \
+        == [frontier for _, frontier in want]
+    assert _same_arrays([shops for shops, _ in seen],
+                        [shops for shops, _ in want])
+
+
+class TestFoldNotifications:
+    def test_graph_frontiers_are_np_uniques(self):
+        forall(random_fold_events, check_graph_frontiers_are_the_oracles,
+               trials=TRIALS, seed=17,
+               name="apply frontier == np.unique oracle, listeners too")
+
+    def test_store_listeners_get_one_array_per_accepted_tick(self):
+        forall(random_fold_events, check_store_notifications_are_the_oracles,
+               trials=TRIALS, seed=18, name="store tick notifications")
+
+    def test_a_tick_touches_a_shared_read_only_empty_frontier(self):
+        dyn = DynamicGraph(ESellerGraph(2, [0], [1], [0]))
+        tick = SalesTick(month=0, shop_index=1, gmv=1.0)
+        touched = dyn.apply(tick)
+        assert touched.shape == (0,) and touched.dtype == np.int64
+        assert not touched.flags.writeable and dyn.apply(tick) is touched
+        with pytest.raises(ValueError, match="read-only"):
+            touched[...] = 1
+        union = dyn.apply_events([tick, tick])
+        assert union.shape == (0,) and union.flags.writeable
+
+    def test_an_unheard_mutation_builds_no_frontier(self, monkeypatch):
+        built = []
+        real = dynamic_graph_module._edge_frontier
+        monkeypatch.setattr(dynamic_graph_module, "_edge_frontier",
+                            lambda src, dst: built.append((src, dst))
+                            or real(src, dst))
+        dyn = DynamicGraph(ESellerGraph(4, [0], [1], [0]),
+                           compact_threshold=None)
+        dyn.add_edge(1, 2)
+        dyn.retire_edge(1, 2)
+        assert built == []                  # no listener
+        calls = []
+        dyn.subscribe(lambda touched: calls.append(touched.tolist()))
+        dyn.apply_events([EdgeAdded(month=0, src=2, dst=3),
+                          EdgeAdded(month=0, src=3, dst=3)])
+        assert built == [(2, 3), (3, 3)]    # apply's returns alone
+        assert calls == [[2, 3]]            # one union notification
+        dyn.add_edge(3, 1)
+        assert built[2:] == [(3, 1)] and calls[1:] == [[1, 3]]
 
 
 # ----------------------------------------------------------------------
